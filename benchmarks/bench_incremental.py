@@ -74,7 +74,7 @@ def seed_engine():
         return real_collect(self, reports, seen, result, origins,
                             statuses_fn, lags)
 
-    def scanning_attribute(vertex, report, statuses, tracker, index=None):
+    def scan(vertex, report, statuses, tracker):
         # The seed implementation: a sorted scan over the report's
         # tasks for every cycle vertex — O(cycle × statuses) per
         # report, the quadratic term the attribution index removed.
@@ -91,6 +91,13 @@ def seed_engine():
             candidates = sorted((str(t), t) for t in report.tasks)
         task = candidates[0][1]
         return tracker.origins.get(task, fallback), str(task)
+
+    def scanning_attribute(vertex, report, statuses, tracker, index,
+                           fallback):
+        # The seed attributed every vertex twice — as one edge's target
+        # and as the next edge's source; the engine now asks once.
+        scan(vertex, report, statuses, tracker)
+        return scan(vertex, report, statuses, tracker)
 
     IncrementalChecker.apply_batch = per_edge
     ReplayEngine._collect = eager_collect

@@ -391,17 +391,14 @@ class DeltaPublisher:
 # ---------------------------------------------------------------------------
 # consumer half
 # ---------------------------------------------------------------------------
-def merge_buckets(buckets: Mapping[str, Mapping[str, Mapping]]) -> DependencySnapshot:
-    """Merge per-site encoded buckets into one global snapshot.
-
-    Task ids are globally unique, so the merge is a disjoint union; a
-    duplicate id across sites would indicate a publishing bug and
-    raises — with the same message whichever protocol carried the
-    statuses, so replays of bucket and delta traces fail identically.
-    """
+def _merge_statuses(per_site) -> DependencySnapshot:
+    """Disjoint union of ``(site, task -> BlockedStatus)`` pairs, in
+    order.  Task ids are globally unique; a duplicate across sites is a
+    publishing bug and raises — the one error text behind both
+    :func:`merge_buckets` and the delta view, so replays of bucket and
+    delta traces fail identically."""
     merged: Dict[str, BlockedStatus] = {}
-    for site_id, bucket in buckets.items():
-        statuses = {str(t): decode_blob(blob) for t, blob in bucket.items()}
+    for site_id, statuses in per_site:
         overlap = merged.keys() & statuses.keys()
         if overlap:
             raise ValueError(
@@ -412,15 +409,25 @@ def merge_buckets(buckets: Mapping[str, Mapping[str, Mapping]]) -> DependencySna
     return DependencySnapshot(statuses=merged)
 
 
+def merge_buckets(buckets: Mapping[str, Mapping[str, Mapping]]) -> DependencySnapshot:
+    """Merge per-site encoded buckets into one global snapshot (the
+    bucket protocol's merge; decodes every blob)."""
+    return _merge_statuses(
+        (site_id, {str(t): decode_blob(blob) for t, blob in bucket.items()})
+        for site_id, bucket in buckets.items()
+    )
+
+
 class DeltaMergeState:
     """The consumer's maintained global view, fed task-level deltas.
 
     One instance backs one checker: per-site encoded buckets (ordered —
     the merged snapshot must mirror the bucket protocol's site/task
-    ordering), per-site stream cursors, and cross-site ownership for
-    conflict detection.  Applying a delta costs O(ops), not O(cluster):
-    this is the property the whole protocol exists to carry across the
-    wire.
+    ordering), the decoded status of every blob beside them (each blob
+    is decoded once, when it arrives), per-site stream cursors, and
+    cross-site ownership for conflict detection.  Applying a delta
+    costs O(ops), not O(cluster): this is the property the whole
+    protocol exists to carry across the wire.
 
     The checker only needs the delta mutation surface (``set_blocked``,
     ``clear``); pair it with an
@@ -433,6 +440,9 @@ class DeltaMergeState:
     def __init__(self, checker) -> None:
         self.checker = checker
         self.buckets: Dict[str, Dict[str, dict]] = {}
+        #: ``site -> task -> BlockedStatus``: each blob decoded once, on
+        #: arrival; mutated in step with ``buckets`` so both iterate alike.
+        self._statuses: Dict[str, Dict[str, BlockedStatus]] = {}
         self.cursors: Dict[str, Cursor] = {}
         self._owners: Dict[str, Set[str]] = {}
         self._conflicted: Set[str] = set()
@@ -463,14 +473,15 @@ class DeltaMergeState:
         return frozenset(self._conflicted)
 
     def merged_snapshot(self) -> DependencySnapshot:
-        """The global view, ordered like the bucket protocol's merge."""
-        return merge_buckets(self.buckets)
+        """The global view, ordered (and failing) like the bucket
+        protocol's :func:`merge_buckets`, with nothing left to decode."""
+        return _merge_statuses(self._statuses.items())
 
     def raise_on_conflict(self) -> None:
         """Reject cross-site duplication at check time, identically to
-        the classic merge (which produces the error text)."""
+        the classic merge (same error text)."""
         if self._conflicted:
-            merge_buckets(self.buckets)
+            self.merged_snapshot()
 
     # -- application ---------------------------------------------------
     def apply_obj(self, site: str, obj: Mapping) -> None:
@@ -491,16 +502,18 @@ class DeltaMergeState:
                 )
             else:
                 bucket = self.buckets.setdefault(site, {})
+                statuses = self._statuses.setdefault(site, {})
                 for task in obj["clear"]:
                     if task in bucket:
                         bucket.pop(task)
+                        statuses.pop(task)
                         self._remove_task(site, task)
-                for task, blob in obj["restore"].items():
-                    bucket[task] = dict(blob)
-                    self._set_task(site, task, blob)
-                for task, blob in obj["set"].items():
-                    bucket[task] = dict(blob)
-                    self._set_task(site, task, blob)
+                for ops in (obj["restore"], obj["set"]):
+                    for task, blob in ops.items():
+                        status = decode_blob(blob)
+                        bucket[task] = dict(blob)
+                        statuses[task] = status
+                        self._set_task(site, task, status)
         finally:
             if opened:
                 self._flush_ops()
@@ -535,6 +548,7 @@ class DeltaMergeState:
             with self.batched():
                 self._replace_bucket(site, {})
         self.buckets.pop(site, None)
+        self._statuses.pop(site, None)
         self.cursors.pop(site, None)
 
     # -- batched checker feeding ---------------------------------------
@@ -580,13 +594,24 @@ class DeltaMergeState:
     # -- task-level primitives (the shared ownership semantics) --------
     def _replace_bucket(self, site: str, new: Dict[str, dict]) -> None:
         old = self.buckets.get(site, {})
+        kept = self._statuses.get(site, {})
+        # An unchanged blob carries its decoded status over; the rest
+        # decode here, before anything is mutated.
+        statuses: Dict[str, BlockedStatus] = {}
+        changed: List[str] = []
+        for task, blob in new.items():
+            if old.get(task) == blob:
+                statuses[task] = kept[task]
+            else:
+                statuses[task] = decode_blob(blob)
+                changed.append(task)
         self.buckets[site] = new
+        self._statuses[site] = statuses
         for task in old:
             if task not in new:
                 self._remove_task(site, task)
-        for task, blob in new.items():
-            if old.get(task) != blob:
-                self._set_task(site, task, blob)
+        for task in changed:
+            self._set_task(site, task, statuses[task])
 
     def _remove_task(self, site: str, task: str) -> None:
         self.ops_applied += 1
@@ -597,15 +622,14 @@ class DeltaMergeState:
             self._owners.pop(task, None)
         elif len(owners) == 1:
             # Conflict resolved by this removal: the survivor's current
-            # blob is the merged truth again.
+            # status is the merged truth again.
             self._conflicted.discard(task)
             (survivor,) = owners
-            blob = self.buckets[survivor][task]
-            self._checker_set(task, decode_blob(blob))
+            self._checker_set(task, self._statuses[survivor][task])
 
-    def _set_task(self, site: str, task: str, blob: Mapping) -> None:
+    def _set_task(self, site: str, task: str, status: BlockedStatus) -> None:
         self.ops_applied += 1
-        self._checker_set(task, decode_blob(blob))
+        self._checker_set(task, status)
         owners = self._owners.setdefault(task, set())
         owners.add(site)
         if len(owners) > 1:

@@ -190,19 +190,25 @@ class RemoteStore:
         self._request("delete", site=str(site_id))
 
     # -- service operations beyond the store surface -------------------
+    def _decode_reports(self, objs) -> list:
+        from repro.trace.events import TraceFormatError, report_from_obj
+
+        try:
+            return [report_from_obj(obj) for obj in objs]
+        except (TraceFormatError, TypeError) as exc:
+            raise RemoteProtocolError(
+                f"{self.name}: malformed report answer: {exc}"
+            ) from exc
+
     def check(self):
         """Ask the service for one detection pass over this tenant;
         returns the decoded :class:`DeadlockReport` or ``None``."""
-        from repro.trace.events import report_from_obj
-
         obj = self._request("check")
-        return None if obj is None else report_from_obj(obj)
+        return None if obj is None else self._decode_reports([obj])[0]
 
     def reports(self) -> list:
         """The tenant's distinct service-side reports, decoded."""
-        from repro.trace.events import report_from_obj
-
-        return [report_from_obj(obj) for obj in self._request("reports")]
+        return self._decode_reports(self._request("reports"))
 
     def health(self) -> dict:
         """This tenant's health document."""

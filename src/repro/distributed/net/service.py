@@ -101,6 +101,11 @@ class TenantChecker:
         self._seen_cycles: set = set()
         self._origins = OriginTracker()
         self._ordinal = 0
+        # The last cyclic answer: (the checker's report object, the
+        # origin ordinal it was enriched at, the enriched report, its
+        # wire object).  The ordinal is part of the key because a
+        # checkpoint re-publish moves origins without touching the graph.
+        self._answer = (None, -1, None, None)
         self._lock = threading.Lock()
 
     # -- the five-method store surface, tenant-scoped ------------------
@@ -137,6 +142,7 @@ class TenantChecker:
     def delete(self, site: str) -> None:
         with self._lock:
             self.store.delete(site)
+            self._origins.drop_site(str(site))
 
     # -- checking ------------------------------------------------------
     def check(self) -> Optional[DeadlockReport]:
@@ -145,20 +151,36 @@ class TenantChecker:
         Returns the (provenance-enriched) report when the view holds a
         cycle — every pass, so remote pollers always see it — while the
         tenant's ``reports`` log keeps one entry per distinct cycle.
+        Polling a stable deadlock re-attributes and re-serialises
+        nothing: the checker hands back the same report object until
+        the graph changes.
         """
-        from repro.obs.tracing import attach_provenance
-
         with self._lock:
-            report = self.checker.check_global()
-            if report is None:
-                return None
+            return self._check()[0]
+
+    def check_obj(self) -> Optional[dict]:
+        """:meth:`check`, answered as the report's wire object."""
+        with self._lock:
+            return self._check()[1]
+
+    def _check(self):
+        from repro.obs.tracing import attach_provenance
+        from repro.trace.events import report_to_obj
+
+        report = self.checker.check_global()
+        if report is None:
+            return None, None
+        raw, ordinal, enriched, obj = self._answer
+        if report is not raw or ordinal != self._ordinal:
             statuses = self.checker.view.merged_snapshot().statuses
             enriched, _ = attach_provenance(report, self._origins, statuses)
-            key = frozenset(enriched.tasks)
+            obj = report_to_obj(enriched)
+            self._answer = (report, self._ordinal, enriched, obj)
+            key = frozenset(report.tasks)
             if key not in self._seen_cycles:
                 self._seen_cycles.add(key)
                 self.reports.append(enriched)
-            return enriched
+        return enriched, obj
 
     # -- introspection -------------------------------------------------
     def health_doc(self) -> dict:
@@ -350,10 +372,7 @@ class CheckerServiceCore:
         return None
 
     def _op_check(self, request):
-        from repro.trace.events import report_to_obj
-
-        report = self._tenant_of(request).check()
-        return None if report is None else report_to_obj(report)
+        return self._tenant_of(request).check_obj()
 
     def _op_reports(self, request):
         return self._tenant_of(request).report_objs()

@@ -311,6 +311,14 @@ class OriginTracker:
             self._site_tasks[rec.site] = owned
         # REGISTER / ADVANCE: context only — the ordinal already moved.
 
+    def drop_site(self, site: str) -> None:
+        """The site withdrew its stream: forget the origins (and wall
+        stamps) of every task it still owns, and the site itself."""
+        for task in self._site_tasks.pop(site, ()):
+            origin = self.origins.get(task)
+            if origin is not None and origin.site == site:
+                self._drop(task)
+
 
 def _attribution_index(report: DeadlockReport, statuses):
     """Precompute SG-vertex attribution for one report.
@@ -338,23 +346,21 @@ def _attribution_index(report: DeadlockReport, statuses):
 
 
 def _attribute(vertex, report: DeadlockReport, statuses,
-               tracker: OriginTracker,
-               index=None) -> Tuple[RecordOrigin, str]:
+               tracker: OriginTracker, index,
+               fallback: RecordOrigin) -> Tuple[RecordOrigin, str]:
     """Attribute one cycle vertex to ``(origin, task)``.
 
     A WFG vertex *is* a task: its own origin.  An SG vertex is an
-    event: attributed to the minimal (string-ordered) report task whose
-    status waits on it.  Missing origins (an avoidance-refused block
-    never entered the view) fall back to the current ordinal.
+    event: attributed through ``index`` (:func:`_attribution_index`) to
+    the minimal (string-ordered) report task whose status waits on it.
+    Missing origins (an avoidance-refused block never entered the view)
+    take ``fallback``, the current ordinal.
     """
-    fallback = RecordOrigin(tracker.last_ordinal, "block")
     if vertex in tracker.origins:
         return tracker.origins[vertex], str(vertex)
     if vertex in statuses or not report.tasks:
         # A task vertex without a tracked origin (avoidance refusal).
         return fallback, str(vertex)
-    if index is None:
-        index = _attribution_index(report, statuses)
     waiters, min_task = index
     held = waiters.get(vertex)
     task = min_task if held is None else held[1]
@@ -372,16 +378,23 @@ def attach_provenance(
     (volatile; callers feed it to the seconds histogram only).
     """
     current = tracker.last_ordinal
-    edges: List[EdgeProvenance] = []
     index = _attribution_index(report, statuses)
-    for a, b in zip(report.cycle, report.cycle[1:]):
-        origin_a, task_a = _attribute(a, report, statuses, tracker, index)
-        origin_b, task_b = _attribute(b, report, statuses, tracker, index)
-        edges.append(EdgeProvenance(
-            source=str(a), target=str(b),
-            source_task=task_a, target_task=task_b,
-            source_origin=origin_a, target_origin=origin_b,
-        ))
+    fallback = RecordOrigin(current, "block")
+    # Each vertex is an edge's target and the next edge's source:
+    # attribute it once, then zip consecutive ends into edges.
+    ends: Dict[object, Tuple[str, str, RecordOrigin]] = {}
+    for vertex in report.cycle:
+        if vertex not in ends:
+            origin, task = _attribute(
+                vertex, report, statuses, tracker, index, fallback
+            )
+            ends[vertex] = (str(vertex), task, origin)
+    walk = [ends[vertex] for vertex in report.cycle]
+    edges = [
+        EdgeProvenance(a, b, task_a, task_b, origin_a, origin_b)
+        for (a, task_a, origin_a), (b, task_b, origin_b)
+        in zip(walk, walk[1:])
+    ]
     # The closing edge: the latest origin among the cycle's tasks (ties
     # broken by task string, for a deterministic wall-clock anchor).
     closing_ord, closing_task = 0, None

@@ -235,7 +235,10 @@ def report_to_obj(report) -> dict:
     ``json.dumps(report_to_obj(r), sort_keys=True)`` is a stable byte
     form — what the network differential tests pin.  Replay/service
     provenance enrichments encode when present and are omitted when
-    absent, keeping live-path reports minimal.
+    absent, keeping live-path reports minimal.  Provenance interns its
+    origins (a long cycle names few distinct publishes): ``{"origins":
+    [origin, ...], "edges": [[source, target, source_task, target_task,
+    i, j], ...]}`` with ``i``/``j`` indexing ``origins``.
     """
     obj = {
         "tasks": [str(t) for t in report.tasks],
@@ -246,17 +249,19 @@ def report_to_obj(report) -> dict:
         "avoided": report.avoided,
     }
     if report.provenance is not None:
-        obj["provenance"] = [
-            {
-                "source": edge.source,
-                "target": edge.target,
-                "source_task": edge.source_task,
-                "target_task": edge.target_task,
-                "source_origin": origin_to_obj(edge.source_origin),
-                "target_origin": origin_to_obj(edge.target_origin),
-            }
-            for edge in report.provenance
-        ]
+        interned: dict = {}
+        obj["provenance"] = {
+            "edges": [
+                [
+                    edge.source, edge.target,
+                    edge.source_task, edge.target_task,
+                    interned.setdefault(edge.source_origin, len(interned)),
+                    interned.setdefault(edge.target_origin, len(interned)),
+                ]
+                for edge in report.provenance
+            ],
+            "origins": [origin_to_obj(origin) for origin in interned],
+        }
     if report.detection_lag is not None:
         obj["detection_lag"] = report.detection_lag
     if report.detected_at is not None:
@@ -273,17 +278,18 @@ def report_from_obj(obj: Mapping):
     try:
         provenance = None
         if obj.get("provenance") is not None:
-            provenance = tuple(
-                EdgeProvenance(
-                    source=str(edge["source"]),
-                    target=str(edge["target"]),
-                    source_task=str(edge["source_task"]),
-                    target_task=str(edge["target_task"]),
-                    source_origin=origin_from_obj(edge["source_origin"]),
-                    target_origin=origin_from_obj(edge["target_origin"]),
-                )
-                for edge in obj["provenance"]
-            )
+            origins = [
+                origin_from_obj(o) for o in obj["provenance"]["origins"]
+            ]
+            edges = []
+            for a, b, task_a, task_b, i, j in obj["provenance"]["edges"]:
+                if i < 0 or j < 0:
+                    raise IndexError("negative origin index")
+                edges.append(EdgeProvenance(
+                    str(a), str(b), str(task_a), str(task_b),
+                    origins[i], origins[j],
+                ))
+            provenance = tuple(edges)
         return DeadlockReport(
             tasks=tuple(str(t) for t in obj["tasks"]),
             events=tuple(Event(p, int(n)) for p, n in obj["events"]),
@@ -301,7 +307,8 @@ def report_from_obj(obj: Mapping):
                 else int(obj["detected_at"])
             ),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, KeyError, TypeError,
+            ValueError) as exc:
         raise TraceFormatError(f"malformed deadlock report: {obj!r}") from exc
 
 

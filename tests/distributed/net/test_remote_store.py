@@ -179,6 +179,25 @@ class TestErrorFidelity:
         with pytest.raises(RemoteProtocolError):
             remote._request("frobnicate")
 
+    @pytest.mark.parametrize("answer", [
+        [], {"tasks": ["a"]}, {"provenance": {"origins": [], "edges": [[0]]}},
+    ])
+    def test_malformed_report_is_a_protocol_error(self, monkeypatch, answer):
+        # A service answering `check`/`reports` with something that is
+        # not a report is outside the protocol — never a decoder leak.
+        remote = RemoteStore(port=1)
+        monkeypatch.setattr(
+            remote, "_request",
+            lambda op, **args: answer if op == "check" else [answer],
+        )
+        with pytest.raises(RemoteProtocolError):
+            remote.check()
+        with pytest.raises(RemoteProtocolError):
+            remote.reports()
+        monkeypatch.setattr(remote, "_request", lambda op, **args: {"a": 1})
+        with pytest.raises(RemoteProtocolError):
+            remote.reports()
+
 
 class TestTransportRobustness:
     def test_unreachable_service_exhausts_retries(self):

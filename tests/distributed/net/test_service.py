@@ -21,6 +21,7 @@ from repro.distributed.net import CheckerService, RemoteStore
 from repro.distributed.net.service import CheckerServiceCore
 from repro.distributed.store import encode_statuses
 from repro.obs.registry import MetricsRegistry
+from repro.trace.events import report_from_obj
 
 
 def publish(store, site, statuses, publisher=None):
@@ -92,16 +93,17 @@ class TestCoreDispatch:
         assert set(obj["tasks"]) == {"a", "b"}
         # Service-side provenance: every cycle edge carries the live
         # wire deltas (site, stream, seq) that produced its endpoints.
-        provenance = obj.get("provenance")
-        assert provenance
-        for edge in provenance:
-            for end in ("source_origin", "target_origin"):
-                origin = edge[end]
-                assert origin["kind"] == "publish_delta"
-                assert origin["site"] in {"s0", "s1"}
-                assert origin["seq"] >= 1 and origin.get("stream")
-        sites = {e["source_origin"]["site"] for e in provenance}
+        report = report_from_obj(obj)
+        assert report.provenance
+        for edge in report.provenance:
+            for origin in (edge.source_origin, edge.target_origin):
+                assert origin.kind == "publish_delta"
+                assert origin.site in {"s0", "s1"}
+                assert origin.seq >= 1 and origin.stream
+        sites = {e.source_origin.site for e in report.provenance}
         assert sites == {"s0", "s1"}
+        # ... interned on the wire: two publishes, two origin objects.
+        assert len(obj["provenance"]["origins"]) == 2
 
     def test_reports_deduplicate_per_cycle(self):
         core = CheckerServiceCore()
@@ -113,6 +115,51 @@ class TestCoreDispatch:
         assert core.handle({"op": "check"})["value"] is not None  # re-answered
         reports = core.handle({"op": "reports"})["value"]
         assert len(reports) == 1  # ... but logged once
+
+    def test_stable_deadlock_is_not_reattributed(self, monkeypatch):
+        from repro.obs import tracing
+
+        calls = []
+        real = tracing._attribute
+        monkeypatch.setattr(
+            tracing, "_attribute",
+            lambda *args: calls.append(args[0]) or real(*args),
+        )
+        core = CheckerServiceCore()
+        tenant = core.tenant("default")
+        a, b = crossed_knot()
+        publish(tenant, "s0", a)
+        pub = publish(tenant, "s1", b)
+        first = core.handle({"op": "check"})["value"]
+        assert len(calls) == 2  # one per cycle vertex
+        second = core.handle({"op": "check"})["value"]
+        assert second is first and len(calls) == 2
+        assert tenant.check() == report_from_obj(first) and len(calls) == 2
+        # A checkpoint re-publish leaves the graph (and the checker's
+        # report object) alone but moves b's origin to the new seq.
+        checkpoint = pub.prepare_checkpoint(encode_bucket(b))
+        tenant.append_delta("s1", checkpoint)
+        third = report_from_obj(core.handle({"op": "check"})["value"])
+        origins = {
+            (o.site, o.stream, o.seq) for e in third.provenance
+            for o in (e.source_origin, e.target_origin)
+        }
+        assert ("s1", pub.stream, checkpoint["seq"]) in origins
+        assert ("s1", pub.stream, 1) not in origins
+        assert third.detected_at == 3
+        assert len(core.handle({"op": "reports"})["value"]) == 1
+
+    def test_delete_forgets_the_sites_origins(self):
+        tenant = CheckerServiceCore().tenant("default")
+        tracker = tenant._origins
+        for round_ in range(100):
+            site = f"s{round_}"
+            publish(tenant, site, {f"t{round_}": waiting_on("p", 1, p=1)})
+            assert len(tracker.origins) == len(tracker.walls) == 1
+            tenant.delete(site)
+        assert tenant.delta_sites() == []
+        assert tracker.origins == {} and tracker.walls == {}
+        assert tracker._site_tasks == {}
 
     def test_health_aggregate_and_per_tenant(self):
         core = CheckerServiceCore()

@@ -10,6 +10,8 @@ byte-identical across the two protocols.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.checker import DeadlockChecker
@@ -357,3 +359,122 @@ class TestTraceContext:
         obj = pub.prepare_checkpoint(bucket(a=waiting_on("p", 1, p=1)))
         assert obj["kind"] == "snapshot"
         assert obj["trace"] == delta_trace_context("s0", "tok", 2)
+
+
+class TestDecodedView:
+    """The merge view keeps each blob's decoded status: the merged
+    snapshot must stay indistinguishable from re-merging the buckets,
+    and no blob may be decoded more than once."""
+
+    SITES = ("s0", "s1", "s2")
+    TASKS = tuple(f"t{i}" for i in range(6))
+
+    @staticmethod
+    def assert_same_merge(view):
+        try:
+            expected = merge_buckets(view.buckets).statuses
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                view.merged_snapshot()
+            assert str(raised.value) == str(exc)
+            with pytest.raises(ValueError):
+                view.raise_on_conflict()
+            return
+        merged = view.merged_snapshot().statuses
+        assert merged == expected
+        assert list(merged) == list(expected)
+
+    def random_bucket(self, rng):
+        tasks = rng.sample(self.TASKS, rng.randrange(len(self.TASKS)))
+        return bucket(**{
+            t: waiting_on("p", rng.randrange(1, 4), p=rng.randrange(3))
+            for t in tasks
+        })
+
+    def random_step(self, rng, view):
+        site = rng.choice(self.SITES)
+        op = rng.choice(
+            ("snapshot", "delta", "delta", "bucket", "reset", "drop")
+        )
+        cursor = view.cursor(site)
+        if op == "delta" and cursor is not None:
+            held = list(view.buckets[site])
+            fresh = self.random_bucket(rng)
+            view.apply_obj(site, {
+                "v": 2, "stream": cursor[0], "seq": cursor[1] + 1,
+                "kind": "delta",
+                "set": {t: b for t, b in fresh.items() if t not in held},
+                "restore": {t: b for t, b in fresh.items() if t in held},
+                "clear": rng.sample(self.TASKS, rng.randrange(3)),
+            })
+        elif op in ("snapshot", "delta"):
+            view.apply_obj(site, make_snapshot(
+                rng.randrange(1, 50), self.random_bucket(rng),
+                f"st{rng.randrange(3)}",
+            ))
+        elif op == "bucket":
+            view.apply_bucket(site, self.random_bucket(rng))
+        elif op == "reset":
+            view.reset_site(site, "ck", rng.randrange(1, 50),
+                            self.random_bucket(rng))
+        else:
+            view.drop_site(site)
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_merged_snapshot_equals_bucket_merge(self, seed):
+        rng = random.Random(seed)
+        view = DeltaMergeState(IncrementalChecker())
+        conflicts = 0
+        for _ in range(120):
+            self.random_step(rng, view)
+            self.assert_same_merge(view)
+            conflicts += bool(view.conflicted)
+            assert list(view._statuses) == list(view.buckets)
+        assert conflicts  # the walk does reach cross-site overlaps
+
+    def test_failed_decode_leaves_the_view_untouched(self):
+        from repro.trace.events import TraceFormatError
+
+        view = DeltaMergeState(IncrementalChecker())
+        good = bucket(a=waiting_on("p", 1, p=1))
+        view.apply_obj("s0", make_snapshot(1, good, "s0"))
+        bad = dict(good, b={"waits": "nonsense"})
+        for _ in range(2):  # a consumer retries the same snapshot
+            with pytest.raises(TraceFormatError):
+                view.apply_obj("s0", make_snapshot(2, bad, "s0"))
+            assert view.buckets["s0"] == good and view.cursor_seq("s0") == 1
+            self.assert_same_merge(view)
+
+    def test_cyclic_checks_decode_each_blob_once(self, monkeypatch):
+        from repro.distributed import delta
+        from repro.distributed.detector import DistributedChecker
+        from repro.distributed.store import InMemoryStore
+
+        decoded = []
+        real = delta.decode_blob
+        monkeypatch.setattr(
+            delta, "decode_blob", lambda blob: decoded.append(1) or real(blob)
+        )
+        ring, rounds = 48, 6
+
+        def status(i):
+            return waiting_on(
+                f"c{i}", 1, **{f"c{i}": 1, f"c{(i - 1) % ring}": 0}
+            )
+
+        store = InMemoryStore()
+        checker = DistributedChecker(store)
+        store.append_delta("A", make_snapshot(
+            1, bucket(**{f"a{i}": status(i) for i in range(ring - 1)}), "A",
+        ))
+        closing = bucket(**{f"a{ring - 1}": status(ring - 1)})
+        for index in range(rounds):
+            assert checker.check_global() is None
+            store.append_delta("B", make_snapshot(1, closing, f"B{index}"))
+            report = checker.check_global()
+            assert report is not None and len(report.tasks) == ring
+            assert len(checker.view.merged_snapshot().statuses) == ring
+            store.delete("B")
+        # One decode per task set — not 2 x checks x tasks.
+        assert len(decoded) == (ring - 1) + rounds
+        assert checker.checker.stats.cycles_found == rounds
