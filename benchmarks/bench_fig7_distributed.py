@@ -1,176 +1,18 @@
-"""Figure 7: distributed deadlock detection overhead — plus the
-delta-vs-bucket protocol column.
+"""Figure 7: distributed deadlock detection overhead.
 
 Each HPCC kernel runs on a 4-place cluster, unchecked versus with every
 site publishing and checking (200 ms period, the paper's setting).  The
 paper reports *no statistical evidence* of overhead; expect the checked
 and unchecked timings to be statistically indistinguishable.
-
-The protocol column drives the same periodic publish/check rounds over
-a synthetic cluster state twice — once through the legacy bucket
-protocol (every site re-``put``s its whole encoded bucket, every check
-re-merges the full global view) and once through the delta wire
-protocol (sites append ``set``/``restore``/``clear`` deltas, the
-checker maintains its merged view incrementally) — and compares
-
-* **bytes on the wire** per run (store ``bytes_put + bytes_get``), and
-* **merge cost** per run (statuses decoded+merged per check vs
-  task-level delta ops applied),
-
-with both protocols required to report the *same* deadlock when the
-final round ties a cross-site knot.  The acceptance floor (≥5× on both
-quantities) arms at the ISSUE's size — 8 sites × 1000 tasks — which is
-the default; CI runs a reduced size via ``REPRO_FIG7_SITES`` /
-``REPRO_FIG7_TASKS``.  CI uploads the suite as
-``BENCH_distributed_delta.json`` (the checked-in copy records the
-full-size numbers).
 """
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.bench.harness import HPCC_KERNELS, _run_distributed, make_cluster
-from repro.core.checker import DeadlockChecker
-from repro.core.events import waiting_on
-from repro.distributed.delta import DeltaPublisher, encode_bucket
-from repro.distributed.detector import DistributedChecker, check_buckets
-from repro.distributed.store import InMemoryStore, encode_statuses
 
 N_PLACES = 4
-
-# -- delta-vs-bucket protocol column ----------------------------------------
-#: Acceptance size (the ISSUE's floor); CI overrides with reduced N.
-N_SITES = int(os.environ.get("REPRO_FIG7_SITES", "8"))
-N_TASKS = int(os.environ.get("REPRO_FIG7_TASKS", "1000"))
-#: Publish/check rounds per run, and status changes per round (~1%).
-N_ROUNDS = int(os.environ.get("REPRO_FIG7_ROUNDS", "40"))
-CHANGES_PER_ROUND = max(1, N_TASKS // 100)
-
-#: The acceptance floor for both the traffic and merge-cost ratios.
-PROTOCOL_FLOOR = 5.0
-
-
-def _initial_statuses():
-    """A deadlock-free cluster state: every task blocked on its own
-    phaser (no impeders, so continuous checks stay cheap and honest)."""
-    return {
-        f"t{i}": waiting_on(f"w{i}", 1, **{f"w{i}": 1}) for i in range(N_TASKS)
-    }
-
-
-def _site_of(i: int) -> str:
-    return f"site{i % N_SITES}"
-
-
-def _mutate(statuses, round_no: int) -> None:
-    """Churn ~1% of tasks per round (status replaced, phases bumped)."""
-    for k in range(CHANGES_PER_ROUND):
-        i = (round_no * CHANGES_PER_ROUND + k) % N_TASKS
-        phase = round_no + 1
-        statuses[f"t{i}"] = waiting_on(f"w{i}", phase, **{f"w{i}": phase})
-
-
-def _tie_knot(statuses) -> None:
-    """Close a cross-site cycle between the first two sites' tasks."""
-    statuses["t0"] = waiting_on("kp", 1, kp=1, kq=0)
-    statuses["t1"] = waiting_on("kq", 1, kq=1, kp=0)
-
-
-def _site_slices(statuses):
-    out = {f"site{s}": {} for s in range(N_SITES)}
-    for i, (task, status) in enumerate(statuses.items()):
-        out[_site_of(i)][task] = status
-    return out
-
-
-def run_bucket_protocol():
-    """The pre-delta reference: whole buckets out, full re-merge in."""
-    store = InMemoryStore("bucket", track_bytes=True)
-    checker = DeadlockChecker()
-    statuses = _initial_statuses()
-    merged_statuses = 0
-    report = None
-    for r in range(N_ROUNDS):
-        _mutate(statuses, r)
-        if r == N_ROUNDS - 1:
-            _tie_knot(statuses)
-        for site, slice_ in _site_slices(statuses).items():
-            store.put(site, encode_statuses(slice_))
-        merged_statuses += len(statuses)
-        report = check_buckets(store, checker=checker)
-    return {
-        "bytes": store.bytes_put + store.bytes_get,
-        "merge_cost": merged_statuses,
-        "report": report,
-    }
-
-
-def run_delta_protocol():
-    """The live protocol: deltas out, maintained view in."""
-    store = InMemoryStore("delta", track_bytes=True)
-    checker = DistributedChecker(store)
-    publishers = {f"site{s}": DeltaPublisher(f"site{s}") for s in range(N_SITES)}
-    statuses = _initial_statuses()
-    report = None
-    for r in range(N_ROUNDS):
-        _mutate(statuses, r)
-        if r == N_ROUNDS - 1:
-            _tie_knot(statuses)
-        for site, slice_ in _site_slices(statuses).items():
-            publisher = publishers[site]
-            obj = publisher.prepare(encode_bucket(slice_))
-            if obj is None:
-                continue
-            store.append_delta(site, obj)
-            publisher.commit(obj)
-        report = checker.check_global()
-    return {
-        "bytes": store.bytes_put + store.bytes_get,
-        "merge_cost": checker.view.ops_applied,
-        "report": report,
-    }
-
-
-PROTOCOLS = {"bucket": run_bucket_protocol, "delta": run_delta_protocol}
-
-#: The bucket param's last (deterministic) run, reused as the delta
-#: param's reference so the most expensive workload is not repeated.
-_bucket_reference: list = []
-
-
-@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
-def test_delta_vs_bucket_protocol(bench, benchmark, protocol):
-    """The tentpole acceptance column: per-round bytes-on-wire and
-    per-check merge cost, delta vs bucket, identical reports."""
-    result = bench(PROTOCOLS[protocol])
-    assert result["report"] is not None, "the final knot must be detected"
-    benchmark.extra_info["protocol"] = protocol
-    benchmark.extra_info["sites"] = N_SITES
-    benchmark.extra_info["tasks"] = N_TASKS
-    benchmark.extra_info["rounds"] = N_ROUNDS
-    benchmark.extra_info["bytes_on_wire"] = result["bytes"]
-    benchmark.extra_info["merge_cost"] = result["merge_cost"]
-    if protocol == "bucket":
-        _bucket_reference[:] = [result]
-    if protocol == "delta":
-        # The run is deterministic, so the bucket param's result (when
-        # that param ran, e.g. not under -k delta) serves verbatim.
-        reference = (
-            _bucket_reference[0] if _bucket_reference else run_bucket_protocol()
-        )
-        # Byte-identical evidence across protocols.
-        assert result["report"] == reference["report"]
-        traffic_ratio = reference["bytes"] / max(1, result["bytes"])
-        merge_ratio = reference["merge_cost"] / max(1, result["merge_cost"])
-        benchmark.extra_info["traffic_reduction"] = round(traffic_ratio, 1)
-        benchmark.extra_info["merge_cost_reduction"] = round(merge_ratio, 1)
-        benchmark.extra_info["floor"] = PROTOCOL_FLOOR
-        if N_SITES >= 8 and N_TASKS >= 1000:
-            assert traffic_ratio >= PROTOCOL_FLOOR
-            assert merge_ratio >= PROTOCOL_FLOOR
 
 
 @pytest.fixture(scope="module")

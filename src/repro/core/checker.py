@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.cycles import cycle_through, find_cycle
 from repro.core.dependency import DependencySnapshot, ResourceDependency
@@ -285,6 +285,18 @@ class DeadlockChecker:
         # not both conclude "no cycle yet" for a cycle they jointly create.
         self._avoidance_lock = threading.Lock()
         self._stats_lock = threading.Lock()
+        #: Optional override for the snapshot a check analyses when the
+        #: caller passes none.  Report task order follows snapshot
+        #: insertion order; a consumer mirroring a *foreign* ordering
+        #: (the site-bucket merge of the distributed view) installs a
+        #: factory here so the analysis sees exactly that input.  Must
+        #: return statuses equal (as a mapping) to the fed state.
+        self.snapshot_source: Optional[Callable[[], DependencySnapshot]] = None
+
+    def _current_snapshot(self) -> DependencySnapshot:
+        if self.snapshot_source is not None:
+            return self.snapshot_source()
+        return self.dependency.snapshot()
 
     # ------------------------------------------------------------------
     # blocked-status bookkeeping (delegated to the dependency store)
@@ -301,6 +313,21 @@ class DeadlockChecker:
         """Put back a previously stamped status verbatim (the avoidance
         undo path; see :meth:`ResourceDependency.restore`)."""
         self.dependency.restore(task, status)
+
+    def apply_batch(self, ops) -> None:
+        """Apply an ordered sequence of ``(op, task, status)`` deltas,
+        ``op`` one of ``"set"``/``"clear"``/``"restore"`` (``status`` is
+        ignored for ``"clear"``) — the one feeding surface replay and
+        the distributed merge view use, whatever the checker class."""
+        for op, task, status in ops:
+            if op == "set":
+                self.set_blocked(task, status)
+            elif op == "clear":
+                self.clear(task)
+            elif op == "restore":
+                self.restore(task, status)
+            else:
+                raise ValueError(f"unknown batch op {op!r}")
 
     # ------------------------------------------------------------------
     # verification
@@ -325,7 +352,7 @@ class DeadlockChecker:
         effective = self.model if model is None else model
         t0 = time.perf_counter()
         if snapshot is None:
-            snapshot = self.dependency.snapshot()
+            snapshot = self._current_snapshot()
         if snapshot.is_empty():
             self._record(t0, None, GraphModel.SG if effective is not GraphModel.WFG else GraphModel.WFG, 0)
             return None
@@ -360,7 +387,7 @@ class DeadlockChecker:
         the SG attempt on every tiny knot.
         """
         if snapshot is None:
-            snapshot = self.dependency.snapshot()
+            snapshot = self._current_snapshot()
         if snapshot.is_empty():
             self.check(snapshot=snapshot)
             return []

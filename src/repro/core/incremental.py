@@ -74,7 +74,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.checker import DeadlockChecker, snapshot_components
 from repro.core.dependency import DependencySnapshot, ResourceDependency
@@ -162,18 +162,6 @@ class IncrementalChecker(DeadlockChecker):
         # count.  A store whose (generation, count) disagrees was
         # written behind our back — resync before answering.
         self._my_generation = self.dependency.generation
-        #: Optional override for the fallback snapshot.  The classic
-        #: checker derives report task order from snapshot insertion
-        #: order; a consumer mirroring a *foreign* ordering (the replay
-        #: engine's site-bucket merge) installs a factory here so the
-        #: rare cyclic-path rebuild sees byte-identical input.  Must
-        #: return statuses equal (as a mapping) to the delta state.
-        self.snapshot_source: Optional[Callable[[], "DependencySnapshot"]] = None
-
-    def _fallback_snapshot(self):
-        if self.snapshot_source is not None:
-            return self.snapshot_source()
-        return self.dependency.snapshot()
 
     def _maybe_resync(self) -> None:
         """Rebuild the delta state if the store was written directly.
@@ -361,7 +349,7 @@ class IncrementalChecker(DeadlockChecker):
                 report = self._extract_wfg_report(t0, revalidate)
             else:
                 self._m_fallbacks.inc()
-                snapshot = self._fallback_snapshot()
+                snapshot = self._current_snapshot()
                 report = super().check(snapshot=snapshot, revalidate=revalidate)
             self._cached_epoch = epoch
             self._cached_report = report
@@ -409,7 +397,7 @@ class IncrementalChecker(DeadlockChecker):
             # shared phaser, so the maintained graph restricted to a
             # shard equals the shard's rebuilt WFG, and every cyclic
             # component lies wholly inside one shard.
-            snapshot = self._fallback_snapshot()
+            snapshot = self._current_snapshot()
             reports: List[DeadlockReport] = []
             for shard in snapshot_components(snapshot):
                 model = select_shard_model(len(shard), self.model)

@@ -39,11 +39,7 @@ from repro.distributed.delta import (
     DeltaPublisher,
     DeltaSequenceError,
 )
-from repro.distributed.detector import (
-    DistributedChecker,
-    check_buckets,
-    merge_payloads,
-)
+from repro.distributed.detector import DistributedChecker
 from repro.distributed.site import Site
 from repro.distributed.places import Cluster
 from repro.distributed.net import (
@@ -64,8 +60,6 @@ __all__ = [
     "DeltaSequenceError",
     "encode_statuses",
     "decode_statuses",
-    "merge_payloads",
-    "check_buckets",
     "DistributedChecker",
     "Site",
     "Cluster",

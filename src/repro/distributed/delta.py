@@ -6,8 +6,8 @@ shipped whole buckets — every site re-published its entire blocked set
 each period and every checker re-merged the full global view each round,
 so distributed check cost grew with cluster size, not with what changed.
 This module is the shared core of the protocol that fixes it, used by
-**both** the live ``Site``/store path and the offline replay engines so
-the two derivations cannot drift apart.
+**both** the live ``Site``/store path and offline replay so the two
+derivations cannot drift apart.
 
 **Wire format.**  One delta is a plain JSON-able object::
 
@@ -50,25 +50,27 @@ delta recorded into a trace replays bit-identically.
   store outage between them retries the same logical change next round
   without burning sequence numbers.
 * :class:`DeltaMergeState` — the consumer half: maintain the merged
-  global view as per-site buckets plus a fed checker (any object with
-  the ``set_blocked``/``clear`` mutation surface — in practice an
-  :class:`~repro.core.incremental.IncrementalChecker`), applying each
-  delta as task-level ops instead of re-merging every bucket.  Tracks
+  global view as per-site buckets plus a fed checker (a
+  :class:`~repro.core.checker.DeadlockChecker` or its incremental
+  subclass, fed through ``apply_batch``), applying each delta as
+  task-level ops instead of re-merging every bucket.  Tracks
   cross-site ownership so a task published by several sites raises the
-  same error, at the same time (check time), as the classic
-  :func:`~repro.distributed.detector.merge_payloads` — a transient
-  overlap that resolves within one cadence window is tolerated.
-* :func:`apply_delta_obj` — the bucket-materialisation primitive the
-  from-scratch replay engine (and the stores) use: fold one delta into
-  a ``site -> {task: blob}`` view with the same gap validation.
+  same error, at the same time (check time), as the plain
+  :func:`merge_buckets` — a transient overlap that resolves within one
+  cadence window is tolerated.
+* :func:`apply_delta_obj` / :func:`merge_buckets` — the plain reference
+  fold: one delta into a ``site -> {task: blob}`` view with the same gap
+  validation, and the decode-everything merge of such a view.  The
+  publisher's committed state runs the former; the tests hold the
+  merge view against both.
 
 **Determinism.**  Bucket dicts preserve insertion order and every
 application path mutates them identically (clears pop, restores update
 in place, sets append), so the merged snapshot a delta consumer
-materialises is ordered exactly like the bucket protocol's
-``merge_payloads(store.get_all())`` — which is what keeps distributed
-detection reports byte-identical across the two protocols and across
-the from-scratch/incremental replay engines.
+materialises is ordered exactly like :func:`merge_buckets` over the
+stores' materialised states — site order × bucket order, which is what
+keeps distributed detection reports byte-identical across live and
+replayed derivations and across both checker classes.
 """
 
 from __future__ import annotations
@@ -136,8 +138,8 @@ def decode_blob(blob: Mapping) -> BlockedStatus:
 def wire_size(obj) -> int:
     """Bytes-on-the-wire proxy for one payload (compact JSON length).
 
-    The stores use it for traffic accounting — the quantity the
-    delta-vs-bucket benchmark compares.
+    The publisher's adaptive checkpoint cadence weighs deltas against
+    snapshots with it.
     """
     return len(json.dumps(obj, separators=(",", ":"), sort_keys=True))
 
@@ -270,8 +272,8 @@ def apply_delta_obj(
 ) -> None:
     """Fold one delta into a materialised ``site -> bucket`` view:
     :func:`validate_extends` + :func:`apply_ops_to_bucket` + cursor
-    advance — what the from-scratch replay engine and the publisher's
-    committed state run."""
+    advance — what the publisher's committed state runs, and the plain
+    fold the tests compare :class:`DeltaMergeState` against."""
     cursor = validate_extends(cursors.get(site), site, obj)
     apply_ops_to_bucket(buckets.setdefault(site, {}), obj)
     cursors[site] = cursor
@@ -410,8 +412,9 @@ def _merge_statuses(per_site) -> DependencySnapshot:
 
 
 def merge_buckets(buckets: Mapping[str, Mapping[str, Mapping]]) -> DependencySnapshot:
-    """Merge per-site encoded buckets into one global snapshot (the
-    bucket protocol's merge; decodes every blob)."""
+    """Merge per-site encoded buckets into one global snapshot,
+    decoding every blob: site order × bucket order, duplicates across
+    sites raise."""
     return _merge_statuses(
         (site_id, {str(t): decode_blob(blob) for t, blob in bucket.items()})
         for site_id, bucket in buckets.items()
@@ -422,19 +425,19 @@ class DeltaMergeState:
     """The consumer's maintained global view, fed task-level deltas.
 
     One instance backs one checker: per-site encoded buckets (ordered —
-    the merged snapshot must mirror the bucket protocol's site/task
+    the merged snapshot must mirror :func:`merge_buckets`' site/task
     ordering), the decoded status of every blob beside them (each blob
     is decoded once, when it arrives), per-site stream cursors, and
     cross-site ownership for conflict detection.  Applying a delta
     costs O(ops), not O(cluster): this is the property the whole
     protocol exists to carry across the wire.
 
-    The checker only needs the delta mutation surface (``set_blocked``,
-    ``clear``); pair it with an
-    :class:`~repro.core.incremental.IncrementalChecker` whose
-    ``snapshot_source`` is :meth:`merged_snapshot` and the rare
-    cyclic-path fallback sees byte-identical input to the bucket
-    protocol's merge.
+    The checker is fed through ``apply_batch`` only; set its
+    ``snapshot_source`` to :meth:`merged_snapshot` and whatever it
+    analyses from a snapshot (every check of a
+    :class:`~repro.core.checker.DeadlockChecker`, the rare cyclic-path
+    fallback of an :class:`~repro.core.incremental.IncrementalChecker`)
+    sees the site-ordered merge.
     """
 
     def __init__(self, checker) -> None:
@@ -449,12 +452,10 @@ class DeltaMergeState:
         #: Task-level operations applied since construction — the
         #: "per-check merge cost" quantity of the delta benchmark.
         self.ops_applied = 0
-        # Batched checker feeding: when the checker exposes
-        # ``apply_batch`` (the IncrementalChecker surface), each
-        # application entry point collects its task-level ops and hands
-        # the whole set over in one maintenance pass.  ``None`` means
-        # "not collecting" — ops go to the checker directly.
-        self._apply_batch = getattr(checker, "apply_batch", None)
+        # Checker feeding: every application entry point collects its
+        # task-level ops here and hands them to ``checker.apply_batch``
+        # in one call when the outermost one exits.  ``None`` means no
+        # entry point is open.
         self._pending_ops: Optional[List[Tuple[str, str, Optional[BlockedStatus]]]] = None
 
     # -- introspection -------------------------------------------------
@@ -473,13 +474,13 @@ class DeltaMergeState:
         return frozenset(self._conflicted)
 
     def merged_snapshot(self) -> DependencySnapshot:
-        """The global view, ordered (and failing) like the bucket
-        protocol's :func:`merge_buckets`, with nothing left to decode."""
+        """The global view, ordered (and failing) like
+        :func:`merge_buckets`, with nothing left to decode."""
         return _merge_statuses(self._statuses.items())
 
     def raise_on_conflict(self) -> None:
         """Reject cross-site duplication at check time, identically to
-        the classic merge (same error text)."""
+        :func:`merge_buckets` (same error text)."""
         if self._conflicted:
             self.merged_snapshot()
 
@@ -494,35 +495,36 @@ class DeltaMergeState:
         """
         site = str(site)
         cursor = validate_extends(self.cursors.get(site), site, obj)
-        opened = self._begin_ops()
-        try:
-            if obj["kind"] == "snapshot":
-                self._replace_bucket(
-                    site, {str(t): dict(b) for t, b in obj["set"].items()}
-                )
-            else:
-                bucket = self.buckets.setdefault(site, {})
-                statuses = self._statuses.setdefault(site, {})
+        if obj["kind"] == "snapshot":
+            self.apply_bucket(site, obj["set"])
+        else:
+            # Decode everything before mutating anything: a malformed
+            # blob must leave the view, the cursor and the fed checker
+            # untouched (also on the consumer's retry).
+            writes = [
+                (task, dict(blob), decode_blob(blob))
+                for ops in (obj["restore"], obj["set"])
+                for task, blob in ops.items()
+            ]
+            bucket = self.buckets.setdefault(site, {})
+            statuses = self._statuses.setdefault(site, {})
+            with self.batched():
                 for task in obj["clear"]:
                     if task in bucket:
                         bucket.pop(task)
                         statuses.pop(task)
                         self._remove_task(site, task)
-                for ops in (obj["restore"], obj["set"]):
-                    for task, blob in ops.items():
-                        status = decode_blob(blob)
-                        bucket[task] = dict(blob)
-                        statuses[task] = status
-                        self._set_task(site, task, status)
-        finally:
-            if opened:
-                self._flush_ops()
+                for task, blob, status in writes:
+                    bucket[task] = blob
+                    statuses[task] = status
+                    self._set_task(site, task, status)
         self.cursors[site] = cursor
 
     def apply_bucket(self, site: str, new_bucket: Mapping[str, Mapping]) -> None:
-        """Fold a whole-bucket replacement (the legacy ``publish``
-        record / bucket protocol) into the view, diffing against the
-        site's previous bucket so only changed tasks touch the checker."""
+        """Replace ``site``'s bucket wholesale (a snapshot delta, a
+        checkpoint resync, a legacy v1 ``publish`` record), diffing
+        against the previous bucket so only changed tasks touch the
+        checker."""
         with self.batched():
             self._replace_bucket(
                 str(site), {str(t): dict(b) for t, b in new_bucket.items()}
@@ -534,10 +536,7 @@ class DeltaMergeState:
         """Checkpoint resync: replace ``site``'s view wholesale and
         fast-forward its cursor (the consumer detected a gap or a
         foreign stream and requested a snapshot)."""
-        with self.batched():
-            self._replace_bucket(
-                str(site), {str(t): dict(b) for t, b in state.items()}
-            )
+        self.apply_bucket(site, state)
         self.cursors[str(site)] = (str(stream), seq)
 
     def drop_site(self, site: str) -> None:
@@ -545,51 +544,28 @@ class DeltaMergeState:
         every status it owned from the merged view."""
         site = str(site)
         if site in self.buckets:
-            with self.batched():
-                self._replace_bucket(site, {})
+            self.apply_bucket(site, {})
         self.buckets.pop(site, None)
         self._statuses.pop(site, None)
         self.cursors.pop(site, None)
 
-    # -- batched checker feeding ---------------------------------------
-    def _begin_ops(self) -> bool:
-        """Start collecting checker ops; ``True`` if this call opened
-        the collection (re-entrant callers keep the outer batch)."""
-        if self._apply_batch is None or self._pending_ops is not None:
-            return False
-        self._pending_ops = []
-        return True
-
-    def _flush_ops(self) -> None:
-        """Hand the collected ops to the checker in one batch."""
-        ops, self._pending_ops = self._pending_ops, None
-        if ops:
-            self._apply_batch(ops)
-
-    def _checker_set(self, task: str, status: BlockedStatus) -> None:
-        if self._pending_ops is not None:
-            self._pending_ops.append(("set", task, status))
-        else:
-            self.checker.set_blocked(task, status)
-
-    def _checker_clear(self, task: str) -> None:
-        if self._pending_ops is not None:
-            self._pending_ops.append(("clear", task, None))
-        else:
-            self.checker.clear(task)
-
+    # -- checker feeding ---------------------------------------------
     @contextlib.contextmanager
     def batched(self):
-        """Context manager batching every checker op applied inside it
-        into one ``apply_batch`` call — a sync round's worth of deltas,
-        one maintenance pass.  A no-op (empty) batch costs nothing, and
-        checkers without ``apply_batch`` fall back to direct feeding."""
-        opened = self._begin_ops()
+        """Collect every checker op applied inside into one
+        ``apply_batch`` call — a sync round's worth of deltas, one
+        maintenance pass.  Re-entrant (nested uses keep the outermost
+        batch); an empty batch costs nothing."""
+        opened = self._pending_ops is None
+        if opened:
+            self._pending_ops = []
         try:
             yield self
         finally:
             if opened:
-                self._flush_ops()
+                ops, self._pending_ops = self._pending_ops, None
+                if ops:
+                    self.checker.apply_batch(ops)
 
     # -- task-level primitives (the shared ownership semantics) --------
     def _replace_bucket(self, site: str, new: Dict[str, dict]) -> None:
@@ -618,22 +594,24 @@ class DeltaMergeState:
         owners = self._owners.get(task, set())
         owners.discard(site)
         if not owners:
-            self._checker_clear(task)
+            self._pending_ops.append(("clear", task, None))
             self._owners.pop(task, None)
         elif len(owners) == 1:
             # Conflict resolved by this removal: the survivor's current
             # status is the merged truth again.
             self._conflicted.discard(task)
             (survivor,) = owners
-            self._checker_set(task, self._statuses[survivor][task])
+            self._pending_ops.append(
+                ("set", task, self._statuses[survivor][task])
+            )
 
     def _set_task(self, site: str, task: str, status: BlockedStatus) -> None:
         self.ops_applied += 1
-        self._checker_set(task, status)
+        self._pending_ops.append(("set", task, status))
         owners = self._owners.setdefault(task, set())
         owners.add(site)
         if len(owners) > 1:
             # While a task is conflicted its delta state is last-writer;
-            # the caller rejects at the next check, exactly when the
-            # classic merge would.
+            # the caller rejects at the next check, exactly when
+            # merge_buckets would.
             self._conflicted.add(task)

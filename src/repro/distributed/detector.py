@@ -20,50 +20,19 @@ A sequence gap (compacted log, restarted stream, stale replica) makes
 the checker *request a checkpoint*: one ``get_state`` read resyncs that
 site's slice of the view.  A deadlock spanning sites appears as a cycle
 exactly as a local one would, because event names are global, and the
-reports are byte-identical to the bucket protocol's (the cyclic-path
-fallback rebuilds from the same merged, same-ordered snapshot).
-
-:func:`merge_payloads` and :func:`check_buckets` keep the bucket
-protocol's reference semantics alive for old traces and for the
-delta-vs-bucket benchmark.
+reports are byte-identical to a from-scratch check of the merged store
+states (the cyclic-path fallback rebuilds from the same merged,
+same-ordered snapshot).
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Optional
 
-from repro.core.checker import DeadlockChecker
-from repro.core.dependency import DependencySnapshot
+from repro.core.incremental import IncrementalChecker
 from repro.core.report import DeadlockReport
 from repro.core.selection import GraphModel
-from repro.distributed.delta import DeltaMergeState, DeltaSequenceError, merge_buckets
-from repro.core.incremental import IncrementalChecker
-
-
-def merge_payloads(payloads: Mapping[str, Mapping]) -> DependencySnapshot:
-    """Merge per-site buckets into one global snapshot.
-
-    Task ids are globally unique, so the merge is a disjoint union; a
-    duplicate id across sites would indicate a publishing bug and raises.
-    """
-    return merge_buckets(payloads)
-
-
-def check_buckets(
-    store,
-    model: GraphModel = GraphModel.AUTO,
-    threshold_factor: float = 2.0,
-    checker: Optional[DeadlockChecker] = None,
-) -> Optional[DeadlockReport]:
-    """One bucket-protocol detection pass: ``get_all`` → merge → check.
-
-    The pre-delta reference path, retained for the delta-vs-bucket
-    benchmark and the protocol-equivalence differential tests.  Pass a
-    ``checker`` to accumulate stats across rounds.
-    """
-    if checker is None:
-        checker = DeadlockChecker(model=model, threshold_factor=threshold_factor)
-    return checker.check(snapshot=merge_payloads(store.get_all()))
+from repro.distributed.delta import DeltaMergeState, DeltaSequenceError
 
 
 class DistributedChecker:
@@ -95,10 +64,10 @@ class DistributedChecker:
             model=model, threshold_factor=threshold_factor, metrics=metrics
         )
         self.view = DeltaMergeState(self.checker)
-        # The rare cyclic-path fallback must see the same snapshot —
-        # same site order, same task order — the bucket protocol's
-        # merge produced, so reports stay byte-identical across
-        # protocols.
+        # The rare cyclic-path fallback must see the site-ordered
+        # merge — same site order, same task order as ``merge_buckets``
+        # over the store states — so reports do not depend on delta
+        # arrival order.
         self.checker.snapshot_source = self.view.merged_snapshot
         #: Checkpoint resyncs performed (gap recovery accounting).
         self.resyncs = 0

@@ -10,8 +10,8 @@ fault-injection suite), one maintained
 and service-side provenance: every accepted append feeds an
 :class:`~repro.obs.tracing.OriginTracker`, so a report the service
 files carries per-edge ``(site, stream, seq)`` origins — the same
-enrichment the replay engines attach, derived here from the live
-stream instead of a recorded trace.
+enrichment replay attaches, derived here from the live stream instead
+of a recorded trace.
 
 :class:`CheckerServiceCore` maps wire requests (plain dicts) to tenant
 operations and wire responses, with exceptions encoded faithfully:
@@ -52,20 +52,6 @@ WIRE_ERRORS = {
     "unavailable": StoreUnavailableError,
     "value": ValueError,
 }
-
-
-class _PseudoRecord:
-    """The minimal record surface :class:`OriginTracker.observe` needs,
-    synthesised from a live wire delta (no trace file involved)."""
-
-    __slots__ = ("seq", "kind", "site", "payload", "task")
-
-    def __init__(self, seq: int, kind, site: str, payload: Mapping) -> None:
-        self.seq = seq
-        self.kind = kind
-        self.site = site
-        self.payload = payload
-        self.task = None
 
 
 class TenantChecker:
@@ -110,7 +96,7 @@ class TenantChecker:
 
     # -- the five-method store surface, tenant-scoped ------------------
     def append_delta(self, site: str, obj: Mapping) -> None:
-        from repro.trace.events import RecordKind, delta_payload_from_obj
+        from repro.trace.events import delta_payload_from_obj
 
         payload = delta_payload_from_obj(obj)  # reject malformed input loudly
         with self._lock:
@@ -118,9 +104,7 @@ class TenantChecker:
             # Only an *accepted* append advances provenance: a gapped or
             # rejected delta never entered the analysed view.
             self._ordinal += 1
-            self._origins.observe(_PseudoRecord(
-                self._ordinal, RecordKind.PUBLISH_DELTA, str(site), payload
-            ))
+            self._origins.observe_delta(self._ordinal, str(site), payload)
 
     def get_deltas(self, site: str, after_seq: int,
                    stream: Optional[str] = None) -> List[dict]:

@@ -17,10 +17,9 @@ arrive, and compacts the log at every snapshot.  Checkers poll
 round — and fall back to :meth:`InMemoryStore.get_state` (a full
 checkpoint read) when their cursor falls off the retained log.
 
-**The bucket protocol** (``put``/``get``/``get_all``) is retained as a
-legacy surface: old recorded traces replay through it, and the
-delta-vs-bucket benchmark uses it as the reference cost model.  The
-live ``Site`` path no longer publishes buckets.
+The delta protocol is the only store protocol.  (The bucket protocol it
+replaced — whole-bucket ``put``/``get_all`` — survives only as the v1
+``publish`` trace *record*, which replay still reads.)
 
 Fault injection: :meth:`InMemoryStore.set_available` simulates an outage
 (operations raise :class:`StoreUnavailableError`);
@@ -35,8 +34,7 @@ the protocol change.
 
 ``recorder`` (an optional :class:`~repro.trace.recorder.TraceRecorder`)
 captures every successful ``append_delta`` as a ``publish_delta`` trace
-record — and every legacy ``put`` as a ``publish`` record — the
-site-publish observation points of the trace subsystem.
+record — the site-publish observation point of the trace subsystem.
 """
 
 from __future__ import annotations
@@ -51,7 +49,6 @@ from repro.distributed.delta import (
     apply_ops_to_bucket,
     make_snapshot,
     validate_extends,
-    wire_size,
 )
 
 #: Store-side log retention: entries kept per site beyond the last
@@ -97,18 +94,11 @@ def decode_statuses(payload: Mapping) -> Dict[str, BlockedStatus]:
 class InMemoryStore:
     """A thread-safe per-site store with injectable outages.
 
-    Holds both surfaces: the delta streams of the live protocol and the
-    legacy buckets.  Operation counters (``puts``/``gets``) are always
-    kept; byte-level traffic accounting (``bytes_put``/``bytes_get``,
-    a JSON-serialisation of every payload) is what the delta-vs-bucket
-    benchmark compares and costs O(payload) per operation, so it is
-    **opt-in** via ``track_bytes`` — the live path never pays it.
-
-    All accounting lives in ``repro.obs`` counters (labelled by the
-    store's ``name``): an enabled registry passed as ``metrics`` makes
-    the traffic visible to live exporters, while the classic
-    ``puts``/``gets``/``bytes_put``/``bytes_get`` attributes remain as
-    read-only views so benchmarks and tests keep working unchanged.
+    Holds each site's delta stream: retained log, tail cursor and
+    materialised state.  All accounting lives in ``repro.obs`` counters
+    (labelled by the store's ``name``): an enabled registry passed as
+    ``metrics`` makes the traffic visible to live exporters, while the
+    ``puts``/``gets`` attributes remain as read-only views.
     """
 
     def __init__(
@@ -116,7 +106,6 @@ class InMemoryStore:
         name: str = "store",
         recorder=None,
         max_log: int = DEFAULT_MAX_LOG,
-        track_bytes: bool = False,
         metrics=None,
         tracer=None,
     ) -> None:
@@ -128,19 +117,16 @@ class InMemoryStore:
             tracer = NULL_TRACER
         self.tracer = tracer
         self.max_log = max(1, int(max_log))
-        self.track_bytes = track_bytes
         self._lock = threading.Lock()
-        self._buckets: Dict[str, dict] = {}
-        # Delta-protocol state: per-site retained log, seq of the entry
-        # before the first retained one, (stream, tail-seq) cursor,
-        # materialised state.
+        # Per site: retained log, seq of the entry before the first
+        # retained one, (stream, tail-seq) cursor, materialised state.
         self._logs: Dict[str, List[dict]] = {}
         self._base: Dict[str, int] = {}
         self._tail: Dict[str, Cursor] = {}
         self._states: Dict[str, Dict[str, dict]] = {}
         self._available = True
         # Accounting instruments.  The counters must always function
-        # (benchmarks read the view attributes below), so a disabled or
+        # (the view attributes below read them), so a disabled or
         # absent registry falls back to a private one.
         from repro.obs.registry import MetricsRegistry
 
@@ -155,13 +141,6 @@ class InMemoryStore:
         )
         self._m_puts = ops.labels(store=name, op="put")
         self._m_gets = ops.labels(store=name, op="get")
-        traffic = self.metrics.counter(
-            "repro_store_bytes_total",
-            "Wire bytes through the store (requires track_bytes).",
-            labels=("store", "direction"),
-        )
-        self._m_bytes_put = traffic.labels(store=name, direction="put")
-        self._m_bytes_get = traffic.labels(store=name, direction="get")
         appends = self.metrics.counter(
             "repro_store_appends_total",
             "Delta-stream appends accepted, by entry kind.",
@@ -184,14 +163,6 @@ class InMemoryStore:
     @property
     def gets(self) -> int:
         return self._m_gets.value()
-
-    @property
-    def bytes_put(self) -> int:
-        return self._m_bytes_put.value()
-
-    @property
-    def bytes_get(self) -> int:
-        return self._m_bytes_get.value()
 
     # -- failure injection ---------------------------------------------------
     def set_available(self, available: bool) -> None:
@@ -242,8 +213,6 @@ class InMemoryStore:
             self._tail[site_id] = cursor
             apply_ops_to_bucket(self._states[site_id], obj)
             self._m_puts.inc()
-            if self.track_bytes:
-                self._m_bytes_put.inc(wire_size(obj))
             # Recorded under the lock so the trace's publish order is
             # the stream-append order (the recorder's lock is a leaf).
             if self.recorder is not None:
@@ -295,10 +264,7 @@ class InMemoryStore:
                     f"{self.name}: {site_id} cursor {after_seq} outside "
                     f"retained log ({base}..{tail[1]}]"
                 )
-            out = [dict(obj) for obj in self._logs[site_id][after_seq - base:]]
-            if self.track_bytes:
-                self._m_bytes_get.inc(sum(wire_size(obj) for obj in out))
-            return out
+            return [dict(obj) for obj in self._logs[site_id][after_seq - base:]]
 
     def get_state(self, site_id: str) -> Tuple[str, int, Dict[str, dict]]:
         """The materialised ``(stream, tail_seq, bucket)`` checkpoint
@@ -314,8 +280,6 @@ class InMemoryStore:
                     f"{self.name}: no delta stream for {site_id}"
                 )
             state = {t: dict(b) for t, b in self._states[site_id].items()}
-            if self.track_bytes:
-                self._m_bytes_get.inc(wire_size(state))
             return tail[0], tail[1], state
 
     def delta_tail(self, site_id: str) -> Optional[Cursor]:
@@ -332,41 +296,12 @@ class InMemoryStore:
             self._check_up()
             return list(self._tail)
 
-    # -- legacy bucket operations -------------------------------------------
-    def put(self, site_id: str, payload: dict) -> None:
-        """Replace ``site_id``'s bucket (the bucket-protocol write)."""
-        with self._lock:
-            self._check_up()
-            self._m_puts.inc()
-            if self.track_bytes:
-                self._m_bytes_put.inc(wire_size(payload))
-            self._buckets[site_id] = payload
-            if self.recorder is not None:
-                self.recorder.record_publish(site_id, payload)
-
-    def get(self, site_id: str) -> Optional[dict]:
-        with self._lock:
-            self._check_up()
-            self._m_gets.inc()
-            return self._buckets.get(site_id)
-
-    def get_all(self) -> Dict[str, dict]:
-        """Snapshot of every site's bucket (the bucket-protocol read)."""
-        with self._lock:
-            self._check_up()
-            self._m_gets.inc()
-            out = dict(self._buckets)
-            if self.track_bytes:
-                self._m_bytes_get.inc(wire_size(out))
-            return out
-
     # -- lifecycle -----------------------------------------------------------
     def delete(self, site_id: str) -> None:
-        """Withdraw ``site_id`` entirely: bucket and delta stream."""
+        """Withdraw ``site_id``'s delta stream entirely."""
         site_id = str(site_id)
         with self._lock:
             self._check_up()
-            self._buckets.pop(site_id, None)
             self._logs.pop(site_id, None)
             self._base.pop(site_id, None)
             self._tail.pop(site_id, None)
@@ -374,7 +309,6 @@ class InMemoryStore:
 
     def clear(self) -> None:
         with self._lock:
-            self._buckets.clear()
             self._logs.clear()
             self._base.clear()
             self._tail.clear()
@@ -396,9 +330,7 @@ class ReplicatedStore:
       replicas' stream tails (a cheap ``(stream, seq)`` comparison, no
       payloads) and heals divergents — this is what covers *idle*
       sites, which publish nothing while unchanged and so would never
-      trigger write-repair (the bucket protocol healed them by
-      re-putting every period; the delta protocol must not regress
-      that story).
+      trigger write-repair.
 
     A stale replica can therefore only serve a divergent view while no
     healthy replica is reachable at all — the double-fault case, where
@@ -603,40 +535,13 @@ class ReplicatedStore:
             raise StoreUnavailableError("all replicas down")
         return sites
 
-    # -- legacy bucket operations -------------------------------------------
-    def put(self, site_id: str, payload: dict) -> None:
-        with self._put_lock:
-            wrote = False
-            for replica in self.replicas:
-                try:
-                    replica.put(site_id, payload)
-                    wrote = True
-                except StoreUnavailableError:
-                    continue
-            if not wrote:
-                raise StoreUnavailableError("all replicas down")
-            if self.recorder is not None:
-                self.recorder.record_publish(site_id, payload)
-
-    def get(self, site_id: str) -> Optional[dict]:
-        for replica in self.replicas:
-            try:
-                return replica.get(site_id)
-            except StoreUnavailableError:
-                continue
-        raise StoreUnavailableError("all replicas down")
-
-    def get_all(self) -> Dict[str, dict]:
-        for replica in self.replicas:
-            try:
-                return replica.get_all()
-            except StoreUnavailableError:
-                continue
-        raise StoreUnavailableError("all replicas down")
-
     def delete(self, site_id: str) -> None:
+        reached = False
         for replica in self.replicas:
             try:
                 replica.delete(site_id)
+                reached = True
             except StoreUnavailableError:
                 continue
+        if not reached:
+            raise StoreUnavailableError("all replicas down")

@@ -229,15 +229,16 @@ NULL_TRACER = NullTracer()
 class OriginTracker:
     """Tracks, per task, the record that published its analysed status.
 
-    Fed every record of a replay in order (:meth:`observe`), it answers
+    Fed every record of a replay in order (:meth:`observe`) — or every
+    accepted delta of a live stream (:meth:`observe_delta`) — it answers
     "which record put this task's status into the checked view":
     ``block`` records for local statuses, ``publish``/``publish_delta``
     records (with site, stream and per-stream seq) for distributed
     ones.  Later records override earlier ones — matching the analysed
     view, where a publish supersedes the local block it mirrors.
 
-    Both replay engines drive one tracker with identical inputs, which
-    is what keeps enriched reports equal between engines.
+    Replay drives one tracker whatever the engine, which is what keeps
+    enriched reports equal between engines.
     """
 
     __slots__ = ("origins", "walls", "last_ordinal", "_site_tasks", "_kinds")
@@ -287,29 +288,36 @@ class OriginTracker:
                 self._set(task, origin)
             self._site_tasks[rec.site] = tasks
         elif kind is RecordKind.PUBLISH_DELTA:
-            payload = rec.payload
-            origin = RecordOrigin(
-                rec.seq, "publish_delta", site=rec.site,
-                stream=payload["stream"], seq=payload["seq"],
-            )
-            owned = self._site_tasks.setdefault(rec.site, set())
-            if payload["kind"] == "snapshot":
-                tasks = set(payload["set"])
-                for gone in owned - tasks:
-                    self._drop(gone)
-                owned = tasks
-            else:
-                for task in payload["clear"]:
-                    self._drop(task)
-                    owned.discard(task)
-                for task in payload["restore"]:
-                    owned.add(task)
-                for task in payload["set"]:
-                    owned.add(task)
-            for task in itertools.chain(payload["set"], payload["restore"]):
-                self._set(task, origin)
-            self._site_tasks[rec.site] = owned
+            self.observe_delta(rec.seq, rec.site, rec.payload)
         # REGISTER / ADVANCE: context only — the ordinal already moved.
+
+    def observe_delta(self, ordinal: int, site: str, payload) -> None:
+        """Fold one delta wire object ``site`` published at ``ordinal``
+        — the record-free entry a live consumer (the checker service)
+        calls directly, and the ``publish_delta`` branch of
+        :meth:`observe`."""
+        self.last_ordinal = ordinal
+        origin = RecordOrigin(
+            ordinal, "publish_delta", site=site,
+            stream=payload["stream"], seq=payload["seq"],
+        )
+        owned = self._site_tasks.setdefault(site, set())
+        if payload["kind"] == "snapshot":
+            tasks = set(payload["set"])
+            for gone in owned - tasks:
+                self._drop(gone)
+            owned = tasks
+        else:
+            for task in payload["clear"]:
+                self._drop(task)
+                owned.discard(task)
+            for task in payload["restore"]:
+                owned.add(task)
+            for task in payload["set"]:
+                owned.add(task)
+        for task in itertools.chain(payload["set"], payload["restore"]):
+            self._set(task, origin)
+        self._site_tasks[site] = owned
 
     def drop_site(self, site: str) -> None:
         """The site withdrew its stream: forget the origins (and wall

@@ -8,7 +8,7 @@ flag each:
   ``block_exit`` (and the phaser register/arrive context hooks) appends
   a record;
 * ``InMemoryStore(recorder=...)`` / ``ReplicatedStore(recorder=...)`` —
-  every site publish appends a ``publish`` record;
+  every accepted delta append adds a ``publish_delta`` record;
 * ``Interpreter(recorder=...)`` — the PL interpreter records the
   blocked-set diffs of its ``phi(S)`` publications;
 * ``Site(recorder=...)`` / ``Cluster(recorder=...)`` — forward the
@@ -89,10 +89,6 @@ class TraceRecorder:
     def record_advance(self, task, phaser, phase: int) -> ev.TraceRecord:
         """``task`` arrived at ``phaser``, reaching local ``phase``."""
         return self._append(lambda seq: ev.advance(seq, str(task), str(phaser), phase))
-
-    def record_publish(self, site, payload: Mapping) -> ev.TraceRecord:
-        """``site`` replaced its store bucket with ``payload``."""
-        return self._append(lambda seq: ev.publish(seq, str(site), payload))
 
     def record_publish_delta(self, site, payload: Mapping) -> ev.TraceRecord:
         """``site`` appended the delta wire object ``payload`` to its

@@ -20,30 +20,37 @@ Two replay modes mirror the paper's verification modes:
   (``publish`` records) carry whole buckets, not vettable individual
   blocks, so avoidance replay rejects them with :class:`ValueError`.
 
-``publish`` records (the legacy bucket protocol) and ``publish_delta``
-records (the live delta protocol: per-site sequence numbers,
-``set``/``restore``/``clear`` ops, snapshot checkpoints) switch
+``publish`` records (legacy v1 whole-bucket publications) and
+``publish_delta`` records (the delta protocol: per-site sequence
+numbers, ``set``/``restore``/``clear`` ops, snapshot checkpoints) switch
 detection to the distributed view: once any site publication has been
 seen, checks analyse the merged global store state instead of the local
-dependency — the one-phase algorithm of Section 5.2, replayed.  Both
-engines derive that view through the same module the live path uses
-(:mod:`repro.distributed.delta`), so offline and live derivations
-cannot drift apart; a sequence gap inside a trace is a recording bug
-and raises :class:`~repro.distributed.delta.DeltaSequenceError`.
+dependency — the one-phase algorithm of Section 5.2, replayed.  That
+view is a :class:`~repro.distributed.delta.DeltaMergeState`, the same
+consumer the live distributed checker runs, so offline and live
+derivations cannot drift apart; a sequence gap inside a trace is a
+recording bug and raises
+:class:`~repro.distributed.delta.DeltaSequenceError`.
 
 ``register``/``advance`` records are context only (a blocked status is
 self-contained) and are skipped, but counted towards throughput.
 
-Two **engines** implement the modes.  The default from-scratch engine
-rebuilds the analysis graph at every cadence point.  The *incremental*
-engine (``incremental=True``, CLI ``--incremental``) feeds record-level
-deltas into an :class:`~repro.core.incremental.IncrementalChecker`
-instead: ``block``/``unblock`` apply directly, and ``publish`` records
-are diffed against the site's previous bucket so only the tasks whose
-status actually changed are re-applied.  Checks then cost O(1) while the
-maintained graph is acyclic, making a ``check_every=1`` replay of an
-N-task trace O(N) overall instead of O(N²) — with reports byte-identical
-to the from-scratch engine (pinned by the regression corpus and CI).
+There is **one run loop**; the *engine* is the checker class it
+instantiates.  ``block``/``unblock`` records queue ``(op, task,
+status)`` deltas that reach a ``local`` checker through ``apply_batch``
+at each cadence point; publications reach a ``remote`` checker through
+the merge view, which feeds ``apply_batch`` too and is the checker's
+``snapshot_source``.  The default from-scratch engine is the paper's
+:class:`~repro.core.checker.DeadlockChecker`: it rebuilds the analysis
+graph from a snapshot at every cadence point.  The *incremental* engine
+(``incremental=True``, CLI ``--incremental``) is its drop-in subclass
+:class:`~repro.core.incremental.IncrementalChecker`, which maintains
+the graph under the same deltas: checks cost O(1) while it is acyclic,
+making a ``check_every=1`` replay of an N-task trace O(N) overall
+instead of O(N²) — with reports byte-identical to the from-scratch
+engine (pinned by the regression corpus and CI).  Everything around
+the two classes is literally the same code, which is what makes
+replaying one input through both a differential test of the checkers.
 
 The engine consumes its input *incrementally*: records are never
 materialised into a list, so feeding it a
@@ -68,14 +75,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Iterable, List, Optional, Set, Tuple, Union
 
 from repro.core.checker import CheckStats, DeadlockChecker
 from repro.core.incremental import IncrementalChecker
 from repro.core.report import DeadlockReport
 from repro.core.selection import DEFAULT_THRESHOLD_FACTOR, GraphModel
-from repro.distributed.delta import Cursor, DeltaMergeState, apply_delta_obj
-from repro.distributed.detector import merge_payloads
+from repro.distributed.delta import DeltaMergeState
 from repro.obs.registry import (
     DEFAULT_LATENCY_BUCKETS_S,
     DEFAULT_SIZE_BUCKETS,
@@ -137,7 +143,7 @@ class ReplayResult:
 
 
 class ReplayEngine:
-    """Replays traces through a fresh checker.
+    """Replays traces through fresh checkers.
 
     Parameters
     ----------
@@ -156,9 +162,10 @@ class ReplayEngine:
         snapshot instead of on the whole graph (see the module
         docstring).
     incremental:
-        Use the delta-maintained engine instead of rebuilding the graph
-        per check (see the module docstring).  Reports are identical;
-        only the cost model changes.
+        Instantiate :class:`~repro.core.incremental.IncrementalChecker`
+        instead of :class:`~repro.core.checker.DeadlockChecker` (see
+        the module docstring).  Reports are identical; only the cost
+        model changes.
     metrics:
         Optional :class:`~repro.obs.registry.MetricsRegistry` to fold
         each run's telemetry into (successive runs accumulate).  When
@@ -173,11 +180,10 @@ class ReplayEngine:
         default :data:`~repro.obs.tracing.NULL_TRACER` costs one
         attribute read per check.
 
-    Whatever the tracer, both engines always attach **provenance** to
-    every surfaced report: per-edge record origins, the detection lag
-    in record ordinals, and the reporting check's ordinal — derived
-    from the same :class:`~repro.obs.tracing.OriginTracker` fold in
-    both engines, so enriched reports stay equal between them.
+    Whatever the tracer, every surfaced report gets **provenance**
+    attached: per-edge record origins, the detection lag in record
+    ordinals, and the reporting check's ordinal — one
+    :class:`~repro.obs.tracing.OriginTracker` fold, whatever the engine.
     """
 
     def __init__(
@@ -214,20 +220,52 @@ class ReplayEngine:
         lazy = getattr(records, "lazy_records", None)
         if lazy is not None:
             records = lazy()
-        if self.incremental:
-            return self._run_incremental(records)
-        checker = DeadlockChecker(
-            model=self.model, threshold_factor=self.threshold_factor
-        )
+        # The engine is the checker class; everything below is shared.
+        engine = IncrementalChecker if self.incremental else DeadlockChecker
+        # Two checkers, two views: ``local`` accumulates block/unblock
+        # records, ``remote`` the merged site publications.  Once any
+        # publication has been seen, detection queries ``remote`` only.
+        local = engine(model=self.model, threshold_factor=self.threshold_factor)
+        remote = engine(model=self.model, threshold_factor=self.threshold_factor)
+        merge = DeltaMergeState(remote)
+        # Report task order follows the analysed snapshot: site order ×
+        # bucket order for the distributed view, not delta arrival order.
+        remote.snapshot_source = merge.merged_snapshot
         result = ReplayResult(mode=self.mode)
         seen: Set[frozenset] = set()
-        buckets: Dict[str, dict] = {}
-        cursors: Dict[str, Cursor] = {}
         kinds = dict.fromkeys(_KIND_NAMES, 0)
         origins = OriginTracker()
         lags: List[Tuple[int, float]] = []
+        publishes_seen = False
         pending = 0
+        # Detection-mode local ops queue up between cadence points and
+        # reach the checker through one ``apply_batch`` right before the
+        # check.  (Avoidance vets each block as it arrives, so its ops
+        # stay per-record.)
+        local_ops: List[Tuple[str, object, object]] = []
         t0 = time.perf_counter()
+
+        def detect() -> None:
+            if local_ops:
+                local.apply_batch(local_ops)
+                local_ops.clear()
+            if publishes_seen:
+                # Cross-site duplication is rejected at *check* time: a
+                # transient overlap that resolves before the next
+                # cadence point replays fine.
+                merge.raise_on_conflict()
+                checker = remote
+                statuses_fn = lambda: merge.merged_snapshot().statuses  # noqa: E731
+            else:
+                checker = local
+                statuses_fn = lambda: local.dependency.snapshot().statuses  # noqa: E731
+            if self.shard_components:
+                reports = checker.check_sharded()
+            else:
+                report = checker.check()
+                reports = [] if report is None else [report]
+            self._collect(reports, seen, result, origins, statuses_fn, lags)
+
         for rec in records:
             result.records_processed += 1
             origins.observe(rec)
@@ -235,18 +273,21 @@ class ReplayEngine:
             if kind is RecordKind.BLOCK:
                 kinds["block"] += 1
                 if self.mode == AVOIDANCE:
-                    report, _ = checker.check_before_block(rec.task, rec.status)
+                    report, _ = local.check_before_block(rec.task, rec.status)
                     result.checks_run += 1
                     if report is not None:
                         self._collect_avoided(
-                            report, rec, checker, origins, lags, result
+                            report, rec, local, origins, lags, result
                         )
                     continue
-                checker.set_blocked(rec.task, rec.status)
+                local_ops.append(("set", rec.task, rec.status))
                 pending += 1
             elif kind is RecordKind.UNBLOCK:
                 kinds["unblock"] += 1
-                checker.clear(rec.task)
+                if self.mode == AVOIDANCE:
+                    local.clear(rec.task)
+                    continue
+                local_ops.append(("clear", rec.task, None))
                 pending += 1
             elif kind in _PUBLISH_KINDS:
                 if self.mode == AVOIDANCE:
@@ -259,46 +300,30 @@ class ReplayEngine:
                     )
                 if kind is RecordKind.PUBLISH:
                     kinds["publish"] += 1
-                    buckets[rec.site] = dict(rec.payload)
+                    merge.apply_bucket(rec.site, rec.payload)
                 else:
                     kinds["publish_delta"] += 1
-                    apply_delta_obj(buckets, cursors, rec.site, rec.payload)
+                    merge.apply_obj(rec.site, rec.payload)
+                publishes_seen = True
                 pending += 1
             else:  # REGISTER / ADVANCE: context only
                 kinds["context"] += 1
                 continue
             if self.mode == DETECTION and pending >= self.check_every:
                 pending = 0
-                self._detect(checker, buckets, seen, result, origins, lags)
+                detect()
         # Drain: a trailing state change below the cadence still gets
         # analysed, so lowering the cadence never loses final reports.
         if self.mode == DETECTION and pending:
-            self._detect(checker, buckets, seen, result, origins, lags)
+            detect()
         result.duration_s = time.perf_counter() - t0
-        result.stats = checker.stats
-        self._finish_metrics(result, kinds, [checker], lags)
+        result.stats = local.stats
+        # Registries fold first: CheckStats.merge below copies remote's
+        # check instruments into local's registry, so merging registries
+        # afterwards would double-count them.
+        self._finish_metrics(result, kinds, [local, remote], lags)
+        result.stats.merge(remote.stats)
         return result
-
-    def _detect(
-        self,
-        checker: DeadlockChecker,
-        buckets: Dict[str, dict],
-        seen: Set[frozenset],
-        result: ReplayResult,
-        origins: OriginTracker,
-        lags: List[Tuple[int, float]],
-    ) -> None:
-        snapshot = merge_payloads(buckets) if buckets else None
-        if self.shard_components:
-            reports = checker.check_sharded(snapshot=snapshot)
-        else:
-            report = checker.check(snapshot=snapshot)
-            reports = [] if report is None else [report]
-        if snapshot is not None:
-            statuses_fn = lambda: snapshot.statuses  # noqa: E731
-        else:
-            statuses_fn = lambda: checker.dependency.snapshot().statuses  # noqa: E731
-        self._collect(reports, seen, result, origins, statuses_fn, lags)
 
     def _collect_avoided(
         self, report, rec, checker, origins, lags, result
@@ -422,137 +447,6 @@ class ReplayEngine:
                 self._trace_report(enriched)
             result.reports.append(enriched)
 
-    # ------------------------------------------------------------------
-    # the incremental engine
-    # ------------------------------------------------------------------
-    def _run_incremental(self, records: Iterable[TraceRecord]) -> ReplayResult:
-        """The delta-fed twin of :meth:`run`.
-
-        Two delta-maintained checkers mirror the from-scratch engine's
-        two views: ``local`` accumulates ``block``/``unblock`` records,
-        ``remote`` accumulates the merged site publications through a
-        :class:`~repro.distributed.delta.DeltaMergeState` — the same
-        consumer the live distributed checker runs, fed either
-        whole-bucket ``publish`` records (diffed against the site's
-        previous bucket) or ``publish_delta`` ops (applied directly).
-        Once any publication has been seen, detection queries the
-        remote view only — exactly the view switch the from-scratch
-        ``_detect`` performs by merging buckets instead of snapshotting.
-        """
-        local = IncrementalChecker(
-            model=self.model, threshold_factor=self.threshold_factor
-        )
-        remote = IncrementalChecker(
-            model=self.model, threshold_factor=self.threshold_factor
-        )
-        merge = DeltaMergeState(remote)
-        # The from-scratch engine checks the *merged bucket* snapshot,
-        # whose task order is site order × bucket order — not delta
-        # arrival order.  Rebuilding the merge on the (rare) cyclic
-        # fallback keeps remote reports byte-identical to it.
-        remote.snapshot_source = merge.merged_snapshot
-        result = ReplayResult(mode=self.mode)
-        seen: Set[frozenset] = set()
-        kinds = dict.fromkeys(_KIND_NAMES, 0)
-        origins = OriginTracker()
-        lags: List[Tuple[int, float]] = []
-        publishes_seen = False
-        pending = 0
-        # Detection-mode local ops queue up between cadence points and
-        # apply through one ``apply_batch`` maintenance pass right
-        # before the check — a replay frame's worth of status ops, one
-        # SCC pass.  (Avoidance vets each block as it arrives, so its
-        # ops stay per-record.)
-        local_ops: List[Tuple[str, object, object]] = []
-        t0 = time.perf_counter()
-
-        def detect() -> None:
-            if local_ops:
-                local.apply_batch(local_ops)
-                local_ops.clear()
-            if publishes_seen:
-                # Mirror the from-scratch engine: cross-site duplication
-                # is rejected at *check* time (a transient overlap that
-                # resolves before the next cadence point replays fine),
-                # with the classic merge producing the identical error.
-                merge.raise_on_conflict()
-                statuses_fn = lambda: merge.merged_snapshot().statuses  # noqa: E731
-            else:
-                statuses_fn = lambda: local.dependency.snapshot().statuses  # noqa: E731
-            self._detect_incremental(
-                remote if publishes_seen else local, seen, result,
-                origins, statuses_fn, lags,
-            )
-
-        for rec in records:
-            result.records_processed += 1
-            origins.observe(rec)
-            kind = rec.kind
-            if kind is RecordKind.BLOCK:
-                kinds["block"] += 1
-                if self.mode == AVOIDANCE:
-                    report, _ = local.check_before_block(rec.task, rec.status)
-                    result.checks_run += 1
-                    if report is not None:
-                        self._collect_avoided(
-                            report, rec, local, origins, lags, result
-                        )
-                    continue
-                local_ops.append(("set", rec.task, rec.status))
-                pending += 1
-            elif kind is RecordKind.UNBLOCK:
-                kinds["unblock"] += 1
-                if self.mode == AVOIDANCE:
-                    local.clear(rec.task)
-                    continue
-                local_ops.append(("clear", rec.task, None))
-                pending += 1
-            elif kind in _PUBLISH_KINDS:
-                if self.mode == AVOIDANCE:
-                    raise ValueError(
-                        "avoidance replay cannot analyse publish records "
-                        "(distributed traces replay in detection mode)"
-                    )
-                if kind is RecordKind.PUBLISH:
-                    kinds["publish"] += 1
-                    merge.apply_bucket(rec.site, rec.payload)
-                else:
-                    kinds["publish_delta"] += 1
-                    merge.apply_obj(rec.site, rec.payload)
-                publishes_seen = True
-                pending += 1
-            else:  # REGISTER / ADVANCE: context only
-                kinds["context"] += 1
-                continue
-            if self.mode == DETECTION and pending >= self.check_every:
-                pending = 0
-                detect()
-        if self.mode == DETECTION and pending:
-            detect()
-        result.duration_s = time.perf_counter() - t0
-        result.stats = local.stats
-        # Registries fold first: CheckStats.merge below copies remote's
-        # check instruments into local's registry, so merging registries
-        # afterwards would double-count them.
-        self._finish_metrics(result, kinds, [local, remote], lags)
-        result.stats.merge(remote.stats)
-        return result
-
-    def _detect_incremental(
-        self,
-        checker: IncrementalChecker,
-        seen: Set[frozenset],
-        result: ReplayResult,
-        origins: OriginTracker,
-        statuses_fn,
-        lags: List[Tuple[int, float]],
-    ) -> None:
-        if self.shard_components:
-            reports = checker.check_sharded()
-        else:
-            report = checker.check()
-            reports = [] if report is None else [report]
-        self._collect(reports, seen, result, origins, statuses_fn, lags)
 
 def replay(
     source: Union[Trace, Iterable[TraceRecord], str],

@@ -164,3 +164,62 @@ class TestApplyBatchEquivalence:
             assert a == b
             deadlocks += a is not None
         assert deadlocks > 0, "sequence never deadlocked; weak test"
+
+
+class TestPlainCheckerApplyBatch:
+    """The hoisted surface: :class:`DeadlockChecker` takes the same op
+    tuples through a plain loop, so one feeding path serves both checker
+    classes — and its verdicts are the incremental engine's oracle."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_plain_loop_matches_stepwise_and_incremental(self, seed):
+        from repro.core.checker import DeadlockChecker
+
+        rng = random.Random(900 + seed)
+        tasks = [f"t{i}" for i in range(5)]
+        phasers = [f"p{i}" for i in range(2)]
+        ops = random_ops(rng, 120, tasks, phasers)
+        batched, stepwise = DeadlockChecker(), DeadlockChecker()
+        incremental = IncrementalChecker()
+        pos = 0
+        while pos < len(ops):
+            chunk = ops[pos:pos + rng.randint(1, 10)]
+            pos += len(chunk)
+            batched.apply_batch(chunk)
+            incremental.apply_batch(chunk)
+            apply_stepwise(stepwise, chunk)
+            assert (batched.dependency.snapshot().statuses
+                    == stepwise.dependency.snapshot().statuses)
+            assert batched.check() == stepwise.check() == incremental.check()
+
+    def test_unknown_op_raises_after_the_applied_prefix(self):
+        from repro.core.checker import DeadlockChecker
+
+        checker = DeadlockChecker()
+        status = BlockedStatus(
+            waits=frozenset({Event("p", 1)}), registered={"p": 1}
+        )
+        with pytest.raises(ValueError, match="unknown batch op"):
+            checker.apply_batch([("set", "a", status), ("frobnicate", "b", None)])
+        assert set(checker.dependency.snapshot().statuses) == {"a"}
+
+    def test_snapshot_source_orders_what_a_check_analyses(self):
+        """Without an explicit snapshot, ``check``/``check_sharded``
+        analyse ``snapshot_source()`` — report task order follows it."""
+        from repro.core.checker import DeadlockChecker
+        from repro.core.dependency import DependencySnapshot
+        from repro.core.events import waiting_on
+
+        knot = {
+            "a": waiting_on("p", 1, p=1, q=0),
+            "b": waiting_on("q", 1, q=1, p=0),
+        }
+        checker = DeadlockChecker()
+        checker.apply_batch([("set", t, s) for t, s in knot.items()])
+        assert checker.check().tasks == ("a", "b")
+        checker.snapshot_source = lambda: DependencySnapshot(
+            statuses={"b": knot["b"], "a": knot["a"]}
+        )
+        assert checker.check().tasks == ("b", "a")
+        checker.snapshot_source = lambda: DependencySnapshot(statuses={})
+        assert checker.check() is None and checker.check_sharded() == []

@@ -1,16 +1,17 @@
 """Delta wire protocol unit tests: derivation, application, recovery.
 
 The shared module (`repro.distributed.delta`) is the single source of
-both the live Site/store derivation and the replay engines' offline
-one, so these tests pin its semantics directly: diff classification,
-sequence contiguity, checkpoint behaviour, cross-site ownership, and
-the bucket-protocol equivalence that keeps distributed reports
-byte-identical across the two protocols.
+both the live Site/store derivation and replay's offline one, so these
+tests pin its semantics directly: diff classification, sequence
+contiguity, checkpoint behaviour, cross-site ownership, and the
+equivalence of the maintained merge view with the plain reference fold
+(``apply_delta_obj`` + ``merge_buckets``) that keeps it honest.
 """
 
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -27,8 +28,22 @@ from repro.distributed.delta import (
     make_snapshot,
     merge_buckets,
 )
-from repro.distributed.detector import merge_payloads
-from repro.distributed.store import encode_statuses
+from repro.distributed.store import decode_statuses, encode_statuses
+
+CORPUS = Path(__file__).resolve().parents[1] / "trace" / "corpus"
+
+
+def corpus_publication_traces():
+    """Every corpus trace (both codecs) carrying publication records."""
+    from repro.trace.codec import load_trace
+    from repro.trace.events import RecordKind
+
+    kinds = (RecordKind.PUBLISH, RecordKind.PUBLISH_DELTA)
+    return [
+        path for path in sorted(CORPUS.iterdir())
+        if path.suffix in (".trace", ".jsonl")
+        and any(rec.kind in kinds for rec in load_trace(path).records)
+    ]
 
 
 def bucket(**statuses):
@@ -155,12 +170,15 @@ class TestApplyDeltaObj:
 
 
 class TestMergeBuckets:
-    def test_equals_classic_merge(self):
+    def test_is_the_disjoint_union_of_the_decoded_buckets(self):
         payloads = {
             "s0": encode_statuses({"t1": waiting_on("p", 1, p=1)}),
             "s1": encode_statuses({"t2": waiting_on("q", 1, q=1)}),
         }
-        assert merge_buckets(payloads).statuses == merge_payloads(payloads).statuses
+        expected = {**decode_statuses(payloads["s0"]),
+                    **decode_statuses(payloads["s1"])}
+        merged = merge_buckets(payloads).statuses
+        assert merged == expected and list(merged) == ["t1", "t2"]
 
     def test_duplicate_task_error_text_matches_classic(self):
         blob = encode_statuses({"t1": waiting_on("p", 1, p=1)})
@@ -444,6 +462,87 @@ class TestDecodedView:
                 view.apply_obj("s0", make_snapshot(2, bad, "s0"))
             assert view.buckets["s0"] == good and view.cursor_seq("s0") == 1
             self.assert_same_merge(view)
+
+    @pytest.mark.parametrize("engine", [DeadlockChecker, IncrementalChecker])
+    def test_failed_delta_decode_leaves_view_and_checker_untouched(self, engine):
+        """One malformed blob in a delta's ``set``/``restore`` must not
+        half-apply: the good ops beside it stay out of the buckets, the
+        merged snapshot, the counters and the fed checker, and the
+        cursor does not move — also when the consumer retries."""
+        from repro.trace.events import TraceFormatError
+
+        checker = engine()
+        view = DeltaMergeState(checker)
+        good = bucket(a=waiting_on("p", 1, p=1), c=waiting_on("r", 1, r=1))
+        view.apply_obj("s0", make_snapshot(1, good, "s0"))
+
+        def state():
+            return (
+                {site: dict(b) for site, b in view.buckets.items()},
+                dict(view.merged_snapshot().statuses),
+                dict(view.cursors),
+                view.ops_applied,
+                dict(checker.dependency.snapshot().statuses),
+            )
+
+        before = state()
+        fresh = bucket(a=waiting_on("p", 2, p=2), b=waiting_on("q", 1, q=1))
+        delta = {
+            "v": 2, "stream": "s0", "seq": 2, "kind": "delta",
+            "set": {"b": fresh["b"]}, "restore": {"a": fresh["a"]},
+            "clear": ["c"],
+        }
+        for section in ("set", "restore"):
+            half = dict(delta)
+            half[section] = dict(delta[section], z={"waits": "oops"})
+            for _ in range(2):  # sync re-fetches the same delta every round
+                with pytest.raises(TraceFormatError):
+                    view.apply_obj("s0", half)
+                assert state() == before
+                self.assert_same_merge(view)
+        # The well-formed delta still applies afterwards.
+        view.apply_obj("s0", delta)
+        assert list(view.merged_snapshot().statuses) == ["a", "b"]
+        assert set(checker.dependency.snapshot().statuses) == {"a", "b"}
+
+    def test_corpus_has_both_publication_protocols(self):
+        names = {path.name for path in corpus_publication_traces()}
+        assert "recorded-cluster-dl.trace" in names  # v1 ``publish``
+        assert {"cycle-L2-F2-S2-R1-dl.trace", "cycle-L2-F2-S2-R1-dl.jsonl"} <= names
+
+    @pytest.mark.parametrize(
+        "path", corpus_publication_traces(), ids=lambda p: p.name
+    )
+    def test_corpus_streams_match_the_plain_fold(self, path):
+        """The oracle both replay engines now share a view with: after
+        every publication record of every corpus trace (v1 ``publish``
+        buckets included), the view's merged snapshot equals — values
+        and key order — ``merge_buckets`` over buckets folded by the
+        plain ``apply_delta_obj`` / whole-bucket replace."""
+        from repro.trace.codec import load_trace
+        from repro.trace.events import RecordKind
+
+        view = DeltaMergeState(DeadlockChecker())
+        buckets, cursors = {}, {}
+        for rec in load_trace(path).records:
+            if rec.kind is RecordKind.PUBLISH:
+                buckets[rec.site] = dict(rec.payload)
+                view.apply_bucket(rec.site, rec.payload)
+            elif rec.kind is RecordKind.PUBLISH_DELTA:
+                apply_delta_obj(buckets, cursors, rec.site, rec.payload)
+                view.apply_obj(rec.site, rec.payload)
+            else:
+                continue
+            assert view.buckets == buckets
+            assert list(view.buckets) == list(buckets)
+            expected = merge_buckets(buckets).statuses
+            merged = view.merged_snapshot().statuses
+            assert merged == expected
+            assert list(merged) == list(expected)
+            fed = view.checker.dependency.snapshot().statuses
+            assert {t: (s.waits, s.registered) for t, s in fed.items()} == {
+                t: (s.waits, s.registered) for t, s in expected.items()
+            }
 
     def test_cyclic_checks_decode_each_blob_once(self, monkeypatch):
         from repro.distributed import delta

@@ -4,21 +4,19 @@
 delta streams instead of re-merging buckets; these tests pin the
 detection semantics (cross-site cycles, no-cycle, outages), the
 O(change) sync behaviour, gap/checkpoint recovery, and — the acceptance
-differential — report byte-identity with the legacy bucket path.
+differential — report byte-identity with a from-scratch check of the
+merged store states.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.checker import DeadlockChecker
 from repro.core.events import waiting_on
 from repro.core.selection import GraphModel
-from repro.distributed.delta import DeltaPublisher, encode_bucket
-from repro.distributed.detector import (
-    DistributedChecker,
-    check_buckets,
-    merge_payloads,
-)
+from repro.distributed.delta import DeltaPublisher, encode_bucket, merge_buckets
+from repro.distributed.detector import DistributedChecker
 from repro.distributed.store import (
     InMemoryStore,
     StoreUnavailableError,
@@ -49,16 +47,16 @@ class TestMerge:
             "s0": encode_statuses({"t1": waiting_on("p", 1, p=1)}),
             "s1": encode_statuses({"t2": waiting_on("q", 1, q=1)}),
         }
-        snap = merge_payloads(payloads)
+        snap = merge_buckets(payloads)
         assert set(snap.tasks) == {"t1", "t2"}
 
     def test_duplicate_task_rejected(self):
         blob = encode_statuses({"t1": waiting_on("p", 1, p=1)})
         with pytest.raises(ValueError):
-            merge_payloads({"s0": blob, "s1": blob})
+            merge_buckets({"s0": blob, "s1": blob})
 
     def test_empty(self):
-        assert merge_payloads({}).is_empty()
+        assert merge_buckets({}).is_empty()
 
 
 class TestGlobalCheck:
@@ -199,28 +197,33 @@ class TestDeltaFedView:
         assert set(checker.view.buckets["s0"]) == set(encode_bucket(fresh))
 
 
+def reference_check(store, model=GraphModel.AUTO):
+    """The oracle: a from-scratch check of the plain merge of every
+    site's materialised store state."""
+    snapshot = merge_buckets(
+        {site: store.get_state(site)[2] for site in store.delta_sites()}
+    )
+    return DeadlockChecker(model=model).check(snapshot=snapshot)
+
+
 class TestProtocolEquivalence:
-    """The acceptance pin: distributed detection reports are
-    byte-identical between the delta protocol and the bucket path."""
+    """The acceptance pin: the delta-fed maintained view reports
+    byte-identically to a from-scratch check of the merged store
+    states."""
 
     def drive_both(self, rounds):
-        """``rounds`` is a list of {site: statuses} cluster states; both
-        protocols replay them and the per-round reports must match."""
-        bucket_store = InMemoryStore("bucket")
-        delta_store = InMemoryStore("delta")
-        from repro.core.checker import DeadlockChecker
-
-        bucket_checker = DeadlockChecker()
-        delta_checker = DistributedChecker(delta_store)
+        """``rounds`` is a list of {site: statuses} cluster states; the
+        maintained checker's per-round report must match the oracle's."""
+        store = InMemoryStore("delta")
+        checker = DistributedChecker(store)
         publishers = {}
         for state in rounds:
             for site, statuses in state.items():
-                bucket_store.put(site, encode_statuses(statuses))
                 publishers[site] = publish(
-                    delta_store, site, statuses, publishers.get(site)
+                    store, site, statuses, publishers.get(site)
                 )
-            expected = check_buckets(bucket_store, checker=bucket_checker)
-            actual = delta_checker.check_global()
+            expected = reference_check(store)
+            actual = checker.check_global()
             assert actual == expected
         return expected
 
@@ -252,13 +255,10 @@ class TestProtocolEquivalence:
     def test_fixed_models_identical(self):
         a, b = crossed_knot()
         for model in (GraphModel.WFG, GraphModel.SG):
-            bucket_store = InMemoryStore()
-            delta_store = InMemoryStore()
-            bucket_store.put("s0", encode_statuses(a))
-            bucket_store.put("s1", encode_statuses(b))
-            publish(delta_store, "s0", a)
-            publish(delta_store, "s1", b)
-            expected = check_buckets(bucket_store, model=model)
-            actual = DistributedChecker(delta_store, model=model).check_global()
+            store = InMemoryStore()
+            publish(store, "s0", a)
+            publish(store, "s1", b)
+            expected = reference_check(store, model=model)
+            actual = DistributedChecker(store, model=model).check_global()
             assert actual == expected
             assert actual is not None

@@ -4,8 +4,6 @@ The delta protocol's fault story is pinned here: stores validate stream
 contiguity (gap -> :class:`DeltaSequenceError`, the "checkpoint needed"
 signal), compact logs at snapshots, and the replicated facade heals a
 recovered-stale replica by requesting a checkpoint from a healthy one.
-The legacy bucket surface (``put``/``get_all``) keeps its original
-semantics for old traces and the delta-vs-bucket benchmark.
 """
 
 from __future__ import annotations
@@ -148,41 +146,18 @@ class TestDeltaStream:
         with pytest.raises(StoreUnavailableError):
             store.delta_sites()
 
-    def test_traffic_accounting(self):
-        store = InMemoryStore(track_bytes=True)
+    def test_operation_accounting(self):
+        store = InMemoryStore()
         store.append_delta("s0", make_snapshot(1, blob("a"), "S"))
         store.get_deltas("s0", 0)
         assert store.puts == 1 and store.gets == 1
-        assert store.bytes_put > 0 and store.bytes_get >= store.bytes_put
 
-
-class TestLegacyBuckets:
-    def test_put_get(self):
+    def test_recovery_keeps_the_stream(self):
         store = InMemoryStore()
-        store.put("site0", {"a": 1})
-        assert store.get("site0") == {"a": 1}
-        assert store.get("missing") is None
-
-    def test_put_replaces_bucket(self):
-        store = InMemoryStore()
-        store.put("s", {"a": 1})
-        store.put("s", {"b": 2})
-        assert store.get("s") == {"b": 2}
-
-    def test_get_all_snapshot(self):
-        store = InMemoryStore()
-        store.put("s1", {"x": 1})
-        store.put("s2", {"y": 2})
-        snap = store.get_all()
-        store.put("s3", {"z": 3})
-        assert set(snap) == {"s1", "s2"}
-
-    def test_recovery(self):
-        store = InMemoryStore()
-        store.put("s", {"a": 1})
+        store.append_delta("s0", make_snapshot(1, blob("a"), "S"))
         store.set_available(False)
         store.set_available(True)
-        assert store.get("s") == {"a": 1}
+        assert store.get_state("s0") == ("S", 1, blob("a"))
 
 
 class TestReplicatedStore:
@@ -215,6 +190,19 @@ class TestReplicatedStore:
             store.append_delta("s0", make_snapshot(1, {}, "S"))
         with pytest.raises(StoreUnavailableError):
             store.delta_sites()
+
+    def test_delete_with_every_replica_down_raises(self):
+        """Like every other operation of the facade (and like a plain
+        store's own ``delete``): no reachable replica is an outage, not
+        a silent success."""
+        replicas = [InMemoryStore(f"r{i}") for i in range(2)]
+        store = ReplicatedStore(replicas)
+        store.append_delta("s0", make_snapshot(1, blob("a"), "S"))
+        replicas[0].set_available(False)
+        store.delete("s0")  # one reachable replica is enough
+        replicas[1].set_available(False)
+        with pytest.raises(StoreUnavailableError):
+            store.delete("s0")
 
     def test_recovered_replica_heals_via_checkpoint(self):
         """The satellite fault path: a replica dies mid-stream, misses

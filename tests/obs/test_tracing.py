@@ -156,6 +156,29 @@ class TestOriginTracker:
             "publish_delta @record 4 (site s0, stream tok, seq 1)"
         )
 
+    def test_observe_delta_is_the_record_free_publish_delta_fold(self):
+        """A live consumer folds the wire object directly; the result is
+        what observing the equivalent trace record gives."""
+        from repro.core.events import waiting_on
+        from repro.distributed.delta import DeltaPublisher, encode_bucket
+        from repro.trace import events as ev
+
+        pub = DeltaPublisher("s0", stream="tok", adaptive=False)
+        buckets = [
+            {"t1": waiting_on("p", 1, p=1), "t2": waiting_on("q", 1, q=1)},
+            {"t1": waiting_on("p", 2, p=2), "t3": waiting_on("r", 1, r=1)},
+        ]
+        live, recorded = OriginTracker(), OriginTracker()
+        for ordinal, statuses in enumerate(buckets, 7):
+            obj = pub.prepare(encode_bucket(statuses))
+            pub.commit(obj)
+            live.observe_delta(ordinal, "s0", obj)
+            recorded.observe(ev.publish_delta(ordinal, "s0", obj))
+        assert live.origins == recorded.origins
+        assert set(live.origins) == {"t1", "t3"}
+        assert live.last_ordinal == recorded.last_ordinal == 8
+        assert live._site_tasks == recorded._site_tasks
+
 
 class TestProvenance:
     def deadlock_outcome(self, **kwargs):

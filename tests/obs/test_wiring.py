@@ -16,7 +16,7 @@ from repro.core.checker import CheckStats, DeadlockChecker
 from repro.core.events import waiting_on
 from repro.core.incremental import IncrementalChecker
 from repro.core.selection import GraphModel
-from repro.distributed.delta import DeltaPublisher, encode_bucket
+from repro.distributed.delta import DeltaPublisher, encode_bucket, make_snapshot
 from repro.distributed.detector import DistributedChecker
 from repro.distributed.store import InMemoryStore, ReplicatedStore
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
@@ -169,20 +169,17 @@ class TestRuntimeWiring:
 class TestStoreWiring:
     def test_legacy_counters_are_views_over_instruments(self):
         reg = MetricsRegistry()
-        store = InMemoryStore(name="s", track_bytes=True, metrics=reg)
-        store.put("site-a", {"t1": {"e": 1}})
-        store.get("site-a")
+        store = InMemoryStore(name="s", metrics=reg)
+        store.append_delta("site-a", make_snapshot(1, {}, "S"))
+        store.get_state("site-a")
         assert store.puts == 1 and store.gets == 1
         ops = reg.get("repro_store_ops_total")
         assert ops.value(store="s", op="put") == 1
         assert ops.value(store="s", op="get") == 1
-        traffic = reg.get("repro_store_bytes_total")
-        assert traffic.value(store="s", direction="put") == store.bytes_put
-        assert store.bytes_put > 0
 
     def test_default_store_accounting_still_works(self):
         store = InMemoryStore()
-        store.put("site-a", {})
+        store.append_delta("site-a", make_snapshot(1, {}, "S"))
         assert store.puts == 1  # no registry passed: private fallback
 
     def test_append_kinds_and_gap_counters(self):

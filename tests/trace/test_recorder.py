@@ -130,31 +130,37 @@ class TestRuntimeCapture:
 
 
 class TestStoreCapture:
-    def test_put_records_publish(self):
+    SNAPSHOT = {
+        "v": 2, "stream": "S", "seq": 1, "kind": "snapshot",
+        "set": {"t1": {"waits": [["p", 1]], "registered": {"p": 1},
+                       "generation": 1}},
+        "restore": {}, "clear": [],
+    }
+
+    def test_append_records_publish_delta(self):
         recorder = TraceRecorder()
         store = InMemoryStore(recorder=recorder)
-        payload = {"t1": {"waits": [["p", 1]], "registered": {"p": 1}, "generation": 1}}
-        store.put("siteA", payload)
+        store.append_delta("siteA", self.SNAPSHOT)
         trace = recorder.trace()
         assert len(trace) == 1
         rec = trace.records[0]
-        assert rec.kind is RecordKind.PUBLISH
+        assert rec.kind is RecordKind.PUBLISH_DELTA
         assert rec.site == "siteA"
-        assert rec.payload == payload
+        assert rec.payload == self.SNAPSHOT
 
     def test_replicated_store_records_once(self):
         recorder = TraceRecorder()
         replicas = [InMemoryStore(name=f"r{i}") for i in range(3)]
         store = ReplicatedStore(replicas, recorder=recorder)
-        store.put("siteA", {})
+        store.append_delta("siteA", self.SNAPSHOT)
         assert len(recorder) == 1  # one logical write, one record
 
-    def test_failed_put_not_recorded(self):
+    def test_failed_append_not_recorded(self):
         recorder = TraceRecorder()
         store = InMemoryStore(recorder=recorder)
         store.set_available(False)
         with pytest.raises(Exception):
-            store.put("siteA", {})
+            store.append_delta("siteA", self.SNAPSHOT)
         assert len(recorder) == 0
 
 

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.events import waiting_on
 from repro.core.selection import GraphModel
+from repro.distributed.delta import DeltaSequenceError, make_snapshot
+from repro.trace import events as ev
 from repro.trace.corpus import ScenarioSpec, scenario_trace
+from repro.trace.events import status_to_obj
 from repro.trace.recorder import TraceRecorder
 from repro.trace.replay import AVOIDANCE, DETECTION, ReplayEngine, replay
 
@@ -65,13 +69,6 @@ class TestModes:
         with pytest.raises(ValueError):
             ReplayEngine(mode="wrong")
 
-    def test_avoidance_rejects_publish_records(self):
-        """Distributed traces carry whole buckets; avoidance replay must
-        fail loudly rather than report a silent 'no deadlock'."""
-        trace = scenario_trace(ScenarioSpec(cycle_len=2, fan_out=1, sites=2))
-        with pytest.raises(ValueError, match="publish"):
-            replay(trace, mode=AVOIDANCE)
-
 
 class TestDistributedReplay:
     def test_publish_delta_records_drive_global_view(self):
@@ -87,40 +84,6 @@ class TestDistributedReplay:
         assert outcome.deadlocked
         # The cycle spans statuses from every site's bucket.
         assert len(outcome.reports[0].tasks) == 3
-
-    def test_legacy_publish_records_still_replay(self):
-        """Bucket-protocol traces (old recordings) replay unchanged."""
-        from repro.trace import events as ev
-        from repro.trace.events import status_to_obj
-        from repro.core.events import waiting_on
-
-        records = [
-            ev.publish(0, "A", {"a": status_to_obj(waiting_on("p", 1, p=1, q=0))}),
-            ev.publish(1, "B", {"b": status_to_obj(waiting_on("q", 1, q=1, p=0))}),
-        ]
-        for kwargs in ({}, {"incremental": True}):
-            outcome = replay(records, mode=DETECTION, **kwargs)
-            assert outcome.deadlocked
-            assert set(outcome.reports[0].tasks) == {"a", "b"}
-
-    def test_delta_gap_in_a_trace_is_an_error(self):
-        """A non-contiguous per-site delta stream is a recording bug;
-        both engines reject it identically instead of analysing a view
-        that silently missed a change."""
-        from repro.distributed.delta import DeltaSequenceError, make_snapshot
-        from repro.trace import events as ev
-
-        records = [
-            ev.publish_delta(0, "A", make_snapshot(1, {}, "A1")),
-            ev.publish_delta(
-                1, "A",
-                {"v": 1, "stream": "A1", "seq": 3, "kind": "delta",
-                 "set": {}, "restore": {}, "clear": []},
-            ),
-        ]
-        for kwargs in ({}, {"incremental": True}):
-            with pytest.raises(DeltaSequenceError):
-                replay(records, mode=DETECTION, **kwargs)
 
     def test_deadlock_free_distributed_trace(self):
         trace = scenario_trace(
@@ -168,6 +131,79 @@ class TestReplayFromPath:
         assert replay(path, mode=DETECTION).deadlocked
 
 
+@pytest.mark.parametrize("incremental", [False, True])
+class TestEitherEngine:
+    """Behaviour of the one run loop, whichever checker class it
+    instantiates — each case once, both engines."""
+
+    def test_avoidance_rejects_publish_records(self, incremental):
+        """Distributed traces carry whole buckets; avoidance replay must
+        fail loudly rather than report a silent 'no deadlock'."""
+        trace = scenario_trace(ScenarioSpec(cycle_len=2, fan_out=1, sites=2))
+        with pytest.raises(ValueError, match="publish"):
+            replay(trace, mode=AVOIDANCE, incremental=incremental)
+
+    def test_legacy_publish_records_still_replay(self, incremental):
+        """Bucket-protocol traces (old v1 recordings) replay unchanged."""
+        records = [
+            ev.publish(0, "A", {"a": status_to_obj(waiting_on("p", 1, p=1, q=0))}),
+            ev.publish(1, "B", {"b": status_to_obj(waiting_on("q", 1, q=1, p=0))}),
+        ]
+        outcome = replay(records, mode=DETECTION, incremental=incremental)
+        assert outcome.deadlocked
+        assert outcome.reports[0].tasks == ("a", "b")
+
+    def test_delta_gap_in_a_trace_is_an_error(self, incremental):
+        """A non-contiguous per-site delta stream is a recording bug:
+        rejected instead of analysing a view that silently missed a
+        change."""
+        records = [
+            ev.publish_delta(0, "A", make_snapshot(1, {}, "A1")),
+            ev.publish_delta(
+                1, "A",
+                {"v": 1, "stream": "A1", "seq": 3, "kind": "delta",
+                 "set": {}, "restore": {}, "clear": []},
+            ),
+        ]
+        with pytest.raises(DeltaSequenceError):
+            replay(records, mode=DETECTION, incremental=incremental)
+
+    def test_cross_site_duplicate_rejected_at_check_time(self, incremental):
+        blob = status_to_obj(waiting_on("p", 1, p=1))
+        records = [
+            ev.publish(0, "site0", {"t1": blob}),
+            ev.publish(1, "site1", {"t1": blob}),
+        ]
+        with pytest.raises(ValueError) as raised:
+            replay(records, incremental=incremental)
+        assert str(raised.value) == (
+            "tasks ['t1'] published by several sites (last: site1)"
+        )
+
+    def test_overlap_resolved_before_the_check_replays_fine(self, incremental):
+        """Check time, not arrival time: a duplicate withdrawn before
+        the next cadence point never reaches a check."""
+        blob = status_to_obj(waiting_on("p", 1, p=1))
+        records = [
+            ev.publish(0, "site0", {"t1": blob}),
+            ev.publish(1, "site1", {"t1": blob}),
+            ev.publish(2, "site0", {}),
+        ]
+        outcome = replay(records, check_every=3, incremental=incremental)
+        assert not outcome.deadlocked and outcome.checks_run == 1
+
+    def test_trailing_changes_below_the_cadence_are_drained(self, incremental):
+        trace = scenario_trace(
+            ScenarioSpec(cycle_len=3, fan_out=2, sites=1, rounds=5)
+        )
+        dense = replay(trace, check_every=1, incremental=incremental)
+        sparse = replay(trace, check_every=10 ** 6, incremental=incremental)
+        assert sparse.checks_run == 1  # the drain, and only the drain
+        assert sparse.deadlocked and dense.deadlocked
+        assert ([r.cycle for r in sparse.reports]
+                == [r.cycle for r in dense.reports])
+
+
 class TestIncrementalEngine:
     """The delta-maintained engine: identical reports, O(N) cost."""
 
@@ -195,11 +231,6 @@ class TestIncrementalEngine:
         b = replay(trace, mode=AVOIDANCE, incremental=True)
         assert a.reports == b.reports
 
-    def test_avoidance_rejects_publish_records(self):
-        trace = scenario_trace(ScenarioSpec(cycle_len=2, fan_out=1, sites=2))
-        with pytest.raises(ValueError, match="publish"):
-            replay(trace, mode=AVOIDANCE, incremental=True)
-
     def test_distributed_bucket_diffing(self):
         """Publish records replay through task-level bucket deltas; the
         merged-view reports stay identical to the from-scratch merge."""
@@ -209,19 +240,6 @@ class TestIncrementalEngine:
         a = replay(trace)
         b = replay(trace, incremental=True)
         assert a.reports == b.reports and a.deadlocked
-
-    def test_cross_site_duplicate_publish_rejected(self):
-        from repro.trace import events as ev
-        from repro.trace.events import status_to_obj
-        from repro.core.events import waiting_on
-
-        blob = status_to_obj(waiting_on("p", 1, p=1))
-        records = [
-            ev.publish(0, "site0", {"t1": blob}),
-            ev.publish(1, "site1", {"t1": blob}),
-        ]
-        with pytest.raises(ValueError, match="several sites"):
-            replay(records, incremental=True)
 
     def test_cadence_above_one_still_identical(self):
         trace = self.make_dl_trace()

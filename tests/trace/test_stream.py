@@ -105,9 +105,14 @@ class TestStreamingRecorder:
                 rec.record_register("t1", "p", 0)
                 rec.record_advance("t1", "p", 1)
                 rec.record_block("t1", self.status())
-                rec.record_publish("site0", {"t2": {
-                    "waits": [["q", 1]], "registered": {"q": 0}, "generation": 0,
-                }})
+                rec.record_publish_delta("site0", {
+                    "v": 2, "stream": "S", "seq": 1, "kind": "snapshot",
+                    "set": {"t2": {
+                        "waits": [["q", 1]], "registered": {"q": 0},
+                        "generation": 0,
+                    }},
+                    "restore": {}, "clear": [],
+                })
                 rec.record_unblock("t1")
             assert len(spilled) == 5
         assert load_trace(path).records == buffered.trace().records
