@@ -265,7 +265,14 @@ def edge_count_table(
 ) -> Dict[str, Dict[str, Dict[str, float]]]:
     """Table 3: per benchmark per selection mode — average edge count
     (from avoidance-mode checks, which see every blocked state) and the
-    relative overheads of avoidance and detection."""
+    relative overheads of avoidance and detection.
+
+    The *SG* and *WFG* rows are graph sizes: a fixed model builds its
+    graph on every check.  The *Auto* row is **edges examined per
+    check**: an adaptive avoidance check that the store's search
+    accepts builds no graph and records the index edges it walked
+    (:meth:`repro.core.dependency.ResourceDependency.vet_block`); only
+    refusals and full-graph fallbacks record a built graph's size."""
     names = list(kernels) if kernels else list(COURSE_KERNELS)
     out: Dict[str, Dict[str, Dict[str, float]]] = {}
     for name in names:

@@ -413,11 +413,28 @@ class DeadlockChecker:
         instead of blocking.  Returns ``(None, stamped_status)`` when it is
         safe to block — the status stays published and the caller proceeds
         to wait (clearing it on wake-up).
+
+        Under :attr:`GraphModel.AUTO` the cheapest sound analysis of one
+        block is no graph at all: while the store knows its content was
+        acyclic before this publication, a cycle can only run through
+        the new status, and the store decides that by a search from it
+        (:meth:`ResourceDependency.vet_block`).  A graph is built only
+        when that search finds a path — to supply the refusal's
+        evidence — or when the store cannot vouch for the state before.
+        Fixed ``WFG``/``SG`` build their graph on every check; they are
+        the reference the search is tested against.
         """
         with self._avoidance_lock:
             t0 = time.perf_counter()
             prior = self.dependency.get(task)
             stamped = self.dependency.set_blocked(task, status)
+            if self.model is GraphModel.AUTO:
+                examined = self.dependency.vet_block(stamped)
+                if examined is not None:
+                    # Events were the vertices walked, edges examined
+                    # the work done: no graph exists to size.
+                    self._record(t0, None, GraphModel.SG, examined)
+                    return None, stamped
             return self._finish_avoidance(t0, task, status, prior, stamped)
 
     # ------------------------------------------------------------------
@@ -433,16 +450,22 @@ class DeadlockChecker:
     ) -> Tuple[Optional[DeadlockReport], Optional[BlockedStatus]]:
         """The vet-after-publication half of :meth:`check_before_block`.
 
-        Split out so subclasses can interpose a cheaper verdict between
-        publication and this full analysis (the incremental checker's
-        O(1) accept path) while sharing the refusal path verbatim.
-        Caller holds ``_avoidance_lock`` and has already published
-        ``stamped``.
+        Split out so a cheaper verdict can be interposed between
+        publication and this full analysis (the store's search under
+        ``AUTO``, the incremental checker's maintained graph) while
+        sharing the refusal path verbatim.  Caller holds
+        ``_avoidance_lock`` and has already published ``stamped``.
+
+        Either outcome tells the store its content is acyclic again —
+        the whole graph was searched, or the one offending status was
+        taken back — which is what lets the next check skip this path.
         """
+        as_of = self.dependency.edge_writes()
         snapshot = self.dependency.snapshot()
         built = build_graph(snapshot, self.model, self.threshold_factor)
         cycle = self._cycle_for_avoidance(task, status, built)
         if cycle is None:
+            self.dependency.confirm_acyclic(as_of)
             self._record(t0, None, built.model_used, built.edge_count,
                          sg_aborted=built.sg_aborted)
             return None, stamped
@@ -453,6 +476,7 @@ class DeadlockChecker:
             self.restore(task, prior)
         else:
             self.clear(task)
+        self.dependency.confirm_withdrawn(stamped, restores=int(prior is not None))
         report = self._report_from_cycle(snapshot, built, cycle, avoided=True)
         self._record(t0, report, built.model_used, built.edge_count,
                      sg_aborted=built.sg_aborted)

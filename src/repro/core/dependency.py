@@ -10,13 +10,18 @@ are rearranged per task to optimise updates".  :class:`ResourceDependency`
 follows that design: it stores one :class:`~repro.core.events.BlockedStatus`
 per blocked task, O(1) to set and clear, and materialises the ``(I, W)``
 view only when a check runs (:meth:`ResourceDependency.snapshot`).
+
+Avoidance asks a narrower question than a check — does *this one* new
+status close a cycle? — and the store answers it without a snapshot:
+:meth:`ResourceDependency.vet_block` searches from the new status over
+a phase index the store keeps once it has been asked (see there).
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from repro.core.events import BlockedStatus, Event, PhaserId, TaskId
 
@@ -100,6 +105,82 @@ class DependencySnapshot:
         return not self.statuses
 
 
+#: ``phaser -> local phase -> {awaited event: blocked tasks there that
+#: await it}`` — the State Graph's successor relation, bucketed: the
+#: successors of event ``(p, n)`` are the keys of every bucket of ``p``
+#: below phase ``n``.  Counting tasks per event (instead of listing
+#: them) collapses an SPMD bucket of identical statuses to one entry.
+PhaseIndex = Dict[PhaserId, Dict[int, Dict[Event, int]]]
+
+
+def index_statuses(statuses: Iterable[BlockedStatus]) -> PhaseIndex:
+    """The phase index of ``statuses``, built from scratch."""
+    index: PhaseIndex = {}
+    for status in statuses:
+        _index_add(index, status)
+    return index
+
+
+def _index_add(index: PhaseIndex, status: BlockedStatus) -> None:
+    for phaser, phase in status.registered.items():
+        bucket = index.setdefault(phaser, {}).setdefault(phase, {})
+        for event in status.waits:
+            bucket[event] = bucket.get(event, 0) + 1
+
+
+def _index_discard(index: PhaseIndex, status: BlockedStatus) -> None:
+    """Undo :func:`_index_add`, pruning buckets and phasers left empty."""
+    for phaser, phase in status.registered.items():
+        phases = index[phaser]
+        bucket = phases[phase]
+        for event in status.waits:
+            if bucket[event] == 1:
+                del bucket[event]
+            else:
+                bucket[event] -= 1
+        if not bucket:
+            del phases[phase]
+            if not phases:
+                del index[phaser]
+
+
+def _closes_cycle(index: PhaseIndex, status: BlockedStatus) -> Tuple[bool, int]:
+    """Whether ``status``, already in ``index``, lies on a cycle, and
+    how many index edges the search examined.
+
+    Every edge ``status`` contributes runs from an event it impedes to
+    an event it waits on, so it lies on a cycle iff some event it waits
+    on reaches an event it impedes.  A depth-first search over events;
+    per phaser it remembers the highest phase already expanded, so
+    every bucket is read once however many events of that phaser are
+    reached.
+    """
+    impedes = status.impedes
+    examined = 0
+    seen = set(status.waits)
+    stack = list(seen)
+    expanded: Dict[PhaserId, int] = {}
+    while stack:
+        event = stack.pop()
+        phases = index.get(event.phaser)
+        if phases is None:
+            continue
+        done = expanded.get(event.phaser)
+        if done is not None and event.phase <= done:
+            continue
+        expanded[event.phaser] = event.phase
+        for phase, bucket in phases.items():
+            if phase < event.phase and (done is None or phase >= done):
+                for successor in bucket:
+                    examined += 1
+                    if impedes(successor):
+                        return True, examined
+                    if successor not in seen:
+                        seen.add(successor)
+                        stack.append(successor)
+    return False, examined
+
+
 class ResourceDependency:
     """Thread-safe per-task store of blocked statuses.
 
@@ -111,12 +192,27 @@ class ResourceDependency:
     checker can later verify a status is unchanged (``is_current``) before
     reporting — this closes the race in detection mode where a task
     unblocks between the snapshot and the analysis.
+
+    **Avoidance.**  The store also records up to which write its content
+    is *known acyclic* (:meth:`edge_writes`, :meth:`confirm_acyclic`).
+    While that holds, a new status can only close a cycle through
+    itself, so :meth:`vet_block` decides it by a search from that status
+    alone.  Every write that can add a graph edge — ``set_blocked``,
+    ``restore`` — voids the knowledge simply by advancing the write
+    count past it; ``clear`` only removes edges and leaves it standing.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._statuses: Dict[TaskId, BlockedStatus] = {}
         self._generation = 0
+        self._restores = 0
+        # The (generation, restores) pair as of which the content is
+        # known acyclic; an empty store is.
+        self._acyclic_at = (0, 0)
+        # Materialised by the first vet_block, maintained by every
+        # write from then on; a store never asked never pays for it.
+        self._index: Optional[PhaseIndex] = None
 
     def set_blocked(self, task: TaskId, status: BlockedStatus) -> BlockedStatus:
         """Record that ``task`` is blocked with ``status``.
@@ -130,13 +226,17 @@ class ResourceDependency:
                 registered=status.registered,
                 generation=self._generation,
             )
+            if self._index is not None:
+                self._reindex(self._statuses.get(task), stamped)
             self._statuses[task] = stamped
             return stamped
 
     def clear(self, task: TaskId) -> None:
         """Remove ``task``'s blocked status (the task unblocked or died)."""
         with self._lock:
-            self._statuses.pop(task, None)
+            status = self._statuses.pop(task, None)
+            if self._index is not None:
+                self._reindex(status, None)
 
     def get(self, task: TaskId) -> Optional[BlockedStatus]:
         """The currently published status of ``task``, if any."""
@@ -151,7 +251,19 @@ class ResourceDependency:
         the restored status remain valid.
         """
         with self._lock:
+            self._restores += 1
+            if self._index is not None:
+                self._reindex(self._statuses.get(task), status)
             self._statuses[task] = status
+
+    def _reindex(
+        self, old: Optional[BlockedStatus], new: Optional[BlockedStatus]
+    ) -> None:
+        """Move one task's index entries from ``old`` to ``new``."""
+        if old is not None:
+            _index_discard(self._index, old)
+        if new is not None:
+            _index_add(self._index, new)
 
     def snapshot(self) -> DependencySnapshot:
         """An immutable, consistent copy of all current blocked statuses."""
@@ -183,3 +295,77 @@ class ResourceDependency:
     def clear_all(self) -> None:
         with self._lock:
             self._statuses.clear()
+            if self._index is not None:
+                self._index.clear()
+            self._acyclic_at = (self._generation, self._restores)
+
+    # ------------------------------------------------------------------
+    # avoidance: the known-acyclic mark and the search that relies on it
+    # ------------------------------------------------------------------
+    def edge_writes(self) -> Tuple[int, int]:
+        """How many edge-adding writes (``set_blocked``, ``restore``)
+        the store has taken — read *before* a snapshot, it names a state
+        the snapshot's content is a subset of (see
+        :meth:`confirm_acyclic`)."""
+        with self._lock:
+            return (self._generation, self._restores)
+
+    def confirm_acyclic(self, as_of: Tuple[int, int]) -> None:
+        """The caller analysed the content as of ``as_of`` and found no
+        cycle.  Takes effect only if no edge-adding write landed since:
+        clears in between leave a subset of an acyclic state."""
+        with self._lock:
+            if as_of == (self._generation, self._restores):
+                self._acyclic_at = as_of
+
+    def confirm_withdrawn(self, stamped: BlockedStatus, restores: int) -> None:
+        """The caller refused publication ``stamped`` and took it back,
+        with ``restores`` calls of :meth:`restore` (1 when a prior
+        status went back in its place, else 0).  If the content was
+        known acyclic right before ``stamped`` and those were the only
+        edge-adding writes since, it is the same content again."""
+        with self._lock:
+            before = (stamped.generation - 1, self._restores - restores)
+            if (self._acyclic_at == before
+                    and self._generation == stamped.generation):
+                self._acyclic_at = (self._generation, self._restores)
+
+    def vet_block(self, stamped: BlockedStatus) -> Optional[int]:
+        """Decide the just-published ``stamped`` by search, if possible.
+
+        Returns the number of index edges examined when blocking is
+        proven safe, and ``None`` when the caller must analyse the full
+        graph: either the content before this publication was not known
+        acyclic (an unvetted or concurrent write), or the search found a
+        path from an event ``stamped`` waits on to one it impedes — a
+        cycle, whose evidence only the built graph supplies.
+
+        The search follows ``event e -> events awaited by the blocked
+        tasks registered below e.phase on e.phaser`` — State Graph
+        edges (Definition 4.3), so by Theorem 4.8 the verdict holds for
+        the WFG too.  It costs O(reachable events + their buckets):
+        nothing on a barrier, the chain on a ring.
+        """
+        with self._lock:
+            if self._index is None:
+                self._index = index_statuses(self._statuses.values())
+            # Known acyclic right before ``stamped``, nothing since.
+            if (self._acyclic_at != (stamped.generation - 1, self._restores)
+                    or self._generation != stamped.generation):
+                return None
+            found, examined = _closes_cycle(self._index, stamped)
+            if found:
+                return None
+            self._acyclic_at = (self._generation, self._restores)
+            return examined
+
+    def phase_index(self) -> Optional[PhaseIndex]:
+        """A copy of the maintained phase index; ``None`` until the
+        first :meth:`vet_block` materialises it (tests, diagnostics)."""
+        with self._lock:
+            if self._index is None:
+                return None
+            return {
+                phaser: {phase: dict(bucket) for phase, bucket in phases.items()}
+                for phaser, phases in self._index.items()
+            }

@@ -81,10 +81,18 @@ class ArmusRuntime:
         Use the delta-maintained
         :class:`~repro.core.incremental.IncrementalChecker`: the
         observer hooks (``block_entry``/``block_exit``, whichever driver
-        — thread or asyncio — invoked them) become graph deltas, the
+        — thread or asyncio — invoked them) become graph deltas and the
         detection monitor's periodic poll stops snapshotting (O(1) while
-        no deadlock exists), and avoidance checks only pay for a graph
-        build when the tentative block actually closes a cycle.
+        no deadlock exists).  The price moves to the hooks: every block
+        and unblock maintains the Wait-For Graph edges between the task
+        and every other published status, stale ones included, so on
+        SPMD shapes it is the *slower* runtime in both modes — on a
+        128-task barrier 5.6x the unchecked run under detection and
+        5.5x under avoidance, against 1.1x and 1.5x for the default
+        (EXPERIMENTS.md, Table 2).  It pays off where checks outnumber
+        blocks (``check_every=1`` replay).  Building a graph only when
+        a tentative block closes a cycle is what the default checker
+        does under ``GraphModel.AUTO``.
         Reports are identical to the classic checker's.
     metrics:
         Optional :class:`~repro.obs.registry.MetricsRegistry`.  When an

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import threading
 
+import pytest
+
 from repro.core.dependency import ResourceDependency
 from repro.core.events import Event, waiting_on
 
@@ -102,3 +104,186 @@ class TestSnapshot:
         assert set(snap) == {"t1", "t2", "t3", "t4"}
         assert not snap.is_empty()
         assert ResourceDependency().snapshot().is_empty()
+
+
+class TestPhaseIndex:
+    """The store-side index avoidance searches: ``phaser -> local phase
+    -> {awaited event: count}``, lazy until the first ``vet_block``."""
+
+    @staticmethod
+    def asked(dep: ResourceDependency) -> ResourceDependency:
+        """Ask ``dep`` one avoidance question, materialising its index."""
+        dep.vet_block(dep.set_blocked("probe", waiting_on("probe", 1)))
+        dep.clear("probe")
+        return dep
+
+    def test_absent_until_first_asked(self):
+        dep = example_41()
+        dep.snapshot()
+        dep.clear("t1")
+        dep.restore("t1", dep.set_blocked("t1", waiting_on("pc", 1, pc=1)))
+        assert dep.phase_index() is None
+        self.asked(dep)
+        assert dep.phase_index() is not None
+
+    def test_materialised_from_the_statuses_already_there(self):
+        assert self.asked(example_41()).phase_index() == {
+            "pc": {1: {Event("pc", 1): 3}, 0: {Event("pb", 1): 1}},
+            "pb": {0: {Event("pc", 1): 3}, 1: {Event("pb", 1): 1}},
+        }
+
+    def test_identical_statuses_share_one_refcounted_entry(self):
+        dep = self.asked(ResourceDependency())
+        for i in range(127):
+            dep.set_blocked(f"w{i}", waiting_on("bar", 7, bar=7))
+        assert dep.phase_index() == {"bar": {7: {Event("bar", 7): 127}}}
+        dep.clear("w0")
+        assert dep.phase_index() == {"bar": {7: {Event("bar", 7): 126}}}
+
+    def test_set_clear_round_trip_prunes_empty_buckets(self):
+        dep = self.asked(ResourceDependency())
+        dep.set_blocked("a", waiting_on("p", 2, p=1, q=0))
+        dep.set_blocked("b", waiting_on("q", 1, q=0))
+        assert dep.phase_index() == {
+            "p": {1: {Event("p", 2): 1}},
+            "q": {0: {Event("p", 2): 1, Event("q", 1): 1}},
+        }
+        dep.clear("a")
+        assert dep.phase_index() == {"q": {0: {Event("q", 1): 1}}}
+        dep.clear("b")
+        dep.clear("b")  # clearing an absent task touches nothing
+        assert dep.phase_index() == {}
+
+    def test_republication_replaces_the_old_entries(self):
+        dep = self.asked(ResourceDependency())
+        dep.set_blocked("a", waiting_on("p", 1, p=0))
+        dep.set_blocked("a", waiting_on("q", 3, q=2))
+        assert dep.phase_index() == {"q": {2: {Event("q", 3): 1}}}
+
+    def test_restore_replaces_and_reinstates(self):
+        dep = self.asked(ResourceDependency())
+        first = dep.set_blocked("a", waiting_on("p", 1, p=0))
+        dep.set_blocked("a", waiting_on("q", 3, q=2))
+        dep.restore("a", first)  # over a published status
+        assert dep.phase_index() == {"p": {0: {Event("p", 1): 1}}}
+        dep.clear("a")
+        dep.restore("a", first)  # of an absent task
+        assert dep.phase_index() == {"p": {0: {Event("p", 1): 1}}}
+
+    def test_clear_all_empties_but_keeps_it_materialised(self):
+        dep = self.asked(example_41())
+        dep.clear_all()
+        assert dep.phase_index() == {}
+        dep.set_blocked("a", waiting_on("p", 1, p=0))
+        assert dep.phase_index() == {"p": {0: {Event("p", 1): 1}}}
+
+    def test_returned_index_is_a_copy(self):
+        dep = self.asked(example_41())
+        dep.phase_index()["pc"][1].clear()
+        assert dep.phase_index()["pc"][1] == {Event("pc", 1): 3}
+
+
+class TestKnownAcyclic:
+    """``vet_block`` decides only what the store can vouch for."""
+
+    def test_empty_store_vouches_and_keeps_vouching(self):
+        dep = ResourceDependency()
+        for i in range(3):
+            stamped = dep.set_blocked(f"t{i}", waiting_on("p", 1, p=1))
+            assert dep.vet_block(stamped) == 0
+
+    def test_path_back_is_undecided(self):
+        dep = ResourceDependency()
+        assert dep.vet_block(dep.set_blocked("a", waiting_on("p", 1, p=1, q=0))) == 0
+        assert dep.vet_block(dep.set_blocked("b", waiting_on("q", 1, p=0, q=1))) is None
+
+    def test_unvetted_write_voids_until_confirmed(self):
+        dep = ResourceDependency()
+        dep.set_blocked("a", waiting_on("p", 1, p=1))
+        assert dep.vet_block(dep.set_blocked("b", waiting_on("p", 1, p=1))) is None
+        dep.confirm_acyclic(dep.edge_writes())
+        assert dep.vet_block(dep.set_blocked("c", waiting_on("p", 1, p=1))) == 0
+
+    def test_confirmation_of_a_stale_state_is_ignored(self):
+        dep = ResourceDependency()
+        dep.set_blocked("a", waiting_on("p", 1, p=1))
+        as_of = dep.edge_writes()
+        dep.set_blocked("b", waiting_on("p", 1, p=1))  # lands after as_of
+        dep.confirm_acyclic(as_of)
+        assert dep.vet_block(dep.set_blocked("c", waiting_on("p", 1, p=1))) is None
+
+    def test_clear_keeps_it_restore_voids_it(self):
+        dep = ResourceDependency()
+        first = dep.set_blocked("a", waiting_on("p", 1, p=1))
+        assert dep.vet_block(first) == 0
+        dep.clear("a")
+        assert dep.vet_block(dep.set_blocked("b", waiting_on("p", 1, p=1))) == 0
+        dep.restore("a", first)
+        assert dep.vet_block(dep.set_blocked("c", waiting_on("p", 1, p=1))) is None
+
+    def test_withdrawal_rearms_only_the_vouched_state(self):
+        dep = ResourceDependency()
+        assert dep.vet_block(dep.set_blocked("a", waiting_on("p", 1, p=1, q=0))) == 0
+        doomed = dep.set_blocked("b", waiting_on("q", 1, p=0, q=1))
+        assert dep.vet_block(doomed) is None
+        dep.clear("b")
+        dep.confirm_withdrawn(doomed, restores=0)
+        assert dep.vet_block(dep.set_blocked("c", waiting_on("r", 1, r=1))) == 0
+        # Not vouched before the withdrawn publication: nothing to re-arm.
+        dep.set_blocked("d", waiting_on("r", 1, r=1))
+        doomed = dep.set_blocked("e", waiting_on("r", 1, r=1))
+        dep.clear("e")
+        dep.confirm_withdrawn(doomed, restores=0)
+        assert dep.vet_block(dep.set_blocked("f", waiting_on("r", 1, r=1))) is None
+
+    def test_clear_all_vouches_again(self):
+        dep = ResourceDependency()
+        dep.set_blocked("a", waiting_on("p", 1, p=1))
+        dep.clear_all()
+        assert dep.vet_block(dep.set_blocked("b", waiting_on("p", 1, p=1))) == 0
+
+    def test_publication_landing_before_the_question_is_undecided(self):
+        dep = ResourceDependency()
+        mine = dep.set_blocked("a", waiting_on("p", 1, p=1))
+        dep.set_blocked("b", waiting_on("q", 1, q=1))  # unvetted, after mine
+        assert dep.vet_block(mine) is None
+
+
+class TestSearchAcrossPhasesOfOnePhaser:
+    """The search reads each bucket of a phaser once; reaching the same
+    phaser again at another phase must read exactly the buckets the
+    first visit left out.
+
+    ``a@1 -> {p@1, c@1}``, ``c@1 -> p@3``, ``p@1 -> b@1``, ``p@3 ->
+    {b@1, z@1}``: the hop to ``z@1`` leaves from the bucket of ``p`` at
+    phase 1, which only ``p@3`` may read.  Successors are expanded last
+    in, first out, and buckets keep insertion order, so publishing the
+    two tasks held at ``a`` in either order fixes which of ``p@1`` and
+    ``p@3`` the search reaches first.
+    """
+
+    @staticmethod
+    def store(order_at_a: str) -> ResourceDependency:
+        dep = ResourceDependency()
+        for name in order_at_a:
+            held_at_a = waiting_on(name, 1, a=0)
+            assert dep.vet_block(dep.set_blocked(f"a-{name}", held_at_a)) == 0
+        for task, status in (
+            ("u2", waiting_on("b", 1, p=0)),
+            ("u3", waiting_on("p", 3, c=0)),
+            ("u4", waiting_on("z", 1, p=1)),
+        ):
+            assert dep.vet_block(dep.set_blocked(task, status)) is not None
+        return dep
+
+    @pytest.mark.parametrize("order_at_a", ["pc", "cp"])
+    def test_cycle_through_the_bucket_between_is_found(self, order_at_a):
+        dep = self.store(order_at_a)
+        closing = dep.set_blocked("t", waiting_on("a", 1, z=0))
+        assert dep.vet_block(closing) is None
+
+    @pytest.mark.parametrize("order_at_a", ["pc", "cp"])
+    def test_every_bucket_is_read_once(self, order_at_a):
+        dep = self.store(order_at_a)
+        # a[0] holds two events; p[0], c[0] and p[1] one each.
+        assert dep.vet_block(dep.set_blocked("t", waiting_on("a", 1, y=0))) == 5
