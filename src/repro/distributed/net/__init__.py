@@ -4,7 +4,7 @@ The delta wire protocol (:mod:`repro.distributed.delta`) was designed
 for network transport; this package finally puts a socket under it:
 
 * :mod:`~repro.distributed.net.framing` — length-prefixed JSON frames
-  (shared by both halves, blocking and asyncio);
+  (one encoder, one incremental decoder, shared by both ends);
 * :mod:`~repro.distributed.net.service` — the transport-free
   multi-tenant core: one store + maintained
   :class:`~repro.distributed.detector.DistributedChecker` + service-side
@@ -24,10 +24,9 @@ thin — the deployment shape of the paper's Armus-X10 with Redis.
 
 from repro.distributed.net.client import RemoteProtocolError, RemoteStore
 from repro.distributed.net.framing import (
+    FrameDecoder,
     FrameError,
     encode_frame,
-    recv_frame,
-    send_frame,
 )
 from repro.distributed.net.server import DEFAULT_PORT, CheckerService
 from repro.distributed.net.service import (
@@ -45,7 +44,6 @@ __all__ = [
     "FrameError",
     "DEFAULT_PORT",
     "DEFAULT_TENANT",
+    "FrameDecoder",
     "encode_frame",
-    "send_frame",
-    "recv_frame",
 ]

@@ -37,7 +37,7 @@ import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
-from repro.distributed.net.framing import FrameError, recv_frame, send_frame
+from repro.distributed.net.framing import FrameDecoder, FrameError, encode_frame
 from repro.distributed.net.service import DEFAULT_TENANT, WIRE_ERRORS
 from repro.distributed.store import StoreUnavailableError
 
@@ -91,6 +91,7 @@ class RemoteStore:
         #: robustness accounting, mirroring Site.publish_failures).
         self.transport_failures = 0
         self._sock: Optional[socket.socket] = None
+        self._decoder = FrameDecoder()
         self._lock = threading.Lock()
 
     # -- connection management -----------------------------------------
@@ -109,6 +110,9 @@ class RemoteStore:
             except OSError:
                 pass
             self._sock = None
+        # The next connection starts at a frame boundary: what a cut
+        # response left behind must not prefix its first answer.
+        self._decoder = FrameDecoder()
 
     def close(self) -> None:
         with self._lock:
@@ -133,10 +137,7 @@ class RemoteStore:
                 try:
                     if self._sock is None:
                         self._sock = self._connect()
-                    send_frame(self._sock, request)
-                    response = recv_frame(self._sock)
-                    if response is None:
-                        raise FrameError("service closed the connection")
+                    response = self._exchange(encode_frame(request))
                 except (OSError, FrameError) as exc:
                     # Transport trouble: the connection is in an unknown
                     # state — drop it and retry on a fresh one.
@@ -148,6 +149,23 @@ class RemoteStore:
             f"{self.name}: service unreachable after "
             f"{self.retries + 1} attempt(s): {last_error}"
         )
+
+    def _exchange(self, frame: bytes):
+        """One request frame out, exactly one response message back."""
+        sock, decoder = self._sock, self._decoder
+        sock.sendall(frame)
+        responses = []
+        while not responses:
+            chunk = sock.recv(65536)
+            if not chunk:
+                raise FrameError(
+                    "service closed the connection"
+                    + (" mid-frame" if decoder.pending else "")
+                )
+            responses = decoder.feed(chunk)
+        if len(responses) > 1 or decoder.pending:
+            raise FrameError("service answered one request more than once")
+        return responses[0]
 
     def _unwrap(self, response):
         if not isinstance(response, dict) or "ok" not in response:

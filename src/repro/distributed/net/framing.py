@@ -7,33 +7,29 @@ that cross the wire (per-site sequenced objects, validated by
 :func:`repro.distributed.delta.validate_extends` on both ends), so the
 transport only needs to move JSON objects intact and detect truncation.
 
-Both halves live here — blocking-socket helpers for the client
-(:func:`send_frame`/:func:`recv_frame`) and asyncio stream helpers for
-the server (:func:`read_frame`/:func:`write_frame`) — so the two sides
-cannot drift: they share :func:`encode_frame`/:func:`decode_payload`.
+Both ends parse with the same :class:`FrameDecoder` — the server's
+connection protocol feeds it whatever ``data_received`` delivers, the
+blocking client whatever ``recv`` returns — and write with the same
+:func:`encode_frame`, so the two sides cannot drift.
 
 A frame larger than :data:`MAX_FRAME_BYTES` raises :class:`FrameError`
 on *both* send and receive.  On receive this is the safety property: a
-corrupt or malicious length prefix must fail fast instead of making the
-reader allocate gigabytes.
+corrupt or malicious length prefix must fail fast — as soon as the four
+header bytes are in — instead of making the reader buffer gigabytes.
 """
 
 from __future__ import annotations
 
 import json
-import socket
 import struct
-from typing import Optional
 
 __all__ = [
+    "ACK",
     "FrameError",
     "MAX_FRAME_BYTES",
+    "FrameDecoder",
     "encode_frame",
     "decode_payload",
-    "send_frame",
-    "recv_frame",
-    "read_frame",
-    "write_frame",
 ]
 
 #: Frame size ceiling (64 MiB): far above any real checkpoint, far
@@ -42,6 +38,17 @@ MAX_FRAME_BYTES = 64 << 20
 
 _HEADER = struct.Struct(">I")
 
+#: One compact encoder for every frame (``json.dumps`` with
+#: ``separators`` builds a fresh ``JSONEncoder`` per call).
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
+#: The answer to every request that answers nothing, interned: a sender
+#: passing this very object gets its frame without encoding, a receiver
+#: gets this very object for its payload bytes without parsing.
+ACK = {"ok": True, "value": None}
+_ACK_PAYLOAD = _encode_json(ACK).encode("utf-8")
+_ACK_FRAME = _HEADER.pack(len(_ACK_PAYLOAD)) + _ACK_PAYLOAD
+
 
 class FrameError(RuntimeError):
     """A frame violates the wire format (oversized, truncated, not JSON)."""
@@ -49,7 +56,9 @@ class FrameError(RuntimeError):
 
 def encode_frame(obj) -> bytes:
     """One message as wire bytes: length prefix + compact JSON."""
-    payload = json.dumps(obj, separators=(",", ":")).encode("utf-8")
+    if obj is ACK:
+        return _ACK_FRAME
+    payload = _encode_json(obj).encode("utf-8")
     if len(payload) > MAX_FRAME_BYTES:
         raise FrameError(f"frame of {len(payload)} bytes exceeds "
                          f"{MAX_FRAME_BYTES}-byte ceiling")
@@ -58,88 +67,57 @@ def encode_frame(obj) -> bytes:
 
 def decode_payload(payload: bytes):
     """The JSON object carried by one frame's payload bytes."""
+    if payload == _ACK_PAYLOAD:
+        return ACK
     try:
         return json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FrameError(f"frame payload is not JSON: {exc}") from exc
 
 
-def _check_length(length: int) -> None:
-    if length > MAX_FRAME_BYTES:
-        raise FrameError(f"peer announced a {length}-byte frame "
-                         f"(ceiling {MAX_FRAME_BYTES})")
+class FrameDecoder:
+    """Incremental frame parser: bytes in, as they arrive; messages out.
 
-
-# ---------------------------------------------------------------------------
-# blocking-socket half (the client)
-# ---------------------------------------------------------------------------
-def send_frame(sock: socket.socket, obj) -> None:
-    """Write one message to a blocking socket."""
-    sock.sendall(encode_frame(obj))
-
-
-def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
-    """Exactly ``n`` bytes, or ``None`` on EOF at a frame boundary;
-    EOF *inside* a frame is a truncation and raises."""
-    chunks = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            if remaining == n and not chunks:
-                return None
-            raise FrameError(
-                f"connection closed mid-frame ({n - remaining}/{n} bytes)"
-            )
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def recv_frame(sock: socket.socket):
-    """Read one message from a blocking socket.
-
-    Returns the decoded object, or ``None`` when the peer closed the
-    connection cleanly between frames.  A close mid-frame — header or
-    payload — raises :class:`FrameError` (the message was truncated).
+    :meth:`feed` takes the next chunk of the byte stream — cut anywhere,
+    mid-header included — and returns the messages it completed, in
+    order.  What is left of a partial frame waits for the next chunk;
+    :attr:`pending` is how many such bytes are held, which is what tells
+    a clean EOF (0) from a truncation.
     """
-    header = _recv_exact(sock, _HEADER.size)
-    if header is None:
-        return None
-    (length,) = _HEADER.unpack(header)
-    _check_length(length)
-    payload = _recv_exact(sock, length) if length else b""
-    if payload is None:  # EOF right after a header: still truncation
-        raise FrameError("connection closed between header and payload")
-    return decode_payload(payload)
 
+    __slots__ = ("_buffer",)
 
-# ---------------------------------------------------------------------------
-# asyncio half (the server)
-# ---------------------------------------------------------------------------
-async def read_frame(reader):
-    """Read one message from an asyncio stream reader (``None`` on clean
-    EOF between frames; :class:`FrameError` on truncation)."""
-    import asyncio
+    def __init__(self) -> None:
+        self._buffer = bytearray()
 
-    try:
-        header = await reader.readexactly(_HEADER.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise FrameError("connection closed mid-header") from exc
-    (length,) = _HEADER.unpack(header)
-    _check_length(length)
-    try:
-        payload = await reader.readexactly(length) if length else b""
-    except asyncio.IncompleteReadError as exc:
-        raise FrameError(
-            f"connection closed mid-frame ({len(exc.partial)}/{length} bytes)"
-        ) from exc
-    return decode_payload(payload)
+    @property
+    def pending(self) -> int:
+        """Bytes of an incomplete frame held (0 at a frame boundary)."""
+        return len(self._buffer)
 
-
-def write_frame(writer, obj) -> None:
-    """Queue one message on an asyncio stream writer (pair with
-    ``await writer.drain()``)."""
-    writer.write(encode_frame(obj))
+    def feed(self, data: bytes) -> list:
+        """The messages completed by ``data``.  Raises
+        :class:`FrameError` on a length prefix over the ceiling — as
+        soon as its four bytes are in, whatever follows them — or a
+        payload that is not JSON; the stream is unusable from there on."""
+        buffer = self._buffer
+        if buffer:
+            buffer += data
+            data = buffer
+        unpack, messages = _HEADER.unpack_from, []
+        start, size = 0, len(data)
+        while size - start >= 4:
+            (length,) = unpack(data, start)
+            if length > MAX_FRAME_BYTES:
+                raise FrameError(f"peer announced a {length}-byte frame "
+                                 f"(ceiling {MAX_FRAME_BYTES})")
+            end = start + 4 + length
+            if end > size:
+                break
+            messages.append(decode_payload(data[start + 4:end]))
+            start = end
+        if data is buffer:
+            del buffer[:start]
+        elif start < size:
+            buffer += data[start:]
+        return messages

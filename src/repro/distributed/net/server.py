@@ -2,12 +2,14 @@
 
 :class:`CheckerService` binds a
 :class:`~repro.distributed.net.service.CheckerServiceCore` to a real
-socket.  Each client connection is one asyncio task running a simple
-request/response loop (read one frame, dispatch, write one frame);
-dispatch itself is synchronous — every operation is O(change) store or
-checker work under the tenant lock — so a single event loop serialises
-the hot path without thread hand-offs, which is exactly the regime the
-open-loop bench measures.
+socket.  Each client connection is one :class:`asyncio.Protocol`
+object, not a task: ``data_received`` dispatches every request the
+chunk completed and answers them with one ``transport.write``, so
+connections ready in the same poll are served in the same loop
+iteration.  Dispatch itself is synchronous — every operation is
+O(change) store or checker work under the tenant lock — so a single
+event loop serialises the hot path without thread hand-offs.  A peer
+that stops reading its answers stops being read (``pause_writing``).
 
 Lifecycle mirrors :class:`~repro.obs.server.MetricsHTTPServer`:
 
@@ -32,10 +34,11 @@ import asyncio
 import logging
 import threading
 import time
+from collections import deque
 from typing import Optional
 
 from repro.core.selection import GraphModel
-from repro.distributed.net.framing import FrameError, encode_frame, read_frame
+from repro.distributed.net.framing import FrameDecoder, FrameError, encode_frame
 from repro.distributed.net.service import CheckerServiceCore
 
 log = logging.getLogger(__name__)
@@ -47,6 +50,61 @@ DEFAULT_PORT = 9555
 
 #: The paper's distributed detection period (matches Site's default).
 DEFAULT_CHECK_INTERVAL_S = 0.2
+
+#: Answers accumulated past this many bytes are written out mid-batch,
+#: so the transport can ask for a pause before the batch is through
+#: (asyncio's default high-water mark).
+_FLUSH_BYTES = 64 << 10
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: request frames in, answer frames out."""
+
+    def __init__(self, service: "CheckerService") -> None:
+        self._service = service
+        self._decoder = FrameDecoder()
+        self._requests: deque = deque()  # decoded, not yet answered
+        self._paused = False
+
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+        self._service._transports.add(transport)
+        self._service._m_connections.inc()
+
+    def connection_lost(self, exc) -> None:
+        self._service._transports.discard(self._transport)
+
+    def data_received(self, data: bytes) -> None:
+        """Answer, in order and with one write, every request ``data``
+        completed — until none is left or the peer has stopped reading
+        its answers (``resume_writing`` picks up where this left off)."""
+        handle, write = self._service.core.handle, self._transport.write
+        requests, frames, size = self._requests, [], 0
+        try:
+            requests.extend(self._decoder.feed(data))
+            while requests and not self._paused:
+                frame = encode_frame(handle(requests.popleft()))
+                frames.append(frame)
+                size += len(frame)
+                if size >= _FLUSH_BYTES:  # may pause us, synchronously
+                    write(b"".join(frames))
+                    frames, size = [], 0
+                    if self._transport.is_closing():  # the write failed
+                        requests.clear()
+            if frames:
+                write(b"".join(frames))
+        except FrameError:
+            self._transport.close()  # spoke garbage: this connection only
+
+    def pause_writing(self) -> None:
+        self._paused = True
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        self.data_received(b"")
+        if not self._paused:
+            self._transport.resume_reading()
 
 
 class CheckerService:
@@ -75,11 +133,7 @@ class CheckerService:
             model=model, metrics=metrics, tracer=tracer,
             store_factory=store_factory,
         )
-        if metrics is None:
-            from repro.obs.registry import NULL_REGISTRY
-
-            metrics = NULL_REGISTRY
-        self.metrics = metrics
+        self.metrics = metrics = self.core.metrics
         self._m_connections = metrics.counter(
             "repro_net_connections_total",
             "Client connections accepted by the checker service.",
@@ -97,7 +151,7 @@ class CheckerService:
         )
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop_async: Optional[asyncio.Event] = None
-        self._conn_tasks: set = set()
+        self._transports: set = set()  # live connections (loop thread only)
         self._started = threading.Event()
         self._startup_error: Optional[BaseException] = None
         self._thread: Optional[threading.Thread] = None
@@ -113,31 +167,6 @@ class CheckerService:
     @property
     def address(self) -> str:
         return f"{self.host}:{self.port}"
-
-    # -- connection handling -------------------------------------------
-    async def _handle_conn(self, reader, writer) -> None:
-        self._m_connections.inc()
-        self._conn_tasks.add(asyncio.current_task())
-        try:
-            while True:
-                request = await read_frame(reader)
-                if request is None:
-                    break
-                writer.write(encode_frame(self.core.handle(request)))
-                await writer.drain()
-        except (FrameError, ConnectionError, asyncio.IncompleteReadError):
-            pass  # client vanished or spoke garbage: drop the connection
-        except OSError:
-            pass
-        except asyncio.CancelledError:
-            pass  # service shutdown with the connection still open
-        finally:
-            self._conn_tasks.discard(asyncio.current_task())
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
 
     async def _periodic_checks(self) -> None:
         while True:
@@ -158,8 +187,8 @@ class CheckerService:
         self._loop = asyncio.get_running_loop()
         self._stop_async = asyncio.Event()
         try:
-            server = await asyncio.start_server(
-                self._handle_conn, self.host, self.port
+            server = await self._loop.create_server(
+                lambda: _Connection(self), self.host, self.port
             )
         except OSError as exc:
             self._startup_error = exc
@@ -171,20 +200,17 @@ class CheckerService:
             asyncio.create_task(self._periodic_checks())
             if self.check_interval_s > 0 else None
         )
-        try:
-            async with server:
+        async with server:
+            try:
                 await self._stop_async.wait()
-        finally:
-            if checker_task is not None:
-                checker_task.cancel()
-            # Drain still-open client connections deliberately, so loop
-            # teardown never reaps half-cancelled handler tasks.
-            for task in list(self._conn_tasks):
-                task.cancel()
-            if self._conn_tasks:
-                await asyncio.gather(
-                    *list(self._conn_tasks), return_exceptions=True
-                )
+            finally:
+                if checker_task is not None:
+                    checker_task.cancel()
+                # Close still-open client connections deliberately (a
+                # peer that never reads must not hold shutdown: abort,
+                # not flush) before the server waits for them.
+                for transport in list(self._transports):
+                    transport.abort()
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> "CheckerService":

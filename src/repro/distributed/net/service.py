@@ -30,12 +30,14 @@ from __future__ import annotations
 
 import logging
 import threading
-from typing import Callable, Dict, List, Mapping, Optional
+from collections.abc import Mapping
+from typing import Callable, Dict, List, Optional
 
 from repro.core.report import DeadlockReport
 from repro.core.selection import GraphModel
 from repro.distributed.delta import DeltaSequenceError
 from repro.distributed.detector import DistributedChecker
+from repro.distributed.net.framing import ACK
 from repro.distributed.store import InMemoryStore, StoreUnavailableError
 
 log = logging.getLogger(__name__)
@@ -230,17 +232,13 @@ class CheckerServiceCore:
             "Checker-service requests answered with a typed error.",
             labels=("error",),
         )
-        self._ops: Dict[str, Callable] = {
-            "append_delta": self._op_append_delta,
-            "get_deltas": self._op_get_deltas,
-            "get_state": self._op_get_state,
-            "delta_tail": self._op_delta_tail,
-            "delta_sites": self._op_delta_sites,
-            "delete": self._op_delete,
-            "check": self._op_check,
-            "reports": self._op_reports,
-            "health": self._op_health,
-            "ping": self._op_ping,
+        # op -> (its ``_op_*`` handler, its child of the request counter:
+        # bound once, the series still appears with the first request).
+        self._ops: Dict[str, tuple] = {
+            op: (getattr(self, f"_op_{op}"), self._m_requests.labels(op=op))
+            for op in ("append_delta", "get_deltas", "get_state",
+                       "delta_tail", "delta_sites", "delete", "check",
+                       "reports", "health", "ping")
         }
 
     # -- tenancy -------------------------------------------------------
@@ -297,11 +295,14 @@ class CheckerServiceCore:
             return {"ok": False, "error": "protocol",
                     "message": "request must be an object with an 'op'"}
         op = request["op"]
-        handler = self._ops.get(op)
-        if handler is None:
+        # A non-string op (unhashable ones included) is as unknown as a
+        # misspelt one: answered, not raised, and counted nowhere.
+        entry = self._ops.get(op) if isinstance(op, str) else None
+        if entry is None:
             return {"ok": False, "error": "protocol",
                     "message": f"unknown op {op!r}"}
-        self._m_requests.inc(op=str(op))
+        handler, requests = entry
+        requests.inc()
         try:
             value = handler(request)
         except DeltaSequenceError as exc:
@@ -319,7 +320,7 @@ class CheckerServiceCore:
             self._m_errors.inc(error="internal")
             return {"ok": False, "error": "internal",
                     "message": f"{type(exc).__name__}: {exc}"}
-        return {"ok": True, "value": value}
+        return ACK if value is None else {"ok": True, "value": value}
 
     def _tenant_of(self, request) -> TenantChecker:
         return self.tenant(request.get("tenant", DEFAULT_TENANT))

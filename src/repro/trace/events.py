@@ -37,8 +37,9 @@ header; readers accept every version in :data:`SUPPORTED_VERSIONS`
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.events import BlockedStatus, Event
 
@@ -91,7 +92,7 @@ def status_from_obj(obj: Mapping) -> BlockedStatus:
         waits = frozenset(Event(p, n) for p, n in obj["waits"])
         registered = {str(p): int(n) for p, n in obj["registered"].items()}
         generation = int(obj.get("generation", 0))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise TraceFormatError(f"malformed blocked status: {obj!r}") from exc
     return BlockedStatus(waits=waits, registered=registered, generation=generation)
 
@@ -126,7 +127,8 @@ def delta_payload_from_obj(obj: Mapping) -> dict:
         restore_ops = obj["restore"]
         clear_ops = obj["clear"]
         trace_ctx = obj.get("trace")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        # AttributeError: not an object at all (a list, string, number).
         raise TraceFormatError(f"malformed delta payload: {obj!r}") from exc
     if not stream:
         raise TraceFormatError("delta payload needs a non-empty stream token")

@@ -9,7 +9,10 @@ outage tolerance — survive the hop because the *exception types* do.
 
 from __future__ import annotations
 
+import json
 import socket
+import struct
+import threading
 import time
 
 import pytest
@@ -23,6 +26,7 @@ from repro.distributed.delta import (
 )
 from repro.distributed.detector import DistributedChecker
 from repro.distributed.net import CheckerService, RemoteProtocolError, RemoteStore
+from repro.distributed.net.framing import ACK, FrameDecoder, encode_frame
 from repro.distributed.store import InMemoryStore, StoreUnavailableError
 
 
@@ -223,6 +227,49 @@ class TestTransportRobustness:
         remote._sock.close()
         assert remote.ping()["server"] == "repro-checker"
         assert remote.transport_failures >= 1
+
+    def test_reconnect_after_a_cut_response_starts_from_an_empty_decoder(self):
+        # A scripted service: the first connection answers with a frame
+        # cut mid-payload and hangs up; the second answers properly.  A
+        # decoder carried across the reconnect would swallow the second
+        # answer into the first one's missing 990 bytes.
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(2)
+        pong = {"ok": True, "value": {"server": "scripted"}}
+        scripts = [struct.pack(">I", 1000) + b'{"ok":true', encode_frame(pong)]
+        requests = []
+
+        def serve():
+            for script in scripts:
+                conn, _ = listener.accept()
+                with conn:
+                    decoder, got = FrameDecoder(), []
+                    while not got:
+                        got = decoder.feed(conn.recv(65536))
+                    requests.extend(got)
+                    conn.sendall(script)
+
+        server = threading.Thread(target=serve, daemon=True)
+        server.start()
+        try:
+            with RemoteStore(*listener.getsockname(), retries=1,
+                             backoff_s=0.001, timeout_s=2.0) as remote:
+                assert remote.ping() == pong["value"]
+                assert remote.transport_failures == 1
+                assert remote._decoder.pending == 0
+        finally:
+            server.join(5)
+            listener.close()
+        assert [r["op"] for r in requests] == ["ping", "ping"]
+
+    def test_the_ack_unwraps_like_its_parsed_bytes(self, make_client):
+        remote = make_client("ack")
+        parsed = json.loads(encode_frame(ACK)[4:])
+        assert parsed == ACK and parsed is not ACK
+        assert remote._unwrap(ACK) is remote._unwrap(parsed) is None
+        remote.append_delta("s0", make_snapshot(1, {}, "S"))  # an ack, live
+        assert remote.delta_tail("s0") == ("S", 1)
 
     def test_zero_retries_fail_immediately(self):
         probe = socket.socket()

@@ -8,7 +8,11 @@ fixtures from ``conftest.py``.
 
 from __future__ import annotations
 
+import gc
 import json
+import logging
+import socket
+import struct
 import time
 import urllib.error
 import urllib.request
@@ -18,6 +22,12 @@ import pytest
 from repro.core.events import waiting_on
 from repro.distributed.delta import DeltaPublisher, encode_bucket, make_snapshot
 from repro.distributed.net import CheckerService, RemoteStore
+from repro.distributed.net.framing import (
+    ACK,
+    MAX_FRAME_BYTES,
+    FrameDecoder,
+    encode_frame,
+)
 from repro.distributed.net.service import CheckerServiceCore
 from repro.distributed.store import encode_statuses
 from repro.obs.registry import MetricsRegistry
@@ -58,6 +68,50 @@ class TestCoreDispatch:
         core = CheckerServiceCore()
         response = core.handle({"op": "frobnicate"})
         assert response["ok"] is False and response["error"] == "protocol"
+
+    @pytest.mark.parametrize("op", [[], {}, ["ping"], None, 7, True])
+    def test_non_string_op_is_answered_and_counted_nowhere(self, op):
+        registry = MetricsRegistry()
+        core = CheckerServiceCore(metrics=registry)
+        response = core.handle({"op": op})
+        assert response["ok"] is False and response["error"] == "protocol"
+        assert core._m_requests.total() == 0
+        assert core._m_errors.total() == 0
+
+    @pytest.mark.parametrize("obj", [
+        [1, 2], "delta", 7, None,
+        {"kind": "snapshot", "stream": "S", "seq": 1, "restore": {},
+         "clear": [], "set": {"t": {"waits": [], "registered": []}}},
+    ], ids=["list", "string", "number", "null", "registered-not-an-object"])
+    def test_non_object_delta_is_a_value_error_nobody_logs(self, obj, caplog):
+        core = CheckerServiceCore()
+        response = core.handle({"op": "append_delta", "site": "s0", "obj": obj})
+        assert response["ok"] is False and response["error"] == "value"
+        assert "TraceFormatError" in response["message"]
+        assert not caplog.records
+        # Rejected at the door: the store and the origins never saw it.
+        tenant = core.tenant("default")
+        assert tenant.delta_sites() == [] and tenant._ordinal == 0
+
+    def test_operations_that_answer_nothing_share_one_ack(self):
+        core = CheckerServiceCore()
+        first = core.handle({"op": "append_delta", "site": "s0",
+                             "obj": make_snapshot(1, {}, "S")})
+        assert first is ACK and first == {"ok": True, "value": None}
+        assert core.handle({"op": "check"}) is ACK
+        assert core.handle({"op": "delta_tail", "site": "ghost"}) is ACK
+        assert core.handle({"op": "delete", "site": "s0"}) is ACK
+
+    def test_request_series_appear_with_their_first_request(self):
+        registry = MetricsRegistry()
+        core = CheckerServiceCore(metrics=registry)
+        assert core._m_requests.per_label() == {}
+        core.handle({"op": "ping"})
+        core.handle({"op": "ping"})
+        core.handle({"op": "delta_sites"})
+        assert core._m_requests.per_label() == {
+            ("delta_sites",): 1, ("ping",): 2,
+        }
 
     def test_missing_argument_is_a_value_error(self):
         core = CheckerServiceCore()
@@ -353,3 +407,221 @@ class TestLifecycle:
 
     def test_start_twice_is_a_noop(self, service):
         assert service.start() is service
+
+
+# ---------------------------------------------------------------------------
+# hostile peers, against the live socket
+# ---------------------------------------------------------------------------
+def request_frame(op, **args) -> bytes:
+    return encode_frame({"op": op, "tenant": "hostile", **args})
+
+
+def read_answers(sock, count: int, decoder=None) -> list:
+    """The next ``count`` answers off a raw socket, in order."""
+    decoder = decoder or FrameDecoder()
+    answers = []
+    while len(answers) < count:
+        chunk = sock.recv(65536)
+        assert chunk, f"closed after {len(answers)}/{count} answers"
+        answers += decoder.feed(chunk)
+    assert len(answers) == count and not decoder.pending
+    return answers
+
+
+def assert_closed_by_server(sock) -> None:
+    """The service hung up on this connection (and sent nothing first)."""
+    assert sock.recv(65536) == b""
+
+
+def _mid_frame_eof(sock):
+    sock.sendall(request_frame("ping")[:-3])
+    sock.shutdown(socket.SHUT_WR)
+    assert_closed_by_server(sock)
+
+
+def _eof_mid_header_after_a_good_request(sock):
+    sock.sendall(request_frame("ping") + b"\x00\x00")
+    sock.shutdown(socket.SHUT_WR)
+    (answer,) = read_answers(sock, 1)
+    assert answer["ok"]
+    assert_closed_by_server(sock)
+
+
+def _oversized_length_prefix(sock):
+    sock.sendall(struct.pack(">I", MAX_FRAME_BYTES + 1))
+    assert_closed_by_server(sock)  # on the header alone: nothing else sent
+
+
+def _non_json_payload(sock):
+    payload = b"definitely not json"
+    sock.sendall(struct.pack(">I", len(payload)) + payload)
+    assert_closed_by_server(sock)
+
+
+def _unhashable_op(sock):
+    sock.sendall(encode_frame({"op": []}) + request_frame("ping"))
+    refused, pong = read_answers(sock, 2)
+    assert refused["ok"] is False and refused["error"] == "protocol"
+    assert pong["ok"]  # ... and the connection lives on
+
+
+def _non_object_request(sock):
+    sock.sendall(encode_frame([1, 2, 3]) + request_frame("ping"))
+    refused, pong = read_answers(sock, 2)
+    assert refused["ok"] is False and refused["error"] == "protocol"
+    assert pong["ok"]
+
+
+def _non_object_delta(sock):
+    sock.sendall(request_frame("append_delta", site="s0", obj=[1, 2])
+                 + request_frame("delta_sites"))
+    refused, sites = read_answers(sock, 2)
+    assert refused["ok"] is False and refused["error"] == "value"
+    assert sites == {"ok": True, "value": []}  # rejected at the door
+
+
+def _dripped_header(sock):
+    frame = request_frame("ping")
+    for byte in frame[:4]:
+        sock.sendall(bytes([byte]))
+        time.sleep(0.002)
+    sock.sendall(frame[4:])
+    (pong,) = read_answers(sock, 1)
+    assert pong["ok"] and pong["value"]["server"] == "repro-checker"
+
+
+def _hundred_requests_in_one_send(sock):
+    publisher = DeltaPublisher("s0")
+    frames = []
+    for round_ in range(1, 101):
+        obj = publisher.prepare(encode_bucket(
+            {"t": waiting_on("p", round_, p=round_)}))
+        publisher.commit(obj)
+        frames.append(request_frame("append_delta", site="s0", obj=obj))
+        frames.append(request_frame(f"nope-{round_}"))
+    frames.append(request_frame("delta_tail", site="s0"))
+    sock.sendall(b"".join(frames))
+    *pairs, tail = read_answers(sock, 201)
+    # In order: each append extended the one before it (else a sequence
+    # error), each refusal names the op sent at that position.
+    assert pairs[0::2] == [ACK] * 100
+    assert [a["message"] for a in pairs[1::2]] == [
+        f"unknown op 'nope-{n}'" for n in range(1, 101)
+    ]
+    assert tail == {"ok": True, "value": [publisher.stream, 100]}
+
+
+HOSTILE_PEERS = [
+    _mid_frame_eof,
+    _eof_mid_header_after_a_good_request,
+    _oversized_length_prefix,
+    _non_json_payload,
+    _unhashable_op,
+    _non_object_request,
+    _non_object_delta,
+    _dripped_header,
+    _hundred_requests_in_one_send,
+]
+
+
+class TestHostilePeers:
+    """Raw sockets against a started service.  Whatever one peer does,
+    it is answered with a typed error or hung up on; the *next* peer is
+    served promptly; nothing reaches the log; and ``stop()`` is clean."""
+
+    @pytest.fixture()
+    def live(self, caplog):
+        caplog.set_level(logging.DEBUG)
+        registry = MetricsRegistry()
+        svc = CheckerService(port=0, check_interval_s=0, metrics=registry)
+        svc.start()
+        try:
+            yield svc
+            with RemoteStore(svc.host, svc.port, timeout_s=1.0,
+                             retries=0) as bystander:
+                assert bystander.ping()["server"] == "repro-checker"
+        finally:
+            clean = svc.stop()
+        assert clean is True
+        gc.collect()  # a dead task's exception is logged when collected
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+        assert "never retrieved" not in caplog.text
+        assert "Fatal error" not in caplog.text
+
+    @pytest.fixture()
+    def peer(self, live):
+        sock = socket.create_connection((live.host, live.port), timeout=5.0)
+        yield sock
+        sock.close()
+
+    @pytest.mark.parametrize(
+        "misbehave", HOSTILE_PEERS, ids=lambda f: f.__name__.strip("_"))
+    def test_one_bad_peer_hurts_only_itself(self, peer, misbehave):
+        misbehave(peer)
+
+    @pytest.fixture()
+    def big_state(self, live):
+        """A state worth ~260 KB on the wire -> (the frame that asks for
+        it, the size of the answer frame)."""
+        publish(live.core.tenant("hostile"), "big", {
+            f"task-{k:04d}-{'x' * 64}": waiting_on("p", 1, p=1)
+            for k in range(2000)
+        })
+        answer_bytes = len(encode_frame(live.core.handle(
+            {"op": "get_state", "tenant": "hostile", "site": "big"})))
+        assert answer_bytes > 250_000
+        return request_frame("get_state", site="big"), answer_bytes
+
+    def test_a_peer_that_resets_mid_batch_is_not_answered_further(
+            self, live, peer, big_state):
+        ask, _ = big_state
+        asked_before = live.core._m_requests.value(op="get_state")
+        peer.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                        struct.pack("ii", 1, 0))  # close() sends a reset
+        peer.sendall(ask * 200)
+        peer.close()
+        deadline = time.monotonic() + 5.0
+        while live._transports and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not live._transports  # the service let go of it
+        served = live.core._m_requests.value(op="get_state") - asked_before
+        assert served < 50  # not 200 answers encoded for nobody
+
+    def test_a_peer_that_never_reads_stops_being_read(
+            self, live, peer, big_state):
+        # Asked for over and over by a peer that never reads an answer.
+        ask, answer_bytes = big_state
+        asked_before = live.core._m_requests.value(op="get_state")
+
+        def buffered() -> int:
+            return max((t.get_write_buffer_size()
+                        for t in list(live._transports)), default=0)
+
+        # One answer plus asyncio's high-water mark is all the service
+        # may ever hold for this peer.
+        bound = answer_bytes + (128 << 10)
+        peer.setblocking(False)
+        gulp = ask * 1024
+        sent, blocked_since = 0, None
+        deadline = time.monotonic() + 20.0
+        while time.monotonic() < deadline:
+            assert buffered() <= bound
+            try:
+                sent += peer.send(gulp)
+                blocked_since = None
+            except BlockingIOError:
+                # Blocked: the service stopped reading.  Call it stable
+                # once nothing has moved for a quarter of a second.
+                blocked_since = blocked_since or time.monotonic()
+                if time.monotonic() - blocked_since > 0.25:
+                    break
+                time.sleep(0.01)
+            assert sent < (256 << 20), "the service never stopped reading"
+        else:
+            pytest.fail("the peer's send never blocked")
+        asked = sent // len(ask)
+        served = live.core._m_requests.value(op="get_state") - asked_before
+        assert buffered() <= bound
+        # Thousands asked for, a handful answered: what the kernel's
+        # socket buffers took, not what the peer wrote.
+        assert served * answer_bytes < (32 << 20) and served < asked / 10
