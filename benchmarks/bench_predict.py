@@ -11,8 +11,12 @@ smoke test at scale.
 Reported per run (``extra_info``): records/sec through the predictor,
 candidates scanned/confirmed, corpus fan-out throughput per process
 count.  CI runs a reduced grid via ``REPRO_PREDICT_CHAINS`` /
-``REPRO_PREDICT_ROUNDS`` and uploads ``BENCH_predict.json`` (the
-checked-in copy records the full-size numbers).
+``REPRO_PREDICT_ROUNDS`` and uploads ``BENCH_predict.json`` as an
+artifact (no copy lives in git; one full-size run is recorded in
+EXPERIMENTS.md, "Predictive detection").
+
+Why this file stays beside ``benchmarks/e2e/``: it is the only timing
+of :mod:`repro.predict` — no end-to-end workload runs the predictor.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import pytest
 from repro.predict.engine import predict_trace
 from repro.predict.parallel import predict_corpus
 from repro.trace.codec import load_trace
-from repro.trace.corpus import build_trace, nearmiss_grid_specs, write_corpus
+from repro.trace.corpus import FAMILIES, build_trace, write_corpus
 
 #: Acceptance size; CI overrides with a reduced grid.
 CHAIN_LENS = tuple(
@@ -32,12 +36,12 @@ CHAIN_LENS = tuple(
 )
 ROUNDS = int(os.environ.get("REPRO_PREDICT_ROUNDS", "12"))
 
-SPECS = nearmiss_grid_specs(
-    chain_lens=CHAIN_LENS,
+SPECS = FAMILIES["nearmiss"].specs(dict(
+    chain_len=CHAIN_LENS,
     rounds=(ROUNDS,),
-    site_counts=(1, 2),
+    sites=(1, 2),
     realisable=(True, False),
-)
+))
 HITS = sum(1 for s in SPECS if s.realisable)
 
 

@@ -17,6 +17,10 @@ Mirrors ``bench_obs.py``'s methodology for the tracing layer:
 CI runs the suite at a reduced size (``REPRO_TRACING_BENCH_TASKS``)
 and uploads ``BENCH_tracing.json``; run locally without the variable
 for full-size numbers.
+
+Why this file stays beside ``benchmarks/e2e/``: it holds the only
+≤10% ceiling on the tracing layer (same reason as ``bench_obs.py``:
+``trace_overhead`` reports, it does not assert).
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
-"""Shared configuration for the pytest-benchmark suite.
+"""Shared configuration for the three pytest-benchmark files that remain
+(``bench_obs.py``, ``bench_tracing.py``, ``bench_predict.py`` — each
+says in its docstring why ``benchmarks/e2e/`` does not cover it yet).
 
-Each bench file regenerates one of the paper's tables/figures (see
-DESIGN.md's per-experiment index).  Benchmarks use ``pedantic`` mode
-with a small fixed round count so the full suite stays in the minutes
-range; `python -m repro.bench.tables <exp>` runs the same experiments
-with the paper's statistical methodology and renders the tables.
+They use ``pedantic`` mode with a small fixed round count.  The paper's
+tables and figures are rendered by ``python -m repro.bench.tables
+<exp>``; everything else timed is a ``benchmarks/e2e/`` metric.
 """
 
 from __future__ import annotations

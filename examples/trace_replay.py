@@ -23,8 +23,8 @@ from repro.runtime import Phaser
 from repro.runtime.verifier import ArmusRuntime, VerificationMode
 from repro.core.selection import GraphModel
 from repro.trace import (
+    FAMILIES,
     TraceRecorder,
-    grid_specs,
     load_trace,
     replay,
     replay_corpus,
@@ -101,7 +101,8 @@ def main() -> None:
 
         # 6. Scale out: a generated corpus fanned over worker
         # processes, reports merged deterministically.
-        write_corpus(f"{tmp}/corpus", grid_specs((2, 3), (1, 2), (1,)))
+        grid = dict(cycle_len=(2, 3), fan_out=(1, 2), deadlock=(True, False))
+        write_corpus(f"{tmp}/corpus", FAMILIES["cycle"].specs(grid))
         result = replay_corpus(f"{tmp}/corpus", processes=2)
         print(f"corpus: {len(result.entries)} file(s) over "
               f"{result.processes} processes, "

@@ -6,8 +6,8 @@ stress-test shapes: a deterministic two-task crossed knot (the smallest
 deadlock, blocks serialised for reproducible traces), an ``n``-task
 phaser ring (the classic cycle, at event-loop scale — thousands of
 tasks where the thread backend tops out at hundreds), and deadlock-free
-SPMD barrier rounds (the throughput workload of
-``benchmarks/bench_aio.py``).
+SPMD barrier rounds (the ``live_barrier`` workload of
+``benchmarks/e2e/``).
 
 Each helper only *spawns*; joining — and whether a deadlock report is
 the expected outcome — is the caller's business.

@@ -9,8 +9,9 @@
 * :mod:`repro.bench.tables` — renderers that print the paper-style rows
   (``python -m repro.bench.tables <experiment>``).
 
-`benchmarks/` at the repository root holds the pytest-benchmark entry
-points; EXPERIMENTS.md records paper-vs-measured for each experiment.
+The renderers are the one route to each paper artefact; everything
+else timed is the end-to-end benchmark under ``benchmarks/e2e/``.
+EXPERIMENTS.md records paper-vs-measured for each experiment.
 """
 
 from repro.bench.stats import Measurement, measure, relative_overhead

@@ -11,7 +11,7 @@ those tools do not support dynamic membership well (Section 2.1).
 Armus' event-based representation only publishes *local* information at
 block time.  This module implements the membership baseline so the
 difference in bookkeeping traffic can be measured
-(``benchmarks/bench_ablation_representation.py``); its WFG agrees with the
+(``python -m repro.bench.tables ablations``); its WFG agrees with the
 event-based WFG on barrier-structured workloads, which the test suite
 checks.
 """

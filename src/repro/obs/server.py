@@ -107,7 +107,6 @@ def build_demo_runtime(
     n_tasks: int = 3,
     interval_s: float = 0.05,
     cancel_on_detect: bool = False,
-    incremental: bool = True,
     tracer=None,
 ):
     """A started detection-mode runtime running ``scenario`` live.
@@ -125,7 +124,6 @@ def build_demo_runtime(
         interval_s=interval_s,
         poll_s=0.005,
         cancel_on_detect=cancel_on_detect,
-        incremental=incremental,
         metrics=metrics,
         tracer=tracer,
     ).start()

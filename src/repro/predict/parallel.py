@@ -1,9 +1,8 @@
 """Multi-process corpus prediction with deterministic merging.
 
-The predict analogue of :mod:`repro.trace.parallel`: one worker
-predicts over one trace file, the work-list is discovered in sorted
-path order and merged in submission order, and everything a golden
-pins (per-file outcomes, predictions, rendered provenance, non-volatile
+The predict caller of :func:`repro.trace.parallel.run_corpus`: one
+worker predicts over one trace file, and everything a golden pins
+(per-file outcomes, predictions, rendered provenance, non-volatile
 metrics) is byte-identical for any ``processes`` value — only
 ``duration_s`` changes.  Pinned by the predict CLI golden, which CI
 diffs between ``--parallel 1`` and ``--parallel 4``.
@@ -11,54 +10,32 @@ diffs between ``--parallel 1`` and ``--parallel 4``.
 
 from __future__ import annotations
 
-import pathlib
-import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Sequence, Tuple, Union
 
-from repro.obs.registry import MetricsRegistry
 from repro.predict.candidates import MAX_CANDIDATES, MAX_CYCLE_LEN, MAX_STEPS
 from repro.predict.engine import PREDICTED, PredictResult, Predictor
 from repro.trace.codec import PathLike, load_trace
-from repro.trace.parallel import discover_traces
+from repro.trace.parallel import CorpusEntry, CorpusResult, run_corpus
 
 
 @dataclass
-class PredictEntry:
-    """One file's prediction outcome inside a corpus run."""
+class PredictEntry(CorpusEntry):
+    """One file's prediction outcome inside a corpus run; the expected
+    verdict is ``expect_prediction`` (the NearMiss family stamps it)."""
 
-    path: pathlib.Path
-    meta: dict
-    result: PredictResult
-
-    @property
-    def expected(self) -> Optional[bool]:
-        """The trace's self-declared prediction verdict, if any
-        (``expect_prediction`` in the header meta — the NearMiss
-        family stamps it)."""
-        value = self.meta.get("expect_prediction")
-        return None if value is None else bool(value)
+    expect_key = "expect_prediction"
 
     @property
-    def verdict_ok(self) -> bool:
-        """Whether the outcome matched the expected verdict (vacuously
-        true for traces without one)."""
-        expected = self.expected
-        if expected is None:
-            return True
-        return (self.result.outcome == PREDICTED) == expected
+    def observed(self) -> bool:
+        return self.result.outcome == PREDICTED
 
 
 @dataclass
-class CorpusPredictResult:
+class CorpusPredictResult(CorpusResult):
     """The merged outcome of predicting over a corpus."""
 
-    processes: int
-    entries: List[PredictEntry] = field(default_factory=list)
-    #: Order-insensitive fold of every file's predict registry.
-    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
-    duration_s: float = 0.0
+    entry_type = PredictEntry
 
     @property
     def candidates_scanned(self) -> int:
@@ -71,11 +48,6 @@ class CorpusPredictResult:
     @property
     def refuted(self) -> int:
         return sum(e.result.refuted for e in self.entries)
-
-    @property
-    def mismatches(self) -> List[PredictEntry]:
-        """Entries whose outcome contradicts their metadata."""
-        return [e for e in self.entries if not e.verdict_ok]
 
 
 def _predict_one(
@@ -104,28 +76,12 @@ def predict_corpus(
     ``processes <= 1`` is the serial reference; any N merges to the
     identical result (minus wall clock).
     """
-    paths = discover_traces(sources)
-    if not paths:
-        raise ValueError(f"no trace files found under {sources!r}")
-    work = [
-        (str(p), max_cycle_len, max_candidates, max_steps) for p in paths
-    ]
-    t0 = time.perf_counter()
-    if processes <= 1 or len(paths) == 1:
-        outcomes: Iterable[Tuple[dict, PredictResult]] = list(
-            map(_predict_one, work)
-        )
-    else:
-        with ProcessPoolExecutor(max_workers=min(processes, len(paths))) as pool:
-            outcomes = list(pool.map(_predict_one, work))
-    merged = CorpusPredictResult(processes=max(1, processes))
-    for path, (meta, result) in zip(paths, outcomes):
-        merged.entries.append(
-            PredictEntry(path=path, meta=meta, result=result)
-        )
-        merged.metrics.merge(result.metrics)
-    merged.duration_s = time.perf_counter() - t0
-    return merged
+    return run_corpus(
+        sources,
+        _predict_one,
+        lambda path: (path, max_cycle_len, max_candidates, max_steps),
+        CorpusPredictResult(processes=max(1, processes)),
+    )
 
 
 __all__ = ["CorpusPredictResult", "PredictEntry", "predict_corpus"]

@@ -23,17 +23,6 @@ event-loop notifier.  Because both route through
 attached :class:`~repro.trace.recorder.TraceRecorder`) observes an
 identical protocol whichever backend ran the task.
 
-The hooks are also exactly the *delta contract* of
-:class:`~repro.core.incremental.IncrementalChecker`:
-:func:`begin_blocked` is a publish delta and :func:`end_blocked` a
-withdraw delta, so a runtime constructed with ``incremental=True``
-feeds the maintained analysis graph directly from either driver.  The
-detection monitor's poll then costs O(1), but each hook pays for the
-graph edges to every other published status instead: measured on a
-128-task barrier that runtime is about five times slower per
-synchronisation than the default one, in detection mode too
-(EXPERIMENTS.md, Table 2).
-
 The blocked status is built *once*, at block entry: a blocked task cannot
 arrive at, register with, or leave any synchronizer, so its local view is
 immutable for the duration of the wait — the insight that makes per-task

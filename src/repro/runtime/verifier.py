@@ -28,7 +28,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, TYPE_CHECKING
 from repro.core.checker import DeadlockChecker
 from repro.core.dependency import ResourceDependency
 from repro.core.events import BlockedStatus
-from repro.core.incremental import IncrementalChecker
 from repro.core.monitor import DetectionMonitor
 from repro.core.report import DeadlockReport
 from repro.core.selection import DEFAULT_THRESHOLD_FACTOR, GraphModel
@@ -77,23 +76,6 @@ class ArmusRuntime:
         every block/unblock (and the synchronizers' register/advance
         context) is appended to it — recording works in *any* mode,
         including OFF (record cheaply now, replay offline later).
-    incremental:
-        Use the delta-maintained
-        :class:`~repro.core.incremental.IncrementalChecker`: the
-        observer hooks (``block_entry``/``block_exit``, whichever driver
-        — thread or asyncio — invoked them) become graph deltas and the
-        detection monitor's periodic poll stops snapshotting (O(1) while
-        no deadlock exists).  The price moves to the hooks: every block
-        and unblock maintains the Wait-For Graph edges between the task
-        and every other published status, stale ones included, so on
-        SPMD shapes it is the *slower* runtime in both modes — on a
-        128-task barrier 5.6x the unchecked run under detection and
-        5.5x under avoidance, against 1.1x and 1.5x for the default
-        (EXPERIMENTS.md, Table 2).  It pays off where checks outnumber
-        blocks (``check_every=1`` replay).  Building a graph only when
-        a tentative block closes a cycle is what the default checker
-        does under ``GraphModel.AUTO``.
-        Reports are identical to the classic checker's.
     metrics:
         Optional :class:`~repro.obs.registry.MetricsRegistry`.  When an
         enabled registry is passed, the checker's instruments bind into
@@ -120,7 +102,6 @@ class ArmusRuntime:
         threshold_factor: float = DEFAULT_THRESHOLD_FACTOR,
         dependency: Optional[ResourceDependency] = None,
         recorder: Optional["TraceRecorder"] = None,
-        incremental: bool = False,
         metrics=None,
         tracer=None,
     ) -> None:
@@ -138,8 +119,7 @@ class ArmusRuntime:
 
             tracer = NULL_TRACER
         self.tracer = tracer
-        checker_cls = IncrementalChecker if incremental else DeadlockChecker
-        self.checker = checker_cls(
+        self.checker = DeadlockChecker(
             model=model, threshold_factor=threshold_factor,
             dependency=dependency, metrics=metrics,
         )

@@ -55,16 +55,14 @@ from repro.trace.parallel import (
     replay_corpus,
 )
 from repro.trace.corpus import (
+    FAMILIES,
     AioSpec,
     ChurnSpec,
     ScenarioSpec,
-    aio_grid_specs,
     aio_trace,
     build_trace,
-    churn_grid_specs,
     churn_trace,
     generate_corpus,
-    grid_specs,
     scenario_trace,
     verify_corpus,
     write_corpus,
@@ -102,9 +100,7 @@ __all__ = [
     "churn_trace",
     "aio_trace",
     "build_trace",
-    "grid_specs",
-    "churn_grid_specs",
-    "aio_grid_specs",
+    "FAMILIES",
     "generate_corpus",
     "write_corpus",
     "verify_corpus",

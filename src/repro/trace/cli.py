@@ -61,41 +61,41 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.selection import GraphModel
-from repro.trace.codec import load_trace
-from repro.trace.corpus import (
-    DEFAULT_AIO_GRID,
-    DEFAULT_BOUNDED_GRID,
-    DEFAULT_CHURN_GRID,
-    DEFAULT_GRID,
-    DEFAULT_KNOT_GRID,
-    DEFAULT_NEARMISS_GRID,
-    SMOKE_AIO_GRID,
-    SMOKE_BOUNDED_GRID,
-    SMOKE_CHURN_GRID,
-    SMOKE_GRID,
-    SMOKE_KNOT_GRID,
-    SMOKE_NEARMISS_GRID,
-    aio_grid_specs,
-    bounded_grid_specs,
-    churn_grid_specs,
-    grid_specs,
-    knot_grid_specs,
-    nearmiss_grid_specs,
-    verify_corpus,
-    write_corpus,
-)
+from repro.obs.tracing import render_report_provenance
+from repro.trace.codec import load_trace, save_trace
+from repro.trace.corpus import FAMILIES, Family, verify_corpus, write_corpus
+from repro.trace.parallel import discover_traces, replay_corpus
 from repro.trace.recorder import TraceRecorder
-from repro.trace.replay import replay as run_replay
-
-#: Scenario families ``gen`` knows how to write.
-FAMILIES = ("cycle", "churn", "aio", "bounded", "knot", "nearmiss")
 
 
 def _ints(text: str) -> List[int]:
     return [int(part) for part in text.split(",") if part]
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts: 0 or less is a usage error, not a 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _discover(args: argparse.Namespace) -> Tuple[List[pathlib.Path], bool]:
+    """The work-list under ``args.trace`` and whether to print it as a
+    corpus.  Every input *runs* as a corpus; corpus *output* is a
+    property of the input (a directory or several files), never of
+    --parallel: one invocation prints one stdout whatever the workers."""
+    paths = discover_traces(args.trace)
+    if not paths:
+        print(f"{args.command}: no trace files under {args.trace}",
+              file=sys.stderr)
+    corpus_input = len(paths) > 1 or any(
+        pathlib.Path(src).is_dir() for src in args.trace
+    )
+    return paths, corpus_input
 
 
 # ---------------------------------------------------------------------------
@@ -265,64 +265,55 @@ def cmd_record(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # replay
 # ---------------------------------------------------------------------------
-def cmd_replay(args: argparse.Namespace) -> int:
-    """Replay trace file(s)/director(ies); print reports and throughput."""
-    from repro.trace.parallel import discover_traces
-
-    paths = discover_traces(args.trace)
-    if not paths:
-        print(f"replay: no trace files under {args.trace}", file=sys.stderr)
-        return 2
-    # Corpus mode is a property of the *input* (a directory or several
-    # files), never of --parallel: the same invocation must print the
-    # same stdout whatever the worker count, even for a one-file corpus.
-    corpus_input = len(paths) > 1 or any(
-        pathlib.Path(src).is_dir() for src in args.trace
-    )
-    if args.profile is None:
-        if not corpus_input:
-            return _replay_single(pathlib.Path(paths[0]), args)
-        return _replay_corpus(paths, args)
-    # --profile wraps the whole replay (load + engine + reporting) so
-    # the stats show where the wall-clock actually goes; the stats file
-    # is written even when replay fails, so slow *failing* runs can be
-    # profiled too.
-    import cProfile
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        if not corpus_input:
-            return _replay_single(pathlib.Path(paths[0]), args)
-        return _replay_corpus(paths, args)
-    finally:
-        profiler.disable()
-        profiler.dump_stats(args.profile)
-        print(f"profile: wrote {args.profile} "
-              "(inspect with `python -m pstats`)", file=sys.stderr)
-
-
-def _replay_single(path: pathlib.Path, args: argparse.Namespace) -> int:
-    """One file, in process — the PR-1 output format, plus --stream."""
-    if args.stream:
-        from repro.trace.stream import iter_load
-
-        source = iter_load(path)
-        meta = dict(source.header.meta)
-        described = f"streamed, meta={meta}"
-    else:
-        source = load_trace(path)
-        meta = dict(source.header.meta)
-        described = f"{len(source)} records, meta={meta}"
-    result = run_replay(
-        source,
+def _run_replay(paths, args: argparse.Namespace):
+    """The one engine call behind ``replay`` and ``explain``."""
+    return replay_corpus(
+        paths,
         mode=args.mode,
         model=GraphModel(args.model),
         check_every=args.check_every,
         shard_components=args.shard_components,
+        stream=args.stream,
         incremental=args.incremental,
+        processes=args.parallel,
     )
-    print(f"trace: {path} ({described})")
+
+
+def cmd_replay(args: argparse.Namespace) -> int:
+    """Replay trace file(s)/director(ies); print reports and throughput."""
+    paths, corpus_input = _discover(args)
+    if not paths:
+        return 2
+    # --profile wraps the whole replay (load + engine + reporting) so
+    # the stats show where the wall-clock actually goes; the stats file
+    # is written even when replay fails, so slow *failing* runs can be
+    # profiled too.
+    profiler = None
+    if args.profile is not None:
+        import cProfile
+
+        profiler = cProfile.Profile()
+        profiler.enable()
+    try:
+        result = _run_replay(paths, args)
+        if corpus_input:
+            _print_replay_corpus(result, args)
+        else:
+            _print_replay_single(result.entries[0], args)
+        return 1 if result.mismatches else 0
+    finally:
+        if profiler is not None:
+            profiler.disable()
+            profiler.dump_stats(args.profile)
+            print(f"profile: wrote {args.profile} "
+                  "(inspect with `python -m pstats`)", file=sys.stderr)
+
+
+def _print_replay_single(entry, args: argparse.Namespace) -> None:
+    """One file — the PR-1 output format (timing on stdout)."""
+    result = entry.result
+    size = "streamed" if args.stream else f"{result.records_processed} records"
+    print(f"trace: {entry.path} ({size}, meta={entry.meta})")
     print(
         f"replayed {result.records_processed} record(s), "
         f"{result.checks_run} check(s) in {result.duration_s * 1e3:.1f} ms "
@@ -333,29 +324,14 @@ def _replay_single(path: pathlib.Path, args: argparse.Namespace) -> int:
     for report in result.reports:
         print(report.describe())
     _emit_metrics(result.metrics, args, volatile=False)
-    expected = meta.get("expect_deadlock")
-    if expected is not None and bool(result.reports) != bool(expected):
-        print(f"VERDICT MISMATCH: trace expects deadlock={expected}",
+    if not entry.verdict_ok:
+        print(f"VERDICT MISMATCH: trace expects deadlock={entry.expected}",
               file=sys.stderr)
-        return 1
-    return 0
 
 
-def _replay_corpus(paths, args: argparse.Namespace) -> int:
+def _print_replay_corpus(result, args: argparse.Namespace) -> None:
     """Corpus mode: deterministic stdout (diffable across --parallel
     values), timing on stderr where nondeterminism belongs."""
-    from repro.trace.parallel import replay_corpus
-
-    result = replay_corpus(
-        paths,
-        mode=args.mode,
-        model=GraphModel(args.model),
-        check_every=args.check_every,
-        shard_components=args.shard_components,
-        stream=args.stream,
-        incremental=args.incremental,
-        processes=args.parallel,
-    )
     print(f"corpus: {len(result.entries)} trace(s), mode={result.mode}")
     for entry in result.entries:
         print(
@@ -395,81 +371,30 @@ def _replay_corpus(paths, args: argparse.Namespace) -> int:
         f"processes={result.processes})"
     )
     sys.stderr.write("\n".join(timing) + "\n")
-    return 1 if result.mismatches else 0
 
 
 # ---------------------------------------------------------------------------
 # gen
 # ---------------------------------------------------------------------------
-def _parse_families(text: str) -> List[str]:
-    families = [part.strip() for part in text.split(",") if part.strip()]
-    for family in families:
-        if family not in FAMILIES:
-            raise ValueError(f"unknown family {family!r} (have: {FAMILIES})")
-    return families
+def _select_families(text: str) -> List[Family]:
+    """The families ``--families`` names, in table order whatever order
+    the option listed them."""
+    wanted = [part.strip() for part in text.split(",") if part.strip()]
+    for name in wanted:
+        if name not in FAMILIES:
+            raise ValueError(f"unknown family {name!r} (have: {tuple(FAMILIES)})")
+    return [family for name, family in FAMILIES.items() if name in wanted]
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
     """Generate a corpus (or run the --smoke verification grid)."""
-    families = _parse_families(args.families)
+    families = _select_families(args.families)
+    if not families:
+        print(f"gen: no families selected (have: {', '.join(FAMILIES)})",
+              file=sys.stderr)
+        return 2
     if args.smoke:
-        specs: List = []
-        if "cycle" in families:
-            specs.extend(
-                grid_specs(
-                    SMOKE_GRID["cycle_lens"],
-                    SMOKE_GRID["fan_outs"],
-                    SMOKE_GRID["site_counts"],
-                    SMOKE_GRID["rounds"],
-                    SMOKE_GRID["verdicts"],
-                )
-            )
-        if "churn" in families:
-            specs.extend(
-                churn_grid_specs(
-                    SMOKE_CHURN_GRID["pools"],
-                    SMOKE_CHURN_GRID["windows"],
-                    SMOKE_CHURN_GRID["rounds"],
-                    SMOKE_CHURN_GRID["site_counts"],
-                    SMOKE_CHURN_GRID["verdicts"],
-                )
-            )
-        if "aio" in families:
-            specs.extend(
-                aio_grid_specs(
-                    SMOKE_AIO_GRID["task_counts"],
-                    SMOKE_AIO_GRID["shapes"],
-                    SMOKE_AIO_GRID["verdicts"],
-                )
-            )
-        if "bounded" in families:
-            specs.extend(
-                bounded_grid_specs(
-                    SMOKE_BOUNDED_GRID["stage_counts"],
-                    SMOKE_BOUNDED_GRID["bounds"],
-                    SMOKE_BOUNDED_GRID["rounds"],
-                    SMOKE_BOUNDED_GRID["site_counts"],
-                    SMOKE_BOUNDED_GRID["verdicts"],
-                )
-            )
-        if "knot" in families:
-            specs.extend(
-                knot_grid_specs(
-                    SMOKE_KNOT_GRID["pair_counts"],
-                    SMOKE_KNOT_GRID["rounds"],
-                    SMOKE_KNOT_GRID["site_counts"],
-                    SMOKE_KNOT_GRID["verdicts"],
-                )
-            )
-        if "nearmiss" in families:
-            specs.extend(
-                nearmiss_grid_specs(
-                    SMOKE_NEARMISS_GRID["chain_lens"],
-                    SMOKE_NEARMISS_GRID["rounds"],
-                    SMOKE_NEARMISS_GRID["site_counts"],
-                    SMOKE_NEARMISS_GRID["realisable"],
-                )
-            )
+        specs = [s for family in families for s in family.specs(family.smoke)]
         results = verify_corpus(specs, processes=args.parallel)
         bad = [spec for spec, ok in results if not ok]
         for spec, ok in results:
@@ -480,62 +405,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
         print("gen: --out DIR is required (or use --smoke)", file=sys.stderr)
         return 2
     specs = []
-    if "cycle" in families:
-        specs.extend(
-            grid_specs(
-                args.cycle_lens or DEFAULT_GRID["cycle_lens"],
-                args.fan_outs or DEFAULT_GRID["fan_outs"],
-                args.sites or DEFAULT_GRID["site_counts"],
-                args.rounds or DEFAULT_GRID["rounds"],
-                (True, False),
-            )
-        )
-    if "churn" in families:
-        specs.extend(
-            churn_grid_specs(
-                DEFAULT_CHURN_GRID["pools"],
-                DEFAULT_CHURN_GRID["windows"],
-                DEFAULT_CHURN_GRID["rounds"],
-                args.sites or DEFAULT_CHURN_GRID["site_counts"],
-                DEFAULT_CHURN_GRID["verdicts"],
-            )
-        )
-    if "aio" in families:
-        specs.extend(
-            aio_grid_specs(
-                args.task_counts or DEFAULT_AIO_GRID["task_counts"],
-                DEFAULT_AIO_GRID["shapes"],
-                DEFAULT_AIO_GRID["verdicts"],
-            )
-        )
-    if "bounded" in families:
-        specs.extend(
-            bounded_grid_specs(
-                DEFAULT_BOUNDED_GRID["stage_counts"],
-                DEFAULT_BOUNDED_GRID["bounds"],
-                args.rounds or DEFAULT_BOUNDED_GRID["rounds"],
-                args.sites or DEFAULT_BOUNDED_GRID["site_counts"],
-                DEFAULT_BOUNDED_GRID["verdicts"],
-            )
-        )
-    if "knot" in families:
-        specs.extend(
-            knot_grid_specs(
-                DEFAULT_KNOT_GRID["pair_counts"],
-                args.rounds or DEFAULT_KNOT_GRID["rounds"],
-                args.sites or DEFAULT_KNOT_GRID["site_counts"],
-                DEFAULT_KNOT_GRID["verdicts"],
-            )
-        )
-    if "nearmiss" in families:
-        specs.extend(
-            nearmiss_grid_specs(
-                args.cycle_lens or DEFAULT_NEARMISS_GRID["chain_lens"],
-                args.rounds or DEFAULT_NEARMISS_GRID["rounds"],
-                args.sites or DEFAULT_NEARMISS_GRID["site_counts"],
-                DEFAULT_NEARMISS_GRID["realisable"],
-            )
-        )
+    for family in families:
+        grid = dict(family.default)
+        for flag, axis in family.flags.items():
+            grid[axis] = getattr(args, flag) or grid[axis]
+        specs.extend(family.specs(grid))
     codecs = ("jsonl", "binary") if args.codec == "both" else (args.codec,)
     paths = write_corpus(args.out, specs, codecs=codecs)
     total = sum(p.stat().st_size for p in paths)
@@ -549,121 +423,83 @@ def cmd_gen(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # explain
 # ---------------------------------------------------------------------------
-def _select_reports(reports, wanted: Optional[int], context: str) -> List:
-    """Apply ``--report N`` (1-based); raises ValueError when absent."""
-    if wanted is None:
-        return list(reports)
-    if not 1 <= wanted <= len(reports):
-        raise ValueError(
-            f"{context} has {len(reports)} report(s), no report #{wanted}"
-        )
-    return [reports[wanted - 1]]
-
-
 def cmd_explain(args: argparse.Namespace) -> int:
     """Replay trace(s) and print each report's record provenance."""
-    from repro.trace.parallel import discover_traces
-
-    paths = discover_traces(args.trace)
+    paths, corpus_input = _discover(args)
     if not paths:
-        print(f"explain: no trace files under {args.trace}", file=sys.stderr)
         return 2
-    corpus_input = len(paths) > 1 or any(
-        pathlib.Path(src).is_dir() for src in args.trace
-    )
+    if corpus_input and args.chrome:
+        print("explain: --chrome needs a single trace file", file=sys.stderr)
+        return 2
+    result = _run_replay(paths, args)
     if corpus_input:
-        if args.chrome:
-            print("explain: --chrome needs a single trace file",
-                  file=sys.stderr)
-            return 2
-        return _explain_corpus(paths, args)
-    return _explain_single(pathlib.Path(paths[0]), args)
+        _print_explain_corpus(result, args)
+    else:
+        _print_explain_single(result.entries[0], args)
+    return 0
 
 
-def _explain_single(path: pathlib.Path, args: argparse.Namespace) -> int:
-    from repro.obs.tracing import render_report_provenance
+def _print_provenance(reports, wanted: Optional[int]) -> int:
+    """Print the provenance block of every report — or of report
+    ``wanted`` alone (``--report N``, 1-based; nothing when absent).
+    Returns the number of blocks printed."""
+    chosen = [
+        (number, report) for number, report in enumerate(reports, 1)
+        if wanted is None or number == wanted
+    ]
+    for number, report in chosen:
+        print(render_report_provenance(report, number))
+    return len(chosen)
 
-    trace = load_trace(path)
-    result = run_replay(
-        trace,
-        mode=args.mode,
-        model=GraphModel(args.model),
-        check_every=args.check_every,
-        shard_components=args.shard_components,
-        incremental=args.incremental,
-    )
-    print(f"trace: {path} ({result.records_processed} record(s), "
-          f"{len(result.reports)} report(s))")
-    reports = _select_reports(result.reports, args.report, str(path))
-    offset = 1 if args.report is None else args.report
+
+def _print_explain_single(entry, args: argparse.Namespace) -> None:
+    reports = entry.result.reports
+    print(f"trace: {entry.path} ({entry.result.records_processed} record(s), "
+          f"{len(reports)} report(s))")
+    if args.report is not None and not 1 <= args.report <= len(reports):
+        raise ValueError(
+            f"{entry.path} has {len(reports)} report(s), no report #{args.report}"
+        )
     if not reports:
         print("no deadlock found")
-    for i, report in enumerate(reports, offset):
-        print(render_report_provenance(report, i))
+    _print_provenance(reports, args.report)
     if args.chrome:
         from repro.obs.tracing import chrome_trace_from_records, render_chrome_json
 
-        doc = chrome_trace_from_records(trace, result.reports)
+        doc = chrome_trace_from_records(load_trace(entry.path), reports)
         pathlib.Path(args.chrome).write_text(
             render_chrome_json(doc), encoding="utf-8"
         )
         print(f"chrome trace: {args.chrome} "
               f"({len(doc['traceEvents'])} event(s))", file=sys.stderr)
-    return 0
 
 
-def _explain_corpus(paths, args: argparse.Namespace) -> int:
+def _print_explain_corpus(result, args: argparse.Namespace) -> None:
     """Corpus provenance: one block per trace, work-list order, stdout
-    byte-identical for any ``--parallel`` value (same pin as replay)."""
-    from repro.obs.tracing import render_report_provenance
-    from repro.trace.parallel import replay_corpus
-
-    result = replay_corpus(
-        paths,
-        mode=args.mode,
-        model=GraphModel(args.model),
-        check_every=args.check_every,
-        shard_components=args.shard_components,
-        stream=args.stream,
-        incremental=args.incremental,
-        processes=args.parallel,
-    )
+    byte-identical for any ``--parallel`` value (same pin as replay).
+    A corpus member without report #N is simply skipped."""
     print(f"corpus: {len(result.entries)} trace(s), mode={result.mode}")
     explained = 0
     for entry in result.entries:
-        all_reports = entry.result.reports
-        if args.report is None:
-            reports, offset = list(all_reports), 1
-        elif 1 <= args.report <= len(all_reports):
-            reports, offset = [all_reports[args.report - 1]], args.report
-        else:  # a corpus member without report #N is simply skipped
-            reports, offset = [], 1
-        print(f"--- {entry.path.name}: {len(all_reports)} report(s)")
-        for i, report in enumerate(reports, offset):
-            print(render_report_provenance(report, i))
-            explained += 1
+        print(f"--- {entry.path.name}: {len(entry.result.reports)} report(s)")
+        explained += _print_provenance(entry.result.reports, args.report)
     deadlocked = sum(1 for e in result.entries if e.result.deadlocked)
     print(f"explained {explained} report(s) across "
           f"{deadlocked}/{len(result.entries)} deadlocked trace(s)")
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # predict
 # ---------------------------------------------------------------------------
-def _emit_witnesses(out_dir, stem: str, predictions) -> List[pathlib.Path]:
+def _emit_witnesses(out_dir, stem: str, predictions) -> int:
     """Save each confirmed prediction's witness as an ordinary trace
     file — ``<stem>-predicted-<k>.jsonl``, replayable by ``replay``."""
-    from repro.trace.codec import save_trace
-
     out_dir = pathlib.Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
     for k, prediction in enumerate(predictions):
-        path = out_dir / f"{stem}-predicted-{k}.jsonl"
-        save_trace(prediction.witness, path, codec="jsonl")
-        paths.append(path)
-    return paths
+        save_trace(prediction.witness, out_dir / f"{stem}-predicted-{k}.jsonl",
+                   codec="jsonl")
+    return len(predictions)
 
 
 def _print_predict_result(name: str, result, prefix: str = "") -> None:
@@ -688,57 +524,50 @@ def _print_predict_result(name: str, result, prefix: str = "") -> None:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     """Predict deadlocks from ok-trace(s); print confirmed predictions."""
-    from repro.trace.parallel import discover_traces
-
-    paths = discover_traces(args.trace)
-    if not paths:
-        print(f"predict: no trace files under {args.trace}", file=sys.stderr)
-        return 2
-    corpus_input = len(paths) > 1 or any(
-        pathlib.Path(src).is_dir() for src in args.trace
-    )
-    if corpus_input:
-        return _predict_corpus(paths, args)
-    return _predict_single(pathlib.Path(paths[0]), args)
-
-
-def _predict_single(path: pathlib.Path, args: argparse.Namespace) -> int:
-    from repro.predict.engine import predict_trace
-
-    result = predict_trace(str(path), max_candidates=args.max_candidates)
-    print(f"trace: {path}")
-    _print_predict_result(path.name, result)
-    if args.emit_witness and result.confirmed:
-        written = _emit_witnesses(args.emit_witness, path.stem,
-                                  result.confirmed)
-        print(f"witnesses: {len(written)} file(s) -> {args.emit_witness}",
-              file=sys.stderr)
-    _emit_metrics(result.metrics, args, volatile=False)
-    sys.stderr.write(
-        f"predicted over {result.records} record(s) in "
-        f"{result.duration_s * 1e3:.1f} ms\n"
-    )
-    return 0
-
-
-def _predict_corpus(paths, args: argparse.Namespace) -> int:
-    """Corpus prediction: deterministic stdout (diffable across
-    ``--parallel`` values and hash seeds), timing on stderr."""
     from repro.predict.parallel import predict_corpus
 
+    paths, corpus_input = _discover(args)
+    if not paths:
+        return 2
     result = predict_corpus(
         paths,
         max_candidates=args.max_candidates,
         processes=args.parallel,
     )
+    written = 0
+    if args.emit_witness:
+        written = sum(
+            _emit_witnesses(args.emit_witness, e.path.stem, e.result.confirmed)
+            for e in result.entries if e.result.confirmed
+        )
+    if corpus_input:
+        _print_predict_corpus(result, args, written)
+    else:
+        _print_predict_single(result.entries[0], args, written)
+    return 1 if result.mismatches else 0
+
+
+def _print_predict_single(entry, args: argparse.Namespace, written: int) -> None:
+    result = entry.result
+    print(f"trace: {entry.path}")
+    _print_predict_result(entry.path.name, result)
+    _emit_metrics(result.metrics, args, volatile=False)
+    if not entry.verdict_ok:
+        print(f"PREDICTION MISMATCH: trace expects prediction={entry.expected}",
+              file=sys.stderr)
+    if written:
+        print(f"witnesses: {written} file(s) -> {args.emit_witness}",
+              file=sys.stderr)
+    print(f"predicted over {result.records} record(s) in "
+          f"{result.duration_s * 1e3:.1f} ms", file=sys.stderr)
+
+
+def _print_predict_corpus(result, args: argparse.Namespace, written: int) -> None:
+    """Corpus prediction: deterministic stdout (diffable across
+    ``--parallel`` values and hash seeds), timing on stderr."""
     print(f"corpus: {len(result.entries)} trace(s)")
-    written_total = 0
     for entry in result.entries:
         _print_predict_result(entry.path.name, entry.result, prefix="--- ")
-        if args.emit_witness and entry.result.confirmed:
-            written_total += len(_emit_witnesses(
-                args.emit_witness, entry.path.stem, entry.result.confirmed
-            ))
         if not entry.verdict_ok:
             print(
                 f"PREDICTION MISMATCH: {entry.path.name} expects "
@@ -756,15 +585,12 @@ def _predict_corpus(paths, args: argparse.Namespace) -> int:
     _emit_metrics(result.metrics, args, volatile=False)
     timing = []
     if args.emit_witness:
-        timing.append(
-            f"witnesses: {written_total} file(s) -> {args.emit_witness}"
-        )
+        timing.append(f"witnesses: {written} file(s) -> {args.emit_witness}")
     timing.append(
         f"predicted over {len(result.entries)} trace(s) in "
         f"{result.duration_s * 1e3:.1f} ms (processes={result.processes})"
     )
     sys.stderr.write("\n".join(timing) + "\n")
-    return 1 if result.mismatches else 0
 
 
 # ---------------------------------------------------------------------------
@@ -824,27 +650,31 @@ def build_parser() -> argparse.ArgumentParser:
                           help="print the run's metrics snapshot to stdout")
     p_record.set_defaults(fn=cmd_record)
 
+    def engine_flags(p: argparse.ArgumentParser) -> None:
+        """What ``replay`` and ``explain`` share: the engine call's inputs."""
+        p.add_argument("trace", nargs="+",
+                       help="trace file(s) (.jsonl or .trace) and/or "
+                            "corpus directories")
+        p.add_argument("--mode", choices=("detection", "avoidance"),
+                       default="detection")
+        p.add_argument("--model", choices=("auto", "wfg", "sg"), default="auto")
+        p.add_argument("--check-every", type=_positive_int, default=1)
+        p.add_argument("--parallel", type=_positive_int, default=1, metavar="N",
+                       help="fan a corpus out over N worker processes "
+                            "(stdout stays byte-identical to serial)")
+        p.add_argument("--stream", action="store_true",
+                       help="read each trace incrementally in O(frame) "
+                            "memory instead of loading it whole")
+        p.add_argument("--shard-components", action="store_true",
+                       help="check connected components of the wait-for "
+                            "graph independently (detection only)")
+        p.add_argument("--incremental", action="store_true",
+                       help="feed record-level deltas into a maintained "
+                            "analysis graph instead of rebuilding per "
+                            "check (same reports, O(N) not O(N²))")
+
     p_replay = sub.add_parser("replay", help="replay trace file(s)")
-    p_replay.add_argument("trace", nargs="+",
-                          help="trace file(s) (.jsonl or .trace) and/or "
-                               "corpus directories")
-    p_replay.add_argument("--mode", choices=("detection", "avoidance"),
-                          default="detection")
-    p_replay.add_argument("--model", choices=("auto", "wfg", "sg"), default="auto")
-    p_replay.add_argument("--check-every", type=int, default=1)
-    p_replay.add_argument("--parallel", type=int, default=1, metavar="N",
-                          help="replay a corpus over N worker processes "
-                               "(stdout stays byte-identical to serial)")
-    p_replay.add_argument("--stream", action="store_true",
-                          help="read each trace incrementally in O(frame) "
-                               "memory instead of loading it whole")
-    p_replay.add_argument("--shard-components", action="store_true",
-                          help="check connected components of the wait-for "
-                               "graph independently (detection only)")
-    p_replay.add_argument("--incremental", action="store_true",
-                          help="feed record-level deltas into a maintained "
-                               "analysis graph instead of rebuilding per "
-                               "check (same reports, O(N) not O(N²))")
+    engine_flags(p_replay)
     p_replay.add_argument("--metrics-json", metavar="PATH", default=None,
                           help="write the run's deterministic metrics "
                                "snapshot (canonical JSON; byte-identical "
@@ -859,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a scenario corpus")
     p_gen.add_argument("--out", default=None, help="output directory")
-    p_gen.add_argument("--families", default="cycle,churn,aio,bounded,knot,nearmiss",
+    p_gen.add_argument("--families", default=",".join(FAMILIES),
                        help="comma-separated scenario families "
                             f"(from: {', '.join(FAMILIES)})")
     p_gen.add_argument("--cycle-lens", type=_ints, default=None)
@@ -872,7 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="both")
     p_gen.add_argument("--smoke", action="store_true",
                        help="verify a small grid in memory; write nothing")
-    p_gen.add_argument("--parallel", type=int, default=1, metavar="N",
+    p_gen.add_argument("--parallel", type=_positive_int, default=1, metavar="N",
                        help="fan --smoke verification out over N processes")
     p_gen.set_defaults(fn=cmd_gen)
 
@@ -883,25 +713,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_explain = sub.add_parser(
         "explain", help="map each deadlock report back to its trace records"
     )
-    p_explain.add_argument("trace", nargs="+",
-                           help="trace file(s) and/or corpus directories")
+    engine_flags(p_explain)
     p_explain.add_argument("--report", type=int, default=None, metavar="N",
                            help="explain only report N (1-based; default: all)")
-    p_explain.add_argument("--mode", choices=("detection", "avoidance"),
-                           default="detection")
-    p_explain.add_argument("--model", choices=("auto", "wfg", "sg"),
-                           default="auto")
-    p_explain.add_argument("--check-every", type=int, default=1)
-    p_explain.add_argument("--parallel", type=int, default=1, metavar="N",
-                           help="fan a corpus out over N worker processes "
-                                "(stdout stays byte-identical to serial)")
-    p_explain.add_argument("--stream", action="store_true",
-                           help="read corpus traces incrementally")
-    p_explain.add_argument("--shard-components", action="store_true",
-                           help="check connected components independently")
-    p_explain.add_argument("--incremental", action="store_true",
-                           help="use the delta-maintained engine (identical "
-                                "provenance)")
     p_explain.add_argument("--chrome", metavar="OUT.json", default=None,
                            help="also write a Chrome trace-event JSON "
                                 "(single trace input only)")
@@ -913,13 +727,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_predict.add_argument("trace", nargs="+",
                            help="trace file(s) and/or corpus directories")
-    p_predict.add_argument("--parallel", type=int, default=1, metavar="N",
+    p_predict.add_argument("--parallel", type=_positive_int, default=1,
+                           metavar="N",
                            help="fan a corpus out over N worker processes "
                                 "(stdout stays byte-identical to serial)")
     p_predict.add_argument("--emit-witness", metavar="DIR", default=None,
                            help="save each confirmed prediction's witness "
                                 "trace to DIR (replayable .jsonl files)")
-    p_predict.add_argument("--max-candidates", type=int, default=64,
+    p_predict.add_argument("--max-candidates", type=_positive_int, default=64,
                            metavar="N",
                            help="cap on enumerated candidates per trace "
                                 "(hitting it is flagged, never silent)")

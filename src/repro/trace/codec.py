@@ -12,8 +12,8 @@ strings are varint-length-prefixed UTF-8, and each frame opens with a
 one-byte kind tag — a record can be decoded without touching the rest of
 the file, and truncation or corruption is detected at the frame
 boundary.  Binary files come out roughly a quarter the size of their
-JSONL twins (``benchmarks/bench_trace_replay.py`` tracks the decode and
-replay throughput of both).
+JSONL twins (the ``trace.codec.*`` per-layer metrics of
+``benchmarks/e2e/`` track decode and encode throughput).
 
 :func:`save_trace` / :func:`load_trace` pick the codec from the file
 extension (``.jsonl`` vs ``.bin``/``.trace``) or from the leading magic

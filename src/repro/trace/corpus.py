@@ -28,7 +28,8 @@ checkpoint, subsequent ones carry only the changed task) — the
 distributed one-phase detection under the delta wire protocol, replayed
 from a file.
 
-Six spec families share :func:`build_trace`: :class:`ScenarioSpec`
+Six spec families share :func:`build_trace` and the :data:`FAMILIES`
+table (spec class, builder, grids, ``gen`` flags): :class:`ScenarioSpec`
 (the cycle grid), :class:`ChurnSpec` (dynamic membership),
 :class:`AioSpec` (the asyncio backend's high-task-count shapes —
 thousand-task rings and whole-pool churn), :class:`BoundedSpec`
@@ -52,12 +53,16 @@ from __future__ import annotations
 import itertools
 import pathlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from repro.core.events import BlockedStatus, Event
 from repro.trace import events as ev
 from repro.trace.codec import save_trace
 from repro.trace.events import Trace, TraceHeader, status_to_obj
+from repro.trace.parallel import fan_out
+from repro.trace.replay import replay
 
 
 @dataclass(frozen=True)
@@ -893,221 +898,111 @@ def nearmiss_trace(spec: NearMissSpec) -> Trace:
     return Trace(header=header, records=tuple(emit.records))
 
 
+# ---------------------------------------------------------------------------
+# the family table
+# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class Family:
+    """Everything that is per-family about a scenario family.
+
+    ``default`` and ``smoke`` are grids: spec field → axis values, in
+    product order (the first key varies slowest).  ``flags`` maps a
+    ``gen`` option (its argparse dest) to the grid axis it overrides
+    under ``--out``; ``valid`` filters grid points the spec class
+    would reject.
+    """
+
+    spec: type
+    build: Callable[..., Trace]
+    default: Mapping[str, Sequence]
+    smoke: Mapping[str, Sequence]
+    flags: Mapping[str, str]
+    valid: Optional[Callable[[dict], bool]] = None
+
+    def specs(self, grid: Mapping[str, Sequence]) -> list:
+        """The cross product of ``grid``'s axes as specs, in product
+        order (fields the grid leaves out keep the spec's defaults)."""
+        points = (
+            dict(zip(grid, values)) for values in itertools.product(*grid.values())
+        )
+        return [
+            self.spec(**point)
+            for point in points
+            if self.valid is None or self.valid(point)
+        ]
+
+
+_VERDICTS = (True, False)
+
+#: Every scenario family ``gen`` writes, in output order.  Default
+#: grids are kept modest (``gen`` flags override the mapped axes);
+#: smoke grids are small and fast, still covering every record kind.
+FAMILIES: Dict[str, Family] = {
+    "cycle": Family(
+        ScenarioSpec,
+        scenario_trace,
+        default=dict(cycle_len=(2, 3, 4), fan_out=(1, 2), sites=(1, 2),
+                     rounds=(2,), deadlock=_VERDICTS),
+        smoke=dict(cycle_len=(2, 3), fan_out=(1, 2), sites=(1, 2),
+                   rounds=(1,), deadlock=_VERDICTS),
+        flags=dict(cycle_lens="cycle_len", fan_outs="fan_out", sites="sites",
+                   rounds="rounds"),
+    ),
+    "churn": Family(
+        ChurnSpec,
+        churn_trace,
+        default=dict(pool=(4, 8), window=(2, 3), rounds=(4,), sites=(1, 2),
+                     deadlock=_VERDICTS),
+        smoke=dict(pool=(5,), window=(3,), rounds=(3,), sites=(1, 2),
+                   deadlock=_VERDICTS),
+        flags=dict(sites="sites"),
+        # A window larger than the pool is not a churn scenario.
+        valid=lambda point: point["window"] <= point["pool"],
+    ),
+    # The ≥1000-task floor, both shapes; smoke at a CI-friendly count.
+    "aio": Family(
+        AioSpec,
+        aio_trace,
+        default=dict(tasks=(1000,), shape=AIO_SHAPES, deadlock=_VERDICTS),
+        smoke=dict(tasks=(128,), shape=AIO_SHAPES, deadlock=_VERDICTS),
+        flags=dict(task_counts="tasks"),
+    ),
+    "bounded": Family(
+        BoundedSpec,
+        bounded_trace,
+        default=dict(stages=(2, 3), bound=(1, 2), rounds=(2,), sites=(1, 2),
+                     deadlock=_VERDICTS),
+        smoke=dict(stages=(3,), bound=(2,), rounds=(1,), sites=(1, 2),
+                   deadlock=_VERDICTS),
+        flags=dict(rounds="rounds", sites="sites"),
+    ),
+    "knot": Family(
+        KnotSpec,
+        knot_trace,
+        default=dict(pairs=(1, 2), rounds=(2,), sites=(1, 2), deadlock=_VERDICTS),
+        smoke=dict(pairs=(2,), rounds=(1,), sites=(1, 2), deadlock=_VERDICTS),
+        flags=dict(rounds="rounds", sites="sites"),
+    ),
+    # Both variants of every point — the control is what makes the
+    # family a differential, not a demo.
+    "nearmiss": Family(
+        NearMissSpec,
+        nearmiss_trace,
+        default=dict(chain_len=(2, 3), rounds=(1,), sites=(1, 2),
+                     realisable=_VERDICTS),
+        smoke=dict(chain_len=(2,), rounds=(1,), sites=(1, 2),
+                   realisable=_VERDICTS),
+        flags=dict(cycle_lens="chain_len", rounds="rounds", sites="sites"),
+    ),
+}
+
+
 def build_trace(spec) -> Trace:
     """Generate the trace for any scenario-spec family."""
-    if isinstance(spec, ScenarioSpec):
-        return scenario_trace(spec)
-    if isinstance(spec, ChurnSpec):
-        return churn_trace(spec)
-    if isinstance(spec, AioSpec):
-        return aio_trace(spec)
-    if isinstance(spec, BoundedSpec):
-        return bounded_trace(spec)
-    if isinstance(spec, KnotSpec):
-        return knot_trace(spec)
-    if isinstance(spec, NearMissSpec):
-        return nearmiss_trace(spec)
+    for family in FAMILIES.values():
+        if type(spec) is family.spec:
+            return family.build(spec)
     raise TypeError(f"not a scenario spec: {spec!r}")
-
-
-# ---------------------------------------------------------------------------
-# grids
-# ---------------------------------------------------------------------------
-#: The default generation grid (kept modest; the CLI overrides all axes).
-DEFAULT_GRID = dict(
-    cycle_lens=(2, 3, 4),
-    fan_outs=(1, 2),
-    site_counts=(1, 2),
-    rounds=(2,),
-    verdicts=(True, False),
-)
-
-#: The --smoke grid: small, fast, still covering every record kind.
-SMOKE_GRID = dict(
-    cycle_lens=(2, 3),
-    fan_outs=(1, 2),
-    site_counts=(1, 2),
-    rounds=(1,),
-    verdicts=(True, False),
-)
-
-#: Default churn-family grid (pool, window, rounds axes).
-DEFAULT_CHURN_GRID = dict(
-    pools=(4, 8),
-    windows=(2, 3),
-    rounds=(4,),
-    site_counts=(1, 2),
-    verdicts=(True, False),
-)
-
-#: Churn specs for --smoke: one churny point per verdict and site count.
-SMOKE_CHURN_GRID = dict(
-    pools=(5,),
-    windows=(3,),
-    rounds=(3,),
-    site_counts=(1, 2),
-    verdicts=(True, False),
-)
-
-#: Default aio-family grid: the ISSUE's ≥1000-task floor, both shapes.
-DEFAULT_AIO_GRID = dict(
-    task_counts=(1000,),
-    shapes=AIO_SHAPES,
-    verdicts=(True, False),
-)
-
-#: Aio specs for --smoke: same shapes at a CI-friendly task count.
-SMOKE_AIO_GRID = dict(
-    task_counts=(128,),
-    shapes=AIO_SHAPES,
-    verdicts=(True, False),
-)
-
-#: Default bounded-pipeline grid (ring size, buffer bound axes).
-DEFAULT_BOUNDED_GRID = dict(
-    stage_counts=(2, 3),
-    bounds=(1, 2),
-    rounds=(2,),
-    site_counts=(1, 2),
-    verdicts=(True, False),
-)
-
-#: Bounded specs for --smoke: one small ring per verdict and site count.
-SMOKE_BOUNDED_GRID = dict(
-    stage_counts=(3,),
-    bounds=(2,),
-    rounds=(1,),
-    site_counts=(1, 2),
-    verdicts=(True, False),
-)
-
-#: Default mixed lock/barrier knot grid.
-DEFAULT_KNOT_GRID = dict(
-    pair_counts=(1, 2),
-    rounds=(2,),
-    site_counts=(1, 2),
-    verdicts=(True, False),
-)
-
-#: Knot specs for --smoke.
-SMOKE_KNOT_GRID = dict(
-    pair_counts=(2,),
-    rounds=(1,),
-    site_counts=(1, 2),
-    verdicts=(True, False),
-)
-
-#: Default predictive near-miss grid (both variants of every point —
-#: the control is what makes the family a differential, not a demo).
-DEFAULT_NEARMISS_GRID = dict(
-    chain_lens=(2, 3),
-    rounds=(1,),
-    site_counts=(1, 2),
-    realisable=(True, False),
-)
-
-#: Near-miss specs for --smoke.
-SMOKE_NEARMISS_GRID = dict(
-    chain_lens=(2,),
-    rounds=(1,),
-    site_counts=(1, 2),
-    realisable=(True, False),
-)
-
-
-def nearmiss_grid_specs(
-    chain_lens: Sequence[int],
-    rounds: Sequence[int] = (1,),
-    site_counts: Sequence[int] = (1,),
-    realisable: Sequence[bool] = (True, False),
-) -> List[NearMissSpec]:
-    """The cross product of the near-miss grid axes."""
-    return [
-        NearMissSpec(chain_len=length, rounds=r, sites=sites, realisable=hit)
-        for length, r, sites, hit in itertools.product(
-            chain_lens, rounds, site_counts, realisable
-        )
-    ]
-
-
-def bounded_grid_specs(
-    stage_counts: Sequence[int],
-    bounds: Sequence[int],
-    rounds: Sequence[int] = (1,),
-    site_counts: Sequence[int] = (1,),
-    verdicts: Sequence[bool] = (True, False),
-) -> List[BoundedSpec]:
-    """The cross product of the bounded-pipeline grid axes."""
-    return [
-        BoundedSpec(stages=stages, bound=bound, rounds=r, sites=sites,
-                    deadlock=verdict)
-        for stages, bound, r, sites, verdict in itertools.product(
-            stage_counts, bounds, rounds, site_counts, verdicts
-        )
-    ]
-
-
-def knot_grid_specs(
-    pair_counts: Sequence[int],
-    rounds: Sequence[int] = (1,),
-    site_counts: Sequence[int] = (1,),
-    verdicts: Sequence[bool] = (True, False),
-) -> List[KnotSpec]:
-    """The cross product of the lock/barrier knot grid axes."""
-    return [
-        KnotSpec(pairs=pairs, rounds=r, sites=sites, deadlock=verdict)
-        for pairs, r, sites, verdict in itertools.product(
-            pair_counts, rounds, site_counts, verdicts
-        )
-    ]
-
-
-def aio_grid_specs(
-    task_counts: Sequence[int],
-    shapes: Sequence[str] = AIO_SHAPES,
-    verdicts: Sequence[bool] = (True, False),
-) -> List[AioSpec]:
-    """The cross product of the aio grid axes."""
-    return [
-        AioSpec(tasks=n, shape=shape, deadlock=verdict)
-        for n, shape, verdict in itertools.product(task_counts, shapes, verdicts)
-    ]
-
-
-def churn_grid_specs(
-    pools: Sequence[int],
-    windows: Sequence[int],
-    rounds: Sequence[int] = (4,),
-    site_counts: Sequence[int] = (1,),
-    verdicts: Sequence[bool] = (True, False),
-) -> List[ChurnSpec]:
-    """The cross product of the churn grid axes (invalid pool/window
-    combinations — window larger than pool — are skipped)."""
-    return [
-        ChurnSpec(pool=pool, window=window, rounds=r, sites=sites, deadlock=verdict)
-        for pool, window, r, sites, verdict in itertools.product(
-            pools, windows, rounds, site_counts, verdicts
-        )
-        if window <= pool
-    ]
-
-
-def grid_specs(
-    cycle_lens: Sequence[int],
-    fan_outs: Sequence[int],
-    site_counts: Sequence[int],
-    rounds: Sequence[int] = (0,),
-    verdicts: Sequence[bool] = (True, False),
-) -> List[ScenarioSpec]:
-    """The cross product of the grid axes as scenario specs."""
-    return [
-        ScenarioSpec(
-            cycle_len=length, fan_out=fan, sites=sites, rounds=r, deadlock=verdict
-        )
-        for length, fan, sites, r, verdict in itertools.product(
-            cycle_lens, fan_outs, site_counts, rounds, verdicts
-        )
-    ]
 
 
 def generate_corpus(specs: Iterable) -> List[Trace]:
@@ -1140,8 +1035,6 @@ def write_corpus(
 
 def _verify_one(spec) -> bool:
     """Worker body for corpus verification (module-level, picklable)."""
-    from repro.trace.replay import replay
-
     outcome = replay(build_trace(spec), mode="detection")
     return outcome.deadlocked == spec.deadlock
 
@@ -1158,11 +1051,4 @@ def verify_corpus(
     dataclasses crosses the pipe); results keep spec order either way.
     """
     specs = list(specs)
-    if processes > 1 and len(specs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(processes, len(specs))) as pool:
-            oks = list(pool.map(_verify_one, specs))
-    else:
-        oks = [_verify_one(spec) for spec in specs]
-    return list(zip(specs, oks))
+    return list(zip(specs, fan_out(_verify_one, specs, processes)))

@@ -1,11 +1,12 @@
-"""Multi-process corpus replay with deterministic result merging.
+"""Multi-process corpus runs with deterministic result merging.
 
 A trace corpus is an embarrassingly parallel work-list: files share no
-state, so replaying N of them is N independent checker runs.  This
-module fans a corpus out over a :class:`~concurrent.futures.ProcessPoolExecutor`
-(one worker replays one file at a time — real parallelism, since each
-worker is its own interpreter) and merges the outcomes into a single
-:class:`CorpusReplayResult`.
+state, so replaying N of them is N independent checker runs.
+:func:`run_corpus` is the one driver behind every corpus verb
+(:func:`replay_corpus`, :func:`repro.predict.parallel.predict_corpus`):
+it fans the work-list out with :func:`fan_out` (one worker handles one
+file at a time — real parallelism, since each worker is its own
+interpreter) and folds the outcomes into a single :class:`CorpusResult`.
 
 Determinism is the design constraint, not an afterthought:
 
@@ -32,7 +33,9 @@ import pathlib
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, ClassVar, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.core.checker import CheckStats
 from repro.core.report import DeadlockReport
@@ -80,45 +83,66 @@ def discover_traces(
 
 @dataclass
 class CorpusEntry:
-    """One file's replay outcome inside a corpus run."""
+    """One file's outcome inside a corpus run.  The verdict rule lives
+    here; a verb supplies its two facts — the meta key declaring the
+    expected verdict and what its run observed."""
+
+    expect_key: ClassVar[str] = "expect_deadlock"
 
     path: pathlib.Path
     meta: dict
-    result: ReplayResult
+    result: Any
+
+    @property
+    def observed(self) -> bool:
+        return self.result.deadlocked
 
     @property
     def expected(self) -> Optional[bool]:
         """The trace's self-declared verdict, if it carries one."""
-        value = self.meta.get("expect_deadlock")
+        value = self.meta.get(self.expect_key)
         return None if value is None else bool(value)
 
     @property
     def verdict_ok(self) -> bool:
-        """Whether the replay matched the expected verdict (vacuously
+        """Whether the run matched the expected verdict (vacuously
         true for traces without one)."""
         expected = self.expected
-        return expected is None or self.result.deadlocked == expected
+        return expected is None or self.observed == expected
 
 
 @dataclass
-class CorpusReplayResult:
-    """The merged outcome of a corpus replay.
+class CorpusResult:
+    """The merged outcome of one verb over a corpus.
 
-    ``entries`` preserves work-list order; ``stats`` is the
-    :meth:`CheckStats.merge` fold over every file's checker accounting
-    — the corpus-wide Table 3 quantities.
+    ``entries`` preserves work-list order; ``metrics`` is the
+    :meth:`~repro.obs.registry.MetricsRegistry.merge` fold over every
+    file's run registry.  Workers build theirs independently and the
+    merge is order-insensitive, so the non-volatile snapshot is
+    byte-identical across process counts.
     """
 
-    mode: str
-    processes: int
+    entry_type: ClassVar[type] = CorpusEntry
+
+    processes: int = 1
     entries: List[CorpusEntry] = field(default_factory=list)
-    stats: CheckStats = field(default_factory=CheckStats)
-    #: The :meth:`~repro.obs.registry.MetricsRegistry.merge` fold over
-    #: every file's run registry.  Workers build theirs independently
-    #: and the merge is order-insensitive, so the non-volatile snapshot
-    #: is byte-identical across process counts.
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     duration_s: float = 0.0
+
+    @property
+    def mismatches(self) -> List[CorpusEntry]:
+        """Entries whose verdict contradicts their metadata."""
+        return [e for e in self.entries if not e.verdict_ok]
+
+
+@dataclass
+class CorpusReplayResult(CorpusResult):
+    """A corpus replay: ``stats`` is the :meth:`CheckStats.merge` fold
+    over every file's checker accounting — the corpus-wide Table 3
+    quantities."""
+
+    mode: str = DETECTION
+    stats: CheckStats = field(default_factory=CheckStats)
 
     @property
     def records_processed(self) -> int:
@@ -137,16 +161,48 @@ class CorpusReplayResult:
         return out
 
     @property
-    def mismatches(self) -> List[CorpusEntry]:
-        """Entries whose replay verdict contradicts their metadata."""
-        return [e for e in self.entries if not e.verdict_ok]
-
-    @property
     def events_per_sec(self) -> float:
         """Wall-clock corpus throughput (the fan-out speedup metric)."""
         if self.duration_s <= 0:
             return 0.0
         return self.records_processed / self.duration_s
+
+
+def fan_out(worker: Callable, jobs: Iterable, processes: int = 1) -> list:
+    """Map ``worker`` over ``jobs``, results in submission order.
+
+    The only serial-or-pool switch: ``processes <= 1`` (or a single
+    job) runs in process — the serial reference — anything else on a
+    pool of at most ``processes`` workers, so ``worker`` and the jobs
+    must be picklable (module-level function, plain data).
+    """
+    jobs = list(jobs)
+    if processes <= 1 or len(jobs) <= 1:
+        return [worker(job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=min(processes, len(jobs))) as pool:
+        return list(pool.map(worker, jobs))
+
+
+def run_corpus(
+    sources: Union[PathLike, Sequence[PathLike]],
+    worker: Callable,
+    job_of: Callable[[str], Any],
+    merged: CorpusResult,
+) -> CorpusResult:
+    """Run one verb over a corpus: discover the work-list, fan
+    ``worker(job_of(path))`` out over ``merged.processes``, fold each
+    ``(meta, result)`` into ``merged`` in work-list order — this loop
+    *is* the merge order — and time the whole."""
+    paths = discover_traces(sources)
+    if not paths:
+        raise ValueError(f"no trace files found under {sources!r}")
+    t0 = time.perf_counter()
+    outcomes = fan_out(worker, [job_of(str(p)) for p in paths], merged.processes)
+    for path, (meta, result) in zip(paths, outcomes):
+        merged.entries.append(merged.entry_type(path, meta, result))
+        merged.metrics.merge(result.metrics)
+    merged.duration_s = time.perf_counter() - t0
+    return merged
 
 
 def _replay_one(
@@ -166,12 +222,9 @@ def _replay_one(
         from repro.trace.stream import iter_load
 
         source = iter_load(path)
-        meta = dict(source.header.meta)
     else:
-        trace = load_trace(path)
-        meta = dict(trace.header.meta)
-        source = trace
-    return meta, engine.run(source)
+        source = load_trace(path)
+    return dict(source.header.meta), engine.run(source)
 
 
 def replay_corpus(
@@ -191,25 +244,13 @@ def replay_corpus(
     ``processes = N`` uses a pool of N workers.  Either way the merged
     result is identical — only ``duration_s`` changes.
     """
-    paths = discover_traces(sources)
-    if not paths:
-        raise ValueError(f"no trace files found under {sources!r}")
-    work = [
-        (str(p), mode, model, threshold_factor, check_every, shard_components,
-         stream, incremental)
-        for p in paths
-    ]
-    t0 = time.perf_counter()
-    if processes <= 1 or len(paths) == 1:
-        outcomes: Iterable[Tuple[dict, ReplayResult]] = map(_replay_one, work)
-        outcomes = list(outcomes)
-    else:
-        with ProcessPoolExecutor(max_workers=min(processes, len(paths))) as pool:
-            outcomes = list(pool.map(_replay_one, work))
-    merged = CorpusReplayResult(mode=mode, processes=max(1, processes))
-    for path, (meta, result) in zip(paths, outcomes):
-        merged.entries.append(CorpusEntry(path=path, meta=meta, result=result))
-        merged.stats.merge(result.stats)
-        merged.metrics.merge(result.metrics)
-    merged.duration_s = time.perf_counter() - t0
+    merged = run_corpus(
+        sources,
+        _replay_one,
+        lambda path: (path, mode, model, threshold_factor, check_every,
+                      shard_components, stream, incremental),
+        CorpusReplayResult(mode=mode, processes=max(1, processes)),
+    )
+    for entry in merged.entries:
+        merged.stats.merge(entry.result.stats)
     return merged

@@ -150,37 +150,3 @@ class TestThousandTaskAcceptance:
         assert live.avoided
         assert len(live.tasks) == N_TASKS
 
-
-class TestIncrementalRuntime:
-    """The asyncio driver feeding the delta-maintained checker: the
-    coroutine observer's begin/end_blocked hooks ARE the delta contract,
-    so ``incremental=True`` needs no aio-specific plumbing."""
-
-    def test_incremental_detection_reports_the_ring(self):
-        from repro.core.incremental import IncrementalChecker
-
-        runtime = ArmusRuntime(
-            mode=VerificationMode.DETECTION, interval_s=0.02,
-            incremental=True,
-        ).start()
-        try:
-            outcomes = run_ring(runtime, 40)
-        finally:
-            runtime.stop()
-        assert isinstance(runtime.checker, IncrementalChecker)
-        assert len(runtime.reports) == 1
-        assert len(runtime.reports[0].tasks) == 40
-        assert any(isinstance(o, DeadlockDetectedError) for o in outcomes)
-
-    def test_incremental_avoidance_refuses_the_ring(self):
-        runtime = ArmusRuntime(
-            mode=VerificationMode.AVOIDANCE, incremental=True
-        ).start()
-        try:
-            outcomes = run_ring(runtime, 40)
-        finally:
-            runtime.stop()
-        assert runtime.reports and runtime.reports[0].avoided
-        assert any(isinstance(o, DeadlockAvoidedError) for o in outcomes)
-        # The refusal withdrew the doomed delta: no cycle remains.
-        assert runtime.checker.check() is None

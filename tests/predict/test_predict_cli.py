@@ -11,13 +11,20 @@ from __future__ import annotations
 
 import json
 import pathlib
+import shutil
 
+import pytest
+
+from repro.predict.engine import CLEAN, PREDICTED, PredictResult
+from repro.predict.parallel import PredictEntry
 from repro.trace.cli import main
 from repro.trace.codec import save_trace
 from repro.trace.corpus import NearMissSpec, build_trace
+from repro.trace.parallel import discover_traces
 
 CORPUS = pathlib.Path(__file__).parent.parent / "trace" / "corpus"
 GOLDEN = CORPUS / "expected_predict.txt"
+MEMBERS = discover_traces(CORPUS)
 
 
 def run_cli(capsys, *argv):
@@ -66,6 +73,22 @@ class TestSingleFileMode:
         assert "prediction" not in out.replace("predictions:", "")
 
 
+    @pytest.mark.parametrize("path", MEMBERS, ids=lambda p: p.name)
+    def test_agrees_with_its_one_file_corpus(self, path, capsys, tmp_path):
+        """A single file is a corpus of one: same engine call, so the
+        per-trace block is the corpus block minus its ``--- `` prefix."""
+        shutil.copy(path, tmp_path)
+        single_code, single = run_cli(capsys, "predict", str(path))
+        corpus_code, corpus = run_cli(capsys, "predict", str(tmp_path))
+        assert single_code == corpus_code == 0
+        head, *block = single.splitlines()
+        assert head == f"trace: {path}"
+        framed = corpus.splitlines()
+        assert framed[0] == "corpus: 1 trace(s)"
+        assert framed[-1].startswith("predictions: ")
+        assert ["--- " + block[0], *block[1:]] == framed[1:-1]
+
+
 class TestWitnessEmission:
     def test_emitted_witness_replays_to_deadlock(self, capsys, tmp_path):
         path = next(CORPUS.glob("*-hit-ok.jsonl"))
@@ -100,6 +123,25 @@ class TestMismatchSignalling:
         code, out = run_cli(capsys, "predict", str(tmp_path))
         assert code == 1
         assert "1 mismatch(es)" in out
+        # ...and so must the same file given alone (one exit-code path).
+        assert main(["predict", str(tmp_path / "doctored-ok.jsonl")]) == 1
+        assert "PREDICTION MISMATCH" in capsys.readouterr().err
+
+    def test_predict_entry_reads_expect_prediction(self):
+        """The verdict rule is ``CorpusEntry``'s; predict supplies only
+        its meta key and what counts as the observed verdict."""
+        def entry(meta, outcome):
+            return PredictEntry(pathlib.Path("x"), meta,
+                                PredictResult(outcome=outcome, records=0))
+
+        assert entry({}, CLEAN).expected is None
+        assert entry({}, CLEAN).verdict_ok
+        assert entry({"expect_prediction": True}, PREDICTED).verdict_ok
+        assert entry({"expect_prediction": False}, CLEAN).verdict_ok
+        assert not entry({"expect_prediction": True}, CLEAN).verdict_ok
+        assert not entry({"expect_prediction": False}, PREDICTED).verdict_ok
+        # replay's key is not predict's verdict.
+        assert entry({"expect_deadlock": True}, CLEAN).verdict_ok
 
 
 class TestMetricsDeterminism:

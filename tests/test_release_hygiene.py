@@ -40,6 +40,27 @@ class TestDocumentation:
             filename = fragment.split("`")[0].split(";")[0]
             assert (REPO / "benchmarks" / filename).exists(), filename
 
+    def test_bench_files_on_disk_are_named_in_design(self):
+        """The other direction: no bench script nothing points at."""
+        text = (REPO / "DESIGN.md").read_text()
+        on_disk = sorted(p.name for p in (REPO / "benchmarks").glob("bench_*.py"))
+        assert on_disk, "benchmarks/bench_*.py: none found"
+        for filename in on_disk:
+            assert f"`benchmarks/{filename}`" in text, filename
+
+    def test_renderer_commands_in_experiments_exist(self):
+        """Every ``python -m repro.bench.tables <name>`` EXPERIMENTS.md
+        gives is an artefact the renderer knows."""
+        import re
+
+        from repro.bench.tables import EXPERIMENTS
+
+        text = (REPO / "EXPERIMENTS.md").read_text()
+        named = re.findall(r"python -m repro\.bench\.tables (\w+)", text)
+        assert set(named) >= set(EXPERIMENTS), "an artefact has no command"
+        for name in named:
+            assert name in EXPERIMENTS, name
+
 
 class TestPublicApi:
     PACKAGES = [

@@ -43,6 +43,31 @@ class TestGen:
     def test_gen_without_out_or_smoke_fails(self, capsys):
         assert main(["gen"]) == 2
 
+    @pytest.mark.parametrize("families", ["", ",", " , "])
+    @pytest.mark.parametrize("mode", ["smoke", "out"])
+    def test_no_family_selected_is_an_error(self, families, mode, tmp_path,
+                                            capsys):
+        """An empty selection used to verify (or write) nothing and
+        exit 0 — a CI sanity sweep that checks nothing must not pass."""
+        out = tmp_path / "corpus"
+        argv = ["--smoke"] if mode == "smoke" else ["--out", str(out)]
+        assert main(["gen", *argv, "--families", families]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "gen: no families selected "
+            "(have: cycle, churn, aio, bounded, knot, nearmiss)\n"
+        )
+        assert not out.exists()
+
+    def test_selection_order_is_table_order(self, capsys):
+        assert main(["gen", "--smoke", "--families", "nearmiss,knot,cycle"]) == 0
+        families = [line.split()[1].split("-")[0]
+                    for line in capsys.readouterr().out.splitlines()[:-1]]
+        assert sorted(set(families), key=families.index) == [
+            "cycle", "knot", "nearmiss"
+        ]
+
 
 class TestReplayAndStats:
     @pytest.fixture()
@@ -84,6 +109,39 @@ class TestReplayAndStats:
         path = save_trace(lying, tmp_path / "lying.jsonl")
         assert main(["replay", str(path)]) == 1
         assert "MISMATCH" in capsys.readouterr().err
+
+
+class TestCountsMustBePositive:
+    """0 or a negative count is a usage error (argparse: exit 2), never
+    a silent fallback — ``--check-every 0`` ran at 1, ``--parallel 0``
+    ran serial, ``--max-candidates 0`` reported "clean" after looking
+    at nothing."""
+
+    @pytest.mark.parametrize("argv", [
+        ["replay", "x.jsonl", "--check-every"],
+        ["explain", "x.jsonl", "--check-every"],
+        ["replay", "x.jsonl", "--parallel"],
+        ["explain", "x.jsonl", "--parallel"],
+        ["predict", "x.jsonl", "--parallel"],
+        ["gen", "--smoke", "--parallel"],
+        ["predict", "x.jsonl", "--max-candidates"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-1]}")
+    @pytest.mark.parametrize("value", ["0", "-2", "-3", "two"])
+    def test_rejected_at_the_parser(self, argv, value, capsys):
+        with pytest.raises(SystemExit) as usage:
+            main([*argv, value])
+        assert usage.value.code == 2
+        assert argv[-1] in capsys.readouterr().err
+
+    def test_one_is_still_accepted(self, tmp_path, capsys):
+        main(["gen", "--out", str(tmp_path), "--families", "nearmiss",
+              "--cycle-lens", "2", "--sites", "1", "--codec", "jsonl"])
+        path = next(tmp_path.glob("*-hit-ok.jsonl"))
+        assert main(["replay", str(path), "--check-every", "1",
+                     "--parallel", "1"]) == 0
+        assert main(["predict", str(path), "--max-candidates", "1",
+                     "--parallel", "1"]) == 0
+        assert "outcome=predicted" in capsys.readouterr().out
 
 
 class TestRecord:

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+
 import pytest
 
+from repro.trace.cli import build_parser, main
 from repro.trace.codec import load_trace
 from repro.trace.corpus import (
+    FAMILIES,
     ScenarioSpec,
-    SMOKE_GRID,
+    build_trace,
     generate_corpus,
-    grid_specs,
     scenario_trace,
     verify_corpus,
     write_corpus,
@@ -18,11 +22,103 @@ from repro.trace.events import RecordKind
 from repro.trace.replay import replay
 
 
+def _names_hash(names) -> str:
+    return hashlib.sha256("\n".join(names).encode()).hexdigest()
+
+
+def _grid_names(grid: str) -> list:
+    """Every family's spec names under its ``grid`` ("smoke"/"default"),
+    in table order — the order ``gen`` generates them."""
+    return [
+        spec.name
+        for family in FAMILIES.values()
+        for spec in family.specs(getattr(family, grid))
+    ]
+
+
+class TestFamilyTable:
+    """The contract every row of ``FAMILIES`` keeps, stated once."""
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_grids_are_keyed_by_spec_fields(self, name):
+        family = FAMILIES[name]
+        fields = {f.name for f in dataclasses.fields(family.spec)}
+        for grid in (family.default, family.smoke):
+            assert set(grid) <= fields
+            assert list(grid) == list(family.default)  # same product order
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_flags_map_gen_options_to_grid_axes(self, name):
+        family = FAMILIES[name]
+        options = vars(build_parser().parse_args(["gen"]))
+        for flag, axis in family.flags.items():
+            assert flag in options
+            assert axis in family.default
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_smoke_grid_verifies(self, name):
+        family = FAMILIES[name]
+        specs = family.specs(family.smoke)
+        assert specs and all(type(s) is family.spec for s in specs)
+        assert all(ok for _, ok in verify_corpus(specs))
+
+    @pytest.mark.parametrize("grid", ["smoke", "default"])
+    def test_spec_names_are_unique_across_families(self, grid):
+        names = _grid_names(grid)
+        assert len(set(names)) == len(names)
+
+    def test_build_trace_rejects_a_non_spec(self):
+        with pytest.raises(TypeError):
+            build_trace(object())
+
+    # Hashes of the ordered spec-name lists, computed at the commit
+    # before the family table existed (six ``*_grid_specs`` functions
+    # over twelve grid constants): the table generates the same corpus
+    # in the same order.
+    @pytest.mark.parametrize("grid,count,digest", [
+        ("smoke", 36,
+         "337d19646bd6a2f6c168ee56e2320456b39111a31a397456b03193526d82fc30"),
+        ("default", 76,
+         "7d77e191d0bf419b514f2265b6966319b0b22ad369c2f5f0d23c55bb44c8c826"),
+    ])
+    def test_grid_order_is_pinned(self, grid, count, digest):
+        names = _grid_names(grid)
+        assert len(names) == count
+        assert _names_hash(names) == digest
+
+    def test_gen_overrides_write_the_pinned_names(self, tmp_path, capsys):
+        """All five override flags at once.  Churn keeps ignoring
+        ``--rounds``; nearmiss keeps reading ``--cycle-lens``."""
+        assert main([
+            "gen", "--out", str(tmp_path), "--cycle-lens", "2,5",
+            "--fan-outs", "3", "--sites", "3", "--rounds", "1,2",
+            "--task-counts", "64", "--codec", "jsonl",
+        ]) == 0
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert len(names) == 52
+        assert _names_hash(names) == (
+            "27db9e20ee23fef4ab13acd9c87a196fcb177c47d35f8eb70949062cb10de623"
+        )
+        assert "churn-N4-W2-R4-S3-dl.jsonl" in names
+        assert "nearmiss-L5-R2-S3-hit-ok.jsonl" in names
+
+
 class TestSpecs:
     def test_grid_is_the_cross_product(self):
-        specs = grid_specs((2, 3), (1, 2), (1,), (0, 1), (True, False))
+        specs = FAMILIES["cycle"].specs(dict(
+            cycle_len=(2, 3), fan_out=(1, 2), sites=(1,), rounds=(0, 1),
+            deadlock=(True, False),
+        ))
         assert len(specs) == 2 * 2 * 1 * 2 * 2
         assert len({s.name for s in specs}) == len(specs)
+
+    def test_axes_left_out_keep_the_spec_defaults(self):
+        specs = FAMILIES["cycle"].specs(dict(cycle_len=(2, 3)))
+        assert specs == [ScenarioSpec(cycle_len=2), ScenarioSpec(cycle_len=3)]
+
+    def test_invalid_churn_points_are_skipped(self):
+        specs = FAMILIES["churn"].specs(dict(pool=(2, 4), window=(2, 3)))
+        assert [(s.pool, s.window) for s in specs] == [(2, 2), (4, 2), (4, 3)]
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):
@@ -38,14 +134,8 @@ class TestSpecs:
 
 class TestGroundTruth:
     def test_smoke_grid_verifies(self):
-        specs = grid_specs(
-            SMOKE_GRID["cycle_lens"],
-            SMOKE_GRID["fan_outs"],
-            SMOKE_GRID["site_counts"],
-            SMOKE_GRID["rounds"],
-            SMOKE_GRID["verdicts"],
-        )
-        results = verify_corpus(specs)
+        cycle = FAMILIES["cycle"]
+        results = verify_corpus(cycle.specs(cycle.smoke))
         assert all(ok for _, ok in results)
 
     def test_deadlock_appears_only_when_the_knot_closes(self):
@@ -189,9 +279,8 @@ class TestAioFamily:
         assert trace.header.meta["tasks"] == 64
 
     def test_grid_specs(self):
-        from repro.trace.corpus import aio_grid_specs
-
-        specs = aio_grid_specs((128, 1000))
+        aio = FAMILIES["aio"]
+        specs = aio.specs({**aio.default, "tasks": (128, 1000)})
         assert len(specs) == 8  # 2 counts x 2 shapes x 2 verdicts
         assert len({s.name for s in specs}) == 8
 
