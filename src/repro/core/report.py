@@ -107,6 +107,15 @@ class DeadlockReport:
     detection_lag: Optional[int] = None
     detected_at: Optional[int] = None
 
+    @property
+    def cycle_key(self) -> frozenset:
+        """What makes two reports the same deadlock: the cycle's vertex
+        set.  ``tasks`` is the wrong key — under SG it lists every
+        blocked task awaiting a cycle event, so it grows as bystanders
+        pile onto a persisting deadlock while the cycle itself is
+        stable.  One deadlock, one report."""
+        return frozenset(self.cycle)
+
     def without_provenance(self) -> "DeadlockReport":
         """This report with the replay-attached provenance fields
         cleared — the live-run form, for comparisons between live and

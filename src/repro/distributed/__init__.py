@@ -31,8 +31,6 @@ from repro.distributed.store import (
     InMemoryStore,
     ReplicatedStore,
     StoreUnavailableError,
-    encode_statuses,
-    decode_statuses,
 )
 from repro.distributed.delta import (
     DeltaMergeState,
@@ -58,8 +56,6 @@ __all__ = [
     "DeltaPublisher",
     "DeltaMergeState",
     "DeltaSequenceError",
-    "encode_statuses",
-    "decode_statuses",
     "DistributedChecker",
     "Site",
     "Cluster",

@@ -162,7 +162,7 @@ class TenantChecker:
             enriched, _ = attach_provenance(report, self._origins, statuses)
             obj = report_to_obj(enriched)
             self._answer = (report, self._ordinal, enriched, obj)
-            key = frozenset(report.tasks)
+            key = report.cycle_key
             if key not in self._seen_cycles:
                 self._seen_cycles.add(key)
                 self.reports.append(enriched)

@@ -337,6 +337,10 @@ class Site:
             )
         if report is None:
             return
+        # Keyed on the task set, not ``report.cycle_key``: here a new key
+        # also triggers ``_cancel_local``, and ``Task.cancel`` delivery
+        # is one-shot — a bystander that blocks onto a deadlock already
+        # reported must still get its own report, or it waits forever.
         key = frozenset(report.tasks)
         if key in self._seen_cycles:
             return

@@ -42,7 +42,6 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.events import BlockedStatus, Event, TaskId
 from repro.distributed.delta import (
     Cursor,
     DeltaSequenceError,
@@ -59,33 +58,6 @@ DEFAULT_MAX_LOG = 256
 
 class StoreUnavailableError(RuntimeError):
     """The data store (or every replica) is unreachable."""
-
-
-# ---------------------------------------------------------------------------
-# wire format (the per-status encoding; shared with the delta protocol)
-# ---------------------------------------------------------------------------
-def encode_statuses(statuses: Mapping[TaskId, BlockedStatus]) -> dict:
-    """Serialise blocked statuses to a plain JSON-able structure."""
-    return {
-        str(task): {
-            "waits": sorted([str(e.phaser), e.phase] for e in status.waits),
-            "registered": {str(p): n for p, n in status.registered.items()},
-            "generation": status.generation,
-        }
-        for task, status in statuses.items()
-    }
-
-
-def decode_statuses(payload: Mapping) -> Dict[str, BlockedStatus]:
-    """Inverse of :func:`encode_statuses`."""
-    out: Dict[str, BlockedStatus] = {}
-    for task, blob in payload.items():
-        out[task] = BlockedStatus(
-            waits=frozenset(Event(p, n) for p, n in blob["waits"]),
-            registered=dict(blob["registered"]),
-            generation=blob.get("generation", 0),
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------

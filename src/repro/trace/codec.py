@@ -1,5 +1,5 @@
-"""Two interchangeable trace codecs: JSONL (debuggable) and framed
-binary (fast and compact).
+"""Two interchangeable trace codecs — JSONL (debuggable) and framed
+binary (fast and compact) — and the one reader both are read through.
 
 **JSONL** writes one JSON object per line: the header first (carrying the
 magic and version), then one object per record.  It is grep-able,
@@ -7,26 +7,29 @@ diff-able and editable — the format of choice while developing a
 scenario or inspecting a failure.
 
 **Framed binary** writes a fixed magic + version prefix followed by
-length-prefixed frames, one per record.  Integers use LEB128 varints,
-strings are varint-length-prefixed UTF-8, and each frame opens with a
+length-prefixed frames — the header's meta JSON first, then one per
+record.  Integers use LEB128 varints, strings are
+varint-length-prefixed UTF-8, and each record frame opens with a
 one-byte kind tag — a record can be decoded without touching the rest of
 the file, and truncation or corruption is detected at the frame
 boundary.  Binary files come out roughly a quarter the size of their
 JSONL twins (the ``trace.codec.*`` per-layer metrics of
 ``benchmarks/e2e/`` track decode and encode throughput).
 
-:func:`save_trace` / :func:`load_trace` pick the codec from the file
-extension (``.jsonl`` vs ``.bin``/``.trace``) or from the leading magic
-bytes, so callers rarely name a codec explicitly.
+:func:`save_trace` picks the codec from the file extension (``.jsonl``
+vs ``.bin``/``.trace``), readers from the leading magic bytes, so
+callers rarely name a codec explicitly.
 
-Both codecs expose a *per-record* surface on top of which the eager
-``dump``/``load`` methods are built: ``encode_header``/``encode_record``
-produce the bytes for one header or record (what the spill-to-disk
-:class:`~repro.trace.stream.StreamingRecorder` appends as events
-arrive), and ``decode_record_*`` turn one frame or line back into a
-:class:`~repro.trace.events.TraceRecord` (what the incremental readers
-in :mod:`repro.trace.stream` call per frame).  Whole-file and streaming
-I/O therefore cannot drift apart — they share the same record coders.
+The codec classes are *per-record* coders: ``encode_header`` /
+``encode_record`` produce the bytes for one header or record (what
+:func:`save_trace`, :func:`dumps` and the spill-to-disk
+:class:`~repro.trace.stream.StreamingRecorder` write), ``decode_record_*``
+turn one frame or line back into a
+:class:`~repro.trace.events.TraceRecord`.  Bytes are only ever read by
+:class:`TraceReader` — :func:`load_trace`, :func:`loads` and
+:func:`~repro.trace.stream.iter_load` are all callers of it — so the
+rules of the file boundary (the :data:`MAX_FRAME_BYTES` ceiling, invalid
+UTF-8, what counts as a crash tail) are stated once.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import io
 import json
 import pathlib
 import struct
-from typing import BinaryIO, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import BinaryIO, Iterator, Optional, Tuple, Union
 
 from repro.trace.events import (
     Trace,
@@ -44,7 +47,6 @@ from repro.trace.events import (
     TraceRecord,
     RecordKind,
     TRACE_MAGIC,
-    TRACE_VERSION,
     delta_payload_from_obj,
     status_from_obj,
     status_to_obj,
@@ -54,6 +56,20 @@ PathLike = Union[str, pathlib.Path]
 
 #: 8-byte magic prefix of a binary trace file.
 BINARY_MAGIC = b"ARMUSTRC"
+
+#: Ceiling on one binary frame body, the binary header's meta and one
+#: JSONL line (the net layer's frame limit; the corpus's largest frame
+#: is 250 bytes) — the line between truncation and corruption: the
+#: reader never waits for more, the encoders never emit more.
+MAX_FRAME_BYTES = 64 * 1024 * 1024
+
+#: Accepted ``on_truncation`` policies.
+TRUNCATION_POLICIES = ("error", "ignore")
+
+#: Bytes per read of the binary frame scan.  Small enough that streaming
+#: stays far below a materialised trace's footprint (pinned by
+#: ``tests/trace/test_stream.py``), large enough to amortise syscalls.
+_SCAN_CHUNK = 1 << 16
 
 _KIND_TAGS = {
     RecordKind.BLOCK: 1,
@@ -128,13 +144,33 @@ def _record_from_obj(obj: dict) -> TraceRecord:
         raise TraceFormatError(f"malformed record object: {obj!r}") from exc
 
 
+def _bounded(data, what: str):
+    """``data`` unchanged, unless it is past the ceiling no reader accepts."""
+    if len(data) > MAX_FRAME_BYTES:
+        raise TraceFormatError(f"{what} exceeds {MAX_FRAME_BYTES} bytes")
+    return data
+
+
+def _parse_json(text: str, what: str):
+    """``json.loads``, every refusal typed: an over-long int literal is a
+    plain ``ValueError``, hostile nesting a ``RecursionError``."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise TraceFormatError(f"unparseable {what}: {text[:80]!r}") from exc
+
+
+def _canonical_json(obj: dict) -> str:
+    """The one JSON spelling both codecs write: compact, keys sorted."""
+    return json.dumps(obj, separators=(",", ":"), sort_keys=True)
+
+
 class JsonlCodec:
     """One JSON object per line; human-readable reference codec."""
 
     name = "jsonl"
     extensions = (".jsonl", ".json")
 
-    # -- per-record surface (shared by eager and streaming I/O) --------
     def encode_header(self, header: TraceHeader) -> bytes:
         """The header line (including the trailing newline)."""
         obj = {
@@ -142,58 +178,26 @@ class JsonlCodec:
             "version": header.version,
             "meta": dict(header.meta),
         }
-        return (json.dumps(obj, separators=(",", ":"), sort_keys=True) + "\n").encode(
-            "utf-8"
-        )
+        return _bounded((_canonical_json(obj) + "\n").encode("utf-8"), "header line")
 
     def encode_record(self, rec: TraceRecord) -> bytes:
         """One record line (including the trailing newline)."""
-        return (
-            json.dumps(_record_to_obj(rec), separators=(",", ":"), sort_keys=True) + "\n"
-        ).encode("utf-8")
+        line = _canonical_json(_record_to_obj(rec)) + "\n"
+        return _bounded(line.encode("utf-8"), "record line")
 
     def decode_header_line(self, line: str) -> TraceHeader:
         """Parse the header line; reject bad magic or versions."""
-        try:
-            header_obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(f"unparseable header line: {line[:80]!r}") from exc
+        header_obj = _parse_json(line, "header line")
         if not isinstance(header_obj, dict) or header_obj.get("magic") != TRACE_MAGIC:
             raise TraceFormatError("not an armus trace (bad magic)")
         return TraceHeader(
-            version=int(header_obj.get("version", -1)),
+            version=header_obj.get("version", -1),
             meta=header_obj.get("meta", {}),
         )
 
     def decode_record_line(self, line: str) -> TraceRecord:
         """Parse one record line back into a :class:`TraceRecord`."""
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(f"unparseable record line: {line[:80]!r}") from exc
-        return _record_from_obj(obj)
-
-    # -- whole-file methods --------------------------------------------
-    def dump(self, trace: Trace, fp: BinaryIO) -> None:
-        """Write ``trace`` to the binary file object ``fp``."""
-        fp.write(self.encode_header(trace.header))
-        for rec in trace.records:
-            fp.write(self.encode_record(rec))
-
-    def load(self, fp: BinaryIO) -> Trace:
-        """Read a trace from ``fp``; reject anything malformed."""
-        try:
-            text = fp.read().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise TraceFormatError("not a UTF-8 JSONL trace") from exc
-        lines = [line for line in text.splitlines() if line.strip()]
-        if not lines:
-            raise TraceFormatError("empty trace file")
-        header = self.decode_header_line(lines[0])
-        records: List[TraceRecord] = []
-        for line in lines[1:]:
-            records.append(self.decode_record_line(line))
-        return Trace(header=header, records=tuple(records))
+        return _record_from_obj(_parse_json(line, "record line"))
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +241,13 @@ def _write_str(out: bytearray, value: str) -> None:
 
 def _read_str(buf: memoryview, pos: int) -> Tuple[str, int]:
     length, pos = _read_varint(buf, pos)
-    if pos + length > len(buf):
+    end = pos + length
+    if end > len(buf):
         raise TraceFormatError("truncated string")
-    value = bytes(buf[pos : pos + length]).decode("utf-8")
-    return value, pos + length
+    try:
+        return str(buf[pos:end], "utf-8"), end
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError("string is not valid UTF-8") from exc
 
 
 def _write_status(out: bytearray, obj: dict) -> None:
@@ -281,13 +288,13 @@ class BinaryCodec:
     name = "binary"
     extensions = (".bin", ".trace")
 
-    # -- per-record surface (shared by eager and streaming I/O) --------
     def encode_header(self, header: TraceHeader) -> bytes:
         """Magic + version byte + varint-length-prefixed meta JSON."""
-        meta = json.dumps(dict(header.meta), separators=(",", ":"), sort_keys=True)
+        meta = _canonical_json(dict(header.meta)).encode("utf-8")
         out = bytearray(BINARY_MAGIC)
         out.extend(struct.pack("<B", header.version))
-        _write_str(out, meta)
+        _write_varint(out, len(_bounded(meta, "header meta")))
+        out.extend(meta)
         return bytes(out)
 
     def encode_record(self, rec: TraceRecord) -> bytes:
@@ -333,47 +340,11 @@ class BinaryCodec:
                 # Optional trailing section (v2+ causal context): frames
                 # that end right after ``clear`` stay decodable, so old
                 # recordings load unchanged.
-                _write_str(
-                    body,
-                    json.dumps(
-                        dict(trace_ctx), separators=(",", ":"), sort_keys=True
-                    ),
-                )
+                _write_str(body, _canonical_json(dict(trace_ctx)))
         frame = bytearray()
-        _write_varint(frame, len(body))
+        _write_varint(frame, len(_bounded(body, "frame")))
         frame.extend(body)
         return bytes(frame)
-
-    def decode_meta(self, meta_json: str) -> dict:
-        """Parse the header's meta JSON; wrap errors as format errors."""
-        try:
-            return json.loads(meta_json)
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError("unparseable binary header meta") from exc
-
-    # -- zero-copy frame scan ------------------------------------------
-    def scan_frames(
-        self, buf: Union[bytes, memoryview], pos: int = 0
-    ) -> Iterator[memoryview]:
-        """Walk framed records as zero-copy ``memoryview`` slices.
-
-        ``buf`` must start at a frame boundary (``pos`` past the header
-        for a whole-file buffer).  Each yielded slice is one frame body
-        — no bytes are copied and nothing is decoded; feed a slice to
-        :meth:`decode_record_frame` for the record or to
-        :meth:`lazy_record` for a decode-on-demand view.  A frame
-        running past the end of the buffer raises
-        :class:`TraceFormatError` ("truncated frame").
-        """
-        if not isinstance(buf, memoryview):
-            buf = memoryview(buf)
-        end = len(buf)
-        while pos < end:
-            length, pos = _read_varint(buf, pos)
-            if pos + length > end:
-                raise TraceFormatError("truncated frame")
-            yield buf[pos : pos + length]
-            pos += length
 
     def lazy_record(self, body: memoryview) -> "LazyRecord":
         """A decode-on-demand view of one frame body.
@@ -390,29 +361,6 @@ class BinaryCodec:
             raise TraceFormatError(f"unknown record tag {body[0]}")
         seq, _ = _read_varint(body, 1)
         return LazyRecord(kind, seq, body)
-
-    # -- whole-file methods --------------------------------------------
-    def dump(self, trace: Trace, fp: BinaryIO) -> None:
-        """Write ``trace`` to the binary file object ``fp``."""
-        fp.write(self.encode_header(trace.header))
-        for rec in trace.records:
-            fp.write(self.encode_record(rec))
-
-    def load(self, fp: BinaryIO) -> Trace:
-        """Read a trace from ``fp``; reject anything malformed."""
-        data = fp.read()
-        if not data.startswith(BINARY_MAGIC):
-            raise TraceFormatError("not a binary armus trace (bad magic)")
-        if len(data) < len(BINARY_MAGIC) + 1:
-            raise TraceFormatError("truncated binary header")
-        version = data[len(BINARY_MAGIC)]
-        buf = memoryview(data)
-        pos = len(BINARY_MAGIC) + 1
-        meta_json, pos = _read_str(buf, pos)
-        header = TraceHeader(version=version, meta=self.decode_meta(meta_json))
-        decode = self.decode_record_frame
-        records = tuple(decode(body) for body in self.scan_frames(buf, pos))
-        return Trace(header=header, records=records)
 
     def decode_record_frame(self, body: memoryview) -> TraceRecord:
         if len(body) == 0:
@@ -482,12 +430,7 @@ class BinaryCodec:
             if pos < len(body):
                 # Trailing causal-context section (absent in old frames).
                 trace_json, pos = _read_str(body, pos)
-                try:
-                    obj["trace"] = json.loads(trace_json)
-                except json.JSONDecodeError as exc:
-                    raise TraceFormatError(
-                        "unparseable delta trace context"
-                    ) from exc
+                obj["trace"] = _parse_json(trace_json, "delta trace context")
             payload = delta_payload_from_obj(obj)
             rec = TraceRecord(seq=seq, kind=kind, site=site, payload=payload)
         if pos != len(body):
@@ -562,35 +505,207 @@ def codec_for(path: PathLike, codec: Optional[str] = None):
     return CODECS["jsonl"]
 
 
+def _write_trace(trace: Trace, fp: BinaryIO, codec) -> None:
+    """The one write loop: header, then every record."""
+    fp.write(codec.encode_header(trace.header))
+    for rec in trace.records:
+        fp.write(codec.encode_record(rec))
+
+
 def save_trace(trace: Trace, path: PathLike, codec: Optional[str] = None) -> pathlib.Path:
     """Write ``trace`` to ``path`` under the chosen (or inferred) codec."""
     path = pathlib.Path(path)
     chosen = codec_for(path, codec)
     with open(path, "wb") as fp:
-        chosen.dump(trace, fp)
+        _write_trace(trace, fp, chosen)
     return path
-
-
-def load_trace(path: PathLike) -> Trace:
-    """Read a trace from ``path``, sniffing the codec from its magic."""
-    path = pathlib.Path(path)
-    with open(path, "rb") as fp:
-        prefix = fp.read(len(BINARY_MAGIC))
-        fp.seek(0)
-        if prefix == BINARY_MAGIC:
-            return CODECS["binary"].load(fp)
-        return CODECS["jsonl"].load(fp)
 
 
 def dumps(trace: Trace, codec: str = "jsonl") -> bytes:
     """Serialise ``trace`` to bytes (tests and in-memory round-trips)."""
     buf = io.BytesIO()
-    CODECS[codec].dump(trace, buf)
+    _write_trace(trace, buf, CODECS[codec])
     return buf.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# the one reader
+# ---------------------------------------------------------------------------
+def _text(raw, what: str) -> str:
+    """Decode one header meta or JSONL line; bad UTF-8 is a format error."""
+    try:
+        return str(raw, "utf-8")
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"{what} is not valid UTF-8") from exc
+
+
+def _scan_frames(fp: BinaryIO, forgive_tail: bool) -> Iterator[memoryview]:
+    """Zero-copy frame scan: chunked reads, ``memoryview`` slices.
+
+    The file is read in chunks (memory stays O(chunk + frame), not
+    O(file)) and each complete frame body inside a chunk is yielded as
+    a slice of that chunk's buffer — no per-frame ``bytes`` copy and no
+    byte-at-a-time varint reads.  A frame split across the chunk
+    boundary carries its prefix into the next read (which grows with
+    the carry: a frame spanning many chunks is copied O(1) times);
+    leftover bytes at EOF are the crash tail ``forgive_tail`` governs.
+    The chunk buffers are immutable ``bytes``, so a consumer holding a
+    yielded slice (a lazy record) keeps its chunk alive and valid.
+    """
+    tail = b""
+    while True:
+        chunk = fp.read(max(_SCAN_CHUNK, len(tail)))
+        if not chunk:
+            if tail and not forgive_tail:
+                raise TraceFormatError("truncated frame at end of stream")
+            return
+        data = tail + chunk if tail else chunk
+        buf = memoryview(data)
+        end = len(buf)
+        pos = 0
+        while True:
+            # Frame-length varint, tolerant of a chunk-boundary
+            # split (p < 0 below means "need more data", which
+            # is only truncation if the file ends here).
+            length = 0
+            shift = 0
+            p = pos
+            while True:
+                if p >= end:
+                    p = -1
+                    break
+                byte = buf[p]
+                p += 1
+                length |= (byte & 0x7F) << shift
+                if not byte & 0x80:
+                    break
+                shift += 7
+                if shift > 63:
+                    raise TraceFormatError("varint too long")
+            if p < 0 or p + length > end:
+                # Only a frame that would be waited for is measured: a
+                # length past the ceiling is corruption under either
+                # policy, never a tail worth buffering the file for.
+                if p >= 0 and length > MAX_FRAME_BYTES:
+                    raise TraceFormatError(f"frame exceeds {MAX_FRAME_BYTES} bytes")
+                break
+            yield buf[p : p + length]
+            pos = p + length
+        tail = data[pos:] if pos < end else b""
+
+
+def _scan_lines(fp: BinaryIO) -> Iterator[bytes]:
+    """Non-blank JSONL lines, split on ``b"\\n"`` and nothing else (U+2028
+    and friends are legal inside a JSON string), each within the ceiling."""
+    while True:
+        line = fp.readline(MAX_FRAME_BYTES + 1)
+        if not line:
+            return
+        if _bounded(line, "line").strip():
+            yield line
+
+
+class TraceReader:
+    """The only code that turns trace bytes into records.
+
+    ``fp`` is a seekable binary file positioned at the start of a trace.
+    Construction sniffs the codec from the first 8 bytes
+    (:attr:`is_binary`) and parses the header (:attr:`header`) — a file
+    that ends or goes wrong before its header is complete holds no
+    replayable records, under either policy.  After that the reader is
+    a single pass: :meth:`frames` hands out the raw units, iteration
+    decodes each, :meth:`lazy_records` defers the decoding.
+
+    Everything malformed is a :class:`TraceFormatError` at the frame or
+    line that carries it: invalid UTF-8, a frame, header meta or line
+    past :data:`MAX_FRAME_BYTES`, an unknown tag, a bad field.
+    ``on_truncation="ignore"`` forgives exactly one thing — an
+    unterminated final frame or line within the ceiling, what a recorder
+    that died mid-write leaves behind — and yields every complete record
+    before it.  Tolerance is for crashes, not for corruption.
+    """
+
+    def __init__(self, fp: BinaryIO, on_truncation: str = "error") -> None:
+        if on_truncation not in TRUNCATION_POLICIES:
+            raise ValueError(
+                f"on_truncation must be one of {TRUNCATION_POLICIES}, "
+                f"got {on_truncation!r}"
+            )
+        self._forgive_tail = on_truncation == "ignore"
+        sniffed = fp.read(len(BINARY_MAGIC))
+        self.is_binary = sniffed == BINARY_MAGIC
+        if self.is_binary:
+            # Past magic and version byte a binary trace is nothing but
+            # length-prefixed frames; the first one holds the meta JSON.
+            version = fp.read(1)
+            self._frames = _scan_frames(fp, self._forgive_tail)
+            meta = next(self._frames, None)
+            if meta is None:
+                raise TraceFormatError("truncated binary header")
+            self.header = TraceHeader(
+                version=version[0],
+                meta=_parse_json(_text(meta, "header meta"), "binary header meta"),
+            )
+        else:
+            fp.seek(-len(sniffed), io.SEEK_CUR)
+            self._frames = _scan_lines(fp)
+            line = next(self._frames, None)
+            if line is None:
+                raise TraceFormatError("empty trace file")
+            self.header = CODECS["jsonl"].decode_header_line(
+                _text(line, "header line")
+            )
+
+    def frames(self) -> Iterator[Union[memoryview, bytes]]:
+        """The undecoded rest of the file: binary frame bodies as zero-copy
+        ``memoryview`` slices of the scan's chunks (``decode_record_frame``
+        and ``lazy_record`` take one), or JSONL lines as ``bytes``."""
+        return self._frames
+
+    def __iter__(self) -> Iterator[TraceRecord]:
+        if self.is_binary:
+            return map(CODECS["binary"].decode_record_frame, self._frames)
+        return self._decode_lines()
+
+    def _decode_lines(self) -> Iterator[TraceRecord]:
+        decode = CODECS["jsonl"].decode_record_line
+        for line in self._frames:
+            try:
+                rec = decode(_text(line, "record line"))
+            except TraceFormatError:
+                # A crash tail is an unterminated partial line, so only
+                # the last line of the file can be one; a bad line that
+                # got its newline is corruption, not a crash.
+                if self._forgive_tail and not line.endswith(b"\n"):
+                    return
+                raise
+            yield rec
+
+    def lazy_records(self) -> Iterator[TraceRecord]:
+        """Iterate records, deferring binary frame decoding to first use.
+
+        The replay fast path: binary frames come back as
+        :class:`LazyRecord` views (``kind``/``seq`` eager, everything
+        else decoded on first field access), so records a consumer never
+        inspects beyond their kind are never decoded at all.  JSONL has
+        no framed fast path and falls back to eager line decoding.
+        Truncation policy and envelope validation match :meth:`__iter__`;
+        see :class:`LazyRecord` for the one semantic difference (interior
+        corruption of a skipped frame goes unreported).
+        """
+        if self.is_binary:
+            return map(CODECS["binary"].lazy_record, self._frames)
+        return iter(self)
+
+
+def load_trace(path: PathLike) -> Trace:
+    """Read a trace from ``path``, sniffing the codec from its magic."""
+    with open(path, "rb") as fp:
+        reader = TraceReader(fp)
+        return Trace(reader.header, tuple(reader))
 
 
 def loads(data: bytes) -> Trace:
     """Deserialise bytes produced by :func:`dumps` (codec sniffed)."""
-    if data.startswith(BINARY_MAGIC):
-        return CODECS["binary"].load(io.BytesIO(data))
-    return CODECS["jsonl"].load(io.BytesIO(data))
+    reader = TraceReader(io.BytesIO(data))
+    return Trace(reader.header, tuple(reader))

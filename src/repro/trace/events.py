@@ -74,7 +74,8 @@ class RecordKind(enum.Enum):
 
 # ---------------------------------------------------------------------------
 # status (de)serialisation — the per-status wire form shared by BLOCK
-# records and PUBLISH payloads (mirrors repro.distributed.store's format)
+# records, PUBLISH payloads and the delta protocol's blobs (its one
+# spelling: repro.distributed.delta.encode_bucket/decode_blob wrap it)
 # ---------------------------------------------------------------------------
 def status_to_obj(status: BlockedStatus) -> dict:
     """Serialise one blocked status to a plain JSON-able dict."""
@@ -425,10 +426,17 @@ class TraceHeader:
     meta: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.version not in SUPPORTED_VERSIONS:
+        # ``type(...) is int``: a JSONL header's ``true`` equals 1 and
+        # would otherwise read as version 1.
+        if type(self.version) is not int or self.version not in SUPPORTED_VERSIONS:
             raise TraceFormatError(
-                f"unsupported trace version {self.version} "
+                f"unsupported trace version {self.version!r} "
                 f"(this reader understands {SUPPORTED_VERSIONS})"
+            )
+        if not isinstance(self.meta, Mapping):
+            raise TraceFormatError(
+                f"trace header meta must be an object, "
+                f"got {type(self.meta).__name__}"
             )
 
 

@@ -432,10 +432,7 @@ class ReplayEngine:
         # check_every=1 replays of deadlocked traces quadratic.
         statuses = None
         for report in reports:
-            # De-duplicate on the cycle's vertex set: as more tasks pile
-            # onto a persisting deadlock the involved *task* set grows,
-            # but the cycle itself is stable — one deadlock, one report.
-            key = frozenset(report.cycle)
+            key = report.cycle_key
             if key in seen:
                 continue
             seen.add(key)

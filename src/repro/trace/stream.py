@@ -1,14 +1,11 @@
 """Streaming trace I/O: O(frame) reads and spill-to-disk recording.
 
-PR 1's codecs load whole traces into memory before the first record is
-seen; this module is the incremental counterpart on both sides of the
-file:
-
-* :func:`iter_load` returns a :class:`StreamedTrace` — the header read
-  eagerly (it is the first thing in the file under both codecs) and the
-  records exposed as a re-iterable lazy stream.  The framed binary
-  format was designed for this (every frame is self-delimiting), and
-  JSONL gets a line-at-a-time path.  Peak memory is one frame, so a
+* :func:`iter_load` returns a :class:`StreamedTrace` — a path, its
+  header (the first thing in the file under both codecs) and the
+  records as a re-iterable lazy stream: every iteration opens the file
+  and runs one :class:`~repro.trace.codec.TraceReader` over it, the
+  same reader :func:`~repro.trace.codec.load_trace` materialises a
+  tuple from.  Peak memory is one read chunk plus one frame, so a
   million-event trace replays in constant space.
 * :class:`StreamingRecorder` is a drop-in :class:`TraceRecorder` that
   writes each record to disk the moment it is observed instead of
@@ -21,96 +18,17 @@ mid-write leaves a trailing partial frame (or partial JSON line), and
 record before it instead of failing.  Anything malformed *before* the
 tail is still a hard :class:`~repro.trace.events.TraceFormatError` —
 tolerance is for crashes, not for corruption.
-
-Both paths reuse the per-record coders on the codec classes
-(``encode_record`` / ``decode_record_frame`` / ``decode_record_line``),
-so streaming and eager I/O decode byte-for-byte identically — the
-equivalence is pinned by ``tests/trace/test_stream.py``.
 """
 
 from __future__ import annotations
 
 import pathlib
-from typing import BinaryIO, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro.trace import events as ev
-from repro.trace.codec import (
-    BINARY_MAGIC,
-    CODECS,
-    PathLike,
-    codec_for,
-    load_trace,
-    save_trace,
-)
-from repro.trace.events import TraceFormatError, TraceHeader, TraceRecord
+from repro.trace.codec import PathLike, TraceReader, codec_for, load_trace, save_trace
+from repro.trace.events import TraceRecord
 from repro.trace.recorder import TraceRecorder
-
-#: Accepted ``on_truncation`` policies.
-TRUNCATION_POLICIES = ("error", "ignore")
-
-#: Bytes per read of the zero-copy binary frame scan.  Small enough
-#: that streaming stays far below eager load's footprint (pinned by
-#: ``tests/trace/test_stream.py``), large enough to amortise syscalls.
-_SCAN_CHUNK = 1 << 16
-
-
-class _TruncatedTail(TraceFormatError):
-    """Internal: the stream ended mid-frame (recoverable in ignore mode)."""
-
-
-def _read_varint_stream(fp: BinaryIO) -> Optional[int]:
-    """Read one LEB128 varint byte-at-a-time.
-
-    Returns ``None`` on clean EOF at a frame boundary; raises
-    :class:`_TruncatedTail` when the stream ends mid-varint.
-    """
-    result = 0
-    shift = 0
-    first = True
-    while True:
-        byte = fp.read(1)
-        if not byte:
-            if first:
-                return None
-            raise _TruncatedTail("stream ended mid-varint")
-        value = byte[0]
-        first = False
-        result |= (value & 0x7F) << shift
-        if not value & 0x80:
-            return result
-        shift += 7
-        if shift > 63:
-            raise TraceFormatError("varint too long")
-
-
-def _read_binary_header(fp: BinaryIO) -> TraceHeader:
-    """Read magic + version + meta from the front of a binary stream.
-
-    Header truncation is always fatal — a file that died before its
-    header holds no replayable records under any policy.
-    """
-    magic = fp.read(len(BINARY_MAGIC))
-    if magic != BINARY_MAGIC:
-        raise TraceFormatError("not a binary armus trace (bad magic)")
-    version_byte = fp.read(1)
-    if not version_byte:
-        raise TraceFormatError("truncated binary header")
-    try:
-        length = _read_varint_stream(fp)
-    except _TruncatedTail:
-        raise TraceFormatError("truncated binary header") from None
-    if length is None:
-        raise TraceFormatError("truncated binary header")
-    meta_bytes = fp.read(length)
-    if len(meta_bytes) < length:
-        raise TraceFormatError("truncated binary header")
-    try:
-        meta_json = meta_bytes.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise TraceFormatError("unparseable binary header meta") from exc
-    return TraceHeader(
-        version=version_byte[0], meta=CODECS["binary"].decode_meta(meta_json)
-    )
 
 
 class StreamedTrace:
@@ -124,147 +42,27 @@ class StreamedTrace:
     """
 
     def __init__(self, path: PathLike, on_truncation: str = "error") -> None:
-        if on_truncation not in TRUNCATION_POLICIES:
-            raise ValueError(
-                f"on_truncation must be one of {TRUNCATION_POLICIES}, "
-                f"got {on_truncation!r}"
-            )
         self.path = pathlib.Path(path)
         self.on_truncation = on_truncation
         with open(self.path, "rb") as fp:
-            prefix = fp.read(len(BINARY_MAGIC))
-        self.is_binary = prefix == BINARY_MAGIC
+            reader = TraceReader(fp, on_truncation)
+        self.header = reader.header
+        self.is_binary = reader.is_binary
+
+    def _pass(self, records) -> Iterator[TraceRecord]:
+        """One pass of ``records(reader)`` over the file, which closes
+        when the iteration ends."""
         with open(self.path, "rb") as fp:
-            if self.is_binary:
-                self.header = _read_binary_header(fp)
-            else:
-                self.header = self._read_jsonl_header(fp)
+            yield from records(TraceReader(fp, self.on_truncation))
 
-    # -- header ---------------------------------------------------------
-    def _read_jsonl_header(self, fp: BinaryIO) -> TraceHeader:
-        for raw in fp:
-            if not raw.strip():
-                continue
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise TraceFormatError("not a UTF-8 JSONL trace") from exc
-            return CODECS["jsonl"].decode_header_line(line)
-        raise TraceFormatError("empty trace file")
-
-    # -- records --------------------------------------------------------
     def __iter__(self) -> Iterator[TraceRecord]:
-        if self.is_binary:
-            return self._iter_binary()
-        return self._iter_jsonl()
-
-    def _iter_binary(self) -> Iterator[TraceRecord]:
-        decode = CODECS["binary"].decode_record_frame
-        for body in self._scan_binary_frames():
-            yield decode(body)
-
-    def _scan_binary_frames(self) -> Iterator[memoryview]:
-        """Zero-copy frame scan: chunked reads, ``memoryview`` slices.
-
-        The streaming counterpart of
-        :meth:`~repro.trace.codec.BinaryCodec.scan_frames`: the file is
-        read in fixed chunks (memory stays O(chunk), not O(file)) and
-        each complete frame body inside a chunk is yielded as a slice
-        of that chunk's buffer — no per-frame ``bytes`` copy and no
-        byte-at-a-time varint reads.  A frame split across the chunk
-        boundary carries its prefix into the next read; leftover bytes
-        at EOF are the crash tail the truncation policy governs.  The
-        chunk buffers are immutable ``bytes``, so a consumer holding a
-        yielded slice (a lazy record) keeps its chunk alive and valid.
-        """
-        with open(self.path, "rb") as fp:
-            _read_binary_header(fp)
-            tail = b""
-            while True:
-                chunk = fp.read(_SCAN_CHUNK)
-                if not chunk:
-                    if tail:
-                        if self.on_truncation == "ignore":
-                            return
-                        raise TraceFormatError("truncated frame at end of stream")
-                    return
-                data = tail + chunk if tail else chunk
-                buf = memoryview(data)
-                end = len(buf)
-                pos = 0
-                while True:
-                    # Frame-length varint, tolerant of a chunk-boundary
-                    # split (p < 0 below means "need more data", which
-                    # is only truncation if the file ends here).
-                    length = 0
-                    shift = 0
-                    p = pos
-                    while True:
-                        if p >= end:
-                            p = -1
-                            break
-                        byte = buf[p]
-                        p += 1
-                        length |= (byte & 0x7F) << shift
-                        if not byte & 0x80:
-                            break
-                        shift += 7
-                        if shift > 63:
-                            raise TraceFormatError("varint too long")
-                    if p < 0 or p + length > end:
-                        break
-                    yield buf[p : p + length]
-                    pos = p + length
-                tail = data[pos:] if pos < end else b""
+        return self._pass(iter)
 
     def lazy_records(self) -> Iterator[TraceRecord]:
-        """Iterate records, deferring binary frame decoding to first use.
-
-        The replay fast path: binary frames come back as
-        :class:`~repro.trace.codec.LazyRecord` views (``kind``/``seq``
-        eager, everything else decoded on first field access), so
-        records a consumer never inspects beyond their kind are never
-        decoded at all.  JSONL has no framed fast path and falls back
-        to eager line decoding.  Truncation policy and envelope
-        validation match :meth:`__iter__`; see
-        :class:`~repro.trace.codec.LazyRecord` for the one semantic
-        difference (interior corruption of a skipped frame goes
-        unreported).
-        """
-        if not self.is_binary:
-            return self._iter_jsonl()
-        lazy = CODECS["binary"].lazy_record
-        return map(lazy, self._scan_binary_frames())
-
-    def _iter_jsonl(self) -> Iterator[TraceRecord]:
-        codec = CODECS["jsonl"]
-        with open(self.path, "rb") as fp:
-            header_seen = False
-            bad_line: Optional[TraceFormatError] = None
-            for raw in fp:
-                if bad_line is not None:
-                    # The failure was *followed* by another line — blank
-                    # included: a crash tail is an unterminated partial
-                    # line, so anything after the newline proves this
-                    # was corruption, not a crash.  Always fatal.
-                    raise bad_line
-                if not raw.strip():
-                    continue
-                try:
-                    line = raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    bad_line = TraceFormatError("undecodable record line")
-                    bad_line.__cause__ = exc
-                    continue
-                if not header_seen:
-                    header_seen = True
-                    continue
-                try:
-                    yield codec.decode_record_line(line)
-                except TraceFormatError as exc:
-                    bad_line = exc
-            if bad_line is not None and self.on_truncation == "error":
-                raise bad_line
+        """Iterate with binary frame decoding deferred to first use —
+        the replay fast path; see
+        :meth:`~repro.trace.codec.TraceReader.lazy_records`."""
+        return self._pass(TraceReader.lazy_records)
 
 
 def iter_load(path: PathLike, on_truncation: str = "error") -> StreamedTrace:

@@ -14,18 +14,17 @@ from __future__ import annotations
 import pytest
 
 from repro.core.events import waiting_on
-from repro.distributed.delta import DeltaSequenceError, make_snapshot
+from repro.distributed.delta import DeltaSequenceError, encode_bucket, make_snapshot
 from repro.distributed.net import CheckerService, RemoteStore
 from repro.distributed.store import (
     InMemoryStore,
     ReplicatedStore,
     StoreUnavailableError,
-    encode_statuses,
 )
 
 
 def blob(*tasks):
-    return encode_statuses(
+    return encode_bucket(
         {t: waiting_on(f"e{t}", 1, **{f"e{t}": 1}) for t in tasks}
     )
 
@@ -130,8 +129,8 @@ class TestReplicatedOverTheWire:
         outage window is still detected service-side once the replica
         set heals, and the report reaches the client decoded."""
         client, replicas = cluster
-        knot_a = encode_statuses({"a": waiting_on("p", 1, p=1, q=0)})
-        knot_b = encode_statuses({"b": waiting_on("q", 1, q=1, p=0)})
+        knot_a = encode_bucket({"a": waiting_on("p", 1, p=1, q=0)})
+        knot_b = encode_bucket({"b": waiting_on("q", 1, q=1, p=0)})
         client.append_delta("s0", make_snapshot(1, knot_a, "SA"))
         replicas[0].set_available(False)
         client.append_delta("s1", make_snapshot(1, knot_b, "SB"))

@@ -50,9 +50,7 @@ def crossed_knot():
 
 
 def blob(*tasks):
-    from repro.distributed.store import encode_statuses
-
-    return encode_statuses(
+    return encode_bucket(
         {t: waiting_on(f"e{t}", 1, **{f"e{t}": 1}) for t in tasks}
     )
 

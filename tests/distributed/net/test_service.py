@@ -29,7 +29,6 @@ from repro.distributed.net.framing import (
     encode_frame,
 )
 from repro.distributed.net.service import CheckerServiceCore
-from repro.distributed.store import encode_statuses
 from repro.obs.registry import MetricsRegistry
 from repro.trace.events import report_from_obj
 
@@ -169,6 +168,35 @@ class TestCoreDispatch:
         assert core.handle({"op": "check"})["value"] is not None  # re-answered
         reports = core.handle({"op": "reports"})["value"]
         assert len(reports) == 1  # ... but logged once
+
+    def test_bystanders_do_not_multiply_the_report(self):
+        """One deadlock, one report: tasks piling onto a persisting knot
+        grow an SG report's task set but not its cycle, and the service
+        files exactly what a replay of the same deltas files."""
+        from repro.trace.events import Trace, TraceHeader, publish_delta
+        from repro.trace.replay import replay
+
+        core = CheckerServiceCore()
+        tenant = core.tenant("default")
+        a, b = crossed_knot()
+        statuses = {**a, **b}
+        publisher = DeltaPublisher("s0")
+        records, cycles = [], set()
+        for n in range(4):
+            obj = publisher.prepare(encode_bucket(statuses))
+            tenant.append_delta("s0", obj)
+            publisher.commit(obj)
+            records.append(publish_delta(n, "s0", obj))
+            answer = core.handle({"op": "check"})["value"]
+            cycles.add(json.dumps(answer["cycle"]))
+            assert len(answer["tasks"]) == 2 + n  # the bystanders are named
+            statuses[f"w{n}"] = waiting_on("p", 1, w=0)
+        assert len(cycles) == 1  # ... around one unchanged cycle
+        replayed = replay(Trace(TraceHeader(meta={}), tuple(records)))
+        assert len(replayed.reports) == 1
+        assert len(core.handle({"op": "reports"})["value"]) == 1
+        health = core.handle({"op": "health"})["value"]
+        assert health["tenants"]["default"]["report_count"] == 1
 
     def test_stable_deadlock_is_not_reattributed(self, monkeypatch):
         from repro.obs import tracing
@@ -369,7 +397,7 @@ class TestObsIntegration:
                     "s0",
                     make_snapshot(
                         1,
-                        encode_statuses({"t": waiting_on("p", 1, p=1)}),
+                        encode_bucket({"t": waiting_on("p", 1, p=1)}),
                         "S",
                     ),
                 )

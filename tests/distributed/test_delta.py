@@ -23,12 +23,12 @@ from repro.distributed.delta import (
     DeltaPublisher,
     DeltaSequenceError,
     apply_delta_obj,
+    decode_blob,
     diff_buckets,
     encode_bucket,
     make_snapshot,
     merge_buckets,
 )
-from repro.distributed.store import decode_statuses, encode_statuses
 
 CORPUS = Path(__file__).resolve().parents[1] / "trace" / "corpus"
 
@@ -172,16 +172,16 @@ class TestApplyDeltaObj:
 class TestMergeBuckets:
     def test_is_the_disjoint_union_of_the_decoded_buckets(self):
         payloads = {
-            "s0": encode_statuses({"t1": waiting_on("p", 1, p=1)}),
-            "s1": encode_statuses({"t2": waiting_on("q", 1, q=1)}),
+            "s0": encode_bucket({"t1": waiting_on("p", 1, p=1)}),
+            "s1": encode_bucket({"t2": waiting_on("q", 1, q=1)}),
         }
-        expected = {**decode_statuses(payloads["s0"]),
-                    **decode_statuses(payloads["s1"])}
+        expected = {task: decode_blob(blob) for bucket in payloads.values()
+                    for task, blob in bucket.items()}
         merged = merge_buckets(payloads).statuses
         assert merged == expected and list(merged) == ["t1", "t2"]
 
     def test_duplicate_task_error_text_matches_classic(self):
-        blob = encode_statuses({"t1": waiting_on("p", 1, p=1)})
+        blob = encode_bucket({"t1": waiting_on("p", 1, p=1)})
         with pytest.raises(ValueError, match="published by several sites"):
             merge_buckets({"s0": blob, "s1": blob})
 

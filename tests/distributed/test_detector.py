@@ -20,7 +20,6 @@ from repro.distributed.detector import DistributedChecker
 from repro.distributed.store import (
     InMemoryStore,
     StoreUnavailableError,
-    encode_statuses,
 )
 
 
@@ -44,14 +43,14 @@ def crossed_knot():
 class TestMerge:
     def test_disjoint_union(self):
         payloads = {
-            "s0": encode_statuses({"t1": waiting_on("p", 1, p=1)}),
-            "s1": encode_statuses({"t2": waiting_on("q", 1, q=1)}),
+            "s0": encode_bucket({"t1": waiting_on("p", 1, p=1)}),
+            "s1": encode_bucket({"t2": waiting_on("q", 1, q=1)}),
         }
         snap = merge_buckets(payloads)
         assert set(snap.tasks) == {"t1", "t2"}
 
     def test_duplicate_task_rejected(self):
-        blob = encode_statuses({"t1": waiting_on("p", 1, p=1)})
+        blob = encode_bucket({"t1": waiting_on("p", 1, p=1)})
         with pytest.raises(ValueError):
             merge_buckets({"s0": blob, "s1": blob})
 

@@ -14,6 +14,7 @@ from repro.core.events import BlockedStatus, Event, waiting_on
 from repro.distributed.delta import (
     DeltaPublisher,
     DeltaSequenceError,
+    decode_blob,
     encode_bucket,
     make_snapshot,
 )
@@ -21,8 +22,6 @@ from repro.distributed.store import (
     InMemoryStore,
     ReplicatedStore,
     StoreUnavailableError,
-    decode_statuses,
-    encode_statuses,
 )
 
 
@@ -52,7 +51,8 @@ class TestWireFormat:
                 generation=7,
             ),
         }
-        decoded = decode_statuses(encode_statuses(statuses))
+        decoded = {task: decode_blob(blob)
+                   for task, blob in encode_bucket(statuses).items()}
         assert decoded["t1"].waits == statuses["t1"].waits
         assert dict(decoded["t1"].registered) == dict(statuses["t1"].registered)
         assert decoded["t2"].waits == statuses["t2"].waits
@@ -61,7 +61,7 @@ class TestWireFormat:
     def test_encoding_is_json_plain(self):
         import json
 
-        blob = encode_statuses({"t": waiting_on("p", 1, p=1)})
+        blob = encode_bucket({"t": waiting_on("p", 1, p=1)})
         json.dumps(blob)  # must not raise
 
 

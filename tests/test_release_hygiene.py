@@ -98,6 +98,33 @@ class TestPublicApi:
                     assert obj.__doc__, f"{package}.{name} lacks a docstring"
 
 
+class TestOneTraceReader:
+    def test_trace_bytes_are_opened_only_beside_the_reader(self):
+        """``repro.trace.codec.TraceReader`` is the only code that turns
+        trace bytes into records; a second reader cannot reappear
+        unnoticed if nothing else in the package opens a file to read
+        bytes."""
+        openers = set()
+        for path in sorted((REPO / "src" / "repro" / "trace").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id == "open"):
+                    continue
+                modes = node.args[1:2] + [
+                    k.value for k in node.keywords if k.arg == "mode"]
+                if any(isinstance(m, ast.Constant) and m.value == "rb"
+                       for m in modes):
+                    openers.add(path.name)
+        assert openers == {"codec.py", "stream.py"}
+
+    def test_trace_lines_are_never_split_by_str_splitlines(self):
+        """It splits on U+2028, U+0085 and friends, all legal inside a
+        JSON string; the reader splits on ``b"\\n"`` only."""
+        for path in sorted((REPO / "src" / "repro" / "trace").glob("*.py")):
+            assert "splitlines" not in path.read_text(), path.name
+
+
 class TestExamples:
     def test_examples_present_and_parse(self):
         examples = sorted((REPO / "examples").glob("*.py"))

@@ -1,0 +1,423 @@
+"""One hostile table for the one reader.
+
+Every way a trace file can be opened — ``loads``, ``load_trace``,
+``iter_load`` under both truncation policies, ``lazy_records()`` with
+every record materialised — is a caller of
+:class:`~repro.trace.codec.TraceReader`, so every row below is pushed
+through all of them and they must agree: the same header and records, or
+:class:`TraceFormatError`.  Never another exception type (anything else
+escapes :func:`verdicts` and fails the test), never a different answer
+per door.
+
+The two policies may differ in exactly one way: where ``error`` refuses
+a file, ``ignore`` may instead stop in front of an unterminated final
+frame or line.  Where ``error`` loads, ``ignore`` loads the same.
+"""
+
+from __future__ import annotations
+
+import itertools
+import pathlib
+import time
+import tracemalloc
+
+import pytest
+
+from repro.core.events import BlockedStatus, Event, waiting_on
+from repro.trace import codec as codec_mod
+from repro.trace import events as ev
+from repro.trace.cli import main
+from repro.trace.codec import (
+    BINARY_MAGIC,
+    CODECS,
+    LazyRecord,
+    dumps,
+    load_trace,
+    loads,
+)
+from repro.trace.events import Trace, TraceFormatError, TraceHeader
+from repro.trace.stream import iter_load
+
+CODEC_NAMES = ("binary", "jsonl")
+REFUSED = "TraceFormatError"
+JSONL_HEADER = b'{"magic":"armus-trace","version":3,"meta":{}}\n'
+
+
+# ---------------------------------------------------------------------------
+# the doors
+# ---------------------------------------------------------------------------
+def materialized(records):
+    return tuple(
+        rec.materialize() if isinstance(rec, LazyRecord) else rec
+        for rec in records
+    )
+
+
+def _streamed(path, policy, lazy):
+    stream = iter_load(path, on_truncation=policy)
+    records = stream.lazy_records() if lazy else stream
+    return stream.header, materialized(records)
+
+
+def _whole(trace):
+    return trace.header, trace.records
+
+
+DOORS = {
+    "loads": lambda data, path: _whole(loads(data)),
+    "load_trace": lambda data, path: _whole(load_trace(path)),
+    "iter_load": lambda data, path: _streamed(path, "error", lazy=False),
+    "lazy_records": lambda data, path: _streamed(path, "error", lazy=True),
+    "iter_load/ignore": lambda data, path: _streamed(path, "ignore", lazy=False),
+    "lazy_records/ignore": lambda data, path: _streamed(path, "ignore", lazy=True),
+}
+TOLERANT = ("iter_load/ignore", "lazy_records/ignore")
+
+
+def verdicts(data: bytes, path):
+    """``data`` through every door: ``(strict, tolerant)`` outcomes,
+    each :data:`REFUSED` or ``(header, records)``, after asserting that
+    the doors of one policy agree and the policies differ only where
+    ``ignore`` is allowed to."""
+    path.write_bytes(data)
+    seen = {}
+    for name, door in DOORS.items():
+        try:
+            seen[name] = door(data, path)
+        except TraceFormatError:
+            seen[name] = REFUSED
+    strict = seen["loads"]
+    tolerant = seen[TOLERANT[0]]
+    for name, outcome in seen.items():
+        expected = tolerant if name in TOLERANT else strict
+        assert outcome == expected, f"{name} disagrees with its policy's doors"
+    if strict != REFUSED:
+        assert tolerant == strict, "ignore changed the answer for a good file"
+    return strict, tolerant
+
+
+def assert_refused(data: bytes, path) -> None:
+    assert verdicts(data, path) == (REFUSED, REFUSED)
+
+
+@pytest.fixture
+def path(tmp_path):
+    return tmp_path / "hostile.trace"
+
+
+# ---------------------------------------------------------------------------
+# the traces the rows are cut from
+# ---------------------------------------------------------------------------
+def status(phaser="p", phase=1):
+    return waiting_on(phaser, phase, **{phaser: phase})
+
+
+def single_site_trace() -> Trace:
+    return Trace(
+        TraceHeader(meta={"scenario": "pair"}),
+        (
+            ev.register(0, "t1", "p", 0),
+            ev.advance(1, "t1", "p", 1),
+            ev.block(2, "t1", status()),
+            ev.block(
+                3,
+                "t2",
+                BlockedStatus(
+                    waits=frozenset({Event("q", 2), Event("p", 1)}),
+                    registered={"q": 1, "p": 1},
+                    generation=4,
+                ),
+            ),
+            ev.unblock(4, "t1"),
+        ),
+    )
+
+
+def blob(phaser="p"):
+    return {"waits": [[phaser, 1]], "registered": {phaser: 1}, "generation": 0}
+
+
+def delta_trace() -> Trace:
+    def payload(seq, kind, **ops):
+        return {
+            "v": 2, "stream": "S", "seq": seq, "kind": kind,
+            "set": ops.get("set", {}), "restore": ops.get("restore", {}),
+            "clear": ops.get("clear", []),
+        }
+
+    traced = payload(2, "delta", set={"b": blob("q")},
+                     restore={"c": blob()}, clear=["a"])
+    traced["trace"] = {"span": "deadbeef"}
+    return Trace(
+        TraceHeader(meta={}),
+        (
+            ev.publish(0, "s0", {"z": blob()}),
+            ev.publish_delta(1, "s0", payload(1, "snapshot", set={"a": blob()})),
+            ev.publish_delta(2, "s0", traced),
+        ),
+    )
+
+
+SWEPT = {"single-site": single_site_trace, "deltas": delta_trace}
+
+
+def binary_header(meta_json: bytes, version: int = 3) -> bytes:
+    out = bytearray(BINARY_MAGIC + bytes([version]))
+    codec_mod._write_varint(out, len(meta_json))
+    return bytes(out) + meta_json
+
+
+def varint(value: int) -> bytes:
+    out = bytearray()
+    codec_mod._write_varint(out, value)
+    return bytes(out)
+
+
+# ---------------------------------------------------------------------------
+# the table — file-shaped rows every door (and the CLI) must refuse
+# ---------------------------------------------------------------------------
+def _named(marker: bytes) -> bytes:
+    """A binary trace naming a task, phaser, site and stream, with the
+    first byte of the name ``marker`` flipped to 0xFF."""
+    trace = Trace(
+        TraceHeader(meta={}),
+        (
+            ev.block(0, "TASKNAME", status("PHASERNAME")),
+            ev.publish_delta(1, "SITENAME", {
+                "v": 2, "stream": "STREAMNAME", "seq": 1, "kind": "snapshot",
+                "set": {}, "restore": {}, "clear": [],
+            }),
+        ),
+    )
+    data = dumps(trace, "binary")
+    assert data.count(marker) >= 1
+    return data.replace(marker, b"\xff" + marker[1:])
+
+
+def _oversized_frame_mid_file() -> bytes:
+    """8 MiB of 8 KiB frames; the second one's length reads 2**40."""
+    codec = CODECS["binary"]
+    frames = [
+        codec.encode_record(ev.advance(seq, "t" * 8400, "p", 1))
+        for seq in range(1001)
+    ]
+    length, start = codec_mod._read_varint(memoryview(frames[1]), 0)
+    assert start + length == len(frames[1])
+    frames[1] = varint(1 << 40) + frames[1][start:]
+    data = codec.encode_header(TraceHeader(meta={})) + b"".join(frames)
+    assert len(data) > 8 * 1024 * 1024
+    return data
+
+
+REFUSED_FILES = {
+    "binary meta: 0xFF": lambda: dumps(
+        Trace(TraceHeader(meta={"k": "value"}), ()), "binary"
+    ).replace(b"value", b"va\xffue"),
+    "binary meta: length 2**62": lambda: (
+        BINARY_MAGIC + b"\x02" + b"\x80" * 8 + b"\x40"
+    ),
+    "binary frame: length 2**40 mid-file": _oversized_frame_mid_file,
+    "binary task name: 0xFF": lambda: _named(b"TASKNAME"),
+    "binary phaser name: 0xFF": lambda: _named(b"PHASERNAME"),
+    "binary site name: 0xFF": lambda: _named(b"SITENAME"),
+    "binary stream name: 0xFF": lambda: _named(b"STREAMNAME"),
+    "binary meta: a list": lambda: binary_header(b"[1,2]"),
+    "binary meta: a number": lambda: binary_header(b"7"),
+    "binary meta: null": lambda: binary_header(b"null"),
+    "binary version: unsupported": lambda: binary_header(b"{}", version=99),
+    "jsonl meta: a list": lambda: JSONL_HEADER.replace(b"{}", b"[1,2]"),
+    "jsonl meta: a number": lambda: JSONL_HEADER.replace(b"{}", b"7"),
+    "jsonl meta: null": lambda: JSONL_HEADER.replace(b"{}", b"null"),
+    "jsonl version: a string": lambda: JSONL_HEADER.replace(b":3,", b':"x",'),
+    "jsonl version: null": lambda: JSONL_HEADER.replace(b":3,", b":null,"),
+    "jsonl version: true": lambda: JSONL_HEADER.replace(b":3,", b":true,"),
+    "jsonl line: 0xFF": lambda: (
+        dumps(single_site_trace(), "jsonl").replace(b'"t2"', b'"t\xff"')
+    ),
+    "jsonl line: broken, but terminated — not a crash tail": lambda: (
+        dumps(single_site_trace(), "jsonl") + b'{"seq": \n'
+    ),
+    "jsonl line: nested past the recursion limit": lambda: (
+        JSONL_HEADER + b"[" * 100_000 + b"\n"
+    ),
+    "jsonl line: an int literal past the digit limit": lambda: (
+        JSONL_HEADER + b'{"seq":' + b"9" * 5000 + b',"kind":"unblock","task":"t"}\n'
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def refused_files():
+    """Each hostile file built once (the 8 MiB one is not free)."""
+    return {name: build() for name, build in REFUSED_FILES.items()}
+
+
+class TestRefusedFiles:
+    @pytest.mark.parametrize("row", REFUSED_FILES)
+    def test_every_door_refuses_with_the_typed_error(
+        self, refused_files, path, row
+    ):
+        assert_refused(refused_files[row], path)
+
+    @pytest.mark.parametrize("row", REFUSED_FILES)
+    def test_cli_reports_a_malformed_trace(
+        self, refused_files, path, capsys, row
+    ):
+        path.write_bytes(refused_files[row])
+        for argv in (
+            ["replay", str(path)],
+            ["replay", str(path), "--stream"],
+            ["explain", str(path)],
+            ["predict", str(path)],
+            ["stats", str(path)],
+        ):
+            assert main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert "error: malformed trace:" in err, argv
+            assert "Traceback" not in err, argv
+
+    @pytest.mark.parametrize(
+        "row", ["binary meta: length 2**62", "binary frame: length 2**40 mid-file"]
+    )
+    @pytest.mark.parametrize("door", DOORS)
+    def test_an_absurd_length_is_refused_without_being_waited_for(
+        self, refused_files, path, row, door
+    ):
+        """Within one chunk of the bad varint, under either policy: no
+        allocation sized by the length, no buffering of the file."""
+        data = refused_files[row]
+        path.write_bytes(data)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TraceFormatError, match="exceeds"):
+                DOORS[door](data, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"peak {peak} bytes"
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            with pytest.raises(TraceFormatError):
+                DOORS[door](data, path)
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.1
+
+
+# ---------------------------------------------------------------------------
+# rows that are not refusals, or not files
+# ---------------------------------------------------------------------------
+CORPUS = pathlib.Path(__file__).parent / "corpus"
+
+
+class TestGoodFiles:
+    @pytest.mark.parametrize(
+        "member",
+        sorted(p.name for p in CORPUS.iterdir() if p.suffix in (".jsonl", ".trace")),
+    )
+    def test_every_corpus_member_reads_the_same_through_every_door(
+        self, path, member
+    ):
+        strict, _ = verdicts((CORPUS / member).read_bytes(), path)
+        assert strict != REFUSED and strict[1]
+
+
+class TestLineSeparators:
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\u0085", "\x1c"])
+    def test_unicode_line_separators_inside_a_string_do_not_split_it(
+        self, path, char
+    ):
+        """Raw (unescaped) in a JSON string these are valid JSON — all but
+        the control character — and ``str.splitlines`` splits on every
+        one of them; the reader splits on ``b"\\n"`` only."""
+        trace = Trace(
+            TraceHeader(meta={}), (ev.unblock(0, f"a{char}b"), ev.unblock(1, "t"))
+        )
+        escaped = dumps(trace, "jsonl")
+        raw = escaped.replace(b"\\u%04x" % ord(char), char.encode("utf-8"))
+        assert raw != escaped
+        strict, _ = verdicts(raw, path)
+        if char < " ":
+            assert strict == REFUSED  # a raw control character is not JSON
+        else:
+            assert strict == (trace.header, trace.records)
+
+
+class TestCeiling:
+    @pytest.fixture
+    def small_ceiling(self, monkeypatch):
+        monkeypatch.setattr(codec_mod, "MAX_FRAME_BYTES", 256)
+        return 256
+
+    def test_a_line_one_byte_past_the_ceiling_is_refused(self, small_ceiling, path):
+        """The line is valid JSON with no newline, so only the ceiling
+        can refuse it — under ``ignore`` too: past the ceiling an
+        unterminated line is not a crash tail."""
+        line = b'{"seq":0,"kind":"unblock","task":"t"%s}'
+        fits = line % (b" " * (small_ceiling - len(line) + 2))
+        assert len(fits) == small_ceiling
+        strict, _ = verdicts(JSONL_HEADER + fits, path)
+        assert strict[1] == (ev.unblock(0, "t"),)
+        assert_refused(JSONL_HEADER + fits[:-1] + b" }", path)
+
+    @pytest.mark.parametrize("codec", CODEC_NAMES)
+    def test_no_writer_emits_what_no_reader_accepts(self, small_ceiling, codec):
+        coder = CODECS[codec]
+        coder.encode_record(ev.unblock(0, "t" * 100))
+        with pytest.raises(TraceFormatError, match="exceeds"):
+            coder.encode_record(ev.unblock(0, "t" * 300))
+        coder.encode_header(TraceHeader(meta={"k": "v" * 100}))
+        with pytest.raises(TraceFormatError, match="exceeds"):
+            coder.encode_header(TraceHeader(meta={"k": "v" * 300}))
+        with pytest.raises(TraceFormatError, match="exceeds"):
+            dumps(Trace(TraceHeader(meta={}), (ev.unblock(0, "t" * 300),)), codec)
+
+
+# ---------------------------------------------------------------------------
+# exhaustive sweeps over small traces
+# ---------------------------------------------------------------------------
+def whole_records_by_offset(trace: Trace, codec: str):
+    """File offsets at which ``trace``'s encoding holds a whole header
+    and a whole number of records, mapped to that number."""
+    coder = CODECS[codec]
+    offset = len(coder.encode_header(trace.header))
+    ends = {offset: 0}
+    for count, rec in enumerate(trace.records, 1):
+        offset += len(coder.encode_record(rec))
+        ends[offset] = count
+    return ends
+
+
+@pytest.mark.parametrize("codec", CODEC_NAMES)
+@pytest.mark.parametrize("name", SWEPT)
+class TestSweeps:
+    def test_every_truncation_offset(self, path, name, codec):
+        """``error``: a complete file or a refusal.  ``ignore``: the
+        records in front of the cut — and a cut header is still fatal."""
+        trace = SWEPT[name]()
+        data = dumps(trace, codec)
+        ends = whole_records_by_offset(trace, codec)
+        assert max(ends) == len(data)
+        for cut in range(len(data) + 1):
+            strict, tolerant = verdicts(data[:cut], path)
+            # A JSONL line that lost only its newline is still whole.
+            at = cut + 1 if codec == "jsonl" and cut + 1 in ends else cut
+            if at < min(ends):
+                assert (strict, tolerant) == (REFUSED, REFUSED), cut
+                continue
+            count = max(n for end, n in ends.items() if end <= at)
+            prefix = (trace.header, trace.records[:count])
+            assert strict == (prefix if at in ends else REFUSED), cut
+            assert tolerant == prefix, cut
+
+    def test_every_single_byte_substitution(self, path, name, codec):
+        """Whatever a flipped byte does, it does it at every door."""
+        data = dumps(SWEPT[name](), codec)
+        refused = 0
+        for at, byte in itertools.product(range(len(data)), (0x00, 0xFF, 0x80)):
+            if data[at] == byte:
+                continue
+            mutant = data[:at] + bytes([byte]) + data[at + 1:]
+            strict, _ = verdicts(mutant, path)
+            refused += strict == REFUSED
+        assert refused  # the sweep did reach the error paths

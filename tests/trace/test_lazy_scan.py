@@ -2,9 +2,10 @@
 
 Three layers of pins:
 
-* :meth:`BinaryCodec.scan_frames` — frame slicing without copying or
+* :meth:`TraceReader.frames` — frame slicing without copying or
   decoding: slices reproduce the framed bodies exactly, truncation is
-  loud.
+  loud, and a frame split across a chunk boundary at any offset comes
+  out whole.
 * :class:`LazyRecord` / :meth:`BinaryCodec.lazy_record` — ``kind`` and
   ``seq`` come for free; nothing else is decoded until a field is
   touched; unknown tags and empty frames still fail at scan time.
@@ -16,12 +17,20 @@ Three layers of pins:
 
 from __future__ import annotations
 
+import io
+
 import pytest
 
 from repro.trace import codec as codec_mod
-from repro.trace.codec import CODECS, LazyRecord, TraceFormatError, dumps
+from repro.trace.codec import (
+    CODECS,
+    LazyRecord,
+    TraceFormatError,
+    TraceReader,
+    dumps,
+)
 from repro.trace.corpus import ScenarioSpec, build_trace
-from repro.trace.events import RecordKind
+from repro.trace.events import RecordKind, TraceHeader
 from repro.trace.replay import replay
 from repro.trace.stream import iter_load
 
@@ -41,19 +50,32 @@ def blob(trace):
     return dumps(trace, "binary")
 
 
+class ChunkLog(io.BytesIO):
+    """A ``BytesIO`` that remembers every chunk ``read`` handed out."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.chunks = []
+
+    def read(self, size=-1):
+        chunk = super().read(size)
+        self.chunks.append(chunk)
+        return chunk
+
+
 def frames_of(blob):
-    """Scan past the header the same way BinaryCodec.load does."""
-    pos = len(codec_mod.BINARY_MAGIC) + 1
-    _, pos = codec_mod._read_str(memoryview(blob), pos)
-    return BINARY.scan_frames(blob, pos), pos
+    """The record frames of ``blob``, the way every loader scans them."""
+    fp = ChunkLog(blob)
+    return TraceReader(fp).frames(), fp
 
 
 class TestScanFrames:
     def test_slices_are_zero_copy_views(self, blob):
-        frames, _ = frames_of(blob)
+        frames, fp = frames_of(blob)
         first = next(frames)
         assert isinstance(first, memoryview)
-        assert first.obj is blob  # a view of the original buffer
+        # magic, version byte, then the one chunk the whole blob fits in
+        assert first.obj is fp.chunks[2]  # a view of the chunk read
 
     def test_scan_decodes_to_eager_records(self, trace, blob):
         frames, _ = frames_of(blob)
@@ -65,8 +87,53 @@ class TestScanFrames:
         with pytest.raises(TraceFormatError, match="truncated frame"):
             list(frames)
 
-    def test_empty_buffer_yields_nothing(self):
-        assert list(BINARY.scan_frames(b"")) == []
+    def test_empty_body_yields_nothing(self):
+        header = BINARY.encode_header(TraceHeader(meta={}))
+        assert list(TraceReader(io.BytesIO(header)).frames()) == []
+
+    @pytest.mark.parametrize("chunk", [7, 64, 4096])
+    def test_frame_split_at_every_offset_decodes_identically(
+        self, monkeypatch, chunk
+    ):
+        """Pad the header one byte at a time so the first chunk boundary
+        (9 header bytes + one chunk into the file) walks across a frame:
+        wherever it falls the frames come out whole."""
+        monkeypatch.setattr(codec_mod, "_SCAN_CHUNK", chunk)
+        records = build_trace(
+            ScenarioSpec(cycle_len=3, fan_out=2, sites=2, rounds=24)
+        ).records
+        frames = [BINARY.encode_record(rec) for rec in records]
+        assert sum(map(len, frames)) > 2 * 4096
+        split_at = {}  # frame length -> offsets the first boundary hit
+        for pad in range(max(map(len, frames)) + 2):
+            header = BINARY.encode_header(TraceHeader(meta={"pad": "x" * pad}))
+            fp = ChunkLog(header + b"".join(frames))
+            reader = TraceReader(fp)
+            assert tuple(reader) == records
+            assert len(fp.chunks) > 4, "the scan never crossed a boundary"
+            # Where in its frame did the first boundary fall?
+            boundary, offset = 9 + chunk, len(header)
+            for frame in frames:
+                if offset <= boundary < offset + len(frame):
+                    split_at.setdefault(len(frame), set()).add(boundary - offset)
+                    break
+                offset += len(frame)
+        if chunk > 7:  # (7 bytes in, the first boundary is still in the meta)
+            assert any(
+                hit == set(range(length)) for length, hit in split_at.items()
+            ), "no frame was split at every one of its offsets"
+
+    def test_lazy_slice_outlives_its_chunk(self, monkeypatch, trace, blob):
+        """A slice held by a lazy record stays valid after the scan has
+        moved three chunks on (chunks are immutable, never reused)."""
+        monkeypatch.setattr(codec_mod, "_SCAN_CHUNK", 64)
+        fp = ChunkLog(blob)
+        lazies = TraceReader(fp).lazy_records()
+        first = next(lazies)
+        reads = len(fp.chunks)
+        while len(fp.chunks) < reads + 3:
+            next(lazies)
+        assert first.materialize() == trace.records[0]
 
 
 class TestLazyRecord:
