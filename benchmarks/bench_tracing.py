@@ -1,6 +1,6 @@
 """Tracing overhead: causal spans and provenance must be nearly free.
 
-Mirrors ``bench_obs.py``'s methodology for the tracing layer:
+Two kinds of points:
 
 * **Replay overhead** — the same trace replayed through an engine
   handed a live :class:`~repro.obs.tracing.Tracer` versus one handed
@@ -19,8 +19,9 @@ and uploads ``BENCH_tracing.json``; run locally without the variable
 for full-size numbers.
 
 Why this file stays beside ``benchmarks/e2e/``: it holds the only
-≤10% ceiling on the tracing layer (same reason as ``bench_obs.py``:
-``trace_overhead`` reports, it does not assert).
+≤10% ceiling on the tracing layer.  The e2e benchmark's per-layer
+``trace_overhead`` is a reported ratio, not an asserted one; folding
+this ceiling into it needs a benchmark change.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import time
 
 import pytest
 
-from repro.obs.registry import NULL_REGISTRY
 from repro.obs.tracing import NULL_TRACER, Tracer
 from repro.trace.corpus import AioSpec, build_trace
 from repro.trace.replay import ReplayEngine
@@ -70,15 +70,11 @@ def _assert_overhead(benchmark, enabled_s: float, null_s: float) -> None:
 
 
 def _engines(incremental: bool):
-    # NULL_REGISTRY on both sides: metrics cost is bench_obs's point,
-    # not this file's — isolate the tracer's marginal cost.
     enabled = ReplayEngine(
-        check_every=1, incremental=incremental,
-        metrics=NULL_REGISTRY, tracer=Tracer(),
+        check_every=1, incremental=incremental, tracer=Tracer()
     )
     null = ReplayEngine(
-        check_every=1, incremental=incremental,
-        metrics=NULL_REGISTRY, tracer=NULL_TRACER,
+        check_every=1, incremental=incremental, tracer=NULL_TRACER
     )
     return enabled, null
 

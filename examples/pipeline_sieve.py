@@ -34,7 +34,7 @@ def main(limit: int = 60) -> None:
     stats = runtime.stats
     print(f"verification checks: {stats.checks}")
     print(f"average analysis-graph edges: {stats.mean_edges:.1f}")
-    hist = {m.value: n for m, n in stats.model_histogram().items()}
+    hist = {m.value: n for m, n in stats.model_counts.items()}
     print(f"graph models used: {hist}")
     print(f"deadlocks found: {stats.cycles_found} (the pipeline is clean)")
 

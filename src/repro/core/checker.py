@@ -44,16 +44,16 @@ from repro.obs.registry import (
 class CheckStats:
     """Accounting across checks — the source of Table 3's edge counts.
 
-    Since the ``repro.obs`` layer, this is a *view* over obs
-    instruments rather than a bag of plain fields: the counts live in a
-    :class:`~repro.obs.registry.MetricsRegistry` (the enabled registry
-    passed as ``metrics``, else a private one — stats always work), and
-    the classic API (``checks``/``cycles_found``/``edges_total``/
-    ``mean_edges``/``model_histogram``/``merge``) reads through to
-    them.  The histogram backing also fixes the old lossy mean-only
-    latency aggregation: p50/p95/max are derived from bucket counts.
+    A recorder-and-reader over one :class:`~repro.obs.registry.
+    MetricsRegistry` and nothing else: :meth:`record` adds one check to
+    the registry's check instruments, the properties read them back.
+    It owns no count, so its numbers are the *registry's* — every
+    checker recording into that registry included.  To aggregate, fold
+    registries (:meth:`~repro.obs.registry.MetricsRegistry.merge`, the
+    only fold) and read ``CheckStats(total)``.  Latency p50/p95/max are
+    derived from histogram bucket counts.
 
-    All aggregates remain *streaming* (count / sum / max plus per-model
+    All aggregates are *streaming* (count / sum / max plus per-model
     and bucket counts): memory stays O(1) no matter how long the run,
     which is what lets a detection monitor — or a million-event trace
     replay — run indefinitely without the stats object growing.
@@ -63,8 +63,8 @@ class CheckStats:
         if metrics is not None and metrics.enabled:
             self.metrics = metrics
         else:
-            # Stats must always function (they predate repro.obs), so a
-            # disabled/absent registry falls back to a private one.
+            # The live runtime's default is the no-op registry, and its
+            # checker's stats must still count: the one private fallback.
             self.metrics = MetricsRegistry()
         reg = self.metrics
         self._checks = reg.counter(
@@ -91,26 +91,26 @@ class CheckStats:
             buckets=DEFAULT_LATENCY_BUCKETS_S,
             volatile=True,
         )
-        # Pre-bound children keep the per-check cost to a few bound
-        # calls — this runs on the incremental checker's O(1) path.
+        # Children held as handles keep the per-check cost to three
+        # updates — this runs on the incremental checker's O(1) path.
         self._checks_by_model = {
             m: self._checks.labels(model=m.value) for m in GraphModel
         }
-        self._edges_bound = self._edges.labels()
-        self._latency_bound = self._latency.labels()
+        self._edges_child = self._edges.labels()
+        self._latency_child = self._latency.labels()
 
     def record(self, model_used: GraphModel, edge_count: int, dt_s: float,
                found_cycle: bool, sg_aborted: bool = False) -> None:
         """Fold one check into the aggregates."""
         self._checks_by_model[model_used].inc()
-        self._latency_bound.observe(dt_s)
-        self._edges_bound.observe(edge_count)
+        self._latency_child.observe(dt_s)
+        self._edges_child.observe(edge_count)
         if found_cycle:
             self._cycles.inc()
         if sg_aborted:
             self._sg_aborts.inc()
 
-    # -- the classic field API, read through the instruments -----------
+    # -- read back from the instruments --------------------------------
     @property
     def checks(self) -> int:
         return self._checks.total()
@@ -129,10 +129,12 @@ class CheckStats:
 
     @property
     def edges_max(self) -> int:
+        """Largest analysis graph seen across all checks."""
         return self._edges.max_of()
 
     @property
     def model_counts(self) -> Dict[GraphModel, int]:
+        """How often each concrete graph model was analysed."""
         return {
             GraphModel(values[0]): count
             for values, count in self._checks.per_label().items()
@@ -150,11 +152,6 @@ class CheckStats:
             return 0.0
         return self._edges.sum_of() / checks
 
-    @property
-    def max_edges(self) -> int:
-        """Largest analysis graph seen across all checks."""
-        return self.edges_max
-
     # -- latency quantiles (bucket resolution; max is exact) -----------
     def latency_quantile(self, q: float) -> float:
         """Check-latency quantile from the histogram buckets."""
@@ -171,29 +168,6 @@ class CheckStats:
     @property
     def max_latency_s(self) -> float:
         return self._latency.max_of()
-
-    def model_histogram(self) -> dict:
-        """How often each concrete graph model was analysed."""
-        return self.model_counts
-
-    def merge(self, other: "CheckStats") -> None:
-        """Fold ``other``'s aggregates into this one (cluster totals).
-
-        A no-op when both views share one registry — the counts are
-        already the same storage, and folding them would double."""
-        if other.metrics is self.metrics:
-            return
-        self._checks.merge_from(other._checks)
-        self._cycles.merge_from(other._cycles)
-        self._sg_aborts.merge_from(other._sg_aborts)
-        self._edges.merge_from(other._edges)
-        self._latency.merge_from(other._latency)
-
-    def clear(self) -> None:
-        """Zero this view's instruments (``reset_stats`` support)."""
-        for instrument in (self._checks, self._cycles, self._sg_aborts,
-                           self._edges, self._latency):
-            instrument.clear()
 
 
 def snapshot_components(snapshot: DependencySnapshot) -> List[DependencySnapshot]:
@@ -259,11 +233,12 @@ class DeadlockChecker:
         Sharing one store among several checkers is how distributed sites
         analyse a global view.
     metrics:
-        An enabled :class:`~repro.obs.registry.MetricsRegistry` binds
-        the checker's instruments (and its :class:`CheckStats` view)
-        into that registry, making them visible to live exporters.
-        Omitted or disabled, the stats view keeps a private registry —
-        behaviour and stats are identical either way.
+        An enabled :class:`~repro.obs.registry.MetricsRegistry` is
+        where the checker records — visible to live exporters, and
+        summed with whatever else records there (:attr:`stats` then
+        reads the registry's totals, not this checker's share).
+        Omitted or disabled, :class:`CheckStats` keeps a private
+        registry — behaviour is identical either way.
     """
 
     def __init__(
@@ -278,8 +253,7 @@ class DeadlockChecker:
         self.dependency = dependency if dependency is not None else ResourceDependency()
         self.stats = CheckStats(metrics=metrics)
         #: Where this checker's instruments live: the registry passed as
-        #: ``metrics`` when enabled, else the stats view's private one —
-        #: so everything a checker emits travels with ``stats.merge``.
+        #: ``metrics`` when enabled, else the stats' private one.
         self.metrics = self.stats.metrics
         # Serialises avoidance checks: two tasks blocking concurrently must
         # not both conclude "no cycle yet" for a cycle they jointly create.
@@ -586,13 +560,3 @@ class DeadlockChecker:
                 model_used, edge_count, dt, report is not None,
                 sg_aborted=sg_aborted,
             )
-
-    def reset_stats(self) -> CheckStats:
-        """Return a detached copy of the accumulated stats and zero the
-        live view (the instruments keep their identity — a bound live
-        registry sees the reset as cleared children)."""
-        with self._stats_lock:
-            old = CheckStats()
-            old.merge(self.stats)
-            self.stats.clear()
-            return old

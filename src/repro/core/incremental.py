@@ -115,8 +115,8 @@ class IncrementalChecker(DeadlockChecker):
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         super().__init__(model, threshold_factor, dependency, metrics=metrics)
-        # Incremental-path instruments live next to the stats view (in
-        # ``self.metrics``), so a merged stats registry carries them.
+        # Incremental-path instruments live next to the check
+        # instruments, in ``self.metrics``.
         self._m_deltas = self.metrics.counter(
             "repro_incremental_delta_ops_total",
             "Delta operations applied to the maintained graph state.",
@@ -141,9 +141,13 @@ class IncrementalChecker(DeadlockChecker):
             "own counters at each check.",
             labels=("kind",), volatile=True,
         )
-        self._m_scc_extractions = scc_work.labels(kind="extractions")
-        self._m_scc_pk_visits = scc_work.labels(kind="pk_visits")
-        self._m_scc_resolves = scc_work.labels(kind="resolves")
+        self._m_scc_work = [
+            scc_work.labels(kind=kind)
+            for kind in ("extractions", "pk_visits", "resolves")
+        ]
+        # What :meth:`sync_metrics` has published of each so far (None:
+        # nothing yet — the first publication makes the series appear).
+        self._scc_published: List[Optional[int]] = [None, None, None]
         # One lock orders all delta applications and live-state queries;
         # re-entrant because the avoidance path mutates while holding it.
         self._delta_lock = threading.RLock()
@@ -461,17 +465,24 @@ class IncrementalChecker(DeadlockChecker):
     # metrics
     # ------------------------------------------------------------------
     def sync_metrics(self) -> None:
-        """Mirror :class:`DynamicSCC`'s plain work counters into obs.
+        """Publish :class:`DynamicSCC`'s plain work counters into obs.
 
-        Runs on every ``_record`` (so live exporters are at most one
-        check stale) and is also the hook a replay engine calls before
-        merging worker registries, catching deltas applied after the
-        final check.
+        Each counter is published as the *difference* since it was last
+        published — three int compares when nothing moved — so checkers
+        sharing a registry sum instead of overwriting one another.
+        Runs on every ``_record`` (live exporters are at most one check
+        stale) and is the hook a replay engine calls at the end of a
+        run, catching deltas applied after the final check.
         """
         scc = self._scc
-        self._m_scc_extractions.set_total(scc.extractions)
-        self._m_scc_pk_visits.set_total(scc.pk_visits)
-        self._m_scc_resolves.set_total(scc.resolves)
+        published = self._scc_published
+        # Read-then-add must not interleave with another caller's (a
+        # check of an explicit snapshot records outside the delta lock).
+        with self._delta_lock:
+            for i, now in enumerate((scc.extractions, scc.pk_visits, scc.resolves)):
+                if now != published[i]:
+                    self._m_scc_work[i].inc(now - (published[i] or 0))
+                    published[i] = now
 
     def _record(self, t0, report, model_used, edge_count,
                 sg_aborted: bool = False) -> None:

@@ -19,6 +19,7 @@ from typing import Callable, List, Optional
 
 from repro.core.checker import DeadlockChecker
 from repro.core.report import DeadlockReport
+from repro.obs.registry import NULL_REGISTRY
 
 ReportCallback = Callable[[DeadlockReport], None]
 
@@ -65,8 +66,6 @@ class DetectionMonitor:
         self._thread: Optional[threading.Thread] = None
         self._lock = threading.Lock()
         if metrics is None:
-            from repro.obs.registry import NULL_REGISTRY
-
             metrics = NULL_REGISTRY
         self.metrics = metrics
         self._m_polls = metrics.counter(

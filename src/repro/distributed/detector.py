@@ -33,6 +33,8 @@ from repro.core.incremental import IncrementalChecker
 from repro.core.report import DeadlockReport
 from repro.core.selection import GraphModel
 from repro.distributed.delta import DeltaMergeState, DeltaSequenceError
+from repro.obs.registry import NULL_REGISTRY
+from repro.obs.tracing import NULL_TRACER
 
 
 class DistributedChecker:
@@ -55,11 +57,7 @@ class DistributedChecker:
         tracer=None,
     ) -> None:
         self.store = store
-        if tracer is None:
-            from repro.obs.tracing import NULL_TRACER
-
-            tracer = NULL_TRACER
-        self.tracer = tracer
+        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.checker = IncrementalChecker(
             model=model, threshold_factor=threshold_factor, metrics=metrics
         )
@@ -72,8 +70,6 @@ class DistributedChecker:
         #: Checkpoint resyncs performed (gap recovery accounting).
         self.resyncs = 0
         if metrics is None:
-            from repro.obs.registry import NULL_REGISTRY
-
             metrics = NULL_REGISTRY
         self.metrics = metrics
         syncs = metrics.counter(

@@ -39,6 +39,7 @@ from repro.distributed.delta import DeltaSequenceError
 from repro.distributed.detector import DistributedChecker
 from repro.distributed.net.framing import ACK
 from repro.distributed.store import InMemoryStore, StoreUnavailableError
+from repro.obs.registry import NULL_REGISTRY
 
 log = logging.getLogger(__name__)
 
@@ -86,6 +87,11 @@ class TenantChecker:
             self.store, model=model, metrics=metrics, tracer=self.tracer
         )
         self.reports: List[DeadlockReport] = []
+        # Detection passes this tenant ran and how many answered with a
+        # cycle — its own numbers: the check series in a registry the
+        # service shares across tenants are service-wide sums.
+        self.checks = 0
+        self.cycles_found = 0
         self._seen_cycles: set = set()
         self._origins = OriginTracker()
         self._ordinal = 0
@@ -154,8 +160,10 @@ class TenantChecker:
         from repro.trace.events import report_to_obj
 
         report = self.checker.check_global()
+        self.checks += 1
         if report is None:
             return None, None
+        self.cycles_found += 1
         raw, ordinal, enriched, obj = self._answer
         if report is not raw or ordinal != self._ordinal:
             statuses = self.checker.view.merged_snapshot().statuses
@@ -174,7 +182,6 @@ class TenantChecker:
         from repro.obs.health import unique_report_entries
 
         with self._lock:
-            stats = self.checker.stats
             blocked = sum(
                 len(bucket) for bucket in self.checker.view.buckets.values()
             )
@@ -183,8 +190,8 @@ class TenantChecker:
                 "tenant": self.name,
                 "sites": sorted(str(s) for s in self.checker.view.sites()),
                 "blocked_tasks": blocked,
-                "checks": stats.checks,
-                "cycles_found": stats.cycles_found,
+                "checks": self.checks,
+                "cycles_found": self.cycles_found,
                 "report_count": len(self.reports),
                 "reports": unique_report_entries(self.reports),
             }
@@ -213,8 +220,6 @@ class CheckerServiceCore:
         store_factory: Optional[Callable[[str], object]] = None,
     ) -> None:
         if metrics is None:
-            from repro.obs.registry import NULL_REGISTRY
-
             metrics = NULL_REGISTRY
         self.metrics = metrics
         self.model = model

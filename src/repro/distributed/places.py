@@ -15,9 +15,11 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Optional, Sequence
 
+from repro.core.checker import CheckStats
 from repro.core.selection import GraphModel
 from repro.distributed.site import Site
 from repro.distributed.store import InMemoryStore, ReplicatedStore
+from repro.obs.registry import MetricsRegistry
 from repro.runtime.tasks import Task
 
 
@@ -116,11 +118,10 @@ class Cluster:
             out.extend(place.reports)
         return out
 
-    def total_check_stats(self):
-        """Merged checker statistics across places."""
-        from repro.core.checker import CheckStats
-
-        merged = CheckStats()
+    def total_check_stats(self) -> CheckStats:
+        """Checker statistics across places: fold the places' checker
+        registries, read the total."""
+        total = MetricsRegistry()
         for place in self.places:
-            merged.merge(place.checker.stats)
-        return merged
+            total.merge(place.checker.stats.metrics)
+        return CheckStats(total)

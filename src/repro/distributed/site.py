@@ -47,6 +47,8 @@ from repro.distributed.delta import (
 )
 from repro.distributed.detector import DistributedChecker
 from repro.distributed.store import StoreUnavailableError
+from repro.obs.registry import NULL_REGISTRY
+from repro.obs.tracing import NULL_TRACER
 from repro.runtime.tasks import Task
 from repro.runtime.verifier import ArmusRuntime, VerificationMode
 
@@ -113,13 +115,9 @@ class Site:
         self.site_id = site_id
         self.store = store
         if metrics is None:
-            from repro.obs.registry import NULL_REGISTRY
-
             metrics = NULL_REGISTRY
         self.metrics = metrics
         if tracer is None:
-            from repro.obs.tracing import NULL_TRACER
-
             tracer = NULL_TRACER
         self.tracer = tracer
         # Local runtime in DETECTION mode: blocking ops publish statuses

@@ -49,6 +49,8 @@ from repro.distributed.delta import (
     make_snapshot,
     validate_extends,
 )
+from repro.obs.registry import NULL_REGISTRY
+from repro.obs.tracing import NULL_TRACER
 
 #: Store-side log retention: entries kept per site beyond the last
 #: snapshot.  Publishers checkpoint more often than this, so the cap is
@@ -68,9 +70,9 @@ class InMemoryStore:
 
     Holds each site's delta stream: retained log, tail cursor and
     materialised state.  All accounting lives in ``repro.obs`` counters
-    (labelled by the store's ``name``): an enabled registry passed as
-    ``metrics`` makes the traffic visible to live exporters, while the
-    ``puts``/``gets`` attributes remain as read-only views.
+    (labelled by the store's ``name``) of the registry passed as
+    ``metrics`` — like every other component's, the default is the
+    no-op registry.
     """
 
     def __init__(
@@ -83,11 +85,7 @@ class InMemoryStore:
     ) -> None:
         self.name = name
         self.recorder = recorder
-        if tracer is None:
-            from repro.obs.tracing import NULL_TRACER
-
-            tracer = NULL_TRACER
-        self.tracer = tracer
+        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.max_log = max(1, int(max_log))
         self._lock = threading.Lock()
         # Per site: retained log, seq of the entry before the first
@@ -97,15 +95,7 @@ class InMemoryStore:
         self._tail: Dict[str, Cursor] = {}
         self._states: Dict[str, Dict[str, dict]] = {}
         self._available = True
-        # Accounting instruments.  The counters must always function
-        # (the view attributes below read them), so a disabled or
-        # absent registry falls back to a private one.
-        from repro.obs.registry import MetricsRegistry
-
-        if metrics is not None and metrics.enabled:
-            self.metrics = metrics
-        else:
-            self.metrics = MetricsRegistry()
+        self.metrics = metrics if metrics is not None else NULL_REGISTRY
         ops = self.metrics.counter(
             "repro_store_ops_total",
             "Store operations served, by store and direction.",
@@ -126,15 +116,6 @@ class InMemoryStore:
             "consumers (each one forces a checkpoint or resync).",
             labels=("store",),
         ).labels(store=name)
-
-    # -- classic accounting attributes, now views over the counters ----
-    @property
-    def puts(self) -> int:
-        return self._m_puts.value()
-
-    @property
-    def gets(self) -> int:
-        return self._m_gets.value()
 
     # -- failure injection ---------------------------------------------------
     def set_available(self, available: bool) -> None:
@@ -327,20 +308,11 @@ class ReplicatedStore:
         # Serialises write-through so replica contents and the recorded
         # publish order cannot interleave across concurrent writers.
         self._put_lock = threading.Lock()
-        # Heal/failover telemetry, per replica (these events were
-        # previously silent).  Unlike the per-store accounting there is
-        # no compat surface to keep alive, so the default is the no-op
-        # registry: zero overhead unless somebody asks.
+        # Heal/failover telemetry, per replica.
         if metrics is None:
-            from repro.obs.registry import NULL_REGISTRY
-
             metrics = NULL_REGISTRY
         self.metrics = metrics
-        if tracer is None:
-            from repro.obs.tracing import NULL_TRACER
-
-            tracer = NULL_TRACER
-        self.tracer = tracer
+        self.tracer = tracer if tracer is not None else NULL_TRACER
         self._m_heals = metrics.counter(
             "repro_replica_heals_total",
             "Stale replicas healed with a synthesised checkpoint, by "

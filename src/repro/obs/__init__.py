@@ -1,8 +1,8 @@
 """repro.obs — the observability plane of the verification stack.
 
-Metrics (counters / gauges / fixed-bucket histograms), ``span`` timing
-contexts, causal tracing with deterministic span IDs and deadlock
-provenance (:mod:`repro.obs.tracing`), and structured health, with
+Metrics (counters / gauges / fixed-bucket histograms), causal tracing
+with deterministic span IDs and deadlock provenance
+(:mod:`repro.obs.tracing`), and structured health, with
 exporters (Prometheus text, canonical JSON, Chrome trace-event JSON)
 and a one-file HTTP endpoint (``python -m repro.obs serve``).
 
@@ -26,7 +26,6 @@ from repro.obs.registry import (
     Histogram,
     MetricsRegistry,
     NullRegistry,
-    Span,
 )
 from repro.obs.tracing import (
     NULL_TRACER,
@@ -49,7 +48,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "Span",
     "DEFAULT_LATENCY_BUCKETS_S",
     "DEFAULT_SIZE_BUCKETS",
     "to_prometheus",

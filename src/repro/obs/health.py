@@ -68,7 +68,7 @@ def runtime_health(runtime, registry=None) -> dict:
         "models": {
             model.value: count
             for model, count in sorted(
-                stats.model_histogram().items(), key=lambda kv: kv[0].value
+                stats.model_counts.items(), key=lambda kv: kv[0].value
             )
         },
         "report_count": len(reports),

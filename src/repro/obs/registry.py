@@ -5,7 +5,21 @@ Every layer — checker, runtime, distributed sites and stores, the
 replay engines — records what it does into a
 :class:`MetricsRegistry`, and two exporters (:mod:`repro.obs.export`)
 turn a registry into Prometheus text exposition or a canonical JSON
-snapshot.  Three properties are design constraints, not afterthoughts:
+snapshot.
+
+**One ledger.**  A count lives in exactly one *child* of one registry.
+``instrument.labels(**labels)`` returns that child — the same object
+for the same labels, always — and the child is what a hot path holds
+and updates (``inc``/``dec``/``set``/``observe``, one body each, under
+the registry's one lock); ``instrument.inc(**labels)`` and its siblings
+are ``labels(**labels)`` plus that call.  A child joins snapshots,
+``per_label()`` and exports with its *first update*, so binding every
+label value up front materialises nothing.  Sharing a registry means
+*adding* to it: no component assigns into a shared series or reads a
+shared series back as its own number, which is what lets any number of
+checkers record into one registry and the series stay sums.
+
+Three properties are design constraints, not afterthoughts:
 
 * **Deterministic snapshots.**  A snapshot orders metrics by name and
   children by label values, and every *non-volatile* instrument is a
@@ -15,15 +29,17 @@ snapshot.  Three properties are design constraints, not afterthoughts:
   histograms, poll counters, live gauges) are declared ``volatile``
   and can be excluded from a snapshot wholesale, which is how the CLI
   keeps ``--metrics-json`` output diffable across ``--parallel N``.
-* **Associative, commutative ``merge``.**  Counters and histogram
-  buckets fold by summation, gauges by their declared mode (``sum`` or
-  ``max``), histogram extrema by min/max — so parallel-replay fan-in
-  can merge per-worker registries in any order and get the same bytes.
+* **Associative, commutative ``merge``.**  Counters, gauges and
+  histogram buckets fold by summation, histogram extrema by min/max —
+  so parallel-replay fan-in can merge per-worker registries in any
+  order and get the same bytes.  :meth:`MetricsRegistry.merge` is the
+  only fold.
 * **Near-zero disabled overhead.**  :data:`NULL_REGISTRY` (a
-  :class:`NullRegistry`) hands out shared no-op instruments and a
-  reusable no-op span; an instrumented call site costs one attribute
-  load and one no-op call when metrics are off.  Hot paths that would
-  pay even for argument marshalling guard on ``registry.enabled``.
+  :class:`NullRegistry`) hands out one shared no-op instrument that is
+  its own ``labels()`` child; an instrumented call site costs one
+  attribute load and one no-op call when metrics are off.  Hot paths
+  that would pay even for argument marshalling guard on
+  ``registry.enabled``.
 
 Instruments are keyed by name process-wide *per registry* — asking a
 registry twice for the same name returns the same instrument (matching
@@ -36,7 +52,6 @@ to the parent for merging.
 from __future__ import annotations
 
 import threading
-import time
 from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -47,7 +62,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "Span",
     "DEFAULT_LATENCY_BUCKETS_S",
     "DEFAULT_SIZE_BUCKETS",
 ]
@@ -83,10 +97,118 @@ def _label_values(label_names: Tuple[str, ...], labels: Dict[str, object]) -> Tu
         ) from exc
 
 
+class _CounterChild:
+    """One labelled series of a counter: where the count lives, and the
+    handle a hot path holds (``instrument.labels(...)`` returns it).
+
+    ``live`` turns true with the first update — until then the child is
+    bound but absent from snapshots, ``per_label()`` and exports, so
+    pre-binding every label value materialises no zero-count series.
+    """
+
+    __slots__ = ("_registry", "value", "live")
+
+    def __init__(self, instrument: "_Instrument") -> None:
+        self._registry = instrument._registry
+        self.reset()
+
+    def reset(self) -> None:
+        """Back to the never-updated state (caller holds the lock)."""
+        self.value = 0
+        self.live = False
+
+    def inc(self, amount=1) -> None:
+        with self._registry._lock:
+            self.value += amount
+            self.live = True
+
+    def state(self):
+        """What :meth:`fold` takes (caller holds the lock)."""
+        return self.value
+
+    def fold(self, state) -> None:
+        self.inc(state)
+
+    def snapshot(self) -> dict:
+        return {"value": self.value}
+
+
+class _GaugeChild(_CounterChild):
+    """One labelled series of a gauge: a counter child that can also be
+    assigned and go down.  Gauges fold by sum, like counters."""
+
+    __slots__ = ()
+
+    def set(self, value) -> None:
+        with self._registry._lock:
+            self.value = value
+            self.live = True
+
+    def dec(self, amount=1) -> None:
+        self.inc(-amount)
+
+
+class _HistChild:
+    """One labelled series of a histogram: bucket counts plus exact
+    streaming sum/min/max.  Live once observed (``count > 0``)."""
+
+    __slots__ = ("_hist", "counts", "count", "sum", "vmin", "vmax")
+
+    def __init__(self, hist: "Histogram") -> None:
+        self._hist = hist
+        self.reset()
+
+    def reset(self) -> None:
+        self.counts = [0] * (len(self._hist.buckets) + 1)  # +1: the +Inf bucket
+        self.count = 0
+        self.sum = 0
+        self.vmin: Optional[float] = None
+        self.vmax: Optional[float] = None
+
+    @property
+    def live(self) -> bool:
+        return self.count > 0
+
+    def observe(self, value) -> None:
+        hist = self._hist
+        idx = bisect_left(hist.buckets, value)
+        with hist._registry._lock:
+            self.counts[idx] += 1
+            self.count += 1
+            self.sum += value
+            if self.vmin is None or value < self.vmin:
+                self.vmin = value
+            if self.vmax is None or value > self.vmax:
+                self.vmax = value
+
+    def state(self) -> tuple:
+        return (list(self.counts), self.count, self.sum, self.vmin, self.vmax)
+
+    def fold(self, state: tuple) -> None:
+        counts, count, total, vmin, vmax = state
+        with self._hist._registry._lock:
+            for idx, n in enumerate(counts):
+                self.counts[idx] += n
+            self.count += count
+            self.sum += total
+            self.vmin = vmin if self.vmin is None else min(self.vmin, vmin)
+            self.vmax = vmax if self.vmax is None else max(self.vmax, vmax)
+
+    def snapshot(self) -> dict:
+        return {
+            "counts": list(self.counts),
+            "count": self.count,
+            "sum": self.sum,
+            "min": self.vmin,
+            "max": self.vmax,
+        }
+
+
 class _Instrument:
     """Common instrument state: identity, labels, child table."""
 
     kind = "instrument"
+    _child_type: type
 
     def __init__(
         self,
@@ -101,7 +223,8 @@ class _Instrument:
         self.help = help
         self.label_names = label_names
         self.volatile = volatile
-        # label-values tuple -> child state (shape is subclass-specific).
+        # label-values tuple -> child; bound children stay for good, so
+        # a handle is the same object for as long as the instrument lives.
         self._children: Dict[Tuple[str, ...], object] = {}
 
     # -- identity ------------------------------------------------------
@@ -117,194 +240,103 @@ class _Instrument:
             )
 
     # -- child access --------------------------------------------------
+    def labels(self, **labels):
+        """The child holding ``labels``' series — the same object on
+        every call, so a hot path binds it once and updates it directly."""
+        return self._child(_label_values(self.label_names, labels))
+
     def _child(self, values: Tuple[str, ...]):
         child = self._children.get(values)
         if child is None:
             with self._registry._lock:
-                child = self._children.setdefault(values, self._new_child())
+                child = self._children.setdefault(values, self._child_type(self))
         return child
 
-    def _new_child(self):  # pragma: no cover - overridden
-        raise NotImplementedError
+    def _get(self, labels: dict):
+        """The child for ``labels`` if it was ever bound, else None —
+        reads must not bind."""
+        return self._children.get(_label_values(self.label_names, labels))
+
+    def _live(self) -> list:
+        """``(label values, child)`` of every updated child, sorted."""
+        with self._registry._lock:
+            # Label tuples are unique, so the sort never compares children.
+            return sorted(
+                item for item in self._children.items() if item[1].live
+            )
 
     def clear(self) -> None:
-        """Drop every child (tests and registry resets)."""
+        """Zero every child in place: a held handle stays valid and
+        rejoins the snapshot with its next update."""
         with self._registry._lock:
-            self._children.clear()
+            for child in self._children.values():
+                child.reset()
 
-    # -- snapshot ------------------------------------------------------
-    def _snapshot_values(self) -> List[dict]:
-        with self._registry._lock:
-            items = sorted(self._children.items())
-        return [
-            dict(labels=list(values), **self._snapshot_child(child))
-            for values, child in items
-        ]
-
-    def _snapshot_child(self, child) -> dict:  # pragma: no cover - overridden
-        raise NotImplementedError
-
+    # -- snapshot / merge ----------------------------------------------
     def snapshot(self) -> dict:
         """This instrument's canonical snapshot entry."""
-        out = {
+        return {
             "name": self.name,
             "kind": self.kind,
             "help": self.help,
             "labels": list(self.label_names),
             "volatile": self.volatile,
-            "values": self._snapshot_values(),
+            "values": [
+                dict(labels=list(values), **child.snapshot())
+                for values, child in self._live()
+            ],
         }
-        return out
+
+    def merge_from(self, other: "_Instrument") -> None:
+        """Fold every live child of ``other`` into the same-labelled
+        child here (sums; histogram extrema by min/max)."""
+        with other._registry._lock:
+            states = [(values, child.state())
+                      for values, child in other._children.items() if child.live]
+        for values, state in states:
+            self._child(values).fold(state)
 
 
-class Counter(_Instrument):
-    """A monotonically increasing count (optionally labelled)."""
+class _Scalar(_Instrument):
+    """What counters and gauges share: one number per child."""
 
-    kind = "counter"
-
-    def _new_child(self) -> List:
-        return [0]
-
-    def inc(self, amount: int = 1, **labels) -> None:
+    def inc(self, amount=1, **labels) -> None:
         """Add ``amount`` (default 1) to the labelled child."""
-        child = self._child(_label_values(self.label_names, labels))
-        with self._registry._lock:
-            child[0] += amount
-
-    def set_total(self, value, **labels) -> None:
-        """Overwrite the child's running total.
-
-        For *mirror* counters: a layer that already maintains a cheap
-        monotonic count (e.g. :class:`~repro.core.scc.DynamicSCC`'s
-        work counters) publishes it by assignment instead of paying an
-        ``inc`` per event.
-        """
-        child = self._child(_label_values(self.label_names, labels))
-        with self._registry._lock:
-            child[0] = value
+        self.labels(**labels).inc(amount)
 
     def value(self, **labels):
         """Current value of the labelled child (0 if never touched)."""
-        child = self._children.get(_label_values(self.label_names, labels))
-        return 0 if child is None else child[0]
+        child = self._get(labels)
+        return 0 if child is None else child.value
+
+
+class Counter(_Scalar):
+    """A monotonically increasing count (optionally labelled)."""
+
+    kind = "counter"
+    _child_type = _CounterChild
 
     def total(self):
         """Sum across every labelled child."""
         with self._registry._lock:
-            return sum(child[0] for child in self._children.values())
+            return sum(child.value for child in self._children.values())
 
     def per_label(self) -> Dict[Tuple[str, ...], int]:
         """``{label-values tuple: value}`` across children (sorted)."""
-        with self._registry._lock:
-            return {values: child[0]
-                    for values, child in sorted(self._children.items())}
-
-    def labels(self, **labels) -> "BoundCounter":
-        """Pre-bind a label set for hot paths (one dict lookup saved
-        per increment)."""
-        return BoundCounter(self, _label_values(self.label_names, labels))
-
-    def _snapshot_child(self, child) -> dict:
-        return {"value": child[0]}
-
-    def merge_from(self, other: "Counter") -> None:
-        with other._registry._lock:
-            items = list(other._children.items())
-        for values, child in items:
-            mine = self._child(values)
-            with self._registry._lock:
-                mine[0] += child[0]
+        return {values: child.value for values, child in self._live()}
 
 
-class BoundCounter:
-    """A counter child bound to fixed label values."""
-
-    __slots__ = ("_counter", "_values")
-
-    def __init__(self, counter: Counter, values: Tuple[str, ...]) -> None:
-        self._counter = counter
-        self._values = values
-
-    def inc(self, amount: int = 1) -> None:
-        child = self._counter._child(self._values)
-        with self._counter._registry._lock:
-            child[0] += amount
-
-    def set_total(self, value) -> None:
-        child = self._counter._child(self._values)
-        with self._counter._registry._lock:
-            child[0] = value
-
-    def value(self):
-        child = self._counter._children.get(self._values)
-        return 0 if child is None else child[0]
-
-
-class Gauge(_Instrument):
-    """A point-in-time value.
-
-    ``merge_mode`` decides how parallel fan-in folds two children:
-    ``"sum"`` (capacity-like gauges) or ``"max"`` (high-water marks).
-    """
+class Gauge(_Scalar):
+    """A point-in-time value; parallel fan-in folds gauges by sum."""
 
     kind = "gauge"
-
-    def __init__(self, registry, name, help, label_names, volatile,
-                 merge_mode: str = "sum") -> None:
-        if merge_mode not in ("sum", "max"):
-            raise ValueError(f"unknown gauge merge mode {merge_mode!r}")
-        super().__init__(registry, name, help, label_names, volatile)
-        self.merge_mode = merge_mode
-
-    def _spec(self) -> tuple:
-        return (self.kind, self.label_names, self.merge_mode)
-
-    def _new_child(self) -> List:
-        return [0]
+    _child_type = _GaugeChild
 
     def set(self, value, **labels) -> None:
-        child = self._child(_label_values(self.label_names, labels))
-        with self._registry._lock:
-            child[0] = value
-
-    def inc(self, amount=1, **labels) -> None:
-        child = self._child(_label_values(self.label_names, labels))
-        with self._registry._lock:
-            child[0] += amount
+        self.labels(**labels).set(value)
 
     def dec(self, amount=1, **labels) -> None:
-        self.inc(-amount, **labels)
-
-    def value(self, **labels):
-        child = self._children.get(_label_values(self.label_names, labels))
-        return 0 if child is None else child[0]
-
-    def _snapshot_child(self, child) -> dict:
-        return {"value": child[0]}
-
-    def merge_from(self, other: "Gauge") -> None:
-        with other._registry._lock:
-            items = list(other._children.items())
-        for values, child in items:
-            mine = self._child(values)
-            with self._registry._lock:
-                if self.merge_mode == "max":
-                    mine[0] = max(mine[0], child[0])
-                else:
-                    mine[0] += child[0]
-
-
-class _HistChild:
-    """Per-label-set histogram state: bucket counts + streaming extrema."""
-
-    __slots__ = ("counts", "count", "sum", "vmin", "vmax")
-
-    def __init__(self, n_buckets: int) -> None:
-        self.counts = [0] * (n_buckets + 1)  # +1: the +Inf bucket
-        self.count = 0
-        self.sum = 0
-        self.vmin: Optional[float] = None
-        self.vmax: Optional[float] = None
+        self.labels(**labels).dec(amount)
 
 
 class Histogram(_Instrument):
@@ -317,6 +349,7 @@ class Histogram(_Instrument):
     """
 
     kind = "histogram"
+    _child_type = _HistChild
 
     def __init__(self, registry, name, help, label_names, volatile,
                  buckets: Sequence[float]) -> None:
@@ -328,28 +361,10 @@ class Histogram(_Instrument):
     def _spec(self) -> tuple:
         return (self.kind, self.label_names, self.buckets)
 
-    def _new_child(self) -> _HistChild:
-        return _HistChild(len(self.buckets))
-
     def observe(self, value, **labels) -> None:
-        child = self._child(_label_values(self.label_names, labels))
-        idx = bisect_left(self.buckets, value)
-        with self._registry._lock:
-            child.counts[idx] += 1
-            child.count += 1
-            child.sum += value
-            if child.vmin is None or value < child.vmin:
-                child.vmin = value
-            if child.vmax is None or value > child.vmax:
-                child.vmax = value
-
-    def labels(self, **labels) -> "BoundHistogram":
-        return BoundHistogram(self, _label_values(self.label_names, labels))
+        self.labels(**labels).observe(value)
 
     # -- derived aggregates -------------------------------------------
-    def _get(self, labels) -> Optional[_HistChild]:
-        return self._children.get(_label_values(self.label_names, labels))
-
     def count_of(self, **labels) -> int:
         child = self._get(labels)
         return 0 if child is None else child.count
@@ -389,97 +404,10 @@ class Histogram(_Instrument):
                 return min(upper, child.vmax)
         return child.vmax
 
-    def _snapshot_child(self, child: _HistChild) -> dict:
-        return {
-            "counts": list(child.counts),
-            "count": child.count,
-            "sum": child.sum,
-            "min": child.vmin,
-            "max": child.vmax,
-        }
-
     def snapshot(self) -> dict:
         out = super().snapshot()
         out["buckets"] = list(self.buckets)
         return out
-
-    def merge_from(self, other: "Histogram") -> None:
-        with other._registry._lock:
-            items = [(v, (list(c.counts), c.count, c.sum, c.vmin, c.vmax))
-                     for v, c in other._children.items()]
-        for values, (counts, count, total, vmin, vmax) in items:
-            mine = self._child(values)
-            with self._registry._lock:
-                for idx, n in enumerate(counts):
-                    mine.counts[idx] += n
-                mine.count += count
-                mine.sum += total
-                if vmin is not None:
-                    mine.vmin = vmin if mine.vmin is None else min(mine.vmin, vmin)
-                if vmax is not None:
-                    mine.vmax = vmax if mine.vmax is None else max(mine.vmax, vmax)
-
-
-class BoundHistogram:
-    """A histogram child bound to fixed label values."""
-
-    __slots__ = ("_hist", "_values")
-
-    def __init__(self, hist: Histogram, values: Tuple[str, ...]) -> None:
-        self._hist = hist
-        self._values = values
-
-    def observe(self, value) -> None:
-        hist = self._hist
-        child = hist._child(self._values)
-        idx = bisect_left(hist.buckets, value)
-        with hist._registry._lock:
-            child.counts[idx] += 1
-            child.count += 1
-            child.sum += value
-            if child.vmin is None or value < child.vmin:
-                child.vmin = value
-            if child.vmax is None or value > child.vmax:
-                child.vmax = value
-
-
-class Span:
-    """A timing context recording its duration into a histogram.
-
-    Re-usable and re-entrant-safe per ``with`` statement (each entry
-    snapshots its own start time on a small stack), so one span object
-    can be pre-bound next to the hot path it measures::
-
-        span = registry.span("repro_check")
-        ...
-        with span:
-            run_the_check()
-    """
-
-    __slots__ = ("_hist", "_starts")
-
-    def __init__(self, hist: Histogram) -> None:
-        self._hist = hist
-        self._starts: List[float] = []
-
-    def __enter__(self) -> "Span":
-        self._starts.append(time.perf_counter())
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._hist.observe(time.perf_counter() - self._starts.pop())
-
-
-class _NullSpan:
-    """The disabled span: enter/exit do nothing."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        return None
 
 
 class MetricsRegistry:
@@ -537,14 +465,12 @@ class MetricsRegistry:
         help: str = "",
         labels: Iterable[str] = (),
         volatile: bool = False,
-        merge_mode: str = "sum",
     ) -> Gauge:
         label_names = tuple(labels)
         metric = self._register(
-            name,
-            lambda: Gauge(self, name, help, label_names, volatile, merge_mode),
+            name, lambda: Gauge(self, name, help, label_names, volatile)
         )
-        metric._check_compatible(("gauge", label_names, merge_mode))
+        metric._check_compatible(("gauge", label_names))
         return metric  # type: ignore[return-value]
 
     def histogram(
@@ -563,16 +489,6 @@ class MetricsRegistry:
         )
         metric._check_compatible(("histogram", label_names, bucket_t))
         return metric  # type: ignore[return-value]
-
-    def span(self, name: str, help: str = "",
-             buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS_S) -> Span:
-        """A timing context over the volatile histogram
-        ``<name>_duration_seconds``."""
-        hist = self.histogram(
-            f"{name}_duration_seconds", help or f"Duration of {name}.",
-            buckets=buckets, volatile=True,
-        )
-        return Span(hist)
 
     # -- introspection -------------------------------------------------
     def get(self, name: str) -> Optional[_Instrument]:
@@ -621,7 +537,7 @@ class MetricsRegistry:
                                     metric.volatile)
             elif isinstance(metric, Gauge):
                 mine = self.gauge(name, metric.help, metric.label_names,
-                                  metric.volatile, metric.merge_mode)
+                                  metric.volatile)
             elif isinstance(metric, Histogram):
                 mine = self.histogram(name, metric.help, metric.label_names,
                                       metric.buckets, metric.volatile)
@@ -645,50 +561,19 @@ class _NullInstrument:
     def set(self, value, **labels) -> None:
         return None
 
-    def set_total(self, value, **labels) -> None:
-        return None
-
     def observe(self, value, **labels) -> None:
         return None
 
     def labels(self, **labels) -> "_NullInstrument":
         return self
 
-    def value(self, **labels) -> int:
-        return 0
-
-    def total(self) -> int:
-        return 0
-
-    def per_label(self) -> dict:
-        return {}
-
-    def count_of(self, **labels) -> int:
-        return 0
-
-    def sum_of(self, **labels) -> int:
-        return 0
-
-    def max_of(self, **labels) -> int:
-        return 0
-
-    def min_of(self, **labels) -> int:
-        return 0
-
-    def quantile(self, q, **labels) -> float:
-        return 0.0
-
-    def clear(self) -> None:
-        return None
-
 
 _NULL_INSTRUMENT = _NullInstrument()
-_NULL_SPAN = _NullSpan()
 
 
 class NullRegistry(MetricsRegistry):
     """The disabled registry: every constructor returns a shared no-op
-    instrument, ``span`` a shared no-op context, ``snapshot`` is empty
+    instrument (its own ``labels()`` child too), ``snapshot`` is empty
     and ``merge`` drops its input.  Identity across calls lets call
     sites pre-bind instruments unconditionally and pay (almost)
     nothing when metrics are off."""
@@ -698,15 +583,12 @@ class NullRegistry(MetricsRegistry):
     def counter(self, name, help="", labels=(), volatile=False):
         return _NULL_INSTRUMENT  # type: ignore[return-value]
 
-    def gauge(self, name, help="", labels=(), volatile=False, merge_mode="sum"):
+    def gauge(self, name, help="", labels=(), volatile=False):
         return _NULL_INSTRUMENT  # type: ignore[return-value]
 
     def histogram(self, name, help="", labels=(), buckets=DEFAULT_SIZE_BUCKETS,
                   volatile=False):
         return _NULL_INSTRUMENT  # type: ignore[return-value]
-
-    def span(self, name, help="", buckets=DEFAULT_LATENCY_BUCKETS_S):
-        return _NULL_SPAN  # type: ignore[return-value]
 
     def snapshot(self, volatile: bool = True) -> dict:
         return {"v": 1, "metrics": []}

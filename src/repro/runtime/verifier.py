@@ -31,6 +31,8 @@ from repro.core.events import BlockedStatus
 from repro.core.monitor import DetectionMonitor
 from repro.core.report import DeadlockReport
 from repro.core.selection import DEFAULT_THRESHOLD_FACTOR, GraphModel
+from repro.obs.registry import NULL_REGISTRY
+from repro.obs.tracing import NULL_TRACER
 from repro.runtime.tasks import Task
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -110,13 +112,9 @@ class ArmusRuntime:
         self.cancel_on_detect = cancel_on_detect
         self.recorder = recorder
         if metrics is None:
-            from repro.obs.registry import NULL_REGISTRY
-
             metrics = NULL_REGISTRY
         self.metrics = metrics
         if tracer is None:
-            from repro.obs.tracing import NULL_TRACER
-
             tracer = NULL_TRACER
         self.tracer = tracer
         self.checker = DeadlockChecker(

@@ -16,9 +16,9 @@ Determinism is the design constraint, not an afterthought:
 * per-file reports are themselves deterministic because cycle
   extraction is canonical (see :mod:`repro.core.cycles`) — two
   processes with different hash seeds extract the same cycle;
-* aggregate accounting uses :meth:`~repro.core.checker.CheckStats.merge`,
-  which is order-insensitive for every field it folds (sums, max,
-  histogram).
+* aggregate accounting uses :meth:`~repro.obs.registry.MetricsRegistry.
+  merge`, which is order-insensitive for every field it folds (sums,
+  histogram buckets and extrema).
 
 Net effect: ``replay_corpus(dir, processes=4)`` produces reports
 byte-identical to ``replay_corpus(dir, processes=1)`` — pinned by CI,
@@ -137,12 +137,14 @@ class CorpusResult:
 
 @dataclass
 class CorpusReplayResult(CorpusResult):
-    """A corpus replay: ``stats`` is the :meth:`CheckStats.merge` fold
-    over every file's checker accounting — the corpus-wide Table 3
-    quantities."""
+    """A corpus replay: ``stats`` reads every file's checker accounting
+    — the corpus-wide Table 3 quantities — off the merged ``metrics``."""
 
     mode: str = DETECTION
-    stats: CheckStats = field(default_factory=CheckStats)
+
+    @property
+    def stats(self) -> CheckStats:
+        return CheckStats(self.metrics)
 
     @property
     def records_processed(self) -> int:
@@ -244,13 +246,10 @@ def replay_corpus(
     ``processes = N`` uses a pool of N workers.  Either way the merged
     result is identical — only ``duration_s`` changes.
     """
-    merged = run_corpus(
+    return run_corpus(
         sources,
         _replay_one,
         lambda path: (path, mode, model, threshold_factor, check_every,
                       shard_components, stream, incremental),
         CorpusReplayResult(mode=mode, processes=max(1, processes)),
     )
-    for entry in merged.entries:
-        merged.stats.merge(entry.result.stats)
-    return merged

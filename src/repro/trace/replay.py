@@ -75,7 +75,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Set, Tuple, Union
+from typing import Iterable, List, Set, Tuple, Union
 
 from repro.core.checker import CheckStats, DeadlockChecker
 from repro.core.incremental import IncrementalChecker
@@ -112,9 +112,9 @@ _DURATION_BUCKETS_S = (0.001, 0.01, 0.1, 0.5, 1.0, 5.0, 30.0, 120.0)
 class ReplayResult:
     """Outcome of one replay run.
 
-    ``reports`` preserves discovery order; ``stats`` is the underlying
-    checker's accounting (Table 3's quantities, now obtainable from a
-    file instead of a live run).
+    ``reports`` preserves discovery order; ``stats`` reads the checkers'
+    accounting (Table 3's quantities, obtainable from a file instead of
+    a live run) off ``metrics``.
     """
 
     mode: str
@@ -122,12 +122,16 @@ class ReplayResult:
     records_processed: int = 0
     checks_run: int = 0
     duration_s: float = 0.0
-    stats: CheckStats = field(default_factory=CheckStats)
-    #: The run's merged telemetry: the engine's replay counters plus
-    #: every checker's instruments, folded into one registry.  Its
-    #: non-volatile slice is deterministic — identical across process
-    #: counts and hosts for the same trace and settings.
+    #: The run's one registry: both checkers and the engine's own replay
+    #: counters record into it from the first record.  Its non-volatile
+    #: slice is deterministic — identical across process counts and
+    #: hosts for the same trace and settings.
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
+
+    @property
+    def stats(self) -> CheckStats:
+        """Check accounting of the run, both checkers together."""
+        return CheckStats(self.metrics)
 
     @property
     def deadlocked(self) -> bool:
@@ -166,19 +170,16 @@ class ReplayEngine:
         instead of :class:`~repro.core.checker.DeadlockChecker` (see
         the module docstring).  Reports are identical; only the cost
         model changes.
-    metrics:
-        Optional :class:`~repro.obs.registry.MetricsRegistry` to fold
-        each run's telemetry into (successive runs accumulate).  When
-        omitted every run gets a fresh registry on
-        :attr:`ReplayResult.metrics`.  Checkers always record into
-        private registries merged in at the end, so the hot loop never
-        pays for a shared-registry lock.
     tracer:
         Optional :class:`~repro.obs.tracing.Tracer` receiving check and
         report events keyed by record ordinals (deterministic, so the
         reconstructed timeline is bit-identical across replays).  The
         default :data:`~repro.obs.tracing.NULL_TRACER` costs one
         attribute read per check.
+
+    Every run creates one :class:`~repro.obs.registry.MetricsRegistry`
+    up front and hands it to both checkers; the loop's own counters land
+    in the same object at the end, and it is the result's ``metrics``.
 
     Whatever the tracer, every surfaced report gets **provenance**
     attached: per-edge record origins, the detection lag in record
@@ -194,7 +195,6 @@ class ReplayEngine:
         check_every: int = 1,
         shard_components: bool = False,
         incremental: bool = False,
-        metrics: Optional[MetricsRegistry] = None,
         tracer=NULL_TRACER,
     ) -> None:
         if mode not in (DETECTION, AVOIDANCE):
@@ -205,7 +205,6 @@ class ReplayEngine:
         self.check_every = max(1, check_every)
         self.shard_components = shard_components
         self.incremental = incremental
-        self.metrics = metrics
         self.tracer = tracer if tracer is not None else NULL_TRACER
 
     def run(self, trace: Union[Trace, Iterable[TraceRecord]]) -> ReplayResult:
@@ -225,13 +224,17 @@ class ReplayEngine:
         # Two checkers, two views: ``local`` accumulates block/unblock
         # records, ``remote`` the merged site publications.  Once any
         # publication has been seen, detection queries ``remote`` only.
-        local = engine(model=self.model, threshold_factor=self.threshold_factor)
-        remote = engine(model=self.model, threshold_factor=self.threshold_factor)
+        # Both record into the run's one registry.
+        metrics = MetricsRegistry()
+        settings = dict(model=self.model,
+                        threshold_factor=self.threshold_factor, metrics=metrics)
+        local = engine(**settings)
+        remote = engine(**settings)
         merge = DeltaMergeState(remote)
         # Report task order follows the analysed snapshot: site order ×
         # bucket order for the distributed view, not delta arrival order.
         remote.snapshot_source = merge.merged_snapshot
-        result = ReplayResult(mode=self.mode)
+        result = ReplayResult(mode=self.mode, metrics=metrics)
         seen: Set[frozenset] = set()
         kinds = dict.fromkeys(_KIND_NAMES, 0)
         origins = OriginTracker()
@@ -317,12 +320,7 @@ class ReplayEngine:
         if self.mode == DETECTION and pending:
             detect()
         result.duration_s = time.perf_counter() - t0
-        result.stats = local.stats
-        # Registries fold first: CheckStats.merge below copies remote's
-        # check instruments into local's registry, so merging registries
-        # afterwards would double-count them.
         self._finish_metrics(result, kinds, [local, remote], lags)
-        result.stats.merge(remote.stats)
         return result
 
     def _collect_avoided(
@@ -339,18 +337,18 @@ class ReplayEngine:
         result.reports.append(enriched)
 
     def _finish_metrics(self, result, kinds, checkers, lags) -> None:
-        """Fold the run's telemetry into the result's registry.
+        """Add the loop's own telemetry to the run registry.
 
         Engine counters are applied once, from the loop's plain-int
-        tallies (zero hot-loop registry cost); checker registries are
-        merged in whole, after ``sync_metrics`` has mirrored any
-        trailing SCC work done since the last check.  Everything here
-        except the duration and seconds-lag histograms is deterministic,
-        so the non-volatile snapshot is byte-identical across runs and
-        hosts — including the record-ordinal detection-lag histogram,
-        which is always created so every snapshot carries the family.
+        tallies (zero hot-loop registry cost), and ``sync_metrics``
+        publishes any trailing SCC work done since the last check.
+        Everything here except the duration and seconds-lag histograms
+        is deterministic, so the non-volatile snapshot is byte-identical
+        across runs and hosts — including the record-ordinal
+        detection-lag histogram, which is always created so every
+        snapshot carries the family.
         """
-        metrics = self.metrics if self.metrics is not None else MetricsRegistry()
+        metrics = result.metrics
         recs = metrics.counter(
             "repro_replay_records_total",
             "Trace records consumed by replay, by kind (context = "
@@ -395,8 +393,6 @@ class ReplayEngine:
             sync = getattr(checker, "sync_metrics", None)
             if sync is not None:
                 sync()
-            metrics.merge(checker.stats.metrics)
-        result.metrics = metrics
 
     def _trace_report(self, report: DeadlockReport) -> None:
         self.tracer.event(
@@ -454,7 +450,6 @@ def replay(
     shard_components: bool = False,
     stream: bool = False,
     incremental: bool = False,
-    metrics: Optional[MetricsRegistry] = None,
     tracer=NULL_TRACER,
 ) -> ReplayResult:
     """Convenience front door: replay a trace, record iterable or path.
@@ -463,10 +458,8 @@ def replay(
     :func:`~repro.trace.stream.iter_load` instead of loading it whole —
     same result, O(frame) memory.  ``incremental=True`` selects the
     delta-maintained engine — same reports, O(N) instead of O(N²) on
-    ``check_every=1`` replays.  ``metrics`` folds the run's telemetry
-    into a caller registry instead of the fresh one on
-    :attr:`ReplayResult.metrics`; ``tracer`` receives check/report
-    events keyed by record ordinals.
+    ``check_every=1`` replays.  ``tracer`` receives check/report events
+    keyed by record ordinals.
     """
     if isinstance(source, (str,)) or hasattr(source, "__fspath__"):
         if stream:
@@ -482,7 +475,6 @@ def replay(
         check_every=check_every,
         shard_components=shard_components,
         incremental=incremental,
-        metrics=metrics,
         tracer=tracer,
     )
     return engine.run(source)

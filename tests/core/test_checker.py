@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from repro.core.checker import DeadlockChecker
+from repro.core.checker import CheckStats, DeadlockChecker
 from repro.core.dependency import ResourceDependency
 from repro.core.events import Event, waiting_on
 from repro.core.selection import GraphModel
+from repro.obs.registry import MetricsRegistry
 
 
 def deadlocked_checker(model=GraphModel.AUTO) -> DeadlockChecker:
@@ -108,33 +109,27 @@ class TestStats:
         assert stats.checks == 2
         assert stats.cycles_found == 2
         # Two identical checks: both contributed to the running sum.
-        assert stats.max_edges > 0
-        assert stats.edges_total == stats.max_edges * 2
-        assert sum(stats.model_histogram().values()) == 2
+        assert stats.edges_max > 0
+        assert stats.edges_total == stats.edges_max * 2
+        assert sum(stats.model_counts.values()) == 2
         assert stats.mean_edges > 0
-        assert stats.max_edges >= stats.mean_edges
+        assert stats.edges_max >= stats.mean_edges
 
     def test_model_histogram(self):
         checker = deadlocked_checker(GraphModel.SG)
         checker.check()
-        hist = checker.stats.model_histogram()
+        hist = checker.stats.model_counts
         assert hist[GraphModel.SG] == 1
-
-    def test_reset_stats(self):
-        checker = deadlocked_checker()
-        checker.check()
-        old = checker.reset_stats()
-        assert old.checks == 1
-        assert checker.stats.checks == 0
 
     def test_merge(self):
         c1 = deadlocked_checker()
         c2 = deadlocked_checker()
         c1.check()
         c2.check()
-        merged = c1.reset_stats()
-        merged.merge(c2.reset_stats())
-        assert merged.checks == 2
+        total = MetricsRegistry()
+        total.merge(c1.stats.metrics)
+        total.merge(c2.stats.metrics)
+        assert CheckStats(total).checks == 2
 
 
 class TestSharedDependency:

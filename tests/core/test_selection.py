@@ -147,7 +147,7 @@ class TestShardAwareSelection:
             dep.set_blocked(f"s{i}", waiting_on("bar", phase, bar=phase))
         checker = DeadlockChecker(model=GraphModel.AUTO)
         reports = checker.check_sharded(snapshot=dep.snapshot())
-        histogram = checker.stats.model_histogram()
+        histogram = checker.stats.model_counts
         assert histogram.get(GraphModel.WFG) == 3  # the three knots
         assert histogram.get(GraphModel.SG) == 1  # the giant
         assert len(reports) == 3

@@ -265,6 +265,28 @@ class TestCoreDispatch:
         with pytest.raises(KeyError):
             core.health_doc("nobody")
 
+    @pytest.mark.parametrize("metrics_on", [False, True])
+    def test_per_tenant_health_reports_its_own_passes(self, metrics_on):
+        """A tenant's ``checks``/``cycles_found`` are the passes *it*
+        ran, whether or not the tenants share an enabled registry."""
+        metrics = MetricsRegistry() if metrics_on else None
+        core = CheckerServiceCore(metrics=metrics)
+        a, b = crossed_knot()
+        noisy = core.tenant("noisy")
+        publish(noisy, "s0", a)
+        publish(noisy, "s1", b)
+        for _ in range(5):
+            assert noisy.check() is not None
+        assert core.tenant("quiet").check() is None
+        quiet_doc = core.health_doc("quiet")
+        assert (quiet_doc["checks"], quiet_doc["cycles_found"]) == (1, 0)
+        assert quiet_doc["status"] == "ok"
+        noisy_doc = core.health_doc("noisy")
+        assert (noisy_doc["checks"], noisy_doc["cycles_found"]) == (5, 5)
+        assert core.health_doc()["deadlocked_tenants"] == ["noisy"]
+        if metrics is not None:  # the shared series stay service-wide
+            assert metrics.get("repro_checks_total").total() == 6
+
     def test_store_factory_backs_named_tenants(self):
         from repro.distributed.store import InMemoryStore
 

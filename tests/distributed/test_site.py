@@ -10,6 +10,7 @@ from repro.core.events import waiting_on
 from repro.distributed.delta import DeltaSequenceError, make_snapshot
 from repro.distributed.site import Site
 from repro.distributed.store import InMemoryStore
+from repro.obs.registry import MetricsRegistry
 
 
 def load_local_deadlock(site: Site) -> None:
@@ -43,14 +44,18 @@ class TestSynchronousRounds:
         assert set(objs[1]["set"]) == {"b"}
 
     def test_unchanged_rounds_publish_nothing(self):
-        store = InMemoryStore()
+        reg = MetricsRegistry()
+        store = InMemoryStore(metrics=reg)
         site = Site("s0", store, cancel_on_detect=False)
         load_local_deadlock(site)
         site._publish_once()
-        puts = store.puts
+        ops = reg.get("repro_store_ops_total")
+        puts = ops.value(store="store", op="put")
+        assert puts == 1
         site._publish_once()
         site._publish_once()
-        assert store.puts == puts  # nothing changed, nothing on the wire
+        # nothing changed, nothing on the wire
+        assert ops.value(store="store", op="put") == puts
 
     def test_duplicate_cycles_deduplicated(self):
         site = Site("s0", InMemoryStore(), cancel_on_detect=False)

@@ -23,6 +23,7 @@ from repro.distributed.store import (
     ReplicatedStore,
     StoreUnavailableError,
 )
+from repro.obs.registry import MetricsRegistry
 
 
 def delta(seq, set=None, restore=None, clear=None, stream="S"):
@@ -147,10 +148,13 @@ class TestDeltaStream:
             store.delta_sites()
 
     def test_operation_accounting(self):
-        store = InMemoryStore()
+        reg = MetricsRegistry()
+        store = InMemoryStore(metrics=reg)
         store.append_delta("s0", make_snapshot(1, blob("a"), "S"))
         store.get_deltas("s0", 0)
-        assert store.puts == 1 and store.gets == 1
+        ops = reg.get("repro_store_ops_total")
+        assert ops.value(store="store", op="put") == 1
+        assert ops.value(store="store", op="get") == 1
 
     def test_recovery_keeps_the_stream(self):
         store = InMemoryStore()

@@ -13,11 +13,12 @@ The properties pinned here are the ones the rest of the stack leans on:
 from __future__ import annotations
 
 import pickle
+import sys
+import threading
 
 import pytest
 
 from repro.obs.registry import (
-    DEFAULT_LATENCY_BUCKETS_S,
     MetricsRegistry,
     NULL_REGISTRY,
     NullRegistry,
@@ -70,6 +71,65 @@ class TestCounters:
         assert c.per_label() == {}
         assert c.snapshot()["values"] == []
 
+    def test_labels_returns_the_identical_child(self):
+        reg = MetricsRegistry()
+        for instrument in (reg.counter("c_total", labels=("op",)),
+                           reg.gauge("g", labels=("op",)),
+                           reg.histogram("h", labels=("op",))):
+            assert instrument.labels(op="a") is instrument.labels(op="a")
+            assert instrument.labels(op="a") is not instrument.labels(op="b")
+
+    def test_labels_identity_survives_a_racing_first_bind(self):
+        """More threads than cores race the first ``labels()`` of each
+        of many label values; every thread must come away holding the
+        same child, or an increment lands in a lost object."""
+        reg = MetricsRegistry()
+        c = reg.counter("ops_total", labels=("op",))
+        n_threads, n_labels = 16, 200
+        held = [[] for _ in range(n_threads)]
+        barrier = threading.Barrier(n_threads)
+
+        def bind(slot):
+            barrier.wait(10)
+            for i in range(n_labels):
+                child = c.labels(op=str(i))
+                child.inc()
+                slot.append(child)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=bind, args=(slot,))
+                       for slot in held]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        for slot in held[1:]:
+            assert all(a is b for a, b in zip(held[0], slot))
+        assert c.total() == n_threads * n_labels
+        assert set(c.per_label().values()) == {n_threads}
+
+    def test_handle_held_across_clear_rejoins_on_next_update(self):
+        reg = MetricsRegistry()
+        c = reg.counter("ops_total", labels=("op",))
+        h = reg.histogram("sizes", buckets=(1, 10))
+        put, sizes = c.labels(op="put"), h.labels()
+        put.inc(5)
+        sizes.observe(7)
+        c.clear()
+        h.clear()
+        assert c.per_label() == {} and c.total() == 0
+        assert c.snapshot()["values"] == h.snapshot()["values"] == []
+        assert c.labels(op="put") is put  # the handle is still the child
+        put.inc()
+        sizes.observe(3)
+        assert c.per_label() == {("put",): 1}
+        assert h.count_of() == 1 and h.sum_of() == 3 and h.max_of() == 3
+
     def test_schema_conflict_raises(self):
         reg = MetricsRegistry()
         reg.counter("x_total", labels=("a",))
@@ -108,23 +168,6 @@ class TestGaugesAndHistograms:
         assert h.quantile(0.5) == 4  # upper bound 10, clamped to vmax
         assert h.quantile(1.0) == 4
 
-    def test_span_records_into_volatile_histogram(self):
-        reg = MetricsRegistry()
-        span = reg.span("work", buckets=DEFAULT_LATENCY_BUCKETS_S)
-        with span:
-            pass
-        hist = reg.get("work_duration_seconds")
-        assert hist.volatile
-        assert hist.count_of() == 1
-
-    def test_span_is_reentrant(self):
-        reg = MetricsRegistry()
-        span = reg.span("work")
-        with span:
-            with span:
-                pass
-        assert reg.get("work_duration_seconds").count_of() == 2
-
 
 class TestSnapshotDeterminism:
     def test_snapshot_independent_of_creation_order(self):
@@ -160,15 +203,15 @@ class TestMergeAlgebra:
         a = MetricsRegistry()
         a.counter("c_total").inc(1)
         a.histogram("h", buckets=(1, 10)).observe(0)
-        a.gauge("peak", merge_mode="max").set(3)
+        a.gauge("depth").set(3)
         b = MetricsRegistry()
         b.counter("c_total").inc(10)
         b.histogram("h", buckets=(1, 10)).observe(5)
-        b.gauge("peak", merge_mode="max").set(9)
+        b.gauge("depth").set(9)
         c = MetricsRegistry()
         c.counter("c_total").inc(100)
         c.histogram("h", buckets=(1, 10)).observe(50)
-        c.gauge("peak", merge_mode="max").set(6)
+        c.gauge("depth").set(6)
         return a, b, c
 
     def fold(self, *regs) -> dict:
@@ -203,7 +246,7 @@ class TestMergeAlgebra:
         for reg in (a, b, c):
             acc.merge(reg)
         assert acc.get("c_total").total() == 111
-        assert acc.get("peak").value() == 9  # max mode
+        assert acc.get("depth").value() == 18  # gauges fold by sum
         h = acc.get("h")
         assert h.count_of() == 3
         assert h.sum_of() == 55
@@ -266,8 +309,5 @@ class TestNullRegistry:
         c.labels(op="x").inc()
         NULL_REGISTRY.gauge("g").set(3)
         NULL_REGISTRY.histogram("h").observe(1)
-        with NULL_REGISTRY.span("s"):
-            pass
         assert NULL_REGISTRY.snapshot() == {"v": 1, "metrics": []}
-        assert c.total() == 0
-        assert c.per_label() == {}
+        assert NULL_REGISTRY.names() == []

@@ -2,10 +2,10 @@
 
 These tests hand a single enabled :class:`MetricsRegistry` to each layer
 — checker, incremental checker, runtime, store, replicated store,
-distributed checker, replay engines — and assert the advertised series
-appear with the right values, that the legacy accounting surfaces
-(``CheckStats``, ``store.puts``) are live views over the same storage,
-and that enabling metrics never changes a replay's reports.
+distributed checker — and assert the advertised series appear with the
+right values, that ``CheckStats`` reads the registry it records into,
+that components sharing a registry *sum* into it, and that a replay
+has one registry from its first record.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ class TestCheckerWiring:
         checker = DeadlockChecker(model=GraphModel.WFG)
         deadlock_example(checker)
         checker.check()
-        assert checker.stats.model_histogram() == {GraphModel.WFG: 1}
+        assert checker.stats.model_counts == {GraphModel.WFG: 1}
 
     def test_merge_same_registry_does_not_double_count(self):
         reg = MetricsRegistry()
@@ -80,8 +80,9 @@ class TestCheckerWiring:
         deadlock_example(a)
         a.check()
         b.check()
-        a.stats.merge(b.stats)  # shared storage: must be a no-op
+        # Shared storage: the registry already holds the sum.
         assert reg.get("repro_checks_total").total() == 2
+        assert CheckStats(reg).checks == 2
 
     def test_merge_distinct_registries_folds(self):
         a = DeadlockChecker()
@@ -89,9 +90,10 @@ class TestCheckerWiring:
         deadlock_example(a)
         a.check()
         b.check()
-        stats = CheckStats()
-        stats.merge(a.stats)
-        stats.merge(b.stats)
+        total = MetricsRegistry()
+        total.merge(a.stats.metrics)
+        total.merge(b.stats.metrics)
+        stats = CheckStats(total)
         assert stats.checks == 2
         assert stats.cycles_found == 1
 
@@ -118,6 +120,32 @@ class TestIncrementalWiring:
         checker.clear("t4")  # trailing delta, no check afterwards
         checker.sync_metrics()
         assert work.value(kind="pk_visits") == checker._scc.pk_visits
+
+    def test_shared_registry_scc_work_sums_and_never_decreases(self):
+        """Two checkers on one registry: each publishes what *it* did
+        since it last published, so the ``_total`` series is their sum
+        and no read is below the one before."""
+        reg = MetricsRegistry()
+        busy = IncrementalChecker(model=GraphModel.WFG, metrics=reg)
+        idle = IncrementalChecker(model=GraphModel.WFG, metrics=reg)
+        busy.apply_batch([
+            ("set", f"t{i}",
+             waiting_on(f"p{i}", 1, **{f"p{i}": 1, f"p{(i + 1) % 64}": 0}))
+            for i in range(64)
+        ])  # a 64-task ring, resolved in one batch
+        work = reg.get("repro_scc_work_total")
+        reads = []
+        for checker in (busy, idle, busy):
+            checker.check()
+            reads.append(work.per_label())
+        assert set(reads[0]) == {("extractions",), ("pk_visits",), ("resolves",)}
+        for before, after in zip(reads, reads[1:]):
+            assert all(after[kind] >= before[kind] for kind in before)
+        assert reads[0][("resolves",)] >= 1
+        for kind in ("extractions", "pk_visits", "resolves"):
+            assert reads[-1][(kind,)] == (
+                getattr(busy._scc, kind) + getattr(idle._scc, kind)
+            )
 
     def test_fallback_counter_on_cyclic_state(self):
         reg = MetricsRegistry()
@@ -172,15 +200,9 @@ class TestStoreWiring:
         store = InMemoryStore(name="s", metrics=reg)
         store.append_delta("site-a", make_snapshot(1, {}, "S"))
         store.get_state("site-a")
-        assert store.puts == 1 and store.gets == 1
         ops = reg.get("repro_store_ops_total")
         assert ops.value(store="s", op="put") == 1
         assert ops.value(store="s", op="get") == 1
-
-    def test_default_store_accounting_still_works(self):
-        store = InMemoryStore()
-        store.append_delta("site-a", make_snapshot(1, {}, "S"))
-        assert store.puts == 1  # no registry passed: private fallback
 
     def test_append_kinds_and_gap_counters(self):
         from repro.distributed.delta import DeltaSequenceError
@@ -242,13 +264,10 @@ class TestDistributedWiring:
 
 
 class TestReplayWiring:
-    def corpus_member(self):
+    def corpus_member(self, name="cycle-L2-F1-S1-R1-dl.jsonl"):
         import pathlib
 
-        return (
-            pathlib.Path(__file__).parent.parent
-            / "trace" / "corpus" / "cycle-L2-F1-S1-R1-dl.jsonl"
-        )
+        return pathlib.Path(__file__).parent.parent / "trace" / "corpus" / name
 
     def test_result_metrics_carries_engine_and_checker_series(self):
         from repro.trace.replay import replay
@@ -272,17 +291,36 @@ class TestReplayWiring:
             == plain.stats.checks
         )
 
-    def test_metrics_never_change_reports(self):
-        """The differential pin: a null-registry replay and a default
-        one produce byte-identical report text."""
-        from repro.trace.replay import ReplayEngine
-        from repro.trace.codec import load_trace
+    @pytest.mark.parametrize("incremental", [False, True])
+    @pytest.mark.parametrize("member", [
+        "cycle-L2-F1-S1-R1-dl.jsonl",
+        # Distributed: block records reach ``local``, publish_delta
+        # records ``remote`` — both checkers record into the registry.
+        "recorded-cluster-delta-dl.trace",
+    ])
+    def test_replay_has_one_registry_from_its_first_record(
+        self, monkeypatch, member, incremental
+    ):
+        from repro.trace.replay import replay
 
-        trace = load_trace(self.corpus_member())
-        quiet = ReplayEngine(metrics=NULL_REGISTRY).run(trace)
-        loud = ReplayEngine().run(trace)
-        assert [r.describe() for r in quiet.reports] == [
-            r.describe() for r in loud.reports
-        ]
-        assert quiet.records_processed == loud.records_processed
-        assert quiet.metrics is NULL_REGISTRY
+        built, merges = [], []
+        init, merge = MetricsRegistry.__init__, MetricsRegistry.merge
+
+        def counting_init(self):
+            built.append(self)
+            init(self)
+
+        def counting_merge(self, other):
+            merges.append(other)
+            merge(self, other)
+
+        monkeypatch.setattr(MetricsRegistry, "__init__", counting_init)
+        monkeypatch.setattr(MetricsRegistry, "merge", counting_merge)
+        result = replay(self.corpus_member(member), incremental=incremental)
+        assert len(built) == 1 and built[0] is result.metrics
+        assert merges == []
+        assert (
+            result.stats.checks
+            == result.metrics.get("repro_checks_total").total()
+            == result.checks_run
+        )

@@ -125,6 +125,38 @@ class TestOneTraceReader:
             assert "splitlines" not in path.read_text(), path.name
 
 
+class TestOneLedger:
+    SOURCES = sorted((REPO / "src").rglob("*.py"))
+
+    def test_no_counter_is_assigned_into(self):
+        """A shared counter is added to, never overwritten: the
+        by-assignment mirror (``set_total``) stays gone."""
+        for path in self.SOURCES:
+            assert ".set_total(" not in path.read_text(), path.name
+
+    def test_the_only_private_registry_fallback_is_check_stats(self):
+        """``metrics.enabled`` … else a private ``MetricsRegistry()``
+        forks a component's counts into a second ledger.  One such fork
+        remains — ``CheckStats.__init__``, which the live runtime's
+        no-op default needs — and another cannot reappear unnoticed."""
+        forks = []
+        for path in self.SOURCES:
+            for scope in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(scope, (ast.Module, ast.ClassDef)):
+                    continue
+                for func in scope.body:
+                    if not isinstance(func, ast.FunctionDef):
+                        continue
+                    forks.extend(
+                        (path.name, getattr(scope, "name", ""), func.name)
+                        for node in ast.walk(func)
+                        if isinstance(node, (ast.If, ast.IfExp))
+                        and ".enabled" in ast.unparse(node.test)
+                        and "MetricsRegistry()" in ast.unparse(node)
+                    )
+        assert forks == [("checker.py", "CheckStats", "__init__")]
+
+
 class TestExamples:
     def test_examples_present_and_parse(self):
         examples = sorted((REPO / "examples").glob("*.py"))

@@ -259,4 +259,4 @@ class TestIncrementalEngine:
         )
         result = replay(trace, incremental=True)
         assert not result.deadlocked
-        assert set(result.stats.model_histogram()) == {GraphModel.WFG}
+        assert set(result.stats.model_counts) == {GraphModel.WFG}
