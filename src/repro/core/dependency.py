@@ -15,13 +15,20 @@ Avoidance asks a narrower question than a check — does *this one* new
 status close a cycle? — and the store answers it without a snapshot:
 :meth:`ResourceDependency.vet_block` searches from the new status over
 a phase index the store keeps once it has been asked (see there).
+
+**One table.**  A checker's blocked statuses live in exactly one dict,
+``ResourceDependency._statuses``; every write ends in one private funnel
+that, under the store's lock, keeps the phase index in step and tells
+every subscriber (:meth:`ResourceDependency.subscribe`) what changed.  A
+structure derived from the statuses is fed by that funnel or reads that
+dict — never a mirror of it, so there is no write it can miss.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.events import BlockedStatus, Event, PhaserId, TaskId
 
@@ -111,6 +118,11 @@ class DependencySnapshot:
 #: below phase ``n``.  Counting tasks per event (instead of listing
 #: them) collapses an SPMD bucket of identical statuses to one entry.
 PhaseIndex = Dict[PhaserId, Dict[int, Dict[Event, int]]]
+
+#: ``listener(op, task, old, new)``, see :meth:`ResourceDependency.subscribe`.
+WriteListener = Callable[
+    [str, TaskId, Optional[BlockedStatus], Optional[BlockedStatus]], None
+]
 
 
 def index_statuses(statuses: Iterable[BlockedStatus]) -> PhaseIndex:
@@ -203,7 +215,9 @@ class ResourceDependency:
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
+        # Re-entrant: a subscriber's owner queries, and its avoidance
+        # path publishes, while holding it.
+        self._lock = threading.RLock()
         self._statuses: Dict[TaskId, BlockedStatus] = {}
         self._generation = 0
         self._restores = 0
@@ -213,6 +227,25 @@ class ResourceDependency:
         # Materialised by the first vet_block, maintained by every
         # write from then on; a store never asked never pays for it.
         self._index: Optional[PhaseIndex] = None
+        self._listeners: List[WriteListener] = []
+
+    def subscribe(self, listener: WriteListener) -> None:
+        """Feed ``listener`` every write, for the store's lifetime.
+
+        It is called as ``listener(op, task, old, new)`` under the
+        store's lock, after the table changed: ``op`` names the method
+        that wrote (``"set_blocked"``, ``"clear"``, ``"restore"``,
+        ``"clear_all"`` — once per task it drops), ``old``/``new`` are
+        the task's status before and after (``None``: not blocked; a
+        ``clear`` of an unblocked task is still delivered).  Content
+        already held arrives first, as ``"subscribe"`` writes, so a
+        structure built from the calls alone equals one built from
+        :meth:`snapshot`.
+        """
+        with self._lock:
+            for task, status in self._statuses.items():
+                listener("subscribe", task, None, status)
+            self._listeners.append(listener)
 
     def set_blocked(self, task: TaskId, status: BlockedStatus) -> BlockedStatus:
         """Record that ``task`` is blocked with ``status``.
@@ -226,17 +259,13 @@ class ResourceDependency:
                 registered=status.registered,
                 generation=self._generation,
             )
-            if self._index is not None:
-                self._reindex(self._statuses.get(task), stamped)
-            self._statuses[task] = stamped
+            self._write("set_blocked", task, stamped)
             return stamped
 
     def clear(self, task: TaskId) -> None:
         """Remove ``task``'s blocked status (the task unblocked or died)."""
         with self._lock:
-            status = self._statuses.pop(task, None)
-            if self._index is not None:
-                self._reindex(status, None)
+            self._write("clear", task, None)
 
     def get(self, task: TaskId) -> Optional[BlockedStatus]:
         """The currently published status of ``task``, if any."""
@@ -252,35 +281,31 @@ class ResourceDependency:
         """
         with self._lock:
             self._restores += 1
-            if self._index is not None:
-                self._reindex(self._statuses.get(task), status)
-            self._statuses[task] = status
+            self._write("restore", task, status)
 
-    def _reindex(
-        self, old: Optional[BlockedStatus], new: Optional[BlockedStatus]
+    def _write(
+        self, op: str, task: TaskId, new: Optional[BlockedStatus]
     ) -> None:
-        """Move one task's index entries from ``old`` to ``new``."""
-        if old is not None:
-            _index_discard(self._index, old)
-        if new is not None:
-            _index_add(self._index, new)
+        """The one place a status enters or leaves the table; the phase
+        index and every subscriber move with it, from ``task``'s old
+        status to ``new``.  Caller holds the lock."""
+        if new is None:
+            old = self._statuses.pop(task, None)
+        else:
+            old = self._statuses.get(task)
+            self._statuses[task] = new
+        if self._index is not None:
+            if old is not None:
+                _index_discard(self._index, old)
+            if new is not None:
+                _index_add(self._index, new)
+        for listener in self._listeners:
+            listener(op, task, old, new)
 
     def snapshot(self) -> DependencySnapshot:
         """An immutable, consistent copy of all current blocked statuses."""
         with self._lock:
             return DependencySnapshot(statuses=dict(self._statuses))
-
-    @property
-    def generation(self) -> int:
-        """The last stamped generation number.
-
-        Together with :meth:`blocked_count` this fingerprints the store
-        state: any ``set_blocked`` bumps it, any ``clear`` changes the
-        count.  The incremental checker uses the pair to detect writes
-        that bypassed its delta surface and resynchronise.
-        """
-        with self._lock:
-            return self._generation
 
     def is_current(self, task: TaskId, status: BlockedStatus) -> bool:
         """Whether ``task`` is still blocked with exactly ``status``."""
@@ -294,9 +319,8 @@ class ResourceDependency:
 
     def clear_all(self) -> None:
         with self._lock:
-            self._statuses.clear()
-            if self._index is not None:
-                self._index.clear()
+            for task in list(self._statuses):
+                self._write("clear_all", task, None)
             self._acyclic_at = (self._generation, self._restores)
 
     # ------------------------------------------------------------------

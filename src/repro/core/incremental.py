@@ -10,13 +10,16 @@ unblocked, statuses restored, site buckets republished) and maintains
 the Wait-For Graph edge set in place, answering cycle queries through an
 incrementally maintained SCC structure (:class:`~repro.core.scc.DynamicSCC`).
 
-**Delta contract.**  Every state change arrives through exactly the
-:class:`~repro.core.checker.DeadlockChecker` mutation surface —
-:meth:`set_blocked`, :meth:`clear`, :meth:`restore` — so every existing
-producer (runtime observer hooks, replay engines, the distributed
-delta-merge view) can feed this checker unchanged.  A blocked status is immutable
-while published (the task observer's core insight), therefore one
-status contributes a *fixed* WFG edge group computable at publication:
+**Delta contract.**  The maintained state is a *subscriber* of the
+checker's :class:`~repro.core.dependency.ResourceDependency`: the store
+holds the one table of blocked statuses and tells it every write —
+through this checker, another checker sharing the store, or the store
+itself — as ``(op, task, old, new)`` under the store's lock, so there is
+no write the graph can miss and every producer (runtime observer hooks,
+replay engines, the distributed delta-merge view) feeds this checker
+unchanged.  A blocked status is immutable while published (the task
+observer's core insight), therefore one status contributes a *fixed*
+WFG edge group computable at publication:
 
 * out-edges ``task -> t2`` for every ``t2`` impeding an event ``task``
   waits on, found through a phase-bucketed registration index;
@@ -56,23 +59,13 @@ a stable deadlock).
 
 The checker inherits the classic one's :class:`~repro.core.dependency.
 ResourceDependency` store, so generation stamping, ``is_current``
-revalidation and the avoidance restore path all keep their semantics.
-
-**Foreign writes.**  Some producers (the PL interpreter's re-publish
-loop, sites sharing one store across checkers) write to the dependency
-store directly instead of through the checker surface.  Every query
-therefore fingerprints the store (generation counter + blocked count)
-against the delta state and, on mismatch, *resynchronises* — a full
-O(N) rebuild of indexes and graph, paid only when something bypassed
-the delta surface.  The one write the fingerprint cannot see is a
-direct ``dependency.restore`` of an already-blocked task (same count,
-no new generation); all in-tree restore flows go through
-:meth:`restore`, which is delta-aware.
+revalidation and the avoidance restore path all keep their semantics;
+queries run under that store's lock — the one lock that orders writes,
+the listener and reads of the maintained graph.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -93,18 +86,10 @@ class IncrementalChecker(DeadlockChecker):
     """A :class:`DeadlockChecker` whose graph state is delta-maintained.
 
     Drop-in compatible: same constructor, same mutation and query
-    surface, same reports.  Differences are operational only —
-
-    * :meth:`check`/:meth:`check_sharded` with no explicit snapshot run
-      against the live delta state (O(1) when acyclic) instead of
-      snapshotting;
-    * :attr:`stats` records the maintained WFG's edge count (model
-      ``WFG``) for fast-path checks, since no per-model graph is built
-      on that path.
-
-    Passing an explicit ``snapshot`` bypasses the incremental state and
-    behaves exactly like the parent class (offline ablations over
-    foreign snapshots keep working).
+    surface, same reports (how queries are answered: the module
+    docstring's query contract).  Passing an explicit ``snapshot``
+    bypasses the incremental state and behaves exactly like the parent
+    class (offline ablations over foreign snapshots keep working).
     """
 
     def __init__(
@@ -121,11 +106,6 @@ class IncrementalChecker(DeadlockChecker):
             "repro_incremental_delta_ops_total",
             "Delta operations applied to the maintained graph state.",
             labels=("op",),
-        )
-        self._m_resyncs = self.metrics.counter(
-            "repro_incremental_resyncs_total",
-            "Full rebuilds forced by writes that bypassed the delta "
-            "surface.",
         )
         self._m_fallbacks = self.metrics.counter(
             "repro_incremental_fallback_checks_total",
@@ -148,139 +128,79 @@ class IncrementalChecker(DeadlockChecker):
         # What :meth:`sync_metrics` has published of each so far (None:
         # nothing yet — the first publication makes the series appear).
         self._scc_published: List[Optional[int]] = [None, None, None]
-        # One lock orders all delta applications and live-state queries;
-        # re-entrant because the avoidance path mutates while holding it.
-        self._delta_lock = threading.RLock()
+        # Writes heard per counted op and not yet on ``_m_deltas``: a
+        # batch publishes them once, at its end.
+        self._pending_ops = {"set_blocked": 0, "clear": 0, "restore": 0}
+        self._batching = False
+        # The store's lock orders its writes, the listener they call
+        # and every query of the state the listener maintains.
+        self._lock = self.dependency._lock
         # The compiled kernel when built (see repro.core._native), the
         # pure-Python structure otherwise — interchangeable by contract.
         self._scc = make_dynamic_scc()
-        self._statuses: Dict[TaskId, BlockedStatus] = {}
         # phaser -> local phase -> tasks registered there (blocked only).
         self._phases: Dict[PhaserId, Dict[int, Set[TaskId]]] = {}
         # phaser -> awaited event -> blocked tasks waiting on it.
         self._awaited: Dict[PhaserId, Dict[Event, Set[TaskId]]] = {}
         self._cached_epoch = -1
         self._cached_report: Optional[DeadlockReport] = None
-        # Fingerprint of the store state the delta state mirrors: the
-        # highest generation this checker stamped plus its own status
-        # count.  A store whose (generation, count) disagrees was
-        # written behind our back — resync before answering.
-        self._my_generation = self.dependency.generation
-
-    def _maybe_resync(self) -> None:
-        """Rebuild the delta state if the store was written directly.
-
-        Caller holds ``_delta_lock``.  Cheap (two counter reads) when
-        nothing bypassed the delta surface — the overwhelmingly common
-        case; O(statuses) when something did.
-        """
-        if (
-            self.dependency.generation == self._my_generation
-            and self.dependency.blocked_count() == len(self._statuses)
-        ):
-            return
-        self._m_resyncs.inc()
-        # A resync is a bulk application by nature — one batched
-        # maintenance pass, exactly like an apply_batch of the whole
-        # snapshot (the live monitor's recovery path rides this too).
-        self._scc.begin_batch()
-        try:
-            for task in list(self._statuses):
-                self._retract(task)
-            snapshot = self.dependency.snapshot()
-            for task, status in snapshot.statuses.items():
-                self._insert(task, status)
-        finally:
-            self._scc.end_batch()
-        self._my_generation = self.dependency.generation
+        self.dependency.subscribe(self._on_write)
 
     # ------------------------------------------------------------------
-    # delta application (the mutation surface of the delta contract)
+    # delta application (fed by the store, see ``subscribe`` there)
     # ------------------------------------------------------------------
-    def set_blocked(self, task: TaskId, status: BlockedStatus) -> BlockedStatus:
-        with self._delta_lock:
-            self._maybe_resync()
-            self._m_deltas.inc(op="set_blocked")
-            stamped = super().set_blocked(task, status)
-            if task in self._statuses:
-                self._retract(task)
-            self._insert(task, stamped)
-            self._my_generation = stamped.generation
-            return stamped
+    def _on_write(
+        self,
+        op: str,
+        task: TaskId,
+        old: Optional[BlockedStatus],
+        new: Optional[BlockedStatus],
+    ) -> None:
+        """Move ``task``'s share of graph and indexes from ``old`` to
+        ``new``.  The store calls this under its lock."""
+        # (Subscription replay and ``clear_all`` drops are no delta ops.)
+        if op in self._pending_ops:
+            self._pending_ops[op] += 1
+        if old is not None:
+            self._retract(task, old)
+        if new is not None:
+            self._insert(task, new)
+        if not self._batching:
+            self._publish_ops()
 
-    def clear(self, task: TaskId) -> None:
-        with self._delta_lock:
-            self._maybe_resync()
-            self._m_deltas.inc(op="clear")
-            super().clear(task)
-            if task in self._statuses:
-                self._retract(task)
-
-    def restore(self, task: TaskId, status: BlockedStatus) -> None:
-        with self._delta_lock:
-            self._maybe_resync()
-            self._m_deltas.inc(op="restore")
-            super().restore(task, status)
-            if task in self._statuses:
-                self._retract(task)
-            self._insert(task, status)
+    def _publish_ops(self) -> None:
+        for op, count in self._pending_ops.items():
+            if count:
+                self._m_deltas.inc(count, op=op)
+                self._pending_ops[op] = 0
 
     def apply_batch(self, ops) -> None:
         """Apply an ordered delta sequence with one maintenance pass.
 
-        ``ops`` is a sequence of ``(op, task, status)`` tuples, ``op``
-        one of ``"set"``/``"clear"``/``"restore"`` (``status`` is
-        ignored for ``"clear"``).  Equivalent — same final state, same
-        subsequent verdicts and reports, same
-        ``repro_incremental_delta_ops_total`` totals — to calling
-        :meth:`set_blocked`/:meth:`clear`/:meth:`restore` once per op,
-        but the whole batch pays one lock acquisition, one foreign-write
-        resync check, one metrics flush, and (via
-        :meth:`~repro.core.scc.DynamicSCC.begin_batch`) one scoped
-        SCC resolution per affected component instead of per-edge
+        Equivalent — same final state, same subsequent verdicts and
+        reports, same ``repro_incremental_delta_ops_total`` totals — to
+        the parent class's one write per op, but the whole batch pays
+        one metrics flush and (via
+        :meth:`~repro.core.scc.DynamicSCC.begin_batch`) one scoped SCC
+        resolution per affected component instead of per-edge
         Pearce-Kelly passes.
         """
         if not ops:
             return
-        tallies = {"set_blocked": 0, "clear": 0, "restore": 0}
-        with self._delta_lock:
-            self._maybe_resync()
-            scc = self._scc
-            statuses = self._statuses
-            scc.begin_batch()
+        with self._lock:
+            self._scc.begin_batch()
+            self._batching = True
             try:
-                for op, task, status in ops:
-                    if op == "set":
-                        tallies["set_blocked"] += 1
-                        stamped = super().set_blocked(task, status)
-                        if task in statuses:
-                            self._retract(task)
-                        self._insert(task, stamped)
-                        self._my_generation = stamped.generation
-                    elif op == "clear":
-                        tallies["clear"] += 1
-                        super().clear(task)
-                        if task in statuses:
-                            self._retract(task)
-                    elif op == "restore":
-                        tallies["restore"] += 1
-                        super().restore(task, status)
-                        if task in statuses:
-                            self._retract(task)
-                        self._insert(task, status)
-                    else:
-                        raise ValueError(f"unknown batch op {op!r}")
+                super().apply_batch(ops)
             finally:
-                scc.end_batch()
-                # Flushed even on a failing op: the per-op path counts
-                # before applying, so a partial batch accounts the same.
-                for name, count in tallies.items():
-                    if count:
-                        self._m_deltas.inc(count, op=name)
+                self._batching = False
+                self._scc.end_batch()
+                # Published even on a failing op: a partial batch
+                # accounts what it applied, like the per-op path.
+                self._publish_ops()
 
     def _insert(self, task: TaskId, status: BlockedStatus) -> None:
         """Fold one newly published status into graph and indexes."""
-        self._statuses[task] = status
         scc = self._scc
         scc.add_vertex(task)
         for phaser, phase in status.registered.items():
@@ -302,9 +222,8 @@ class IncrementalChecker(DeadlockChecker):
                     for waiter in waiters:
                         scc.add_edge(waiter, task)
 
-    def _retract(self, task: TaskId) -> None:
+    def _retract(self, task: TaskId, status: BlockedStatus) -> None:
         """Withdraw a status: drop the vertex and its incident edges."""
-        status = self._statuses.pop(task)
         for phaser, phase in status.registered.items():
             buckets = self._phases[phaser]
             buckets[phase].discard(task)
@@ -335,8 +254,7 @@ class IncrementalChecker(DeadlockChecker):
                 snapshot=snapshot, revalidate=revalidate, model=model
             )
         t0 = time.perf_counter()
-        with self._delta_lock:
-            self._maybe_resync()
+        with self._lock:
             if not self._scc.has_cycle():
                 self._record(t0, None, GraphModel.WFG, self._scc.edge_count)
                 return None
@@ -350,7 +268,13 @@ class IncrementalChecker(DeadlockChecker):
                 # analysis graph under this model, so the canonical
                 # cycle comes straight from the component partition —
                 # no snapshot, no rebuild.
-                report = self._extract_wfg_report(t0, revalidate)
+                report = self._maintained_wfg_report(
+                    t0,
+                    # The store's own table, read in place under its lock.
+                    DependencySnapshot(statuses=self.dependency._statuses),
+                    self._scc.extract_cycle(), self._scc.edge_count,
+                    revalidate,
+                )
             else:
                 self._m_fallbacks.inc()
                 snapshot = self._current_snapshot()
@@ -359,26 +283,31 @@ class IncrementalChecker(DeadlockChecker):
             self._cached_report = report
             return report
 
-    def _extract_wfg_report(
-        self, t0: float, revalidate: bool
+    def _maintained_wfg_report(
+        self,
+        t0: float,
+        snapshot: DependencySnapshot,
+        cycle: Optional[list],
+        edge_count: int,
+        revalidate: bool,
     ) -> Optional[DeadlockReport]:
-        """Assemble the WFG-model report from the maintained state.
+        """A WFG-model answer from the maintained partition.
 
-        The cycle comes from the (epoch-cached) partition extraction;
-        assembly and revalidation run the classic checker's own code
-        (:meth:`_wfg_report`, :meth:`_still_current`) over the
-        maintained statuses, so the two paths cannot drift.  Caller
-        holds ``_delta_lock`` and has established that a cycle exists.
+        ``cycle`` is its (epoch-cached) canonical extraction over
+        ``snapshot``'s tasks and ``edge_count`` the maintained edges
+        among them — what a rebuild of ``snapshot`` would count.
+        Assembly and revalidation run the classic checker's own code
+        (:meth:`_wfg_report`, :meth:`_still_current`), so the two paths
+        cannot drift.  Caller holds the store's lock.
         """
-        cycle = self._scc.extract_cycle()
-        report: Optional[DeadlockReport] = self._wfg_report(
-            self._statuses, cycle, self._scc.edge_count, avoided=False
-        )
-        if revalidate and not self._still_current(
-            DependencySnapshot(statuses=self._statuses), report
-        ):
-            report = None
-        self._record(t0, report, GraphModel.WFG, self._scc.edge_count)
+        report: Optional[DeadlockReport] = None
+        if cycle is not None:
+            report = self._wfg_report(
+                snapshot.statuses, cycle, edge_count, avoided=False
+            )
+            if revalidate and not self._still_current(snapshot, report):
+                report = None
+        self._record(t0, report, GraphModel.WFG, edge_count)
         return report
 
     def check_sharded(
@@ -389,8 +318,7 @@ class IncrementalChecker(DeadlockChecker):
         if snapshot is not None:
             return super().check_sharded(snapshot=snapshot, revalidate=revalidate)
         t0 = time.perf_counter()
-        with self._delta_lock:
-            self._maybe_resync()
+        with self._lock:
             if not self._scc.has_cycle():
                 self._record(t0, None, GraphModel.WFG, self._scc.edge_count)
                 return []
@@ -406,7 +334,12 @@ class IncrementalChecker(DeadlockChecker):
             for shard in snapshot_components(snapshot):
                 model = select_shard_model(len(shard), self.model)
                 if model is GraphModel.WFG:
-                    report = self._check_wfg_shard(shard, revalidate)
+                    tasks = set(shard.statuses)
+                    report = self._maintained_wfg_report(
+                        time.perf_counter(), shard,
+                        self._scc.extract_cycle_within(tasks),
+                        self._scc.edges_within(tasks), revalidate,
+                    )
                 else:
                     # SG/AUTO shards still need the built graph (the
                     # chosen model depends on it) — classic per-shard
@@ -419,46 +352,19 @@ class IncrementalChecker(DeadlockChecker):
                     reports.append(report)
             return reports
 
-    def _check_wfg_shard(
-        self, shard: DependencySnapshot, revalidate: bool
-    ) -> Optional[DeadlockReport]:
-        """One WFG-model shard answered from the maintained partition.
-
-        Mirrors :meth:`_extract_wfg_report` scoped to the shard's tasks:
-        scoped canonical extraction
-        (:meth:`~repro.core.scc.DynamicSCC.extract_cycle_within`), the
-        induced edge count for stats parity with a rebuild, and the
-        classic assembly/revalidation code over the shard's statuses.
-        Caller holds ``_delta_lock``.
-        """
-        t0 = time.perf_counter()
-        tasks = set(shard.statuses)
-        edge_count = self._scc.edges_within(tasks)
-        cycle = self._scc.extract_cycle_within(tasks)
-        report: Optional[DeadlockReport] = None
-        if cycle is not None:
-            report = self._wfg_report(
-                shard.statuses, cycle, edge_count, avoided=False
-            )
-            if revalidate and not self._still_current(shard, report):
-                report = None
-        self._record(t0, report, GraphModel.WFG, edge_count)
-        return report
-
     def check_before_block(
         self, task: TaskId, status: BlockedStatus
     ) -> Tuple[Optional[DeadlockReport], Optional[BlockedStatus]]:
-        with self._avoidance_lock, self._delta_lock:
+        with self._avoidance_lock, self._lock:
             t0 = time.perf_counter()
             prior = self.dependency.get(task)
-            stamped = self.set_blocked(task, status)  # resyncs + applies
+            stamped = self.set_blocked(task, status)
             if not self._scc.has_cycle():
                 # Fast accept: publishing this status created no cycle,
                 # so blocking cannot complete a deadlock.
                 self._record(t0, None, GraphModel.WFG, self._scc.edge_count)
                 return None, stamped
-            # Slow path: the classic refusal, shared with the parent —
-            # restore/clear route through the delta-aware overrides.
+            # Slow path: the classic refusal, shared with the parent.
             return self._finish_avoidance(t0, task, status, prior, stamped)
 
     # ------------------------------------------------------------------
@@ -477,8 +383,8 @@ class IncrementalChecker(DeadlockChecker):
         scc = self._scc
         published = self._scc_published
         # Read-then-add must not interleave with another caller's (a
-        # check of an explicit snapshot records outside the delta lock).
-        with self._delta_lock:
+        # check of an explicit snapshot records outside the store's lock).
+        with self._lock:
             for i, now in enumerate((scc.extractions, scc.pk_visits, scc.resolves)):
                 if now != published[i]:
                     self._m_scc_work[i].inc(now - (published[i] or 0))
@@ -496,22 +402,22 @@ class IncrementalChecker(DeadlockChecker):
     @property
     def wfg_edge_count(self) -> int:
         """Edges of the maintained Wait-For Graph."""
-        with self._delta_lock:
+        with self._lock:
             return self._scc.edge_count
 
     @property
     def mutation_epoch(self) -> int:
         """Global delta counter (see :attr:`DynamicSCC.mutation_epoch`)."""
-        with self._delta_lock:
+        with self._lock:
             return self._scc.mutation_epoch
 
     @property
     def incremental_extractions(self) -> int:
         """Scoped cycle extractions computed (WFG model; cache misses)."""
-        with self._delta_lock:
+        with self._lock:
             return self._scc.extractions
 
     def maintained_graph(self):
         """Materialise the maintained WFG (differential tests)."""
-        with self._delta_lock:
+        with self._lock:
             return self._scc.to_digraph()

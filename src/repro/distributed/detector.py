@@ -31,7 +31,7 @@ from typing import Optional
 
 from repro.core.incremental import IncrementalChecker
 from repro.core.report import DeadlockReport
-from repro.core.selection import GraphModel
+from repro.core.selection import DEFAULT_THRESHOLD_FACTOR, GraphModel
 from repro.distributed.delta import DeltaMergeState, DeltaSequenceError
 from repro.obs.registry import NULL_REGISTRY
 from repro.obs.tracing import NULL_TRACER
@@ -52,7 +52,7 @@ class DistributedChecker:
         self,
         store,
         model: GraphModel = GraphModel.AUTO,
-        threshold_factor: float = 2.0,
+        threshold_factor: float = DEFAULT_THRESHOLD_FACTOR,
         metrics=None,
         tracer=None,
     ) -> None:

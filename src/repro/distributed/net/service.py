@@ -48,6 +48,10 @@ __all__ = ["TenantChecker", "CheckerServiceCore", "DEFAULT_TENANT"]
 #: The namespace used when a client does not name one.
 DEFAULT_TENANT = "default"
 
+#: Distinct cycles a tenant's report log retains, newest last: what a
+#: tenant publishes decides how many there are, so the log is bounded.
+MAX_TENANT_REPORTS = 256
+
 #: Typed wire errors: error kind <-> exception class, shared with the
 #: client so a server-side raise resurfaces as the same type.
 WIRE_ERRORS = {
@@ -86,7 +90,10 @@ class TenantChecker:
         self.checker = DistributedChecker(
             self.store, model=model, metrics=metrics, tracer=self.tracer
         )
+        #: The newest ``MAX_TENANT_REPORTS`` distinct reports, oldest
+        #: first; ``reports_filed`` counts every one ever logged.
         self.reports: List[DeadlockReport] = []
+        self.reports_filed = 0
         # Detection passes this tenant ran and how many answered with a
         # cycle — its own numbers: the check series in a registry the
         # service shares across tenants are service-wide sums.
@@ -101,6 +108,14 @@ class TenantChecker:
         # checkpoint re-publish moves origins without touching the graph.
         self._answer = (None, -1, None, None)
         self._lock = threading.Lock()
+        self._m_evicted = (
+            metrics if metrics is not None else NULL_REGISTRY
+        ).counter(
+            "repro_net_reports_evicted_total",
+            "Reports dropped, oldest first, from a tenant's bounded "
+            "distinct-report log.",
+            labels=("tenant",),
+        ).labels(tenant=self.name)
 
     # -- the five-method store surface, tenant-scoped ------------------
     def append_delta(self, site: str, obj: Mapping) -> None:
@@ -174,6 +189,10 @@ class TenantChecker:
             if key not in self._seen_cycles:
                 self._seen_cycles.add(key)
                 self.reports.append(enriched)
+                self.reports_filed += 1
+                if len(self.reports) > MAX_TENANT_REPORTS:
+                    self._seen_cycles.discard(self.reports.pop(0).cycle_key)
+                    self._m_evicted.inc()
         return enriched, obj
 
     # -- introspection -------------------------------------------------
@@ -192,7 +211,7 @@ class TenantChecker:
                 "blocked_tasks": blocked,
                 "checks": self.checks,
                 "cycles_found": self.cycles_found,
-                "report_count": len(self.reports),
+                "report_count": self.reports_filed,
                 "reports": unique_report_entries(self.reports),
             }
 

@@ -97,9 +97,11 @@ class Interpreter:
 
     def run(self, start: State) -> RunResult:
         """Reduce ``start`` until no step is enabled or the budget ends."""
-        # Each run records a fresh blocked-set stream; stale diff state
-        # from a previous run() would suppress or fabricate records.
+        # Each run publishes a fresh blocked-set stream; stale diff state
+        # from a previous run() would suppress or fabricate deltas.
         self._published = {}
+        if self.checker is not None:
+            self.checker.dependency.clear_all()
         state = start
         steps = 0
         reports: List[DeadlockReport] = []
@@ -154,27 +156,32 @@ class Interpreter:
         return self.rng.choice(candidates)
 
     def _verify(self, state: State) -> Optional[DeadlockReport]:
-        """Publish phi(state) into the checker and run one check."""
-        assert self.checker is not None
-        snapshot = to_snapshot(state)
-        if self.recorder is not None:
-            self._record_diff(snapshot.statuses)
-        self.checker.dependency.clear_all()
-        for task, status in snapshot.statuses.items():
-            self.checker.dependency.set_blocked(task, status)
-        return self.checker.check()
+        """Publish phi(state) into the checker and run one check.
 
-    def _record_diff(self, statuses) -> None:
-        """Record the blocked-set delta of this publication: tasks that
-        left the blocked set unblock; new or changed statuses block."""
-        for task in list(self._published):
-            if task not in statuses:
-                self.recorder.record_unblock(task)
-                del self._published[task]
-        for task, status in statuses.items():
-            if self._published.get(task) != status:
-                self.recorder.record_block(task, status)
-                self._published[task] = status
+        What is published — and recorded, when a recorder is attached —
+        is the blocked-set delta since the last publication: tasks that
+        left the blocked set unblock; new or changed statuses block.
+        """
+        assert self.checker is not None
+        statuses = to_snapshot(state).statuses
+        ops = [
+            ("clear", task, None)
+            for task in self._published if task not in statuses
+        ]
+        ops += [
+            ("set", task, status)
+            for task, status in statuses.items()
+            if self._published.get(task) != status
+        ]
+        self._published = dict(statuses)
+        if self.recorder is not None:
+            for op, task, status in ops:
+                if op == "clear":
+                    self.recorder.record_unblock(task)
+                else:
+                    self.recorder.record_block(task, status)
+        self.checker.apply_batch(ops)
+        return self.checker.check()
 
 
 @dataclass

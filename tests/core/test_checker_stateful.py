@@ -2,8 +2,8 @@
 
 A hypothesis state machine drives one op stream — vetted blocks
 (``check_before_block``), unvetted ``set_blocked``, ``clear``,
-``restore``, writes behind the checker's back, ``clear_all``, detection
-``check`` — through four checkers, each over its own store, and
+``restore``, the same three behind the checker's back, ``clear_all``,
+detection ``check`` — through four checkers, each over its own store, and
 maintains a parallel oracle (a plain dict of statuses):
 
 * ``DeadlockChecker(AUTO)`` — answers a vetted block by the store's
@@ -145,6 +145,23 @@ class CheckerMachine(RuleBasedStateMachine):
         for checker in self.all:
             stamped = checker.dependency.set_blocked(task, status)
         self._published(task, stamped)
+        self.known_acyclic = False
+
+    @rule(task=st.sampled_from(TASKS))
+    def foreign_unblock(self, task):
+        for checker in self.all:
+            checker.dependency.clear(task)
+        self.oracle.pop(task, None)
+
+    @precondition(lambda self: self.stamped)
+    @rule(data=st.data())
+    def foreign_restore(self, data):
+        """A verbatim put-back straight into the stores: no new
+        generation, and over a blocked task no change of count."""
+        task, status = data.draw(st.sampled_from(self.stamped))
+        for checker in self.all:
+            checker.dependency.restore(task, status)
+        self.oracle[task] = status
         self.known_acyclic = False
 
     @rule(task=st.sampled_from(TASKS), via_twin=st.booleans())

@@ -21,7 +21,7 @@ import random
 import pytest
 
 from repro.core.checker import DeadlockChecker
-from repro.core.events import BlockedStatus, Event
+from repro.core.events import BlockedStatus, Event, waiting_on
 from repro.core.incremental import IncrementalChecker
 from repro.core.selection import GraphModel
 from repro.trace.events import RecordKind
@@ -189,9 +189,9 @@ class TestRandomizedDifferential:
 
 
 class TestForeignStoreWrites:
-    """Producers that write to the dependency store directly (the PL
-    interpreter's re-publish loop, shared-store deployments) must be
-    detected and resynchronised — never silently missed."""
+    """Producers that write to the dependency store directly (another
+    checker sharing it, the store's own methods) are heard by the
+    maintained graph — never silently missed."""
 
     def knot(self):
         return {
@@ -213,6 +213,35 @@ class TestForeignStoreWrites:
         assert checker.check() == scratch.check()
         assert checker.check() is not None
 
+    def test_direct_restore_of_a_blocked_task_closing_a_cycle(self):
+        """Same blocked count, no new generation: the one write the old
+        (generation, count) fingerprint could not see."""
+        checker = IncrementalChecker(model=GraphModel.WFG)
+        oracle = DeadlockChecker(
+            model=GraphModel.WFG, dependency=checker.dependency
+        )
+        checker.set_blocked("t1", waiting_on("p", 1, p=1, q=0))
+        checker.set_blocked("t2", waiting_on("r", 1, r=1))
+        assert checker.check() is None and oracle.check() is None
+        checker.dependency.restore("t2", waiting_on("q", 1, q=1, p=0))
+        assert oracle.check() is not None
+        assert checker.check() == oracle.check()
+
+    def test_direct_clear_then_restore_of_an_unblocked_task(self):
+        """One task out, another in: the count and the generation both
+        read as before."""
+        checker = IncrementalChecker(model=GraphModel.WFG)
+        oracle = DeadlockChecker(
+            model=GraphModel.WFG, dependency=checker.dependency
+        )
+        checker.set_blocked("t1", waiting_on("p", 1, p=1, q=0))
+        checker.set_blocked("t2", waiting_on("r", 1, r=1))
+        assert checker.check() is None
+        checker.dependency.clear("t2")
+        checker.dependency.restore("t3", waiting_on("q", 1, q=1, p=0))
+        assert oracle.check() is not None
+        assert checker.check() == oracle.check()
+
     def test_clear_all_behind_the_checkers_back(self):
         checker = IncrementalChecker()
         for task, status in self.knot().items():
@@ -223,9 +252,9 @@ class TestForeignStoreWrites:
         assert checker.wfg_edge_count == 0
 
     def test_pl_interpreter_accepts_an_incremental_checker(self):
-        """The interpreter republishes phi(S) via clear_all + direct
-        store writes on every cadence step — the resync must make an
-        incremental checker a true drop-in there."""
+        """The interpreter publishes each step's change of phi(S)
+        through ``apply_batch`` — an incremental checker must be a true
+        drop-in there."""
         from repro.pl.interpreter import Interpreter
         from repro.pl.programs import running_example
         from repro.pl.state import State

@@ -169,6 +169,39 @@ class TestCoreDispatch:
         reports = core.handle({"op": "reports"})["value"]
         assert len(reports) == 1  # ... but logged once
 
+    def test_report_log_keeps_the_newest_distinct_cycles(self):
+        """What a tenant publishes decides how many distinct cycles it
+        files; the log and its dedup set stay bounded regardless."""
+        from repro.distributed.net.service import MAX_TENANT_REPORTS
+
+        registry = MetricsRegistry()
+        core = CheckerServiceCore(metrics=registry)
+        tenant = core.tenant("noisy")
+        publisher = DeltaPublisher("s0")
+
+        def knot(n):
+            # Its own phasers: under SG a cycle is named by its events.
+            p, q = f"p{n}", f"q{n}"
+            return {f"a{n}": waiting_on(p, 1, **{p: 1, q: 0}),
+                    f"b{n}": waiting_on(q, 1, **{q: 1, p: 0})}
+
+        for n in range(300):
+            publish(tenant, "s0", knot(n), publisher)
+            assert set(tenant.check().tasks) == {f"a{n}", f"b{n}"}
+        evicted = registry.get("repro_net_reports_evicted_total")
+        assert len(tenant.reports) == MAX_TENANT_REPORTS == 256
+        assert len(tenant._seen_cycles) == 256
+        assert set(tenant.reports[0].tasks) == {"a44", "b44"}
+        assert set(tenant.reports[-1].tasks) == {"a299", "b299"}
+        assert evicted.value(tenant="noisy") == 44
+        assert tenant.health_doc()["report_count"] == 300
+        # An evicted cycle is news again.
+        publish(tenant, "s0", knot(0), publisher)
+        tenant.check()
+        assert set(tenant.reports[-1].tasks) == {"a0", "b0"}
+        assert len(tenant.reports) == 256
+        assert evicted.value(tenant="noisy") == 45
+
     def test_bystanders_do_not_multiply_the_report(self):
         """One deadlock, one report: tasks piling onto a persisting knot
         grow an SG report's task set but not its cycle, and the service

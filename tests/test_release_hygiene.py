@@ -157,6 +157,42 @@ class TestOneLedger:
         assert forks == [("checker.py", "CheckStats", "__init__")]
 
 
+class TestOneTable:
+    """A checker's blocked statuses live in one dict,
+    ``ResourceDependency._statuses``; what is derived from it subscribes
+    to the store.  The mirror-and-resync it replaced cannot grow back
+    unnoticed."""
+
+    def test_the_resync_path_stays_gone(self):
+        for path in TestOneLedger.SOURCES:
+            text = path.read_text()
+            for name in ("_maybe_resync", "_my_generation", "resyncs_total"):
+                assert name not in text, (path.name, name)
+
+    def test_the_incremental_checker_restates_no_store_write(self):
+        from repro.core.incremental import IncrementalChecker
+
+        for name in ("set_blocked", "clear", "restore"):
+            assert name not in IncrementalChecker.__dict__, name
+
+    def test_one_class_in_core_holds_a_statuses_dict(self):
+        holders = []
+        for path in sorted((REPO / "src" / "repro" / "core").glob("*.py")):
+            for cls in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(cls, ast.ClassDef):
+                    continue
+                if any(
+                    isinstance(target, ast.Attribute)
+                    and target.attr == "_statuses"
+                    for node in ast.walk(cls)
+                    if isinstance(node, (ast.Assign, ast.AnnAssign))
+                    for target in getattr(node, "targets", None)
+                    or [node.target]
+                ):
+                    holders.append((path.name, cls.name))
+        assert holders == [("dependency.py", "ResourceDependency")]
+
+
 class TestExamples:
     def test_examples_present_and_parse(self):
         examples = sorted((REPO / "examples").glob("*.py"))
