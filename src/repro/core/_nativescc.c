@@ -6,7 +6,8 @@
  * mutation epochs, and the scoped Tarjan recompute.  Everything
  * *semantic* matches src/repro/core/scc.py operation for operation:
  * the same mutations bump the same counters, the same edges defer
- * under batch mode, and the same labels resolve at the same queries,
+ * inside a batch window (same per-component charge, same budget), and
+ * the same labels resolve at the same queries,
  * so verdicts, component partitions and epochs are identical to the
  * pure-Python structure for any op/query sequence.  Witness-cycle
  * extraction deliberately stays in shared Python code (repro.core.scc
@@ -247,6 +248,10 @@ typedef struct {
     IntVec *members; /* members[l].data == NULL  <=>  label dead */
     int64_t *lepoch;
     unsigned char *lflags;
+    /* Pearce-Kelly visits charged to the label in window `lwindow[l]`;
+     * a charge from an earlier window reads as zero (see charge_of) */
+    int64_t *lcharge;
+    int64_t *lwindow;
 
     IntVec cyclic_list; /* labels that gained LF_CYCLIC (lazily compacted) */
     IntVec dirty_list;  /* labels that gained LF_DIRTY (flag is the truth) */
@@ -260,6 +265,7 @@ typedef struct {
     int64_t pk_visits;
     int64_t resolves;
     int batch_depth;
+    int64_t window; /* bumped when the outermost batch window opens */
 
     /* reusable scratch (sized vcap): DFS/Tarjan/marking */
     int64_t *stamp;
@@ -327,6 +333,14 @@ kernel_grow_labels(SCCKernel *k, Py_ssize_t need)
     if (f == NULL)
         return -1;
     k->lflags = f;
+    int64_t *c = (int64_t *)PyMem_Realloc(k->lcharge, cap * sizeof(int64_t));
+    if (c == NULL)
+        return -1;
+    k->lcharge = c;
+    int64_t *w = (int64_t *)PyMem_Realloc(k->lwindow, cap * sizeof(int64_t));
+    if (w == NULL)
+        return -1;
+    k->lwindow = w;
     memset(k->members + k->lcap, 0, (cap - k->lcap) * sizeof(IntVec));
     memset(k->lflags + k->lcap, 0, (cap - k->lcap) * sizeof(unsigned char));
     k->lcap = cap;
@@ -371,6 +385,20 @@ mark_dirty(SCCKernel *k, int32_t l)
     return 0;
 }
 
+/* what the current window has charged to label l so far */
+static int64_t
+charge_of(SCCKernel *k, int32_t l)
+{
+    return k->lwindow[l] == k->window ? k->lcharge[l] : 0;
+}
+
+static void
+set_charge(SCCKernel *k, int32_t l, int64_t charge)
+{
+    k->lcharge[l] = charge;
+    k->lwindow[l] = k->window;
+}
+
 /* fresh label for vertex v, epoch = current mutation counter */
 static int32_t
 fresh_label(SCCKernel *k, int32_t v)
@@ -385,6 +413,7 @@ fresh_label(SCCKernel *k, int32_t v)
         return -1;
     k->lepoch[l] = k->mutations;
     k->lflags[l] = 0;
+    set_charge(k, l, 0);
     k->vlabel[v] = l;
     k->mpos[v] = 0;
     return l;
@@ -430,6 +459,7 @@ do_union(SCCKernel *k, int32_t la, int32_t lb)
     }
     if (k->lepoch[lb] > k->lepoch[la])
         k->lepoch[la] = k->lepoch[lb];
+    set_charge(k, la, charge_of(k, la) + charge_of(k, lb));
     vec_free(small);
     k->lflags[lb] = 0;
     return la;
@@ -751,12 +781,19 @@ add_edge_impl(SCCKernel *k, int32_t u, int32_t v)
     int64_t lb = k->ord[v], ub = k->ord[u];
     if (ub < lb)
         return 0; /* order-respecting edge: provably no new cycle */
-    if (k->batch_depth) {
-        /* deferred maintenance: inside a batch an order-violating edge
-         * only marks its component unknown (see DynamicSCC.add_edge) */
+    if (!k->batch_depth)
+        return pk_insert(k, u, v, lb, ub, label);
+    /* rent, then buy: inside a window Pearce-Kelly runs per edge until
+     * the visits charged to this component exceed its member count,
+     * and only then is it marked unknown (see DynamicSCC.add_edge) */
+    int64_t spent = charge_of(k, label);
+    if (spent > (int64_t)k->members[label].len)
         return mark_dirty(k, label);
-    }
-    return pk_insert(k, u, v, lb, ub, label);
+    int64_t before = k->pk_visits;
+    if (pk_insert(k, u, v, lb, ub, label) < 0)
+        return -1;
+    set_charge(k, label, spent + k->pk_visits - before);
+    return 0;
 }
 
 static int
@@ -939,7 +976,8 @@ SCCKernel_has_cycle(SCCKernel *k, PyObject *Py_UNUSED(ignored))
 static PyObject *
 SCCKernel_begin_batch(SCCKernel *k, PyObject *Py_UNUSED(ignored))
 {
-    k->batch_depth++;
+    if (k->batch_depth++ == 0)
+        k->window++;
     Py_RETURN_NONE;
 }
 
@@ -1181,6 +1219,8 @@ SCCKernel_dealloc(SCCKernel *k)
     PyMem_Free(k->members);
     PyMem_Free(k->lepoch);
     PyMem_Free(k->lflags);
+    PyMem_Free(k->lcharge);
+    PyMem_Free(k->lwindow);
     PyMem_Free(k->stamp);
     PyMem_Free(k->tindex);
     PyMem_Free(k->tlow);

@@ -272,6 +272,13 @@ class DeadlockChecker:
             return self.snapshot_source()
         return self.dependency.snapshot()
 
+    def snapshot_reordered(self) -> None:
+        """``snapshot_source`` now yields the same statuses in another
+        order, with no op fed (a checkpoint re-publishing a bucket
+        shuffled).  Whoever installed the source says so here: an
+        answer kept from the old order is no longer the answer.  This
+        checker keeps none."""
+
     # ------------------------------------------------------------------
     # blocked-status bookkeeping (delegated to the dependency store)
     # ------------------------------------------------------------------

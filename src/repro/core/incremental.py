@@ -54,8 +54,8 @@ has a cycle iff the SG has one), so the maintained WFG is a sound and
 complete oracle for any configured model, and report *content* is
 byte-identical to the from-scratch checker's — differential-tested
 pointwise.  A per-epoch cache skips even the fallback when the state
-has not changed since the last extraction (a detection monitor polling
-a stable deadlock).
+has not changed — nor the ``snapshot_source`` been re-ordered — since
+the last extraction (a detection monitor polling a stable deadlock).
 
 The checker inherits the classic one's :class:`~repro.core.dependency.
 ResourceDependency` store, so generation stamping, ``is_current``
@@ -175,15 +175,15 @@ class IncrementalChecker(DeadlockChecker):
                 self._pending_ops[op] = 0
 
     def apply_batch(self, ops) -> None:
-        """Apply an ordered delta sequence with one maintenance pass.
+        """Apply an ordered delta sequence inside one batch window.
 
         Equivalent — same final state, same subsequent verdicts and
         reports, same ``repro_incremental_delta_ops_total`` totals — to
         the parent class's one write per op, but the whole batch pays
         one metrics flush and (via
-        :meth:`~repro.core.scc.DynamicSCC.begin_batch`) one scoped SCC
-        resolution per affected component instead of per-edge
-        Pearce-Kelly passes.
+        :meth:`~repro.core.scc.DynamicSCC.begin_batch`) per affected
+        component at most a constant factor over the cheaper of
+        per-edge Pearce-Kelly passes and one scoped SCC resolution.
         """
         if not ops:
             return
@@ -198,6 +198,13 @@ class IncrementalChecker(DeadlockChecker):
                 # Published even on a failing op: a partial batch
                 # accounts what it applied, like the per-op path.
                 self._publish_ops()
+
+    def snapshot_reordered(self) -> None:
+        # The per-epoch cache holds a report whose task order (SG/AUTO)
+        # followed the old snapshot order; the graph epoch did not move.
+        with self._lock:
+            self._cached_epoch = -1
+            self._cached_report = None
 
     def _insert(self, task: TaskId, status: BlockedStatus) -> None:
         """Fold one newly published status into graph and indexes."""

@@ -238,11 +238,14 @@ class DynamicSCC(_ExtractionBase):
         #: plus backward frontiers) — the maintenance work an insertion
         #: sequence actually paid, mirrored into ``repro.obs`` counters.
         self.pk_visits = 0
-        #: Scoped recomputes run for dirty components (deletion cost).
+        #: Scoped recomputes run for dirty components (a deletion from a
+        #: cyclic one, a batch window over its budget).
         self.resolves = 0
-        # Batch mode: while > 0, order-violating insertions defer
-        # Pearce-Kelly maintenance (see :meth:`begin_batch`).
+        # Batch window: while > 0, an order-violating insertion charges
+        # its Pearce-Kelly visits to its component and defers once the
+        # component is over budget (see :meth:`begin_batch`).
         self._batch_depth = 0
+        self._charge: Dict[int, int] = {}  # label -> visits this window
 
     # ------------------------------------------------------------------
     # introspection
@@ -310,6 +313,8 @@ class DynamicSCC(_ExtractionBase):
         if lb in self._dirty:
             self._dirty.discard(lb)
             self._dirty.add(la)
+        if lb in self._charge:
+            self._charge[la] = self._charge.get(la, 0) + self._charge.pop(lb)
         self._epoch[la] = max(self._epoch[la], self._epoch.pop(lb))
         return la
 
@@ -355,16 +360,22 @@ class DynamicSCC(_ExtractionBase):
         lb, ub = self._ord[v], self._ord[u]
         if ub < lb:
             return  # order-respecting edge: provably no new cycle
-        if self._batch_depth:
-            # Deferred maintenance: inside a batch an order-violating
-            # edge only marks its component unknown.  Sound because
-            # unions are still eager — any cycle through this edge lies
-            # wholly inside this (now dirty) component — and the next
-            # query recomputes dirty components with one scoped Tarjan
-            # each, instead of one Pearce-Kelly pass per edge.
+        if not self._batch_depth:
+            self._pk_insert(u, v, lb, ub, label)
+            return
+        # Rent, then buy: a window keeps paying Pearce-Kelly per edge
+        # until the visits charged to this component exceed its member
+        # count — what the one scoped Tarjan at the next query costs —
+        # and only then marks it unknown.  Sound because unions are
+        # still eager: any cycle through this edge lies wholly inside
+        # this component, which a dirty recompute sees whole.
+        spent = self._charge.get(label, 0)
+        if spent > len(self._members[label]):
             self._dirty.add(label)
             return
+        before = self.pk_visits
         self._pk_insert(u, v, lb, ub, label)
+        self._charge[label] = spent + self.pk_visits - before
 
     def _pk_insert(self, u: Vertex, v: Vertex, lb: int, ub: int, label: int) -> None:
         """Pearce-Kelly discovery + reorder for an order-violating edge."""
@@ -407,15 +418,22 @@ class DynamicSCC(_ExtractionBase):
     def begin_batch(self) -> None:
         """Enter batch mode (re-entrant; pair with :meth:`end_batch`).
 
-        While batched, an order-violating insertion defers Pearce-Kelly
-        maintenance by marking its component dirty, so a whole delta
-        set pays one scoped resolution per affected component at the
-        next query instead of one discovery/reorder pass per edge.
+        A window bounds what its insertions pay for order maintenance.
+        An order-violating edge runs Pearce-Kelly as it does outside a
+        window and charges the vertices it visited to its component
+        (charges add when components merge and start at zero when the
+        outermost window opens); once a component's charge exceeds its
+        member count, further violating edges only mark it dirty, for
+        one scoped resolution at the next query.  A window therefore
+        pays, per component, at most a constant factor over the cheaper
+        of per-edge maintenance and one recompute: a one-op window
+        costs its affected region, a whole-site resync one Tarjan.
         Verdicts and extracted cycles are unchanged: only *when* the
         maintenance runs moves, never what it computes.  Queries issued
-        mid-batch are legal (they resolve what is dirty so far) but
-        forfeit the deferral for the ops already applied.
+        mid-batch are legal (they resolve what is dirty so far).
         """
+        if not self._batch_depth:
+            self._charge.clear()
         self._batch_depth += 1
 
     def end_batch(self) -> None:

@@ -554,7 +554,7 @@ class DeltaMergeState:
     def batched(self):
         """Collect every checker op applied inside into one
         ``apply_batch`` call — a sync round's worth of deltas, one
-        maintenance pass.  Re-entrant (nested uses keep the outermost
+        batch window.  Re-entrant (nested uses keep the outermost
         batch); an empty batch costs nothing."""
         opened = self._pending_ops is None
         if opened:
@@ -583,6 +583,10 @@ class DeltaMergeState:
                 changed.append(task)
         self.buckets[site] = new
         self._statuses[site] = statuses
+        if list(new) != list(old):
+            # Task order is part of what the checker analyses (see
+            # ``snapshot_source``), and a pure reorder feeds it no op.
+            self.checker.snapshot_reordered()
         for task in old:
             if task not in new:
                 self._remove_task(site, task)

@@ -114,9 +114,9 @@ class DistributedChecker:
                 self._m_sync_lag.observe(len(deltas))
                 if deltas:
                     self._m_sync_deltas.inc(len(deltas))
-                # One maintenance pass for the whole backlog: a polled
+                # One batch window for the whole backlog: a polled
                 # stream with several queued deltas feeds the checker
-                # through a single apply_batch instead of per-op passes.
+                # through a single apply_batch.
                 with self.view.batched():
                     for obj in deltas:
                         self.view.apply_obj(site, obj)

@@ -27,6 +27,7 @@ Two groups of pins:
 from __future__ import annotations
 
 import random
+from itertools import islice
 
 import pytest
 
@@ -120,31 +121,71 @@ def assert_components_sound(structure):
         assert comp & covered, f"component {sorted(comp)} has no cycle"
 
 
-def random_mutation(rng, vertices, edges, pure, native):
-    """Apply one random mutation to both structures, mirroring the
-    book-keeping sets used to pick plausible removals."""
-    roll = rng.random()
-    if roll < 0.55 or not edges:
-        u = rng.choice(vertices)
-        v = rng.choice(vertices)
-        pure.add_edge(u, v)
-        native.add_edge(u, v)
-        edges.add((u, v))
-    elif roll < 0.8:
-        u, v = rng.choice(sorted(edges))
-        pure.remove_edge(u, v)
-        native.remove_edge(u, v)
-        edges.discard((u, v))
-    elif roll < 0.9:
-        v = rng.choice(vertices)
-        pure.add_vertex(v)
-        native.add_vertex(v)
+def random_script(rng, vertices, count):
+    """``count`` random mutations as ``(method, *args)`` tuples, lazily
+    (removals are picked among the edges live at that point)."""
+    edges = set()
+    for _ in range(count):
+        roll = rng.random()
+        if roll < 0.55 or not edges:
+            u = rng.choice(vertices)
+            v = rng.choice(vertices)
+            edges.add((u, v))
+            yield "add_edge", u, v
+        elif roll < 0.8:
+            u, v = rng.choice(sorted(edges))
+            edges.discard((u, v))
+            yield "remove_edge", u, v
+        elif roll < 0.9:
+            yield "add_vertex", rng.choice(vertices)
+        else:
+            v = rng.choice(vertices)
+            for e in [e for e in edges if v in e]:
+                edges.discard(e)
+            yield "remove_vertex", v
+
+
+def chain_script(rng, n, reverse):
+    """One ``n``-vertex chain, where a window's charge rule decides:
+    edges in seeded order (cheap affected regions: a window rents
+    throughout), or ascending *against* the order (every edge reorders
+    the chain so far: a window goes over budget and defers).  Now and
+    then an edge is cut, or a back edge closes a cycle for a while."""
+    name = "c{:03}".format
+    if reverse:
+        edges = [(name(i), name(i - 1)) for i in range(1, n)]
     else:
-        v = rng.choice(vertices)
-        pure.remove_vertex(v)
-        native.remove_vertex(v)
-        for e in [e for e in edges if v in e]:
-            edges.discard(e)
+        edges = [(name(i), name(i + 1)) for i in range(n - 1)]
+        rng.shuffle(edges)
+    live, back = [], None
+    for edge in edges:
+        live.append(edge)
+        yield ("add_edge", *edge)
+        roll = rng.random()
+        if roll < 0.04:
+            yield ("remove_edge", *live.pop(rng.randrange(len(live))))
+        elif roll < 0.08 and back is None:
+            i = rng.randrange(n - 4)
+            j = i + rng.randint(1, 4)
+            back = (name(i), name(j)) if reverse else (name(j), name(i))
+            yield ("add_edge", *back)
+        elif roll < 0.2 and back is not None:
+            yield ("remove_edge", *back)
+            back = None
+
+
+SCRIPTS = {
+    "random": lambda rng: random_script(
+        rng, [f"v{i}" for i in range(8)], 600),
+    "chain": lambda rng: chain_script(rng, 300, reverse=False),
+    "reverse-chain": lambda rng: chain_script(rng, 300, reverse=True),
+}
+
+
+def apply_both(op, pure, native):
+    method, *args = op
+    getattr(pure, method)(*args)
+    getattr(native, method)(*args)
 
 
 @needs_kernel
@@ -170,9 +211,8 @@ class TestKernelParity:
         rng = random.Random(seed)
         vertices = [f"v{i}" for i in range(10)]
         pure, native = DynamicSCC(), _native.NativeDynamicSCC()
-        edges = set()
-        for _ in range(220):
-            random_mutation(rng, vertices, edges, pure, native)
+        for op in random_script(rng, vertices, 220):
+            apply_both(op, pure, native)
             self.assert_equivalent(pure, native)
             if rng.random() < 0.1:
                 for v in rng.sample(vertices, 3):
@@ -181,22 +221,23 @@ class TestKernelParity:
                         assert native.component_of(v) == pure.component_of(v)
                         assert native.epoch_of(v) == pure.epoch_of(v)
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_randomized_mutations_with_batches(self, seed):
-        """Interleave batch windows: inside a batch only unions are
-        eager, so equivalence is asserted at the window edges.  Batch
-        deferral makes dirty-marking order-dependent, so component
-        member sets are pinned against ground truth here, not against
-        each other (see the module docstring)."""
+    @pytest.mark.parametrize("script", sorted(SCRIPTS))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_randomized_mutations_with_batches(self, seed, script):
+        """Interleave batch windows: inside a window a component defers
+        once over budget, so equivalence is asserted at the window
+        edges.  When a component gets its scoped re-partition depends
+        on order values, so component member sets are pinned against
+        ground truth here, not against each other (see the module
+        docstring)."""
         rng = random.Random(1000 + seed)
-        vertices = [f"v{i}" for i in range(8)]
         pure, native = DynamicSCC(), _native.NativeDynamicSCC()
-        edges = set()
-        for _ in range(40):
+        ops = SCRIPTS[script](rng)
+        while window := list(islice(ops, rng.choice((1, 2, 8, 64)))):
             pure.begin_batch()
             native.begin_batch()
-            for _ in range(rng.randint(1, 8)):
-                random_mutation(rng, vertices, edges, pure, native)
+            for op in window:
+                apply_both(op, pure, native)
             pure.end_batch()
             native.end_batch()
             self.assert_equivalent(pure, native, ground_truth=True)

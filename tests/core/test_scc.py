@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
+from repro.core import _native
 from repro.core.scc import DynamicSCC
 
 
@@ -263,3 +265,79 @@ class TestExtractCycle:
             if step % 5 == 0:
                 assert scc.extract_cycle() == find_cycle(scc.to_digraph())
         assert scc.extract_cycle() == find_cycle(scc.to_digraph())
+
+
+STRUCTURES = [
+    DynamicSCC,
+    pytest.param(
+        _native.NativeDynamicSCC,
+        marks=pytest.mark.skipif(
+            not _native.native_available(),
+            reason="compiled kernel not built (run `python setup.py "
+            "build_ext --inplace`)",
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
+class TestWindowCost:
+    """What a batch window may cost: per component, a constant factor
+    over the cheaper of per-edge Pearce-Kelly and one scoped Tarjan."""
+
+    def test_one_op_windows_never_resolve(self, structure):
+        """A window around one edge costs that edge's affected region,
+        like a stepwise write — never a Tarjan over the component."""
+        n = 4000
+        edges = [(i, i + 1) for i in range(n - 1)]
+        random.Random(1).shuffle(edges)
+        scc = structure()
+        for u, v in edges:
+            scc.begin_batch()
+            scc.add_edge(u, v)
+            scc.end_batch()
+            assert not scc.has_cycle()
+        assert scc.resolves == 0
+        assert len(scc.component_of(0)) == n
+
+    def test_one_big_window_buys_after_renting(self, structure):
+        """Pearce-Kelly's worst case (every edge violates the order and
+        reorders the whole chain so far: ~n^2/2 visits per-edge) in one
+        window stops renting at the component's size and pays one
+        Tarjan."""
+        n = 8000
+        scc = structure()
+        t0 = time.perf_counter()
+        scc.begin_batch()
+        for i in range(1, n):
+            scc.add_edge(i, i - 1)
+        scc.end_batch()
+        assert not scc.has_cycle()
+        wall = time.perf_counter() - t0
+        assert scc.pk_visits <= 4 * n
+        assert scc.resolves <= 1
+        assert wall < 1.0
+        scc.add_edge(0, n - 1)
+        assert scc.has_cycle()
+
+    def test_charge_is_per_component(self, structure):
+        """One component running up the window's bill defers only
+        itself: a cheap violating edge elsewhere still runs in place."""
+        count, size = 100, 900
+        scc = structure()
+        for c in range(count):
+            base = (c + 1) * 10_000
+            for i in range(size - 1):
+                scc.add_edge(base + i, base + i + 1)
+        scc.begin_batch()
+        for i in range(1, 2000):
+            scc.add_edge(i, i - 1)  # trips its own bound early
+        for c in range(count):
+            base = (c + 1) * 10_000
+            # A fresh vertex (highest order so far) pointing into the
+            # chain's tail: order-violating, three vertices affected.
+            scc.add_edge(base + size, base + size - 2)
+        scc.end_batch()
+        assert not scc.has_cycle()
+        assert scc.resolves == 1  # the expensive component alone
+        assert scc.pk_visits <= 3 * count + 4 * 2000

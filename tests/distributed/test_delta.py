@@ -215,6 +215,40 @@ class TestDeltaMergeState:
         report = scratch.check(snapshot=merge_buckets({"s0": b0, "s1": b1}))
         assert incremental.check() == report
 
+    @pytest.mark.parametrize("engine", [DeadlockChecker, IncrementalChecker])
+    def test_report_follows_a_reordering_checkpoint(self, engine):
+        """A checkpoint re-publishing the same statuses in another
+        bucket order feeds the checker no op, yet moves what
+        ``snapshot_source`` returns — and the order an SG/AUTO report
+        lists its tasks in.  A report cached against the graph alone
+        would keep the old order."""
+        ring = {
+            f"a{i}": waiting_on(
+                f"p{(i + 1) % 4}", 1, **{f"p{(i + 1) % 4}": 1, f"p{i}": 0}
+            )
+            for i in range(4)
+        }
+        checker = engine()
+        view = DeltaMergeState(checker)
+        checker.snapshot_source = view.merged_snapshot
+        view.apply_obj("s0", make_snapshot(1, encode_bucket(ring), "s0"))
+        first = checker.check()
+        assert first.tasks == ("a0", "a1", "a2", "a3")
+        ops = view.ops_applied
+        turned = dict(reversed(ring.items()))
+        view.apply_obj("s0", make_snapshot(2, encode_bucket(turned), "s0"))
+        assert view.ops_applied == ops  # nothing reached the checker
+        second = checker.check()
+        assert second.tasks == ("a3", "a2", "a1", "a0")
+        assert second == DeadlockChecker().check(
+            snapshot=view.merged_snapshot()
+        )
+        if engine is IncrementalChecker:
+            # Polling the stable, unreordered deadlock stays free: the
+            # same order re-published is answered from the cache.
+            view.apply_obj("s0", make_snapshot(3, encode_bucket(turned), "s0"))
+            assert checker.check() is second
+
     def test_drop_site_clears_its_tasks(self):
         checker = IncrementalChecker()
         state = DeltaMergeState(checker)

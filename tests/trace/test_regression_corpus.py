@@ -163,6 +163,16 @@ class TestGoldenReplayOutput:
         to the from-scratch engine."""
         assert self.run_cli(capsys, "--incremental") == GOLDEN.read_text()
 
+    def test_incremental_matches_scratch_in_seven_op_windows(self, capsys):
+        """The CI assertion, in-process: at ``--check-every 7`` the
+        incremental engine's batch windows hold several ops (so a
+        component can go over its window budget mid-batch) and the
+        output is still the from-scratch engine's at that cadence."""
+        scratch = self.run_cli(capsys, "--check-every", "7")
+        assert self.run_cli(
+            capsys, "--check-every", "7", "--incremental"
+        ) == scratch
+
     def test_sharded_output_matches_sharded_golden(self, capsys):
         """Sharded replay is pinned by its own golden (per-shard model
         selection reports small components as WFG cycles)."""
