@@ -532,7 +532,7 @@ class DeadlockChecker:
         tasks = tuple(
             t
             for t, s in snapshot.statuses.items()
-            if s.waits & event_set
+            if not s.waits.isdisjoint(event_set)
         )
         return DeadlockReport(
             tasks=tasks,

@@ -42,12 +42,13 @@ def strongly_connected_components(graph: DiGraph) -> List[List[Vertex]]:
     stack: List[Vertex] = []
     components: List[List[Vertex]] = []
     counter = 0
+    adj = graph.adj  # every vertex is a key: ``add_edge`` adds both ends
 
-    for root in list(graph.vertices):
+    for root in list(adj):
         if root in index_of:
             continue
         # Each frame is (vertex, iterator over successors).
-        work: List[tuple] = [(root, iter(graph.successors(root)))]
+        work: List[tuple] = [(root, iter(adj[root]))]
         index_of[root] = lowlink[root] = counter
         counter += 1
         stack.append(root)
@@ -61,17 +62,18 @@ def strongly_connected_components(graph: DiGraph) -> List[List[Vertex]]:
                     counter += 1
                     stack.append(w)
                     on_stack[w] = True
-                    work.append((w, iter(graph.successors(w))))
+                    work.append((w, iter(adj[w])))
                     advanced = True
                     break
-                if on_stack.get(w):
-                    lowlink[v] = min(lowlink[v], index_of[w])
+                if on_stack.get(w) and index_of[w] < lowlink[v]:
+                    lowlink[v] = index_of[w]
             if advanced:
                 continue
             work.pop()
             if work:
                 parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
+                if lowlink[v] < lowlink[parent]:
+                    lowlink[parent] = lowlink[v]
             if lowlink[v] == index_of[v]:
                 component: List[Vertex] = []
                 while True:
@@ -105,7 +107,24 @@ def _vertex_key(v: Vertex) -> str:
     return str(v)
 
 
-def canonical_rotation(cycle: List[Vertex]) -> List[Vertex]:
+class _VertexKeys(dict):
+    """``vertex -> _vertex_key(vertex)``, filled on first lookup.
+
+    One extraction compares a vertex many times — SCC minimum,
+    successor order, rotation — and ``str`` of an event is a Python
+    call; an extraction makes one of these and pays the call once per
+    vertex.  Never kept past the extraction: keys follow a vertex's
+    ``str``, not its identity.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, v: Vertex) -> str:
+        key = self[v] = _vertex_key(v)
+        return key
+
+
+def canonical_rotation(cycle: List[Vertex], key=_vertex_key) -> List[Vertex]:
     """Rotate the closed walk ``[v1, ..., vk, v1]`` to start (and close)
     at its minimal vertex by :func:`_vertex_key`.
 
@@ -116,30 +135,37 @@ def canonical_rotation(cycle: List[Vertex]) -> List[Vertex]:
     if len(cycle) < 2:
         return list(cycle)
     body = cycle[:-1]
-    pivot = min(range(len(body)), key=lambda i: _vertex_key(body[i]))
+    keys = [key(v) for v in body]
+    pivot = keys.index(min(keys))
     rotated = body[pivot:] + body[:pivot]
     rotated.append(rotated[0])
     return rotated
 
 
-def canonical_cyclic_scc(graph: DiGraph):
+def canonical_cyclic_scc(graph: DiGraph, key):
     """The canonical cyclic SCC choice: ``(entry, members)`` for the
     cyclic SCC holding the globally minimal vertex, or ``None``.
 
-    The one selection rule behind every canonical extraction — the
-    from-scratch :func:`find_cycle` and the maintained-partition
-    :meth:`~repro.core.scc.DynamicSCC.extract_cycle` both call it, so
-    the two paths cannot drift (the byte-identical-reports guarantee
-    rests on them choosing the same SCC by the same rule).
+    The one selection rule behind every canonical extraction: the
+    maintained-partition :meth:`~repro.core.scc.DynamicSCC.extract_cycle`
+    extracts through :func:`find_cycle` too, so the two paths cannot
+    drift (the byte-identical-reports guarantee rests on them choosing
+    the same SCC by the same rule).  ``key`` is the extraction's
+    :class:`_VertexKeys` lookup.
     """
     entry: Optional[Vertex] = None
+    entry_key: Optional[str] = None
     members: Optional[Set[Vertex]] = None
     for component in strongly_connected_components(graph):
-        v = min(component, key=_vertex_key)
-        if len(component) == 1 and not graph.has_edge(v, v):
-            continue
-        if entry is None or _vertex_key(v) < _vertex_key(entry):
-            entry = v
+        if len(component) == 1:
+            v = component[0]
+            if not graph.has_edge(v, v):
+                continue  # acyclic: never keyed at all
+        else:
+            v = min(component, key=key)
+        v_key = key(v)
+        if entry_key is None or v_key < entry_key:
+            entry, entry_key = v, v_key
             members = set(component)
     if entry is None or members is None:
         return None
@@ -153,11 +179,14 @@ def find_cycle(graph: DiGraph) -> Optional[List[Vertex]]:
     selected (the SCC partition is unique, so this choice is independent
     of traversal order), and the returned walk starts at that vertex.
     """
-    chosen = canonical_cyclic_scc(graph)
+    key = _VertexKeys().__getitem__
+    chosen = canonical_cyclic_scc(graph, key)
     if chosen is None:
         return None
     entry, members = chosen
-    return canonical_rotation(_cycle_containing(graph, members, entry))
+    return canonical_rotation(
+        _cycle_containing(graph, members, entry, key), key
+    )
 
 
 def cycle_through(graph: DiGraph, vertex: Vertex) -> Optional[List[Vertex]]:
@@ -174,7 +203,10 @@ def cycle_through(graph: DiGraph, vertex: Vertex) -> Optional[List[Vertex]]:
             continue
         if len(component) == 1 and not graph.has_edge(vertex, vertex):
             return None
-        return canonical_rotation(_cycle_containing(graph, set(component), vertex))
+        key = _VertexKeys().__getitem__
+        return canonical_rotation(
+            _cycle_containing(graph, set(component), vertex, key), key
+        )
     return None
 
 
@@ -192,8 +224,16 @@ def cycle_reachable_from(
     return find_cycle(reachable)
 
 
+def _canonical_successors(graph: DiGraph, v: Vertex, key):
+    """``v``'s successors in canonical order; at most one has only one."""
+    successors = graph.successors(v)
+    if len(successors) > 1:
+        return sorted(successors, key=key)
+    return successors
+
+
 def _cycle_containing(
-    graph: DiGraph, members: Set[Vertex], v: Vertex
+    graph: DiGraph, members: Set[Vertex], v: Vertex, key
 ) -> List[Vertex]:
     """A cycle through ``v`` inside the cyclic SCC ``members``.
 
@@ -207,13 +247,13 @@ def _cycle_containing(
         return [v, v]
     parent: Dict[Vertex, Vertex] = {}
     queue: deque[Vertex] = deque()
-    for w in sorted(graph.successors(v), key=_vertex_key):
+    for w in _canonical_successors(graph, v, key):
         if w in members and w not in parent:
             parent[w] = v
             queue.append(w)
     while queue:
         u = queue.popleft()
-        for w in sorted(graph.successors(u), key=_vertex_key):
+        for w in _canonical_successors(graph, u, key):
             if w == v:
                 # Reconstruct v ... u, then close the cycle at v.
                 path = [u]

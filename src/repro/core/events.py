@@ -20,6 +20,7 @@ the key enabler for dynamic membership and distributed detection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Hashable, Iterable, Mapping
 
 # Task and phaser names.  Any hashable value works; the runtime uses small
@@ -28,23 +29,40 @@ TaskId = Hashable
 PhaserId = Hashable
 
 
-@dataclass(frozen=True, order=True)
-class Event:
+#: The last element of every event, and what keeps one unequal to every
+#: task id, the tuple ``(phaser, phase)`` included: tasks and events
+#: share one dict in the GRG and in report attribution.  ``object``'s
+#: identity hash and equality are C slots, so the tag costs no Python
+#: call either.
+_EVENT = object()
+
+
+class Event(tuple):
     """A synchronisation event: phase ``phase`` of phaser ``phaser``.
 
     Events are the *resources* of the deadlock analysis.  They are totally
     ordered per phaser by their phase number (the logical-clock timestamp).
+
+    The value is the tuple ``(phaser, phase, _EVENT)`` and hashes,
+    compares and sorts as one, in C: an event is every vertex of an SG
+    check, so its identity is paid per dict probe and per comparison.
     """
 
-    phaser: PhaserId
-    phase: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.phase < 0:
-            raise ValueError(f"phase must be non-negative, got {self.phase}")
+    def __new__(cls, phaser: PhaserId, phase: int) -> "Event":
+        if phase < 0:
+            raise ValueError(f"phase must be non-negative, got {phase}")
+        return tuple.__new__(cls, (phaser, phase, _EVENT))
+
+    phaser = property(itemgetter(0), doc="The phaser synchronised on.")
+    phase = property(itemgetter(1), doc="The phase number awaited.")
+
+    def __reduce__(self):
+        return (type(self), (self[0], self[1]))
 
     def __repr__(self) -> str:  # compact form used in reports
-        return f"{self.phaser}@{self.phase}"
+        return f"{self[0]}@{self[1]}"
 
 
 @dataclass(frozen=True)

@@ -161,7 +161,12 @@ def build_sg(snapshot: DependencySnapshot) -> DiGraph:
 
 def build_grg(snapshot: DependencySnapshot) -> DiGraph:
     """General Resource Graph (Definition 4.4): the bipartite task/event
-    graph that bridges the WFG and the SG in the equivalence proof."""
+    graph that bridges the WFG and the SG in the equivalence proof.
+
+    Tasks and events are keys of one ``adj``.  An
+    :class:`~repro.core.events.Event` equals no task id, the tuple of
+    its own fields included, so the graph stays bipartite whatever the
+    tasks are named."""
     g = DiGraph()
     awaited = snapshot.awaited_events
     for t, status in snapshot.statuses.items():

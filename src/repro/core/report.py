@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from repro.core.events import Event, TaskId
 from repro.core.selection import GraphModel
 
 
-@dataclass(frozen=True)
-class RecordOrigin:
+class RecordOrigin(NamedTuple):
     """Where one analysed status came from, in trace-record terms.
 
     ``ordinal`` is the trace record's own sequence number — the offset a
@@ -18,6 +17,10 @@ class RecordOrigin:
     processes and hash seeds (unlike wall clock).  Distributed statuses
     additionally carry the publishing ``site`` and, under the delta
     protocol, the ``stream`` incarnation token and per-stream ``seq``.
+
+    A tuple, like :class:`EdgeProvenance`: a report carries one pair of
+    them per cycle edge, built by the service and again by the client
+    that decodes it, and interned by hash on the way to the wire.
     """
 
     ordinal: int
@@ -41,8 +44,7 @@ class RecordOrigin:
         return text
 
 
-@dataclass(frozen=True)
-class EdgeProvenance:
+class EdgeProvenance(NamedTuple):
     """One cycle edge mapped back to its originating records.
 
     ``source``/``target`` are the cycle's own vertices (tasks in a WFG

@@ -50,10 +50,8 @@ from __future__ import annotations
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.core.cycles import (
-    _cycle_containing,
     _vertex_key,
-    canonical_cyclic_scc,
-    canonical_rotation,
+    find_cycle,
     strongly_connected_components,
 )
 from repro.core.graphs import DiGraph
@@ -185,10 +183,9 @@ class _ExtractionBase:
             sub.add_vertex(w)
             for x in self._out_of(w):
                 sub.add_edge(w, x)
-        chosen = canonical_cyclic_scc(sub)
-        assert chosen is not None, "cyclic label without a cyclic SCC"
-        entry, scc = chosen
-        cycle = tuple(canonical_rotation(_cycle_containing(sub, scc, entry)))
+        found = find_cycle(sub)
+        assert found is not None, "cyclic label without a cyclic SCC"
+        cycle = tuple(found)
         self._cycle_cache[label] = (epoch, cycle)
         return cycle
 

@@ -362,7 +362,10 @@ def _attribute(vertex, report: DeadlockReport, statuses,
     event: attributed through ``index`` (:func:`_attribution_index`) to
     the minimal (string-ordered) report task whose status waits on it.
     Missing origins (an avoidance-refused block never entered the view)
-    take ``fallback``, the current ordinal.
+    take ``fallback``, the current ordinal.  ``tracker.origins`` and
+    ``statuses`` are keyed by task and probed here with either kind of
+    vertex: an :class:`~repro.core.events.Event` equals no task id, so
+    an event never answers to a task's origin.
     """
     if vertex in tracker.origins:
         return tracker.origins[vertex], str(vertex)

@@ -103,8 +103,7 @@ def _rehome_provenance(
     for edge in report.provenance or ():
         source = by_task.get(edge.source_task)
         target = by_task.get(edge.target_task)
-        edges.append(replace(
-            edge,
+        edges.append(edge._replace(
             source_origin=source.origin() if source else edge.source_origin,
             target_origin=target.origin() if target else edge.target_origin,
         ))

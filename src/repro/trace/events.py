@@ -86,11 +86,31 @@ def status_to_obj(status: BlockedStatus) -> dict:
     }
 
 
+def event_from_obj(obj) -> Event:
+    """The one door an event comes in from bytes by: ``[phaser, phase]``
+    with the phaser a JSON string and the phase a non-negative JSON
+    integer, else :class:`TraceFormatError`.
+
+    Writers ``str()`` the phaser on the way out, and ``registered`` is
+    keyed by JSON object keys, which are strings: a numeric phaser let
+    in here would never meet its own registration, and a list would
+    surface as ``unhashable type`` from whoever first hashed the event.
+    """
+    try:
+        phaser, phase = obj
+    except (TypeError, ValueError) as exc:
+        raise TraceFormatError(f"malformed event: {obj!r}") from exc
+    # ``type(...) is int``: JSON ``true`` is an ``int`` to isinstance.
+    if type(phaser) is not str or type(phase) is not int or phase < 0:
+        raise TraceFormatError(f"malformed event: {obj!r}")
+    return Event(phaser, phase)
+
+
 def status_from_obj(obj: Mapping) -> BlockedStatus:
     """Inverse of :func:`status_to_obj`; raises :class:`TraceFormatError`
     on malformed input."""
     try:
-        waits = frozenset(Event(p, n) for p, n in obj["waits"])
+        waits = frozenset(event_from_obj(wait) for wait in obj["waits"])
         registered = {str(p): int(n) for p, n in obj["registered"].items()}
         generation = int(obj.get("generation", 0))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -221,12 +241,12 @@ def _vertex_from_obj(obj):
     try:
         tag = obj[0]
         if tag == "e":
-            return Event(obj[1], int(obj[2]))
-        if tag == "t":
-            return str(obj[1])
-    except (IndexError, TypeError, ValueError) as exc:
+            return event_from_obj(obj[1:])
+        if tag == "t" and type(obj[1]) is str:
+            return obj[1]
+    except (IndexError, KeyError, TypeError) as exc:
         raise TraceFormatError(f"malformed cycle vertex: {obj!r}") from exc
-    raise TraceFormatError(f"unknown cycle vertex tag in {obj!r}")
+    raise TraceFormatError(f"malformed cycle vertex: {obj!r}")
 
 
 def report_to_obj(report) -> dict:
@@ -295,7 +315,7 @@ def report_from_obj(obj: Mapping):
             provenance = tuple(edges)
         return DeadlockReport(
             tasks=tuple(str(t) for t in obj["tasks"]),
-            events=tuple(Event(p, int(n)) for p, n in obj["events"]),
+            events=tuple(event_from_obj(e) for e in obj["events"]),
             cycle=tuple(_vertex_from_obj(v) for v in obj["cycle"]),
             model_used=GraphModel(obj["model"]),
             edge_count=int(obj["edge_count"]),

@@ -193,6 +193,55 @@ class TestOneTable:
         assert holders == [("dependency.py", "ResourceDependency")]
 
 
+class TestValueTypes:
+    """The values a cyclic report is made of — every SG vertex, every
+    edge's provenance — hash, compare and sort as tuples, in C.  A
+    Python-level ``__hash__`` on ``Event`` cost a cyclic service check
+    18 k interpreted calls."""
+
+    def test_event_identity_is_the_tuples_own(self):
+        from repro.core.events import Event
+
+        assert issubclass(Event, tuple)
+        for name in ("__hash__", "__eq__", "__lt__"):
+            assert name not in Event.__dict__, name
+
+    def test_provenance_records_are_tuples(self):
+        from repro.core.report import EdgeProvenance, RecordOrigin
+
+        assert issubclass(EdgeProvenance, tuple)
+        assert issubclass(RecordOrigin, tuple)
+
+    @pytest.mark.parametrize("model", ["wfg", "sg"])
+    def test_a_report_with_provenance_survives_the_wire_form(self, model):
+        import json
+
+        from repro.core import DeadlockChecker, GraphModel
+        from repro.core.events import waiting_on
+        from repro.core.report import RecordOrigin
+        from repro.obs.tracing import OriginTracker, attach_provenance
+        from repro.trace.events import report_from_obj, report_to_obj
+
+        checker = DeadlockChecker(model=GraphModel(model))
+        checker.set_blocked("a", waiting_on("p", 1, p=1, q=0))
+        checker.set_blocked("b", waiting_on("q", 1, q=1, p=0))
+        tracker = OriginTracker()
+        tracker.origins["a"] = RecordOrigin(3, "block")
+        tracker.origins["b"] = RecordOrigin(
+            7, "publish_delta", site="B", stream="s", seq=2
+        )
+        tracker.last_ordinal = 9
+        report, _ = attach_provenance(
+            checker.check(), tracker, checker.dependency.snapshot().statuses
+        )
+        assert report.model_used.value == model and report.detection_lag == 2
+        wire = json.loads(json.dumps(report_to_obj(report)))
+        decoded = report_from_obj(wire)
+        assert decoded == report
+        assert decoded.cycle_key == report.cycle_key
+        assert report_to_obj(decoded) == report_to_obj(report)
+
+
 class TestExamples:
     def test_examples_present_and_parse(self):
         examples = sorted((REPO / "examples").glob("*.py"))

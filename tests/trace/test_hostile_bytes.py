@@ -209,6 +209,13 @@ def _oversized_frame_mid_file() -> bytes:
     return data
 
 
+def _waiting(event_json: bytes) -> bytes:
+    """The JSONL pair with ``t2``'s wait on ``q@2`` rewritten."""
+    data = dumps(single_site_trace(), "jsonl")
+    assert data.count(b'["q",2]') == 1
+    return data.replace(b'["q",2]', event_json)
+
+
 REFUSED_FILES = {
     "binary meta: 0xFF": lambda: dumps(
         Trace(TraceHeader(meta={"k": "value"}), ()), "binary"
@@ -243,6 +250,9 @@ REFUSED_FILES = {
     "jsonl line: an int literal past the digit limit": lambda: (
         JSONL_HEADER + b'{"seq":' + b"9" * 5000 + b',"kind":"unblock","task":"t"}\n'
     ),
+    "jsonl wait: a numeric phaser": lambda: _waiting(b"[7,2]"),
+    "jsonl wait: a fractional phase": lambda: _waiting(b'["q",2.5]'),
+    "jsonl wait: true for a phase": lambda: _waiting(b'["q",true]'),
 }
 
 
@@ -320,6 +330,74 @@ class TestGoodFiles:
     ):
         strict, _ = verdicts((CORPUS / member).read_bytes(), path)
         assert strict != REFUSED and strict[1]
+
+
+def _report_obj(**members) -> dict:
+    """A well-formed SG report's wire object, then ``members``."""
+    return {
+        "tasks": ["a", "b"], "events": [["p", 1], ["q", 1]],
+        "cycle": [["e", "p", 1], ["e", "q", 1], ["e", "p", 1]],
+        "model": "sg", "edge_count": 2, "avoided": False,
+        **members,
+    }
+
+
+#: Wire objects a service or a client is handed after framing: no file
+#: door sees them, the ``*_from_obj`` door must refuse them itself.
+REFUSED_OBJECTS = {
+    "status wait: a numeric phaser": (ev.status_from_obj, blob(1)),
+    "status wait: a list for a phaser": (
+        ev.status_from_obj, {**blob(), "waits": [[["x"], 1]]}),
+    "report event: a list for a phaser": (
+        ev.report_from_obj, _report_obj(events=[[["x"], 1]])),
+    "report event: a fractional phase": (
+        ev.report_from_obj, _report_obj(events=[["p", 1.5]])),
+    "report event: true for a phase": (
+        ev.report_from_obj, _report_obj(events=[["p", True]])),
+    "report event: a negative phase": (
+        ev.report_from_obj, _report_obj(events=[["p", -1]])),
+    "report cycle: a list for an event's phaser": (
+        ev.report_from_obj, _report_obj(cycle=[["e", ["x"], 1]])),
+    "report cycle: a numeric string for a phase": (
+        ev.report_from_obj, _report_obj(cycle=[["e", "p", "1"]])),
+    "report cycle: a list for a task": (
+        ev.report_from_obj, _report_obj(cycle=[["t", ["q"]]])),
+    "report cycle: an event with a fourth member": (
+        ev.report_from_obj, _report_obj(cycle=[["e", "p", 1, 0]])),
+}
+
+
+class TestRefusedObjects:
+    def test_the_rows_are_cut_from_objects_the_doors_accept(self):
+        assert ev.status_from_obj(blob()) == status()
+        report = ev.report_from_obj(_report_obj())
+        assert report.cycle_key == {Event("p", 1), Event("q", 1)}
+
+    @pytest.mark.parametrize("row", REFUSED_OBJECTS)
+    def test_the_door_refuses_with_the_typed_error(self, row):
+        door, obj = REFUSED_OBJECTS[row]
+        with pytest.raises(TraceFormatError):
+            door(obj)
+
+    def test_a_numeric_phaser_cannot_hide_a_deadlock(self):
+        """``registered`` keys are JSON strings, so a numeric awaited
+        phaser let through would never meet its registration and the
+        crossed pair would check clean."""
+        from repro.core.checker import DeadlockChecker
+
+        def crossed(p, q):
+            return (
+                {"waits": [[p, 1]], "registered": {str(p): 1, str(q): 0}},
+                {"waits": [[q, 1]], "registered": {str(q): 1, str(p): 0}},
+            )
+
+        checker = DeadlockChecker()
+        for task, obj in zip("ab", crossed("1", "2")):
+            checker.set_blocked(task, ev.status_from_obj(obj))
+        assert set(checker.check().tasks) == {"a", "b"}
+        for obj in crossed(1, 2):
+            with pytest.raises(TraceFormatError):
+                ev.status_from_obj(obj)
 
 
 class TestLineSeparators:
