@@ -40,13 +40,15 @@ from repro.obs.registry import (
     MetricsRegistry,
 )
 
+_SG = GraphModel.SG
+
 
 class CheckStats:
     """Accounting across checks — the source of Table 3's edge counts.
 
     A recorder-and-reader over one :class:`~repro.obs.registry.
-    MetricsRegistry` and nothing else: :meth:`record` adds one check to
-    the registry's check instruments, the properties read them back.
+    MetricsRegistry` and nothing else: :meth:`record` tallies one check
+    for the registry's check instruments, the properties read them back.
     It owns no count, so its numbers are the *registry's* — every
     checker recording into that registry included.  To aggregate, fold
     registries (:meth:`~repro.obs.registry.MetricsRegistry.merge`, the
@@ -91,24 +93,31 @@ class CheckStats:
             buckets=DEFAULT_LATENCY_BUCKETS_S,
             volatile=True,
         )
-        # Children held as handles keep the per-check cost to three
-        # updates — this runs on the incremental checker's O(1) path.
-        self._checks_by_model = {
-            m: self._checks.labels(model=m.value) for m in GraphModel
-        }
-        self._edges_child = self._edges.labels()
-        self._latency_child = self._latency.labels()
+        # This runs on the incremental checker's O(1) path: a check is
+        # plain-number bumps, published when the registry is read.
+        self._lock = threading.Lock()
+        self._tally = tally = reg.tally(
+            self._lock,
+            counters=[self._checks.labels(model=m.value) for m in (GraphModel.WFG, _SG)]
+            + [self._cycles.labels(), self._sg_aborts.labels()],
+            histograms=[self._edges.labels(), self._latency.labels()],
+        )
+        self._counts = tally.counts
+        self._edges_seen, self._latency_seen = tally.hists
 
     def record(self, model_used: GraphModel, edge_count: int, dt_s: float,
                found_cycle: bool, sg_aborted: bool = False) -> None:
         """Fold one check into the aggregates."""
-        self._checks_by_model[model_used].inc()
-        self._latency_child.observe(dt_s)
-        self._edges_child.observe(edge_count)
-        if found_cycle:
-            self._cycles.inc()
-        if sg_aborted:
-            self._sg_aborts.inc()
+        with self._lock:
+            counts = self._counts
+            # Slots: WFG, SG (a check analyses one), cycles, SG aborts.
+            counts[model_used is _SG] += 1
+            if found_cycle:
+                counts[2] += 1
+            if sg_aborted:
+                counts[3] += 1
+            self._edges_seen.observe(edge_count)
+            self._latency_seen.observe(dt_s)
 
     # -- read back from the instruments --------------------------------
     @property
@@ -258,7 +267,6 @@ class DeadlockChecker:
         # Serialises avoidance checks: two tasks blocking concurrently must
         # not both conclude "no cycle yet" for a cycle they jointly create.
         self._avoidance_lock = threading.Lock()
-        self._stats_lock = threading.Lock()
         #: Optional override for the snapshot a check analyses when the
         #: caller passes none.  Report task order follows snapshot
         #: insertion order; a consumer mirroring a *foreign* ordering
@@ -338,15 +346,7 @@ class DeadlockChecker:
             self._record(t0, None, GraphModel.SG if effective is not GraphModel.WFG else GraphModel.WFG, 0)
             return None
         built = build_graph(snapshot, effective, self.threshold_factor)
-        cycle = find_cycle(built.graph)
-        report = None
-        if cycle is not None:
-            report = self._report_from_cycle(snapshot, built, cycle, avoided=False)
-            if revalidate and not self._still_current(snapshot, report):
-                report = None
-        self._record(t0, report, built.model_used, built.edge_count,
-                     sg_aborted=built.sg_aborted)
-        return report
+        return self._verdict(t0, revalidate, *self._analysis(snapshot, built))
 
     def check_sharded(
         self,
@@ -543,6 +543,25 @@ class DeadlockChecker:
             avoided=avoided,
         )
 
+    def _analysis(self, snapshot: DependencySnapshot, built: GraphBuildResult):
+        """The :meth:`_verdict` arguments after ``t0, revalidate`` for
+        one built graph: its answer before revalidation (what the
+        incremental checker caches per epoch)."""
+        cycle = find_cycle(built.graph)
+        report = None
+        if cycle is not None:
+            report = self._report_from_cycle(snapshot, built, cycle, avoided=False)
+        return snapshot, report, built.model_used, built.edge_count, built.sg_aborted
+
+    def _verdict(self, t0: float, revalidate: bool, snapshot, report,
+                 model_used, edge_count, sg_aborted=False):
+        """Revalidate ``report`` against ``snapshot`` when asked, record
+        the check under the model actually analysed, return the answer."""
+        if report is not None and revalidate and not self._still_current(snapshot, report):
+            report = None
+        self._record(t0, report, model_used, edge_count, sg_aborted=sg_aborted)
+        return report
+
     def _still_current(
         self, snapshot: DependencySnapshot, report: DeadlockReport
     ) -> bool:
@@ -553,17 +572,8 @@ class DeadlockChecker:
                 return False
         return True
 
-    def _record(
-        self,
-        t0: float,
-        report: Optional[DeadlockReport],
-        model_used: GraphModel,
-        edge_count: int,
-        sg_aborted: bool = False,
-    ) -> None:
-        dt = time.perf_counter() - t0
-        with self._stats_lock:
-            self.stats.record(
-                model_used, edge_count, dt, report is not None,
-                sg_aborted=sg_aborted,
-            )
+    def _record(self, t0: float, report: Optional[DeadlockReport],
+                model_used: GraphModel, edge_count: int,
+                sg_aborted: bool = False) -> None:
+        self.stats.record(model_used, edge_count, time.perf_counter() - t0,
+                          report is not None, sg_aborted=sg_aborted)

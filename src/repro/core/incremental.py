@@ -67,6 +67,8 @@ the listener and reads of the maintained graph.
 from __future__ import annotations
 
 import time
+from functools import partial
+from operator import attrgetter
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.checker import DeadlockChecker, snapshot_components
@@ -77,9 +79,16 @@ from repro.core.scc import make_dynamic_scc
 from repro.core.selection import (
     DEFAULT_THRESHOLD_FACTOR,
     GraphModel,
+    build_graph,
     select_shard_model,
 )
 from repro.obs.registry import MetricsRegistry
+
+#: Tally slots: the counted write ops, then fallback checks, then the
+#: structure's work counters (fed from its own running totals).
+_OP_SLOTS = {"set_blocked": 0, "clear": 1, "restore": 2}
+_FALLBACK_SLOT = len(_OP_SLOTS)
+_SCC_WORK = ("extractions", "pk_visits", "resolves")
 
 
 class IncrementalChecker(DeadlockChecker):
@@ -100,50 +109,41 @@ class IncrementalChecker(DeadlockChecker):
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         super().__init__(model, threshold_factor, dependency, metrics=metrics)
-        # Incremental-path instruments live next to the check
-        # instruments, in ``self.metrics``.
-        self._m_deltas = self.metrics.counter(
-            "repro_incremental_delta_ops_total",
-            "Delta operations applied to the maintained graph state.",
-            labels=("op",),
-        )
-        self._m_fallbacks = self.metrics.counter(
-            "repro_incremental_fallback_checks_total",
-            "Cyclic-state checks answered through the classic "
-            "snapshot-and-rebuild path (SG/AUTO models).",
-        )
-        # Volatile: visit counts follow set/dict iteration order, which
-        # varies with each process's string-hash seed — work measures,
-        # like timings, are excluded from the deterministic snapshot.
-        scc_work = self.metrics.counter(
-            "repro_scc_work_total",
-            "DynamicSCC maintenance work, mirrored from the structure's "
-            "own counters at each check.",
-            labels=("kind",), volatile=True,
-        )
-        self._m_scc_work = [
-            scc_work.labels(kind=kind)
-            for kind in ("extractions", "pk_visits", "resolves")
-        ]
-        # What :meth:`sync_metrics` has published of each so far (None:
-        # nothing yet — the first publication makes the series appear).
-        self._scc_published: List[Optional[int]] = [None, None, None]
-        # Writes heard per counted op and not yet on ``_m_deltas``: a
-        # batch publishes them once, at its end.
-        self._pending_ops = {"set_blocked": 0, "clear": 0, "restore": 0}
-        self._batching = False
         # The store's lock orders its writes, the listener they call
         # and every query of the state the listener maintains.
         self._lock = self.dependency._lock
         # The compiled kernel when built (see repro.core._native), the
         # pure-Python structure otherwise — interchangeable by contract.
         self._scc = make_dynamic_scc()
+        # Incremental-path instruments live next to the check
+        # instruments, fed by one tally bumped under the store's lock.
+        # SCC work is volatile: visit counts follow set/dict iteration
+        # order, which varies with each process's string-hash seed.
+        reg = self.metrics
+        deltas = reg.counter("repro_incremental_delta_ops_total",
+                             "Delta operations applied to the maintained graph state.",
+                             labels=("op",))
+        fallbacks = reg.counter("repro_incremental_fallback_checks_total",
+                                "Cyclic-state checks answered through the classic "
+                                "snapshot-and-rebuild path (SG/AUTO models).")
+        scc_work = reg.counter("repro_scc_work_total",
+                               "DynamicSCC maintenance work, published from the "
+                               "structure's own counters whenever the registry is read.",
+                               labels=("kind",), volatile=True)
+        self._tally = reg.tally(
+            self._lock,
+            [deltas.labels(op=op) for op in _OP_SLOTS] + [fallbacks.labels()]
+            + [scc_work.labels(kind=kind) for kind in _SCC_WORK],
+            totals=partial(attrgetter(*_SCC_WORK), self._scc),
+        )
         # phaser -> local phase -> tasks registered there (blocked only).
         self._phases: Dict[PhaserId, Dict[int, Set[TaskId]]] = {}
         # phaser -> awaited event -> blocked tasks waiting on it.
         self._awaited: Dict[PhaserId, Dict[Event, Set[TaskId]]] = {}
+        # The last cyclic answer before revalidation (see
+        # ``DeadlockChecker._analysis``) and the epoch it answers for.
         self._cached_epoch = -1
-        self._cached_report: Optional[DeadlockReport] = None
+        self._cached: tuple = ()
         self.dependency.subscribe(self._on_write)
 
     # ------------------------------------------------------------------
@@ -159,28 +159,20 @@ class IncrementalChecker(DeadlockChecker):
         """Move ``task``'s share of graph and indexes from ``old`` to
         ``new``.  The store calls this under its lock."""
         # (Subscription replay and ``clear_all`` drops are no delta ops.)
-        if op in self._pending_ops:
-            self._pending_ops[op] += 1
+        slot = _OP_SLOTS.get(op)
+        if slot is not None:
+            self._tally.counts[slot] += 1
         if old is not None:
             self._retract(task, old)
         if new is not None:
             self._insert(task, new)
-        if not self._batching:
-            self._publish_ops()
-
-    def _publish_ops(self) -> None:
-        for op, count in self._pending_ops.items():
-            if count:
-                self._m_deltas.inc(count, op=op)
-                self._pending_ops[op] = 0
 
     def apply_batch(self, ops) -> None:
         """Apply an ordered delta sequence inside one batch window.
 
         Equivalent — same final state, same subsequent verdicts and
         reports, same ``repro_incremental_delta_ops_total`` totals — to
-        the parent class's one write per op, but the whole batch pays
-        one metrics flush and (via
+        the parent class's one write per op, but (via
         :meth:`~repro.core.scc.DynamicSCC.begin_batch`) per affected
         component at most a constant factor over the cheaper of
         per-edge Pearce-Kelly passes and one scoped SCC resolution.
@@ -189,22 +181,17 @@ class IncrementalChecker(DeadlockChecker):
             return
         with self._lock:
             self._scc.begin_batch()
-            self._batching = True
             try:
                 super().apply_batch(ops)
             finally:
-                self._batching = False
                 self._scc.end_batch()
-                # Published even on a failing op: a partial batch
-                # accounts what it applied, like the per-op path.
-                self._publish_ops()
 
     def snapshot_reordered(self) -> None:
         # The per-epoch cache holds a report whose task order (SG/AUTO)
         # followed the old snapshot order; the graph epoch did not move.
         with self._lock:
             self._cached_epoch = -1
-            self._cached_report = None
+            self._cached = ()
 
     def _insert(self, task: TaskId, status: BlockedStatus) -> None:
         """Fold one newly published status into graph and indexes."""
@@ -262,60 +249,39 @@ class IncrementalChecker(DeadlockChecker):
             )
         t0 = time.perf_counter()
         with self._lock:
-            if not self._scc.has_cycle():
-                self._record(t0, None, GraphModel.WFG, self._scc.edge_count)
+            scc = self._scc
+            if not scc.has_cycle():
+                self._record(t0, None, GraphModel.WFG, scc.edge_count)
                 return None
-            epoch = self._scc.mutation_epoch
-            if epoch == self._cached_epoch:
-                report = self._cached_report
-                self._record(t0, report, GraphModel.WFG, self._scc.edge_count)
-                return report
-            if self.model is GraphModel.WFG:
-                # Incremental extraction: the maintained WFG *is* the
-                # analysis graph under this model, so the canonical
-                # cycle comes straight from the component partition —
-                # no snapshot, no rebuild.
-                report = self._maintained_wfg_report(
-                    t0,
-                    # The store's own table, read in place under its lock.
-                    DependencySnapshot(statuses=self.dependency._statuses),
-                    self._scc.extract_cycle(), self._scc.edge_count,
-                    revalidate,
-                )
-            else:
-                self._m_fallbacks.inc()
-                snapshot = self._current_snapshot()
-                report = super().check(snapshot=snapshot, revalidate=revalidate)
-            self._cached_epoch = epoch
-            self._cached_report = report
-            return report
+            if scc.mutation_epoch != self._cached_epoch:
+                if self.model is GraphModel.WFG:
+                    # Incremental extraction: the maintained WFG *is*
+                    # the analysis graph under this model, so the
+                    # canonical cycle comes straight from the component
+                    # partition — no snapshot, no rebuild.  The store's
+                    # own table is read in place under its lock.
+                    self._cached = self._maintained_analysis(
+                        DependencySnapshot(statuses=self.dependency._statuses),
+                        scc.extract_cycle(), scc.edge_count)
+                else:
+                    self._tally.counts[_FALLBACK_SLOT] += 1
+                    snapshot = self._current_snapshot()
+                    self._cached = self._analysis(snapshot, build_graph(
+                        snapshot, self.model, self.threshold_factor))
+                self._cached_epoch = scc.mutation_epoch
+            # Revalidated on every call: a failed revalidation is this
+            # call's answer, not the epoch's.
+            return self._verdict(t0, revalidate, *self._cached)
 
-    def _maintained_wfg_report(
-        self,
-        t0: float,
-        snapshot: DependencySnapshot,
-        cycle: Optional[list],
-        edge_count: int,
-        revalidate: bool,
-    ) -> Optional[DeadlockReport]:
-        """A WFG-model answer from the maintained partition.
-
-        ``cycle`` is its (epoch-cached) canonical extraction over
-        ``snapshot``'s tasks and ``edge_count`` the maintained edges
-        among them — what a rebuild of ``snapshot`` would count.
-        Assembly and revalidation run the classic checker's own code
-        (:meth:`_wfg_report`, :meth:`_still_current`), so the two paths
-        cannot drift.  Caller holds the store's lock.
-        """
-        report: Optional[DeadlockReport] = None
+    def _maintained_analysis(self, snapshot, cycle, edge_count) -> tuple:
+        """A WFG-model :meth:`_analysis` from the maintained partition:
+        ``cycle`` its canonical extraction over ``snapshot``'s tasks and
+        ``edge_count`` the maintained edges among them (what a rebuild
+        would count), assembled by the classic checker's own code."""
+        report = None
         if cycle is not None:
-            report = self._wfg_report(
-                snapshot.statuses, cycle, edge_count, avoided=False
-            )
-            if revalidate and not self._still_current(snapshot, report):
-                report = None
-        self._record(t0, report, GraphModel.WFG, edge_count)
-        return report
+            report = self._wfg_report(snapshot.statuses, cycle, edge_count, avoided=False)
+        return snapshot, report, GraphModel.WFG, edge_count
 
     def check_sharded(
         self,
@@ -342,16 +308,15 @@ class IncrementalChecker(DeadlockChecker):
                 model = select_shard_model(len(shard), self.model)
                 if model is GraphModel.WFG:
                     tasks = set(shard.statuses)
-                    report = self._maintained_wfg_report(
-                        time.perf_counter(), shard,
-                        self._scc.extract_cycle_within(tasks),
-                        self._scc.edges_within(tasks), revalidate,
-                    )
+                    analysis = self._maintained_analysis(
+                        shard, self._scc.extract_cycle_within(tasks),
+                        self._scc.edges_within(tasks))
+                    report = self._verdict(time.perf_counter(), revalidate, *analysis)
                 else:
                     # SG/AUTO shards still need the built graph (the
                     # chosen model depends on it) — classic per-shard
                     # path, identical to the parent's.
-                    self._m_fallbacks.inc()
+                    self._tally.counts[_FALLBACK_SLOT] += 1
                     report = super().check(
                         snapshot=shard, revalidate=revalidate, model=model
                     )
@@ -373,35 +338,6 @@ class IncrementalChecker(DeadlockChecker):
                 return None, stamped
             # Slow path: the classic refusal, shared with the parent.
             return self._finish_avoidance(t0, task, status, prior, stamped)
-
-    # ------------------------------------------------------------------
-    # metrics
-    # ------------------------------------------------------------------
-    def sync_metrics(self) -> None:
-        """Publish :class:`DynamicSCC`'s plain work counters into obs.
-
-        Each counter is published as the *difference* since it was last
-        published — three int compares when nothing moved — so checkers
-        sharing a registry sum instead of overwriting one another.
-        Runs on every ``_record`` (live exporters are at most one check
-        stale) and is the hook a replay engine calls at the end of a
-        run, catching deltas applied after the final check.
-        """
-        scc = self._scc
-        published = self._scc_published
-        # Read-then-add must not interleave with another caller's (a
-        # check of an explicit snapshot records outside the store's lock).
-        with self._lock:
-            for i, now in enumerate((scc.extractions, scc.pk_visits, scc.resolves)):
-                if now != published[i]:
-                    self._m_scc_work[i].inc(now - (published[i] or 0))
-                    published[i] = now
-
-    def _record(self, t0, report, model_used, edge_count,
-                sg_aborted: bool = False) -> None:
-        self.sync_metrics()
-        super()._record(t0, report, model_used, edge_count,
-                        sg_aborted=sg_aborted)
 
     # ------------------------------------------------------------------
     # introspection (tests, benchmarks)

@@ -12,7 +12,11 @@ snapshot.
 for the same labels, always — and the child is what a hot path holds
 and updates (``inc``/``dec``/``set``/``observe``, one body each, under
 the registry's one lock); ``instrument.inc(**labels)`` and its siblings
-are ``labels(**labels)`` plus that call.  A child joins snapshots,
+are ``labels(**labels)`` plus that call.  A per-check or per-write path
+holds a :class:`Tally` instead, where a count lives *between folds*:
+plain numbers bumped under a lock its owner already holds.  Every read
+of a child (so every export, ``merge`` and pickling) first folds every
+tally (:meth:`MetricsRegistry._publish`).  A child joins snapshots,
 ``per_label()`` and exports with its *first update*, so binding every
 label value up front materialises nothing.  Sharing a registry means
 *adding* to it: no component assigns into a shared series or reads a
@@ -52,8 +56,9 @@ to the parent for merging.
 from __future__ import annotations
 
 import threading
+import weakref
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "MetricsRegistry",
@@ -62,6 +67,7 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "Tally",
     "DEFAULT_LATENCY_BUCKETS_S",
     "DEFAULT_SIZE_BUCKETS",
 ]
@@ -170,16 +176,17 @@ class _HistChild:
         return self.count > 0
 
     def observe(self, value) -> None:
-        hist = self._hist
-        idx = bisect_left(hist.buckets, value)
-        with hist._registry._lock:
-            self.counts[idx] += 1
-            self.count += 1
-            self.sum += value
-            if self.vmin is None or value < self.vmin:
-                self.vmin = value
-            if self.vmax is None or value > self.vmax:
-                self.vmax = value
+        with self._hist._registry._lock:
+            self._add(value)
+
+    def _add(self, value) -> None:
+        self.counts[bisect_left(self._hist.buckets, value)] += 1
+        self.count += 1
+        self.sum += value
+        if self.vmin is None or value < self.vmin:
+            self.vmin = value
+        if self.vmax is None or value > self.vmax:
+            self.vmax = value
 
     def state(self) -> tuple:
         return (list(self.counts), self.count, self.sum, self.vmin, self.vmax)
@@ -255,10 +262,12 @@ class _Instrument:
     def _get(self, labels: dict):
         """The child for ``labels`` if it was ever bound, else None —
         reads must not bind."""
+        self._registry._publish()
         return self._children.get(_label_values(self.label_names, labels))
 
     def _live(self) -> list:
         """``(label values, child)`` of every updated child, sorted."""
+        self._registry._publish()
         with self._registry._lock:
             # Label tuples are unique, so the sort never compares children.
             return sorted(
@@ -268,6 +277,7 @@ class _Instrument:
     def clear(self) -> None:
         """Zero every child in place: a held handle stays valid and
         rejoins the snapshot with its next update."""
+        self._registry._publish()
         with self._registry._lock:
             for child in self._children.values():
                 child.reset()
@@ -290,9 +300,9 @@ class _Instrument:
     def merge_from(self, other: "_Instrument") -> None:
         """Fold every live child of ``other`` into the same-labelled
         child here (sums; histogram extrema by min/max)."""
+        live = other._live()
         with other._registry._lock:
-            states = [(values, child.state())
-                      for values, child in other._children.items() if child.live]
+            states = [(values, child.state()) for values, child in live]
         for values, state in states:
             self._child(values).fold(state)
 
@@ -318,8 +328,7 @@ class Counter(_Scalar):
 
     def total(self):
         """Sum across every labelled child."""
-        with self._registry._lock:
-            return sum(child.value for child in self._children.values())
+        return sum(child.value for _, child in self._live())
 
     def per_label(self) -> Dict[Tuple[str, ...], int]:
         """``{label-values tuple: value}`` across children (sorted)."""
@@ -410,6 +419,62 @@ class Histogram(_Instrument):
         return out
 
 
+class _HistShadow(_HistChild):
+    """A histogram child's pending observations, bumped lock-free."""
+
+    __slots__ = ()
+    observe = _HistChild._add
+
+
+class _Pending:
+    """A tally's numbers and its owner's lock: what the registry folds,
+    and keeps until the first read after the tally has died."""
+
+    __slots__ = ("lock", "counters", "counts", "hists", "totals", "seen")
+
+    def __init__(self, lock, counters, histograms, totals) -> None:
+        self.lock, self.counters, self.totals = lock, list(counters), totals
+        self.counts = [0] * len(self.counters)
+        self.hists = [(child, _HistShadow(child._hist)) for child in histograms]
+        self.seen = totals() if totals is not None else ()
+
+    def fold(self) -> None:
+        # The owner lock first; each child update then takes the
+        # registry lock — never nested the other way.
+        with self.lock:
+            counts = self.counts
+            if self.totals is not None:
+                now = self.totals()
+                for i, (total, seen) in enumerate(zip(now, self.seen), len(counts) - len(now)):
+                    counts[i] += total - seen
+                self.seen = now
+            for i, child in enumerate(self.counters):
+                if counts[i]:
+                    child.inc(counts[i])
+                    counts[i] = 0
+            for child, shadow in self.hists:
+                if shadow.count:
+                    child.fold(shadow.state())
+                    shadow.reset()
+
+
+class Tally:
+    """Deferred publication: a hot path's plain numbers, folded into
+    instrument children whenever the registry is read.
+
+    Under its lock, the owner bumps ``counts[i]`` (pending for the
+    ``i``-th counter child) and calls ``hists[j].observe(value)``;
+    nothing here takes the registry lock.  The owner holds the tally;
+    the registry holds it weakly, and folds a dead one a last time.
+    """
+
+    __slots__ = ("counts", "hists", "__weakref__")
+
+    def __init__(self, pending: _Pending) -> None:
+        self.counts = pending.counts
+        self.hists = [shadow for _, shadow in pending.hists]
+
+
 class MetricsRegistry:
     """A named collection of instruments with deterministic snapshots.
 
@@ -424,71 +489,75 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: Dict[str, _Instrument] = {}
         self._lock = threading.Lock()
+        self._tallies: List[Tuple[weakref.ref, _Pending]] = []
 
     # -- pickling (replay workers ship registries to the parent) -------
     def __getstate__(self) -> dict:
+        self._publish()
         state = self.__dict__.copy()
-        del state["_lock"]
+        del state["_lock"], state["_tallies"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._lock = threading.Lock()
+        self._tallies = []
+
+    # -- deferred publication ------------------------------------------
+    def tally(self, lock, counters: Sequence = (), histograms: Sequence = (),
+              totals: Optional[Callable[[], tuple]] = None) -> Tally:
+        """A :class:`Tally` over ``counters`` and ``histograms``
+        (children of this registry's instruments), bumped under
+        ``lock``.  ``totals``, if given, returns running totals kept
+        elsewhere (a structure's own work counters) for the *last*
+        counters; each fold adds their growth since the previous one."""
+        pending = _Pending(lock, counters, histograms, totals)
+        tally = Tally(pending)
+        with self._lock:
+            self._tallies.append((weakref.ref(tally), pending))
+        return tally
+
+    def _publish(self) -> None:
+        """Fold every tally into its children: the one choke point every
+        read of a child passes through.  A dead tally is folded one last
+        time and dropped.  Never called under the registry lock."""
+        with self._lock:
+            tallies = list(self._tallies)
+        dead = {id(pending) for ref, pending in tallies if ref() is None}
+        for _, pending in tallies:
+            pending.fold()
+        if dead:
+            with self._lock:
+                self._tallies = [e for e in self._tallies if id(e[1]) not in dead]
 
     # -- instrument constructors (get-or-create) -----------------------
-    def _register(self, name: str, factory):
+    def _register(self, cls, name, help, labels, volatile, *extra):
+        """``name``'s instrument, created as ``cls`` if new; a
+        re-registration must match its type, labels and ``extra``
+        (a histogram's buckets)."""
+        label_names = tuple(labels)
         with self._lock:
-            existing = self._metrics.get(name)
-        if existing is None:
-            created = factory()
+            metric = self._metrics.get(name)
+        if metric is None:
+            created = cls(self, name, help, label_names, volatile, *extra)
             with self._lock:
-                existing = self._metrics.setdefault(name, created)
-        return existing
+                metric = self._metrics.setdefault(name, created)
+        metric._check_compatible((cls.kind, label_names, *extra))
+        return metric
 
-    def counter(
-        self,
-        name: str,
-        help: str = "",
-        labels: Iterable[str] = (),
-        volatile: bool = False,
-    ) -> Counter:
-        label_names = tuple(labels)
-        metric = self._register(
-            name, lambda: Counter(self, name, help, label_names, volatile)
-        )
-        metric._check_compatible(("counter", label_names))
-        return metric  # type: ignore[return-value]
+    def counter(self, name: str, help: str = "", labels: Iterable[str] = (),
+                volatile: bool = False) -> Counter:
+        return self._register(Counter, name, help, labels, volatile)
 
-    def gauge(
-        self,
-        name: str,
-        help: str = "",
-        labels: Iterable[str] = (),
-        volatile: bool = False,
-    ) -> Gauge:
-        label_names = tuple(labels)
-        metric = self._register(
-            name, lambda: Gauge(self, name, help, label_names, volatile)
-        )
-        metric._check_compatible(("gauge", label_names))
-        return metric  # type: ignore[return-value]
+    def gauge(self, name: str, help: str = "", labels: Iterable[str] = (),
+              volatile: bool = False) -> Gauge:
+        return self._register(Gauge, name, help, labels, volatile)
 
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        labels: Iterable[str] = (),
-        buckets: Sequence[float] = DEFAULT_SIZE_BUCKETS,
-        volatile: bool = False,
-    ) -> Histogram:
-        label_names = tuple(labels)
-        bucket_t = tuple(buckets)
-        metric = self._register(
-            name,
-            lambda: Histogram(self, name, help, label_names, volatile, bucket_t),
-        )
-        metric._check_compatible(("histogram", label_names, bucket_t))
-        return metric  # type: ignore[return-value]
+    def histogram(self, name: str, help: str = "", labels: Iterable[str] = (),
+                  buckets: Sequence[float] = DEFAULT_SIZE_BUCKETS,
+                  volatile: bool = False) -> Histogram:
+        return self._register(Histogram, name, help, labels, volatile,
+                              tuple(buckets))
 
     # -- introspection -------------------------------------------------
     def get(self, name: str) -> Optional[_Instrument]:
@@ -532,18 +601,9 @@ class MetricsRegistry:
         with other._lock:
             items = sorted(other._metrics.items())
         for name, metric in items:
-            if isinstance(metric, Counter):
-                mine = self.counter(name, metric.help, metric.label_names,
-                                    metric.volatile)
-            elif isinstance(metric, Gauge):
-                mine = self.gauge(name, metric.help, metric.label_names,
-                                  metric.volatile)
-            elif isinstance(metric, Histogram):
-                mine = self.histogram(name, metric.help, metric.label_names,
-                                      metric.buckets, metric.volatile)
-            else:  # pragma: no cover - no other instrument kinds exist
-                raise TypeError(f"unknown instrument type {type(metric)!r}")
-            mine.merge_from(metric)  # type: ignore[arg-type]
+            # ``_spec()[2:]``: the buckets, for a histogram.
+            self._register(type(metric), name, metric.help, metric.label_names,
+                           metric.volatile, *metric._spec()[2:]).merge_from(metric)
 
 
 class _NullInstrument:
@@ -580,15 +640,8 @@ class NullRegistry(MetricsRegistry):
 
     enabled = False
 
-    def counter(self, name, help="", labels=(), volatile=False):
-        return _NULL_INSTRUMENT  # type: ignore[return-value]
-
-    def gauge(self, name, help="", labels=(), volatile=False):
-        return _NULL_INSTRUMENT  # type: ignore[return-value]
-
-    def histogram(self, name, help="", labels=(), buckets=DEFAULT_SIZE_BUCKETS,
-                  volatile=False):
-        return _NULL_INSTRUMENT  # type: ignore[return-value]
+    def _register(self, cls, name, help, labels, volatile, *extra):
+        return _NULL_INSTRUMENT
 
     def snapshot(self, volatile: bool = True) -> dict:
         return {"v": 1, "metrics": []}

@@ -320,7 +320,7 @@ class ReplayEngine:
         if self.mode == DETECTION and pending:
             detect()
         result.duration_s = time.perf_counter() - t0
-        self._finish_metrics(result, kinds, [local, remote], lags)
+        self._finish_metrics(result, kinds, lags)
         return result
 
     def _collect_avoided(
@@ -336,12 +336,12 @@ class ReplayEngine:
             self._trace_report(enriched)
         result.reports.append(enriched)
 
-    def _finish_metrics(self, result, kinds, checkers, lags) -> None:
+    def _finish_metrics(self, result, kinds, lags) -> None:
         """Add the loop's own telemetry to the run registry.
 
         Engine counters are applied once, from the loop's plain-int
-        tallies (zero hot-loop registry cost), and ``sync_metrics``
-        publishes any trailing SCC work done since the last check.
+        tallies (zero hot-loop registry cost); the checkers' own tallies
+        need nothing here, since any read of the registry folds them.
         Everything here except the duration and seconds-lag histograms
         is deterministic, so the non-volatile snapshot is byte-identical
         across runs and hosts — including the record-ordinal
@@ -389,10 +389,6 @@ class ReplayEngine:
         for lag, lag_s in lags:
             lag_records.observe(lag)
             lag_seconds.observe(lag_s)
-        for checker in checkers:
-            sync = getattr(checker, "sync_metrics", None)
-            if sync is not None:
-                sync()
 
     def _trace_report(self, report: DeadlockReport) -> None:
         self.tracer.event(

@@ -94,7 +94,7 @@ def apply_stepwise(checker, ops):
 
 def delta_op_totals(checker):
     return {
-        label: checker._m_deltas.value(op=label)
+        label: checker.metrics.get("repro_incremental_delta_ops_total").value(op=label)
         for label in OPS_METRIC_LABELS
     }
 

@@ -108,17 +108,15 @@ class TestIncrementalWiring:
         assert ops.value(op="set_blocked") == 1
         assert ops.value(op="clear") == 1
 
-    def test_scc_mirrors_sync_on_check_and_on_demand(self):
+    def test_scc_work_is_published_at_read(self):
         reg = MetricsRegistry()
         checker = IncrementalChecker(model=GraphModel.WFG, metrics=reg)
         deadlock_example(checker)
         assert checker.check() is not None
         work = reg.get("repro_scc_work_total")
         assert work.volatile  # hash-seed-dependent: excluded from goldens
-        synced = work.value(kind="pk_visits")
-        assert synced == checker._scc.pk_visits
+        assert work.value(kind="pk_visits") == checker._scc.pk_visits
         checker.clear("t4")  # trailing delta, no check afterwards
-        checker.sync_metrics()
         assert work.value(kind="pk_visits") == checker._scc.pk_visits
 
     def test_shared_registry_scc_work_sums_and_never_decreases(self):

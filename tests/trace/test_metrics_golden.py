@@ -8,7 +8,11 @@ serially, under ``--parallel N`` (merge is order-insensitive and every
 worker process sees a different string-hash seed) and across repeated
 runs.  Report output must be unaffected by metrics emission.
 
-Regenerating after an intentional change::
+``expected_metrics_incremental.txt`` is the same snapshot of an
+``--incremental`` replay, which adds that engine's own series.
+
+Regenerating after an intentional change (add ``--incremental`` and
+the other file name for the second golden)::
 
     PYTHONPATH=src python -m repro.trace replay tests/trace/corpus \
         --metrics-json tests/trace/corpus/expected_metrics.txt \
@@ -18,13 +22,20 @@ Regenerating after an intentional change::
 from __future__ import annotations
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
+
+import pytest
 
 from repro.trace.cli import main
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
 GOLDEN_REPLAY = CORPUS / "expected_replay.txt"
 GOLDEN_METRICS = CORPUS / "expected_metrics.txt"
+GOLDEN_INCREMENTAL = CORPUS / "expected_metrics_incremental.txt"
+SRC = pathlib.Path(__file__).parents[2] / "src"
 
 
 def run_metrics_json(tmp_path, *extra) -> bytes:
@@ -46,16 +57,22 @@ class TestMetricsGolden:
         )
 
     def test_incremental_serial_and_parallel_agree(self, tmp_path, capsys):
-        """The incremental engine adds its own series (so it has no
-        shared golden with the from-scratch engine) but must obey the
-        same serial/parallel byte-identity."""
-        serial = run_metrics_json(tmp_path, "--incremental")
-        out2 = tmp_path / "m2.json"
-        assert main([
-            "replay", str(CORPUS), "--incremental", "--parallel", "2",
-            "--metrics-json", str(out2),
-        ]) == 0
-        assert serial == out2.read_bytes()
+        """The incremental engine adds its own series, so it has its own
+        golden, under the same serial/parallel byte-identity."""
+        golden = GOLDEN_INCREMENTAL.read_bytes()
+        assert run_metrics_json(tmp_path, "--incremental") == golden
+        assert run_metrics_json(tmp_path, "--incremental", "--parallel", "2") == golden
+
+    @pytest.mark.parametrize("seed", ["0", "12345"])
+    def test_incremental_golden_under_hash_seed(self, tmp_path, seed):
+        out = tmp_path / "metrics.json"
+        subprocess.run(
+            [sys.executable, "-m", "repro.trace", "replay", str(CORPUS),
+             "--incremental", "--metrics-json", str(out)],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(SRC)},
+            capture_output=True, check=True,
+        )
+        assert out.read_bytes() == GOLDEN_INCREMENTAL.read_bytes()
 
     def test_golden_is_canonical_json(self):
         text = GOLDEN_METRICS.read_text()
