@@ -30,16 +30,32 @@ turn one frame or line back into a
 :func:`~repro.trace.stream.iter_load` are all callers of it — so the
 rules of the file boundary (the :data:`MAX_FRAME_BYTES` ceiling, invalid
 UTF-8, what counts as a crash tail) are stated once.
+
+A binary frame is decoded at most once, straight into the values replay
+reads: a ``block`` frame's status section (the rest of the frame after
+the task id) becomes the events and the
+:class:`~repro.core.events.BlockedStatus` with no wire dict in between.
+Only the ``register``/``advance`` context frames replay skips stay
+undecoded, as :class:`LazyRecord` views.  Each read keeps the sections
+it has decoded in a table keyed by their bytes (at most
+``_STATUS_TABLE`` = 256 entries of at most 1 KiB each, cleared when
+full, dropped when the read ends): a barrier phase blocks every task
+with one status, so a section the trace repeats is decoded only the
+first time and its immutable status shared.  A malformed section is
+refused before it is stored.  Publish and publish-delta blobs stay wire
+dicts, which is what those records carry.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import pathlib
 import struct
 from typing import BinaryIO, Iterator, Optional, Tuple, Union
 
+from repro.core.events import BlockedStatus, Event
 from repro.trace.events import (
     Trace,
     TraceFormatError,
@@ -47,6 +63,9 @@ from repro.trace.events import (
     TraceRecord,
     RecordKind,
     TRACE_MAGIC,
+    _BLOCK,
+    _PUBLISH,
+    _UNBLOCK,
     delta_payload_from_obj,
     status_from_obj,
     status_to_obj,
@@ -71,6 +90,16 @@ TRUNCATION_POLICIES = ("error", "ignore")
 #: ``tests/trace/test_stream.py``), large enough to amortise syscalls.
 _SCAN_CHUNK = 1 << 16
 
+#: Entries in a :class:`BinaryCodec`'s table of decoded block-frame
+#: status sections, cleared when full.  A barrier phase blocks every
+#: task with the same status, so a long trace repeats a few sections
+#: many times; the statuses are immutable and shared by every record
+#: read from equal bytes.  Only sections of at most
+#: ``_TABLED_SECTION_BYTES`` are kept, so what the table holds stays
+#: small whatever the file (a streamed read remains O(chunk + frame)).
+_STATUS_TABLE = 256
+_TABLED_SECTION_BYTES = 1024
+
 _KIND_TAGS = {
     RecordKind.BLOCK: 1,
     RecordKind.UNBLOCK: 2,
@@ -84,6 +113,10 @@ _KIND_TAGS = {
 _DELTA_KIND_TAGS = {"delta": 0, "snapshot": 1}
 _TAG_DELTA_KINDS = {tag: kind for kind, tag in _DELTA_KIND_TAGS.items()}
 _TAG_KINDS = {tag: kind for kind, tag in _KIND_TAGS.items()}
+#: The context kinds replay never opens, so the reader leaves undecoded.
+_CONTEXT_TAG_KINDS = {
+    _KIND_TAGS[kind]: kind for kind in (RecordKind.REGISTER, RecordKind.ADVANCE)
+}
 
 
 # ---------------------------------------------------------------------------
@@ -106,12 +139,29 @@ def _record_to_obj(rec: TraceRecord) -> dict:
     return obj
 
 
+def _is_ordinal(value) -> bool:
+    """A non-negative JSON integer (``type(...) is int``: JSON ``true`` is
+    an ``int`` to isinstance)."""
+    return type(value) is int and value >= 0
+
+
 def _record_from_obj(obj: dict) -> TraceRecord:
     try:
         kind = RecordKind(obj["kind"])
-        seq = int(obj["seq"])
     except (KeyError, ValueError, TypeError) as exc:
         raise TraceFormatError(f"malformed record object: {obj!r}") from exc
+    # The types the binary layout guarantees by construction, so both
+    # codecs yield one record type: ids are JSON strings, ``seq`` and
+    # ``phase`` non-negative integers (``event_from_obj``'s rule).
+    seq, phase = obj.get("seq"), obj.get("phase")
+    task, phaser, site = obj.get("task"), obj.get("phaser"), obj.get("site")
+    if (
+        not _is_ordinal(seq)
+        or not (phase is None or _is_ordinal(phase))
+        or any(name is not None and type(name) is not str
+               for name in (task, phaser, site))
+    ):
+        raise TraceFormatError(f"malformed record object: {obj!r}")
     status = None
     if "status" in obj:
         status = status_from_obj(obj["status"])
@@ -127,21 +177,7 @@ def _record_from_obj(obj: dict) -> TraceRecord:
         if not isinstance(payload, dict):
             raise TraceFormatError(f"delta payload is not an object: {payload!r}")
         payload = delta_payload_from_obj(payload)
-    try:
-        return TraceRecord(
-            seq=seq,
-            kind=kind,
-            task=obj.get("task"),
-            status=status,
-            phaser=obj.get("phaser"),
-            phase=obj.get("phase"),
-            site=obj.get("site"),
-            payload=payload,
-        )
-    except TraceFormatError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise TraceFormatError(f"malformed record object: {obj!r}") from exc
+    return TraceRecord(seq, kind, task, status, phaser, phase, site, payload)
 
 
 def _bounded(data, what: str):
@@ -218,6 +254,8 @@ def _write_varint(out: bytearray, value: int) -> None:
 
 
 def _read_varint(buf: memoryview, pos: int) -> Tuple[int, int]:
+    if pos < len(buf) and buf[pos] < 0x80:  # one byte: tags, most ints
+        return buf[pos], pos + 1
     result = 0
     shift = 0
     while True:
@@ -240,7 +278,11 @@ def _write_str(out: bytearray, value: str) -> None:
 
 
 def _read_str(buf: memoryview, pos: int) -> Tuple[str, int]:
-    length, pos = _read_varint(buf, pos)
+    if pos < len(buf) and buf[pos] < 0x80:  # the one-byte length of a name
+        length = buf[pos]
+        pos += 1
+    else:
+        length, pos = _read_varint(buf, pos)
     end = pos + length
     if end > len(buf):
         raise TraceFormatError("truncated string")
@@ -265,28 +307,71 @@ def _write_status(out: bytearray, obj: dict) -> None:
         _write_varint(out, int(phase))
 
 
+def _read_phases(buf, pos: int) -> Tuple[list, int]:
+    """A count, then that many ``(phaser, phase)`` pairs."""
+    count, pos = _read_varint(buf, pos)
+    pairs = []
+    for _ in range(count):
+        phaser, pos = _read_str(buf, pos)
+        phase, pos = _read_varint(buf, pos)
+        pairs.append((phaser, phase))
+    return pairs, pos
+
+
 def _read_status(buf: memoryview, pos: int) -> Tuple[dict, int]:
+    """One status wire dict: a publish or publish-delta blob."""
     generation, pos = _read_varint(buf, pos)
-    n_waits, pos = _read_varint(buf, pos)
-    waits = []
-    for _ in range(n_waits):
-        phaser, pos = _read_str(buf, pos)
-        phase, pos = _read_varint(buf, pos)
-        waits.append([phaser, phase])
-    n_reg, pos = _read_varint(buf, pos)
-    registered = {}
-    for _ in range(n_reg):
-        phaser, pos = _read_str(buf, pos)
-        phase, pos = _read_varint(buf, pos)
-        registered[phaser] = phase
-    return {"waits": waits, "registered": registered, "generation": generation}, pos
+    waits, pos = _read_phases(buf, pos)
+    registered, pos = _read_phases(buf, pos)
+    return {
+        "waits": [list(wait) for wait in waits],
+        "registered": dict(registered),
+        "generation": generation,
+    }, pos
+
+
+def _decode_status(section: bytes) -> BlockedStatus:
+    """A block frame's status section — the rest of the frame after the
+    task id — straight into the value replay hands the checker."""
+    generation, pos = _read_varint(section, 0)
+    waits, pos = _read_phases(section, pos)
+    registered, pos = _read_phases(section, pos)
+    if pos != len(section):
+        raise TraceFormatError(f"{len(section) - pos} trailing bytes in frame")
+    if not waits:
+        raise TraceFormatError("a blocked status must wait on at least one event")
+    return BlockedStatus(
+        frozenset(itertools.starmap(Event, waits)), dict(registered), generation
+    )
 
 
 class BinaryCodec:
-    """Length-prefixed frames with varint fields; the fast codec."""
+    """Length-prefixed frames with varint fields; the fast codec.
+
+    An instance keeps the status sections it has decoded (see
+    :data:`_STATUS_TABLE`); :class:`TraceReader` makes one per pass, so
+    the table lives as long as the read.
+    """
 
     name = "binary"
     extensions = (".bin", ".trace")
+
+    def __init__(self) -> None:
+        self._statuses: dict = {}
+
+    def _status(self, section: bytes) -> BlockedStatus:
+        """The status ``section`` decodes to, decoded only the first time
+        the table meets those bytes (a refused section raises before the
+        insert, so it is refused again every time it appears)."""
+        statuses = self._statuses
+        status = statuses.get(section)
+        if status is None:
+            status = _decode_status(section)
+            if len(section) <= _TABLED_SECTION_BYTES:
+                if len(statuses) >= _STATUS_TABLE:
+                    statuses.clear()
+                statuses[section] = status
+        return status
 
     def encode_header(self, header: TraceHeader) -> bytes:
         """Magic + version byte + varint-length-prefixed meta JSON."""
@@ -346,19 +431,17 @@ class BinaryCodec:
         frame.extend(body)
         return bytes(frame)
 
-    def lazy_record(self, body: memoryview) -> "LazyRecord":
-        """A decode-on-demand view of one frame body.
+    def lazy_record(self, body: memoryview) -> Union["LazyRecord", TraceRecord]:
+        """One frame body, decoded only if a replay would read it.
 
-        The kind tag and ``seq`` are decoded eagerly (one byte plus one
-        varint — enough to classify and order the record, and unknown
-        tags fail as loudly here as under eager decoding); everything
-        else waits for first field access.
+        A ``register``/``advance`` frame, which replay classifies and
+        skips, becomes a :class:`LazyRecord` with only its tag and
+        ``seq`` decoded.  Every other frame is decoded here, once, since
+        replay reads its fields anyway.
         """
-        if len(body) == 0:
-            raise TraceFormatError("empty frame")
-        kind = _TAG_KINDS.get(body[0])
+        kind = _CONTEXT_TAG_KINDS.get(body[0]) if body else None
         if kind is None:
-            raise TraceFormatError(f"unknown record tag {body[0]}")
+            return self.decode_record_frame(body)
         seq, _ = _read_varint(body, 1)
         return LazyRecord(kind, seq, body)
 
@@ -370,21 +453,19 @@ class BinaryCodec:
             raise TraceFormatError(f"unknown record tag {body[0]}")
         pos = 1
         seq, pos = _read_varint(body, pos)
-        if kind is RecordKind.BLOCK:
+        if kind is _BLOCK:
+            # The status section runs to the end of the frame.
             task, pos = _read_str(body, pos)
-            status_obj, pos = _read_status(body, pos)
-            rec = TraceRecord(
-                seq=seq, kind=kind, task=task, status=status_from_obj(status_obj)
-            )
-        elif kind is RecordKind.UNBLOCK:
+            return TraceRecord(seq, kind, task, self._status(bytes(body[pos:])))
+        if kind is _UNBLOCK:
             task, pos = _read_str(body, pos)
-            rec = TraceRecord(seq=seq, kind=kind, task=task)
-        elif kind in (RecordKind.REGISTER, RecordKind.ADVANCE):
+            rec = TraceRecord(seq, kind, task)
+        elif body[0] in _CONTEXT_TAG_KINDS:
             task, pos = _read_str(body, pos)
             phaser, pos = _read_str(body, pos)
             phase, pos = _read_varint(body, pos)
             rec = TraceRecord(seq=seq, kind=kind, task=task, phaser=phaser, phase=phase)
-        elif kind is RecordKind.PUBLISH:
+        elif kind is _PUBLISH:
             site, pos = _read_str(body, pos)
             n_tasks, pos = _read_varint(body, pos)
             payload = {}
@@ -439,23 +520,24 @@ class BinaryCodec:
 
 
 class LazyRecord:
-    """A binary frame posing as a :class:`TraceRecord`, decoded on need.
+    """A ``register``/``advance`` frame posing as a :class:`TraceRecord`,
+    decoded on need.
 
-    ``kind`` and ``seq`` are plain attributes set by
-    :meth:`BinaryCodec.lazy_record`; reading any other record field
-    (``task``, ``status``, ``payload``, ...) materialises the full
+    Only context frames stay lazy: the replay engines read nothing but
+    ``kind`` and ``seq`` from them, so they never pay for decoding the
+    frames they skip.  :meth:`BinaryCodec.lazy_record` decodes every
+    other frame at once, since replay reads those field by field and a
+    view would only add a hop per field.
+
+    ``kind`` and ``seq`` are plain attributes; reading any other record
+    field (``task``, ``phaser``, ``phase``, ...) materialises the full
     :class:`TraceRecord` through ``decode_record_frame`` on first access
-    and delegates.  Consumers that classify records before touching
-    their fields — the replay engines read only ``kind`` and ``seq``
-    from register/advance context records — therefore never pay for
-    decoding the frames they skip.
-
-    The flip side: a frame whose *interior* is malformed only raises
-    when (and if) it is materialised, where eager decoding raises at
-    scan time.  The frame envelope (length, kind tag) is still
-    validated up front, so truncation and unknown-tag corruption stay
-    as loud as ever.  The view holds its ``memoryview`` slice, keeping
-    the underlying buffer alive for as long as the record is.
+    and delegates.  The flip side: a context frame whose *interior* is
+    malformed only raises when (and if) it is materialised.  The frame
+    envelope (length, kind tag) is still validated up front, so
+    truncation and unknown-tag corruption stay as loud as ever.  The
+    view holds its ``memoryview`` slice, keeping the underlying buffer
+    alive for as long as the record is.
     """
 
     __slots__ = ("kind", "seq", "_body", "_rec")
@@ -567,21 +649,25 @@ def _scan_frames(fp: BinaryIO, forgive_tail: bool) -> Iterator[memoryview]:
             # Frame-length varint, tolerant of a chunk-boundary
             # split (p < 0 below means "need more data", which
             # is only truncation if the file ends here).
-            length = 0
-            shift = 0
-            p = pos
-            while True:
-                if p >= end:
-                    p = -1
-                    break
-                byte = buf[p]
-                p += 1
-                length |= (byte & 0x7F) << shift
-                if not byte & 0x80:
-                    break
-                shift += 7
-                if shift > 63:
-                    raise TraceFormatError("varint too long")
+            if pos < end and buf[pos] < 0x80:  # a frame under 128 bytes
+                length = buf[pos]
+                p = pos + 1
+            else:
+                length = 0
+                shift = 0
+                p = pos
+                while True:
+                    if p >= end:
+                        p = -1
+                        break
+                    byte = buf[p]
+                    p += 1
+                    length |= (byte & 0x7F) << shift
+                    if not byte & 0x80:
+                        break
+                    shift += 7
+                    if shift > 63:
+                        raise TraceFormatError("varint too long")
             if p < 0 or p + length > end:
                 # Only a frame that would be waited for is measured: a
                 # length past the ceiling is corruption under either
@@ -664,7 +750,8 @@ class TraceReader:
 
     def __iter__(self) -> Iterator[TraceRecord]:
         if self.is_binary:
-            return map(CODECS["binary"].decode_record_frame, self._frames)
+            # A codec of its own: the pass's status table dies with it.
+            return map(BinaryCodec().decode_record_frame, self._frames)
         return self._decode_lines()
 
     def _decode_lines(self) -> Iterator[TraceRecord]:
@@ -682,19 +769,21 @@ class TraceReader:
             yield rec
 
     def lazy_records(self) -> Iterator[TraceRecord]:
-        """Iterate records, deferring binary frame decoding to first use.
+        """Iterate records, leaving the frames replay skips undecoded.
 
-        The replay fast path: binary frames come back as
-        :class:`LazyRecord` views (``kind``/``seq`` eager, everything
-        else decoded on first field access), so records a consumer never
-        inspects beyond their kind are never decoded at all.  JSONL has
-        no framed fast path and falls back to eager line decoding.
-        Truncation policy and envelope validation match :meth:`__iter__`;
-        see :class:`LazyRecord` for the one semantic difference (interior
-        corruption of a skipped frame goes unreported).
+        The replay fast path: binary ``register``/``advance`` frames come
+        back as :class:`LazyRecord` views (``kind``/``seq`` eager,
+        everything else decoded on first field access), so the context
+        records a consumer never inspects beyond their kind are never
+        decoded at all; every other frame is decoded once, as under
+        :meth:`__iter__`.  JSONL has no framed fast path and falls back
+        to eager line decoding.  Truncation policy and envelope
+        validation match :meth:`__iter__`; see :class:`LazyRecord` for
+        the one semantic difference (interior corruption of a skipped
+        context frame goes unreported).
         """
         if self.is_binary:
-            return map(CODECS["binary"].lazy_record, self._frames)
+            return map(BinaryCodec().lazy_record, self._frames)
         return iter(self)
 
 

@@ -72,6 +72,11 @@ class RecordKind(enum.Enum):
         return self.value
 
 
+# The members as module globals for the per-record checks: reading
+# ``RecordKind.BLOCK`` costs several times a global lookup.
+_BLOCK, _UNBLOCK, _REGISTER, _ADVANCE, _PUBLISH, _PUBLISH_DELTA = RecordKind
+
+
 # ---------------------------------------------------------------------------
 # status (de)serialisation — the per-status wire form shared by BLOCK
 # records, PUBLISH payloads and the delta protocol's blobs (its one
@@ -110,12 +115,15 @@ def status_from_obj(obj: Mapping) -> BlockedStatus:
     """Inverse of :func:`status_to_obj`; raises :class:`TraceFormatError`
     on malformed input."""
     try:
-        waits = frozenset(event_from_obj(wait) for wait in obj["waits"])
-        registered = {str(p): int(n) for p, n in obj["registered"].items()}
-        generation = int(obj.get("generation", 0))
+        # Built inside the ``try``: a status that waits on nothing is a
+        # ``ValueError`` from ``BlockedStatus`` itself.
+        return BlockedStatus(
+            waits=frozenset(event_from_obj(wait) for wait in obj["waits"]),
+            registered={str(p): int(n) for p, n in obj["registered"].items()},
+            generation=int(obj.get("generation", 0)),
+        )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise TraceFormatError(f"malformed blocked status: {obj!r}") from exc
-    return BlockedStatus(waits=waits, registered=registered, generation=generation)
 
 
 # ---------------------------------------------------------------------------
@@ -369,22 +377,20 @@ class TraceRecord:
         if self.seq < 0:
             raise TraceFormatError(f"negative seq: {self.seq}")
         k = self.kind
-        if k in (RecordKind.BLOCK, RecordKind.UNBLOCK, RecordKind.REGISTER, RecordKind.ADVANCE):
-            if self.task is None:
-                raise TraceFormatError(f"{k.value} record without a task")
-        if k is RecordKind.BLOCK and self.status is None:
-            raise TraceFormatError("block record without a status")
-        if k in (RecordKind.REGISTER, RecordKind.ADVANCE):
+        if k is _PUBLISH or k is _PUBLISH_DELTA:
+            if self.site is None or self.payload is None:
+                raise TraceFormatError(f"{k.value} record needs site and payload")
+        elif self.task is None:
+            raise TraceFormatError(f"{k.value} record without a task")
+        if k is _BLOCK:
+            if self.status is None:
+                raise TraceFormatError("block record without a status")
+        elif k is _REGISTER or k is _ADVANCE:
             if self.phaser is None or self.phase is None:
                 raise TraceFormatError(f"{k.value} record needs phaser and phase")
             if self.phase < 0:
                 raise TraceFormatError(f"negative phase: {self.phase}")
-        if k is RecordKind.PUBLISH:
-            if self.site is None or self.payload is None:
-                raise TraceFormatError("publish record needs site and payload")
-        if k is RecordKind.PUBLISH_DELTA:
-            if self.site is None or self.payload is None:
-                raise TraceFormatError("publish_delta record needs site and payload")
+        elif k is _PUBLISH_DELTA:
             if "seq" not in self.payload or "kind" not in self.payload:
                 raise TraceFormatError(
                     "publish_delta payload needs seq and kind fields"

@@ -216,6 +216,38 @@ def _waiting(event_json: bytes) -> bytes:
     return data.replace(b'["q",2]', event_json)
 
 
+def _jsonl_with(trace: Trace, old: bytes, new: bytes) -> bytes:
+    """``trace`` as JSONL, with every ``old`` rewritten to ``new``."""
+    data = dumps(trace, "jsonl")
+    assert old in data
+    return data.replace(old, new)
+
+
+def _binary_blocks(section: bytes, times: int = 1) -> bytes:
+    """A binary trace of ``times`` block frames whose status section —
+    the rest of the frame after the task id — is ``section``."""
+    out = bytearray(CODECS["binary"].encode_header(TraceHeader(meta={})))
+    for seq in range(times):
+        body = bytearray([codec_mod._KIND_TAGS[ev.RecordKind.BLOCK]])
+        codec_mod._write_varint(body, seq)
+        codec_mod._write_str(body, f"t{seq}")
+        out += varint(len(body) + len(section)) + body + section
+    return bytes(out)
+
+
+#: Generation 0, no waits, no registrations.
+NO_WAITS_SECTION = b"\x00\x00\x00"
+
+
+def _no_waits_delta() -> bytes:
+    """A binary publish-delta snapshot whose one blob waits on nothing."""
+    blob = {"waits": [], "registered": {}, "generation": 0}
+    return dumps(Trace(TraceHeader(meta={}), (ev.publish_delta(0, "s0", {
+        "v": 2, "stream": "S", "seq": 1, "kind": "snapshot",
+        "set": {"a": blob}, "restore": {}, "clear": [],
+    }),)), "binary")
+
+
 REFUSED_FILES = {
     "binary meta: 0xFF": lambda: dumps(
         Trace(TraceHeader(meta={"k": "value"}), ()), "binary"
@@ -253,6 +285,44 @@ REFUSED_FILES = {
     "jsonl wait: a numeric phaser": lambda: _waiting(b"[7,2]"),
     "jsonl wait: a fractional phase": lambda: _waiting(b'["q",2.5]'),
     "jsonl wait: true for a phase": lambda: _waiting(b'["q",true]'),
+    "binary block: no waits": lambda: _binary_blocks(NO_WAITS_SECTION),
+    "binary block: one malformed section twice": lambda: _binary_blocks(
+        NO_WAITS_SECTION, times=2
+    ),
+    "binary block: a section with a trailing byte": lambda: _binary_blocks(
+        b"\x00\x01\x01p\x01\x00\x00"
+    ),
+    "jsonl block: no waits": lambda: _jsonl_with(
+        single_site_trace(), b'"waits":[["p",1]]', b'"waits":[]'
+    ),
+    "binary publish-delta blob: no waits": _no_waits_delta,
+    "jsonl task: a list": lambda: _jsonl_with(
+        single_site_trace(), b'"task":"t1"', b'"task":["x"]'
+    ),
+    "jsonl task: a number": lambda: _jsonl_with(
+        single_site_trace(), b'"task":"t1"', b'"task":7'
+    ),
+    "jsonl phaser: a list": lambda: _jsonl_with(
+        single_site_trace(), b'"phaser":"p"', b'"phaser":["p"]'
+    ),
+    "jsonl publish site: a list": lambda: _jsonl_with(
+        delta_trace(), b'"site":"s0"', b'"site":["s"]'
+    ),
+    "jsonl seq: true": lambda: _jsonl_with(
+        single_site_trace(), b'"seq":1,', b'"seq":true,'
+    ),
+    "jsonl seq: a fraction": lambda: _jsonl_with(
+        single_site_trace(), b'"seq":2,', b'"seq":2.7,'
+    ),
+    "jsonl seq: a numeric string": lambda: _jsonl_with(
+        single_site_trace(), b'"seq":3,', b'"seq":"3",'
+    ),
+    "jsonl phase: a fraction": lambda: _jsonl_with(
+        single_site_trace(), b'"phase":1,', b'"phase":1.5,'
+    ),
+    "jsonl phase: true": lambda: _jsonl_with(
+        single_site_trace(), b'"phase":1,', b'"phase":true,'
+    ),
 }
 
 

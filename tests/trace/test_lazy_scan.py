@@ -1,18 +1,23 @@
 """The zero-copy codec scan and decode-on-demand records.
 
-Three layers of pins:
+Four layers of pins:
 
 * :meth:`TraceReader.frames` — frame slicing without copying or
   decoding: slices reproduce the framed bodies exactly, truncation is
   loud, and a frame split across a chunk boundary at any offset comes
   out whole.
-* :class:`LazyRecord` / :meth:`BinaryCodec.lazy_record` — ``kind`` and
-  ``seq`` come for free; nothing else is decoded until a field is
-  touched; unknown tags and empty frames still fail at scan time.
+* :class:`LazyRecord` / :meth:`BinaryCodec.lazy_record` — a
+  register/advance frame's ``kind`` and ``seq`` come for free and
+  nothing else is decoded until a field is touched; every other frame
+  is decoded once, up front; unknown tags and empty frames still fail
+  at scan time.
 * :meth:`StreamedTrace.lazy_records` and the replay engines — lazy
   iteration yields the same logical records as eager loading, replay
   results are unchanged, and the engines really do skip decoding the
   register/advance context frames (the point of the fast path).
+* The status table — a block frame's status section is decoded the
+  first time its bytes are met, equal sections share one status, the
+  table keeps its bound, and a malformed section is never kept.
 """
 
 from __future__ import annotations
@@ -21,20 +26,26 @@ import io
 
 import pytest
 
+from repro.core.dependency import ResourceDependency
+from repro.core.events import waiting_on
 from repro.trace import codec as codec_mod
+from repro.trace import events as ev
 from repro.trace.codec import (
     CODECS,
+    BinaryCodec,
     LazyRecord,
     TraceFormatError,
     TraceReader,
     dumps,
+    loads,
 )
-from repro.trace.corpus import ScenarioSpec, build_trace
-from repro.trace.events import RecordKind, TraceHeader
+from repro.trace.corpus import AioSpec, ScenarioSpec, build_trace
+from repro.trace.events import RecordKind, Trace, TraceHeader, TraceRecord
 from repro.trace.replay import replay
 from repro.trace.stream import iter_load
 
 BINARY = CODECS["binary"]
+CONTEXT = (RecordKind.REGISTER, RecordKind.ADVANCE)
 
 SPEC = ScenarioSpec(cycle_len=3, fan_out=2, sites=1, rounds=2, deadlock=False)
 SPEC_DL = ScenarioSpec(cycle_len=2, fan_out=1, sites=1, rounds=1, deadlock=True)
@@ -137,7 +148,9 @@ class TestScanFrames:
 
 
 class TestLazyRecord:
-    def test_kind_and_seq_without_decoding(self, monkeypatch, blob):
+    def test_kind_and_seq_without_decoding(self, monkeypatch, trace, blob):
+        """A context frame is a view whose kind/seq cost no decode; every
+        other frame is decoded exactly once, up front."""
         calls = []
         real = BINARY.decode_record_frame
         monkeypatch.setattr(
@@ -145,9 +158,14 @@ class TestLazyRecord:
             lambda self, body: calls.append(1) or real(body),
         )
         frames, _ = frames_of(blob)
-        lazies = [BINARY.lazy_record(body) for body in frames]
-        kinds = [(rec.kind, rec.seq) for rec in lazies]
-        assert not calls, "kind/seq access must not decode the frame"
+        records = [BINARY.lazy_record(body) for body in frames]
+        kinds = [(rec.kind, rec.seq) for rec in records]
+        for rec in records:
+            expected = LazyRecord if rec.kind in CONTEXT else TraceRecord
+            assert type(rec) is expected, rec
+        decoded = sum(1 for r in trace.records if r.kind not in CONTEXT)
+        assert 0 < decoded < len(trace.records)
+        assert len(calls) == decoded, "kind/seq access must not decode the frame"
         assert all(isinstance(k, RecordKind) for k, _ in kinds)
         assert [s for _, s in kinds] == sorted(s for _, s in kinds)
 
@@ -182,8 +200,12 @@ class TestLazyStream:
         path.write_bytes(dumps(trace, "binary"))
         stream = iter_load(path)
         lazy = list(stream.lazy_records())
-        assert [type(r) for r in lazy] == [LazyRecord] * len(trace.records)
-        assert tuple(r.materialize() for r in lazy) == trace.records
+        assert [type(r) for r in lazy] == [
+            LazyRecord if r.kind in CONTEXT else TraceRecord for r in trace.records
+        ]
+        assert tuple(
+            r.materialize() if type(r) is LazyRecord else r for r in lazy
+        ) == trace.records
         # plain iteration still yields eager records, unchanged
         assert tuple(iter_load(path)) == trace.records
 
@@ -234,3 +256,109 @@ class TestLazyStream:
         result = replay(iter_load(path), check_every=1)
         assert result.records_processed == len(trace.records)
         assert len(decoded) == len(trace.records) - context
+
+
+@pytest.fixture
+def decoded(monkeypatch):
+    """The sections the status decoder is called with during the test."""
+    calls = []
+    real = codec_mod._decode_status
+    monkeypatch.setattr(
+        codec_mod, "_decode_status",
+        lambda section: calls.append(section) or real(section),
+    )
+    return calls
+
+
+def block_frames(section: bytes, times: int) -> bytes:
+    """A binary trace of ``times`` block frames carrying ``section``."""
+    out = bytearray(BINARY.encode_header(TraceHeader(meta={})))
+    for seq in range(times):
+        body = bytearray([codec_mod._KIND_TAGS[RecordKind.BLOCK]])
+        codec_mod._write_varint(body, seq)
+        codec_mod._write_str(body, f"t{seq}")
+        body += section
+        codec_mod._write_varint(out, len(body))
+        out += body
+    return bytes(out)
+
+
+class TestStatusTable:
+    def test_a_repeated_section_is_decoded_once(self, tmp_path, decoded):
+        """The benchmark's churn trace: every barrier phase blocks its
+        tasks with one status, so 16 002 block frames hold 2 002
+        distinct sections, and each is decoded once per read."""
+        path = tmp_path / "churn.trace"
+        path.write_bytes(dumps(
+            build_trace(AioSpec(tasks=2000, shape="churn", deadlock=False)),
+            "binary",
+        ))
+        for _ in range(2):  # every read starts from an empty table
+            decoded.clear()
+            blocks = sum(
+                1 for rec in iter_load(path).lazy_records()
+                if rec.kind is RecordKind.BLOCK
+            )
+            assert blocks == 16_002
+            assert len(decoded) == len(set(decoded)) == 2_002
+
+    def test_equal_sections_share_one_status_and_stamps_stay_apart(self, decoded):
+        status = waiting_on("p", 1, p=1, q=0)
+        trace = Trace(TraceHeader(meta={}), (
+            ev.block(0, "a", status),
+            ev.block(1, "b", status),
+            ev.unblock(2, "a"),
+            ev.block(3, "a", status),
+        ))
+        shared = [rec.status for rec in loads(dumps(trace, "binary")).records
+                  if rec.kind is RecordKind.BLOCK]
+        assert len(decoded) == 1
+        assert shared[0] == status
+        assert all(s is shared[0] for s in shared)
+        # The store stamps its own copy per write; the shared value is
+        # never touched, and revalidation tells the writes apart.
+        store = ResourceDependency()
+        a1 = store.set_blocked("a", shared[0])
+        b = store.set_blocked("b", shared[1])
+        assert a1 is not b and a1.generation != b.generation
+        assert store.is_current("a", a1) and store.is_current("b", b)
+        assert not store.is_current("a", b)
+        store.clear("a")
+        a2 = store.set_blocked("a", shared[2])
+        assert not store.is_current("a", a1) and store.is_current("a", a2)
+        assert shared[0].generation == 0
+
+    def test_the_table_keeps_its_bound_on_an_all_distinct_ring(self, decoded):
+        ring = build_trace(AioSpec(tasks=600, shape="cycle", deadlock=True))
+        codec, sizes = BinaryCodec(), []
+        for body in TraceReader(io.BytesIO(dumps(ring, "binary"))).frames():
+            codec.lazy_record(body)
+            sizes.append(len(codec._statuses))
+        blocks = sum(1 for r in ring.records if r.kind is RecordKind.BLOCK)
+        assert len(decoded) == blocks > 2 * codec_mod._STATUS_TABLE
+        assert max(sizes) == codec_mod._STATUS_TABLE
+
+    def test_a_long_section_is_decoded_but_not_kept(self, decoded):
+        status = waiting_on("p", 1, p=1, **{f"q{i}": 0 for i in range(300)})
+        trace = Trace(TraceHeader(meta={}), (
+            ev.block(0, "a", status), ev.block(1, "b", status),
+        ))
+        data = dumps(trace, "binary")
+        assert len(data) > 2 * codec_mod._TABLED_SECTION_BYTES
+        codec = BinaryCodec()  # what a reader's pass decodes with
+        frames = TraceReader(io.BytesIO(data)).frames()
+        assert tuple(map(codec.lazy_record, frames)) == trace.records
+        assert len(decoded) == 2
+        assert not codec._statuses
+
+    def test_a_malformed_section_is_refused_every_time(self, decoded):
+        """A section that waits on nothing raises before it is stored, so
+        its second appearance in one read is decoded — and refused —
+        again."""
+        data = block_frames(b"\x00\x00\x00", times=2)  # generation, 0 waits, 0 phasers
+        codec = BinaryCodec()
+        for body in TraceReader(io.BytesIO(data)).frames():
+            with pytest.raises(TraceFormatError, match="at least one event"):
+                codec.lazy_record(body)
+        assert len(decoded) == 2
+        assert not codec._statuses
