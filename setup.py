@@ -3,68 +3,13 @@
 The bare-setup.py layout is deliberate: with a pyproject.toml present,
 pip builds in an isolated environment that needs network access to
 fetch setuptools, and this repository must install with
-``pip install -e .`` fully offline.
-
-The one piece of logic here is the **optional** compiled core: the
-``repro.core._nativescc`` C extension (the DynamicSCC maintenance
-kernel — see ``src/repro/core/_nativescc.c``).  A machine with a C
-toolchain gets it built automatically; a machine without one gets a
-warning and a fully functional pure-Python install — every import and
-test passes either way, because ``repro.core._native`` falls back to
-the pure-Python structure when the extension is absent.  Build it
-explicitly (or rebuild after edits) with::
-
-    python setup.py build_ext --inplace
+``pip install -e .`` fully offline.  The package is pure Python.
 """
 
-import sys
-
-from setuptools import Extension, find_packages, setup
-from setuptools.command.build_ext import build_ext
-
-NATIVE_EXT = Extension(
-    "repro.core._nativescc",
-    sources=["src/repro/core/_nativescc.c"],
-    optional=True,
-)
-
-
-class optional_build_ext(build_ext):
-    """Carry on without the extension when no toolchain is available.
-
-    ``Extension(optional=True)`` already tolerates per-extension build
-    failures on modern setuptools; this wrapper also catches the
-    environments where the *compiler setup itself* blows up before the
-    per-extension handling is reached.
-    """
-
-    def run(self):
-        try:
-            build_ext.run(self)
-        except Exception as exc:  # no compiler at all
-            self._skip(exc)
-
-    def build_extension(self, ext):
-        try:
-            build_ext.build_extension(self, ext)
-        except Exception as exc:  # compiler present but the build failed
-            if not getattr(ext, "optional", False):
-                raise
-            self._skip(exc)
-
-    def _skip(self, exc):
-        sys.stderr.write(
-            "warning: skipping optional compiled core "
-            f"(repro.core._nativescc): {exc}\n"
-            "warning: falling back to the pure-Python kernel; "
-            "functionality is unchanged.\n"
-        )
-
+from setuptools import find_packages, setup
 
 setup(
     name="repro",
     package_dir={"": "src"},
     packages=find_packages("src"),
-    ext_modules=[NATIVE_EXT],
-    cmdclass={"build_ext": optional_build_ext},
 )

@@ -1,211 +1,13 @@
-"""Opt-in compiled core: the fallback shim and kernel-backed DynamicSCC.
-
-The hot structural half of :class:`~repro.core.scc.DynamicSCC` —
-adjacency, the Pearce-Kelly order, component labels with epochs, and
-the scoped Tarjan recompute — has an optional C twin,
-``repro.core._nativescc`` (built by ``setup.py`` when a C toolchain is
-present; plain ``pip install -e .`` without one proceeds unchanged).
-This module is the seam between the two worlds:
-
-* :func:`native_scc_class` returns :class:`NativeDynamicSCC` when the
-  extension is importable and not disabled, else ``None`` — the
-  :func:`~repro.core.scc.make_dynamic_scc` factory falls back to the
-  pure-Python structure.
-* :class:`NativeDynamicSCC` wraps the kernel behind the exact
-  ``DynamicSCC`` API.  The kernel speaks dense integer vertex ids, so
-  the wrapper interns vertices (ids are stable for the lifetime of the
-  structure — a task that unblocks and re-blocks reuses its id);
-  witness-cycle extraction runs through the *shared* Python code in
-  :class:`~repro.core.scc._ExtractionBase`, so reports are
-  byte-identical to the pure-Python structure by construction.
-
-Selection is governed by the ``REPRO_NATIVE`` environment variable:
-
-* ``auto`` (default / unset): use the kernel when built.
-* ``0``/``off``/``no``/``false``: force the pure-Python structure.
-* ``1``/``on``/``yes``/``true``/``require``: require the kernel and
-  raise :class:`RuntimeError` when it is missing — what the CI
-  compiled-core job sets so a silently-unbuilt extension cannot pass
-  as tested.
-"""
-
-from __future__ import annotations
-
-import os
-from typing import Dict, List
-
-from repro.core.scc import Vertex, _ExtractionBase
-
-try:  # pragma: no cover - exercised via both CI legs
-    from repro.core import _nativescc as _kernel_mod
-except ImportError:  # the extension was never built: pure Python only
-    _kernel_mod = None
-
-#: Environment variable governing kernel selection (see module doc).
-NATIVE_ENV = "REPRO_NATIVE"
-
-_OFF = ("0", "off", "no", "false")
-_REQUIRE = ("1", "on", "yes", "true", "require")
+"""Stand-ins for ``benchmarks/e2e/run.py`` and ``layers.py``, which still
+record whether a compiled SCC kernel ran.  There is none: ``DynamicSCC``
+is pure Python, so both answers are ``False``."""
 
 
-def native_available() -> bool:
-    """Whether the compiled kernel extension is importable."""
-    return _kernel_mod is not None
+def native_available():
+    """Whether a compiled SCC kernel is importable: never."""
+    return False
 
 
-def native_enabled() -> bool:
-    """Whether the kernel should be used, per ``REPRO_NATIVE``.
-
-    Raises :class:`RuntimeError` when the variable *requires* the
-    kernel but the extension is not built.
-    """
-    flag = os.environ.get(NATIVE_ENV, "auto").strip().lower()
-    if flag in _OFF:
-        return False
-    if flag in _REQUIRE:
-        if _kernel_mod is None:
-            raise RuntimeError(
-                f"{NATIVE_ENV}={flag!r} requires the compiled kernel, but "
-                "repro.core._nativescc is not importable — build it with "
-                "`python setup.py build_ext --inplace` (needs a C toolchain)"
-            )
-        return True
-    return _kernel_mod is not None
-
-
-def native_scc_class():
-    """:class:`NativeDynamicSCC` when enabled, else ``None``."""
-    return NativeDynamicSCC if native_enabled() else None
-
-
-class NativeDynamicSCC(_ExtractionBase):
-    """The compiled-kernel implementation of the ``DynamicSCC`` API.
-
-    Mutations and verdict queries go straight to the C kernel over
-    interned integer ids; extraction (and everything report-shaped)
-    runs through the shared Python code against the kernel's
-    structural queries.  Interning entries are never released — memory
-    is bounded by the number of *distinct* vertices ever seen, not by
-    the operation count.
-    """
-
-    def __init__(self) -> None:
-        if _kernel_mod is None:  # defensive: factory should prevent this
-            raise RuntimeError("repro.core._nativescc is not importable")
-        self._k = _kernel_mod.SCCKernel()
-        self._ids: Dict[Vertex, int] = {}
-        self._verts: List[Vertex] = []
-        self._cycle_cache: Dict[int, tuple] = {}
-        #: Scoped extractions actually computed (cache misses).
-        self.extractions = 0
-
-    def _intern(self, v: Vertex) -> int:
-        i = self._ids.get(v)
-        if i is None:
-            i = len(self._verts)
-            self._ids[v] = i
-            self._verts.append(v)
-        return i
-
-    # -- introspection -------------------------------------------------
-    @property
-    def edge_count(self) -> int:
-        return self._k.edge_count
-
-    @property
-    def vertex_count(self) -> int:
-        return self._k.vertex_count
-
-    @property
-    def mutation_epoch(self) -> int:
-        return self._k.mutation_epoch
-
-    @property
-    def pk_visits(self) -> int:
-        return self._k.pk_visits
-
-    @property
-    def resolves(self) -> int:
-        return self._k.resolves
-
-    def __contains__(self, v: Vertex) -> bool:
-        i = self._ids.get(v)
-        return i is not None and self._k.contains(i)
-
-    def has_edge(self, u: Vertex, v: Vertex) -> bool:
-        iu = self._ids.get(u)
-        iv = self._ids.get(v)
-        if iu is None or iv is None:
-            return False
-        return self._k.has_edge(iu, iv)
-
-    def epoch_of(self, v: Vertex) -> int:
-        i = self._ids.get(v)
-        if i is None:
-            raise KeyError(v)
-        return self._k.epoch_of_label(self._k.label_of(i))
-
-    def component_of(self, v: Vertex) -> frozenset:
-        i = self._ids.get(v)
-        if i is None:
-            raise KeyError(v)
-        verts = self._verts
-        return frozenset(
-            verts[j] for j in self._k.members_of(self._k.label_of(i))
-        )
-
-    # -- mutation ------------------------------------------------------
-    def add_vertex(self, v: Vertex) -> None:
-        self._k.add_vertex(self._intern(v))
-
-    def add_edge(self, u: Vertex, v: Vertex) -> None:
-        self._k.add_edge(self._intern(u), self._intern(v))
-
-    def remove_edge(self, u: Vertex, v: Vertex) -> None:
-        iu = self._ids.get(u)
-        iv = self._ids.get(v)
-        if iu is not None and iv is not None:
-            self._k.remove_edge(iu, iv)
-
-    def remove_vertex(self, v: Vertex) -> None:
-        i = self._ids.get(v)
-        if i is not None:
-            self._k.remove_vertex(i)
-
-    def begin_batch(self) -> None:
-        """See :meth:`repro.core.scc.DynamicSCC.begin_batch`."""
-        self._k.begin_batch()
-
-    def end_batch(self) -> None:
-        """See :meth:`repro.core.scc.DynamicSCC.end_batch`."""
-        self._k.end_batch()
-
-    # -- queries -------------------------------------------------------
-    def has_cycle(self) -> bool:
-        return self._k.has_cycle()
-
-    def edges_within(self, vertices) -> int:
-        ids = {self._ids[v] for v in vertices if v in self._ids}
-        return self._k.edges_within(list(ids))
-
-    # -- adapter surface for the shared extraction code ----------------
-    def _vertices(self):
-        verts = self._verts
-        return [verts[i] for i in self._k.vertices()]
-
-    def _out_of(self, v: Vertex):
-        i = self._ids.get(v)
-        if i is None:
-            return ()
-        verts = self._verts
-        return [verts[j] for j in self._k.out_neighbors(i)]
-
-    def _cyclic_labels(self):
-        return self._k.cyclic_labels()
-
-    def _label_members(self, label: int):
-        verts = self._verts
-        return [verts[i] for i in self._k.members_of(label)]
-
-    def _label_epoch(self, label: int) -> int:
-        return self._k.epoch_of_label(label)
+def native_enabled():
+    """Whether a compiled SCC kernel is in use: never."""
+    return False

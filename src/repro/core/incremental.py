@@ -75,7 +75,7 @@ from repro.core.checker import DeadlockChecker, snapshot_components
 from repro.core.dependency import DependencySnapshot, ResourceDependency
 from repro.core.events import BlockedStatus, Event, PhaserId, TaskId
 from repro.core.report import DeadlockReport
-from repro.core.scc import make_dynamic_scc
+from repro.core.scc import DynamicSCC
 from repro.core.selection import (
     DEFAULT_THRESHOLD_FACTOR,
     GraphModel,
@@ -112,9 +112,7 @@ class IncrementalChecker(DeadlockChecker):
         # The store's lock orders its writes, the listener they call
         # and every query of the state the listener maintains.
         self._lock = self.dependency._lock
-        # The compiled kernel when built (see repro.core._native), the
-        # pure-Python structure otherwise — interchangeable by contract.
-        self._scc = make_dynamic_scc()
+        self._scc = DynamicSCC()
         # Incremental-path instruments live next to the check
         # instruments, fed by one tally bumped under the store's lock.
         # SCC work is volatile: visit counts follow set/dict iteration

@@ -59,149 +59,7 @@ from repro.core.graphs import DiGraph
 Vertex = Hashable
 
 
-class _ExtractionBase:
-    """Witness-cycle extraction shared across SCC implementations.
-
-    Everything a deadlock *report* is built from lives here, in plain
-    Python, implemented against a tiny adapter surface (``has_cycle``,
-    ``has_edge``, ``_cyclic_labels``, ``_label_members``,
-    ``_label_epoch``, ``_out_of``, ``_vertices``).  The pure-Python
-    :class:`DynamicSCC` and the compiled-kernel wrapper in
-    :mod:`repro.core._native` both extract through this exact code, so
-    their cycles — and therefore their reports — are byte-identical by
-    construction: the kernel only ever answers structural queries.
-
-    Subclasses provide ``_cycle_cache`` (dict) and ``extractions``
-    (int) attributes for the per-component epoch cache.
-    """
-
-    def to_digraph(self) -> DiGraph:
-        """Materialise the current edge set (tests and fallbacks)."""
-        g = DiGraph()
-        for v in self._vertices():
-            g.add_vertex(v)
-            for w in self._out_of(v):
-                g.add_edge(v, w)
-        return g
-
-    def cyclic_components(self) -> List[frozenset]:
-        """Member sets of every cyclic component (dirty ones resolved)."""
-        self.has_cycle()
-        return [
-            frozenset(self._label_members(label))
-            for label in self._cyclic_labels()
-        ]
-
-    def extract_cycle(self) -> Optional[List[Vertex]]:
-        """The canonical witness cycle, from the maintained partition.
-
-        Equals ``find_cycle(self.to_digraph())`` — the cyclic SCC
-        holding the globally minimal vertex, grown by canonical BFS,
-        rotated to its minimal vertex — but touches only the members of
-        components whose verdict is cyclic, and caches each component's
-        extraction against its mutation epoch: re-polling a stable
-        deadlock while unrelated components mutate re-extracts nothing.
-        """
-        if not self.has_cycle():
-            return None
-        labels = self._cyclic_labels()
-        best: Optional[Tuple[str, Tuple[Vertex, ...]]] = None
-        for label in labels:
-            cycle = self._component_cycle(label)
-            key = _vertex_key(cycle[0])
-            if best is None or key < best[0]:
-                best = (key, cycle)
-        # Prune cache entries of labels that stopped being cyclic (or
-        # died): the cache only ever holds currently-cyclic components.
-        if len(self._cycle_cache) > len(labels):
-            keep = set(labels)
-            self._cycle_cache = {
-                label: entry
-                for label, entry in self._cycle_cache.items()
-                if label in keep
-            }
-        assert best is not None
-        return list(best[1])
-
-    def extract_cycle_within(self, vertices) -> Optional[List[Vertex]]:
-        """The canonical witness cycle among ``vertices`` only.
-
-        The per-shard twin of :meth:`extract_cycle`: considers only
-        cyclic components wholly contained in ``vertices`` (components
-        are weakly connected, so a shard built from wait-for
-        connectivity either contains a component or misses it entirely)
-        and picks the one holding the minimal vertex — the same
-        canonical choice ``find_cycle`` makes over the shard's rebuilt
-        subgraph.  Returns ``None`` when no contained component is
-        cyclic.  The shared epoch cache makes re-polling a stable shard
-        free; entries are not pruned here (the global
-        :meth:`extract_cycle` owns cache hygiene).
-        """
-        if not self.has_cycle():
-            return None
-        vset = set(vertices)
-        best: Optional[Tuple[str, Tuple[Vertex, ...]]] = None
-        for label in self._cyclic_labels():
-            if not set(self._label_members(label)) <= vset:
-                continue
-            cycle = self._component_cycle(label)
-            key = _vertex_key(cycle[0])
-            if best is None or key < best[0]:
-                best = (key, cycle)
-        return None if best is None else list(best[1])
-
-    def edges_within(self, vertices) -> int:
-        """Edge count of the subgraph induced by ``vertices``.
-
-        What a per-shard rebuild would report as its graph size — used
-        so maintained-graph sharded checks record the same ``edge_count``
-        accounting as snapshot rebuilds.
-        """
-        vset = set(vertices)
-        return sum(
-            1
-            for u in vset
-            for x in self._out_of(u)
-            if x in vset
-        )
-
-    def _component_cycle(self, label: int) -> Tuple[Vertex, ...]:
-        """Canonical cycle of one cyclic component, epoch-cached.
-
-        Every edge stays inside its component (unions happen on every
-        insertion), so the scoped subgraph contains every SCC of the
-        component's members and the per-component minimal-vertex choice
-        composes into the global one.
-        """
-        epoch = self._label_epoch(label)
-        cached = self._cycle_cache.get(label)
-        if cached is not None and cached[0] == epoch:
-            return cached[1]
-        self.extractions += 1
-        sub = DiGraph()
-        for w in self._label_members(label):
-            sub.add_vertex(w)
-            for x in self._out_of(w):
-                sub.add_edge(w, x)
-        found = find_cycle(sub)
-        assert found is not None, "cyclic label without a cyclic SCC"
-        cycle = tuple(found)
-        self._cycle_cache[label] = (epoch, cycle)
-        return cycle
-
-    def check_valid(self) -> None:
-        """Invariant check used by the property tests: the maintained
-        verdict must agree with a from-scratch Tarjan run."""
-        actual = False
-        for component in strongly_connected_components(self.to_digraph()):
-            v = component[0]
-            if len(component) > 1 or self.has_edge(v, v):
-                actual = True
-                break
-        assert self.has_cycle() == actual, "DynamicSCC verdict diverged"
-
-
-class DynamicSCC(_ExtractionBase):
+class DynamicSCC:
     """A mutable digraph with an incrementally maintained cycle verdict.
 
     All operations are idempotent where that is meaningful (re-adding an
@@ -273,22 +131,6 @@ class DynamicSCC(_ExtractionBase):
     def component_of(self, v: Vertex) -> frozenset:
         """The (possibly over-approximated) weak component holding ``v``."""
         return frozenset(self._members[self._label[v]])
-
-    # -- adapter surface for the shared extraction code ----------------
-    def _vertices(self):
-        return self._out
-
-    def _out_of(self, v: Vertex):
-        return self._out.get(v, ())
-
-    def _cyclic_labels(self):
-        return self._cyclic
-
-    def _label_members(self, label: int):
-        return self._members[label]
-
-    def _label_epoch(self, label: int) -> int:
-        return self._epoch[label]
 
     # ------------------------------------------------------------------
     # component labels (union by relabelling the smaller half)
@@ -487,9 +329,126 @@ class DynamicSCC(_ExtractionBase):
                 self._resolve(label)
         return bool(self._cyclic)
 
-    # extract_cycle / extract_cycle_within / cyclic_components /
-    # edges_within / check_valid are inherited from _ExtractionBase and
-    # shared verbatim with the compiled-kernel wrapper.
+    def to_digraph(self) -> DiGraph:
+        """Materialise the current edge set (tests and fallbacks)."""
+        return self._subgraph(self._out)
+
+    def _subgraph(self, vertices) -> DiGraph:
+        """``vertices`` with every out-edge they have: a component's
+        induced subgraph when they are its members, since every edge
+        stays inside its component."""
+        g = DiGraph()
+        for w in vertices:
+            g.add_vertex(w)
+            for x in self._out[w]:
+                g.add_edge(w, x)
+        return g
+
+    def cyclic_components(self) -> List[frozenset]:
+        """Member sets of every cyclic component (dirty ones resolved)."""
+        self.has_cycle()
+        return [frozenset(self._members[label]) for label in self._cyclic]
+
+    def extract_cycle(self) -> Optional[List[Vertex]]:
+        """The canonical witness cycle, from the maintained partition.
+
+        Equals ``find_cycle(self.to_digraph())`` — the cyclic SCC
+        holding the globally minimal vertex, grown by canonical BFS,
+        rotated to its minimal vertex — but touches only the members of
+        components whose verdict is cyclic, and caches each component's
+        extraction against its mutation epoch: re-polling a stable
+        deadlock while unrelated components mutate re-extracts nothing.
+        """
+        if not self.has_cycle():
+            return None
+        best: Optional[Tuple[str, Tuple[Vertex, ...]]] = None
+        for label in self._cyclic:
+            cycle = self._component_cycle(label)
+            key = _vertex_key(cycle[0])
+            if best is None or key < best[0]:
+                best = (key, cycle)
+        # Prune cache entries of labels that stopped being cyclic (or
+        # died): the cache only ever holds currently-cyclic components.
+        if len(self._cycle_cache) > len(self._cyclic):
+            self._cycle_cache = {
+                label: entry
+                for label, entry in self._cycle_cache.items()
+                if label in self._cyclic
+            }
+        assert best is not None
+        return list(best[1])
+
+    def extract_cycle_within(self, vertices) -> Optional[List[Vertex]]:
+        """The canonical witness cycle among ``vertices`` only.
+
+        The per-shard twin of :meth:`extract_cycle`: considers only
+        cyclic components wholly contained in ``vertices`` (components
+        are weakly connected, so a shard built from wait-for
+        connectivity either contains a component or misses it entirely)
+        and picks the one holding the minimal vertex — the same
+        canonical choice ``find_cycle`` makes over the shard's rebuilt
+        subgraph.  Returns ``None`` when no contained component is
+        cyclic.  The shared epoch cache makes re-polling a stable shard
+        free; entries are not pruned here (the global
+        :meth:`extract_cycle` owns cache hygiene).
+        """
+        if not self.has_cycle():
+            return None
+        vset = set(vertices)
+        best: Optional[Tuple[str, Tuple[Vertex, ...]]] = None
+        for label in self._cyclic:
+            if not self._members[label] <= vset:
+                continue
+            cycle = self._component_cycle(label)
+            key = _vertex_key(cycle[0])
+            if best is None or key < best[0]:
+                best = (key, cycle)
+        return None if best is None else list(best[1])
+
+    def edges_within(self, vertices) -> int:
+        """Edge count of the subgraph induced by ``vertices``.
+
+        What a per-shard rebuild would report as its graph size — used
+        so maintained-graph sharded checks record the same ``edge_count``
+        accounting as snapshot rebuilds.
+        """
+        vset = set(vertices)
+        return sum(
+            1
+            for u in vset
+            for x in self._out.get(u, ())
+            if x in vset
+        )
+
+    def _component_cycle(self, label: int) -> Tuple[Vertex, ...]:
+        """Canonical cycle of one cyclic component, epoch-cached.
+
+        Every edge stays inside its component (unions happen on every
+        insertion), so the scoped subgraph contains every SCC of the
+        component's members and the per-component minimal-vertex choice
+        composes into the global one.
+        """
+        epoch = self._epoch[label]
+        cached = self._cycle_cache.get(label)
+        if cached is not None and cached[0] == epoch:
+            return cached[1]
+        self.extractions += 1
+        found = find_cycle(self._subgraph(self._members[label]))
+        assert found is not None, "cyclic label without a cyclic SCC"
+        cycle = tuple(found)
+        self._cycle_cache[label] = (epoch, cycle)
+        return cycle
+
+    def check_valid(self) -> None:
+        """Invariant check used by the property tests: the maintained
+        verdict must agree with a from-scratch Tarjan run."""
+        actual = False
+        for component in strongly_connected_components(self.to_digraph()):
+            v = component[0]
+            if len(component) > 1 or self.has_edge(v, v):
+                actual = True
+                break
+        assert self.has_cycle() == actual, "DynamicSCC verdict diverged"
 
     # ------------------------------------------------------------------
     # scoped recompute
@@ -515,11 +474,7 @@ class DynamicSCC(_ExtractionBase):
         for w in members:
             for x in self._out[w]:
                 self._union(self._label[w], self._label[x])
-        sub = DiGraph()
-        for w in members:
-            sub.add_vertex(w)
-            for x in self._out[w]:
-                sub.add_edge(w, x)
+        sub = self._subgraph(members)
         components = strongly_connected_components(sub)
         # Tarjan emits SCCs in reverse topological order; walking the
         # list backwards therefore yields a valid topological order over
@@ -532,20 +487,5 @@ class DynamicSCC(_ExtractionBase):
                 self._next_ord += 1
 
 
-def make_dynamic_scc():
-    """The fastest available DynamicSCC implementation.
-
-    Returns a :class:`~repro.core._native.NativeDynamicSCC` (backed by
-    the optional compiled kernel) when the extension is built and not
-    disabled, else a pure-Python :class:`DynamicSCC`.  The two are
-    interchangeable — identical verdicts, partitions, epochs and
-    extracted cycles for any operation sequence (pinned by the
-    differential tests in ``tests/core/test_native.py``) — so callers
-    need not care which they got.  Selection policy lives in
-    :mod:`repro.core._native` (``REPRO_NATIVE`` env var).
-    """
-    from repro.core._native import native_scc_class
-
-    cls = native_scc_class()
-    return cls() if cls is not None else DynamicSCC()
-
+# Kept for benchmarks/e2e/layers.py, its only caller.
+make_dynamic_scc = DynamicSCC

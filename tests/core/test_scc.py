@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import random
 import time
+from itertools import islice
 
 import pytest
 
-from repro.core import _native
+from repro.core.cycles import find_cycle, strongly_connected_components
+from repro.core.graphs import DiGraph
 from repro.core.scc import DynamicSCC
 
 
@@ -77,6 +79,16 @@ class TestBasics:
         assert scc.has_cycle()
         scc.remove_vertex(2)
         assert not scc.has_cycle()
+
+    def test_unknown_vertex_raises(self):
+        scc = edges_of([("a", "b")])
+        with pytest.raises(KeyError):
+            scc.component_of("zz")
+        with pytest.raises(KeyError):
+            scc.epoch_of("zz")
+        assert not scc.has_edge("a", "zz")
+        assert "zz" not in scc
+        assert scc.edges_within({"a", "b", "zz"}) == 1
 
     def test_cycle_restored_after_break(self):
         scc = edges_of([(1, 2), (2, 1)])
@@ -199,16 +211,12 @@ class TestExtractCycle:
         assert scc.extract_cycle() is None
 
     def test_matches_from_scratch_extraction(self):
-        from repro.core.cycles import find_cycle
-
         scc = edges_of(
             [("b", "c"), ("c", "b"), ("x", "y"), ("m", "a"), ("a", "m")]
         )
         assert scc.extract_cycle() == find_cycle(scc.to_digraph())
 
     def test_self_loop(self):
-        from repro.core.cycles import find_cycle
-
         scc = edges_of([("s", "s"), ("a", "b")])
         assert scc.extract_cycle() == find_cycle(scc.to_digraph()) == ["s", "s"]
 
@@ -245,10 +253,22 @@ class TestExtractCycle:
         cycle = scc.extract_cycle()
         assert cycle[0] == "c"
 
+    def test_scoped_extraction_takes_whole_components_only(self):
+        pairs = [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"),
+                 ("d", "e"), ("e", "d"), ("x", "x")]
+        scc = edges_of(pairs)
+        component = {"a", "b", "c", "d", "e"}
+        shard = DiGraph()
+        for u, v in pairs:
+            if u in component:
+                shard.add_edge(u, v)
+        assert scc.extract_cycle_within(component) == find_cycle(shard)
+        assert scc.edges_within(component) == shard.edge_count
+        assert scc.extract_cycle_within({"x"}) == ["x", "x"]
+        assert scc.extract_cycle_within({"a", "b", "c", "d"}) is None
+
     @pytest.mark.parametrize("seed", range(6))
     def test_random_churn_matches_find_cycle(self, seed):
-        from repro.core.cycles import find_cycle
-
         rng = random.Random(3000 + seed)
         scc = DynamicSCC()
         vertices = [f"v{i}" for i in range(10)]
@@ -267,31 +287,194 @@ class TestExtractCycle:
         assert scc.extract_cycle() == find_cycle(scc.to_digraph())
 
 
-STRUCTURES = [
-    DynamicSCC,
-    pytest.param(
-        _native.NativeDynamicSCC,
-        marks=pytest.mark.skipif(
-            not _native.native_available(),
-            reason="compiled kernel not built (run `python setup.py "
-            "build_ext --inplace`)",
-        ),
-    ),
-]
+def assert_components_sound(scc):
+    """Pin ``cyclic_components`` against ground truth.
+
+    A maintained component is an over-approximation (it may span
+    vertices that were weakly connected when unioned), so what must
+    hold is: every true cyclic SCC is wholly inside exactly one reported
+    component, and every reported component really contains a cycle.
+    """
+    graph = scc.to_digraph()
+    truth = [
+        frozenset(c)
+        for c in strongly_connected_components(graph)
+        if len(c) > 1 or graph.has_edge(c[0], c[0])
+    ]
+    reported = scc.cyclic_components()
+    for component in truth:
+        assert sum(component <= comp for comp in reported) == 1
+    covered = frozenset().union(*truth) if truth else frozenset()
+    for comp in reported:
+        assert comp & covered, f"component {sorted(comp)} has no cycle"
 
 
-@pytest.mark.parametrize("structure", STRUCTURES)
+def random_script(rng, vertices, count):
+    """``count`` random mutations as ``(method, *args)`` tuples, lazily
+    (removals are picked among the edges live at that point)."""
+    edges = set()
+    for _ in range(count):
+        roll = rng.random()
+        if roll < 0.55 or not edges:
+            u = rng.choice(vertices)
+            v = rng.choice(vertices)
+            edges.add((u, v))
+            yield "add_edge", u, v
+        elif roll < 0.8:
+            u, v = rng.choice(sorted(edges))
+            edges.discard((u, v))
+            yield "remove_edge", u, v
+        elif roll < 0.9:
+            yield "add_vertex", rng.choice(vertices)
+        else:
+            v = rng.choice(vertices)
+            for e in [e for e in edges if v in e]:
+                edges.discard(e)
+            yield "remove_vertex", v
+
+
+def chain_script(rng, n, reverse):
+    """One ``n``-vertex chain, where a window's charge rule decides:
+    edges in seeded order (cheap affected regions: a window rents
+    throughout), or ascending *against* the order (every edge reorders
+    the chain so far: a window goes over budget and defers).  Now and
+    then an edge is cut, or a back edge closes a cycle for a while."""
+    name = "c{:03}".format
+    if reverse:
+        edges = [(name(i), name(i - 1)) for i in range(1, n)]
+    else:
+        edges = [(name(i), name(i + 1)) for i in range(n - 1)]
+        rng.shuffle(edges)
+    live, back = [], None
+    for edge in edges:
+        live.append(edge)
+        yield ("add_edge", *edge)
+        roll = rng.random()
+        if roll < 0.04:
+            yield ("remove_edge", *live.pop(rng.randrange(len(live))))
+        elif roll < 0.08 and back is None:
+            i = rng.randrange(n - 4)
+            j = i + rng.randint(1, 4)
+            back = (name(i), name(j)) if reverse else (name(j), name(i))
+            yield ("add_edge", *back)
+        elif roll < 0.2 and back is not None:
+            yield ("remove_edge", *back)
+            back = None
+
+
+SCRIPTS = {
+    "random": lambda rng: random_script(
+        rng, [f"v{i}" for i in range(8)], 600),
+    "chain": lambda rng: chain_script(rng, 300, reverse=False),
+    "reverse-chain": lambda rng: chain_script(rng, 300, reverse=True),
+}
+
+
+def apply_op(scc, op, vertices, edges):
+    """Run one scripted op on ``scc`` and on its shadow model, the plain
+    ``vertices`` and ``edges`` sets (updated in place)."""
+    method, *args = op
+    getattr(scc, method)(*args)
+    if method == "add_edge":
+        vertices.update(args)
+        edges.add(tuple(args))
+    elif method == "remove_edge":
+        edges.discard(tuple(args))
+    elif method == "add_vertex":
+        vertices.add(args[0])
+    else:
+        vertices.discard(args[0])
+        edges.difference_update([e for e in edges if args[0] in e])
+
+
+def assert_matches_shadow(scc, vertices, edges):
+    """The structure holds exactly the shadow graph, and its verdict,
+    witness and cyclic components are that graph's."""
+    assert set(scc.to_digraph().edges()) == edges
+    assert (scc.edge_count, scc.vertex_count) == (len(edges), len(vertices))
+    scc.check_valid()
+    assert scc.extract_cycle() == find_cycle(scc.to_digraph())
+    assert_components_sound(scc)
+
+
+class TestStepwiseMutations:
+    """Outside a window every write is maintained in place, so the
+    ground truth must hold after each single op."""
+
+    def run(self, ops, vertices, rng):
+        scc = DynamicSCC()
+        live, edges = set(), set()
+        for op in ops:
+            before = scc.mutation_epoch
+            shadow = (frozenset(live), frozenset(edges))
+            apply_op(scc, op, live, edges)
+            # Every state change bumps the global epoch; a no-op does not.
+            changed = shadow != (live, edges)
+            assert (scc.mutation_epoch > before) == changed
+            assert scc.mutation_epoch >= before
+            assert_matches_shadow(scc, live, edges)
+            if rng.random() < 0.1:
+                for v in rng.sample(vertices, 3):
+                    assert (v in scc) == (v in live)
+                    if v in live:
+                        component = scc.component_of(v)
+                        assert v in component and component <= live
+                        assert scc.epoch_of(v) <= scc.mutation_epoch
+        # Every edge stays inside the component of its endpoints.
+        for u, v in edges:
+            assert scc.component_of(u) == scc.component_of(v)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_randomized_mutations(self, seed):
+        rng = random.Random(seed)
+        vertices = [f"v{i}" for i in range(10)]
+        self.run(random_script(rng, vertices, 220), vertices, rng)
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["chain", "reverse-chain"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_chain_mutations(self, seed, reverse):
+        """Seeded-order chains rarely reorder; reversed ones reorder the
+        whole chain so far on every edge (Pearce-Kelly's worst case)."""
+        rng = random.Random(2000 + seed)
+        vertices = ["c{:03}".format(i) for i in range(120)]
+        self.run(chain_script(rng, 120, reverse), vertices, rng)
+
+
+class TestBatchWindows:
+    """Inside a window a component defers once over budget, and when it
+    gets its scoped re-partition depends on order values, so member
+    sets are pinned against ground truth at every window edge."""
+
+    @pytest.mark.parametrize("script", sorted(SCRIPTS))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_randomized_mutations_with_batches(self, seed, script):
+        rng = random.Random(1000 + seed)
+        scc = DynamicSCC()
+        vertices, edges = set(), set()  # the ops' ground truth
+        ops = SCRIPTS[script](rng)
+        while window := list(islice(ops, rng.choice((1, 2, 8, 64)))):
+            scc.begin_batch()
+            for op in window:
+                apply_op(scc, op, vertices, edges)
+            scc.end_batch()
+            assert_matches_shadow(scc, vertices, edges)
+
+    def test_end_batch_without_begin_raises(self):
+        with pytest.raises(RuntimeError):
+            DynamicSCC().end_batch()
+
+
 class TestWindowCost:
     """What a batch window may cost: per component, a constant factor
     over the cheaper of per-edge Pearce-Kelly and one scoped Tarjan."""
 
-    def test_one_op_windows_never_resolve(self, structure):
+    def test_one_op_windows_never_resolve(self):
         """A window around one edge costs that edge's affected region,
         like a stepwise write — never a Tarjan over the component."""
         n = 4000
         edges = [(i, i + 1) for i in range(n - 1)]
         random.Random(1).shuffle(edges)
-        scc = structure()
+        scc = DynamicSCC()
         for u, v in edges:
             scc.begin_batch()
             scc.add_edge(u, v)
@@ -300,13 +483,13 @@ class TestWindowCost:
         assert scc.resolves == 0
         assert len(scc.component_of(0)) == n
 
-    def test_one_big_window_buys_after_renting(self, structure):
+    def test_one_big_window_buys_after_renting(self):
         """Pearce-Kelly's worst case (every edge violates the order and
         reorders the whole chain so far: ~n^2/2 visits per-edge) in one
         window stops renting at the component's size and pays one
         Tarjan."""
         n = 8000
-        scc = structure()
+        scc = DynamicSCC()
         t0 = time.perf_counter()
         scc.begin_batch()
         for i in range(1, n):
@@ -320,11 +503,11 @@ class TestWindowCost:
         scc.add_edge(0, n - 1)
         assert scc.has_cycle()
 
-    def test_charge_is_per_component(self, structure):
+    def test_charge_is_per_component(self):
         """One component running up the window's bill defers only
         itself: a cheap violating edge elsewhere still runs in place."""
         count, size = 100, 900
-        scc = structure()
+        scc = DynamicSCC()
         for c in range(count):
             base = (c + 1) * 10_000
             for i in range(size - 1):

@@ -193,6 +193,42 @@ class TestOneTable:
         assert holders == [("dependency.py", "ResourceDependency")]
 
 
+class TestOneSCCStructure:
+    """Cycle maintenance has one implementation, the pure-Python
+    ``DynamicSCC``.  A compiled twin, its selection knob and the shared
+    base class it forced cannot come back unnoticed."""
+
+    def test_no_c_source_under_src(self):
+        assert not sorted((REPO / "src").rglob("*.c"))
+
+    def test_no_module_names_the_kernel_or_its_knob(self):
+        # Spelt in halves so that this file does not match itself.
+        names = ("_native" + "scc", "REPRO_" + "NATIVE")
+        for root in ("src", "tests"):
+            for path in sorted((REPO / root).rglob("*.py")):
+                text = path.read_text()
+                for name in names:
+                    assert name not in text, (path.name, name)
+
+    def test_native_module_holds_only_the_benchmark_stand_ins(self):
+        from repro.core import _native
+
+        tree = ast.parse(pathlib.Path(_native.__file__).read_text())
+        assert not [node for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))]
+        defined = [getattr(node, "name", None) for node in tree.body
+                   if not isinstance(node, ast.Expr)]
+        assert defined == ["native_available", "native_enabled"]
+        assert not _native.native_available() and not _native.native_enabled()
+
+    def test_the_incremental_checker_maintains_a_dynamic_scc(self):
+        from repro.core.incremental import IncrementalChecker
+        from repro.core.scc import DynamicSCC
+
+        assert DynamicSCC.__bases__ == (object,)
+        assert type(IncrementalChecker()._scc) is DynamicSCC
+
+
 class TestValueTypes:
     """The values a cyclic report is made of — every SG vertex, every
     edge's provenance — hash, compare and sort as tuples, in C.  A

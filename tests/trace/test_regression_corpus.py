@@ -163,6 +163,12 @@ class TestGoldenReplayOutput:
         to the from-scratch engine."""
         assert self.run_cli(capsys, "--incremental") == GOLDEN.read_text()
 
+    def test_incremental_parallel_output_matches_golden(self, capsys):
+        assert (
+            self.run_cli(capsys, "--incremental", "--parallel", "2")
+            == GOLDEN.read_text()
+        )
+
     def test_incremental_matches_scratch_in_seven_op_windows(self, capsys):
         """The CI assertion, in-process: at ``--check-every 7`` the
         incremental engine's batch windows hold several ops (so a
