@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from repro.core.cycles import cycle_through, find_cycle
 from repro.core.dependency import DependencySnapshot, ResourceDependency
@@ -32,7 +32,6 @@ from repro.core.selection import (
     GraphBuildResult,
     GraphModel,
     build_graph,
-    select_shard_model,
 )
 from repro.obs.registry import (
     DEFAULT_LATENCY_BUCKETS_S,
@@ -179,55 +178,6 @@ class CheckStats:
         return self._latency.max_of()
 
 
-def snapshot_components(snapshot: DependencySnapshot) -> List[DependencySnapshot]:
-    """Partition ``snapshot`` into independently checkable shards.
-
-    Two tasks land in the same shard when they touch a common phaser
-    (one waits on or is registered with a phaser the other touches).
-    Any WFG edge ``t1 -> t2`` needs ``t2`` registered on the phaser of
-    an event ``t1`` waits on, and any SG edge ``e1 -> e2`` needs one
-    task touching both phasers — so every cycle, under either graph
-    model, lies entirely inside one shard.  The partition is therefore
-    a *sound* decomposition: checking shards independently finds every
-    deadlock the whole-snapshot check finds.
-
-    Shards are ordered by their minimal task id (string order) and each
-    shard preserves the snapshot's task insertion order, so shard output
-    is deterministic across processes.
-    """
-    parent: Dict[TaskId, TaskId] = {}
-
-    def find(x: TaskId) -> TaskId:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:  # path compression
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(a: TaskId, b: TaskId) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    anchor: Dict[str, TaskId] = {}
-    for task, status in snapshot.statuses.items():
-        parent[task] = task
-        phasers = {str(e.phaser) for e in status.waits}
-        phasers.update(str(p) for p in status.registered)
-        for phaser in phasers:
-            if phaser in anchor:
-                union(anchor[phaser], task)
-            else:
-                anchor[phaser] = task
-
-    groups: Dict[TaskId, Dict[TaskId, BlockedStatus]] = {}
-    for task, status in snapshot.statuses.items():
-        groups.setdefault(find(task), {})[task] = status
-    ordered = sorted(groups.values(), key=lambda g: min(str(t) for t in g))
-    return [DependencySnapshot(statuses=g) for g in ordered]
-
-
 class DeadlockChecker:
     """Builds graphs from blocked statuses and finds deadlock cycles.
 
@@ -325,7 +275,6 @@ class DeadlockChecker:
         self,
         snapshot: Optional[DependencySnapshot] = None,
         revalidate: bool = False,
-        model: Optional[GraphModel] = None,
     ) -> Optional[DeadlockReport]:
         """Analyse ``snapshot`` (or a fresh one) for a deadlock cycle.
 
@@ -333,55 +282,15 @@ class DeadlockChecker:
         reported if every involved task is still blocked with the very
         status that produced the cycle — eliminating false positives from
         tasks that unblocked after the snapshot was taken.
-
-        ``model`` overrides the checker's configured selection for this
-        one check — the hook sharded checking uses to pick a model per
-        component without reconfiguring the checker.
         """
-        effective = self.model if model is None else model
         t0 = time.perf_counter()
         if snapshot is None:
             snapshot = self._current_snapshot()
         if snapshot.is_empty():
-            self._record(t0, None, GraphModel.SG if effective is not GraphModel.WFG else GraphModel.WFG, 0)
+            self._record(t0, None, GraphModel.WFG if self.model is GraphModel.WFG else _SG, 0)
             return None
-        built = build_graph(snapshot, effective, self.threshold_factor)
+        built = build_graph(snapshot, self.model, self.threshold_factor)
         return self._verdict(t0, revalidate, *self._analysis(snapshot, built))
-
-    def check_sharded(
-        self,
-        snapshot: Optional[DependencySnapshot] = None,
-        revalidate: bool = False,
-    ) -> List[DeadlockReport]:
-        """Detection over connected components, one check per shard.
-
-        The snapshot is split with :func:`snapshot_components` and each
-        shard is analysed independently — smaller graphs per check, an
-        obvious parallelisation unit, and (unlike :meth:`check`, which
-        stops at the first cycle) one report *per* deadlocked component.
-        Reports come back in shard order, which is deterministic.
-
-        The graph model is selected *per shard*
-        (:func:`~repro.core.selection.select_shard_model`): components of
-        a few tasks are checked directly in the WFG, larger ones under
-        the configured selection — a fragmented snapshot no longer pays
-        the SG attempt on every tiny knot.
-        """
-        if snapshot is None:
-            snapshot = self._current_snapshot()
-        if snapshot.is_empty():
-            self.check(snapshot=snapshot)
-            return []
-        reports: List[DeadlockReport] = []
-        for shard in snapshot_components(snapshot):
-            report = self.check(
-                snapshot=shard,
-                revalidate=revalidate,
-                model=select_shard_model(len(shard), self.model),
-            )
-            if report is not None:
-                reports.append(report)
-        return reports
 
     def check_before_block(
         self, task: TaskId, status: BlockedStatus

@@ -16,7 +16,7 @@ is grown by BFS over string-sorted successors, and the closed walk is
 rotated to start at its minimal vertex.  The SCC partition itself is
 order-independent, so two processes — regardless of hash seed, set
 iteration order or Python version — extract the *same* cycle from the
-same graph.  That is what lets sharded and multi-process replay merge
+same graph.  That is what lets both engines and multi-process replay merge
 reports byte-identically (see ``repro.trace.parallel``).
 """
 

@@ -69,9 +69,9 @@ from __future__ import annotations
 import time
 from functools import partial
 from operator import attrgetter
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
-from repro.core.checker import DeadlockChecker, snapshot_components
+from repro.core.checker import DeadlockChecker
 from repro.core.dependency import DependencySnapshot, ResourceDependency
 from repro.core.events import BlockedStatus, Event, PhaserId, TaskId
 from repro.core.report import DeadlockReport
@@ -80,7 +80,6 @@ from repro.core.selection import (
     DEFAULT_THRESHOLD_FACTOR,
     GraphModel,
     build_graph,
-    select_shard_model,
 )
 from repro.obs.registry import MetricsRegistry
 
@@ -239,12 +238,9 @@ class IncrementalChecker(DeadlockChecker):
         self,
         snapshot=None,
         revalidate: bool = False,
-        model: Optional[GraphModel] = None,
     ) -> Optional[DeadlockReport]:
-        if snapshot is not None or model is not None:
-            return super().check(
-                snapshot=snapshot, revalidate=revalidate, model=model
-            )
+        if snapshot is not None:
+            return super().check(snapshot=snapshot, revalidate=revalidate)
         t0 = time.perf_counter()
         with self._lock:
             scc = self._scc
@@ -258,9 +254,10 @@ class IncrementalChecker(DeadlockChecker):
                     # canonical cycle comes straight from the component
                     # partition — no snapshot, no rebuild.  The store's
                     # own table is read in place under its lock.
-                    self._cached = self._maintained_analysis(
-                        DependencySnapshot(statuses=self.dependency._statuses),
-                        scc.extract_cycle(), scc.edge_count)
+                    snapshot = DependencySnapshot(statuses=self.dependency._statuses)
+                    report = self._wfg_report(snapshot.statuses, scc.extract_cycle(),
+                                              scc.edge_count, avoided=False)
+                    self._cached = (snapshot, report, GraphModel.WFG, scc.edge_count)
                 else:
                     self._tally.counts[_FALLBACK_SLOT] += 1
                     snapshot = self._current_snapshot()
@@ -270,57 +267,6 @@ class IncrementalChecker(DeadlockChecker):
             # Revalidated on every call: a failed revalidation is this
             # call's answer, not the epoch's.
             return self._verdict(t0, revalidate, *self._cached)
-
-    def _maintained_analysis(self, snapshot, cycle, edge_count) -> tuple:
-        """A WFG-model :meth:`_analysis` from the maintained partition:
-        ``cycle`` its canonical extraction over ``snapshot``'s tasks and
-        ``edge_count`` the maintained edges among them (what a rebuild
-        would count), assembled by the classic checker's own code."""
-        report = None
-        if cycle is not None:
-            report = self._wfg_report(snapshot.statuses, cycle, edge_count, avoided=False)
-        return snapshot, report, GraphModel.WFG, edge_count
-
-    def check_sharded(
-        self,
-        snapshot=None,
-        revalidate: bool = False,
-    ) -> List[DeadlockReport]:
-        if snapshot is not None:
-            return super().check_sharded(snapshot=snapshot, revalidate=revalidate)
-        t0 = time.perf_counter()
-        with self._lock:
-            if not self._scc.has_cycle():
-                self._record(t0, None, GraphModel.WFG, self._scc.edge_count)
-                return []
-            # Cyclic: shard like the parent (the snapshot only supplies
-            # connectivity and ordering), but answer WFG-model shards
-            # straight from the maintained partition — no per-shard
-            # graph rebuild.  WFG edges are pair-local and require a
-            # shared phaser, so the maintained graph restricted to a
-            # shard equals the shard's rebuilt WFG, and every cyclic
-            # component lies wholly inside one shard.
-            snapshot = self._current_snapshot()
-            reports: List[DeadlockReport] = []
-            for shard in snapshot_components(snapshot):
-                model = select_shard_model(len(shard), self.model)
-                if model is GraphModel.WFG:
-                    tasks = set(shard.statuses)
-                    analysis = self._maintained_analysis(
-                        shard, self._scc.extract_cycle_within(tasks),
-                        self._scc.edges_within(tasks))
-                    report = self._verdict(time.perf_counter(), revalidate, *analysis)
-                else:
-                    # SG/AUTO shards still need the built graph (the
-                    # chosen model depends on it) — classic per-shard
-                    # path, identical to the parent's.
-                    self._tally.counts[_FALLBACK_SLOT] += 1
-                    report = super().check(
-                        snapshot=shard, revalidate=revalidate, model=model
-                    )
-                if report is not None:
-                    reports.append(report)
-            return reports
 
     def check_before_block(
         self, task: TaskId, status: BlockedStatus

@@ -378,48 +378,6 @@ class DynamicSCC:
         assert best is not None
         return list(best[1])
 
-    def extract_cycle_within(self, vertices) -> Optional[List[Vertex]]:
-        """The canonical witness cycle among ``vertices`` only.
-
-        The per-shard twin of :meth:`extract_cycle`: considers only
-        cyclic components wholly contained in ``vertices`` (components
-        are weakly connected, so a shard built from wait-for
-        connectivity either contains a component or misses it entirely)
-        and picks the one holding the minimal vertex — the same
-        canonical choice ``find_cycle`` makes over the shard's rebuilt
-        subgraph.  Returns ``None`` when no contained component is
-        cyclic.  The shared epoch cache makes re-polling a stable shard
-        free; entries are not pruned here (the global
-        :meth:`extract_cycle` owns cache hygiene).
-        """
-        if not self.has_cycle():
-            return None
-        vset = set(vertices)
-        best: Optional[Tuple[str, Tuple[Vertex, ...]]] = None
-        for label in self._cyclic:
-            if not self._members[label] <= vset:
-                continue
-            cycle = self._component_cycle(label)
-            key = _vertex_key(cycle[0])
-            if best is None or key < best[0]:
-                best = (key, cycle)
-        return None if best is None else list(best[1])
-
-    def edges_within(self, vertices) -> int:
-        """Edge count of the subgraph induced by ``vertices``.
-
-        What a per-shard rebuild would report as its graph size — used
-        so maintained-graph sharded checks record the same ``edge_count``
-        accounting as snapshot rebuilds.
-        """
-        vset = set(vertices)
-        return sum(
-            1
-            for u in vset
-            for x in self._out.get(u, ())
-            if x in vset
-        )
-
     def _component_cycle(self, label: int) -> Tuple[Vertex, ...]:
         """Canonical cycle of one cyclic component, epoch-cached.
 

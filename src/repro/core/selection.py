@@ -28,15 +28,6 @@ from repro.core.graphs import DiGraph, build_sg, build_wfg, iter_sg_edges
 #: twice the number of tasks processed thus far").
 DEFAULT_THRESHOLD_FACTOR = 2.0
 
-#: Component size (in tasks) at or below which a sharded check skips the
-#: adaptive SG attempt and builds the WFG directly.  For a shard this
-#: small the WFG is O(tasks²) ≤ O(16) edges — always cheap — while the
-#: SG attempt still pays index construction per candidate event; the
-#: threshold race the adaptive mode arbitrates cannot matter at this
-#: scale (ROADMAP: "small shards are always cheap in WFG").
-SMALL_SHARD_TASKS = 4
-
-
 class GraphModel(enum.Enum):
     """Which graph model the checker uses for cycle detection."""
 
@@ -69,26 +60,6 @@ class GraphBuildResult:
     model_used: GraphModel
     edge_count: int
     sg_aborted: bool = False
-
-
-def select_shard_model(
-    n_tasks: int, model: GraphModel = GraphModel.AUTO
-) -> GraphModel:
-    """Shard-aware model choice for per-component checking.
-
-    ``check_sharded`` splits a snapshot into connected components and
-    checks each independently; the adaptive threshold then sees *shard*
-    sizes, not the global population, so the per-shard decision can be
-    made from the shard alone: components of at most
-    :data:`SMALL_SHARD_TASKS` tasks go straight to the WFG, larger ones
-    keep the configured selection (typically adaptive, which favours the
-    SG on the barrier-heavy giant components).  Fixed-model
-    configurations are never overridden — an ablation pinning SG must
-    stay SG on every shard.
-    """
-    if model is GraphModel.AUTO and n_tasks <= SMALL_SHARD_TASKS:
-        return GraphModel.WFG
-    return model
 
 
 def build_graph(

@@ -20,7 +20,7 @@ Typical use::
     result = replay("run.trace")  # offline, deterministic
     assert result.reports == runtime.reports
 
-For scale, the subsystem streams and shards: :func:`iter_load` replays
+For scale, the subsystem streams and fans out: :func:`iter_load` replays
 files of any length in O(frame) memory, :class:`StreamingRecorder`
 spills records to disk as they happen, and :func:`replay_corpus` fans a
 trace corpus out over worker processes with deterministic, byte-stable

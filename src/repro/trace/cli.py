@@ -9,8 +9,7 @@ Six subcommands cover the record → persist → analyse → explain loop:
 * ``replay`` — replay one trace file, several, or whole corpus
   directories through the checker.  ``--parallel N`` fans a corpus out
   over N worker processes; ``--stream`` reads each file in O(frame)
-  memory; ``--shard-components`` checks connected components
-  independently; ``--incremental`` selects the delta-maintained engine
+  memory; ``--incremental`` selects the delta-maintained engine
   (same reports, O(N) instead of O(N²) at ``check_every=1``).  Corpus
   output on stdout is byte-identical for any ``--parallel`` value and
   either engine (timing goes to stderr, buffered and emitted once after
@@ -272,7 +271,6 @@ def _run_replay(paths, args: argparse.Namespace):
         mode=args.mode,
         model=GraphModel(args.model),
         check_every=args.check_every,
-        shard_components=args.shard_components,
         stream=args.stream,
         incremental=args.incremental,
         processes=args.parallel,
@@ -456,7 +454,7 @@ def _print_explain_single(entry, args: argparse.Namespace) -> None:
     reports = entry.result.reports
     print(f"trace: {entry.path} ({entry.result.records_processed} record(s), "
           f"{len(reports)} report(s))")
-    if args.report is not None and not 1 <= args.report <= len(reports):
+    if args.report is not None and args.report > len(reports):
         raise ValueError(
             f"{entry.path} has {len(reports)} report(s), no report #{args.report}"
         )
@@ -665,9 +663,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--stream", action="store_true",
                        help="read each trace incrementally in O(frame) "
                             "memory instead of loading it whole")
-        p.add_argument("--shard-components", action="store_true",
-                       help="check connected components of the wait-for "
-                            "graph independently (detection only)")
         p.add_argument("--incremental", action="store_true",
                        help="feed record-level deltas into a maintained "
                             "analysis graph instead of rebuilding per "
@@ -714,7 +709,8 @@ def build_parser() -> argparse.ArgumentParser:
         "explain", help="map each deadlock report back to its trace records"
     )
     engine_flags(p_explain)
-    p_explain.add_argument("--report", type=int, default=None, metavar="N",
+    p_explain.add_argument("--report", type=_positive_int, default=None,
+                           metavar="N",
                            help="explain only report N (1-based; default: all)")
     p_explain.add_argument("--chrome", metavar="OUT.json", default=None,
                            help="also write a Chrome trace-event JSON "

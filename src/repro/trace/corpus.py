@@ -5,7 +5,7 @@ clock pacing, nondeterministic interleavings.  The corpus generator
 side-steps all of it: it writes the trace a run *would have produced*
 directly, from closed-form schedules, so scenario scale is limited by
 disk, not by the GIL.  Every ROADMAP direction that needs "many diverse
-synchronisation scenarios" (regression corpora, sharded checking,
+synchronisation scenarios" (regression corpora, engine differentials,
 throughput work) replays against these files.
 
 A :class:`ScenarioSpec` spans the grid the ISSUE calls for — cycle

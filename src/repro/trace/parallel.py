@@ -208,16 +208,15 @@ def run_corpus(
 
 
 def _replay_one(
-    args: Tuple[str, str, GraphModel, float, int, bool, bool, bool]
+    args: Tuple[str, str, GraphModel, float, int, bool, bool]
 ) -> Tuple[dict, ReplayResult]:
     """Worker body: replay one file; must stay module-level picklable."""
-    path, mode, model, threshold_factor, check_every, shard, stream, incremental = args
+    path, mode, model, threshold_factor, check_every, stream, incremental = args
     engine = ReplayEngine(
         mode=mode,
         model=model,
         threshold_factor=threshold_factor,
         check_every=check_every,
-        shard_components=shard,
         incremental=incremental,
     )
     if stream:
@@ -235,7 +234,6 @@ def replay_corpus(
     model: GraphModel = GraphModel.AUTO,
     threshold_factor: float = DEFAULT_THRESHOLD_FACTOR,
     check_every: int = 1,
-    shard_components: bool = False,
     stream: bool = False,
     incremental: bool = False,
     processes: int = 1,
@@ -250,6 +248,6 @@ def replay_corpus(
         sources,
         _replay_one,
         lambda path: (path, mode, model, threshold_factor, check_every,
-                      shard_components, stream, incremental),
+                      stream, incremental),
         CorpusReplayResult(mode=mode, processes=max(1, processes)),
     )

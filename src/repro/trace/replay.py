@@ -55,27 +55,23 @@ replaying one input through both a differential test of the checkers.
 The engine consumes its input *incrementally*: records are never
 materialised into a list, so feeding it a
 :class:`~repro.trace.stream.StreamedTrace` (``replay(path, stream=True)``)
-replays a file of any length in O(frame) memory.  With
-``shard_components=True`` each detection pass splits the snapshot into
-connected components of the wait-for graph
-(:func:`~repro.core.checker.snapshot_components`) and checks them
-independently — smaller graphs per check, and one report per deadlocked
-component instead of first-cycle-wins.
+replays a file of any length in O(frame) memory.
 
-Note the flip side of canonical cycle extraction: a plain (unsharded)
-detection check always surfaces the *same* cycle — the one through the
-globally minimal vertex — so when two independent deadlocks persist
-simultaneously, plain replay deterministically reports only the
-canonical one.  That is the checker's first-cycle-wins contract made
-reproducible, not a new loss; ``shard_components=True`` is the mode
-that reports every concurrent deadlock.
+Replay keeps the report contract of every other consumer (the live
+runtime, :class:`~repro.distributed.site.Site`, the service): a check
+analyses the whole state under one model selection and returns the
+*canonical* cycle — the one through the globally minimal vertex.  When
+two independent deadlocks persist at once, a check reports only the
+canonical one; the other is masked, not lost, and is reported at the
+first check after the canonical cycle clears.  Deadlocks that close
+and clear between two cadence points are never seen by a check at all.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, List, Set, Tuple, Union
+from typing import Iterable, List, Optional, Set, Tuple, Union
 
 from repro.core.checker import CheckStats, DeadlockChecker
 from repro.core.incremental import IncrementalChecker
@@ -161,10 +157,6 @@ class ReplayEngine:
         Detection-mode check cadence in state-changing records
         (default 1: check after every change, the strongest — and
         deterministic — setting).
-    shard_components:
-        Detection only: run every check per connected component of the
-        snapshot instead of on the whole graph (see the module
-        docstring).
     incremental:
         Instantiate :class:`~repro.core.incremental.IncrementalChecker`
         instead of :class:`~repro.core.checker.DeadlockChecker` (see
@@ -193,7 +185,6 @@ class ReplayEngine:
         model: GraphModel = GraphModel.AUTO,
         threshold_factor: float = DEFAULT_THRESHOLD_FACTOR,
         check_every: int = 1,
-        shard_components: bool = False,
         incremental: bool = False,
         tracer=NULL_TRACER,
     ) -> None:
@@ -203,7 +194,6 @@ class ReplayEngine:
         self.model = model
         self.threshold_factor = threshold_factor
         self.check_every = max(1, check_every)
-        self.shard_components = shard_components
         self.incremental = incremental
         self.tracer = tracer if tracer is not None else NULL_TRACER
 
@@ -262,12 +252,7 @@ class ReplayEngine:
             else:
                 checker = local
                 statuses_fn = lambda: local.dependency.snapshot().statuses  # noqa: E731
-            if self.shard_components:
-                reports = checker.check_sharded()
-            else:
-                report = checker.check()
-                reports = [] if report is None else [report]
-            self._collect(reports, seen, result, origins, statuses_fn, lags)
+            self._collect(checker.check(), seen, result, origins, statuses_fn, lags)
 
         for rec in records:
             result.records_processed += 1
@@ -403,7 +388,7 @@ class ReplayEngine:
 
     def _collect(
         self,
-        reports: List[DeadlockReport],
+        report: Optional[DeadlockReport],
         seen: Set[frozenset],
         result: ReplayResult,
         origins: OriginTracker,
@@ -416,25 +401,21 @@ class ReplayEngine:
                 "replay.check", "checker", ordinal=origins.last_ordinal,
                 cat="check",
             )
-        if not reports:
-            return
-        # The snapshot is only needed to enrich *fresh* reports — a
+        # The snapshot is only needed to enrich a *fresh* report — a
         # persisting deadlock surfaces the same cycle at every cadence
         # point, and rebuilding the full status view each time made
         # check_every=1 replays of deadlocked traces quadratic.
-        statuses = None
-        for report in reports:
-            key = report.cycle_key
-            if key in seen:
-                continue
-            seen.add(key)
-            if statuses is None:
-                statuses = statuses_fn()
-            enriched, lag_s = attach_provenance(report, origins, statuses)
-            lags.append((enriched.detection_lag, lag_s))
-            if self.tracer.enabled:
-                self._trace_report(enriched)
-            result.reports.append(enriched)
+        if report is None:
+            return
+        key = report.cycle_key
+        if key in seen:
+            return
+        seen.add(key)
+        enriched, lag_s = attach_provenance(report, origins, statuses_fn())
+        lags.append((enriched.detection_lag, lag_s))
+        if self.tracer.enabled:
+            self._trace_report(enriched)
+        result.reports.append(enriched)
 
 
 def replay(
@@ -443,7 +424,6 @@ def replay(
     model: GraphModel = GraphModel.AUTO,
     threshold_factor: float = DEFAULT_THRESHOLD_FACTOR,
     check_every: int = 1,
-    shard_components: bool = False,
     stream: bool = False,
     incremental: bool = False,
     tracer=NULL_TRACER,
@@ -469,7 +449,6 @@ def replay(
         model=model,
         threshold_factor=threshold_factor,
         check_every=check_every,
-        shard_components=shard_components,
         incremental=incremental,
         tracer=tracer,
     )

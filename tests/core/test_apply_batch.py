@@ -4,8 +4,8 @@
 that applying an ordered delta sequence in one call is *observationally
 equivalent* to applying it one
 ``set_blocked``/``clear``/``restore`` call at a time: the same final
-store state, the same verdicts and canonical reports afterwards (plain
-and sharded), and the same ``repro_incremental_delta_ops_total``
+store state, the same verdicts and canonical reports afterwards, and
+the same ``repro_incremental_delta_ops_total``
 accounting — only the amount of graph maintenance paid may differ.
 These tests drive randomised op sequences through one checker per
 strategy, slicing the stream into random batch sizes, and compare after
@@ -101,7 +101,6 @@ def delta_op_totals(checker):
 
 def assert_checkers_equivalent(batched, stepwise):
     assert batched.check() == stepwise.check()
-    assert batched.check_sharded() == stepwise.check_sharded()
     assert batched.wfg_edge_count == stepwise.wfg_edge_count
     assert batched.mutation_epoch == stepwise.mutation_epoch
     assert delta_op_totals(batched) == delta_op_totals(stepwise)
@@ -249,8 +248,8 @@ class TestPlainCheckerApplyBatch:
         assert set(checker.dependency.snapshot().statuses) == {"a"}
 
     def test_snapshot_source_orders_what_a_check_analyses(self):
-        """Without an explicit snapshot, ``check``/``check_sharded``
-        analyse ``snapshot_source()`` — report task order follows it."""
+        """Without an explicit snapshot, ``check`` analyses
+        ``snapshot_source()`` — report task order follows it."""
         from repro.core.checker import DeadlockChecker
         from repro.core.dependency import DependencySnapshot
         from repro.core.events import waiting_on
@@ -267,4 +266,4 @@ class TestPlainCheckerApplyBatch:
         )
         assert checker.check().tasks == ("b", "a")
         checker.snapshot_source = lambda: DependencySnapshot(statuses={})
-        assert checker.check() is None and checker.check_sharded() == []
+        assert checker.check() is None

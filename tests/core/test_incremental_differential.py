@@ -2,7 +2,7 @@
 
 The delta contract's acceptance property is *pointwise* equivalence:
 after every single state change, the incremental checker's answer —
-report or no report, plain or sharded — must equal the classic
+report or no report — must equal the classic
 checker's on the same state.  These tests drive both checkers through
 
 * every trace in the checked-in regression corpus (the real workloads:
@@ -36,7 +36,7 @@ def corpus_files():
     return discover_traces(CORPUS)
 
 
-def drive_both(records, model=GraphModel.AUTO, sharded=False):
+def drive_both(records, model=GraphModel.AUTO):
     """Feed the same delta stream to both checkers; compare after every
     state change.  Returns how many comparisons ran."""
     scratch = DeadlockChecker(model=model)
@@ -51,10 +51,7 @@ def drive_both(records, model=GraphModel.AUTO, sharded=False):
             incremental.clear(rec.task)
         else:
             continue
-        if sharded:
-            assert incremental.check_sharded() == scratch.check_sharded()
-        else:
-            assert incremental.check() == scratch.check()
+        assert incremental.check() == scratch.check()
         compared += 1
     return compared
 
@@ -80,18 +77,6 @@ class TestCorpusDifferential:
         assert drive_both(records) > 0
 
     @pytest.mark.parametrize("path", corpus_files(), ids=lambda p: p.name)
-    def test_sharded_reports_identical(self, path):
-        records = list(iter_load(path))
-        if any(r.kind in PUBLISH_KINDS for r in records):
-            a = replay(records, check_every=1, shard_components=True)
-            b = replay(
-                records, check_every=1, shard_components=True, incremental=True
-            )
-            assert a.reports == b.reports
-            return
-        drive_both(records, sharded=True)
-
-    @pytest.mark.parametrize("path", corpus_files(), ids=lambda p: p.name)
     @pytest.mark.parametrize("cadence", [7, 64])
     def test_batch_window_reports_identical(self, cadence, path):
         """Above cadence 1 the records between two checks reach the
@@ -108,13 +93,21 @@ class TestCorpusDifferential:
         assert a.records_processed == b.records_processed
 
     @pytest.mark.parametrize("path", corpus_files(), ids=lambda p: p.name)
-    def test_sharded_batch_window_reports_identical(self, path):
+    @pytest.mark.parametrize("cadence", [1, 7])
+    def test_maintained_wfg_extraction_reports_identical(self, cadence, path):
+        """Under the fixed WFG model a cyclic check is answered from the
+        maintained partition, never by the snapshot-and-rebuild
+        fallback.  On every corpus member, in one-op and seven-op
+        windows, that path still gives the from-scratch engine's
+        reports and checks."""
         records = list(iter_load(path))
-        a = replay(records, check_every=7, shard_components=True)
-        b = replay(
-            records, check_every=7, shard_components=True, incremental=True
-        )
+        a = replay(records, model=GraphModel.WFG, check_every=cadence)
+        b = replay(records, model=GraphModel.WFG, check_every=cadence,
+                   incremental=True)
         assert a.reports == b.reports
+        assert a.checks_run == b.checks_run
+        fallbacks = b.metrics.get("repro_incremental_fallback_checks_total")
+        assert fallbacks.value() == 0
 
     @pytest.mark.parametrize(
         "model", [GraphModel.WFG, GraphModel.SG], ids=str
@@ -163,7 +156,6 @@ class TestRandomizedDifferential:
                 incremental.clear(task)
                 blocked.discard(task)
             assert incremental.check() == scratch.check()
-            assert incremental.check_sharded() == scratch.check_sharded()
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_avoidance_sequences(self, seed):

@@ -9,7 +9,6 @@ from itertools import islice
 import pytest
 
 from repro.core.cycles import find_cycle, strongly_connected_components
-from repro.core.graphs import DiGraph
 from repro.core.scc import DynamicSCC
 
 
@@ -88,7 +87,6 @@ class TestBasics:
             scc.epoch_of("zz")
         assert not scc.has_edge("a", "zz")
         assert "zz" not in scc
-        assert scc.edges_within({"a", "b", "zz"}) == 1
 
     def test_cycle_restored_after_break(self):
         scc = edges_of([(1, 2), (2, 1)])
@@ -252,20 +250,6 @@ class TestExtractCycle:
         scc.remove_edge("b", "a")
         cycle = scc.extract_cycle()
         assert cycle[0] == "c"
-
-    def test_scoped_extraction_takes_whole_components_only(self):
-        pairs = [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"),
-                 ("d", "e"), ("e", "d"), ("x", "x")]
-        scc = edges_of(pairs)
-        component = {"a", "b", "c", "d", "e"}
-        shard = DiGraph()
-        for u, v in pairs:
-            if u in component:
-                shard.add_edge(u, v)
-        assert scc.extract_cycle_within(component) == find_cycle(shard)
-        assert scc.edges_within(component) == shard.edge_count
-        assert scc.extract_cycle_within({"x"}) == ["x", "x"]
-        assert scc.extract_cycle_within({"a", "b", "c", "d"}) is None
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_churn_matches_find_cycle(self, seed):

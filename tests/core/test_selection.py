@@ -95,60 +95,3 @@ class TestAdaptive:
     def test_empty_snapshot(self):
         out = build_graph(ResourceDependency().snapshot(), GraphModel.AUTO)
         assert out.edge_count == 0
-
-
-class TestShardAwareSelection:
-    """Per-shard model choice (ROADMAP: shard-aware adaptive selection)."""
-
-    def test_small_shards_skip_the_sg_attempt(self):
-        from repro.core.selection import SMALL_SHARD_TASKS, select_shard_model
-
-        assert (
-            select_shard_model(SMALL_SHARD_TASKS, GraphModel.AUTO)
-            is GraphModel.WFG
-        )
-        assert (
-            select_shard_model(SMALL_SHARD_TASKS + 1, GraphModel.AUTO)
-            is GraphModel.AUTO
-        )
-
-    def test_fixed_models_are_never_overridden(self):
-        from repro.core.selection import select_shard_model
-
-        assert select_shard_model(1, GraphModel.SG) is GraphModel.SG
-        assert select_shard_model(1, GraphModel.WFG) is GraphModel.WFG
-
-    def test_fragmented_snapshot_picks_wfg_small_sg_giant(self):
-        """The satellite's acceptance shape: a snapshot fragmenting into
-        several tiny knots plus one SPMD giant — sharded checking uses
-        the WFG on every small component and the SG on the giant one."""
-        from repro.core.checker import DeadlockChecker
-
-        dep = ResourceDependency()
-        # Three 2-task crossed knots on private phaser pairs.
-        for k in range(3):
-            p, q = f"p{k}", f"q{k}"
-            dep.set_blocked(
-                f"k{k}a",
-                BlockedStatus(
-                    waits=frozenset({Event(p, 1)}), registered={p: 1, q: 0}
-                ),
-            )
-            dep.set_blocked(
-                f"k{k}b",
-                BlockedStatus(
-                    waits=frozenset({Event(q, 1)}), registered={p: 0, q: 1}
-                ),
-            )
-        # One 50-task SPMD component on a shared barrier: deadlock-free
-        # phase skew (each task awaits its own phase), tiny SG.
-        for i in range(50):
-            phase = 2 if i % 2 else 1
-            dep.set_blocked(f"s{i}", waiting_on("bar", phase, bar=phase))
-        checker = DeadlockChecker(model=GraphModel.AUTO)
-        reports = checker.check_sharded(snapshot=dep.snapshot())
-        histogram = checker.stats.model_counts
-        assert histogram.get(GraphModel.WFG) == 3  # the three knots
-        assert histogram.get(GraphModel.SG) == 1  # the giant
-        assert len(reports) == 3
-        assert all(r.model_used is GraphModel.WFG for r in reports)

@@ -229,6 +229,46 @@ class TestOneSCCStructure:
         assert type(IncrementalChecker()._scc) is DynamicSCC
 
 
+class TestOneReportContract:
+    """Every consumer, replay included, gets one report per check: the
+    canonical cycle of the whole state.  The per-component contract,
+    its flag, its model rule and its golden cannot come back unnoticed."""
+
+    # Spelt in halves so that this file does not match itself.
+    NAMES = (
+        "check_" + "sharded", "snapshot_" + "components",
+        "select_" + "shard_model", "SMALL_" + "SHARD_TASKS",
+        "shard_" + "components", "shard-" + "components",
+        "extract_cycle_" + "within", "edges_" + "within",
+        "expected_replay_" + "sharded",
+    )
+
+    def test_no_file_names_the_sharded_path(self):
+        paths = [REPO / ".github" / "workflows" / "ci.yml"]
+        for root in ("src", "tests"):
+            paths.extend(sorted((REPO / root).rglob("*.py")))
+        for path in paths:
+            text = path.read_text()
+            for name in self.NAMES:
+                assert name not in text, (path.name, name)
+
+    def test_check_takes_no_model_override(self):
+        import inspect
+
+        from repro.core import DeadlockChecker, IncrementalChecker
+
+        for cls in (DeadlockChecker, IncrementalChecker):
+            assert "model" not in inspect.signature(cls.check).parameters
+
+    def test_the_cli_has_no_sharding_flag(self, capsys):
+        from repro.trace.cli import main
+
+        with pytest.raises(SystemExit) as usage:
+            main(["replay", "x.jsonl", "--" + "shard-" + "components"])
+        assert usage.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestValueTypes:
     """The values a cyclic report is made of — every SG vertex, every
     edge's provenance — hash, compare and sort as tuples, in C.  A

@@ -115,7 +115,7 @@ class TestCountsMustBePositive:
     """0 or a negative count is a usage error (argparse: exit 2), never
     a silent fallback — ``--check-every 0`` ran at 1, ``--parallel 0``
     ran serial, ``--max-candidates 0`` reported "clean" after looking
-    at nothing."""
+    at nothing, ``--report -1`` explained nothing and exited 0."""
 
     @pytest.mark.parametrize("argv", [
         ["replay", "x.jsonl", "--check-every"],
@@ -125,6 +125,7 @@ class TestCountsMustBePositive:
         ["predict", "x.jsonl", "--parallel"],
         ["gen", "--smoke", "--parallel"],
         ["predict", "x.jsonl", "--max-candidates"],
+        ["explain", "x.jsonl", "--report"],
     ], ids=lambda argv: f"{argv[0]}{argv[-1]}")
     @pytest.mark.parametrize("value", ["0", "-2", "-3", "two"])
     def test_rejected_at_the_parser(self, argv, value, capsys):

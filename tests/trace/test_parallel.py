@@ -1,4 +1,4 @@
-"""Parallel corpus replay and sharded checking: determinism above all."""
+"""Parallel corpus replay: determinism above all."""
 
 from __future__ import annotations
 
@@ -8,10 +8,6 @@ import shutil
 
 import pytest
 
-from repro.core.checker import DeadlockChecker, snapshot_components
-from repro.core.dependency import DependencySnapshot
-from repro.core.events import BlockedStatus, Event
-from repro.core.selection import GraphModel
 from repro.trace.cli import main
 from repro.trace.corpus import (
     FAMILIES,
@@ -243,107 +239,3 @@ class TestParallelVerify:
         parallel = verify_corpus(specs, processes=2)
         assert serial == parallel
         assert all(ok for _, ok in parallel)
-
-
-def status(waits, registered):
-    return BlockedStatus(
-        waits=frozenset(Event(p, n) for p, n in waits), registered=registered
-    )
-
-
-class TestShardedChecker:
-    def make_snapshot(self):
-        """Two disjoint crossed knots plus one innocuously blocked task."""
-        return DependencySnapshot(
-            statuses={
-                "a1": status([("p", 1)], {"p": 1, "q": 0}),
-                "a2": status([("q", 1)], {"p": 0, "q": 1}),
-                "b1": status([("r", 1)], {"r": 1, "s": 0}),
-                "b2": status([("s", 1)], {"r": 0, "s": 1}),
-                "idle": status([("z", 1)], {"z": 1}),
-            }
-        )
-
-    def test_components_partition_by_shared_phasers(self):
-        shards = snapshot_components(self.make_snapshot())
-        assert [sorted(s.statuses) for s in shards] == [
-            ["a1", "a2"],
-            ["b1", "b2"],
-            ["idle"],
-        ]
-
-    def test_components_cover_snapshot_exactly(self):
-        snapshot = self.make_snapshot()
-        shards = snapshot_components(snapshot)
-        union = {}
-        for shard in shards:
-            assert not (union.keys() & shard.statuses.keys())
-            union.update(shard.statuses)
-        assert union == dict(snapshot.statuses)
-
-    def test_sharded_check_finds_every_component_deadlock(self):
-        checker = DeadlockChecker()
-        reports = checker.check_sharded(snapshot=self.make_snapshot())
-        cycles = [r.cycle for r in reports]
-        assert len(reports) == 2
-        assert all(set(str(v) for v in c) for c in cycles)
-        involved = sorted(t for r in reports for t in r.tasks)
-        assert involved == ["a1", "a2", "b1", "b2"]
-
-    def test_unsharded_check_agrees_on_single_component(self):
-        snapshot = DependencySnapshot(
-            statuses={
-                "a1": status([("p", 1)], {"p": 1, "q": 0}),
-                "a2": status([("q", 1)], {"p": 0, "q": 1}),
-            }
-        )
-        # A two-task component is below the small-shard floor, so the
-        # sharded check builds the WFG directly; compare against a
-        # whole-snapshot check pinned to the same model.
-        whole = DeadlockChecker(model=GraphModel.WFG).check(snapshot=snapshot)
-        sharded = DeadlockChecker().check_sharded(snapshot=snapshot)
-        assert sharded == [whole]
-
-    def test_empty_snapshot_yields_no_reports(self):
-        checker = DeadlockChecker()
-        assert checker.check_sharded(snapshot=DependencySnapshot(statuses={})) == []
-
-    def test_sharded_replay_equals_plain_on_corpus(self, corpus_dir):
-        """On single-deadlock corpora sharding must not change *what*
-        deadlocked — verdicts and involved tasks match — though small
-        shards report WFG cycles where the whole-snapshot check chose
-        the SG (per-shard model selection)."""
-        plain = replay_corpus(corpus_dir, processes=1)
-        sharded = replay_corpus(corpus_dir, processes=1, shard_components=True)
-        for p_entry, s_entry in zip(plain.entries, sharded.entries):
-            assert p_entry.result.deadlocked == s_entry.result.deadlocked
-            assert len(p_entry.result.reports) == len(s_entry.result.reports)
-            for p_rep, s_rep in zip(p_entry.result.reports, s_entry.result.reports):
-                # A WFG report lists the cycle's tasks; the SG report
-                # additionally sweeps in tasks waiting on the cycle's
-                # events (fan-out siblings) — same deadlock either way.
-                assert set(s_rep.tasks) <= set(p_rep.tasks) or set(
-                    p_rep.tasks
-                ) <= set(s_rep.tasks)
-
-    def test_sharded_replay_reports_concurrent_deadlocks(self):
-        """Two knots tied in one trace: plain detection reports the
-        first cycle it meets; sharded detection reports both."""
-        from repro.trace import events as ev
-
-        records = []
-        seq = 0
-        for tasks, (x, y) in (( ("a1", "a2"), ("p", "q")),
-                              (("b1", "b2"), ("r", "s"))):
-            t1, t2 = tasks
-            records.append(ev.block(seq, t1, status([(x, 1)], {x: 1, y: 0})))
-            seq += 1
-            records.append(ev.block(seq, t2, status([(y, 1)], {x: 0, y: 1})))
-            seq += 1
-        plain = replay(records, mode="detection")
-        sharded = replay(records, mode="detection", shard_components=True)
-        assert len(plain.reports) == 1
-        assert len(sharded.reports) == 2
-        assert {t for r in sharded.reports for t in r.tasks} == {
-            "a1", "a2", "b1", "b2",
-        }

@@ -8,13 +8,10 @@ against the golden bytes: any refactor that changes a report (cycle
 rotation, task ordering, check cadence, codec framing) fails loudly
 here instead of drifting silently.
 
-Regenerating the golden files after an *intentional* change::
+Regenerating the golden file after an *intentional* change::
 
     PYTHONPATH=src python -m repro.trace replay tests/trace/corpus \
         > tests/trace/corpus/expected_replay.txt 2>/dev/null
-    PYTHONPATH=src python -m repro.trace replay tests/trace/corpus \
-        --shard-components \
-        > tests/trace/corpus/expected_replay_sharded.txt 2>/dev/null
 """
 
 from __future__ import annotations
@@ -39,10 +36,6 @@ from repro.trace.replay import replay
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
 GOLDEN = CORPUS / "expected_replay.txt"
-#: Sharded replay has its own golden: per-shard model selection checks
-#: small components in the WFG, so its reports legitimately differ from
-#: the serial (whole-snapshot, usually SG) ones.
-GOLDEN_SHARDED = CORPUS / "expected_replay_sharded.txt"
 
 #: The generated members of the corpus (the recorded-* files are
 #: one-off captures and are pinned by bytes alone).
@@ -178,14 +171,3 @@ class TestGoldenReplayOutput:
         assert self.run_cli(
             capsys, "--check-every", "7", "--incremental"
         ) == scratch
-
-    def test_sharded_output_matches_sharded_golden(self, capsys):
-        """Sharded replay is pinned by its own golden (per-shard model
-        selection reports small components as WFG cycles)."""
-        assert self.run_cli(capsys, "--shard-components") == GOLDEN_SHARDED.read_text()
-
-    def test_sharded_incremental_matches_sharded_golden(self, capsys):
-        assert (
-            self.run_cli(capsys, "--shard-components", "--incremental")
-            == GOLDEN_SHARDED.read_text()
-        )
