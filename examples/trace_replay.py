@@ -93,9 +93,10 @@ def main() -> None:
         print("\n--- same run, re-analysed as a wait-for graph ---")
         print(wfg.reports[0].describe())
 
-        # 5. The same file again, streamed: one frame in memory at a
-        # time — how a million-event recording replays in flat RAM.
-        streamed = replay(binary, stream=True)
+        # 5. The same file replayed by path is streamed: one frame in
+        # memory at a time — how a million-event recording replays in
+        # flat RAM.
+        streamed = replay(binary)
         print("\nstreamed replay == eager replay:",
               streamed.reports == outcome.reports)
 

@@ -38,11 +38,9 @@ class DetectionMonitor:
         Period between checks (100 ms in the paper's local runs).
     on_deadlock:
         Callback invoked (from the monitor thread) per confirmed report.
-        The runtime installs a callback that cancels the deadlocked tasks.
-    once:
-        When True, stop monitoring after the first confirmed deadlock —
-        a deadlock does not dissolve by itself, so repeated reports of the
-        same cycle are noise unless the callback resolves it.
+        The runtime installs a callback that cancels the deadlocked tasks;
+        a deadlock the callback leaves in place is reported again at
+        every interval.
     metrics:
         Optional :class:`~repro.obs.registry.MetricsRegistry`; when
         enabled, the monitor counts its polls and confirmed reports
@@ -54,13 +52,11 @@ class DetectionMonitor:
         checker: DeadlockChecker,
         interval_s: float = DEFAULT_INTERVAL_S,
         on_deadlock: Optional[ReportCallback] = None,
-        once: bool = False,
         metrics=None,
     ) -> None:
         self.checker = checker
         self.interval_s = interval_s
         self.on_deadlock = on_deadlock
-        self.once = once
         self.reports: List[DeadlockReport] = []
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
@@ -123,6 +119,4 @@ class DetectionMonitor:
 
     def _run(self) -> None:
         while not self._stop.wait(self.interval_s):
-            report = self.poll_once()
-            if report is not None and self.once:
-                return
+            self.poll_once()

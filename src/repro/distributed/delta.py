@@ -45,8 +45,8 @@ delta recorded into a trace replays bit-identically.
 
 * :class:`DeltaPublisher` — the producer half: diff the site's current
   encoded bucket against the last *committed* publication, emit the
-  delta (or ``None`` when nothing changed), checkpoint every
-  ``checkpoint_every`` deltas.  ``prepare``/``commit`` are split so a
+  delta (or ``None`` when nothing changed), checkpoint at least every
+  :data:`CHECKPOINT_EVERY` deltas.  ``prepare``/``commit`` are split so a
   store outage between them retries the same logical change next round
   without burning sequence numbers.
 * :class:`DeltaMergeState` — the consumer half: maintain the merged
@@ -92,13 +92,13 @@ DELTA_KINDS = ("delta", "snapshot")
 #: Publisher checkpoint cadence ceiling: a full snapshot at least every
 #: N deltas bounds both store log length and the cost of a cold
 #: consumer catching up.
-DEFAULT_CHECKPOINT_EVERY = 64
+CHECKPOINT_EVERY = 64
 
 #: Adaptive cadence target: checkpoint once the bytes shipped as deltas
 #: since the last snapshot reach this multiple of the snapshot's own
 #: wire size — so catch-up replay cost stays proportional to one
 #: snapshot regardless of how small individual deltas are.
-DEFAULT_CHECKPOINT_RATIO = 4.0
+CHECKPOINT_RATIO = 4.0
 
 
 class DeltaSequenceError(RuntimeError):
@@ -294,11 +294,12 @@ class DeltaPublisher:
     and further snapshots keep store logs bounded so cold readers catch
     up in one read.  Cadence is **adaptive** by default: a checkpoint
     is due once the bytes committed as deltas since the last snapshot
-    reach ``checkpoint_ratio`` times the current snapshot's own wire
+    reach :data:`CHECKPOINT_RATIO` times the current snapshot's own wire
     size — small, chatty deltas earn a long cadence, deltas nearly as
-    big as the bucket checkpoint almost immediately.  ``checkpoint_every``
-    stays as the count ceiling either way, and ``adaptive=False``
-    restores the fixed every-N cadence alone.
+    big as the bucket checkpoint almost immediately.
+    :data:`CHECKPOINT_EVERY` stays as the count ceiling either way, and
+    ``adaptive=False`` (the corpus generator's fixed cadence) keeps that
+    ceiling alone.
 
     ``stream`` is the incarnation token stamped on every delta: by
     default a fresh random one (a restarted site must not alias its
@@ -311,17 +312,13 @@ class DeltaPublisher:
     def __init__(
         self,
         site_id: str,
-        checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
         stream: Optional[str] = None,
         adaptive: bool = True,
-        checkpoint_ratio: float = DEFAULT_CHECKPOINT_RATIO,
         carry_trace: bool = False,
     ) -> None:
         self.site_id = str(site_id)
-        self.checkpoint_every = max(1, int(checkpoint_every))
         self.stream = str(stream) if stream is not None else fresh_stream_token()
         self.adaptive = bool(adaptive)
-        self.checkpoint_ratio = max(0.0, float(checkpoint_ratio))
         self.carry_trace = bool(carry_trace)
         self.seq = 0
         self._last: Dict[str, dict] = {}
@@ -336,13 +333,13 @@ class DeltaPublisher:
         return delta_trace_context(self.site_id, self.stream, seq)
 
     def _checkpoint_due(self, delta_obj: Mapping, bucket: Mapping) -> bool:
-        if self._since_checkpoint + 1 >= self.checkpoint_every:
+        if self._since_checkpoint + 1 >= CHECKPOINT_EVERY:
             return True
         if not self.adaptive:
             return False
         snapshot_size = max(1, wire_size({t: dict(b) for t, b in bucket.items()}))
         pending = self._delta_bytes + wire_size(delta_obj)
-        return pending >= self.checkpoint_ratio * snapshot_size
+        return pending >= CHECKPOINT_RATIO * snapshot_size
 
     def prepare(self, bucket: Mapping[str, Mapping]) -> Optional[dict]:
         """The next delta for ``bucket``, or ``None`` if nothing to say."""

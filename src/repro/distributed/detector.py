@@ -31,7 +31,7 @@ from typing import Optional
 
 from repro.core.incremental import IncrementalChecker
 from repro.core.report import DeadlockReport
-from repro.core.selection import DEFAULT_THRESHOLD_FACTOR, GraphModel
+from repro.core.selection import GraphModel
 from repro.distributed.delta import DeltaMergeState, DeltaSequenceError
 from repro.obs.registry import NULL_REGISTRY
 from repro.obs.tracing import NULL_TRACER
@@ -52,15 +52,12 @@ class DistributedChecker:
         self,
         store,
         model: GraphModel = GraphModel.AUTO,
-        threshold_factor: float = DEFAULT_THRESHOLD_FACTOR,
         metrics=None,
         tracer=None,
     ) -> None:
         self.store = store
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.checker = IncrementalChecker(
-            model=model, threshold_factor=threshold_factor, metrics=metrics
-        )
+        self.checker = IncrementalChecker(model=model, metrics=metrics)
         self.view = DeltaMergeState(self.checker)
         # The rare cyclic-path fallback must see the site-ordered
         # merge — same site order, same task order as ``merge_buckets``

@@ -232,9 +232,5 @@ class RemoteStore:
         """This tenant's health document."""
         return self._request("health")
 
-    def health_all(self) -> dict:
-        """The aggregate all-tenants health document."""
-        return self._request("health", tenant=None)
-
     def ping(self) -> dict:
         return self._request("ping")

@@ -13,7 +13,8 @@ Publishing runs the **delta protocol**
 runtime's dependency against the last committed publication and appends
 only the change — a ``set``/``restore``/``clear`` delta, or nothing at
 all when the blocked set is unchanged — with a full snapshot checkpoint
-on the first publish, every ``checkpoint_every`` deltas, and whenever
+on the first publish, on the publisher's cadence (at least every
+:data:`~repro.distributed.delta.CHECKPOINT_EVERY` deltas), and whenever
 the store reports a sequence gap (its history diverged from the
 publisher's, e.g. after failover onto a stale replica).  Both loops run
 their body once *immediately* on start, then on their interval — a
@@ -39,12 +40,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.core.report import DeadlockReport
 from repro.core.selection import GraphModel
-from repro.distributed.delta import (
-    DEFAULT_CHECKPOINT_EVERY,
-    DeltaPublisher,
-    DeltaSequenceError,
-    encode_bucket,
-)
+from repro.distributed.delta import DeltaPublisher, DeltaSequenceError, encode_bucket
 from repro.distributed.detector import DistributedChecker
 from repro.distributed.store import StoreUnavailableError
 from repro.obs.registry import NULL_REGISTRY
@@ -72,10 +68,6 @@ class Site:
         Graph model for the site's global checks.
     check_interval_s / publish_interval_s:
         Cadences of the two loops.
-    checkpoint_every:
-        Publisher checkpoint cadence: a full snapshot delta every this
-        many ordinary deltas (bounds store log length and cold-reader
-        catch-up cost).
     cancel_on_detect:
         Cancel local tasks involved in a detected cycle.
     recorder:
@@ -105,7 +97,6 @@ class Site:
         model: GraphModel = GraphModel.AUTO,
         check_interval_s: float = DEFAULT_CHECK_INTERVAL_S,
         publish_interval_s: float = DEFAULT_PUBLISH_INTERVAL_S,
-        checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
         cancel_on_detect: bool = True,
         on_deadlock: Optional[Callable[[DeadlockReport], None]] = None,
         recorder=None,
@@ -134,10 +125,7 @@ class Site:
         self.checker = DistributedChecker(
             store, model=model, metrics=metrics, tracer=tracer
         )
-        self.publisher = DeltaPublisher(
-            site_id, checkpoint_every=checkpoint_every,
-            carry_trace=tracer.enabled,
-        )
+        self.publisher = DeltaPublisher(site_id, carry_trace=tracer.enabled)
         self.check_interval_s = check_interval_s
         self.publish_interval_s = publish_interval_s
         self.cancel_on_detect = cancel_on_detect

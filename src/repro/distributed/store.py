@@ -55,7 +55,7 @@ from repro.obs.tracing import NULL_TRACER
 #: Store-side log retention: entries kept per site beyond the last
 #: snapshot.  Publishers checkpoint more often than this, so the cap is
 #: a backstop for foreign publishers that never do.
-DEFAULT_MAX_LOG = 256
+MAX_LOG = 256
 
 
 class StoreUnavailableError(RuntimeError):
@@ -79,14 +79,12 @@ class InMemoryStore:
         self,
         name: str = "store",
         recorder=None,
-        max_log: int = DEFAULT_MAX_LOG,
         metrics=None,
         tracer=None,
     ) -> None:
         self.name = name
         self.recorder = recorder
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.max_log = max(1, int(max_log))
         self._lock = threading.Lock()
         # Per site: retained log, seq of the entry before the first
         # retained one, (stream, tail-seq) cursor, materialised state.
@@ -158,8 +156,8 @@ class InMemoryStore:
             else:
                 log = self._logs[site_id]
                 log.append(dict(obj))
-                if len(log) > self.max_log:
-                    drop = len(log) - self.max_log
+                if len(log) > MAX_LOG:
+                    drop = len(log) - MAX_LOG
                     del log[:drop]
                     self._base[site_id] += drop
                 self._m_append_delta.inc()

@@ -60,8 +60,8 @@ __all__ = [
 #: Column width of the text waterfall's bar area.
 WATERFALL_WIDTH = 24
 
-#: Default span ring-buffer capacity (old spans are evicted FIFO).
-DEFAULT_SPAN_BUFFER = 4096
+#: Span ring-buffer capacity (old spans are evicted FIFO).
+SPAN_BUFFER = 4096
 
 
 def span_id(*parts: object) -> str:
@@ -100,7 +100,8 @@ class TraceSpan:
 
 
 class Tracer:
-    """A thread-safe ring buffer of :class:`TraceSpan`.
+    """A thread-safe ring buffer of the last :data:`SPAN_BUFFER` spans
+    (:class:`TraceSpan`).
 
     Call sites guard on :attr:`enabled` exactly like the metrics
     registry's pattern, and :data:`NULL_TRACER` is the disabled twin.
@@ -111,8 +112,8 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, maxlen: int = DEFAULT_SPAN_BUFFER) -> None:
-        self._spans: deque = deque(maxlen=maxlen)
+    def __init__(self) -> None:
+        self._spans: deque = deque(maxlen=SPAN_BUFFER)
         self._open: Dict[object, Tuple[str, str, int, Tuple]] = {}
         self._lock = threading.Lock()
         self._counter = itertools.count(1)
@@ -197,9 +198,6 @@ class NullTracer(Tracer):
     """The disabled tracer: every recording call is a no-op."""
 
     enabled = False
-
-    def __init__(self) -> None:  # no buffer, no lock contention
-        super().__init__(maxlen=1)
 
     def event(self, name, track, ordinal=None, cat="event", **args) -> None:
         return None

@@ -40,8 +40,6 @@ from repro.obs.registry import (
 from repro.obs.tracing import NULL_TRACER
 from repro.predict.candidates import (
     MAX_CANDIDATES,
-    MAX_CYCLE_LEN,
-    MAX_STEPS,
     BlockInterval,
     Candidate,
     enumerate_candidates,
@@ -118,22 +116,20 @@ def _rehome_provenance(
 class Predictor:
     """The four-stage pipeline over one trace (see package docstring).
 
-    Parameters mirror the enumeration caps; ``metrics``/``tracer``
-    follow the stack-wide conventions (fold into a caller registry,
-    guard span emission on ``tracer.enabled``).
+    ``max_candidates`` caps the enumerated candidates (the CLI's
+    ``--max-candidates``); the cycle-length and DFS-step caps are the
+    module constants of :mod:`repro.predict.candidates`.
+    ``metrics``/``tracer`` follow the stack-wide conventions (fold into
+    a caller registry, guard span emission on ``tracer.enabled``).
     """
 
     def __init__(
         self,
-        max_cycle_len: int = MAX_CYCLE_LEN,
         max_candidates: int = MAX_CANDIDATES,
-        max_steps: int = MAX_STEPS,
         metrics: Optional[MetricsRegistry] = None,
         tracer=NULL_TRACER,
     ) -> None:
-        self.max_cycle_len = max_cycle_len
         self.max_candidates = max_candidates
-        self.max_steps = max_steps
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer
 
@@ -210,10 +206,7 @@ class Predictor:
         # Stages 1+2: HB model, intervals, candidate cycles.
         model, intervals = extract_intervals(source)
         candidates, truncated = enumerate_candidates(
-            intervals,
-            max_cycle_len=self.max_cycle_len,
-            max_candidates=self.max_candidates,
-            max_steps=self.max_steps,
+            intervals, max_candidates=self.max_candidates
         )
         result.truncated = truncated
         if truncated:
@@ -266,20 +259,12 @@ class Predictor:
 
 def predict_trace(
     source: Union[Trace, str],
-    max_cycle_len: int = MAX_CYCLE_LEN,
-    max_candidates: int = MAX_CANDIDATES,
-    max_steps: int = MAX_STEPS,
     metrics: Optional[MetricsRegistry] = None,
     tracer=NULL_TRACER,
 ) -> PredictResult:
-    """Convenience front door mirroring :func:`repro.trace.replay.replay`."""
-    return Predictor(
-        max_cycle_len=max_cycle_len,
-        max_candidates=max_candidates,
-        max_steps=max_steps,
-        metrics=metrics,
-        tracer=tracer,
-    ).predict(source)
+    """Convenience front door mirroring :func:`repro.trace.replay.replay`,
+    under the default caps."""
+    return Predictor(metrics=metrics, tracer=tracer).predict(source)
 
 
 def render_prediction(prediction: Prediction, number: int) -> str:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Tuple, Union
 
-from repro.predict.candidates import MAX_CANDIDATES, MAX_CYCLE_LEN, MAX_STEPS
+from repro.predict.candidates import MAX_CANDIDATES
 from repro.predict.engine import PREDICTED, PredictResult, Predictor
 from repro.trace.codec import PathLike, load_trace
 from repro.trace.parallel import CorpusEntry, CorpusResult, run_corpus
@@ -50,25 +50,17 @@ class CorpusPredictResult(CorpusResult):
         return sum(e.result.refuted for e in self.entries)
 
 
-def _predict_one(
-    args: Tuple[str, int, int, int]
-) -> Tuple[dict, PredictResult]:
+def _predict_one(args: Tuple[str, int]) -> Tuple[dict, PredictResult]:
     """Worker body: predict over one file; module-level picklable."""
-    path, max_cycle_len, max_candidates, max_steps = args
+    path, max_candidates = args
     trace = load_trace(path)
-    predictor = Predictor(
-        max_cycle_len=max_cycle_len,
-        max_candidates=max_candidates,
-        max_steps=max_steps,
-    )
+    predictor = Predictor(max_candidates=max_candidates)
     return dict(trace.header.meta), predictor.predict(trace)
 
 
 def predict_corpus(
     sources: Union[PathLike, Sequence[PathLike]],
-    max_cycle_len: int = MAX_CYCLE_LEN,
     max_candidates: int = MAX_CANDIDATES,
-    max_steps: int = MAX_STEPS,
     processes: int = 1,
 ) -> CorpusPredictResult:
     """Predict over every trace under ``sources``.
@@ -79,7 +71,7 @@ def predict_corpus(
     return run_corpus(
         sources,
         _predict_one,
-        lambda path: (path, max_cycle_len, max_candidates, max_steps),
+        lambda path: (path, max_candidates),
         CorpusPredictResult(processes=max(1, processes)),
     )
 

@@ -2,14 +2,15 @@
 
 Six subcommands cover the record → persist → analyse → explain loop:
 
-* ``record`` — run a built-in scenario under a recording runtime and
-  save the trace (``--scenario crossed|averaging|barrier``;
-  ``--stream`` spills records to disk as they happen instead of
-  buffering the run);
+* ``record`` — run a built-in scenario under a recording runtime,
+  spilling each record to ``--out`` as it happens
+  (``--scenario crossed|averaging|barrier``).  A deadlocking scenario
+  that ends without a report, with a failed worker or with a worker
+  that never finishes exits 1;
 * ``replay`` — replay one trace file, several, or whole corpus
-  directories through the checker.  ``--parallel N`` fans a corpus out
-  over N worker processes; ``--stream`` reads each file in O(frame)
-  memory; ``--incremental`` selects the delta-maintained engine
+  directories through the checker, each file streamed in O(frame)
+  memory.  ``--parallel N`` fans a corpus out over N worker processes;
+  ``--incremental`` selects the delta-maintained engine
   (same reports, O(N) instead of O(N²) at ``check_every=1``).  Corpus
   output on stdout is byte-identical for any ``--parallel`` value and
   either engine (timing goes to stderr, buffered and emitted once after
@@ -45,7 +46,7 @@ Examples::
 
     python -m repro.trace record --scenario crossed --out crossed.trace
     python -m repro.trace replay crossed.trace --mode detection
-    python -m repro.trace replay corpus/ --parallel 4 --stream
+    python -m repro.trace replay corpus/ --parallel 4
     python -m repro.trace gen --out corpus/ --cycle-lens 2,3,4
     python -m repro.trace gen --smoke --parallel 2
     python -m repro.trace stats corpus/cycle-L3-F2-S1-R2-dl.jsonl
@@ -67,7 +68,7 @@ from repro.obs.tracing import render_report_provenance
 from repro.trace.codec import load_trace, save_trace
 from repro.trace.corpus import FAMILIES, Family, verify_corpus, write_corpus
 from repro.trace.parallel import discover_traces, replay_corpus
-from repro.trace.recorder import TraceRecorder
+from repro.trace.stream import StreamingRecorder
 
 
 def _ints(text: str) -> List[int]:
@@ -121,22 +122,25 @@ def _record_crossed(runtime) -> None:
         gate.wait(10)
         # Serialise the two blocks: t2 enters its wait only after t1 is
         # published, so the recorded order is deterministic.
-        _await_blocked(runtime, 1)
+        _await_blocked(runtime, 1, (t1,))
         ph2.arrive_and_await_advance()
 
     t1 = runtime.spawn(first, register=[ph1, ph2], name="t1")
     t2 = runtime.spawn(second, register=[ph1, ph2], name="t2")
     gate.set()
-    _await_blocked(runtime, 2)
+    _await_blocked(runtime, 2, (t1, t2))
     if not runtime.reports:
         runtime.monitor.poll_once()
     for task in (t1, t2):
-        try:
-            task.join(10)
-        except DeadlockError:
-            pass
-        except Exception:
-            pass
+        # Without a report nothing wakes a blocked worker, so only the
+        # ones that ended are joined.  A deadlock is the outcome this
+        # scenario exists for; a failed worker or a join timeout
+        # propagates to ``cmd_record``.
+        if runtime.reports or task.done():
+            try:
+                task.join(10)
+            except DeadlockError:
+                pass
 
 
 def _record_averaging(runtime) -> None:
@@ -183,14 +187,15 @@ def _record_barrier(runtime, n_tasks: int = 4, rounds: int = 3) -> None:
         task.join(30)
 
 
-def _await_blocked(runtime, count: int, timeout_s: float = 10.0) -> None:
+def _await_blocked(runtime, count: int, tasks, timeout_s: float = 10.0) -> None:
     """Poll until ``count`` tasks are blocked — or a report already
-    resolved the deadlock (detection can win the race)."""
+    resolved the deadlock (detection can win the race), or one of
+    ``tasks`` ended (its join tells how)."""
     import time
 
     deadline = time.monotonic() + timeout_s
     while runtime.checker.dependency.blocked_count() < count:
-        if runtime.reports:
+        if runtime.reports or any(task.done() for task in tasks):
             return
         if time.monotonic() > deadline:
             raise TimeoutError(f"never saw {count} blocked task(s)")
@@ -221,20 +226,18 @@ def _emit_metrics(registry, args: argparse.Namespace, volatile: bool) -> None:
 
 
 def cmd_record(args: argparse.Namespace) -> int:
-    """Run ``--scenario`` under a recording runtime; save ``--out``."""
+    """Run ``--scenario`` under a recording runtime, spilling to ``--out``."""
+    from repro.runtime.tasks import TaskFailedError
     from repro.runtime.verifier import ArmusRuntime, VerificationMode
 
-    if args.scenario != "barrier" and args.mode == "off":
+    deadlocking = args.scenario != "barrier"
+    if deadlocking and args.mode == "off":
         print("record: deadlocking scenarios need --mode detection|avoidance",
               file=sys.stderr)
         return 2
-    meta = {"scenario": args.scenario, "mode": args.mode}
-    if args.stream:
-        from repro.trace.stream import StreamingRecorder
-
-        recorder = StreamingRecorder(args.out, meta=meta)
-    else:
-        recorder = TraceRecorder(meta=meta)
+    recorder = StreamingRecorder(
+        args.out, meta={"scenario": args.scenario, "mode": args.mode}
+    )
     metrics = None
     if args.metrics_json or args.metrics_stdout:
         from repro.obs.registry import MetricsRegistry
@@ -247,13 +250,22 @@ def cmd_record(args: argparse.Namespace) -> int:
         recorder=recorder,
         metrics=metrics,
     ).start()
+    failure = None
     try:
         SCENARIOS[args.scenario](runtime)
+    except (TaskFailedError, TimeoutError) as exc:
+        failure = str(exc)
     finally:
         runtime.stop()
-    path = recorder.save(args.out)
+        recorder.close()
+    if failure is None and deadlocking and not runtime.reports:
+        failure = "the deadlock was never reported"
+    if failure is not None:
+        print(f"record: scenario '{args.scenario}' failed: {failure}",
+              file=sys.stderr)
+        return 1
     print(f"recorded {len(recorder)} event(s) from '{args.scenario}' "
-          f"({args.mode}) -> {path}")
+          f"({args.mode}) -> {recorder.path}")
     for report in runtime.reports:
         print(report.describe())
     if metrics is not None:
@@ -271,7 +283,6 @@ def _run_replay(paths, args: argparse.Namespace):
         mode=args.mode,
         model=GraphModel(args.model),
         check_every=args.check_every,
-        stream=args.stream,
         incremental=args.incremental,
         processes=args.parallel,
     )
@@ -310,8 +321,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
 def _print_replay_single(entry, args: argparse.Namespace) -> None:
     """One file — the PR-1 output format (timing on stdout)."""
     result = entry.result
-    size = "streamed" if args.stream else f"{result.records_processed} records"
-    print(f"trace: {entry.path} ({size}, meta={entry.meta})")
+    print(f"trace: {entry.path} ({result.records_processed} records, "
+          f"meta={entry.meta})")
     print(
         f"replayed {result.records_processed} record(s), "
         f"{result.checks_run} check(s) in {result.duration_s * 1e3:.1f} ms "
@@ -637,10 +648,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_record.add_argument("--scenario", choices=sorted(SCENARIOS), default="crossed")
     p_record.add_argument("--mode", choices=("off", "detection", "avoidance"),
                           default="detection")
-    p_record.add_argument("--out", required=True, help="output trace path")
-    p_record.add_argument("--stream", action="store_true",
-                          help="spill records to disk as they arrive "
-                               "instead of buffering the run")
+    p_record.add_argument("--out", required=True,
+                          help="output trace path, written as records arrive")
     p_record.add_argument("--metrics-json", metavar="PATH", default=None,
                           help="write the run's metrics snapshot (canonical "
                                "JSON) to PATH")
@@ -660,9 +669,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--parallel", type=_positive_int, default=1, metavar="N",
                        help="fan a corpus out over N worker processes "
                             "(stdout stays byte-identical to serial)")
-        p.add_argument("--stream", action="store_true",
-                       help="read each trace incrementally in O(frame) "
-                            "memory instead of loading it whole")
         p.add_argument("--incremental", action="store_true",
                        help="feed record-level deltas into a maintained "
                             "analysis graph instead of rebuilding per "

@@ -35,13 +35,14 @@ A binary frame is decoded at most once, straight into the values replay
 reads: a ``block`` frame's status section (the rest of the frame after
 the task id) becomes the events and the
 :class:`~repro.core.events.BlockedStatus` with no wire dict in between.
-Only the ``register``/``advance`` context frames replay skips stay
-undecoded, as :class:`LazyRecord` views.  Each read keeps the sections
-it has decoded in a table keyed by their bytes (at most
-``_STATUS_TABLE`` = 256 entries of at most 1 KiB each, cleared when
-full, dropped when the read ends): a barrier phase blocks every task
-with one status, so a section the trace repeats is decoded only the
-first time and its immutable status shared.  A malformed section is
+The ``register``/``advance`` context frames replay skips are read and
+checked in full too, but into a slotted :class:`ContextRecord` rather
+than a frozen :class:`~repro.trace.events.TraceRecord`.  Each read
+keeps the block sections it has decoded in a table keyed by their
+bytes (at most ``_STATUS_TABLE`` = 256 entries of at most 1 KiB each,
+cleared when full, dropped when the read ends): a barrier phase blocks
+every task with one status, so a section the trace repeats is decoded
+only the first time and its immutable status shared.  A malformed section is
 refused before it is stored.  Publish and publish-delta blobs stay wire
 dicts, which is what those records carry.
 """
@@ -113,7 +114,7 @@ _KIND_TAGS = {
 _DELTA_KIND_TAGS = {"delta": 0, "snapshot": 1}
 _TAG_DELTA_KINDS = {tag: kind for kind, tag in _DELTA_KIND_TAGS.items()}
 _TAG_KINDS = {tag: kind for kind, tag in _KIND_TAGS.items()}
-#: The context kinds replay never opens, so the reader leaves undecoded.
+#: The context kinds replay skips, read into :class:`ContextRecord`.
 _CONTEXT_TAG_KINDS = {
     _KIND_TAGS[kind]: kind for kind in (RecordKind.REGISTER, RecordKind.ADVANCE)
 }
@@ -254,8 +255,15 @@ def _write_varint(out: bytearray, value: int) -> None:
 
 
 def _read_varint(buf: memoryview, pos: int) -> Tuple[int, int]:
-    if pos < len(buf) and buf[pos] < 0x80:  # one byte: tags, most ints
-        return buf[pos], pos + 1
+    try:
+        byte = buf[pos]
+        if byte < 0x80:  # one byte: tags, lengths, most ints
+            return byte, pos + 1
+        second = buf[pos + 1]
+        if second < 0x80:  # two: most seqs and phases
+            return (byte & 0x7F) | second << 7, pos + 2
+    except IndexError:
+        pass  # truncated: the loop below says so
     result = 0
     shift = 0
     while True:
@@ -431,19 +439,19 @@ class BinaryCodec:
         frame.extend(body)
         return bytes(frame)
 
-    def lazy_record(self, body: memoryview) -> Union["LazyRecord", TraceRecord]:
-        """One frame body, decoded only if a replay would read it.
+    def lazy_record(self, body: memoryview) -> Union["ContextRecord", TraceRecord]:
+        """One frame body as replay reads it.
 
         A ``register``/``advance`` frame, which replay classifies and
-        skips, becomes a :class:`LazyRecord` with only its tag and
-        ``seq`` decoded.  Every other frame is decoded here, once, since
-        replay reads its fields anyway.
+        skips, becomes a :class:`ContextRecord`; every other frame is
+        decoded by :meth:`decode_record_frame`.  Either way every field
+        is read and checked here.
         """
         kind = _CONTEXT_TAG_KINDS.get(body[0]) if body else None
         if kind is None:
             return self.decode_record_frame(body)
-        seq, _ = _read_varint(body, 1)
-        return LazyRecord(kind, seq, body)
+        seq, pos = _read_varint(body, 1)
+        return ContextRecord(kind, seq, body, pos)
 
     def decode_record_frame(self, body: memoryview) -> TraceRecord:
         if len(body) == 0:
@@ -461,10 +469,8 @@ class BinaryCodec:
             task, pos = _read_str(body, pos)
             rec = TraceRecord(seq, kind, task)
         elif body[0] in _CONTEXT_TAG_KINDS:
-            task, pos = _read_str(body, pos)
-            phaser, pos = _read_str(body, pos)
-            phase, pos = _read_varint(body, pos)
-            rec = TraceRecord(seq=seq, kind=kind, task=task, phaser=phaser, phase=phase)
+            ctx = ContextRecord(kind, seq, body, pos)
+            return TraceRecord(seq, kind, ctx.task, None, ctx.phaser, ctx.phase)
         elif kind is _PUBLISH:
             site, pos = _read_str(body, pos)
             n_tasks, pos = _read_varint(body, pos)
@@ -519,50 +525,42 @@ class BinaryCodec:
         return rec
 
 
-class LazyRecord:
-    """A ``register``/``advance`` frame posing as a :class:`TraceRecord`,
-    decoded on need.
+class ContextRecord:
+    """A ``register``/``advance`` frame as replay reads it.
 
-    Only context frames stay lazy: the replay engines read nothing but
-    ``kind`` and ``seq`` from them, so they never pay for decoding the
-    frames they skip.  :meth:`BinaryCodec.lazy_record` decodes every
-    other frame at once, since replay reads those field by field and a
-    view would only add a hop per field.
-
-    ``kind`` and ``seq`` are plain attributes; reading any other record
-    field (``task``, ``phaser``, ``phase``, ...) materialises the full
-    :class:`TraceRecord` through ``decode_record_frame`` on first access
-    and delegates.  The flip side: a context frame whose *interior* is
-    malformed only raises when (and if) it is materialised.  The frame
-    envelope (length, kind tag) is still validated up front, so
-    truncation and unknown-tag corruption stay as loud as ever.  The
-    view holds its ``memoryview`` slice, keeping the underlying buffer
-    alive for as long as the record is.
+    The replay engines read only ``kind`` and ``seq`` of a context
+    record, so :meth:`BinaryCodec.lazy_record` builds this slotted
+    record instead of a frozen :class:`TraceRecord`.  Its ``task``,
+    ``phaser`` and ``phase`` are still read and checked here, from
+    ``body[pos:]`` (the frame past ``seq``) to the frame's end: invalid
+    UTF-8, a truncated field or a trailing byte is a
+    :class:`TraceFormatError` at that frame, as under a full decode.
     """
 
-    __slots__ = ("kind", "seq", "_body", "_rec")
+    __slots__ = ("kind", "seq", "task", "phaser", "phase")
 
-    def __init__(self, kind: RecordKind, seq: int, body: memoryview) -> None:
+    def __init__(self, kind: RecordKind, seq: int, body, pos: int) -> None:
         self.kind = kind
         self.seq = seq
-        self._body = body
-        self._rec = None
-
-    def materialize(self) -> TraceRecord:
-        """Decode (once) and return the full record."""
-        rec = self._rec
-        if rec is None:
-            rec = self._rec = CODECS["binary"].decode_record_frame(self._body)
-        return rec
-
-    def __getattr__(self, name: str):
-        # Only fires for names outside __slots__ — i.e. the record
-        # fields that genuinely need the full decode.
-        return getattr(self.materialize(), name)
-
-    def __repr__(self) -> str:
-        state = "decoded" if self._rec is not None else "undecoded"
-        return f"<LazyRecord kind={self.kind.value} seq={self.seq} {state}>"
+        try:
+            task_end = pos + 1 + body[pos]
+            phaser_end = task_end + 1 + body[task_end]
+            names = str(body[pos:phaser_end], "ascii")
+        except (IndexError, UnicodeDecodeError):
+            names = None  # not the usual frame: the reads below say why
+        if names is not None and phaser_end < len(body):
+            # One-byte lengths and ASCII names, the usual frame: one
+            # decode checks and reads both names.
+            self.phase, end = _read_varint(body, phaser_end)
+            if end == len(body):
+                split = task_end - pos
+                self.task, self.phaser = names[1:split], names[split + 1:]
+                return
+        self.task, pos = _read_str(body, pos)
+        self.phaser, pos = _read_str(body, pos)
+        self.phase, pos = _read_varint(body, pos)
+        if pos != len(body):
+            raise TraceFormatError(f"{len(body) - pos} trailing bytes in frame")
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +630,7 @@ def _scan_frames(fp: BinaryIO, forgive_tail: bool) -> Iterator[memoryview]:
     the carry: a frame spanning many chunks is copied O(1) times);
     leftover bytes at EOF are the crash tail ``forgive_tail`` governs.
     The chunk buffers are immutable ``bytes``, so a consumer holding a
-    yielded slice (a lazy record) keeps its chunk alive and valid.
+    yielded slice keeps its chunk alive and valid.
     """
     tail = b""
     while True:
@@ -700,7 +698,7 @@ class TraceReader:
     that ends or goes wrong before its header is complete holds no
     replayable records, under either policy.  After that the reader is
     a single pass: :meth:`frames` hands out the raw units, iteration
-    decodes each, :meth:`lazy_records` defers the decoding.
+    decodes each, :meth:`lazy_records` decodes each as replay reads it.
 
     Everything malformed is a :class:`TraceFormatError` at the frame or
     line that carries it: invalid UTF-8, a frame, header meta or line
@@ -768,19 +766,14 @@ class TraceReader:
                 raise
             yield rec
 
-    def lazy_records(self) -> Iterator[TraceRecord]:
-        """Iterate records, leaving the frames replay skips undecoded.
+    def lazy_records(self) -> Iterator[Union[ContextRecord, TraceRecord]]:
+        """Iterate records as replay reads them.
 
-        The replay fast path: binary ``register``/``advance`` frames come
-        back as :class:`LazyRecord` views (``kind``/``seq`` eager,
-        everything else decoded on first field access), so the context
-        records a consumer never inspects beyond their kind are never
-        decoded at all; every other frame is decoded once, as under
-        :meth:`__iter__`.  JSONL has no framed fast path and falls back
-        to eager line decoding.  Truncation policy and envelope
-        validation match :meth:`__iter__`; see :class:`LazyRecord` for
-        the one semantic difference (interior corruption of a skipped
-        context frame goes unreported).
+        Binary ``register``/``advance`` frames come back as
+        :class:`ContextRecord`s, every other frame as under
+        :meth:`__iter__`; both are validated in full, so this iteration
+        refuses exactly the files :meth:`__iter__` refuses.  JSONL has no
+        framed fast path and yields the eagerly decoded records.
         """
         if self.is_binary:
             return map(BinaryCodec().lazy_record, self._frames)

@@ -39,10 +39,11 @@ from typing import (
 
 from repro.core.checker import CheckStats
 from repro.core.report import DeadlockReport
-from repro.core.selection import DEFAULT_THRESHOLD_FACTOR, GraphModel
+from repro.core.selection import GraphModel
 from repro.obs.registry import MetricsRegistry
-from repro.trace.codec import PathLike, load_trace
+from repro.trace.codec import PathLike
 from repro.trace.replay import DETECTION, ReplayResult, ReplayEngine
+from repro.trace.stream import iter_load
 
 #: File suffixes recognised as trace files when expanding directories.
 TRACE_SUFFIXES = (".jsonl", ".json", ".trace", ".bin")
@@ -208,23 +209,18 @@ def run_corpus(
 
 
 def _replay_one(
-    args: Tuple[str, str, GraphModel, float, int, bool, bool]
+    args: Tuple[str, str, GraphModel, int, bool]
 ) -> Tuple[dict, ReplayResult]:
-    """Worker body: replay one file; must stay module-level picklable."""
-    path, mode, model, threshold_factor, check_every, stream, incremental = args
+    """Worker body: stream one file through the engine; must stay
+    module-level picklable."""
+    path, mode, model, check_every, incremental = args
     engine = ReplayEngine(
         mode=mode,
         model=model,
-        threshold_factor=threshold_factor,
         check_every=check_every,
         incremental=incremental,
     )
-    if stream:
-        from repro.trace.stream import iter_load
-
-        source = iter_load(path)
-    else:
-        source = load_trace(path)
+    source = iter_load(path)
     return dict(source.header.meta), engine.run(source)
 
 
@@ -232,22 +228,21 @@ def replay_corpus(
     sources: Union[PathLike, Sequence[PathLike]],
     mode: str = DETECTION,
     model: GraphModel = GraphModel.AUTO,
-    threshold_factor: float = DEFAULT_THRESHOLD_FACTOR,
     check_every: int = 1,
-    stream: bool = False,
     incremental: bool = False,
     processes: int = 1,
 ) -> CorpusReplayResult:
     """Replay every trace under ``sources``, fanning out over processes.
 
-    ``processes <= 1`` runs in-process (the serial reference);
-    ``processes = N`` uses a pool of N workers.  Either way the merged
-    result is identical — only ``duration_s`` changes.
+    Each file is streamed (:func:`~repro.trace.stream.iter_load`), so a
+    worker holds one frame of it at a time.  ``processes <= 1`` runs
+    in-process (the serial reference); ``processes = N`` uses a pool of
+    N workers.  Either way the merged result is identical — only
+    ``duration_s`` changes.
     """
     return run_corpus(
         sources,
         _replay_one,
-        lambda path: (path, mode, model, threshold_factor, check_every,
-                      stream, incremental),
+        lambda path: (path, mode, model, check_every, incremental),
         CorpusReplayResult(mode=mode, processes=max(1, processes)),
     )

@@ -53,9 +53,9 @@ the two classes is literally the same code, which is what makes
 replaying one input through both a differential test of the checkers.
 
 The engine consumes its input *incrementally*: records are never
-materialised into a list, so feeding it a
-:class:`~repro.trace.stream.StreamedTrace` (``replay(path, stream=True)``)
-replays a file of any length in O(frame) memory.
+materialised into a list, and :func:`replay` opens a path with
+:func:`~repro.trace.stream.iter_load`, so a file of any length replays
+in O(frame) memory.
 
 Replay keeps the report contract of every other consumer (the live
 runtime, :class:`~repro.distributed.site.Site`, the service): a check
@@ -76,7 +76,7 @@ from typing import Iterable, List, Optional, Set, Tuple, Union
 from repro.core.checker import CheckStats, DeadlockChecker
 from repro.core.incremental import IncrementalChecker
 from repro.core.report import DeadlockReport
-from repro.core.selection import DEFAULT_THRESHOLD_FACTOR, GraphModel
+from repro.core.selection import GraphModel
 from repro.distributed.delta import DeltaMergeState
 from repro.obs.registry import (
     DEFAULT_LATENCY_BUCKETS_S,
@@ -84,8 +84,8 @@ from repro.obs.registry import (
     MetricsRegistry,
 )
 from repro.obs.tracing import NULL_TRACER, OriginTracker, attach_provenance
-from repro.trace.codec import load_trace
 from repro.trace.events import RecordKind, Trace, TraceRecord
+from repro.trace.stream import iter_load
 
 #: Publication record kinds (either protocol) — they flip detection to
 #: the merged distributed view and are unanalysable under avoidance.
@@ -149,10 +149,12 @@ class ReplayEngine:
     ----------
     mode:
         ``"detection"`` or ``"avoidance"``.
-    model / threshold_factor:
+    model:
         Forwarded to the checker — replay under a *different* graph
         model than the live run is explicitly supported (offline model
-        ablations over one recording).
+        ablations over one recording).  The SG-abort threshold is the
+        paper's factor,
+        :data:`~repro.core.selection.DEFAULT_THRESHOLD_FACTOR`.
     check_every:
         Detection-mode check cadence in state-changing records
         (default 1: check after every change, the strongest — and
@@ -183,7 +185,6 @@ class ReplayEngine:
         self,
         mode: str = DETECTION,
         model: GraphModel = GraphModel.AUTO,
-        threshold_factor: float = DEFAULT_THRESHOLD_FACTOR,
         check_every: int = 1,
         incremental: bool = False,
         tracer=NULL_TRACER,
@@ -192,20 +193,18 @@ class ReplayEngine:
             raise ValueError(f"unknown replay mode {mode!r}")
         self.mode = mode
         self.model = model
-        self.threshold_factor = threshold_factor
         self.check_every = max(1, check_every)
         self.incremental = incremental
         self.tracer = tracer if tracer is not None else NULL_TRACER
 
     def run(self, trace: Union[Trace, Iterable[TraceRecord]]) -> ReplayResult:
         """Replay ``trace`` (a :class:`Trace` or any record iterable —
-        including a lazy :class:`~repro.trace.stream.StreamedTrace`);
+        including a :class:`~repro.trace.stream.StreamedTrace`);
         records are consumed one at a time, never materialised."""
         records = trace.records if isinstance(trace, Trace) else trace
-        # Streamed binary traces offer a decode-on-demand iteration:
-        # frames are scanned zero-copy and only materialised when a
-        # field beyond kind/seq is read, so context records (register/
-        # advance) skip decoding entirely on this path.
+        # Streamed binary traces offer the iteration replay reads: frames
+        # are scanned zero-copy and context records (register/advance)
+        # come back as slotted ContextRecords, not frozen TraceRecords.
         lazy = getattr(records, "lazy_records", None)
         if lazy is not None:
             records = lazy()
@@ -216,8 +215,7 @@ class ReplayEngine:
         # publication has been seen, detection queries ``remote`` only.
         # Both record into the run's one registry.
         metrics = MetricsRegistry()
-        settings = dict(model=self.model,
-                        threshold_factor=self.threshold_factor, metrics=metrics)
+        settings = dict(model=self.model, metrics=metrics)
         local = engine(**settings)
         remote = engine(**settings)
         merge = DeltaMergeState(remote)
@@ -422,32 +420,28 @@ def replay(
     source: Union[Trace, Iterable[TraceRecord], str],
     mode: str = DETECTION,
     model: GraphModel = GraphModel.AUTO,
-    threshold_factor: float = DEFAULT_THRESHOLD_FACTOR,
     check_every: int = 1,
-    stream: bool = False,
     incremental: bool = False,
     tracer=NULL_TRACER,
+    stream: object = None,
 ) -> ReplayResult:
     """Convenience front door: replay a trace, record iterable or path.
 
-    ``stream=True`` (paths only) opens the file with
-    :func:`~repro.trace.stream.iter_load` instead of loading it whole —
-    same result, O(frame) memory.  ``incremental=True`` selects the
+    A path is opened with :func:`~repro.trace.stream.iter_load`: O(frame)
+    memory, whatever the file's length.  ``incremental=True`` selects the
     delta-maintained engine — same reports, O(N) instead of O(N²) on
     ``check_every=1`` replays.  ``tracer`` receives check/report events
     keyed by record ordinals.
-    """
-    if isinstance(source, (str,)) or hasattr(source, "__fspath__"):
-        if stream:
-            from repro.trace.stream import iter_load
 
-            source = iter_load(source)
-        else:
-            source = load_trace(source)
+    ``stream`` is accepted and ignored.  It stands in for the two calls
+    in ``benchmarks/e2e/workloads.py`` (``replay_ring`` and
+    ``replay_churn``) that still pass ``stream=True``, and goes with them.
+    """
+    if isinstance(source, str) or hasattr(source, "__fspath__"):
+        source = iter_load(source)
     engine = ReplayEngine(
         mode=mode,
         model=model,
-        threshold_factor=threshold_factor,
         check_every=check_every,
         incremental=incremental,
         tracer=tracer,

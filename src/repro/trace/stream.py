@@ -59,8 +59,8 @@ class StreamedTrace:
         return self._pass(iter)
 
     def lazy_records(self) -> Iterator[TraceRecord]:
-        """Iterate with binary frame decoding deferred to first use —
-        the replay fast path; see
+        """Iterate records as replay reads them, context frames as
+        :class:`~repro.trace.codec.ContextRecord`; see
         :meth:`~repro.trace.codec.TraceReader.lazy_records`."""
         return self._pass(TraceReader.lazy_records)
 
@@ -92,11 +92,10 @@ class StreamingRecorder(TraceRecorder):
     path:
         Output file; the codec is inferred from the extension unless
         ``codec`` names one explicitly.
-    flush_every:
-        Flush the OS-level buffer every N records (0 — the default —
-        leaves flushing to the ``io`` buffering; the tail of an
-        unflushed run is lost on a crash, which ``iter_load``'s
-        ``on_truncation="ignore"`` is built to tolerate).
+
+    Flushing is left to the ``io`` buffering: the tail of an unflushed
+    run is lost on a crash, which ``iter_load``'s
+    ``on_truncation="ignore"`` is built to tolerate.
     """
 
     def __init__(
@@ -104,12 +103,10 @@ class StreamingRecorder(TraceRecorder):
         path: PathLike,
         meta=None,
         codec: Optional[str] = None,
-        flush_every: int = 0,
     ) -> None:
         super().__init__(meta=meta)
         self.path = pathlib.Path(path)
         self._codec = codec_for(self.path, codec)
-        self._flush_every = max(0, int(flush_every))
         self._written = 0
         self._closed = False
         self._fp = open(self.path, "wb")
@@ -125,8 +122,6 @@ class StreamingRecorder(TraceRecorder):
             self._seq += 1
             self._fp.write(self._codec.encode_record(rec))
             self._written += 1
-            if self._flush_every and self._written % self._flush_every == 0:
-                self._fp.flush()
             return rec
 
     # -- lifecycle ------------------------------------------------------

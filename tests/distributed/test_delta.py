@@ -18,6 +18,7 @@ import pytest
 from repro.core.checker import DeadlockChecker
 from repro.core.events import waiting_on
 from repro.core.incremental import IncrementalChecker
+from repro.distributed import delta as delta_mod
 from repro.distributed.delta import (
     DeltaMergeState,
     DeltaPublisher,
@@ -103,8 +104,9 @@ class TestDeltaPublisher:
         assert retry["seq"] == lost["seq"] == 2
         assert set(retry["set"]) == {"b", "c"}
 
-    def test_checkpoint_cadence(self):
-        pub = DeltaPublisher("s0", checkpoint_every=3)
+    def test_checkpoint_cadence(self, monkeypatch):
+        monkeypatch.setattr(delta_mod, "CHECKPOINT_EVERY", 3)
+        pub = DeltaPublisher("s0")
         kinds = []
         for i in range(8):
             b = bucket(**{f"t{i}": waiting_on("p", i + 1, p=i + 1)})
@@ -321,20 +323,18 @@ class TestAdaptiveCadence:
             kinds.append(obj["kind"])
         return kinds
 
-    def test_ratio_triggers_snapshot_before_count_ceiling(self):
+    def test_ratio_triggers_snapshot_before_count_ceiling(self, monkeypatch):
         # Deltas on a tiny bucket are nearly snapshot-sized, so a low
-        # ratio checkpoints long before the count ceiling of 100.
-        pub = DeltaPublisher(
-            "s0", checkpoint_every=100, adaptive=True, checkpoint_ratio=1.0
-        )
+        # ratio checkpoints long before the count ceiling of 64.
+        monkeypatch.setattr(delta_mod, "CHECKPOINT_RATIO", 1.0)
+        pub = DeltaPublisher("s0", adaptive=True)
         kinds = self._grow(pub, 10)
         assert kinds[0] == "snapshot"
         assert "snapshot" in kinds[1:], "ratio rule never fired"
 
-    def test_fixed_cadence_when_adaptive_off(self):
-        pub = DeltaPublisher(
-            "s0", checkpoint_every=100, adaptive=False, checkpoint_ratio=1.0
-        )
+    def test_fixed_cadence_when_adaptive_off(self, monkeypatch):
+        monkeypatch.setattr(delta_mod, "CHECKPOINT_RATIO", 1.0)
+        pub = DeltaPublisher("s0", adaptive=False)
         kinds = self._grow(pub, 10)
         assert kinds[0] == "snapshot"
         assert kinds[1:] == ["delta"] * 9
@@ -342,7 +342,7 @@ class TestAdaptiveCadence:
     def test_delta_bytes_reset_on_snapshot(self):
         """A committed delta grows the accumulator; a committed
         snapshot zeroes it (the ratio restarts from the new base)."""
-        pub = DeltaPublisher("s0", checkpoint_every=100, adaptive=False)
+        pub = DeltaPublisher("s0", adaptive=False)
         pub.commit(pub.prepare(bucket(a=waiting_on("p", 1, p=1))))
         pub.commit(
             pub.prepare(
@@ -357,11 +357,11 @@ class TestAdaptiveCadence:
         )
         assert pub._delta_bytes == 0
 
-    def test_count_ceiling_still_applies_when_adaptive(self):
+    def test_count_ceiling_still_applies_when_adaptive(self, monkeypatch):
         # A huge ratio disables the byte rule; the ceiling still fires.
-        pub = DeltaPublisher(
-            "s0", checkpoint_every=3, adaptive=True, checkpoint_ratio=1e9
-        )
+        monkeypatch.setattr(delta_mod, "CHECKPOINT_EVERY", 3)
+        monkeypatch.setattr(delta_mod, "CHECKPOINT_RATIO", 1e9)
+        pub = DeltaPublisher("s0", adaptive=True)
         kinds = self._grow(pub, 8)
         assert kinds.count("snapshot") >= 2
 

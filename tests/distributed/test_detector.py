@@ -17,6 +17,7 @@ from repro.core.events import waiting_on
 from repro.core.selection import GraphModel
 from repro.distributed.delta import DeltaPublisher, encode_bucket, merge_buckets
 from repro.distributed.detector import DistributedChecker
+from repro.distributed import store as store_mod
 from repro.distributed.store import (
     InMemoryStore,
     StoreUnavailableError,
@@ -121,8 +122,9 @@ class TestDeltaFedView:
         checker.check_global()
         assert checker.view.ops_applied == ops + 1  # one set op, not 21
 
-    def test_gap_triggers_checkpoint_resync(self):
-        store = InMemoryStore(max_log=2)
+    def test_gap_triggers_checkpoint_resync(self, monkeypatch):
+        monkeypatch.setattr(store_mod, "MAX_LOG", 2)
+        store = InMemoryStore()
         pub = publish(store, "s0", {"a": waiting_on("p", 1, p=1)})
         checker = DistributedChecker(store)
         checker.check_global()

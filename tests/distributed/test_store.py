@@ -18,6 +18,7 @@ from repro.distributed.delta import (
     encode_bucket,
     make_snapshot,
 )
+from repro.distributed import store as store_mod
 from repro.distributed.store import (
     InMemoryStore,
     ReplicatedStore,
@@ -119,8 +120,9 @@ class TestDeltaStream:
             store.get_deltas("s0", 0)
         assert [o["seq"] for o in store.get_deltas("s0", 2)] == [3]
 
-    def test_log_cap_compacts(self):
-        store = InMemoryStore(max_log=4)
+    def test_log_cap_compacts(self, monkeypatch):
+        monkeypatch.setattr(store_mod, "MAX_LOG", 4)
+        store = InMemoryStore()
         store.append_delta("s0", make_snapshot(1, {}, "S"))
         for i in range(2, 12):
             store.append_delta("s0", delta(i, set={f"t{i}": blob("x")["x"]}))

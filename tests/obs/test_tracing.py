@@ -19,6 +19,7 @@ import sys
 
 import pytest
 
+from repro.obs import tracing
 from repro.obs.tracing import (
     NULL_TRACER,
     NullTracer,
@@ -82,8 +83,9 @@ class TestTracer:
         tracer.end("never-opened")
         assert len(tracer) == 0
 
-    def test_ring_buffer_evicts_oldest(self):
-        tracer = Tracer(maxlen=3)
+    def test_ring_buffer_evicts_oldest(self, monkeypatch):
+        monkeypatch.setattr(tracing, "SPAN_BUFFER", 3)
+        tracer = Tracer()
         for i in range(5):
             tracer.event(f"e{i}", "t", ordinal=i)
         assert [s.name for s in tracer.spans()] == ["e2", "e3", "e4"]
@@ -362,7 +364,7 @@ class TestLivePropagation:
         tracer = Tracer()
         r1, r2 = InMemoryStore(name="r1"), InMemoryStore(name="r2")
         rs = ReplicatedStore([r1, r2], tracer=tracer)
-        pub = DeltaPublisher("site-a", checkpoint_every=100, adaptive=False)
+        pub = DeltaPublisher("site-a", adaptive=False)
         delta = pub.prepare(encode_bucket({}))
         rs.append_delta("site-a", delta)
         pub.commit(delta)

@@ -207,7 +207,7 @@ class TestStoreWiring:
 
         reg = MetricsRegistry()
         store = InMemoryStore(name="s", metrics=reg)
-        pub = DeltaPublisher("site-a", checkpoint_every=100)
+        pub = DeltaPublisher("site-a")
         first = pub.prepare(encode_bucket({}))
         store.append_delta("site-a", first)
         pub.commit(first)
@@ -225,7 +225,7 @@ class TestStoreWiring:
         # Fixed cadence: the heal-on-write path below needs an ordinary
         # delta to hit the stale replica (adaptive cadence would turn
         # the tiny-bucket clear into a checkpoint, which heals nothing).
-        pub = DeltaPublisher("site-a", checkpoint_every=100, adaptive=False)
+        pub = DeltaPublisher("site-a", adaptive=False)
         delta = pub.prepare(encode_bucket({}))
         rs.append_delta("site-a", delta)
         pub.commit(delta)
@@ -249,7 +249,7 @@ class TestDistributedWiring:
     def test_sync_round_counters(self):
         reg = MetricsRegistry()
         store = InMemoryStore()
-        pub = DeltaPublisher("site-a", checkpoint_every=100)
+        pub = DeltaPublisher("site-a")
         delta = pub.prepare(encode_bucket({"t1": waiting_on("e", 1, e=1)}))
         store.append_delta("site-a", delta)
         pub.commit(delta)

@@ -269,6 +269,103 @@ class TestOneReportContract:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+class TestOneValueOneConstant:
+    """A value that no two callers set differently is a module constant,
+    not an option.  The options only one caller set, and the code paths
+    only they selected, cannot come back unnoticed."""
+
+    #: (module, callable, the parameters it no longer takes)
+    REMOVED = (
+        ("repro.trace.parallel", "replay_corpus", ("stream", "threshold_factor")),
+        ("repro.trace.replay", "ReplayEngine", ("threshold_factor",)),
+        ("repro.trace.replay", "replay", ("threshold_factor",)),
+        ("repro.trace.stream", "StreamingRecorder", ("flush_every",)),
+        ("repro.distributed.detector", "DistributedChecker", ("threshold_factor",)),
+        ("repro.distributed.store", "InMemoryStore", ("max_log",)),
+        ("repro.distributed.delta", "DeltaPublisher",
+         ("checkpoint_every", "checkpoint_ratio")),
+        ("repro.distributed.site", "Site", ("checkpoint_every",)),
+        ("repro.core.monitor", "DetectionMonitor", ("once",)),
+        ("repro.obs.tracing", "Tracer", ("maxlen",)),
+        ("repro.predict.engine", "Predictor", ("max_cycle_len", "max_steps")),
+        ("repro.predict.parallel", "predict_corpus", ("max_cycle_len", "max_steps")),
+        ("repro.predict.engine", "predict_trace",
+         ("max_cycle_len", "max_steps", "max_candidates")),
+    )
+
+    @pytest.mark.parametrize(
+        "module, name, removed", REMOVED, ids=[name for _, name, _ in REMOVED]
+    )
+    def test_the_callable_takes_none_of_its_removed_options(
+        self, module, name, removed
+    ):
+        import inspect
+
+        parameters = inspect.signature(
+            getattr(importlib.import_module(module), name)
+        ).parameters
+        assert not set(removed) & set(parameters), (name, removed)
+
+    def test_the_values_two_callers_set_differently_stay(self):
+        import inspect
+
+        from repro.core import DeadlockChecker, IncrementalChecker
+        from repro.distributed.delta import DeltaPublisher
+        from repro.predict.engine import Predictor
+        from repro.predict.parallel import predict_corpus
+        from repro.runtime.verifier import ArmusRuntime
+        from repro.trace.replay import replay
+
+        kept = {
+            DeadlockChecker: ("model", "threshold_factor"),
+            IncrementalChecker: ("model", "threshold_factor"),
+            ArmusRuntime: ("model", "threshold_factor", "cancel_on_detect"),
+            DeltaPublisher: ("adaptive",),
+            Predictor: ("max_candidates",),
+            predict_corpus: ("max_candidates",),
+            replay: ("model", "stream"),
+        }
+        for owner, names in kept.items():
+            parameters = inspect.signature(owner).parameters
+            for name in names:
+                assert name in parameters, (owner.__name__, name)
+        # ``replay(stream=)`` is ignored, and says which callers it is for.
+        assert "benchmarks/e2e/workloads.py" in replay.__doc__
+
+    @pytest.mark.parametrize("verb", ["replay", "explain", "record"])
+    def test_no_verb_takes_a_stream_flag(self, verb, capsys):
+        from repro.trace.cli import main
+
+        argv = {
+            "replay": ["replay", "x.trace"],
+            "explain": ["explain", "x.trace"],
+            "record": ["record", "--out", "x.trace"],
+        }[verb]
+        with pytest.raises(SystemExit) as usage:
+            main([*argv, "--stream"])
+        assert usage.value.code == 2
+        assert "unrecognized arguments: --stream" in capsys.readouterr().err
+
+    def test_nothing_passes_stream_to_replay(self):
+        calls = []
+        for root in ("src", "tests"):
+            for path in sorted((REPO / root).rglob("*.py")):
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if not isinstance(node, ast.Call):
+                        continue
+                    func = node.func
+                    name = getattr(func, "id", getattr(func, "attr", None))
+                    if name == "replay" and any(
+                        k.arg == "stream" for k in node.keywords
+                    ):
+                        calls.append((path.name, node.lineno))
+        assert not calls
+
+    def test_no_ci_step_passes_the_stream_flag(self):
+        ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+        assert "--stream" not in ci
+
+
 class TestValueTypes:
     """The values a cyclic report is made of — every SG vertex, every
     edge's provenance — hash, compare and sort as tuples, in C.  A

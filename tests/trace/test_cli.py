@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.trace.cli import main
@@ -163,6 +165,45 @@ class TestRecord:
         rc = main(["record", "--scenario", "crossed", "--mode", "off",
                    "--out", str(tmp_path / "x.jsonl")])
         assert rc == 2
+
+    def test_a_failed_worker_fails_the_recording(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Only a deadlock is an expected end of a worker: one that
+        raises makes the run exit 1 with one stderr line, at once."""
+        from repro.runtime.phaser import Phaser
+
+        def boom(self):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(Phaser, "arrive_and_await_advance", boom)
+        start = time.monotonic()
+        rc = main(["record", "--scenario", "crossed",
+                   "--out", str(tmp_path / "x.trace")])
+        elapsed = time.monotonic() - start
+        out, err = capsys.readouterr()
+        assert rc == 1 and elapsed < 2, (rc, elapsed)
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("record: scenario 'crossed' failed: task t")
+        assert "RuntimeError('boom')" in err and not out
+
+    def test_an_unreported_deadlock_fails_the_recording(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A deadlocking scenario the checker never reports exits 1 at
+        once, instead of waiting out the joins and printing success."""
+        from repro.core.checker import DeadlockChecker
+
+        monkeypatch.setattr(DeadlockChecker, "check", lambda self, **kw: None)
+        start = time.monotonic()
+        rc = main(["record", "--scenario", "crossed",
+                   "--out", str(tmp_path / "x.trace")])
+        elapsed = time.monotonic() - start
+        out, err = capsys.readouterr()
+        assert rc == 1 and elapsed < 2, (rc, elapsed)
+        assert err == ("record: scenario 'crossed' failed: "
+                       "the deadlock was never reported\n")
+        assert not out
 
 
 class TestIncrementalFlag:

@@ -1,8 +1,8 @@
 """The ``explain`` subcommand: provenance output, pinned byte-for-byte.
 
 ``expected_explain.txt`` is the checked-in golden for explaining the
-whole regression corpus; serial, ``--parallel``, ``--stream`` and
-``--incremental`` runs must all reproduce it exactly (the same
+whole regression corpus; serial, ``--parallel`` and ``--incremental``
+runs must all reproduce it exactly (the same
 determinism pin the replay golden carries, extended to provenance).
 The single-file mode, ``--report`` selection and the ``--chrome``
 export are covered directly.
@@ -32,9 +32,6 @@ class TestGoldenExplainOutput:
     def test_parallel_output_matches_golden(self, capsys):
         """The CI assertion, in-process: --parallel 2 is byte-identical."""
         assert self.run_cli(capsys, "--parallel", "2") == GOLDEN.read_text()
-
-    def test_streamed_output_matches_golden(self, capsys):
-        assert self.run_cli(capsys, "--stream") == GOLDEN.read_text()
 
     def test_incremental_output_matches_golden(self, capsys):
         """Both engines attach identical provenance — the corpus pin."""

@@ -1,11 +1,11 @@
 """One hostile table for the one reader.
 
 Every way a trace file can be opened — ``loads``, ``load_trace``,
-``iter_load`` under both truncation policies, ``lazy_records()`` with
-every record materialised — is a caller of
-:class:`~repro.trace.codec.TraceReader`, so every row below is pushed
-through all of them and they must agree: the same header and records, or
-:class:`TraceFormatError`.  Never another exception type (anything else
+``iter_load`` under both truncation policies, ``lazy_records()``, and
+``replay(path)``, which reads a file the way ``lazy_records()`` does — is
+a caller of :class:`~repro.trace.codec.TraceReader`, so every row below
+is pushed through all of them and they must agree: the same header and
+records, or :class:`TraceFormatError`.  Never another exception type (anything else
 escapes :func:`verdicts` and fails the test), never a different answer
 per door.
 
@@ -24,18 +24,20 @@ import tracemalloc
 import pytest
 
 from repro.core.events import BlockedStatus, Event, waiting_on
+from repro.distributed.delta import DeltaSequenceError
 from repro.trace import codec as codec_mod
 from repro.trace import events as ev
 from repro.trace.cli import main
 from repro.trace.codec import (
     BINARY_MAGIC,
     CODECS,
-    LazyRecord,
+    ContextRecord,
     dumps,
     load_trace,
     loads,
 )
-from repro.trace.events import Trace, TraceFormatError, TraceHeader
+from repro.trace.events import Trace, TraceFormatError, TraceHeader, TraceRecord
+from repro.trace.replay import replay
 from repro.trace.stream import iter_load
 
 CODEC_NAMES = ("binary", "jsonl")
@@ -47,8 +49,11 @@ JSONL_HEADER = b'{"magic":"armus-trace","version":3,"meta":{}}\n'
 # the doors
 # ---------------------------------------------------------------------------
 def materialized(records):
+    """The records, a :class:`ContextRecord` as the :class:`TraceRecord`
+    whose fields it carries."""
     return tuple(
-        rec.materialize() if isinstance(rec, LazyRecord) else rec
+        TraceRecord(rec.seq, rec.kind, rec.task, None, rec.phaser, rec.phase)
+        if isinstance(rec, ContextRecord) else rec
         for rec in records
     )
 
@@ -63,6 +68,23 @@ def _whole(trace):
     return trace.header, trace.records
 
 
+def _replayed(data, path):
+    """``replay(path)`` must refuse what the readers refuse.  A file it
+    gets through is answered with the readers' outcome; a content error
+    past the format (a delta gap, a task two sites own) ends the replay
+    early, so the readers alone decide those files."""
+    try:
+        replay(path)
+    except (DeltaSequenceError, ValueError) as exc:
+        if isinstance(exc, TraceFormatError):
+            raise
+        return _whole(loads(data))
+    try:
+        return _whole(loads(data))
+    except TraceFormatError:
+        return "replayed a file the readers refuse"
+
+
 DOORS = {
     "loads": lambda data, path: _whole(loads(data)),
     "load_trace": lambda data, path: _whole(load_trace(path)),
@@ -70,6 +92,7 @@ DOORS = {
     "lazy_records": lambda data, path: _streamed(path, "error", lazy=True),
     "iter_load/ignore": lambda data, path: _streamed(path, "ignore", lazy=False),
     "lazy_records/ignore": lambda data, path: _streamed(path, "ignore", lazy=True),
+    "replay(path)": _replayed,
 }
 TOLERANT = ("iter_load/ignore", "lazy_records/ignore")
 
@@ -209,6 +232,20 @@ def _oversized_frame_mid_file() -> bytes:
     return data
 
 
+def _register_frame(tail: bytes = b"") -> bytes:
+    """A binary trace of a block frame, then a ``register`` frame with
+    ``tail`` appended after its phase, inside the frame."""
+    codec = CODECS["binary"]
+    frame = codec.encode_record(ev.register(1, "t1", "PHASERNAME", 0))
+    length, start = codec_mod._read_varint(memoryview(frame), 0)
+    body = frame[start:] + tail
+    return (
+        codec.encode_header(TraceHeader(meta={}))
+        + codec.encode_record(ev.block(0, "t1", status()))
+        + varint(len(body)) + body
+    )
+
+
 def _waiting(event_json: bytes) -> bytes:
     """The JSONL pair with ``t2``'s wait on ``q@2`` rewritten."""
     data = dumps(single_site_trace(), "jsonl")
@@ -258,6 +295,10 @@ REFUSED_FILES = {
     "binary frame: length 2**40 mid-file": _oversized_frame_mid_file,
     "binary task name: 0xFF": lambda: _named(b"TASKNAME"),
     "binary phaser name: 0xFF": lambda: _named(b"PHASERNAME"),
+    "binary register phaser: 0xFF, the only bad byte": lambda: (
+        _register_frame().replace(b"PHASERNAME", b"\xffHASERNAME")
+    ),
+    "binary register: a byte after the phase": lambda: _register_frame(b"\x00"),
     "binary site name: 0xFF": lambda: _named(b"SITENAME"),
     "binary stream name: 0xFF": lambda: _named(b"STREAMNAME"),
     "binary meta: a list": lambda: binary_header(b"[1,2]"),
@@ -346,7 +387,6 @@ class TestRefusedFiles:
         path.write_bytes(refused_files[row])
         for argv in (
             ["replay", str(path)],
-            ["replay", str(path), "--stream"],
             ["explain", str(path)],
             ["predict", str(path)],
             ["stats", str(path)],

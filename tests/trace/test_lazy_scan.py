@@ -1,4 +1,4 @@
-"""The zero-copy codec scan and decode-on-demand records.
+"""The zero-copy codec scan and the records replay reads.
 
 Four layers of pins:
 
@@ -6,15 +6,15 @@ Four layers of pins:
   decoding: slices reproduce the framed bodies exactly, truncation is
   loud, and a frame split across a chunk boundary at any offset comes
   out whole.
-* :class:`LazyRecord` / :meth:`BinaryCodec.lazy_record` — a
-  register/advance frame's ``kind`` and ``seq`` come for free and
-  nothing else is decoded until a field is touched; every other frame
-  is decoded once, up front; unknown tags and empty frames still fail
-  at scan time.
-* :meth:`StreamedTrace.lazy_records` and the replay engines — lazy
+* :class:`ContextRecord` / :meth:`BinaryCodec.lazy_record` — a
+  register/advance frame is read and checked in full at scan time but
+  never built into a :class:`TraceRecord`; every other frame is decoded
+  once, up front; unknown tags, empty frames and a malformed context
+  frame fail at scan time.
+* :meth:`StreamedTrace.lazy_records` and the replay engines — this
   iteration yields the same logical records as eager loading, replay
-  results are unchanged, and the engines really do skip decoding the
-  register/advance context frames (the point of the fast path).
+  results are unchanged, and the engines really do skip the full decode
+  of the register/advance context frames (the point of the fast path).
 * The status table — a block frame's status section is decoded the
   first time its bytes are met, equal sections share one status, the
   table keeps its bound, and a malformed section is never kept.
@@ -33,7 +33,7 @@ from repro.trace import events as ev
 from repro.trace.codec import (
     CODECS,
     BinaryCodec,
-    LazyRecord,
+    ContextRecord,
     TraceFormatError,
     TraceReader,
     dumps,
@@ -49,6 +49,14 @@ CONTEXT = (RecordKind.REGISTER, RecordKind.ADVANCE)
 
 SPEC = ScenarioSpec(cycle_len=3, fan_out=2, sites=1, rounds=2, deadlock=False)
 SPEC_DL = ScenarioSpec(cycle_len=2, fan_out=1, sites=1, rounds=1, deadlock=True)
+
+
+def as_trace_record(rec):
+    """``rec``, a :class:`ContextRecord` as the :class:`TraceRecord`
+    whose fields it carries."""
+    if type(rec) is ContextRecord:
+        return TraceRecord(rec.seq, rec.kind, rec.task, None, rec.phaser, rec.phase)
+    return rec
 
 
 @pytest.fixture(scope="module")
@@ -134,8 +142,8 @@ class TestScanFrames:
                 hit == set(range(length)) for length, hit in split_at.items()
             ), "no frame was split at every one of its offsets"
 
-    def test_lazy_slice_outlives_its_chunk(self, monkeypatch, trace, blob):
-        """A slice held by a lazy record stays valid after the scan has
+    def test_a_scanned_record_outlives_its_chunk(self, monkeypatch, trace, blob):
+        """A record read from a slice stays whole after the scan has
         moved three chunks on (chunks are immutable, never reused)."""
         monkeypatch.setattr(codec_mod, "_SCAN_CHUNK", 64)
         fp = ChunkLog(blob)
@@ -144,12 +152,12 @@ class TestScanFrames:
         reads = len(fp.chunks)
         while len(fp.chunks) < reads + 3:
             next(lazies)
-        assert first.materialize() == trace.records[0]
+        assert as_trace_record(first) == trace.records[0]
 
 
-class TestLazyRecord:
-    def test_kind_and_seq_without_decoding(self, monkeypatch, trace, blob):
-        """A context frame is a view whose kind/seq cost no decode; every
+class TestContextRecord:
+    def test_context_frames_skip_the_full_decode(self, monkeypatch, trace, blob):
+        """A context frame never reaches ``decode_record_frame``; every
         other frame is decoded exactly once, up front."""
         calls = []
         real = BINARY.decode_record_frame
@@ -161,23 +169,21 @@ class TestLazyRecord:
         records = [BINARY.lazy_record(body) for body in frames]
         kinds = [(rec.kind, rec.seq) for rec in records]
         for rec in records:
-            expected = LazyRecord if rec.kind in CONTEXT else TraceRecord
+            expected = ContextRecord if rec.kind in CONTEXT else TraceRecord
             assert type(rec) is expected, rec
         decoded = sum(1 for r in trace.records if r.kind not in CONTEXT)
         assert 0 < decoded < len(trace.records)
-        assert len(calls) == decoded, "kind/seq access must not decode the frame"
+        assert len(calls) == decoded, "a context frame took the full decode"
         assert all(isinstance(k, RecordKind) for k, _ in kinds)
         assert [s for _, s in kinds] == sorted(s for _, s in kinds)
 
-    def test_field_access_materialises_once(self, trace, blob):
+    def test_fields_are_read_at_scan_time(self, trace, blob):
         frames, _ = frames_of(blob)
-        body = next(frames)
-        lazy = BINARY.lazy_record(body)
+        context = BINARY.lazy_record(next(frames))
         eager = trace.records[0]
-        assert lazy.kind is eager.kind
-        assert lazy.task == eager.task  # triggers materialisation
-        assert lazy.materialize() is lazy.materialize()  # cached
-        assert lazy.materialize() == eager
+        assert type(context) is ContextRecord and context.kind is eager.kind
+        assert (context.seq, context.task, context.phaser, context.phase) == (
+            eager.seq, eager.task, eager.phaser, eager.phase)
 
     def test_unknown_tag_raises_at_scan_time(self):
         with pytest.raises(TraceFormatError, match="unknown record tag"):
@@ -187,9 +193,35 @@ class TestLazyRecord:
         with pytest.raises(TraceFormatError, match="empty frame"):
             BINARY.lazy_record(memoryview(b""))
 
-    def test_repr_does_not_crash(self, blob):
-        frames, _ = frames_of(blob)
-        assert "LazyRecord" in repr(BINARY.lazy_record(next(frames)))
+    @pytest.mark.parametrize("task, phaser, phase", [
+        ("t1", "p", 0),
+        ("tâche", "φ", 5),  # names past ASCII
+        ("t" * 200, "p" * 130, 1),  # two-byte lengths
+        ("t1", "p", 300),  # a two-byte phase
+    ], ids=["ascii", "utf8", "long-names", "big-phase"])
+    def test_every_name_and_phase_reads_back(self, task, phaser, phase):
+        frame = BINARY.encode_record(ev.register(7, task, phaser, phase))
+        _, start = codec_mod._read_varint(memoryview(frame), 0)
+        body = memoryview(frame)[start:]
+        context = BINARY.lazy_record(body)
+        assert (context.seq, context.task, context.phaser, context.phase) == (
+            7, task, phaser, phase)
+        assert BINARY.decode_record_frame(body) == as_trace_record(context)
+
+    @pytest.mark.parametrize("cut, match", [
+        (lambda body: body.replace(b"PH", b"\xffH"), "UTF-8"),
+        (lambda body: body[:-2], "truncated"),
+        (lambda body: body + b"\x00", "trailing bytes"),
+    ], ids=["bad-utf8", "truncated-field", "trailing-byte"])
+    def test_a_malformed_context_frame_raises_at_scan_time(self, cut, match):
+        """Every byte of a context frame is checked when it is scanned,
+        as when it is decoded in full."""
+        frame = BINARY.encode_record(ev.advance(0, "t", "PHASER", 300))
+        _, start = codec_mod._read_varint(memoryview(frame), 0)
+        body = cut(frame[start:])
+        for read in (BINARY.lazy_record, BINARY.decode_record_frame):
+            with pytest.raises(TraceFormatError, match=match):
+                read(memoryview(body))
 
 
 class TestLazyStream:
@@ -201,11 +233,10 @@ class TestLazyStream:
         stream = iter_load(path)
         lazy = list(stream.lazy_records())
         assert [type(r) for r in lazy] == [
-            LazyRecord if r.kind in CONTEXT else TraceRecord for r in trace.records
+            ContextRecord if r.kind in CONTEXT else TraceRecord
+            for r in trace.records
         ]
-        assert tuple(
-            r.materialize() if type(r) is LazyRecord else r for r in lazy
-        ) == trace.records
+        assert tuple(map(as_trace_record, lazy)) == trace.records
         # plain iteration still yields eager records, unchanged
         assert tuple(iter_load(path)) == trace.records
 
@@ -236,9 +267,10 @@ class TestLazyStream:
     def test_replay_skips_decoding_context_frames(
         self, monkeypatch, tmp_path
     ):
-        """The laziness payoff, pinned: replaying a streamed binary
-        trace materialises only the records the engine inspects —
-        register/advance context frames stay undecoded."""
+        """The fast path's payoff, pinned: replaying a streamed binary
+        trace fully decodes only the records the engine inspects —
+        register/advance context frames are checked, but never built
+        into a :class:`TraceRecord`."""
         trace = build_trace(SPEC)
         path = tmp_path / "t.trace"
         path.write_bytes(dumps(trace, "binary"))

@@ -5,10 +5,12 @@ from __future__ import annotations
 import os
 import pathlib
 import shutil
+import sys
 
 import pytest
 
 from repro.trace.cli import main
+from repro.trace.codec import load_trace
 from repro.trace.corpus import (
     FAMILIES,
     ScenarioSpec,
@@ -86,10 +88,12 @@ class TestParallelEqualsSerial:
         assert not serial.mismatches and not parallel.mismatches
 
     def test_streamed_parallel_agrees_too(self, corpus_dir):
-        eager = replay_corpus(corpus_dir, processes=2)
-        streamed = replay_corpus(corpus_dir, processes=2, stream=True)
-        assert [e.result.reports for e in eager.entries] == [
-            e.result.reports for e in streamed.entries
+        """Workers stream each file; the records loaded whole replay to
+        the same reports."""
+        streamed = replay_corpus(corpus_dir, processes=2)
+        assert [e.result.reports for e in streamed.entries] == [
+            replay(load_trace(path)).reports
+            for path in discover_traces(corpus_dir)
         ]
 
     def test_merged_stats_equal_sum_of_parts(self, corpus_dir):
@@ -202,23 +206,25 @@ class TestSingleFileIsACorpusOfOne:
         assert _report_blocks(single.out) == _report_blocks(corpus.out) != []
 
     @pytest.mark.parametrize("path", CHECKED_IN, ids=lambda p: p.name)
-    def test_explain_streams_like_every_other_path(self, path, solo, capsys):
+    def test_explain_agrees_with_its_one_file_corpus(self, path, solo, capsys):
         assert main(["explain", str(path)]) == 0
-        eager = capsys.readouterr().out
-        assert main(["explain", str(path), "--stream"]) == 0
-        assert capsys.readouterr().out == eager
+        single = capsys.readouterr().out
         assert main(["explain", str(solo(path))]) == 0
-        assert _report_blocks(capsys.readouterr().out) == _report_blocks(eager)
+        assert _report_blocks(capsys.readouterr().out) == _report_blocks(single)
 
-    def test_explain_stream_does_not_load_the_file(self, monkeypatch, capsys):
-        """``--stream`` used to be parsed and ignored for one file."""
-        import repro.trace.parallel as parallel
-
+    @pytest.mark.parametrize("verb", ["explain", "replay"])
+    def test_a_single_file_is_not_loaded_whole(self, monkeypatch, capsys, verb):
+        """One file is streamed like a corpus member: no module of the
+        package reaches for ``load_trace`` on the way."""
         def no_load(path):
-            raise AssertionError("explain --stream loaded the whole trace")
+            raise AssertionError(f"{verb} loaded the whole trace")
 
-        monkeypatch.setattr(parallel, "load_trace", no_load)
-        assert main(["explain", str(CHECKED_IN[0]), "--stream"]) == 0
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and getattr(
+                module, "load_trace", None
+            ) is load_trace:
+                monkeypatch.setattr(module, "load_trace", no_load)
+        assert main([verb, str(CHECKED_IN[0])]) == 0
         assert capsys.readouterr().out.startswith("trace: ")
 
     def test_corpus_entry_reads_expect_deadlock(self):

@@ -3,7 +3,8 @@
 ``tests/trace/corpus/`` holds a small set of trace files — generated
 scenarios (both families, both codecs) plus *recorded* live runs — and
 ``expected_replay.txt``, the byte-exact CLI corpus-replay output.  The
-tests replay the files serially, in parallel and streamed, and compare
+tests replay the files (always streamed) serially and in parallel, and
+hold them against the records loaded whole, and compare
 against the golden bytes: any refactor that changes a report (cycle
 rotation, task ordering, check cadence, codec framing) fails loudly
 here instead of drifting silently.
@@ -119,7 +120,7 @@ class TestCorpusContents:
 
     @pytest.mark.parametrize("path", corpus_files(), ids=lambda p: p.name)
     def test_streamed_replay_agrees(self, path):
-        assert replay(path, stream=True).reports == replay(path).reports
+        assert replay(path).reports == replay(load_trace(path)).reports
 
     @pytest.mark.parametrize("path", corpus_files(), ids=lambda p: p.name)
     def test_incremental_replay_agrees(self, path):
@@ -147,9 +148,6 @@ class TestGoldenReplayOutput:
     def test_parallel_output_matches_golden(self, capsys):
         """The CI assertion, in-process: --parallel 2 is byte-identical."""
         assert self.run_cli(capsys, "--parallel", "2") == GOLDEN.read_text()
-
-    def test_streamed_output_matches_golden(self, capsys):
-        assert self.run_cli(capsys, "--stream") == GOLDEN.read_text()
 
     def test_incremental_output_matches_golden(self, capsys):
         """The CI assertion, in-process: --incremental is byte-identical

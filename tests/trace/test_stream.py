@@ -47,10 +47,12 @@ class TestIterLoadEquivalence:
 
     @pytest.mark.parametrize("codec", sorted(CODEC_EXT))
     def test_streaming_replay_equals_eager_replay(self, tmp_path, codec):
+        """A path is always streamed; the records loaded whole replay
+        the same."""
         trace = build_trace(SPECS[0])
         path = write(trace, tmp_path, codec)
-        eager = replay(path)
-        streamed = replay(path, stream=True)
+        eager = replay(load_trace(path))
+        streamed = replay(path)
         assert streamed.reports == eager.reports
         assert streamed.records_processed == eager.records_processed
         assert streamed.checks_run == eager.checks_run
