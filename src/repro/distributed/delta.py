@@ -15,13 +15,14 @@ derivations cannot drift apart.
      "set":     {task: encoded-status, ...},   # newly blocked tasks
      "restore": {task: encoded-status, ...},   # still blocked, status replaced
      "clear":   [task, ...],                   # no longer blocked
-     "trace":   {"span": "9f2c..."}}           # optional causal context (v2+)
+     "trace":   {"span": "9f2c..."}}           # optional causal context
 
-Protocol v2 added the optional ``trace`` member: a flat object of
-scalar values carrying the publisher's causal context (a deterministic
-span id derived from site/stream/seq — never wall clock).  Consumers
-ignore it for state materialisation, so v1 objects and v2 objects
-without the field apply identically; readers accept both.
+``v`` is :data:`PROTOCOL_VERSION`, the only version readers accept.
+The optional ``trace`` member is a flat object of scalar values
+carrying the publisher's causal context (a deterministic span id
+derived from site/stream/seq — never wall clock).  Consumers ignore it
+for state materialisation, so a delta applies identically with or
+without it.
 
 ``seq`` is a per-site monotonic sequence number starting at 1; the
 stream order is the semantics, so consumers validate contiguity and a
@@ -82,8 +83,8 @@ from typing import Dict, List, Mapping, Optional, Set, Tuple
 from repro.core.dependency import DependencySnapshot
 from repro.core.events import BlockedStatus
 
-#: Current delta wire-protocol version (the ``v`` field).  Version 2
-#: added the optional ``trace`` causal-context member.
+#: The delta wire-protocol version (the ``v`` field), written by every
+#: publisher and the only one readers accept.
 PROTOCOL_VERSION = 2
 
 #: The delta kinds the protocol defines (the ``kind`` field).
@@ -519,7 +520,7 @@ class DeltaMergeState:
 
     def apply_bucket(self, site: str, new_bucket: Mapping[str, Mapping]) -> None:
         """Replace ``site``'s bucket wholesale (a snapshot delta, a
-        checkpoint resync, a legacy v1 ``publish`` record), diffing
+        checkpoint resync, a withdrawn site), diffing
         against the previous bucket so only changed tasks touch the
         checker."""
         with self.batched():

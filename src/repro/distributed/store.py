@@ -17,9 +17,8 @@ arrive, and compacts the log at every snapshot.  Checkers poll
 round — and fall back to :meth:`InMemoryStore.get_state` (a full
 checkpoint read) when their cursor falls off the retained log.
 
-The delta protocol is the only store protocol.  (The bucket protocol it
-replaced — whole-bucket ``put``/``get_all`` — survives only as the v1
-``publish`` trace *record*, which replay still reads.)
+The delta protocol is the only store protocol, and ``publish_delta`` is
+the only trace record of a store write.
 
 Fault injection: :meth:`InMemoryStore.set_available` simulates an outage
 (operations raise :class:`StoreUnavailableError`);

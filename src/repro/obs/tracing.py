@@ -276,15 +276,6 @@ class OriginTracker:
             origin = self.origins.get(rec.task)
             if origin is not None and origin.site is None:
                 self._drop(rec.task)
-        elif kind is RecordKind.PUBLISH:
-            owned = self._site_tasks.get(rec.site, set())
-            tasks = set(rec.payload)
-            for gone in owned - tasks:
-                self._drop(gone)
-            origin = RecordOrigin(rec.seq, "publish", site=rec.site)
-            for task in rec.payload:
-                self._set(task, origin)
-            self._site_tasks[rec.site] = tasks
         elif kind is RecordKind.PUBLISH_DELTA:
             self.observe_delta(rec.seq, rec.site, rec.payload)
         # REGISTER / ADVANCE: context only — the ordinal already moved.
@@ -517,11 +508,6 @@ def chrome_trace_from_records(
                 spans.append(TraceSpan(
                     "task.blocked", f"task:{rec.task}", start, rec.seq,
                 ))
-        elif kind is RecordKind.PUBLISH:
-            spans.append(TraceSpan(
-                "site.publish", f"site:{rec.site}", rec.seq, rec.seq,
-                cat="publish", args=(("tasks", len(rec.payload)),),
-            ))
         elif kind is RecordKind.PUBLISH_DELTA:
             payload = rec.payload
             spans.append(TraceSpan(

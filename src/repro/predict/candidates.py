@@ -111,12 +111,7 @@ class _IntervalBuilder(_Builder):
         stale = self._open_intervals.get(event.task)
         if stale is not None:
             stale.close_seq, stale.close_tick = event.seq, event.tick
-        if event.stream is not None:
-            kind = "publish_delta"
-        elif event.site is not None:
-            kind = "publish"
-        else:
-            kind = "block"
+        kind = "block" if event.stream is None else "publish_delta"
         interval = BlockInterval(
             task=event.task, status=event.status, open_seq=event.seq,
             kind=kind, site=event.site, stream=event.stream,

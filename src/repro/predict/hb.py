@@ -9,7 +9,7 @@ stream, as vector clocks:
 
 * **Program order.**  Every record is attributed to an acting task
   (``block``/``unblock``/``register``/``advance`` carry it directly;
-  the per-task ops inside ``publish``/``publish_delta`` payloads are
+  the per-task ops inside ``publish_delta`` payloads are
   attributed to the task whose status they set or clear — the
   publish→sync leg: a published status is causally after everything its
   task did, wherever the publishing site sits in the stream).  A task's
@@ -43,9 +43,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.events import BlockedStatus
 from repro.trace.events import RecordKind, Trace, TraceRecord, status_from_obj
-
-#: Record kinds whose payloads carry per-task status ops.
-_PUBLISH_KINDS = (RecordKind.PUBLISH, RecordKind.PUBLISH_DELTA)
 
 
 @dataclass
@@ -97,7 +94,7 @@ class _Builder:
         self.open_waits: Dict[str, frozenset] = {}
         #: task -> currently-published status (dedups republications).
         self.current: Dict[str, BlockedStatus] = {}
-        #: site -> tasks its bucket currently carries (publish diffing).
+        #: site -> tasks its bucket currently carries (snapshot diffing).
         self.site_tasks: Dict[str, set] = {}
 
     def _tick(self, task: str) -> Tuple[Dict[str, int], int]:
@@ -174,24 +171,8 @@ class _Builder:
             self.advance(str(rec.task), rec.seq, str(rec.phaser), rec.phase)
         elif kind is RecordKind.REGISTER:
             self.register(str(rec.task), rec.seq, str(rec.phaser), rec.phase)
-        elif kind is RecordKind.PUBLISH:
-            self._observe_publish(rec)
         elif kind is RecordKind.PUBLISH_DELTA:
             self._observe_delta(rec)
-
-    def _observe_publish(self, rec: TraceRecord) -> None:
-        # Whole-bucket republication: diff against the site's previous
-        # bucket — vanished tasks unblocked, (re)listed tasks block.
-        owned = self.site_tasks.get(rec.site, set())
-        listed = set(rec.payload)
-        for task in sorted(owned - listed, key=str):
-            self.unblock(str(task), rec.seq)
-        for task in sorted(listed, key=str):
-            self.block(
-                str(task), rec.seq, status_from_obj(rec.payload[task]),
-                site=str(rec.site),
-            )
-        self.site_tasks[rec.site] = listed
 
     def _observe_delta(self, rec: TraceRecord) -> None:
         payload = rec.payload

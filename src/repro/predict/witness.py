@@ -83,7 +83,7 @@ def build_witness(
     for key in ("scenario", "family"):
         if key in source_meta:
             meta[f"source_{key}"] = source_meta[key]
-    return Trace(header=TraceHeader(version=3, meta=meta), records=records)
+    return Trace(header=TraceHeader(meta=meta), records=records)
 
 
 __all__ = ["build_witness"]

@@ -617,8 +617,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     for rec in trace:
         if rec.status is not None:
             phasers.update(str(e.phaser) for e in rec.status.waits)
-        if rec.kind is RecordKind.PUBLISH and rec.payload:
-            tasks.update(rec.payload)
         if rec.kind is RecordKind.PUBLISH_DELTA:
             for section in ("set", "restore"):
                 tasks.update(rec.payload[section])

@@ -43,8 +43,8 @@ bytes (at most ``_STATUS_TABLE`` = 256 entries of at most 1 KiB each,
 cleared when full, dropped when the read ends): a barrier phase blocks
 every task with one status, so a section the trace repeats is decoded
 only the first time and its immutable status shared.  A malformed section is
-refused before it is stored.  Publish and publish-delta blobs stay wire
-dicts, which is what those records carry.
+refused before it is stored.  Publish-delta blobs stay wire dicts,
+which is what those records carry.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ import struct
 from typing import BinaryIO, Iterator, Optional, Tuple, Union
 
 from repro.core.events import BlockedStatus, Event
+from repro.distributed.delta import PROTOCOL_VERSION
 from repro.trace.events import (
     Trace,
     TraceFormatError,
@@ -65,7 +66,6 @@ from repro.trace.events import (
     RecordKind,
     TRACE_MAGIC,
     _BLOCK,
-    _PUBLISH,
     _UNBLOCK,
     delta_payload_from_obj,
     status_from_obj,
@@ -106,7 +106,6 @@ _KIND_TAGS = {
     RecordKind.UNBLOCK: 2,
     RecordKind.REGISTER: 3,
     RecordKind.ADVANCE: 4,
-    RecordKind.PUBLISH: 5,
     RecordKind.PUBLISH_DELTA: 6,
 }
 
@@ -167,13 +166,6 @@ def _record_from_obj(obj: dict) -> TraceRecord:
     if "status" in obj:
         status = status_from_obj(obj["status"])
     payload = obj.get("payload")
-    if kind is RecordKind.PUBLISH and payload is not None:
-        # Validate every bucket entry up front: a malformed blob must be
-        # a TraceFormatError at load time, not a KeyError mid-replay.
-        if not isinstance(payload, dict):
-            raise TraceFormatError(f"publish payload is not an object: {payload!r}")
-        for blob in payload.values():
-            status_from_obj(blob)
     if kind is RecordKind.PUBLISH_DELTA and payload is not None:
         if not isinstance(payload, dict):
             raise TraceFormatError(f"delta payload is not an object: {payload!r}")
@@ -327,7 +319,7 @@ def _read_phases(buf, pos: int) -> Tuple[list, int]:
 
 
 def _read_status(buf: memoryview, pos: int) -> Tuple[dict, int]:
-    """One status wire dict: a publish or publish-delta blob."""
+    """One status wire dict: a publish-delta blob."""
     generation, pos = _read_varint(buf, pos)
     waits, pos = _read_phases(buf, pos)
     registered, pos = _read_phases(buf, pos)
@@ -405,16 +397,10 @@ class BinaryCodec:
             _write_str(body, rec.task)
             _write_str(body, rec.phaser)
             _write_varint(body, rec.phase)
-        elif kind is RecordKind.PUBLISH:
-            _write_str(body, rec.site)
-            _write_varint(body, len(rec.payload))
-            for task, blob in rec.payload.items():
-                _write_str(body, str(task))
-                _write_status(body, blob)
         else:  # PUBLISH_DELTA
             delta = rec.payload
             _write_str(body, rec.site)
-            _write_varint(body, int(delta.get("v", 1)))
+            _write_varint(body, int(delta.get("v", PROTOCOL_VERSION)))
             _write_str(body, str(delta["stream"]))
             _write_varint(body, int(delta["seq"]))
             body.append(_DELTA_KIND_TAGS[delta["kind"]])
@@ -430,9 +416,8 @@ class BinaryCodec:
                 _write_str(body, str(task))
             trace_ctx = delta.get("trace")
             if trace_ctx is not None:
-                # Optional trailing section (v2+ causal context): frames
-                # that end right after ``clear`` stay decodable, so old
-                # recordings load unchanged.
+                # Optional trailing section (the causal context): a
+                # frame without one ends right after ``clear``.
                 _write_str(body, _canonical_json(dict(trace_ctx)))
         frame = bytearray()
         _write_varint(frame, len(_bounded(body, "frame")))
@@ -471,15 +456,6 @@ class BinaryCodec:
         elif body[0] in _CONTEXT_TAG_KINDS:
             ctx = ContextRecord(kind, seq, body, pos)
             return TraceRecord(seq, kind, ctx.task, None, ctx.phaser, ctx.phase)
-        elif kind is _PUBLISH:
-            site, pos = _read_str(body, pos)
-            n_tasks, pos = _read_varint(body, pos)
-            payload = {}
-            for _ in range(n_tasks):
-                task, pos = _read_str(body, pos)
-                blob, pos = _read_status(body, pos)
-                payload[task] = blob
-            rec = TraceRecord(seq=seq, kind=kind, site=site, payload=payload)
         else:  # PUBLISH_DELTA
             site, pos = _read_str(body, pos)
             version, pos = _read_varint(body, pos)
@@ -515,7 +491,7 @@ class BinaryCodec:
                 "clear": clear,
             }
             if pos < len(body):
-                # Trailing causal-context section (absent in old frames).
+                # Trailing causal-context section (optional).
                 trace_json, pos = _read_str(body, pos)
                 obj["trace"] = _parse_json(trace_json, "delta trace context")
             payload = delta_payload_from_obj(obj)

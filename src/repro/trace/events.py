@@ -7,7 +7,7 @@ during one run.  Replaying the stream through a fresh
 :class:`~repro.core.checker.DeadlockChecker` reproduces the analysis of
 the live run — deterministically, offline, and at batch throughput.
 
-Six record kinds cover every observation point of the tool
+Five record kinds cover every observation point of the tool
 architecture (Section 5.3's task observer plus Section 5.2's publishes):
 
 * ``block`` — a task is about to block, with its full
@@ -18,9 +18,6 @@ architecture (Section 5.3's task observer plus Section 5.2's publishes):
   local-phase changes.  Replay does not need them (the blocked status is
   self-contained), but they make traces debuggable and let future
   analyses reconstruct phaser membership over time;
-* ``publish`` — a distributed site replaced its whole encoded status
-  bucket in the global store (the PR-1 bucket protocol, kept for old
-  recordings);
 * ``publish_delta`` — a distributed site appended one
   :mod:`repro.distributed.delta` wire delta (per-site sequence number,
   ``set``/``restore``/``clear`` ops or a full ``snapshot`` checkpoint)
@@ -29,9 +26,7 @@ architecture (Section 5.3's task observer plus Section 5.2's publishes):
 Records carry a monotonically increasing ``seq`` stamped by the
 producer; the stream order *is* the semantics, so codecs must preserve
 it.  The format is versioned through :data:`TRACE_VERSION` in the trace
-header; readers accept every version in :data:`SUPPORTED_VERSIONS`
-(version 1 predates ``publish_delta``; version 3 adds the optional
-``trace`` causal-context field on delta payloads) and reject the rest.
+header; readers accept that version and reject every other.
 """
 
 from __future__ import annotations
@@ -43,12 +38,9 @@ from typing import Optional, Tuple
 
 from repro.core.events import BlockedStatus, Event
 
-#: Current trace-format version, written into every header.
+#: The trace-format version, written into every header and the only
+#: one readers accept.
 TRACE_VERSION = 3
-
-#: Versions this reader understands (v1 lacks ``publish_delta``; v3
-#: added the optional delta ``trace`` context).
-SUPPORTED_VERSIONS = (1, 2, 3)
 
 #: Magic string identifying a trace (JSONL header field / binary magic).
 TRACE_MAGIC = "armus-trace"
@@ -65,7 +57,6 @@ class RecordKind(enum.Enum):
     UNBLOCK = "unblock"
     REGISTER = "register"
     ADVANCE = "advance"
-    PUBLISH = "publish"
     PUBLISH_DELTA = "publish_delta"
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
@@ -74,12 +65,12 @@ class RecordKind(enum.Enum):
 
 # The members as module globals for the per-record checks: reading
 # ``RecordKind.BLOCK`` costs several times a global lookup.
-_BLOCK, _UNBLOCK, _REGISTER, _ADVANCE, _PUBLISH, _PUBLISH_DELTA = RecordKind
+_BLOCK, _UNBLOCK, _REGISTER, _ADVANCE, _PUBLISH_DELTA = RecordKind
 
 
 # ---------------------------------------------------------------------------
 # status (de)serialisation — the per-status wire form shared by BLOCK
-# records, PUBLISH payloads and the delta protocol's blobs (its one
+# records and the delta protocol's blobs (its one
 # spelling: repro.distributed.delta.encode_bucket/decode_blob wrap it)
 # ---------------------------------------------------------------------------
 def status_to_obj(status: BlockedStatus) -> dict:
@@ -137,47 +128,51 @@ def delta_payload_from_obj(obj: Mapping) -> dict:
     Raises :class:`TraceFormatError` on malformed input; returns a plain
     dict with canonical key order (``v``, ``stream``, ``seq``, ``kind``,
     ``set``, ``restore``, ``clear``, then ``trace`` when present).
-    Every status blob is validated through :func:`status_from_obj` so a
-    bad delta fails at load time, not mid-replay.  The optional
-    ``trace`` member is the causal context stamped by publishers with
-    tracing enabled — a flat object of scalar values, legal from
-    protocol v2 on.  (Protocol constants are imported lazily from their
+    Values are checked, never coerced: ``v`` (default
+    ``PROTOCOL_VERSION``, the only version accepted) and ``seq`` (>= 1)
+    are JSON integers, ``stream`` a non-empty string and ``clear`` a
+    list of strings.  Every status blob is validated through
+    :func:`status_from_obj` so a bad delta fails at load time, not
+    mid-replay.  The optional ``trace`` member is the causal context
+    stamped by publishers with tracing enabled — a flat object of
+    scalar values.  (Protocol constants are imported lazily from their
     owner, :mod:`repro.distributed.delta` — a top-level import would
     cycle through the trace package init.)
     """
     from repro.distributed.delta import DELTA_KINDS, PROTOCOL_VERSION
 
     try:
-        version = int(obj.get("v", PROTOCOL_VERSION))
-        stream = str(obj["stream"])
-        seq = int(obj["seq"])
+        version = obj.get("v", PROTOCOL_VERSION)
+        stream = obj["stream"]
+        seq = obj["seq"]
         kind = obj["kind"]
         set_ops = obj["set"]
         restore_ops = obj["restore"]
         clear_ops = obj["clear"]
         trace_ctx = obj.get("trace")
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         # AttributeError: not an object at all (a list, string, number).
         raise TraceFormatError(f"malformed delta payload: {obj!r}") from exc
-    if not stream:
-        raise TraceFormatError("delta payload needs a non-empty stream token")
-    if not 1 <= version <= PROTOCOL_VERSION:
-        raise TraceFormatError(f"unsupported delta protocol version {version}")
+    # ``type(...) is int``: JSON ``true`` is an ``int`` to isinstance.
+    if type(version) is not int or version != PROTOCOL_VERSION:
+        raise TraceFormatError(f"unsupported delta protocol version {version!r}")
+    if type(stream) is not str or not stream:
+        raise TraceFormatError(
+            f"delta payload needs a non-empty stream token, got {stream!r}"
+        )
     if kind not in DELTA_KINDS:
         raise TraceFormatError(f"unknown delta kind {kind!r}")
-    if seq < 1:
-        raise TraceFormatError(f"delta seq must be >= 1, got {seq}")
+    if type(seq) is not int or seq < 1:
+        raise TraceFormatError(f"delta seq must be an integer >= 1, got {seq!r}")
     if not isinstance(set_ops, Mapping) or not isinstance(restore_ops, Mapping):
         raise TraceFormatError("delta set/restore must be objects")
-    if isinstance(clear_ops, (str, bytes)) or not hasattr(clear_ops, "__iter__"):
+    if not isinstance(clear_ops, list) or any(
+        type(task) is not str for task in clear_ops
+    ):
         raise TraceFormatError("delta clear must be a list of task ids")
-    if kind == "snapshot" and (restore_ops or list(clear_ops)):
+    if kind == "snapshot" and (restore_ops or clear_ops):
         raise TraceFormatError("snapshot deltas carry only a set section")
     if trace_ctx is not None:
-        if version < 2:
-            raise TraceFormatError(
-                "delta trace context requires protocol version >= 2"
-            )
         if not isinstance(trace_ctx, Mapping):
             raise TraceFormatError("delta trace context must be an object")
         for key, value in trace_ctx.items():
@@ -196,7 +191,7 @@ def delta_payload_from_obj(obj: Mapping) -> dict:
         "kind": kind,
         "set": {str(t): dict(b) for t, b in set_ops.items()},
         "restore": {str(t): dict(b) for t, b in restore_ops.items()},
-        "clear": [str(t) for t in clear_ops],
+        "clear": list(clear_ops),
     }
     if trace_ctx is not None:
         payload["trace"] = {str(k): v for k, v in sorted(trace_ctx.items())}
@@ -359,7 +354,6 @@ class TraceRecord:
     UNBLOCK        ``task``
     REGISTER       ``task``, ``phaser``, ``phase``
     ADVANCE        ``task``, ``phaser``, ``phase``
-    PUBLISH        ``site``, ``payload`` (task -> encoded status)
     PUBLISH_DELTA  ``site``, ``payload`` (the delta wire object)
     =============  =======================================================
     """
@@ -377,7 +371,7 @@ class TraceRecord:
         if self.seq < 0:
             raise TraceFormatError(f"negative seq: {self.seq}")
         k = self.kind
-        if k is _PUBLISH or k is _PUBLISH_DELTA:
+        if k is _PUBLISH_DELTA:
             if self.site is None or self.payload is None:
                 raise TraceFormatError(f"{k.value} record needs site and payload")
         elif self.task is None:
@@ -422,12 +416,6 @@ def advance(seq: int, task: str, phaser: str, phase: int) -> TraceRecord:
     )
 
 
-def publish(seq: int, site: str, payload: Mapping[str, Mapping]) -> TraceRecord:
-    """A ``publish`` record: ``site`` replaced its store bucket with
-    ``payload`` (task id -> encoded status, the store wire format)."""
-    return TraceRecord(seq=seq, kind=RecordKind.PUBLISH, site=site, payload=dict(payload))
-
-
 def publish_delta(seq: int, site: str, payload: Mapping) -> TraceRecord:
     """A ``publish_delta`` record: ``site`` appended the delta wire
     object ``payload`` (see :mod:`repro.distributed.delta`) to its
@@ -452,12 +440,12 @@ class TraceHeader:
     meta: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # ``type(...) is int``: a JSONL header's ``true`` equals 1 and
-        # would otherwise read as version 1.
-        if type(self.version) is not int or self.version not in SUPPORTED_VERSIONS:
+        # ``type(...) is int``: a JSONL header's ``true`` is an ``int``
+        # to isinstance.
+        if type(self.version) is not int or self.version != TRACE_VERSION:
             raise TraceFormatError(
                 f"unsupported trace version {self.version!r} "
-                f"(this reader understands {SUPPORTED_VERSIONS})"
+                f"(this reader understands {TRACE_VERSION})"
             )
         if not isinstance(self.meta, Mapping):
             raise TraceFormatError(

@@ -21,6 +21,7 @@ import re
 from typing import Dict, Mapping, Tuple
 
 from repro.core.events import BlockedStatus, Event
+from repro.distributed.delta import PROTOCOL_VERSION
 from repro.trace import events as ev
 from repro.trace.events import RecordKind, Trace, TraceHeader, TraceRecord
 
@@ -78,7 +79,7 @@ def _canonical_status(status: BlockedStatus, task, resource) -> BlockedStatus:
 
 
 def _canonical_payload(payload: Mapping, task, resource) -> Dict[str, dict]:
-    # Publish payloads carry *encoded* statuses (the store wire format).
+    # Delta sections carry *encoded* statuses (the store wire format).
     out: Dict[str, dict] = {}
     for task_id, blob in sorted(payload.items(), key=lambda kv: _natural_key(kv[0])):
         out[task(task_id)] = {
@@ -137,14 +138,6 @@ def canonical_trace(trace: Trace) -> Trace:
             records.append(
                 make(rec.seq, task(rec.task), resource(rec.phaser), rec.phase)
             )
-        elif kind is RecordKind.PUBLISH:
-            records.append(
-                ev.publish(
-                    rec.seq,
-                    site(rec.site),
-                    _canonical_payload(rec.payload, task, resource),
-                )
-            )
         else:  # PUBLISH_DELTA
             delta = rec.payload
             # Walk the delta's sections in a fixed order (set, restore,
@@ -155,7 +148,7 @@ def canonical_trace(trace: Trace) -> Trace:
                     rec.seq,
                     site(rec.site),
                     {
-                        "v": delta.get("v", 1),
+                        "v": delta.get("v", PROTOCOL_VERSION),
                         "stream": stream(delta["stream"]),
                         "seq": delta["seq"],
                         "kind": delta["kind"],
@@ -170,5 +163,5 @@ def canonical_trace(trace: Trace) -> Trace:
                     },
                 )
             )
-    header = TraceHeader(version=trace.header.version, meta=dict(trace.header.meta))
+    header = TraceHeader(meta=dict(trace.header.meta))
     return Trace(header=header, records=tuple(records))

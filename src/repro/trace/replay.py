@@ -17,10 +17,10 @@ Two replay modes mirror the paper's verification modes:
 * **avoidance** — every ``block`` record is vetted with
   ``check_before_block`` before being published, reproducing the
   refuse-instead-of-block behaviour offline.  Distributed traces
-  (``publish`` records) carry whole buckets, not vettable individual
-  blocks, so avoidance replay rejects them with :class:`ValueError`.
+  (``publish_delta`` records) carry site publications, not vettable
+  individual blocks, so avoidance replay rejects them with
+  :class:`ValueError`.
 
-``publish`` records (legacy v1 whole-bucket publications) and
 ``publish_delta`` records (the delta protocol: per-site sequence
 numbers, ``set``/``restore``/``clear`` ops, snapshot checkpoints) switch
 detection to the distributed view: once any site publication has been
@@ -87,17 +87,13 @@ from repro.obs.tracing import NULL_TRACER, OriginTracker, attach_provenance
 from repro.trace.events import RecordKind, Trace, TraceRecord
 from repro.trace.stream import iter_load
 
-#: Publication record kinds (either protocol) — they flip detection to
-#: the merged distributed view and are unanalysable under avoidance.
-_PUBLISH_KINDS = (RecordKind.PUBLISH, RecordKind.PUBLISH_DELTA)
-
 #: Replay modes (strings, to stay import-independent of the runtime).
 DETECTION = "detection"
 AVOIDANCE = "avoidance"
 
 #: ``kind`` label values of ``repro_replay_records_total`` (context =
 #: register/advance records, skipped by the engines but counted).
-_KIND_NAMES = ("block", "unblock", "publish", "publish_delta", "context")
+_KIND_NAMES = ("block", "unblock", "publish_delta", "context")
 
 #: Buckets for whole-run replay durations (volatile; excluded from the
 #: deterministic snapshot).
@@ -275,21 +271,19 @@ class ReplayEngine:
                     continue
                 local_ops.append(("clear", rec.task, None))
                 pending += 1
-            elif kind in _PUBLISH_KINDS:
+            elif kind is RecordKind.PUBLISH_DELTA:
                 if self.mode == AVOIDANCE:
-                    # Avoidance vets individual blocks; a published
-                    # bucket carries no per-block order to vet.  Failing
-                    # loudly beats replaying a silent wrong verdict.
+                    # Avoidance vets individual blocks; a site
+                    # publication carries no per-block order to vet.
+                    # Failing loudly beats replaying a silent wrong
+                    # verdict.
                     raise ValueError(
-                        "avoidance replay cannot analyse publish records "
-                        "(distributed traces replay in detection mode)"
+                        "avoidance replay cannot analyse publish_delta "
+                        "records (distributed traces replay in detection "
+                        "mode)"
                     )
-                if kind is RecordKind.PUBLISH:
-                    kinds["publish"] += 1
-                    merge.apply_bucket(rec.site, rec.payload)
-                else:
-                    kinds["publish_delta"] += 1
-                    merge.apply_obj(rec.site, rec.payload)
+                kinds["publish_delta"] += 1
+                merge.apply_obj(rec.site, rec.payload)
                 publishes_seen = True
                 pending += 1
             else:  # REGISTER / ADVANCE: context only

@@ -24,6 +24,7 @@ from repro.core.checker import DeadlockChecker
 from repro.core.events import BlockedStatus, Event, waiting_on
 from repro.core.incremental import IncrementalChecker
 from repro.core.selection import GraphModel
+from repro.distributed.delta import make_snapshot
 from repro.trace.events import RecordKind
 from repro.trace.parallel import discover_traces
 from repro.trace.replay import replay
@@ -56,20 +57,15 @@ def drive_both(records, model=GraphModel.AUTO):
     return compared
 
 
-#: Publication kinds (either protocol): these traces exercise the
-#: engine-level view derivation instead of the raw checker surface.
-PUBLISH_KINDS = (RecordKind.PUBLISH, RecordKind.PUBLISH_DELTA)
-
-
 class TestCorpusDifferential:
     @pytest.mark.parametrize("path", corpus_files(), ids=lambda p: p.name)
     def test_reports_identical_at_every_cadence_point(self, path):
         """Block/unblock traces: drive both checkers record by record.
-        Publication traces (bucket or delta protocol) exercise the
+        Publication traces exercise the
         engine-level view derivation instead (their records carry no
         per-task delta to hand a checker directly)."""
         records = list(iter_load(path))
-        if any(r.kind in PUBLISH_KINDS for r in records):
+        if any(r.kind is RecordKind.PUBLISH_DELTA for r in records):
             a = replay(records, check_every=1)
             b = replay(records, check_every=1, incremental=True)
             assert a.reports == b.reports
@@ -311,9 +307,9 @@ class TestTransientPublishConflicts:
 
         blob = status_to_obj(waiting_on("p", 1, p=1))
         return [
-            ev.publish(0, "A", {"t1": blob}),
-            ev.publish(1, "B", {"t1": blob}),
-            ev.publish(2, "A", {}),
+            ev.publish_delta(0, "A", make_snapshot(1, {"t1": blob}, "A")),
+            ev.publish_delta(1, "B", make_snapshot(1, {"t1": blob}, "B")),
+            ev.publish_delta(2, "A", make_snapshot(2, {}, "A")),
         ]
 
     def test_transient_overlap_replays_in_both_engines(self):
@@ -343,9 +339,13 @@ class TestTransientPublishConflicts:
         a_blob = status_to_obj(waiting_on("p", 1, p=1, q=0))
         b_blob = status_to_obj(waiting_on("q", 1, p=0, q=1))
         recs = [
-            ev.publish(0, "A", {"t1": a_blob, "t2": b_blob}),
-            ev.publish(1, "B", {"t2": a_blob}),  # conflicting duplicate
-            ev.publish(2, "B", {}),  # B retracts: A's t2 must win again
+            ev.publish_delta(
+                0, "A", make_snapshot(1, {"t1": a_blob, "t2": b_blob}, "A")
+            ),
+            # A conflicting duplicate, then B retracts: A's t2 must win
+            # again.
+            ev.publish_delta(1, "B", make_snapshot(1, {"t2": a_blob}, "B")),
+            ev.publish_delta(2, "B", make_snapshot(2, {}, "B")),
         ]
         x = replay(recs, check_every=5)
         y = replay(recs, check_every=5, incremental=True)

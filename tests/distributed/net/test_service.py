@@ -92,6 +92,33 @@ class TestCoreDispatch:
         tenant = core.tenant("default")
         assert tenant.delta_sites() == [] and tenant._ordinal == 0
 
+    @pytest.mark.parametrize("kind,members", [
+        ("snapshot", {"seq": True}),
+        ("delta", {"seq": 2.5}),
+        ("delta", {"seq": "2"}),
+        ("snapshot", {"seq": 2, "stream": ["x"]}),
+        ("snapshot", {"seq": 2, "stream": 7}),
+        ("delta", {"seq": 2, "v": 2.9}),
+        ("delta", {"seq": 2, "v": True}),
+        ("delta", {"seq": 2, "clear": ["t", 1]}),
+    ], ids=["seq-true", "seq-fraction", "seq-string", "stream-list",
+            "stream-number", "v-fraction", "v-true", "clear-number"])
+    def test_a_mistyped_delta_value_is_refused_not_coerced(self, kind, members):
+        """Each of these converts to a valid next append (``True`` to 1,
+        2.5 to 2, ``["x"]`` to a stream ``"['x']"``, ``1`` to a task
+        ``"1"``); the door refuses it instead, and the store keeps the
+        state it had."""
+        core = CheckerServiceCore()
+        core.handle({"op": "append_delta", "site": "s0",
+                     "obj": make_snapshot(1, {}, "S")})
+        obj = {"v": 2, "stream": "S", "kind": kind,
+               "set": {}, "restore": {}, "clear": [], **members}
+        response = core.handle({"op": "append_delta", "site": "s0", "obj": obj})
+        assert response["ok"] is False and response["error"] == "value"
+        assert "TraceFormatError" in response["message"]
+        tenant = core.tenant("default")
+        assert tenant.delta_tail("s0") == ("S", 1) and tenant._ordinal == 1
+
     def test_operations_that_answer_nothing_share_one_ack(self):
         core = CheckerServiceCore()
         first = core.handle({"op": "append_delta", "site": "s0",

@@ -39,11 +39,13 @@ def corpus_publication_traces():
     from repro.trace.codec import load_trace
     from repro.trace.events import RecordKind
 
-    kinds = (RecordKind.PUBLISH, RecordKind.PUBLISH_DELTA)
     return [
         path for path in sorted(CORPUS.iterdir())
         if path.suffix in (".trace", ".jsonl")
-        and any(rec.kind in kinds for rec in load_trace(path).records)
+        and any(
+            rec.kind is RecordKind.PUBLISH_DELTA
+            for rec in load_trace(path).records
+        )
     ]
 
 
@@ -146,7 +148,7 @@ class TestApplyDeltaObj:
             make_snapshot(1, bucket(a=waiting_on("p", 1, p=1)), "s0"),
         )
         gap = {
-            "v": 1, "stream": "s0", "seq": 3, "kind": "delta",
+            "v": 2, "stream": "s0", "seq": 3, "kind": "delta",
             "set": {}, "restore": {}, "clear": ["a"],
         }
         with pytest.raises(DeltaSequenceError):
@@ -159,7 +161,7 @@ class TestApplyDeltaObj:
         buckets, cursors = {}, {}
         apply_delta_obj(buckets, cursors, "s0", make_snapshot(1, {}, "old"))
         alien = {
-            "v": 1, "stream": "new", "seq": 2, "kind": "delta",
+            "v": 2, "stream": "new", "seq": 2, "kind": "delta",
             "set": {}, "restore": {}, "clear": [],
         }
         with pytest.raises(DeltaSequenceError):
@@ -273,7 +275,7 @@ class TestDeltaMergeState:
         # The overlap resolves: s1 retracts its copy.
         state.apply_obj(
             "s1",
-            {"v": 1, "stream": "s1", "seq": 2, "kind": "delta",
+            {"v": 2, "stream": "s1", "seq": 2, "kind": "delta",
              "set": {}, "restore": {}, "clear": ["t"]},
         )
         state.raise_on_conflict()  # no longer raises
@@ -296,7 +298,7 @@ class TestMalformedSnapshots:
         from repro.distributed.store import InMemoryStore
 
         bad = {
-            "v": 1, "stream": "S", "seq": 1, "kind": "snapshot",
+            "v": 2, "stream": "S", "seq": 1, "kind": "snapshot",
             "set": {}, "restore": bucket(a=waiting_on("p", 1, p=1)),
             "clear": [],
         }
@@ -539,9 +541,9 @@ class TestDecodedView:
         assert list(view.merged_snapshot().statuses) == ["a", "b"]
         assert set(checker.dependency.snapshot().statuses) == {"a", "b"}
 
-    def test_corpus_has_both_publication_protocols(self):
+    def test_corpus_publications_cover_recorded_and_generated(self):
         names = {path.name for path in corpus_publication_traces()}
-        assert "recorded-cluster-dl.trace" in names  # v1 ``publish``
+        assert {"recorded-cluster-dl.trace", "recorded-cluster-delta-dl.trace"} <= names
         assert {"cycle-L2-F2-S2-R1-dl.trace", "cycle-L2-F2-S2-R1-dl.jsonl"} <= names
 
     @pytest.mark.parametrize(
@@ -549,24 +551,20 @@ class TestDecodedView:
     )
     def test_corpus_streams_match_the_plain_fold(self, path):
         """The oracle both replay engines now share a view with: after
-        every publication record of every corpus trace (v1 ``publish``
-        buckets included), the view's merged snapshot equals — values
-        and key order — ``merge_buckets`` over buckets folded by the
-        plain ``apply_delta_obj`` / whole-bucket replace."""
+        every publication record of every corpus trace, the view's
+        merged snapshot equals — values and key order —
+        ``merge_buckets`` over buckets folded by the plain
+        ``apply_delta_obj``."""
         from repro.trace.codec import load_trace
         from repro.trace.events import RecordKind
 
         view = DeltaMergeState(DeadlockChecker())
         buckets, cursors = {}, {}
         for rec in load_trace(path).records:
-            if rec.kind is RecordKind.PUBLISH:
-                buckets[rec.site] = dict(rec.payload)
-                view.apply_bucket(rec.site, rec.payload)
-            elif rec.kind is RecordKind.PUBLISH_DELTA:
-                apply_delta_obj(buckets, cursors, rec.site, rec.payload)
-                view.apply_obj(rec.site, rec.payload)
-            else:
+            if rec.kind is not RecordKind.PUBLISH_DELTA:
                 continue
+            apply_delta_obj(buckets, cursors, rec.site, rec.payload)
+            view.apply_obj(rec.site, rec.payload)
             assert view.buckets == buckets
             assert list(view.buckets) == list(buckets)
             expected = merge_buckets(buckets).statuses

@@ -29,7 +29,7 @@ from repro.obs.registry import MetricsRegistry
 
 def delta(seq, set=None, restore=None, clear=None, stream="S"):
     return {
-        "v": 1,
+        "v": 2,
         "stream": stream,
         "seq": seq,
         "kind": "delta",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import repro.trace.events as ev
 from repro.core.events import BlockedStatus, Event, waiting_on
+from repro.distributed.delta import make_snapshot
 from repro.predict.candidates import extract_intervals
 from repro.predict.hb import build_hb_model
 from repro.trace.events import status_to_obj
@@ -17,6 +18,11 @@ from repro.trace.events import status_to_obj
 
 def w(phaser: str, phase: int, **registered: int) -> BlockedStatus:
     return waiting_on(phaser, phase, **registered)
+
+
+def snapshot(seq: int, site: str, bucket: dict, stream_seq: int = 1):
+    """A ``publish_delta`` record: ``site`` checkpoints ``bucket`` whole."""
+    return ev.publish_delta(seq, site, make_snapshot(stream_seq, bucket, site))
 
 
 class TestProgramOrder:
@@ -76,7 +82,7 @@ class TestPublishAttribution:
             "a": status_to_obj(w("p", 1, p=0)),
             "b": status_to_obj(w("q", 1, q=0)),
         }
-        model = build_hb_model([ev.publish(0, "site0", payload)])
+        model = build_hb_model([snapshot(0, "site0", payload)])
         assert set(model.events) == {"a", "b"}
         for task in ("a", "b"):
             (event,) = model.events[task]
@@ -86,16 +92,16 @@ class TestPublishAttribution:
     def test_bucket_diff_emits_unblocks_for_vanished_tasks(self):
         full = {"a": status_to_obj(w("p", 1, p=0))}
         model = build_hb_model([
-            ev.publish(0, "site0", full),
-            ev.publish(1, "site0", {}),
+            snapshot(0, "site0", full),
+            snapshot(1, "site0", {}, 2),
         ])
         assert [e.kind for e in model.events["a"]] == ["block", "unblock"]
 
     def test_republication_of_unchanged_status_is_not_a_new_block(self):
         full = {"a": status_to_obj(w("p", 1, p=0))}
         model = build_hb_model([
-            ev.publish(0, "site0", full),
-            ev.publish(1, "site0", full),
+            snapshot(0, "site0", full),
+            snapshot(1, "site0", full, 2),
         ])
         assert [e.kind for e in model.events["a"]] == ["block"]
 
@@ -109,8 +115,8 @@ class TestPublishAttribution:
             "b": status_to_obj(w("q", 1, q=0, p=0)),
         }
         _, intervals = extract_intervals([
-            ev.publish(0, "site0", payload_a),
-            ev.publish(1, "site0", payload_ab),
+            snapshot(0, "site0", payload_a),
+            snapshot(1, "site0", payload_ab, 2),
         ])
         by_task = {iv.task: iv for iv in intervals}
         assert "a" not in by_task["b"].block_clock

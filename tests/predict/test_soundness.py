@@ -149,7 +149,7 @@ def racefree_barrier_trace(seed: int) -> Trace:
         for task in blocked:
             emit(ev.unblock(seq, task))
     return Trace(
-        header=TraceHeader(version=3, meta={
+        header=TraceHeader(meta={
             "generator": "tests.predict", "scenario": f"racefree-{seed}",
             "expect_deadlock": False,
         }),

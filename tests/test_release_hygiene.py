@@ -6,6 +6,7 @@ from __future__ import annotations
 import ast
 import importlib
 import pathlib
+import re
 
 import pytest
 
@@ -267,6 +268,55 @@ class TestOneReportContract:
             main(["replay", "x.jsonl", "--" + "shard-" + "components"])
         assert usage.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestOneTraceFormat:
+    """One publication record, one trace version, one delta version.
+    The whole-bucket ``publish`` kind and the versions before them cannot
+    come back unnoticed."""
+
+    # Spelt in halves so that this file does not match itself.
+    PATTERNS = (
+        r"RecordKind\.PUB" + r"LISH\b", r"\bev\.pub" + r"lish\(",
+        "SUPPORTED_" + "VERSIONS", "_observe_" + "publish",
+    )
+
+    def test_no_file_names_the_retired_format(self):
+        paths = [REPO / ".github" / "workflows" / "ci.yml"]
+        for root in ("src", "tests"):
+            paths.extend(sorted((REPO / root).rglob("*.py")))
+        for path in paths:
+            text = path.read_text()
+            for pattern in self.PATTERNS:
+                assert not re.search(pattern, text), (path.name, pattern)
+
+    def test_one_record_kind_publishes(self):
+        from repro.trace import codec
+        from repro.trace.events import RecordKind
+
+        assert [k.value for k in RecordKind if "publish" in k.value] == [
+            "publish_delta"
+        ]
+        assert sorted(codec._TAG_KINDS) == [1, 2, 3, 4, 6]
+
+    def test_writers_and_readers_share_one_version(self):
+        from repro.distributed.delta import PROTOCOL_VERSION, make_snapshot
+        from repro.trace.events import (
+            TRACE_VERSION,
+            TraceFormatError,
+            TraceHeader,
+            delta_payload_from_obj,
+        )
+
+        assert TraceHeader().version == TRACE_VERSION
+        for version in range(1, TRACE_VERSION):
+            with pytest.raises(TraceFormatError):
+                TraceHeader(version=version)
+        delta = make_snapshot(1, {}, "S")
+        assert delta_payload_from_obj(delta)["v"] == PROTOCOL_VERSION
+        for version in range(1, PROTOCOL_VERSION):
+            with pytest.raises(TraceFormatError):
+                delta_payload_from_obj({**delta, "v": version})
 
 
 class TestOneValueOneConstant:

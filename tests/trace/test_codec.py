@@ -72,27 +72,13 @@ class TestRoundTrip:
         }
 
     @pytest.mark.parametrize("codec", ["jsonl", "binary"])
-    def test_legacy_publish_records_round_trip(self, codec):
-        """The bucket-protocol record kind survives both codecs — old
-        recordings must keep replaying under the delta protocol era."""
-        payload = {
-            "t1": {"waits": [["p", 1]], "registered": {"p": 1}, "generation": 3}
-        }
-        trace = Trace(
-            header=TraceHeader(meta={}),
-            records=(ev.publish(0, "siteA", payload),),
-        )
-        restored = loads(dumps(trace, codec))
-        assert restored.records == trace.records
-
-    @pytest.mark.parametrize("codec", ["jsonl", "binary"])
     @pytest.mark.parametrize("kind", ["delta", "snapshot"])
     def test_publish_delta_round_trip(self, codec, kind):
         blobs = {
             "t1": {"waits": [["p", 1]], "registered": {"p": 1}, "generation": 3}
         }
         payload = {
-            "v": 1,
+            "v": 2,
             "stream": "st1",
             "seq": 4,
             "kind": kind,
@@ -183,15 +169,6 @@ class TestMalformedInput:
         with pytest.raises(TraceFormatError, match="codec"):
             codec_for("x.jsonl", codec="msgpack")
 
-    def test_malformed_publish_payload_rejected_at_load(self):
-        """A publish blob missing its status fields must fail at load
-        time, not as a KeyError in the middle of a replay."""
-        header = b'{"magic":"armus-trace","version":%d,"meta":{}}\n' % TRACE_VERSION
-        with pytest.raises(TraceFormatError):
-            loads(header + b'{"seq":0,"kind":"publish","site":"s","payload":{"t":{}}}\n')
-        with pytest.raises(TraceFormatError):
-            loads(header + b'{"seq":0,"kind":"publish","site":"s","payload":"oops"}\n')
-
 
 class TestDeltaPayloadValidation:
     def header(self):
@@ -210,7 +187,7 @@ class TestDeltaPayloadValidation:
     def test_snapshot_with_delta_ops_rejected_at_load(self):
         line = (
             b'{"seq":0,"kind":"publish_delta","site":"s","payload":'
-            b'{"v":1,"stream":"x","seq":1,"kind":"snapshot",'
+            b'{"v":2,"stream":"x","seq":1,"kind":"snapshot",'
             b'"set":{},"restore":{},"clear":["t"]}}\n'
         )
         with pytest.raises(TraceFormatError, match="snapshot"):
@@ -218,12 +195,11 @@ class TestDeltaPayloadValidation:
 
 
 class TestTraceContextOnWire:
-    """The optional delta ``trace`` field: round-trips in both codecs,
-    but only protocol v2+ payloads may carry it."""
+    """The optional delta ``trace`` field round-trips in both codecs."""
 
-    def payload(self, v=2, trace=None):
+    def payload(self, trace=None):
         obj = {
-            "v": v,
+            "v": 2,
             "stream": "st1",
             "seq": 4,
             "kind": "snapshot",
@@ -263,12 +239,6 @@ class TestTraceContextOnWire:
         assert loads(dumps(trace, "jsonl")).records == loads(
             dumps(trace, "binary")
         ).records
-
-    def test_v1_payload_with_trace_rejected(self):
-        # Validation happens where the wire object is interpreted —
-        # the load path — so drive delta_payload_from_obj directly.
-        with pytest.raises(TraceFormatError, match="version >= 2"):
-            ev.delta_payload_from_obj(self.payload(v=1, trace={"span": "ab"}))
 
     @pytest.mark.parametrize(
         "bad",

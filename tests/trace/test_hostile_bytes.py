@@ -174,7 +174,7 @@ def delta_trace() -> Trace:
     return Trace(
         TraceHeader(meta={}),
         (
-            ev.publish(0, "s0", {"z": blob()}),
+            ev.publish_delta(0, "s1", payload(1, "snapshot", set={"z": blob()})),
             ev.publish_delta(1, "s0", payload(1, "snapshot", set={"a": blob()})),
             ev.publish_delta(2, "s0", traced),
         ),
@@ -285,6 +285,35 @@ def _no_waits_delta() -> bytes:
     }),)), "binary")
 
 
+def _snapshot_trace(**members) -> Trace:
+    """One ``publish_delta`` snapshot of one blob, ``members`` overriding
+    the payload's."""
+    return Trace(TraceHeader(meta={}), (ev.publish_delta(0, "s0", {
+        "v": 2, "stream": "S", "seq": 1, "kind": "snapshot",
+        "set": {"a": blob()}, "restore": {}, "clear": [], **members,
+    }),))
+
+
+def _binary_version(version: int) -> bytes:
+    """The binary pair with its header's version byte set to ``version``."""
+    data = bytearray(dumps(single_site_trace(), "binary"))
+    data[len(BINARY_MAGIC)] = version
+    return bytes(data)
+
+
+def _binary_tag_5() -> bytes:
+    """A binary trace of one frame under tag 5, laid out as the retired
+    whole-bucket ``publish`` record was: site, then (task, status)
+    pairs."""
+    codec = CODECS["binary"]
+    body = bytearray([5, 0])  # tag, seq
+    codec_mod._write_str(body, "s0")
+    codec_mod._write_varint(body, 1)
+    codec_mod._write_str(body, "a")
+    codec_mod._write_status(body, blob())
+    return codec.encode_header(TraceHeader(meta={})) + varint(len(body)) + body
+
+
 REFUSED_FILES = {
     "binary meta: 0xFF": lambda: dumps(
         Trace(TraceHeader(meta={"k": "value"}), ()), "binary"
@@ -311,6 +340,30 @@ REFUSED_FILES = {
     "jsonl version: a string": lambda: JSONL_HEADER.replace(b":3,", b':"x",'),
     "jsonl version: null": lambda: JSONL_HEADER.replace(b":3,", b":null,"),
     "jsonl version: true": lambda: JSONL_HEADER.replace(b":3,", b":true,"),
+    "jsonl version: 1": lambda: _jsonl_with(
+        single_site_trace(), b'"version":3}', b'"version":1}'
+    ),
+    "jsonl version: 2": lambda: _jsonl_with(
+        single_site_trace(), b'"version":3}', b'"version":2}'
+    ),
+    "binary version: 1": lambda: _binary_version(1),
+    "binary version: 2": lambda: _binary_version(2),
+    "binary record: tag 5": _binary_tag_5,
+    "jsonl record: kind publish": lambda: JSONL_HEADER + (
+        b'{"kind":"publish","payload":{"a":{"generation":0,'
+        b'"registered":{"p":1},"waits":[["p",1]]}},"seq":0,"site":"s0"}\n'
+    ),
+    "jsonl delta v: 1": lambda: dumps(_snapshot_trace(v=1), "jsonl"),
+    "binary delta v: 1": lambda: dumps(_snapshot_trace(v=1), "binary"),
+    "jsonl delta seq: true": lambda: _jsonl_with(
+        _snapshot_trace(), b'"seq":1,"set"', b'"seq":true,"set"'
+    ),
+    "jsonl delta seq: a fraction": lambda: _jsonl_with(
+        _snapshot_trace(), b'"seq":1,"set"', b'"seq":1.5,"set"'
+    ),
+    "jsonl delta stream: a list": lambda: _jsonl_with(
+        _snapshot_trace(), b'"stream":"S"', b'"stream":["S"]'
+    ),
     "jsonl line: 0xFF": lambda: (
         dumps(single_site_trace(), "jsonl").replace(b'"t2"', b'"t\xff"')
     ),
@@ -440,6 +493,23 @@ class TestGoodFiles:
     ):
         strict, _ = verdicts((CORPUS / member).read_bytes(), path)
         assert strict != REFUSED and strict[1]
+
+    @pytest.mark.parametrize("trace_ctx", [None, {"span": "x"}])
+    def test_a_delta_without_v_reads_back_alike_through_both_codecs(
+        self, path, trace_ctx
+    ):
+        """A payload that omits ``v`` is the current protocol version to
+        both writers, so each codec writes a file every door reads back,
+        to the same record."""
+        payload = {"stream": "s", "seq": 1, "kind": "snapshot",
+                   "set": {}, "restore": {}, "clear": []}
+        if trace_ctx is not None:
+            payload["trace"] = trace_ctx
+        trace = Trace(TraceHeader(), (ev.publish_delta(0, "A", payload),))
+        read = [verdicts(dumps(trace, codec), path)[0] for codec in CODEC_NAMES]
+        assert read[0] == read[1] != REFUSED
+        (rec,) = read[0][1]
+        assert rec.payload == {"v": 2, **payload}
 
 
 def _report_obj(**members) -> dict:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.events import BlockedStatus, Event
+from repro.distributed.delta import make_snapshot
 from repro.trace import events as ev
 from repro.trace.codec import dumps
 from repro.trace.corpus import ChurnSpec, ScenarioSpec, build_trace
@@ -24,10 +25,14 @@ def make_trace(task_a, task_b, res_p, res_q, site="siteX"):
         ev.register(2, task_b, res_p, 0),
         ev.advance(3, task_a, res_p, 1),
         ev.block(4, task_a, status_a),
-        ev.publish(
+        ev.publish_delta(
             5,
             site,
-            {task_b: {"waits": [[res_q, 1]], "registered": {res_q: 0}, "generation": 0}},
+            make_snapshot(
+                1,
+                {task_b: {"waits": [[res_q, 1]], "registered": {res_q: 0}, "generation": 0}},
+                f"{site}-stream",
+            ),
         ),
         ev.unblock(6, task_a),
     )
@@ -41,7 +46,8 @@ class TestCanonicalTrace:
         assert out.records[0].phaser == "r0"
         assert out.records[1].phaser == "r1"
         assert out.records[5].site == "s0"
-        assert set(out.records[5].payload) == {"t1"}
+        assert set(out.records[5].payload["set"]) == {"t1"}
+        assert out.records[5].payload["stream"] == "c0"
 
     def test_status_contents_renamed(self):
         out = canonical_trace(make_trace("T17", "T4", "phaser#9", "lock#2"))

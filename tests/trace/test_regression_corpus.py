@@ -84,8 +84,9 @@ class TestCorpusContents:
     def test_recorded_members_cover_every_source(self):
         """The ROADMAP's pinned-surface item: live runtime, PL
         interpreter and distributed cluster recordings all present —
-        the bucket-era cluster capture (v1, ``publish`` records) *and*
-        a delta-protocol one (v2, ``publish_delta`` records)."""
+        two cluster captures, both ``publish_delta`` records (the older
+        one converted from whole-bucket publications to per-site
+        snapshots)."""
         names = {p.name for p in corpus_files()}
         assert "recorded-crossed-detection.trace" in names
         assert "recorded-pl-averaging-dl.jsonl" in names

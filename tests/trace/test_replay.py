@@ -137,17 +137,19 @@ class TestEitherEngine:
     instantiates — each case once, both engines."""
 
     def test_avoidance_rejects_publish_records(self, incremental):
-        """Distributed traces carry whole buckets; avoidance replay must
-        fail loudly rather than report a silent 'no deadlock'."""
+        """Distributed traces carry site publications; avoidance replay
+        must fail loudly rather than report a silent 'no deadlock'."""
         trace = scenario_trace(ScenarioSpec(cycle_len=2, fan_out=1, sites=2))
         with pytest.raises(ValueError, match="publish"):
             replay(trace, mode=AVOIDANCE, incremental=incremental)
 
-    def test_legacy_publish_records_still_replay(self, incremental):
-        """Bucket-protocol traces (old v1 recordings) replay unchanged."""
+    def test_snapshot_publications_replay(self, incremental):
+        """Two sites' snapshot checkpoints merge into one crossed knot."""
+        a = status_to_obj(waiting_on("p", 1, p=1, q=0))
+        b = status_to_obj(waiting_on("q", 1, q=1, p=0))
         records = [
-            ev.publish(0, "A", {"a": status_to_obj(waiting_on("p", 1, p=1, q=0))}),
-            ev.publish(1, "B", {"b": status_to_obj(waiting_on("q", 1, q=1, p=0))}),
+            ev.publish_delta(0, "A", make_snapshot(1, {"a": a}, "A1")),
+            ev.publish_delta(1, "B", make_snapshot(1, {"b": b}, "B1")),
         ]
         outcome = replay(records, mode=DETECTION, incremental=incremental)
         assert outcome.deadlocked
@@ -161,7 +163,7 @@ class TestEitherEngine:
             ev.publish_delta(0, "A", make_snapshot(1, {}, "A1")),
             ev.publish_delta(
                 1, "A",
-                {"v": 1, "stream": "A1", "seq": 3, "kind": "delta",
+                {"v": 2, "stream": "A1", "seq": 3, "kind": "delta",
                  "set": {}, "restore": {}, "clear": []},
             ),
         ]
@@ -171,8 +173,8 @@ class TestEitherEngine:
     def test_cross_site_duplicate_rejected_at_check_time(self, incremental):
         blob = status_to_obj(waiting_on("p", 1, p=1))
         records = [
-            ev.publish(0, "site0", {"t1": blob}),
-            ev.publish(1, "site1", {"t1": blob}),
+            ev.publish_delta(0, "site0", make_snapshot(1, {"t1": blob}, "s0")),
+            ev.publish_delta(1, "site1", make_snapshot(1, {"t1": blob}, "s1")),
         ]
         with pytest.raises(ValueError) as raised:
             replay(records, incremental=incremental)
@@ -185,9 +187,9 @@ class TestEitherEngine:
         the next cadence point never reaches a check."""
         blob = status_to_obj(waiting_on("p", 1, p=1))
         records = [
-            ev.publish(0, "site0", {"t1": blob}),
-            ev.publish(1, "site1", {"t1": blob}),
-            ev.publish(2, "site0", {}),
+            ev.publish_delta(0, "site0", make_snapshot(1, {"t1": blob}, "s0")),
+            ev.publish_delta(1, "site1", make_snapshot(1, {"t1": blob}, "s1")),
+            ev.publish_delta(2, "site0", make_snapshot(2, {}, "s0")),
         ]
         outcome = replay(records, check_every=3, incremental=incremental)
         assert not outcome.deadlocked and outcome.checks_run == 1
@@ -250,9 +252,12 @@ class TestOneReportContract:
         canonical, and site B's is reported once A withdraws a1."""
         a1, a2, b1, b2 = map(status_to_obj, (self.A1, self.A2, self.B1, self.B2))
         records = [
-            ev.publish(0, "A", {"a1": a1, "a2": a2}),
-            ev.publish(1, "B", {"b1": b1, "b2": b2}),
-            ev.publish(2, "A", {"a2": a2}),
+            ev.publish_delta(0, "A", make_snapshot(1, {"a1": a1, "a2": a2}, "A")),
+            ev.publish_delta(1, "B", make_snapshot(1, {"b1": b1, "b2": b2}, "B")),
+            ev.publish_delta(2, "A", {
+                "v": 2, "stream": "A", "seq": 2, "kind": "delta",
+                "set": {}, "restore": {}, "clear": ["a1"],
+            }),
         ]
         outcome = replay(records, model=model, incremental=incremental)
         assert [(set(r.tasks), r.detected_at) for r in outcome.reports] == [

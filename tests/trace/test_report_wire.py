@@ -39,14 +39,15 @@ def ring_statuses():
 
 def enriched_report(model: GraphModel, origins: str):
     """A ring report under ``model`` whose statuses arrived as local
-    blocks, one ``publish`` bucket, or two sites' ``publish_delta``s."""
+    blocks, one site's snapshot ``publish_delta``, or two sites'."""
     statuses = ring_statuses()
     tracker = OriginTracker()
     if origins == "block":
         for seq, (task, status) in enumerate(statuses.items()):
             tracker.observe(ev.block(seq, task, status))
-    elif origins == "publish":
-        tracker.observe(ev.publish(4, "s0", encode_bucket(statuses)))
+    elif origins == "one_site":
+        tracker.observe(ev.publish_delta(
+            4, "s0", make_snapshot(1, encode_bucket(statuses), "tok")))
     else:
         tasks = list(statuses)
         head = {t: statuses[t] for t in tasks[:-1]}
@@ -63,7 +64,7 @@ def enriched_report(model: GraphModel, origins: str):
     return enriched
 
 
-@pytest.mark.parametrize("origins", ["block", "publish", "publish_delta"])
+@pytest.mark.parametrize("origins", ["block", "one_site", "two_sites"])
 @pytest.mark.parametrize("model", [GraphModel.WFG, GraphModel.SG])
 def test_round_trip_is_identity(model, origins):
     report = enriched_report(model, origins)
@@ -72,9 +73,9 @@ def test_round_trip_is_identity(model, origins):
     assert report_from_obj(json.loads(json.dumps(obj))) == report
     kinds = {o.kind for e in report.provenance
              for o in (e.source_origin, e.target_origin)}
-    assert kinds == {origins}
+    assert kinds == {"block" if origins == "block" else "publish_delta"}
     # Origins are interned: as many as distinct publishing records.
-    distinct = {"block": RING, "publish": 1, "publish_delta": 2}[origins]
+    distinct = {"block": RING, "one_site": 1, "two_sites": 2}[origins]
     assert len(obj["provenance"]["origins"]) == distinct
     assert len(obj["provenance"]["edges"]) == len(report.cycle) - 1
 
