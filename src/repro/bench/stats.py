@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Sequence
+from typing import Callable, List
 
 #: z-value for a two-sided 95% confidence interval.
 Z_95 = 1.959963984540054
@@ -85,7 +85,3 @@ def relative_overhead(base: Measurement, checked: Measurement) -> float:
     if base.mean == 0.0:
         return 0.0
     return (checked.mean - base.mean) / base.mean * 100.0
-
-
-def mean_of(values: Sequence[float]) -> float:
-    return sum(values) / len(values) if values else 0.0

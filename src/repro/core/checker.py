@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional
 
 from repro.core.cycles import cycle_through, find_cycle
 from repro.core.dependency import DependencySnapshot, ResourceDependency
@@ -161,10 +161,6 @@ class CheckStats:
         return self._edges.sum_of() / checks
 
     # -- latency quantiles (bucket resolution; max is exact) -----------
-    def latency_quantile(self, q: float) -> float:
-        """Check-latency quantile from the histogram buckets."""
-        return self._latency.quantile(q)
-
     @property
     def p50_latency_s(self) -> float:
         return self._latency.quantile(0.50)
@@ -200,6 +196,15 @@ class DeadlockChecker:
         registry — behaviour is identical either way.
     """
 
+    #: Optional override for the snapshot a check analyses when the
+    #: caller passes none.  Report task order follows snapshot
+    #: insertion order; a consumer mirroring a *foreign* ordering (the
+    #: site-bucket merge of the distributed view, which installs itself)
+    #: puts a factory here so the analysis sees exactly that input.  It
+    #: must return the store's own status objects (a revalidating check
+    #: asks the store for them by identity), in any order.
+    snapshot_source: Optional[Callable[[], DependencySnapshot]] = None
+
     def __init__(
         self,
         model: GraphModel = GraphModel.AUTO,
@@ -217,13 +222,6 @@ class DeadlockChecker:
         # Serialises avoidance checks: two tasks blocking concurrently must
         # not both conclude "no cycle yet" for a cycle they jointly create.
         self._avoidance_lock = threading.Lock()
-        #: Optional override for the snapshot a check analyses when the
-        #: caller passes none.  Report task order follows snapshot
-        #: insertion order; a consumer mirroring a *foreign* ordering
-        #: (the site-bucket merge of the distributed view) installs a
-        #: factory here so the analysis sees exactly that input.  Must
-        #: return statuses equal (as a mapping) to the fed state.
-        self.snapshot_source: Optional[Callable[[], DependencySnapshot]] = None
 
     def _current_snapshot(self) -> DependencySnapshot:
         if self.snapshot_source is not None:
@@ -240,31 +238,25 @@ class DeadlockChecker:
     # ------------------------------------------------------------------
     # blocked-status bookkeeping (delegated to the dependency store)
     # ------------------------------------------------------------------
-    def set_blocked(self, task: TaskId, status: BlockedStatus) -> BlockedStatus:
-        """Publish ``task``'s blocked status (detection-mode block entry)."""
+    def set_blocked(self, task: TaskId, status: BlockedStatus) -> int:
+        """Publish ``task``'s blocked status (detection-mode block entry);
+        returns the store's write ordinal."""
         return self.dependency.set_blocked(task, status)
 
     def clear(self, task: TaskId) -> None:
         """Withdraw ``task``'s blocked status (the task unblocked)."""
         self.dependency.clear(task)
 
-    def restore(self, task: TaskId, status: BlockedStatus) -> None:
-        """Put back a previously stamped status verbatim (the avoidance
-        undo path; see :meth:`ResourceDependency.restore`)."""
-        self.dependency.restore(task, status)
-
     def apply_batch(self, ops) -> None:
         """Apply an ordered sequence of ``(op, task, status)`` deltas,
-        ``op`` one of ``"set"``/``"clear"``/``"restore"`` (``status`` is
-        ignored for ``"clear"``) — the one feeding surface replay and
-        the distributed merge view use, whatever the checker class."""
+        ``op`` one of ``"set"``/``"clear"`` (``status`` is ignored for
+        ``"clear"``) — the one feeding surface replay and the
+        distributed merge view use, whatever the checker class."""
         for op, task, status in ops:
             if op == "set":
                 self.set_blocked(task, status)
             elif op == "clear":
                 self.clear(task)
-            elif op == "restore":
-                self.restore(task, status)
             else:
                 raise ValueError(f"unknown batch op {op!r}")
 
@@ -294,15 +286,15 @@ class DeadlockChecker:
 
     def check_before_block(
         self, task: TaskId, status: BlockedStatus
-    ) -> Tuple[Optional[DeadlockReport], Optional[BlockedStatus]]:
+    ) -> Optional[DeadlockReport]:
         """Avoidance-mode check at block entry.
 
         Tentatively publishes ``status`` for ``task`` and analyses the
-        resulting state.  Returns ``(report, None)`` when blocking would
+        resulting state.  Returns the report when blocking would
         deadlock — the status has been withdrawn and the caller must raise
-        instead of blocking.  Returns ``(None, stamped_status)`` when it is
-        safe to block — the status stays published and the caller proceeds
-        to wait (clearing it on wake-up).
+        instead of blocking.  Returns ``None`` when it is safe to block —
+        the status stays published and the caller proceeds to wait
+        (clearing it on wake-up).
 
         Under :attr:`GraphModel.AUTO` the cheapest sound analysis of one
         block is no graph at all: while the store knows its content was
@@ -317,15 +309,15 @@ class DeadlockChecker:
         with self._avoidance_lock:
             t0 = time.perf_counter()
             prior = self.dependency.get(task)
-            stamped = self.dependency.set_blocked(task, status)
+            written = self.dependency.set_blocked(task, status)
             if self.model is GraphModel.AUTO:
-                examined = self.dependency.vet_block(stamped)
+                examined = self.dependency.vet_block(task, written)
                 if examined is not None:
                     # Events were the vertices walked, edges examined
                     # the work done: no graph exists to size.
                     self._record(t0, None, GraphModel.SG, examined)
-                    return None, stamped
-            return self._finish_avoidance(t0, task, status, prior, stamped)
+                    return None
+            return self._finish_avoidance(t0, task, status, prior, written)
 
     # ------------------------------------------------------------------
     # internals
@@ -336,15 +328,16 @@ class DeadlockChecker:
         task: TaskId,
         status: BlockedStatus,
         prior: Optional[BlockedStatus],
-        stamped: BlockedStatus,
-    ) -> Tuple[Optional[DeadlockReport], Optional[BlockedStatus]]:
+        written: int,
+    ) -> Optional[DeadlockReport]:
         """The vet-after-publication half of :meth:`check_before_block`.
 
         Split out so a cheaper verdict can be interposed between
         publication and this full analysis (the store's search under
         ``AUTO``, the incremental checker's maintained graph) while
         sharing the refusal path verbatim.  Caller holds
-        ``_avoidance_lock`` and has already published ``stamped``.
+        ``_avoidance_lock`` and has already published ``status`` as the
+        store's write ``written``.
 
         Either outcome tells the store its content is acyclic again —
         the whole graph was searched, or the one offending status was
@@ -358,19 +351,20 @@ class DeadlockChecker:
             self.dependency.confirm_acyclic(as_of)
             self._record(t0, None, built.model_used, built.edge_count,
                          sg_aborted=built.sg_aborted)
-            return None, stamped
+            return None
         # Withdraw the doomed status; if the caller was already
         # blocked elsewhere (re-entrant or multi-wait usage), its
-        # previous status must survive the refusal untouched.
+        # previous status goes back — the same object, so a revalidation
+        # in flight against it still passes.
         if prior is not None:
-            self.restore(task, prior)
+            self.set_blocked(task, prior)
         else:
             self.clear(task)
-        self.dependency.confirm_withdrawn(stamped, restores=int(prior is not None))
+        self.dependency.confirm_withdrawn(written, restored=prior is not None)
         report = self._report_from_cycle(snapshot, built, cycle, avoided=True)
         self._record(t0, report, built.model_used, built.edge_count,
                      sg_aborted=built.sg_aborted)
-        return report, None
+        return report
 
     def _cycle_for_avoidance(
         self, task: TaskId, status: BlockedStatus, built: GraphBuildResult

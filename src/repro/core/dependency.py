@@ -200,18 +200,22 @@ class ResourceDependency:
     block and :meth:`clear` when it unblocks.  The deadlock checker calls
     :meth:`snapshot` to obtain a consistent immutable view.
 
-    A per-task ``generation`` counter is stamped on each status so that a
-    checker can later verify a status is unchanged (``is_current``) before
-    reporting — this closes the race in detection mode where a task
-    unblocks between the snapshot and the analysis.
+    A status is immutable while published, so the table holds the
+    caller's own object and *that object* is the stamp: ``is_current``
+    asks whether the table still holds it, which lets a checker verify a
+    status is unchanged before reporting — closing the race in detection
+    mode where a task unblocks between the snapshot and the analysis.
+    One object may be published for several tasks (equal statuses read
+    from one trace section); currency is per task, so the sharing is
+    harmless.
 
     **Avoidance.**  The store also records up to which write its content
     is *known acyclic* (:meth:`edge_writes`, :meth:`confirm_acyclic`).
     While that holds, a new status can only close a cycle through
     itself, so :meth:`vet_block` decides it by a search from that status
-    alone.  Every write that can add a graph edge — ``set_blocked``,
-    ``restore`` — voids the knowledge simply by advancing the write
-    count past it; ``clear`` only removes edges and leaves it standing.
+    alone.  Every ``set_blocked`` can add a graph edge and voids the
+    knowledge simply by advancing the write count past it; ``clear``
+    only removes edges and leaves it standing.
     """
 
     def __init__(self) -> None:
@@ -219,11 +223,10 @@ class ResourceDependency:
         # path publishes, while holding it.
         self._lock = threading.RLock()
         self._statuses: Dict[TaskId, BlockedStatus] = {}
-        self._generation = 0
-        self._restores = 0
-        # The (generation, restores) pair as of which the content is
-        # known acyclic; an empty store is.
-        self._acyclic_at = (0, 0)
+        # Edge-adding writes taken, and how many of them the content is
+        # known acyclic as of; an empty store is.
+        self._writes = 0
+        self._acyclic_at = 0
         # Materialised by the first vet_block, maintained by every
         # write from then on; a store never asked never pays for it.
         self._index: Optional[PhaseIndex] = None
@@ -234,8 +237,8 @@ class ResourceDependency:
 
         It is called as ``listener(op, task, old, new)`` under the
         store's lock, after the table changed: ``op`` names the method
-        that wrote (``"set_blocked"``, ``"clear"``, ``"restore"``,
-        ``"clear_all"`` — once per task it drops), ``old``/``new`` are
+        that wrote (``"set_blocked"``, ``"clear"``, ``"clear_all"`` —
+        once per task it drops), ``old``/``new`` are
         the task's status before and after (``None``: not blocked; a
         ``clear`` of an unblocked task is still delivered).  Content
         already held arrives first, as ``"subscribe"`` writes, so a
@@ -247,20 +250,15 @@ class ResourceDependency:
                 listener("subscribe", task, None, status)
             self._listeners.append(listener)
 
-    def set_blocked(self, task: TaskId, status: BlockedStatus) -> BlockedStatus:
-        """Record that ``task`` is blocked with ``status``.
-
-        Returns the stamped status (with a fresh generation number).
+    def set_blocked(self, task: TaskId, status: BlockedStatus) -> int:
+        """Record that ``task`` is blocked with ``status`` (the object
+        itself is stored).  Returns the write's ordinal, the argument
+        :meth:`vet_block` and :meth:`confirm_withdrawn` take.
         """
         with self._lock:
-            self._generation += 1
-            stamped = BlockedStatus(
-                waits=status.waits,
-                registered=status.registered,
-                generation=self._generation,
-            )
-            self._write("set_blocked", task, stamped)
-            return stamped
+            self._writes += 1
+            self._write("set_blocked", task, status)
+            return self._writes
 
     def clear(self, task: TaskId) -> None:
         """Remove ``task``'s blocked status (the task unblocked or died)."""
@@ -271,17 +269,6 @@ class ResourceDependency:
         """The currently published status of ``task``, if any."""
         with self._lock:
             return self._statuses.get(task)
-
-    def restore(self, task: TaskId, status: BlockedStatus) -> None:
-        """Put back a previously stamped status verbatim.
-
-        Used by the avoidance path to undo a tentative publication: the
-        original generation is preserved so in-flight revalidations of
-        the restored status remain valid.
-        """
-        with self._lock:
-            self._restores += 1
-            self._write("restore", task, status)
 
     def _write(
         self, op: str, task: TaskId, new: Optional[BlockedStatus]
@@ -308,10 +295,10 @@ class ResourceDependency:
             return DependencySnapshot(statuses=dict(self._statuses))
 
     def is_current(self, task: TaskId, status: BlockedStatus) -> bool:
-        """Whether ``task`` is still blocked with exactly ``status``."""
+        """Whether the table still holds the very object ``status`` for
+        ``task`` — an equal status published since is another object."""
         with self._lock:
-            cur = self._statuses.get(task)
-            return cur is not None and cur.generation == status.generation
+            return self._statuses.get(task) is status
 
     def blocked_count(self) -> int:
         with self._lock:
@@ -321,47 +308,46 @@ class ResourceDependency:
         with self._lock:
             for task in list(self._statuses):
                 self._write("clear_all", task, None)
-            self._acyclic_at = (self._generation, self._restores)
+            self._acyclic_at = self._writes
 
     # ------------------------------------------------------------------
     # avoidance: the known-acyclic mark and the search that relies on it
     # ------------------------------------------------------------------
-    def edge_writes(self) -> Tuple[int, int]:
-        """How many edge-adding writes (``set_blocked``, ``restore``)
-        the store has taken — read *before* a snapshot, it names a state
-        the snapshot's content is a subset of (see
-        :meth:`confirm_acyclic`)."""
+    def edge_writes(self) -> int:
+        """How many edge-adding writes (``set_blocked``) the store has
+        taken — read *before* a snapshot, it names a state the
+        snapshot's content is a subset of (see :meth:`confirm_acyclic`)."""
         with self._lock:
-            return (self._generation, self._restores)
+            return self._writes
 
-    def confirm_acyclic(self, as_of: Tuple[int, int]) -> None:
+    def confirm_acyclic(self, as_of: int) -> None:
         """The caller analysed the content as of ``as_of`` and found no
         cycle.  Takes effect only if no edge-adding write landed since:
         clears in between leave a subset of an acyclic state."""
         with self._lock:
-            if as_of == (self._generation, self._restores):
+            if as_of == self._writes:
                 self._acyclic_at = as_of
 
-    def confirm_withdrawn(self, stamped: BlockedStatus, restores: int) -> None:
-        """The caller refused publication ``stamped`` and took it back,
-        with ``restores`` calls of :meth:`restore` (1 when a prior
-        status went back in its place, else 0).  If the content was
-        known acyclic right before ``stamped`` and those were the only
-        edge-adding writes since, it is the same content again."""
+    def confirm_withdrawn(self, written: int, restored: bool) -> None:
+        """The caller refused write ``written`` and took it back —
+        ``restored``: by publishing the task's prior status again, else
+        by a clear.  If the content was known acyclic right before
+        ``written`` and those were the only edge-adding writes since, it
+        is the same content again."""
         with self._lock:
-            before = (stamped.generation - 1, self._restores - restores)
-            if (self._acyclic_at == before
-                    and self._generation == stamped.generation):
-                self._acyclic_at = (self._generation, self._restores)
+            if (self._acyclic_at == written - 1
+                    and self._writes == written + restored):
+                self._acyclic_at = self._writes
 
-    def vet_block(self, stamped: BlockedStatus) -> Optional[int]:
-        """Decide the just-published ``stamped`` by search, if possible.
+    def vet_block(self, task: TaskId, written: int) -> Optional[int]:
+        """Decide ``task``'s just-published write ``written`` by search,
+        if possible.
 
         Returns the number of index edges examined when blocking is
         proven safe, and ``None`` when the caller must analyse the full
         graph: either the content before this publication was not known
         acyclic (an unvetted or concurrent write), or the search found a
-        path from an event ``stamped`` waits on to one it impedes — a
+        path from an event the status waits on to one it impedes — a
         cycle, whose evidence only the built graph supplies.
 
         The search follows ``event e -> events awaited by the blocked
@@ -373,14 +359,16 @@ class ResourceDependency:
         with self._lock:
             if self._index is None:
                 self._index = index_statuses(self._statuses.values())
-            # Known acyclic right before ``stamped``, nothing since.
-            if (self._acyclic_at != (stamped.generation - 1, self._restores)
-                    or self._generation != stamped.generation):
+            # Known acyclic right before ``written``, nothing since —
+            # so ``task``'s entry is what ``written`` stored.
+            status = self._statuses.get(task)
+            if (self._acyclic_at != written - 1 or self._writes != written
+                    or status is None):
                 return None
-            found, examined = _closes_cycle(self._index, stamped)
+            found, examined = _closes_cycle(self._index, status)
             if found:
                 return None
-            self._acyclic_at = (self._generation, self._restores)
+            self._acyclic_at = written
             return examined
 
     def phase_index(self) -> Optional[PhaseIndex]:

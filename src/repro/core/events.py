@@ -81,15 +81,15 @@ class BlockedStatus:
         mapping ``phaser -> local phase``.  The task impedes every event
         ``(q, k)`` with ``k > registered[q]``: it has not arrived at ``q``
         for phase ``k`` and, being blocked, cannot do so.
-    generation:
-        Monotonic counter stamped by the producer.  Used by the detection
-        monitor to re-validate that a status is still current before
-        reporting a deadlock (guards against unblock races).
+
+    A status is immutable, so one object may be published for several
+    tasks; whether it is still a task's current status is the store's
+    question, answered by identity
+    (:meth:`~repro.core.dependency.ResourceDependency.is_current`).
     """
 
     waits: frozenset[Event]
     registered: Mapping[PhaserId, int] = field(default_factory=dict)
-    generation: int = 0
 
     def __post_init__(self) -> None:
         if not isinstance(self.waits, frozenset):

@@ -6,7 +6,7 @@ check is O(registrations) after the awaited-index work, so a
 ``check_every=1`` replay of an N-task trace is O(N²) overall.
 :class:`IncrementalChecker` removes the per-check rebuild: it consumes
 the same *deltas* the trace format already expresses (task blocked /
-unblocked, statuses restored, site buckets republished) and maintains
+unblocked, site buckets republished) and maintains
 the Wait-For Graph edge set in place, answering cycle queries through an
 incrementally maintained SCC structure (:class:`~repro.core.scc.DynamicSCC`).
 
@@ -58,10 +58,11 @@ has not changed — nor the ``snapshot_source`` been re-ordered — since
 the last extraction (a detection monitor polling a stable deadlock).
 
 The checker inherits the classic one's :class:`~repro.core.dependency.
-ResourceDependency` store, so generation stamping, ``is_current``
-revalidation and the avoidance restore path all keep their semantics;
-queries run under that store's lock — the one lock that orders writes,
-the listener and reads of the maintained graph.
+ResourceDependency` store, so ``is_current`` revalidation (the table
+still holds the very status object analysed) and the avoidance
+take-back keep their semantics; queries run under that store's lock —
+the one lock that orders writes, the listener and reads of the
+maintained graph.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ from __future__ import annotations
 import time
 from functools import partial
 from operator import attrgetter
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Set
 
 from repro.core.checker import DeadlockChecker
 from repro.core.dependency import DependencySnapshot, ResourceDependency
@@ -85,7 +86,7 @@ from repro.obs.registry import MetricsRegistry
 
 #: Tally slots: the counted write ops, then fallback checks, then the
 #: structure's work counters (fed from its own running totals).
-_OP_SLOTS = {"set_blocked": 0, "clear": 1, "restore": 2}
+_OP_SLOTS = {"set_blocked": 0, "clear": 1}
 _FALLBACK_SLOT = len(_OP_SLOTS)
 _SCC_WORK = ("extractions", "pk_visits", "resolves")
 
@@ -270,18 +271,18 @@ class IncrementalChecker(DeadlockChecker):
 
     def check_before_block(
         self, task: TaskId, status: BlockedStatus
-    ) -> Tuple[Optional[DeadlockReport], Optional[BlockedStatus]]:
+    ) -> Optional[DeadlockReport]:
         with self._avoidance_lock, self._lock:
             t0 = time.perf_counter()
             prior = self.dependency.get(task)
-            stamped = self.set_blocked(task, status)
+            written = self.set_blocked(task, status)
             if not self._scc.has_cycle():
                 # Fast accept: publishing this status created no cycle,
                 # so blocking cannot complete a deadlock.
                 self._record(t0, None, GraphModel.WFG, self._scc.edge_count)
-                return None, stamped
+                return None
             # Slow path: the classic refusal, shared with the parent.
-            return self._finish_avoidance(t0, task, status, prior, stamped)
+            return self._finish_avoidance(t0, task, status, prior, written)
 
     # ------------------------------------------------------------------
     # introspection (tests, benchmarks)

@@ -39,8 +39,8 @@ class DetectionMonitor:
     on_deadlock:
         Callback invoked (from the monitor thread) per confirmed report.
         The runtime installs a callback that cancels the deadlocked tasks;
-        a deadlock the callback leaves in place is reported again at
-        every interval.
+        a deadlock the callback leaves in place is filed once, not at
+        every interval (see :meth:`poll_once`).
     metrics:
         Optional :class:`~repro.obs.registry.MetricsRegistry`; when
         enabled, the monitor counts its polls and confirmed reports
@@ -61,6 +61,8 @@ class DetectionMonitor:
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._lock = threading.Lock()
+        # The task set the previous poll found deadlocked, if any.
+        self._standing: Optional[frozenset] = None
         if metrics is None:
             metrics = NULL_REGISTRY
         self.metrics = metrics
@@ -107,10 +109,21 @@ class DetectionMonitor:
     # ------------------------------------------------------------------
     def poll_once(self) -> Optional[DeadlockReport]:
         """Run a single detection pass synchronously (used by tests and by
-        callers that schedule their own periodic execution)."""
+        callers that schedule their own periodic execution).
+
+        Returns the check's answer.  A report is filed (recorded, counted,
+        passed to the callback) unless the previous poll found the same
+        task set — keyed like a site's report, so a bystander joining an
+        SG report is filed and cancelled too; a poll that finds no
+        deadlock re-arms the monitor.
+        """
         self._m_polls.inc()
         report = self.checker.check(revalidate=True)
-        if report is not None:
+        tasks = None if report is None else frozenset(report.tasks)
+        with self._lock:
+            fresh = tasks is not None and tasks != self._standing
+            self._standing = tasks
+        if fresh:
             self._m_reports.inc()
             self.reports.append(report)
             if self.on_deadlock is not None:

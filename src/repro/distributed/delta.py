@@ -424,26 +424,27 @@ class DeltaMergeState:
 
     One instance backs one checker: per-site encoded buckets (ordered —
     the merged snapshot must mirror :func:`merge_buckets`' site/task
-    ordering), the decoded status of every blob beside them (each blob
-    is decoded once, when it arrives), per-site stream cursors, and
-    cross-site ownership for conflict detection.  Applying a delta
-    costs O(ops), not O(cluster): this is the property the whole
-    protocol exists to carry across the wire.
+    ordering), per-site stream cursors, and cross-site ownership for
+    conflict detection.  The decoded statuses live in one place, the
+    checker's store: each changed blob is decoded once, on arrival, and
+    handed to the checker.  Applying a delta costs O(ops), not
+    O(cluster): this is the property the whole protocol exists to
+    carry across the wire.
 
-    The checker is fed through ``apply_batch`` only; set its
-    ``snapshot_source`` to :meth:`merged_snapshot` and whatever it
-    analyses from a snapshot (every check of a
-    :class:`~repro.core.checker.DeadlockChecker`, the rare cyclic-path
-    fallback of an :class:`~repro.core.incremental.IncrementalChecker`)
-    sees the site-ordered merge.
+    The checker is fed through ``apply_batch`` only, and the view is its
+    ``snapshot_source``: whatever it analyses from a snapshot (every
+    check of a :class:`~repro.core.checker.DeadlockChecker`, the rare
+    cyclic-path fallback of an
+    :class:`~repro.core.incremental.IncrementalChecker`) sees the
+    site-ordered merge, holding the very objects its store holds.
     """
 
     def __init__(self, checker) -> None:
         self.checker = checker
+        # Report task order follows the analysed snapshot: site order ×
+        # bucket order, not delta arrival order.
+        checker.snapshot_source = self.merged_snapshot
         self.buckets: Dict[str, Dict[str, dict]] = {}
-        #: ``site -> task -> BlockedStatus``: each blob decoded once, on
-        #: arrival; mutated in step with ``buckets`` so both iterate alike.
-        self._statuses: Dict[str, Dict[str, BlockedStatus]] = {}
         self.cursors: Dict[str, Cursor] = {}
         self._owners: Dict[str, Set[str]] = {}
         self._conflicted: Set[str] = set()
@@ -473,8 +474,13 @@ class DeltaMergeState:
 
     def merged_snapshot(self) -> DependencySnapshot:
         """The global view, ordered (and failing) like
-        :func:`merge_buckets`, with nothing left to decode."""
-        return _merge_statuses(self._statuses.items())
+        :func:`merge_buckets`: the checker's statuses in site × bucket
+        order, with nothing left to decode."""
+        table = self.checker.dependency.snapshot().statuses
+        return _merge_statuses(
+            (site, {task: table[task] for task in bucket})
+            for site, bucket in self.buckets.items()
+        )
 
     def raise_on_conflict(self) -> None:
         """Reject cross-site duplication at check time, identically to
@@ -505,16 +511,13 @@ class DeltaMergeState:
                 for task, blob in ops.items()
             ]
             bucket = self.buckets.setdefault(site, {})
-            statuses = self._statuses.setdefault(site, {})
             with self.batched():
                 for task in obj["clear"]:
                     if task in bucket:
                         bucket.pop(task)
-                        statuses.pop(task)
                         self._remove_task(site, task)
                 for task, blob, status in writes:
                     bucket[task] = blob
-                    statuses[task] = status
                     self._set_task(site, task, status)
         self.cursors[site] = cursor
 
@@ -544,7 +547,6 @@ class DeltaMergeState:
         if site in self.buckets:
             self.apply_bucket(site, {})
         self.buckets.pop(site, None)
-        self._statuses.pop(site, None)
         self.cursors.pop(site, None)
 
     # -- checker feeding ---------------------------------------------
@@ -568,19 +570,13 @@ class DeltaMergeState:
     # -- task-level primitives (the shared ownership semantics) --------
     def _replace_bucket(self, site: str, new: Dict[str, dict]) -> None:
         old = self.buckets.get(site, {})
-        kept = self._statuses.get(site, {})
-        # An unchanged blob carries its decoded status over; the rest
-        # decode here, before anything is mutated.
-        statuses: Dict[str, BlockedStatus] = {}
-        changed: List[str] = []
-        for task, blob in new.items():
-            if old.get(task) == blob:
-                statuses[task] = kept[task]
-            else:
-                statuses[task] = decode_blob(blob)
-                changed.append(task)
+        # An unchanged blob's status stays in the checker; the changed
+        # ones decode here, before anything is mutated.
+        changed = {
+            task: decode_blob(blob)
+            for task, blob in new.items() if old.get(task) != blob
+        }
         self.buckets[site] = new
-        self._statuses[site] = statuses
         if list(new) != list(old):
             # Task order is part of what the checker analyses (see
             # ``snapshot_source``), and a pure reorder feeds it no op.
@@ -588,8 +584,8 @@ class DeltaMergeState:
         for task in old:
             if task not in new:
                 self._remove_task(site, task)
-        for task in changed:
-            self._set_task(site, task, statuses[task])
+        for task, status in changed.items():
+            self._set_task(site, task, status)
 
     def _remove_task(self, site: str, task: str) -> None:
         self.ops_applied += 1
@@ -600,11 +596,12 @@ class DeltaMergeState:
             self._owners.pop(task, None)
         elif len(owners) == 1:
             # Conflict resolved by this removal: the survivor's current
-            # status is the merged truth again.
+            # status is the merged truth again (only a publishing bug
+            # gets here, so its blob is decoded again).
             self._conflicted.discard(task)
             (survivor,) = owners
             self._pending_ops.append(
-                ("set", task, self._statuses[survivor][task])
+                ("set", task, decode_blob(self.buckets[survivor][task]))
             )
 
     def _set_task(self, site: str, task: str, status: BlockedStatus) -> None:

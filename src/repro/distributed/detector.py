@@ -58,12 +58,9 @@ class DistributedChecker:
         self.store = store
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.checker = IncrementalChecker(model=model, metrics=metrics)
+        # The view is the checker's snapshot source: the rare
+        # cyclic-path fallback sees the site-ordered merge.
         self.view = DeltaMergeState(self.checker)
-        # The rare cyclic-path fallback must see the site-ordered
-        # merge — same site order, same task order as ``merge_buckets``
-        # over the store states — so reports do not depend on delta
-        # arrival order.
-        self.checker.snapshot_source = self.view.merged_snapshot
         #: Checkpoint resyncs performed (gap recovery accounting).
         self.resyncs = 0
         if metrics is None:

@@ -26,7 +26,7 @@ def health_status(runtime) -> str:
 def unique_report_entries(reports) -> list:
     """Distinct deadlock reports as health-document entries.
 
-    An un-cancelled deadlock is re-reported on every monitor poll;
+    A deadlock that clears and recurs is filed again each time;
     embedding each repeat would grow the document without bound on a
     long-lived endpoint, so distinct cycles are listed once each
     (first-seen order) and ``report_count`` keeps the raw total.

@@ -18,7 +18,7 @@ repeatedly discard tasks whose await is not impeded by a remaining task.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Tuple
 
 from repro.core.dependency import DependencySnapshot
 from repro.core.events import BlockedStatus, Event
@@ -134,9 +134,3 @@ def to_snapshot(state: State, only_blocked: bool = True) -> DependencySnapshot:
             registered=state.registered_phasers(task),
         )
     return DependencySnapshot(statuses=statuses)
-
-
-def check_deadlock(state: State) -> Optional[FrozenSet[Name]]:
-    """Convenience: the deadlocked task set, or ``None``."""
-    subset = deadlocked_subset(state)
-    return subset or None

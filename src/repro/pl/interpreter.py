@@ -199,10 +199,6 @@ class ExploreResult:
     #: True when exploration hit the state or depth cap.
     truncated: bool = False
 
-    @property
-    def can_deadlock(self) -> bool:
-        return bool(self.deadlocked)
-
 
 def explore(
     start: State,

@@ -34,11 +34,6 @@ class State:
         phasers[name] = phaser
         return State(phasers=phasers, tasks=self.tasks)
 
-    def without_phaser(self, name: Name) -> "State":
-        phasers = dict(self.phasers)
-        del phasers[name]
-        return State(phasers=phasers, tasks=self.tasks)
-
     def with_task(self, name: Name, body: Seq) -> "State":
         tasks = dict(self.tasks)
         tasks[name] = body

@@ -266,7 +266,7 @@ class ArmusRuntime:
             self.checker.set_blocked(task.task_id, status)
             self._sync_blocked_gauge()
             return None
-        report, _stamped = self.checker.check_before_block(task.task_id, status)
+        report = self.checker.check_before_block(task.task_id, status)
         self._sync_blocked_gauge()
         if report is not None:
             self._m_reports.inc(origin="avoidance")

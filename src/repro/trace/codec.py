@@ -333,7 +333,7 @@ def _read_status(buf: memoryview, pos: int) -> Tuple[dict, int]:
 def _decode_status(section: bytes) -> BlockedStatus:
     """A block frame's status section — the rest of the frame after the
     task id — straight into the value replay hands the checker."""
-    generation, pos = _read_varint(section, 0)
+    _reserved, pos = _read_varint(section, 0)  # ``generation``: discarded
     waits, pos = _read_phases(section, pos)
     registered, pos = _read_phases(section, pos)
     if pos != len(section):
@@ -341,7 +341,7 @@ def _decode_status(section: bytes) -> BlockedStatus:
     if not waits:
         raise TraceFormatError("a blocked status must wait on at least one event")
     return BlockedStatus(
-        frozenset(itertools.starmap(Event, waits)), dict(registered), generation
+        frozenset(itertools.starmap(Event, waits)), dict(registered)
     )
 
 

@@ -74,11 +74,15 @@ _BLOCK, _UNBLOCK, _REGISTER, _ADVANCE, _PUBLISH_DELTA = RecordKind
 # spelling: repro.distributed.delta.encode_bucket/decode_blob wrap it)
 # ---------------------------------------------------------------------------
 def status_to_obj(status: BlockedStatus) -> dict:
-    """Serialise one blocked status to a plain JSON-able dict."""
+    """Serialise one blocked status to a plain JSON-able dict.
+
+    ``generation`` is a reserved slot, always written 0: readers check
+    it and discard it.
+    """
     return {
         "waits": sorted([str(e.phaser), e.phase] for e in status.waits),
         "registered": {str(p): n for p, n in sorted(status.registered.items(), key=lambda kv: str(kv[0]))},
-        "generation": status.generation,
+        "generation": 0,
     }
 
 
@@ -104,17 +108,27 @@ def event_from_obj(obj) -> Event:
 
 def status_from_obj(obj: Mapping) -> BlockedStatus:
     """Inverse of :func:`status_to_obj`; raises :class:`TraceFormatError`
-    on malformed input."""
+    on malformed input.
+
+    Registered phases and the reserved ``generation`` slot follow
+    :func:`event_from_obj`'s rule — non-negative JSON integers, never
+    coerced — so whatever this door lets in, the binary writer can
+    encode.
+    """
     try:
         # Built inside the ``try``: a status that waits on nothing is a
         # ``ValueError`` from ``BlockedStatus`` itself.
-        return BlockedStatus(
+        status = BlockedStatus(
             waits=frozenset(event_from_obj(wait) for wait in obj["waits"]),
-            registered={str(p): int(n) for p, n in obj["registered"].items()},
-            generation=int(obj.get("generation", 0)),
+            registered={str(p): n for p, n in obj["registered"].items()},
         )
+        phases = [*status.registered.values(), obj.get("generation", 0)]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise TraceFormatError(f"malformed blocked status: {obj!r}") from exc
+    # ``type(...) is int``: JSON ``true`` is an ``int`` to isinstance.
+    if any(type(n) is not int or n < 0 for n in phases):
+        raise TraceFormatError(f"malformed blocked status: {obj!r}")
+    return status
 
 
 # ---------------------------------------------------------------------------

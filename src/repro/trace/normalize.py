@@ -73,9 +73,7 @@ def _canonical_status(status: BlockedStatus, task, resource) -> BlockedStatus:
         Event(resource(e.phaser), e.phase)
         for e in sorted(status.waits, key=lambda e: (_natural_key(e.phaser), e.phase))
     )
-    return BlockedStatus(
-        waits=waits, registered=registered, generation=status.generation
-    )
+    return BlockedStatus(waits=waits, registered=registered)
 
 
 def _canonical_payload(payload: Mapping, task, resource) -> Dict[str, dict]:

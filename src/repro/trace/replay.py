@@ -215,9 +215,6 @@ class ReplayEngine:
         local = engine(**settings)
         remote = engine(**settings)
         merge = DeltaMergeState(remote)
-        # Report task order follows the analysed snapshot: site order ×
-        # bucket order for the distributed view, not delta arrival order.
-        remote.snapshot_source = merge.merged_snapshot
         result = ReplayResult(mode=self.mode, metrics=metrics)
         seen: Set[frozenset] = set()
         kinds = dict.fromkeys(_KIND_NAMES, 0)
@@ -255,7 +252,7 @@ class ReplayEngine:
             if kind is RecordKind.BLOCK:
                 kinds["block"] += 1
                 if self.mode == AVOIDANCE:
-                    report, _ = local.check_before_block(rec.task, rec.status)
+                    report = local.check_before_block(rec.task, rec.status)
                     result.checks_run += 1
                     if report is not None:
                         self._collect_avoided(

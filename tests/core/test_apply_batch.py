@@ -3,7 +3,7 @@
 :meth:`~repro.core.incremental.IncrementalChecker.apply_batch` promises
 that applying an ordered delta sequence in one call is *observationally
 equivalent* to applying it one
-``set_blocked``/``clear``/``restore`` call at a time: the same final
+``set_blocked``/``clear`` call at a time: the same final
 store state, the same verdicts and canonical reports afterwards, and
 the same ``repro_incremental_delta_ops_total``
 accounting — only the amount of graph maintenance paid may differ.
@@ -22,7 +22,7 @@ from repro.core.events import BlockedStatus, Event, waiting_on
 from repro.core.incremental import IncrementalChecker
 from repro.trace.events import report_to_obj
 
-OPS_METRIC_LABELS = ("set_blocked", "clear", "restore")
+OPS_METRIC_LABELS = ("set_blocked", "clear")
 
 
 def random_status(rng, phasers):
@@ -38,10 +38,11 @@ def random_status(rng, phasers):
 
 
 def random_ops(rng, count, tasks, phasers):
-    """A random ``(op, task, status)`` sequence for apply_batch."""
+    """A random ``(op, task, status)`` sequence for apply_batch; now and
+    then a task's first status object is published again."""
     ops = []
     blocked = set()
-    restorable = {}
+    earlier = {}
     for _ in range(count):
         roll = rng.random()
         if roll < 0.6 or not blocked:
@@ -49,14 +50,14 @@ def random_ops(rng, count, tasks, phasers):
             status = random_status(rng, phasers)
             ops.append(("set", task, status))
             blocked.add(task)
-            restorable.setdefault(task, status)
+            earlier.setdefault(task, status)
         elif roll < 0.85:
             task = rng.choice(sorted(blocked))
             ops.append(("clear", task, None))
             blocked.discard(task)
         else:
-            task = rng.choice(sorted(restorable))
-            ops.append(("restore", task, restorable[task]))
+            task = rng.choice(sorted(earlier))
+            ops.append(("set", task, earlier[task]))
             blocked.add(task)
     return ops
 
@@ -86,10 +87,8 @@ def apply_stepwise(checker, ops):
     for op, task, status in ops:
         if op == "set":
             checker.set_blocked(task, status)
-        elif op == "clear":
-            checker.clear(task)
         else:
-            checker.restore(task, status)
+            checker.clear(task)
 
 
 def delta_op_totals(checker):
@@ -165,9 +164,7 @@ class TestApplyBatchEquivalence:
         before = checker.mutation_epoch
         checker.apply_batch([])
         assert checker.mutation_epoch == before
-        assert delta_op_totals(checker) == {
-            "set_blocked": 0, "clear": 0, "restore": 0
-        }
+        assert delta_op_totals(checker) == {"set_blocked": 0, "clear": 0}
 
     def test_unknown_op_raises_and_accounts_partial_batch(self):
         """A failing op mid-batch must not lose the ops already applied

@@ -47,14 +47,14 @@ class TestWorkPerCheck:
         for i in range(127):
             checker.set_blocked(f"w{i}", waiting_on("bar", 7, bar=7))
         # Unvetted publications: one full check vouches for the state.
-        assert checker.check_before_block("w127", waiting_on("bar", 7, bar=7))[0] is None
+        assert checker.check_before_block("w127", waiting_on("bar", 7, bar=7)) is None
         checker.clear("w127")
         forbid_snapshots(checker)
         edges = checker.stats.edges_total
         for _ in range(50):
-            report, stamped = checker.check_before_block(
-                "w127", waiting_on("bar", 7, bar=7))
-            assert report is None and stamped is not None
+            status = waiting_on("bar", 7, bar=7)
+            assert checker.check_before_block("w127", status) is None
+            assert checker.dependency.is_current("w127", status)
             checker.clear("w127")
         assert checker.stats.edges_total == edges
         assert checker.stats.model_counts == {GraphModel.SG: 51}
@@ -67,13 +67,13 @@ class TestWorkPerCheck:
         forbid_snapshots(checker)
         for i in range(63):
             assert checker.check_before_block(
-                f"w{i}", waiting_on("bar", 7, bar=7))[0] is None
+                f"w{i}", waiting_on("bar", 7, bar=7)) is None
         for i in range(63, 127):
             assert checker.check_before_block(
-                f"w{i}", waiting_on("bar", 8, bar=8))[0] is None
+                f"w{i}", waiting_on("bar", 8, bar=8)) is None
         edges = checker.stats.edges_total
         assert checker.check_before_block(
-            "w127", waiting_on("bar", 8, bar=8))[0] is None
+            "w127", waiting_on("bar", 8, bar=8)) is None
         assert checker.stats.edges_total - edges == 1
 
     def test_chain_examines_the_chain_and_refuses_only_the_closing_link(self):
@@ -83,35 +83,35 @@ class TestWorkPerCheck:
         forbid_snapshots(checker)
         for i in range(links):
             # Nothing is published downstream of link i yet.
-            assert checker.check_before_block(f"t{i}", link(i))[0] is None
+            assert checker.check_before_block(f"t{i}", link(i)) is None
         assert checker.stats.edges_total == 0
         # A block at the head walks the whole chain and finds no way back.
         head = BlockedStatus(
             waits=frozenset({Event("p0", 1)}), registered={"side": 0})
-        assert checker.check_before_block("head", head)[0] is None
+        assert checker.check_before_block("head", head) is None
         assert checker.stats.edges_total == links
         checker.clear("head")
         # Closing the ring is refused, from the built graph ...
         checker.dependency.snapshot = snapshot
         closing = BlockedStatus(
             waits=frozenset({Event("p0", 1)}), registered={f"p{links}": 0})
-        report, stamped = checker.check_before_block("closing", closing)
-        assert stamped is None and len(report.tasks) == links + 1
+        report = checker.check_before_block("closing", closing)
+        assert len(report.tasks) == links + 1
         assert checker.dependency.get("closing") is None
         # ... and the store vouches for what is left: search again.
         forbid_snapshots(checker)
         edges = checker.stats.edges_total
-        assert checker.check_before_block("head", head)[0] is None
+        assert checker.check_before_block("head", head) is None
         assert checker.stats.edges_total - edges == links
 
     @pytest.mark.parametrize("model", [GraphModel.WFG, GraphModel.SG])
     def test_fixed_models_build_their_graph_on_every_check(self, model):
         checker = DeadlockChecker(model=model)
         straggler = waiting_on("elsewhere", 1, bar=6)
-        assert checker.check_before_block("straggler", straggler)[0] is None
+        assert checker.check_before_block("straggler", straggler) is None
         for i in range(9):
             assert checker.check_before_block(
-                f"w{i}", waiting_on("bar", 7, bar=7))[0] is None
+                f"w{i}", waiting_on("bar", 7, bar=7)) is None
         assert checker.stats.model_counts == {model: 10}
         assert checker.stats.edges_total > 0
         assert checker.dependency.phase_index() is None
@@ -179,7 +179,7 @@ class TestRacingBlocks:
             try:
                 for _ in range(self.ROUNDS):
                     gate.wait(30)
-                    report, _ = checker.check_before_block(task, status)
+                    report = checker.check_before_block(task, status)
                     refused[pair][which] = report is not None
                     if report is not None and store.get(task) is not None:
                         errors.append(f"refused {task} is still published")

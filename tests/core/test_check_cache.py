@@ -50,10 +50,10 @@ def test_polled_deadlock_is_counted_under_the_model_analysed(model):
 
 def merged_crossed_pair(engine):
     """The crossed pair fed through the distributed merge view, one
-    task per site, with the view installed as ``snapshot_source``."""
+    task per site (the view is the checker's ``snapshot_source``)."""
     checker = engine()
     view = DeltaMergeState(checker)
-    checker.snapshot_source = view.merged_snapshot
+    assert checker.snapshot_source == view.merged_snapshot
     for site, task in (("A", "t1"), ("B", "t2")):
         view.apply_obj(site, make_snapshot(
             1, encode_bucket({task: CROSSED[task]}), site))
@@ -61,16 +61,10 @@ def merged_crossed_pair(engine):
 
 
 def test_failed_revalidation_is_not_the_epochs_answer():
-    """A revalidating check that rejects the cycle must not make later
-    plain checks at the same epoch answer ``None``.
-
-    The revalidation itself fails on both engines, and that is a known
-    gap, not what this test pins: merged statuses carry the wire
-    ``generation`` stamps of their publishers, which the store
-    re-stamps on application, so ``is_current`` never recognises them
-    (ROADMAP.md item 4, step (2): decide whose stamp a merged snapshot
-    carries).
-    """
+    """A revalidating check of a merged view confirms the cycle it
+    found, and answers like the plain check at the same epoch, on both
+    engines: the merged snapshot holds the very status objects the
+    store holds, so ``is_current`` recognises every one of them."""
     answers = []
     for engine in ENGINES:
         checker = merged_crossed_pair(engine)
@@ -81,6 +75,6 @@ def test_failed_revalidation_is_not_the_epochs_answer():
             checker.check(),
         ])
     assert answers[0] == answers[1]
-    revalidated, plain = answers[1][0], answers[1][1]
-    assert revalidated is None
-    assert plain is not None and plain.tasks == ("t1", "t2")
+    first = answers[1][0]
+    assert first is not None and first.tasks == ("t1", "t2")
+    assert all(answer == first for answer in answers[1])

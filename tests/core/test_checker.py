@@ -59,23 +59,20 @@ class TestDetection:
 class TestAvoidance:
     def test_safe_block_publishes_status(self):
         checker = DeadlockChecker()
-        report, stamped = checker.check_before_block(
-            "t1", waiting_on("p", 1, p=1)
-        )
-        assert report is None
-        assert stamped is not None
+        status = waiting_on("p", 1, p=1)
+        assert checker.check_before_block("t1", status) is None
+        assert checker.dependency.is_current("t1", status)
         assert checker.dependency.blocked_count() == 1
 
     def test_deadlocking_block_is_refused_and_withdrawn(self):
         checker = DeadlockChecker()
         for i in (1, 2, 3):
             checker.set_blocked(f"t{i}", waiting_on("pc", 1, pc=1, pb=0))
-        report, stamped = checker.check_before_block(
+        report = checker.check_before_block(
             "t4", waiting_on("pb", 1, pc=0, pb=1)
         )
         assert report is not None
         assert report.avoided
-        assert stamped is None
         # The doomed status was withdrawn: t4 is not recorded as blocked.
         assert checker.dependency.blocked_count() == 3
         # And the remaining state is cycle-free.
@@ -84,7 +81,7 @@ class TestAvoidance:
     def test_avoidance_cycle_involves_blocking_task(self):
         checker = DeadlockChecker(model=GraphModel.WFG)
         checker.set_blocked("a", waiting_on("p", 1, p=1, q=0))
-        report, _ = checker.check_before_block(
+        report = checker.check_before_block(
             "b", waiting_on("q", 1, q=1, p=0)
         )
         assert report is not None
@@ -94,9 +91,9 @@ class TestAvoidance:
         """Every block is vetted, so the task completing the cycle gets
         the report, regardless of order."""
         checker = DeadlockChecker()
-        r1, _ = checker.check_before_block("a", waiting_on("p", 1, p=1, q=0))
+        r1 = checker.check_before_block("a", waiting_on("p", 1, p=1, q=0))
         assert r1 is None
-        r2, _ = checker.check_before_block("b", waiting_on("q", 1, q=1, p=0))
+        r2 = checker.check_before_block("b", waiting_on("q", 1, q=1, p=0))
         assert r2 is not None
 
 

@@ -1,10 +1,11 @@
 """Stateful property test: the checkers, in lock step, under arbitrary ops.
 
 A hypothesis state machine drives one op stream — vetted blocks
-(``check_before_block``), unvetted ``set_blocked``, ``clear``,
-``restore``, the same three behind the checker's back, ``clear_all``,
-detection ``check`` — through four checkers, each over its own store, and
-maintains a parallel oracle (a plain dict of statuses):
+(``check_before_block``), unvetted ``set_blocked``, ``clear``, a
+republication of a status object published earlier, the same three
+behind the checker's back, ``clear_all``, detection ``check`` — through
+four checkers, each over its own store, and maintains a parallel oracle
+(a plain dict of statuses):
 
 * ``DeadlockChecker(AUTO)`` — answers a vetted block by the store's
   search from the blocking task while the store is known acyclic;
@@ -19,7 +20,8 @@ supplies the reports a refusal must reproduce.
 
 Invariants after every step:
 
-* every store's content equals the oracle;
+* every store's content equals the oracle, object for object — each
+  oracle status is current (by identity) in every store;
 * ``check()`` agrees with a from-scratch cycle search on the oracle;
 * all graph models agree on the verdict;
 * all checkers agree accept/refuse on every vetted block; an accepted
@@ -81,8 +83,8 @@ class FullGraphAuto(DeadlockChecker):
         with self._avoidance_lock:
             t0 = time.perf_counter()
             prior = self.dependency.get(task)
-            stamped = self.dependency.set_blocked(task, status)
-            return self._finish_avoidance(t0, task, status, prior, stamped)
+            written = self.dependency.set_blocked(task, status)
+            return self._finish_avoidance(t0, task, status, prior, written)
 
 
 def reference_index(statuses_by_task) -> dict:
@@ -117,8 +119,8 @@ class CheckerMachine(RuleBasedStateMachine):
         self.all = [self.checker, self.reference, self.wfg, self.sg,
                     self.incremental]
         self.oracle: dict = {}
-        #: Every status some store operation stamped, for ``restore``.
-        self.stamped: list = []
+        #: Every ``(task, status)`` published, for republication.
+        self.published: list = []
         #: The machine's model of the AUTO store's known-acyclic mark.
         self.known_acyclic = True
         self.snapshots = 0
@@ -135,16 +137,16 @@ class CheckerMachine(RuleBasedStateMachine):
     def block(self, task, status, via_twin):
         """Unvetted publication (a detection-mode block entry)."""
         for checker in self._checkers(via_twin):
-            stamped = checker.set_blocked(task, status)
-        self._published(task, stamped)
+            checker.set_blocked(task, status)
+        self._published(task, status)
         self.known_acyclic = False
 
     @rule(task=st.sampled_from(TASKS), status=statuses)
     def foreign_block(self, task, status):
         """A write straight to the stores, behind every checker's back."""
         for checker in self.all:
-            stamped = checker.dependency.set_blocked(task, status)
-        self._published(task, stamped)
+            checker.dependency.set_blocked(task, status)
+        self._published(task, status)
         self.known_acyclic = False
 
     @rule(task=st.sampled_from(TASKS))
@@ -153,14 +155,14 @@ class CheckerMachine(RuleBasedStateMachine):
             checker.dependency.clear(task)
         self.oracle.pop(task, None)
 
-    @precondition(lambda self: self.stamped)
+    @precondition(lambda self: self.published)
     @rule(data=st.data())
-    def foreign_restore(self, data):
-        """A verbatim put-back straight into the stores: no new
-        generation, and over a blocked task no change of count."""
-        task, status = data.draw(st.sampled_from(self.stamped))
+    def foreign_republish(self, data):
+        """An earlier status object put back straight into the stores:
+        over a blocked task no change of count."""
+        task, status = data.draw(st.sampled_from(self.published))
         for checker in self.all:
-            checker.dependency.restore(task, status)
+            checker.dependency.set_blocked(task, status)
         self.oracle[task] = status
         self.known_acyclic = False
 
@@ -170,13 +172,14 @@ class CheckerMachine(RuleBasedStateMachine):
             checker.clear(task)
         self.oracle.pop(task, None)
 
-    @precondition(lambda self: self.stamped)
+    @precondition(lambda self: self.published)
     @rule(data=st.data(), via_twin=st.booleans())
-    def restore(self, data, via_twin):
-        """Put back a status stamped earlier, verbatim."""
-        task, status = data.draw(st.sampled_from(self.stamped))
+    def republish(self, data, via_twin):
+        """Publish a status object published earlier again (the
+        avoidance take-back's write)."""
+        task, status = data.draw(st.sampled_from(self.published))
         for checker in self._checkers(via_twin):
-            checker.restore(task, status)
+            checker.set_blocked(task, status)
         self.oracle[task] = status
         self.known_acyclic = False
 
@@ -212,14 +215,12 @@ class CheckerMachine(RuleBasedStateMachine):
             for checker in self._checkers(via_twin)
         ]
         built = self.snapshots - built_before
-        verdicts = {report is None for report, _ in outcomes}
+        verdicts = {report is None for report in outcomes}
         assert len(verdicts) == 1, "the checkers disagree accept/refuse"
-        report, stamped = outcomes[0]
-        reference_report = outcomes[1][0]
+        report, reference_report = outcomes[0], outcomes[1]
         if report is None:
             # Accepted: published, and the resulting state is cycle-free.
-            assert all(s == stamped for _, s in outcomes)
-            self._published(task, stamped)
+            self._published(task, status)
             assert not self._oracle_cyclic()
             assert not has_cycle(build_sg(self._oracle_snapshot()))
             # A graph was built exactly when the store could not vouch
@@ -232,7 +233,7 @@ class CheckerMachine(RuleBasedStateMachine):
             for checker in self.all:
                 assert checker.dependency.snapshot().statuses == before
             assert evidence(report) == evidence(reference_report)
-            assert evidence(outcomes[-1][0]) == evidence(reference_report)
+            assert evidence(outcomes[-1]) == evidence(reference_report)
             assert report.avoided
             assert built == 1, "a refusal's evidence comes from the graph"
             # Taking the offending status back restores what the store
@@ -243,7 +244,9 @@ class CheckerMachine(RuleBasedStateMachine):
     @invariant()
     def store_matches_oracle(self):
         for checker in self.all:
-            assert checker.dependency.snapshot().statuses == self.oracle
+            store = checker.dependency
+            assert store.snapshot().statuses == self.oracle
+            assert all(store.is_current(t, s) for t, s in self.oracle.items())
 
     @invariant()
     def models_agree(self):
@@ -270,9 +273,9 @@ class CheckerMachine(RuleBasedStateMachine):
         store's op enters through the twin when ``via_twin``."""
         return [self.twin if via_twin else self.checker] + self.all[1:]
 
-    def _published(self, task, stamped) -> None:
-        self.oracle[task] = stamped
-        self.stamped.append((task, stamped))
+    def _published(self, task, status) -> None:
+        self.oracle[task] = status
+        self.published.append((task, status))
 
     def _oracle_snapshot(self) -> DependencySnapshot:
         return DependencySnapshot(statuses=dict(self.oracle))

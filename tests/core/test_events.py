@@ -82,7 +82,7 @@ class TestEventIsAValue:
         with pytest.raises(AttributeError):
             event.phaser = "q"
         with pytest.raises(AttributeError):
-            event.generation = 0  # no instance dict either
+            event.label = 0  # no instance dict either
 
     def test_fields_go_by_keyword_too(self):
         assert Event(phaser="p", phase=1) == Event("p", 1)

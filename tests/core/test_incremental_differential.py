@@ -8,7 +8,7 @@ checker's on the same state.  These tests drive both checkers through
 * every trace in the checked-in regression corpus (the real workloads:
   cycle, churn, aio, bounded, knot families plus live recordings), and
 * randomised delta sequences (random statuses over small task/phaser
-  pools, random withdrawals, re-publications and restores),
+  pools, random withdrawals and re-publications),
 
 comparing canonical reports at every cadence point.
 """
@@ -155,8 +155,9 @@ class TestRandomizedDifferential:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_avoidance_sequences(self, seed):
-        """check_before_block: refusals, restores and accepted publishes
-        must leave both checkers in equivalent states throughout."""
+        """check_before_block: refusals, take-backs and accepted
+        publishes must leave both checkers in equivalent states
+        throughout."""
         rng = random.Random(1000 + seed)
         tasks = [f"t{i}" for i in range(6)]
         phasers = [f"p{i}" for i in range(3)]
@@ -166,31 +167,30 @@ class TestRandomizedDifferential:
             if rng.random() < 0.7:
                 task = rng.choice(tasks)
                 status = random_status(rng, phasers)
-                r1, s1 = scratch.check_before_block(task, status)
-                r2, s2 = incremental.check_before_block(task, status)
+                r1 = scratch.check_before_block(task, status)
+                r2 = incremental.check_before_block(task, status)
                 assert r1 == r2
-                assert (s1 is None) == (s2 is None)
             else:
                 task = rng.choice(tasks)
                 scratch.clear(task)
                 incremental.clear(task)
             assert incremental.check() == scratch.check()
 
-    def test_restore_keeps_states_aligned(self):
-        """The avoidance restore path: a withdrawn tentative status must
-        put the prior one (and its edges) back."""
+    def test_republication_keeps_states_aligned(self):
+        """The avoidance take-back's write: publishing the prior status
+        object again must put it (and its edges) back."""
         scratch = DeadlockChecker()
         incremental = IncrementalChecker()
         prior = BlockedStatus(
             waits=frozenset({Event("p", 1)}), registered={"p": 1, "q": 0}
         )
         for checker in (scratch, incremental):
-            stamped = checker.set_blocked("a", prior)
+            checker.set_blocked("a", prior)
             checker.set_blocked(
                 "a",
                 BlockedStatus(waits=frozenset({Event("z", 1)}), registered={}),
             )
-            checker.restore("a", stamped)
+            checker.set_blocked("a", prior)
             checker.set_blocked(
                 "b",
                 BlockedStatus(
@@ -226,32 +226,38 @@ class TestForeignStoreWrites:
         assert checker.check() == scratch.check()
         assert checker.check() is not None
 
-    def test_direct_restore_of_a_blocked_task_closing_a_cycle(self):
-        """Same blocked count, no new generation: the one write the old
-        (generation, count) fingerprint could not see."""
+    def test_direct_republication_of_a_blocked_task_closing_a_cycle(self):
+        """Same blocked count, an earlier status object: the one write
+        the old (generation, count) fingerprint could not see."""
         checker = IncrementalChecker(model=GraphModel.WFG)
         oracle = DeadlockChecker(
             model=GraphModel.WFG, dependency=checker.dependency
         )
+        earlier = waiting_on("q", 1, q=1, p=0)
+        checker.set_blocked("t2", earlier)
+        checker.clear("t2")
         checker.set_blocked("t1", waiting_on("p", 1, p=1, q=0))
         checker.set_blocked("t2", waiting_on("r", 1, r=1))
         assert checker.check() is None and oracle.check() is None
-        checker.dependency.restore("t2", waiting_on("q", 1, q=1, p=0))
+        checker.dependency.set_blocked("t2", earlier)
         assert oracle.check() is not None
         assert checker.check() == oracle.check()
 
-    def test_direct_clear_then_restore_of_an_unblocked_task(self):
-        """One task out, another in: the count and the generation both
-        read as before."""
+    def test_direct_clear_then_republication_of_an_unblocked_task(self):
+        """One task out, another in with an earlier status object: the
+        blocked count reads as before."""
         checker = IncrementalChecker(model=GraphModel.WFG)
         oracle = DeadlockChecker(
             model=GraphModel.WFG, dependency=checker.dependency
         )
+        earlier = waiting_on("q", 1, q=1, p=0)
+        checker.set_blocked("t3", earlier)
+        checker.clear("t3")
         checker.set_blocked("t1", waiting_on("p", 1, p=1, q=0))
         checker.set_blocked("t2", waiting_on("r", 1, r=1))
         assert checker.check() is None
         checker.dependency.clear("t2")
-        checker.dependency.restore("t3", waiting_on("q", 1, q=1, p=0))
+        checker.dependency.set_blocked("t3", earlier)
         assert oracle.check() is not None
         assert checker.check() == oracle.check()
 

@@ -57,17 +57,47 @@ class TestBackgroundThread:
     def test_stop_without_start(self):
         DetectionMonitor(DeadlockChecker()).stop()
 
-    def test_a_persisting_deadlock_is_reported_every_interval(self):
-        """Nothing resolves the deadlock here, so the monitor keeps
-        finding it — the runtime's cancelling callback is what stops
-        repeated reports, not the monitor."""
+    def test_a_persisting_deadlock_is_found_every_poll_and_filed_once(self):
+        """Nothing resolves the deadlock here: every poll still answers
+        it, but only the first files it (records, counts, calls back)."""
+        checker = DeadlockChecker()
+        load_deadlock(checker)
+        seen = []
+        monitor = DetectionMonitor(checker, on_deadlock=seen.append)
+        answers = [monitor.poll_once() for _ in range(3)]
+        assert all(a is not None and a == answers[0] for a in answers)
+        assert monitor.reports == seen == answers[:1]
+
+    def test_a_standing_deadlock_is_filed_once(self):
         checker = DeadlockChecker()
         load_deadlock(checker)
         monitor = DetectionMonitor(checker, interval_s=0.01)
         monitor.start()
-        deadline = time.time() + 5.0
-        while len(monitor.reports) < 2 and time.time() < deadline:
-            time.sleep(0.005)
+        time.sleep(1.0)
         monitor.stop()
-        assert len(monitor.reports) >= 2
-        assert monitor.reports[0] == monitor.reports[1]
+        assert len(monitor.reports) == 1
+
+    def test_a_deadlock_that_clears_and_recurs_is_filed_twice(self):
+        checker = DeadlockChecker()
+        load_deadlock(checker)
+        monitor = DetectionMonitor(checker, interval_s=0.01)
+        polls = []
+        poll_once = monitor.poll_once
+        monitor.poll_once = lambda: polls.append(poll_once())
+        monitor.start()
+
+        def wait_for_polls(count):
+            deadline = time.time() + 5.0
+            while len(polls) < count and time.time() < deadline:
+                time.sleep(0.005)
+            assert len(polls) >= count
+
+        wait_for_polls(5)
+        checker.clear("a")
+        wait_for_polls(len(polls) + 5)
+        load_deadlock(checker)
+        wait_for_polls(len(polls) + 5)
+        monitor.stop()
+        assert None in polls
+        assert len(monitor.reports) == 2
+        assert {frozenset(r.tasks) for r in monitor.reports} == {frozenset("ab")}

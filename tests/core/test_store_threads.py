@@ -2,12 +2,12 @@
 
 Four writer threads hammer one :class:`ResourceDependency` — two through
 an :class:`IncrementalChecker` subscribed to it, two straight into the
-store — with ``set_blocked`` / ``clear`` / ``restore`` on overlapping
-tasks, while a reader loops ``check()`` and ``check_before_block`` on a
-task of its own.  The store's lock is the only thing ordering the
-table, the listener and the queries, so a lost update or a listener run
-outside it leaves the maintained graph different from one rebuilt from
-the snapshot at quiescence.
+store — with ``set_blocked`` of fresh and earlier status objects and
+``clear`` on overlapping tasks, while a reader loops ``check()`` and
+``check_before_block`` on a task of its own.  The store's lock is the
+only thing ordering the table, the listener and the queries, so a lost
+update or a listener run outside it leaves the maintained graph
+different from one rebuilt from the snapshot at quiescence.
 """
 
 from __future__ import annotations
@@ -57,23 +57,23 @@ def test_concurrent_writers_leave_the_maintained_graph_exact():
     def writer(target, seed):
         def body():
             rng = random.Random(seed)
-            stamped = []
+            published = []
             for _ in range(OPS_PER_WRITER):
                 task = rng.choice(TASKS)
                 op = rng.random()
-                if op < 0.5 or not stamped:
-                    stamped.append(
-                        (task, target.set_blocked(task, random_status(rng)))
-                    )
+                if op < 0.5 or not published:
+                    status = random_status(rng)
+                    target.set_blocked(task, status)
+                    published.append((task, status))
                 elif op < 0.7:
                     target.clear(task)
                 elif op < 0.85 or target is store:
-                    target.restore(*rng.choice(stamped))
+                    target.set_blocked(*rng.choice(published))
                 else:
                     # A batch defers SCC resolution to the next query.
                     target.apply_batch([
                         ("clear", task, None),
-                        ("restore", *rng.choice(stamped)),
+                        ("set", *rng.choice(published)),
                     ])
         return body
 
@@ -81,10 +81,10 @@ def test_concurrent_writers_leave_the_maintained_graph_exact():
         rng = random.Random(99)
         while not done.is_set():
             checker.check()
-            report, stamped = checker.check_before_block(
-                "reader", random_status(rng)
-            )
-            assert (report is None) != (stamped is None)
+            status = random_status(rng)
+            report = checker.check_before_block("reader", status)
+            # Accepted: published as is; refused: taken back.
+            assert (report is None) == store.is_current("reader", status)
             # Walks every vertex and edge set a listener call mutates.
             assert checker.maintained_graph().edge_count >= 0
 

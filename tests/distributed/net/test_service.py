@@ -101,13 +101,16 @@ class TestCoreDispatch:
         ("delta", {"seq": 2, "v": 2.9}),
         ("delta", {"seq": 2, "v": True}),
         ("delta", {"seq": 2, "clear": ["t", 1]}),
+        ("delta", {"seq": 2, "set": {"t": {
+            "waits": [["p", 1]], "registered": {"p": "1"}, "generation": 0}}}),
     ], ids=["seq-true", "seq-fraction", "seq-string", "stream-list",
-            "stream-number", "v-fraction", "v-true", "clear-number"])
+            "stream-number", "v-fraction", "v-true", "clear-number",
+            "registered-phase-string"])
     def test_a_mistyped_delta_value_is_refused_not_coerced(self, kind, members):
         """Each of these converts to a valid next append (``True`` to 1,
         2.5 to 2, ``["x"]`` to a stream ``"['x']"``, ``1`` to a task
-        ``"1"``); the door refuses it instead, and the store keeps the
-        state it had."""
+        ``"1"``, a registered phase ``"1"`` to 1); the door refuses it
+        instead, and the store keeps the state it had."""
         core = CheckerServiceCore()
         core.handle({"op": "append_delta", "site": "s0",
                      "obj": make_snapshot(1, {}, "S")})

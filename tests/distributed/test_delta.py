@@ -416,9 +416,10 @@ class TestTraceContext:
 
 
 class TestDecodedView:
-    """The merge view keeps each blob's decoded status: the merged
-    snapshot must stay indistinguishable from re-merging the buckets,
-    and no blob may be decoded more than once."""
+    """The merge view holds no decoded status of its own: its merged
+    snapshot reads the fed checker's objects, must stay
+    indistinguishable from re-merging the buckets, and no blob may be
+    decoded more than once."""
 
     SITES = ("s0", "s1", "s2")
     TASKS = tuple(f"t{i}" for i in range(6))
@@ -437,6 +438,9 @@ class TestDecodedView:
         merged = view.merged_snapshot().statuses
         assert merged == expected
         assert list(merged) == list(expected)
+        # The very objects the checker holds: a revalidation passes.
+        store = view.checker.dependency
+        assert all(store.is_current(t, s) for t, s in merged.items())
 
     def random_bucket(self, rng):
         tasks = rng.sample(self.TASKS, rng.randrange(len(self.TASKS)))
@@ -483,7 +487,6 @@ class TestDecodedView:
             self.random_step(rng, view)
             self.assert_same_merge(view)
             conflicts += bool(view.conflicted)
-            assert list(view._statuses) == list(view.buckets)
         assert conflicts  # the walk does reach cross-site overlaps
 
     def test_failed_decode_leaves_the_view_untouched(self):

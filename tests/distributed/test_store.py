@@ -50,15 +50,16 @@ class TestWireFormat:
             "t2": BlockedStatus(
                 waits=frozenset({Event("a", 2), Event("b", 1)}),
                 registered={"a": 1},
-                generation=7,
             ),
         }
-        decoded = {task: decode_blob(blob)
-                   for task, blob in encode_bucket(statuses).items()}
+        blobs = encode_bucket(statuses)
+        decoded = {task: decode_blob(blob) for task, blob in blobs.items()}
         assert decoded["t1"].waits == statuses["t1"].waits
         assert dict(decoded["t1"].registered) == dict(statuses["t1"].registered)
         assert decoded["t2"].waits == statuses["t2"].waits
-        assert decoded["t2"].generation == 7
+        # ``generation`` is a reserved slot: written 0, read and discarded.
+        assert {blob["generation"] for blob in blobs.values()} == {0}
+        assert decode_blob({**blobs["t2"], "generation": 7}) == statuses["t2"]
 
     def test_encoding_is_json_plain(self):
         import json

@@ -85,18 +85,22 @@ class TestHealthEndpoint:
         assert doc["blocked_tasks"] == 3
         assert doc["reports"] and doc["reports"][0]["tasks"]
 
-    def test_repeat_detections_fold_into_one_entry(self, live_endpoint):
-        """The monitor re-reports an un-cancelled cycle every poll; the
-        document must not grow with uptime."""
+    def test_a_standing_deadlock_is_filed_once(self, live_endpoint):
+        """The monitor keeps finding the un-cancelled cycle at every
+        poll but files it once: neither the runtime's reports nor the
+        document grow with uptime."""
         runtime = live_endpoint.runtime
+        polls = runtime.monitor._m_polls
+        start = polls.value()
         deadline = time.monotonic() + 10
-        while len(runtime.reports) < 3 and time.monotonic() < deadline:
+        while polls.value() < start + 5 and time.monotonic() < deadline:
             time.sleep(0.01)
-        assert len(runtime.reports) >= 3
+        assert polls.value() >= start + 5
+        assert len(runtime.reports) == 1
         _, _, body = fetch(live_endpoint.url + "/healthz")
         doc = json.loads(body)
         assert len(doc["reports"]) == 1
-        assert doc["report_count"] >= 3
+        assert doc["report_count"] == 1
 
     def test_index_and_404(self, live_endpoint):
         status, _, body = fetch(live_endpoint.url + "/")

@@ -173,7 +173,7 @@ class TestOneTable:
     def test_the_incremental_checker_restates_no_store_write(self):
         from repro.core.incremental import IncrementalChecker
 
-        for name in ("set_blocked", "clear", "restore"):
+        for name in ("set_blocked", "clear"):
             assert name not in IncrementalChecker.__dict__, name
 
     def test_one_class_in_core_holds_a_statuses_dict(self):
@@ -192,6 +192,39 @@ class TestOneTable:
                 ):
                     holders.append((path.name, cls.name))
         assert holders == [("dependency.py", "ResourceDependency")]
+
+
+class TestOneStamp:
+    """A published status is its own stamp: the store answers "still
+    current?" by identity.  A per-publication stamp field, the write
+    that existed to put one back, and its batch op cannot come back
+    unnoticed."""
+
+    def test_no_status_is_built_with_or_read_through_a_stamp(self):
+        found = []
+        for root in ("src", "tests"):
+            for path in sorted((REPO / root).rglob("*.py")):
+                text = path.read_text()
+                if "generation" not in text:
+                    continue
+                for node in ast.walk(ast.parse(text)):
+                    if (isinstance(node, ast.keyword) and node.arg == "generation"
+                            or isinstance(node, ast.Attribute)
+                            and node.attr == "generation"):
+                        found.append((path.name, node.lineno))
+        assert found == []
+
+    def test_no_restore_write_in_core(self):
+        for path in sorted((REPO / "src" / "repro" / "core").glob("*.py")):
+            assert "def restore" not in path.read_text(), path.name
+
+    def test_apply_batch_takes_only_set_and_clear(self):
+        from repro.core import DeadlockChecker, IncrementalChecker
+        from repro.core.events import waiting_on
+
+        for engine in (DeadlockChecker, IncrementalChecker):
+            with pytest.raises(ValueError, match="unknown batch op"):
+                engine().apply_batch([("restore", "t", waiting_on("p", 1, p=1))])
 
 
 class TestOneSCCStructure:

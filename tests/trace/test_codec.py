@@ -100,7 +100,6 @@ class TestRoundTrip:
         status = BlockedStatus(
             waits=frozenset({Event("p", 3), Event("q", 1)}),
             registered={"p": 3, "q": 0, "r": 7},
-            generation=42,
         )
         trace = Trace(
             header=TraceHeader(meta={"k": "v"}),

@@ -148,7 +148,6 @@ def single_site_trace() -> Trace:
                 BlockedStatus(
                     waits=frozenset({Event("q", 2), Event("p", 1)}),
                     registered={"q": 1, "p": 1},
-                    generation=4,
                 ),
             ),
             ev.unblock(4, "t1"),
@@ -251,6 +250,13 @@ def _waiting(event_json: bytes) -> bytes:
     data = dumps(single_site_trace(), "jsonl")
     assert data.count(b'["q",2]') == 1
     return data.replace(b'["q",2]', event_json)
+
+
+def _registered(phases_json: bytes) -> bytes:
+    """The JSONL pair with ``t1``'s registrations rewritten."""
+    return _jsonl_with(
+        single_site_trace(), b'"registered":{"p":1}', b'"registered":' + phases_json
+    )
 
 
 def _jsonl_with(trace: Trace, old: bytes, new: bytes) -> bytes:
@@ -416,6 +422,13 @@ REFUSED_FILES = {
     ),
     "jsonl phase: true": lambda: _jsonl_with(
         single_site_trace(), b'"phase":1,', b'"phase":true,'
+    ),
+    "jsonl registered phase: a string": lambda: _registered(b'{"p":"1"}'),
+    "jsonl registered phase: a fraction": lambda: _registered(b'{"p":1.9}'),
+    "jsonl registered phase: true": lambda: _registered(b'{"p":true}'),
+    "jsonl registered phase: negative": lambda: _registered(b'{"p":-3}'),
+    "jsonl status generation: a string": lambda: _jsonl_with(
+        single_site_trace(), b'"generation":0', b'"generation":"7"'
     ),
 }
 

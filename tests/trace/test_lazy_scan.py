@@ -334,7 +334,7 @@ class TestStatusTable:
             assert blocks == 16_002
             assert len(decoded) == len(set(decoded)) == 2_002
 
-    def test_equal_sections_share_one_status_and_stamps_stay_apart(self, decoded):
+    def test_equal_sections_share_one_status_and_each_task_stays_current(self, decoded):
         status = waiting_on("p", 1, p=1, q=0)
         trace = Trace(TraceHeader(meta={}), (
             ev.block(0, "a", status),
@@ -347,18 +347,18 @@ class TestStatusTable:
         assert len(decoded) == 1
         assert shared[0] == status
         assert all(s is shared[0] for s in shared)
-        # The store stamps its own copy per write; the shared value is
-        # never touched, and revalidation tells the writes apart.
+        # Currency is per task, by identity: the one shared object is
+        # current for each task that holds it, and a clear of one task
+        # leaves the other's untouched.
         store = ResourceDependency()
-        a1 = store.set_blocked("a", shared[0])
-        b = store.set_blocked("b", shared[1])
-        assert a1 is not b and a1.generation != b.generation
-        assert store.is_current("a", a1) and store.is_current("b", b)
-        assert not store.is_current("a", b)
+        store.set_blocked("a", shared[0])
+        store.set_blocked("b", shared[1])
+        assert store.is_current("a", shared[0]) and store.is_current("b", shared[0])
         store.clear("a")
-        a2 = store.set_blocked("a", shared[2])
-        assert not store.is_current("a", a1) and store.is_current("a", a2)
-        assert shared[0].generation == 0
+        assert not store.is_current("a", shared[0])
+        assert store.is_current("b", shared[0])
+        store.set_blocked("a", shared[2])
+        assert store.is_current("a", shared[0]) and store.is_current("b", shared[0])
 
     def test_the_table_keeps_its_bound_on_an_all_distinct_ring(self, decoded):
         ring = build_trace(AioSpec(tasks=600, shape="cycle", deadlock=True))
@@ -387,7 +387,7 @@ class TestStatusTable:
         """A section that waits on nothing raises before it is stored, so
         its second appearance in one read is decoded — and refused —
         again."""
-        data = block_frames(b"\x00\x00\x00", times=2)  # generation, 0 waits, 0 phasers
+        data = block_frames(b"\x00\x00\x00", times=2)  # reserved 0, 0 waits, 0 phasers
         codec = BinaryCodec()
         for body in TraceReader(io.BytesIO(data)).frames():
             with pytest.raises(TraceFormatError, match="at least one event"):

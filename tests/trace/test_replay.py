@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import fnmatch
+import pathlib
+
 import pytest
 
 from repro.core.events import waiting_on
@@ -14,6 +17,15 @@ from repro.trace.recorder import TraceRecorder
 from repro.trace.replay import AVOIDANCE, DETECTION, ReplayEngine, replay
 
 from test_recorder import join_quietly, run_crossed_deadlock
+
+CORPUS = pathlib.Path(__file__).parent / "corpus"
+#: Every corpus member one site publishes nothing for: avoidance
+#: replays vet its block records.
+SINGLE_SITE = sorted(
+    path for path in CORPUS.iterdir()
+    if not any(fnmatch.fnmatch(path.name, pattern)
+               for pattern in ("*-S2-*", "recorded-cluster-*", "expected_*"))
+)
 
 
 class TestDeterminism:
@@ -280,10 +292,11 @@ class TestIncrementalEngine:
         assert a.checks_run == b.checks_run
         assert a.records_processed == b.records_processed
 
-    def test_avoidance_identical(self):
-        trace = self.make_dl_trace()
-        a = replay(trace, mode=AVOIDANCE)
-        b = replay(trace, mode=AVOIDANCE, incremental=True)
+    @pytest.mark.parametrize("model", list(GraphModel), ids=lambda m: m.value)
+    @pytest.mark.parametrize("path", SINGLE_SITE, ids=lambda p: p.name)
+    def test_avoidance_identical(self, path, model):
+        a = replay(str(path), mode=AVOIDANCE, model=model)
+        b = replay(str(path), mode=AVOIDANCE, model=model, incremental=True)
         assert a.reports == b.reports
 
     def test_distributed_bucket_diffing(self):
