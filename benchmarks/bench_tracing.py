@@ -33,7 +33,7 @@ import pytest
 
 from repro.obs.tracing import NULL_TRACER, Tracer
 from repro.trace.corpus import AioSpec, build_trace
-from repro.trace.replay import ReplayEngine
+from repro.trace.replay import replay
 
 #: Acceptance size; CI overrides with a reduced count.
 N_TASKS = int(os.environ.get("REPRO_TRACING_BENCH_TASKS", "1000"))
@@ -69,25 +69,24 @@ def _assert_overhead(benchmark, enabled_s: float, null_s: float) -> None:
     ), f"tracer-enabled replay {overhead:.1%} slower than null-tracer"
 
 
-def _engines(incremental: bool):
-    enabled = ReplayEngine(
-        check_every=1, incremental=incremental, tracer=Tracer()
-    )
-    null = ReplayEngine(
-        check_every=1, incremental=incremental, tracer=NULL_TRACER
-    )
-    return enabled, null
+def _engines(trace, incremental: bool, check_every: int = 1):
+    """Two replays of ``trace`` on one engine: span recording on, off."""
+    def run(tracer):
+        return lambda: replay(trace, check_every=check_every,
+                              incremental=incremental, tracer=tracer)
+
+    return run(Tracer()), run(NULL_TRACER)
 
 
 def test_replay_overhead_tracing_incremental(bench, benchmark, cycle_trace):
     """The ≤10% acceptance point on the linear engine (hot path: the
     per-record fold, where span recording would show)."""
-    enabled, null = _engines(incremental=True)
-    result = bench(lambda: enabled.run(cycle_trace))
+    enabled, null = _engines(cycle_trace, incremental=True)
+    result = bench(enabled)
     assert result.deadlocked
     assert result.reports[0].provenance  # tracing replay still enriches
-    enabled_s = _min_time(lambda: enabled.run(cycle_trace))
-    null_s = _min_time(lambda: null.run(cycle_trace))
+    enabled_s = _min_time(enabled)
+    null_s = _min_time(null)
     benchmark.extra_info["engine"] = "incremental"
     benchmark.extra_info["records"] = len(cycle_trace)
     _assert_overhead(benchmark, enabled_s, null_s)
@@ -95,14 +94,13 @@ def test_replay_overhead_tracing_incremental(bench, benchmark, cycle_trace):
 
 def test_replay_overhead_tracing_scratch(bench, benchmark, cycle_trace):
     """Same ceiling on the from-scratch engine (check-dominated)."""
-    enabled, null = _engines(incremental=False)
     # Rebuild-per-record is quadratic; a coarser cadence keeps the
     # point CI-sized without changing what is being compared.
-    enabled.check_every = null.check_every = 16
-    result = bench(lambda: enabled.run(cycle_trace))
+    enabled, null = _engines(cycle_trace, incremental=False, check_every=16)
+    result = bench(enabled)
     assert result.deadlocked
-    enabled_s = _min_time(lambda: enabled.run(cycle_trace))
-    null_s = _min_time(lambda: null.run(cycle_trace))
+    enabled_s = _min_time(enabled)
+    null_s = _min_time(null)
     benchmark.extra_info["engine"] = "scratch"
     benchmark.extra_info["records"] = len(cycle_trace)
     _assert_overhead(benchmark, enabled_s, null_s)

@@ -61,6 +61,15 @@ WIRE_ERRORS = {
 }
 
 
+def _text(request: Mapping, key: str, default: Optional[str] = None) -> str:
+    """Field ``key`` of a request, which must be a string; a missing
+    field is ``default``, or a :class:`KeyError` when there is none."""
+    value = request[key] if default is None else request.get(key, default)
+    if not isinstance(value, str):
+        raise ValueError(f"{key} must be a string, got {value!r}")
+    return value
+
+
 class TenantChecker:
     """One tenant namespace of the checker service.
 
@@ -225,9 +234,14 @@ class TenantChecker:
 class CheckerServiceCore:
     """Request dispatch: one wire request dict in, one response dict out.
 
-    Tenants are created on first touch (open tenancy — the service is a
-    lab instrument, not a hardened endpoint); ``store_factory`` lets
-    embedders hand specific tenants specific stores (the network-
+    A tenant opens with its first ``append_delta`` (or an embedder's
+    :meth:`tenant` call); every other request on a name that never
+    published answers what an empty tenant would and keeps nothing, so
+    read traffic cannot grow the tenant table or the metric series.
+    Request fields are typed, never coerced: ``tenant`` (default
+    :data:`DEFAULT_TENANT`), ``site`` and ``stream`` (may be null) are
+    strings, ``after_seq`` a non-negative ``int``.  ``store_factory``
+    lets embedders hand specific tenants specific stores (the network-
     partition suite backs a tenant with a :class:`ReplicatedStore`).
     """
 
@@ -346,52 +360,63 @@ class CheckerServiceCore:
                     "message": f"{type(exc).__name__}: {exc}"}
         return ACK if value is None else {"ok": True, "value": value}
 
-    def _tenant_of(self, request) -> TenantChecker:
-        return self.tenant(request.get("tenant", DEFAULT_TENANT))
+    def _reader_of(self, request) -> TenantChecker:
+        """The tenant a request names, without opening it: a name that
+        never published is answered by an empty tenant that records
+        into no registry and is not kept."""
+        name = _text(request, "tenant", DEFAULT_TENANT)
+        with self._tenants_lock:
+            tenant = self.tenants.get(name)
+        return tenant if tenant is not None else TenantChecker(
+            name, model=self.model
+        )
 
     # -- per-op handlers ----------------------------------------------
     def _op_append_delta(self, request):
-        self._tenant_of(request).append_delta(
-            str(request["site"]), request["obj"]
+        self.tenant(_text(request, "tenant", DEFAULT_TENANT)).append_delta(
+            _text(request, "site"), request["obj"]
         )
         return None
 
     def _op_get_deltas(self, request):
-        return self._tenant_of(request).get_deltas(
-            str(request["site"]),
-            int(request["after_seq"]),
-            request.get("stream"),
+        after_seq = request["after_seq"]
+        if type(after_seq) is not int or after_seq < 0:
+            raise ValueError(
+                f"after_seq must be a non-negative int, got {after_seq!r}"
+            )
+        stream = request.get("stream")
+        return self._reader_of(request).get_deltas(
+            _text(request, "site"), after_seq,
+            stream if stream is None else _text(request, "stream"),
         )
 
     def _op_get_state(self, request):
-        stream, seq, state = self._tenant_of(request).get_state(
-            str(request["site"])
+        stream, seq, state = self._reader_of(request).get_state(
+            _text(request, "site")
         )
         return [stream, seq, state]
 
     def _op_delta_tail(self, request):
-        tail = self._tenant_of(request).delta_tail(str(request["site"]))
+        tail = self._reader_of(request).delta_tail(_text(request, "site"))
         return None if tail is None else [tail[0], tail[1]]
 
     def _op_delta_sites(self, request):
-        return self._tenant_of(request).delta_sites()
+        return self._reader_of(request).delta_sites()
 
     def _op_delete(self, request):
-        self._tenant_of(request).delete(str(request["site"]))
+        self._reader_of(request).delete(_text(request, "site"))
         return None
 
     def _op_check(self, request):
-        return self._tenant_of(request).check_obj()
+        return self._reader_of(request).check_obj()
 
     def _op_reports(self, request):
-        return self._tenant_of(request).report_objs()
+        return self._reader_of(request).report_objs()
 
     def _op_health(self, request):
-        name = request.get("tenant")
-        if name is None:
+        if "tenant" not in request:
             return self.health_doc(None)
-        self.tenant(name)  # open tenancy: asking after a namespace opens it
-        return self.health_doc(name)
+        return self._reader_of(request).health_doc()
 
     def _op_ping(self, request):
         return {"server": "repro-checker", "tenants": self.tenant_names()}

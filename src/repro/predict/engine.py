@@ -4,7 +4,8 @@ The enumerator's candidates are *optimistic* — the HB model is
 deliberately sparse (see :mod:`repro.predict.hb`), so a candidate may
 still be unrealisable.  This module closes the loop: every candidate's
 witness trace is replayed through the **existing** detection engine,
-classic and incremental, and a candidate is reported only when
+classic (from scratch) and maintained, and a candidate is reported only
+when
 
 * both engines find the witness deadlocked,
 * both produce identical report lists (the usual engine differential),
@@ -138,12 +139,12 @@ class Predictor:
         """Replay the witness through both engines; return the matching
         classic report, or None when either engine demurs."""
         classic = replay(witness, mode=DETECTION, model=GraphModel.AUTO,
-                         check_every=1)
-        incremental = replay(witness, mode=DETECTION, model=GraphModel.AUTO,
-                             check_every=1, incremental=True)
-        if not classic.deadlocked or not incremental.deadlocked:
+                         check_every=1, incremental=False)
+        maintained = replay(witness, mode=DETECTION, model=GraphModel.AUTO,
+                            check_every=1)
+        if not classic.deadlocked or not maintained.deadlocked:
             return None
-        if classic.reports != incremental.reports:
+        if classic.reports != maintained.reports:
             return None
         wanted = frozenset(candidate.tasks)
         for report in classic.reports:

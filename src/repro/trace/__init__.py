@@ -5,8 +5,10 @@ The trace subsystem makes the verification layer's input durable: a
 event-based representation) that any live run — runtime workloads,
 PL interpreter programs, distributed sites — produces through its
 observation hooks.  Once on disk, a trace can be replayed through the
-:class:`~repro.core.checker.DeadlockChecker` deterministically, under
-any graph model, at batch throughput; and the corpus generator writes
+maintained :class:`~repro.core.incremental.IncrementalChecker` (or the
+from-scratch :class:`~repro.core.checker.DeadlockChecker` it is diffed
+against) deterministically, under any graph model, at batch
+throughput; and the corpus generator writes
 parameterised scenario traces (cycle length × fan-out × site count
 grids) without running a single thread.
 
@@ -46,7 +48,7 @@ from repro.trace.codec import (
     save_trace,
 )
 from repro.trace.recorder import TraceRecorder
-from repro.trace.replay import ReplayEngine, ReplayResult, replay
+from repro.trace.replay import ReplayResult, replay
 from repro.trace.stream import StreamedTrace, StreamingRecorder, iter_load
 from repro.trace.parallel import (
     CorpusEntry,
@@ -86,7 +88,6 @@ __all__ = [
     "StreamingRecorder",
     "StreamedTrace",
     "iter_load",
-    "ReplayEngine",
     "ReplayResult",
     "replay",
     "replay_corpus",

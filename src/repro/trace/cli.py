@@ -8,14 +8,14 @@ Six subcommands cover the record → persist → analyse → explain loop:
   that ends without a report, with a failed worker or with a worker
   that never finishes exits 1;
 * ``replay`` — replay one trace file, several, or whole corpus
-  directories through the checker, each file streamed in O(frame)
-  memory.  ``--parallel N`` fans a corpus out over N worker processes;
-  ``--incremental`` selects the delta-maintained engine
-  (same reports, O(N) instead of O(N²) at ``check_every=1``).  Corpus
-  output on stdout is byte-identical for any ``--parallel`` value and
-  either engine (timing goes to stderr, buffered and emitted once after
-  the merge) — CI diffs serial against parallel and incremental output
-  to pin it;
+  directories through the maintained checker, each file streamed in
+  O(frame) memory.  ``--parallel N`` fans a corpus out over N worker
+  processes; ``--from-scratch`` selects the reference engine that
+  rebuilds the graph per check (same reports, O(N²) instead of O(N) at
+  ``check_every=1``).  Corpus output on stdout is byte-identical for
+  any ``--parallel`` value and either engine (timing goes to stderr,
+  buffered and emitted once after the merge) — CI diffs serial against
+  parallel and from-scratch output to pin it;
 * ``gen`` — write a scenario corpus over parameter grids
   (``--families cycle,churn,aio``; the aio family generates the
   asyncio backend's thousand-task shapes, ``--task-counts`` scales
@@ -36,7 +36,7 @@ Six subcommands cover the record → persist → analyse → explain loop:
   (see :mod:`repro.predict`): build a happens-before model, enumerate
   near-miss candidates, construct a concrete reordered witness trace
   per candidate and report only candidates the existing engine
-  confirms by replaying the witness (classic *and* incremental).
+  confirms by replaying the witness (from-scratch *and* maintained).
   ``--emit-witness DIR`` saves each confirmed witness as an ordinary
   replayable trace file; ``--parallel N`` fans a corpus out; stdout is
   byte-identical across worker counts and hash seeds (same pin as
@@ -68,7 +68,7 @@ from repro.obs.tracing import render_report_provenance
 from repro.trace.codec import load_trace, save_trace
 from repro.trace.corpus import FAMILIES, Family, verify_corpus, write_corpus
 from repro.trace.parallel import discover_traces, replay_corpus
-from repro.trace.stream import StreamingRecorder
+from repro.trace.stream import StreamingRecorder, iter_load
 
 
 def _ints(text: str) -> List[int]:
@@ -283,7 +283,7 @@ def _run_replay(paths, args: argparse.Namespace):
         mode=args.mode,
         model=GraphModel(args.model),
         check_every=args.check_every,
-        incremental=args.incremental,
+        incremental=not args.from_scratch,
         processes=args.parallel,
     )
 
@@ -606,15 +606,23 @@ def _print_predict_corpus(result, args: argparse.Namespace, written: int) -> Non
 # stats
 # ---------------------------------------------------------------------------
 def cmd_stats(args: argparse.Namespace) -> int:
-    """Summarise one trace file."""
+    """Summarise one trace file in one streamed pass.  Nothing prints
+    until the pass completes, so a malformed file prints only the
+    error."""
     from repro.trace.events import RecordKind
 
     path = pathlib.Path(args.trace)
-    trace = load_trace(path)
-    tasks = {r.task for r in trace if r.task is not None}
-    phasers = {r.phaser for r in trace if r.phaser is not None}
-    sites = {r.site for r in trace if r.site is not None}
+    trace = iter_load(path)
+    kinds: dict = {}
+    tasks, phasers, sites = set(), set(), set()
     for rec in trace:
+        kinds[rec.kind.value] = kinds.get(rec.kind.value, 0) + 1
+        if rec.task is not None:
+            tasks.add(rec.task)
+        if rec.phaser is not None:
+            phasers.add(rec.phaser)
+        if rec.site is not None:
+            sites.add(rec.site)
         if rec.status is not None:
             phasers.update(str(e.phaser) for e in rec.status.waits)
         if rec.kind is RecordKind.PUBLISH_DELTA:
@@ -624,8 +632,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     print(f"file: {path} ({path.stat().st_size} bytes)")
     print(f"version: {trace.header.version}")
     print(f"meta: {dict(trace.header.meta)}")
-    print(f"records: {len(trace)}")
-    for kind, count in sorted(trace.kind_counts().items()):
+    print(f"records: {sum(kinds.values())}")
+    for kind, count in sorted(kinds.items()):
         print(f"  {kind}: {count}")
     print(f"tasks: {len(tasks)}, phasers: {len(phasers)}, sites: {len(sites)}")
     return 0
@@ -667,10 +675,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--parallel", type=_positive_int, default=1, metavar="N",
                        help="fan a corpus out over N worker processes "
                             "(stdout stays byte-identical to serial)")
-        p.add_argument("--incremental", action="store_true",
-                       help="feed record-level deltas into a maintained "
-                            "analysis graph instead of rebuilding per "
-                            "check (same reports, O(N) not O(N²))")
+        p.add_argument("--from-scratch", action="store_true",
+                       help="rebuild the analysis graph at every check "
+                            "(the reference engine: same reports, O(N²) "
+                            "not O(N))")
 
     p_replay = sub.add_parser("replay", help="replay trace file(s)")
     engine_flags(p_replay)

@@ -484,10 +484,3 @@ class Trace:
 
     def __iter__(self):
         return iter(self.records)
-
-    def kind_counts(self) -> dict:
-        """Record counts per kind (the ``stats`` subcommand's summary)."""
-        counts: dict = {}
-        for rec in self.records:
-            counts[rec.kind.value] = counts.get(rec.kind.value, 0) + 1
-        return counts

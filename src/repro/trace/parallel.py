@@ -42,7 +42,7 @@ from repro.core.report import DeadlockReport
 from repro.core.selection import GraphModel
 from repro.obs.registry import MetricsRegistry
 from repro.trace.codec import PathLike
-from repro.trace.replay import DETECTION, ReplayResult, ReplayEngine
+from repro.trace.replay import DETECTION, ReplayResult, check_settings, replay
 from repro.trace.stream import iter_load
 
 #: File suffixes recognised as trace files when expanding directories.
@@ -211,17 +211,13 @@ def run_corpus(
 def _replay_one(
     args: Tuple[str, str, GraphModel, int, bool]
 ) -> Tuple[dict, ReplayResult]:
-    """Worker body: stream one file through the engine; must stay
+    """Worker body: stream one file through :func:`replay`; must stay
     module-level picklable."""
     path, mode, model, check_every, incremental = args
-    engine = ReplayEngine(
-        mode=mode,
-        model=model,
-        check_every=check_every,
-        incremental=incremental,
-    )
     source = iter_load(path)
-    return dict(source.header.meta), engine.run(source)
+    return dict(source.header.meta), replay(
+        source, mode, model, check_every, incremental
+    )
 
 
 def replay_corpus(
@@ -229,17 +225,19 @@ def replay_corpus(
     mode: str = DETECTION,
     model: GraphModel = GraphModel.AUTO,
     check_every: int = 1,
-    incremental: bool = False,
+    incremental: bool = True,
     processes: int = 1,
 ) -> CorpusReplayResult:
     """Replay every trace under ``sources``, fanning out over processes.
 
     Each file is streamed (:func:`~repro.trace.stream.iter_load`), so a
-    worker holds one frame of it at a time.  ``processes <= 1`` runs
-    in-process (the serial reference); ``processes = N`` uses a pool of
-    N workers.  Either way the merged result is identical — only
-    ``duration_s`` changes.
+    worker holds one frame of it at a time.  The settings are
+    :func:`~repro.trace.replay.replay`'s, refused up front when bad.
+    ``processes <= 1`` runs in-process (the serial reference);
+    ``processes = N`` uses a pool of N workers.  Either way the merged
+    result is identical — only ``duration_s`` changes.
     """
+    check_settings(mode, check_every)
     return run_corpus(
         sources,
         _replay_one,

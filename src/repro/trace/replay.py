@@ -1,8 +1,8 @@
 """Offline replay: stream a trace back through the deadlock checker.
 
 Replay turns the live verifier into a batch engine: the recorded
-blocked-status stream is re-applied to a fresh
-:class:`~repro.core.checker.DeadlockChecker` in record order, producing
+blocked-status stream is re-applied to a fresh checker in record
+order, producing
 the same :class:`~repro.core.report.DeadlockReport` evidence the live
 run produced — but deterministically (no scheduler, no monitor timing)
 and at memory bandwidth rather than thread speed.
@@ -35,25 +35,26 @@ recording bug and raises
 ``register``/``advance`` records are context only (a blocked status is
 self-contained) and are skipped, but counted towards throughput.
 
-There is **one run loop**; the *engine* is the checker class it
-instantiates.  ``block``/``unblock`` records queue ``(op, task,
-status)`` deltas that reach a ``local`` checker through ``apply_batch``
-at each cadence point; publications reach a ``remote`` checker through
-the merge view, which feeds ``apply_batch`` too and is the checker's
-``snapshot_source``.  The default from-scratch engine is the paper's
-:class:`~repro.core.checker.DeadlockChecker`: it rebuilds the analysis
-graph from a snapshot at every cadence point.  The *incremental* engine
-(``incremental=True``, CLI ``--incremental``) is its drop-in subclass
-:class:`~repro.core.incremental.IncrementalChecker`, which maintains
-the graph under the same deltas: checks cost O(1) while it is acyclic,
-making a ``check_every=1`` replay of an N-task trace O(N) overall
-instead of O(N²) — with reports byte-identical to the from-scratch
-engine (pinned by the regression corpus and CI).  Everything around
-the two classes is literally the same code, which is what makes
-replaying one input through both a differential test of the checkers.
+There is **one run loop**, :func:`replay`; the *engine* is the checker
+class it instantiates.  ``block``/``unblock`` records queue ``(op,
+task, status)`` deltas that reach a ``local`` checker through
+``apply_batch`` at each cadence point; publications reach a ``remote``
+checker through the merge view, which feeds ``apply_batch`` too and is
+the checker's ``snapshot_source``.  The default engine is the
+maintained :class:`~repro.core.incremental.IncrementalChecker`: it keeps
+the analysis graph under the deltas, so checks cost O(1) while it is
+acyclic and a ``check_every=1`` replay of an N-task trace is O(N)
+overall.  ``incremental=False`` (CLI ``--from-scratch``) runs its base
+class, the paper's :class:`~repro.core.checker.DeadlockChecker`, which
+rebuilds the graph from a snapshot at every cadence point — O(N²) at
+``check_every=1``, kept as the reference the maintained engine is
+diffed against: reports are byte-identical (pinned by the regression
+corpus and CI).  Everything around the two classes is literally the
+same code, which is what makes replaying one input through both a
+differential test of the checkers.
 
-The engine consumes its input *incrementally*: records are never
-materialised into a list, and :func:`replay` opens a path with
+Replay consumes its input one record at a time: records are never
+materialised into a list, and a path is opened with
 :func:`~repro.trace.stream.iter_load`, so a file of any length replays
 in O(frame) memory.
 
@@ -71,7 +72,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Set, Tuple, Union
+from typing import Iterable, List, Set, Tuple, Union
 
 from repro.core.checker import CheckStats, DeadlockChecker
 from repro.core.incremental import IncrementalChecker
@@ -138,11 +139,37 @@ class ReplayResult:
         return self.records_processed / self.duration_s
 
 
-class ReplayEngine:
-    """Replays traces through fresh checkers.
+def check_settings(mode: str, check_every: int) -> None:
+    """Refuse a replay setting instead of coercing it: an unknown mode,
+    or a cadence that is not a positive ``int`` (``0``, ``-5``,
+    ``2.5`` and ``True`` included)."""
+    if mode not in (DETECTION, AVOIDANCE):
+        raise ValueError(f"unknown replay mode {mode!r}")
+    if type(check_every) is not int or check_every < 1:
+        raise ValueError(
+            f"check_every must be a positive int, got {check_every!r}"
+        )
+
+
+def replay(
+    source: Union[Trace, Iterable[TraceRecord], str],
+    mode: str = DETECTION,
+    model: GraphModel = GraphModel.AUTO,
+    check_every: int = 1,
+    incremental: bool = True,
+    tracer=NULL_TRACER,
+    stream: object = None,
+) -> ReplayResult:
+    """Replay a trace, record iterable or path through fresh checkers.
 
     Parameters
     ----------
+    source:
+        A :class:`Trace`, any record iterable (including a
+        :class:`~repro.trace.stream.StreamedTrace`) or a path, opened
+        with :func:`~repro.trace.stream.iter_load`: records are consumed
+        one at a time, never materialised, so a file of any length
+        replays in O(frame) memory.
     mode:
         ``"detection"`` or ``"avoidance"``.
     model:
@@ -152,20 +179,26 @@ class ReplayEngine:
         paper's factor,
         :data:`~repro.core.selection.DEFAULT_THRESHOLD_FACTOR`.
     check_every:
-        Detection-mode check cadence in state-changing records
-        (default 1: check after every change, the strongest — and
-        deterministic — setting).
+        Detection-mode check cadence in state-changing records, a
+        positive ``int`` (default 1: check after every change, the
+        strongest — and deterministic — setting).
     incremental:
-        Instantiate :class:`~repro.core.incremental.IncrementalChecker`
-        instead of :class:`~repro.core.checker.DeadlockChecker` (see
-        the module docstring).  Reports are identical; only the cost
-        model changes.
+        ``True`` (the default) runs the maintained
+        :class:`~repro.core.incremental.IncrementalChecker`; ``False``
+        the from-scratch reference
+        :class:`~repro.core.checker.DeadlockChecker` (see the module
+        docstring).  Reports are identical; only the cost model changes.
     tracer:
         Optional :class:`~repro.obs.tracing.Tracer` receiving check and
         report events keyed by record ordinals (deterministic, so the
         reconstructed timeline is bit-identical across replays).  The
         default :data:`~repro.obs.tracing.NULL_TRACER` costs one
         attribute read per check.
+    stream:
+        Accepted and ignored.  It stands in for the two calls in
+        ``benchmarks/e2e/workloads.py`` (``replay_ring`` and
+        ``replay_churn``) that still pass ``stream=True``, and goes
+        with them.
 
     Every run creates one :class:`~repro.obs.registry.MetricsRegistry`
     up front and hands it to both checkers; the loop's own counters land
@@ -176,265 +209,194 @@ class ReplayEngine:
     ordinals, and the reporting check's ordinal — one
     :class:`~repro.obs.tracing.OriginTracker` fold, whatever the engine.
     """
+    check_settings(mode, check_every)
+    if isinstance(source, str) or hasattr(source, "__fspath__"):
+        source = iter_load(source)
+    records = source.records if isinstance(source, Trace) else source
+    # Streamed binary traces offer the iteration replay reads: frames
+    # are scanned zero-copy and context records (register/advance)
+    # come back as slotted ContextRecords, not frozen TraceRecords.
+    lazy = getattr(records, "lazy_records", None)
+    if lazy is not None:
+        records = lazy()
+    avoidance = mode == AVOIDANCE
+    # The engine is the checker class; everything below is shared.
+    engine = IncrementalChecker if incremental else DeadlockChecker
+    # Two checkers, two views: ``local`` accumulates block/unblock
+    # records, ``remote`` the merged site publications.  Once any
+    # publication has been seen, detection queries ``remote`` only.
+    # Both record into the run's one registry.
+    metrics = MetricsRegistry()
+    local = engine(model=model, metrics=metrics)
+    remote = engine(model=model, metrics=metrics)
+    merge = DeltaMergeState(remote)
+    result = ReplayResult(mode=mode, metrics=metrics)
+    seen: Set[frozenset] = set()
+    kinds = dict.fromkeys(_KIND_NAMES, 0)
+    origins = OriginTracker()
+    lags: List[Tuple[int, float]] = []
+    publishes_seen = False
+    pending = 0
+    # Detection-mode local ops queue up between cadence points and
+    # reach the checker through one ``apply_batch`` right before the
+    # check.  (Avoidance vets each block as it arrives, so its ops
+    # stay per-record.)
+    local_ops: List[Tuple[str, object, object]] = []
+    t0 = time.perf_counter()
 
-    def __init__(
-        self,
-        mode: str = DETECTION,
-        model: GraphModel = GraphModel.AUTO,
-        check_every: int = 1,
-        incremental: bool = False,
-        tracer=NULL_TRACER,
-    ) -> None:
-        if mode not in (DETECTION, AVOIDANCE):
-            raise ValueError(f"unknown replay mode {mode!r}")
-        self.mode = mode
-        self.model = model
-        self.check_every = max(1, check_every)
-        self.incremental = incremental
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-
-    def run(self, trace: Union[Trace, Iterable[TraceRecord]]) -> ReplayResult:
-        """Replay ``trace`` (a :class:`Trace` or any record iterable —
-        including a :class:`~repro.trace.stream.StreamedTrace`);
-        records are consumed one at a time, never materialised."""
-        records = trace.records if isinstance(trace, Trace) else trace
-        # Streamed binary traces offer the iteration replay reads: frames
-        # are scanned zero-copy and context records (register/advance)
-        # come back as slotted ContextRecords, not frozen TraceRecords.
-        lazy = getattr(records, "lazy_records", None)
-        if lazy is not None:
-            records = lazy()
-        # The engine is the checker class; everything below is shared.
-        engine = IncrementalChecker if self.incremental else DeadlockChecker
-        # Two checkers, two views: ``local`` accumulates block/unblock
-        # records, ``remote`` the merged site publications.  Once any
-        # publication has been seen, detection queries ``remote`` only.
-        # Both record into the run's one registry.
-        metrics = MetricsRegistry()
-        settings = dict(model=self.model, metrics=metrics)
-        local = engine(**settings)
-        remote = engine(**settings)
-        merge = DeltaMergeState(remote)
-        result = ReplayResult(mode=self.mode, metrics=metrics)
-        seen: Set[frozenset] = set()
-        kinds = dict.fromkeys(_KIND_NAMES, 0)
-        origins = OriginTracker()
-        lags: List[Tuple[int, float]] = []
-        publishes_seen = False
-        pending = 0
-        # Detection-mode local ops queue up between cadence points and
-        # reach the checker through one ``apply_batch`` right before the
-        # check.  (Avoidance vets each block as it arrives, so its ops
-        # stay per-record.)
-        local_ops: List[Tuple[str, object, object]] = []
-        t0 = time.perf_counter()
-
-        def detect() -> None:
-            if local_ops:
-                local.apply_batch(local_ops)
-                local_ops.clear()
-            if publishes_seen:
-                # Cross-site duplication is rejected at *check* time: a
-                # transient overlap that resolves before the next
-                # cadence point replays fine.
-                merge.raise_on_conflict()
-                checker = remote
-                statuses_fn = lambda: merge.merged_snapshot().statuses  # noqa: E731
-            else:
-                checker = local
-                statuses_fn = lambda: local.dependency.snapshot().statuses  # noqa: E731
-            self._collect(checker.check(), seen, result, origins, statuses_fn, lags)
-
-        for rec in records:
-            result.records_processed += 1
-            origins.observe(rec)
-            kind = rec.kind
-            if kind is RecordKind.BLOCK:
-                kinds["block"] += 1
-                if self.mode == AVOIDANCE:
-                    report = local.check_before_block(rec.task, rec.status)
-                    result.checks_run += 1
-                    if report is not None:
-                        self._collect_avoided(
-                            report, rec, local, origins, lags, result
-                        )
-                    continue
-                local_ops.append(("set", rec.task, rec.status))
-                pending += 1
-            elif kind is RecordKind.UNBLOCK:
-                kinds["unblock"] += 1
-                if self.mode == AVOIDANCE:
-                    local.clear(rec.task)
-                    continue
-                local_ops.append(("clear", rec.task, None))
-                pending += 1
-            elif kind is RecordKind.PUBLISH_DELTA:
-                if self.mode == AVOIDANCE:
-                    # Avoidance vets individual blocks; a site
-                    # publication carries no per-block order to vet.
-                    # Failing loudly beats replaying a silent wrong
-                    # verdict.
-                    raise ValueError(
-                        "avoidance replay cannot analyse publish_delta "
-                        "records (distributed traces replay in detection "
-                        "mode)"
-                    )
-                kinds["publish_delta"] += 1
-                merge.apply_obj(rec.site, rec.payload)
-                publishes_seen = True
-                pending += 1
-            else:  # REGISTER / ADVANCE: context only
-                kinds["context"] += 1
-                continue
-            if self.mode == DETECTION and pending >= self.check_every:
-                pending = 0
-                detect()
-        # Drain: a trailing state change below the cadence still gets
-        # analysed, so lowering the cadence never loses final reports.
-        if self.mode == DETECTION and pending:
-            detect()
-        result.duration_s = time.perf_counter() - t0
-        self._finish_metrics(result, kinds, lags)
-        return result
-
-    def _collect_avoided(
-        self, report, rec, checker, origins, lags, result
-    ) -> None:
-        """Enrich and store one avoidance refusal (no de-duplication —
-        every refused block is its own report, as before)."""
-        statuses = dict(checker.dependency.snapshot().statuses)
-        statuses[rec.task] = rec.status
+    def surface(report: DeadlockReport, statuses) -> None:
+        """Enrich one report against the analysed ``statuses`` and keep
+        it, in discovery order."""
         enriched, lag_s = attach_provenance(report, origins, statuses)
         lags.append((enriched.detection_lag, lag_s))
-        if self.tracer.enabled:
-            self._trace_report(enriched)
+        if tracer.enabled:
+            tracer.event(
+                "deadlock.report",
+                "checker",
+                ordinal=enriched.detected_at or 0,
+                cat="report",
+                cycle=" -> ".join(str(v) for v in enriched.cycle),
+                detection_lag_records=enriched.detection_lag or 0,
+                model=enriched.model_used.value,
+            )
         result.reports.append(enriched)
 
-    def _finish_metrics(self, result, kinds, lags) -> None:
-        """Add the loop's own telemetry to the run registry.
-
-        Engine counters are applied once, from the loop's plain-int
-        tallies (zero hot-loop registry cost); the checkers' own tallies
-        need nothing here, since any read of the registry folds them.
-        Everything here except the duration and seconds-lag histograms
-        is deterministic, so the non-volatile snapshot is byte-identical
-        across runs and hosts — including the record-ordinal
-        detection-lag histogram, which is always created so every
-        snapshot carries the family.
-        """
-        metrics = result.metrics
-        recs = metrics.counter(
-            "repro_replay_records_total",
-            "Trace records consumed by replay, by kind (context = "
-            "register/advance records, skipped but counted).",
-            labels=("kind",),
-        )
-        for kind in _KIND_NAMES:
-            if kinds[kind]:
-                recs.inc(kinds[kind], kind=kind)
-        metrics.counter(
-            "repro_replay_checks_total",
-            "Detection or avoidance checks run by replay.",
-        ).inc(result.checks_run)
-        metrics.counter(
-            "repro_replay_reports_total",
-            "Deadlock reports surfaced by replay (after de-duplication).",
-        ).inc(len(result.reports))
-        metrics.histogram(
-            "repro_replay_duration_seconds",
-            "Wall-clock duration of one replay run.",
-            buckets=_DURATION_BUCKETS_S,
-            volatile=True,
-        ).observe(result.duration_s)
-        lag_records = metrics.histogram(
-            "repro_detection_lag_records",
-            "Record-ordinal distance from the record that closed a "
-            "reported cycle to the check that surfaced it (0 = reported "
-            "at the closing record).",
-            buckets=DEFAULT_SIZE_BUCKETS,
-        )
-        lag_seconds = metrics.histogram(
-            "repro_detection_lag_seconds",
-            "Wall-clock time from the record that closed a reported "
-            "cycle to the check that surfaced it.",
-            buckets=DEFAULT_LATENCY_BUCKETS_S,
-            volatile=True,
-        )
-        for lag, lag_s in lags:
-            lag_records.observe(lag)
-            lag_seconds.observe(lag_s)
-
-    def _trace_report(self, report: DeadlockReport) -> None:
-        self.tracer.event(
-            "deadlock.report",
-            "checker",
-            ordinal=report.detected_at or 0,
-            cat="report",
-            cycle=" -> ".join(str(v) for v in report.cycle),
-            detection_lag_records=report.detection_lag or 0,
-            model=report.model_used.value,
-        )
-
-    def _collect(
-        self,
-        report: Optional[DeadlockReport],
-        seen: Set[frozenset],
-        result: ReplayResult,
-        origins: OriginTracker,
-        statuses_fn,
-        lags: List[Tuple[int, float]],
-    ) -> None:
+    def detect() -> None:
+        if local_ops:
+            local.apply_batch(local_ops)
+            local_ops.clear()
+        if publishes_seen:
+            # Cross-site duplication is rejected at *check* time: a
+            # transient overlap that resolves before the next cadence
+            # point replays fine.
+            merge.raise_on_conflict()
+            report = remote.check()
+        else:
+            report = local.check()
         result.checks_run += 1
-        if self.tracer.enabled:
-            self.tracer.event(
+        if tracer.enabled:
+            tracer.event(
                 "replay.check", "checker", ordinal=origins.last_ordinal,
                 cat="check",
             )
-        # The snapshot is only needed to enrich a *fresh* report — a
-        # persisting deadlock surfaces the same cycle at every cadence
-        # point, and rebuilding the full status view each time made
-        # check_every=1 replays of deadlocked traces quadratic.
-        if report is None:
+        # A persisting deadlock surfaces the same cycle at every cadence
+        # point: only a *fresh* one needs the status view (rebuilding it
+        # each time made check_every=1 replays of deadlocked traces
+        # quadratic).
+        if report is None or report.cycle_key in seen:
             return
-        key = report.cycle_key
-        if key in seen:
-            return
-        seen.add(key)
-        enriched, lag_s = attach_provenance(report, origins, statuses_fn())
-        lags.append((enriched.detection_lag, lag_s))
-        if self.tracer.enabled:
-            self._trace_report(enriched)
-        result.reports.append(enriched)
+        seen.add(report.cycle_key)
+        view = (merge.merged_snapshot() if publishes_seen
+                else local.dependency.snapshot())
+        surface(report, view.statuses)
+
+    processed = 0
+    for rec in records:
+        processed += 1
+        origins.observe(rec)
+        kind = rec.kind
+        if kind is RecordKind.BLOCK:
+            kinds["block"] += 1
+            if avoidance:
+                report = local.check_before_block(rec.task, rec.status)
+                result.checks_run += 1
+                if report is not None:
+                    # Every refused block is its own report: no
+                    # de-duplication in avoidance.
+                    statuses = dict(local.dependency.snapshot().statuses)
+                    statuses[rec.task] = rec.status
+                    surface(report, statuses)
+                continue
+            local_ops.append(("set", rec.task, rec.status))
+            pending += 1
+        elif kind is RecordKind.UNBLOCK:
+            kinds["unblock"] += 1
+            if avoidance:
+                local.clear(rec.task)
+                continue
+            local_ops.append(("clear", rec.task, None))
+            pending += 1
+        elif kind is RecordKind.PUBLISH_DELTA:
+            if avoidance:
+                # Avoidance vets individual blocks; a site publication
+                # carries no per-block order to vet.  Failing loudly
+                # beats replaying a silent wrong verdict.
+                raise ValueError(
+                    "avoidance replay cannot analyse publish_delta "
+                    "records (distributed traces replay in detection "
+                    "mode)"
+                )
+            kinds["publish_delta"] += 1
+            merge.apply_obj(rec.site, rec.payload)
+            publishes_seen = True
+            pending += 1
+        else:  # REGISTER / ADVANCE: context only
+            kinds["context"] += 1
+            continue
+        # Avoidance ``continue``s above, so only detection gets here.
+        if pending >= check_every:
+            pending = 0
+            detect()
+    # Drain: a trailing state change below the cadence still gets
+    # analysed, so lowering the cadence never loses final reports.
+    if pending:
+        detect()
+    result.records_processed = processed
+    result.duration_s = time.perf_counter() - t0
+    _finish_metrics(result, kinds, lags)
+    return result
 
 
-def replay(
-    source: Union[Trace, Iterable[TraceRecord], str],
-    mode: str = DETECTION,
-    model: GraphModel = GraphModel.AUTO,
-    check_every: int = 1,
-    incremental: bool = False,
-    tracer=NULL_TRACER,
-    stream: object = None,
-) -> ReplayResult:
-    """Convenience front door: replay a trace, record iterable or path.
+def _finish_metrics(result: ReplayResult, kinds, lags) -> None:
+    """Add the loop's own telemetry to the run registry.
 
-    A path is opened with :func:`~repro.trace.stream.iter_load`: O(frame)
-    memory, whatever the file's length.  ``incremental=True`` selects the
-    delta-maintained engine — same reports, O(N) instead of O(N²) on
-    ``check_every=1`` replays.  ``tracer`` receives check/report events
-    keyed by record ordinals.
-
-    ``stream`` is accepted and ignored.  It stands in for the two calls
-    in ``benchmarks/e2e/workloads.py`` (``replay_ring`` and
-    ``replay_churn``) that still pass ``stream=True``, and goes with them.
+    Engine counters are applied once, from the loop's plain-int
+    tallies (zero hot-loop registry cost); the checkers' own tallies
+    need nothing here, since any read of the registry folds them.
+    Everything here except the duration and seconds-lag histograms is
+    deterministic, so the non-volatile snapshot is byte-identical across
+    runs and hosts — including the record-ordinal detection-lag
+    histogram, which is always created so every snapshot carries the
+    family.
     """
-    if isinstance(source, str) or hasattr(source, "__fspath__"):
-        source = iter_load(source)
-    engine = ReplayEngine(
-        mode=mode,
-        model=model,
-        check_every=check_every,
-        incremental=incremental,
-        tracer=tracer,
+    metrics = result.metrics
+    recs = metrics.counter(
+        "repro_replay_records_total",
+        "Trace records consumed by replay, by kind (context = "
+        "register/advance records, skipped but counted).",
+        labels=("kind",),
     )
-    return engine.run(source)
+    for kind in _KIND_NAMES:
+        if kinds[kind]:
+            recs.inc(kinds[kind], kind=kind)
+    metrics.counter(
+        "repro_replay_checks_total",
+        "Detection or avoidance checks run by replay.",
+    ).inc(result.checks_run)
+    metrics.counter(
+        "repro_replay_reports_total",
+        "Deadlock reports surfaced by replay (after de-duplication).",
+    ).inc(len(result.reports))
+    metrics.histogram(
+        "repro_replay_duration_seconds",
+        "Wall-clock duration of one replay run.",
+        buckets=_DURATION_BUCKETS_S,
+        volatile=True,
+    ).observe(result.duration_s)
+    lag_records = metrics.histogram(
+        "repro_detection_lag_records",
+        "Record-ordinal distance from the record that closed a "
+        "reported cycle to the check that surfaced it (0 = reported "
+        "at the closing record).",
+        buckets=DEFAULT_SIZE_BUCKETS,
+    )
+    lag_seconds = metrics.histogram(
+        "repro_detection_lag_seconds",
+        "Wall-clock time from the record that closed a reported "
+        "cycle to the check that surfaced it.",
+        buckets=DEFAULT_LATENCY_BUCKETS_S,
+        volatile=True,
+    )
+    for lag, lag_s in lags:
+        lag_records.observe(lag)
+        lag_seconds.observe(lag_s)

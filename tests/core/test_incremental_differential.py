@@ -66,8 +66,8 @@ class TestCorpusDifferential:
         per-task delta to hand a checker directly)."""
         records = list(iter_load(path))
         if any(r.kind is RecordKind.PUBLISH_DELTA for r in records):
-            a = replay(records, check_every=1)
-            b = replay(records, check_every=1, incremental=True)
+            a = replay(records, check_every=1, incremental=False)
+            b = replay(records, check_every=1)
             assert a.reports == b.reports
             return
         assert drive_both(records) > 0
@@ -82,8 +82,8 @@ class TestCorpusDifferential:
         cadence).  The reports, and the checks that produced them, must
         still be the from-scratch engine's."""
         records = list(iter_load(path))
-        a = replay(records, check_every=cadence)
-        b = replay(records, check_every=cadence, incremental=True)
+        a = replay(records, check_every=cadence, incremental=False)
+        b = replay(records, check_every=cadence)
         assert a.reports == b.reports
         assert a.checks_run == b.checks_run
         assert a.records_processed == b.records_processed
@@ -97,9 +97,9 @@ class TestCorpusDifferential:
         windows, that path still gives the from-scratch engine's
         reports and checks."""
         records = list(iter_load(path))
-        a = replay(records, model=GraphModel.WFG, check_every=cadence)
-        b = replay(records, model=GraphModel.WFG, check_every=cadence,
-                   incremental=True)
+        a = replay(records, model=GraphModel.WFG, check_every=cadence,
+                   incremental=False)
+        b = replay(records, model=GraphModel.WFG, check_every=cadence)
         assert a.reports == b.reports
         assert a.checks_run == b.checks_run
         fallbacks = b.metrics.get("repro_incremental_fallback_checks_total")
@@ -320,17 +320,17 @@ class TestTransientPublishConflicts:
 
     def test_transient_overlap_replays_in_both_engines(self):
         recs = self.records()
-        a = replay(recs, check_every=10)
-        b = replay(recs, check_every=10, incremental=True)
+        a = replay(recs, check_every=10, incremental=False)
+        b = replay(recs, check_every=10)
         assert a.reports == b.reports
         assert a.checks_run == b.checks_run
 
     def test_persisting_overlap_raises_identically(self):
         recs = self.records()[:2]
         errors = []
-        for kwargs in ({}, {"incremental": True}):
+        for incremental in (False, True):
             with pytest.raises(ValueError) as exc:
-                replay(recs, check_every=1, **kwargs)
+                replay(recs, check_every=1, incremental=incremental)
             errors.append(str(exc.value))
         assert errors[0] == errors[1]
         assert "several sites" in errors[0]
@@ -353,8 +353,8 @@ class TestTransientPublishConflicts:
             ev.publish_delta(1, "B", make_snapshot(1, {"t2": a_blob}, "B")),
             ev.publish_delta(2, "B", make_snapshot(2, {}, "B")),
         ]
-        x = replay(recs, check_every=5)
-        y = replay(recs, check_every=5, incremental=True)
+        x = replay(recs, check_every=5, incremental=False)
+        y = replay(recs, check_every=5)
         assert x.reports == y.reports
         assert x.deadlocked  # A's pair is the crossed knot
 

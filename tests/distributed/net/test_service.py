@@ -364,6 +364,109 @@ class TestCoreDispatch:
         assert core.tenant("acme").store is made["acme"]
 
 
+class TestClosedTenancy:
+    """Only ``append_delta`` opens a tenant.  Every read on a name that
+    never published answers what an empty tenant would, and the request
+    door refuses a mistyped field instead of coercing it."""
+
+    #: One request of every op that reads (or deletes) without opening.
+    READS = (
+        {"op": "check"},
+        {"op": "reports"},
+        {"op": "get_deltas", "site": "s0", "after_seq": 0},
+        {"op": "get_state", "site": "s0"},
+        {"op": "delta_tail", "site": "s0"},
+        {"op": "delta_sites"},
+        {"op": "delete", "site": "s0"},
+        {"op": "health"},
+    )
+
+    @staticmethod
+    def series(registry):
+        from repro.obs.export import to_prometheus
+
+        return {
+            line.rsplit(" ", 1)[0]
+            for line in to_prometheus(registry).splitlines()
+            if line and not line.startswith("#")
+        }
+
+    def test_reads_of_fresh_tenants_open_nothing(self):
+        registry = MetricsRegistry()
+        core = CheckerServiceCore(metrics=registry)
+        core.handle({"op": "append_delta", "tenant": "acme", "site": "s0",
+                     "obj": make_snapshot(1, {}, "S")})
+        for read in self.READS:  # every series a read makes exists now
+            core.handle({**read, "tenant": "acme"})
+            core.handle({**read, "tenant": "acme", "site": "ghost"})
+        before = self.series(registry)
+        for i in range(10_000):
+            read = self.READS[i % len(self.READS)]
+            core.handle({**read, "tenant": f"fresh{i}"})
+        assert core.tenant_names() == ["acme"]
+        assert self.series(registry) == before
+
+    @pytest.mark.parametrize("read", READS, ids=lambda read: read["op"])
+    def test_a_fresh_tenant_answers_as_an_empty_one(self, read):
+        core = CheckerServiceCore()
+        core.tenant("empty")  # opened by hand, never published to
+        fresh = core.handle({**read, "tenant": "fresh"})
+        known = core.handle({**read, "tenant": "empty"})
+        assert core.tenant_names() == ["empty"]
+        if read["op"] in ("get_deltas", "get_state"):
+            assert fresh["error"] == known["error"] == "sequence"
+            assert fresh["message"] == known["message"].replace(
+                "empty", "fresh")
+            return
+        if read["op"] == "health":
+            known["value"]["tenant"] = "fresh"
+        assert fresh == known
+
+    @pytest.mark.parametrize("request_", [
+        {"op": "check", "tenant": None},
+        {"op": "check", "tenant": 5},
+        {"op": "health", "tenant": 5},
+        {"op": "append_delta", "tenant": 5, "site": "s0",
+         "obj": make_snapshot(1, {}, "S")},
+        {"op": "append_delta", "site": 7, "obj": make_snapshot(1, {}, "S")},
+        {"op": "get_state", "site": 7},
+        {"op": "delete", "site": 7},
+        {"op": "get_deltas", "site": "s0", "after_seq": 0, "stream": 5},
+        {"op": "get_deltas", "site": "s0", "after_seq": True},
+        {"op": "get_deltas", "site": "s0", "after_seq": "3"},
+        {"op": "get_deltas", "site": "s0", "after_seq": 2.9},
+        {"op": "get_deltas", "site": "s0", "after_seq": -1},
+    ], ids=["tenant-null", "tenant-number", "health-tenant-number",
+            "append-tenant-number", "append-site-number", "site-number",
+            "delete-site-number", "stream-number", "after-seq-true",
+            "after-seq-string", "after-seq-fraction", "after-seq-negative"])
+    def test_a_mistyped_field_is_refused_not_coerced(self, request_):
+        """Each of these was served once: ``5`` as tenant ``"5"``,
+        ``null`` as tenant ``"None"``, ``7`` as site ``"7"``, ``True``
+        as cursor 1, ``"3"`` as 3, ``2.9`` as 2."""
+        core = CheckerServiceCore()
+        core.handle({"op": "append_delta", "site": "s0",
+                     "obj": make_snapshot(1, {}, "S")})
+        for seq in (2, 3, 4):
+            core.handle({"op": "append_delta", "site": "s0", "obj": {
+                "v": 2, "stream": "S", "seq": seq, "kind": "delta",
+                "set": {}, "restore": {}, "clear": [],
+            }})
+        response = core.handle(request_)
+        assert response["ok"] is False and response["error"] == "value"
+        assert core.tenant_names() == ["default"]
+        assert core.tenant("default").delta_tail("s0") == ("S", 4)
+
+    def test_stream_may_be_missing_or_null(self):
+        core = CheckerServiceCore()
+        core.handle({"op": "append_delta", "site": "s0",
+                     "obj": make_snapshot(1, {}, "S")})
+        for extra in ({}, {"stream": None}, {"stream": "S"}):
+            response = core.handle({"op": "get_deltas", "site": "s0",
+                                    "after_seq": 1, **extra})
+            assert response == {"ok": True, "value": []}, extra
+
+
 class TestPeriodicChecks:
     def test_service_side_detection_without_client_polling(self):
         registry = MetricsRegistry()

@@ -201,9 +201,9 @@ class TestProvenance:
                 assert rec.kind.value == origin.kind
 
     def test_engines_attach_identical_provenance(self):
-        trace, scratch = self.deadlock_outcome()
-        incremental = replay(trace, mode=DETECTION, incremental=True)
-        assert scratch.reports == incremental.reports
+        trace, maintained = self.deadlock_outcome()
+        scratch = replay(trace, mode=DETECTION, incremental=False)
+        assert scratch.reports == maintained.reports
         assert scratch.reports[0].provenance
 
     def test_detection_lag_counts_records_past_the_close(self):

@@ -281,8 +281,8 @@ class TestReplayWiring:
     def test_incremental_metrics_cover_both_checkers_once(self):
         from repro.trace.replay import replay
 
-        plain = replay(self.corpus_member())
-        incr = replay(self.corpus_member(), incremental=True)
+        plain = replay(self.corpus_member(), incremental=False)
+        incr = replay(self.corpus_member())
         assert (
             incr.metrics.get("repro_checks_total").total()
             == incr.stats.checks

@@ -78,10 +78,9 @@ class TestWitnessRealisability:
             NearMissSpec(chain_len=2, sites=sites)
         )
         classic = replay(witness, mode=DETECTION, model=GraphModel.AUTO,
-                         check_every=1)
+                         check_every=1, incremental=False)
         incremental = replay(witness, mode=DETECTION,
-                             model=GraphModel.AUTO, check_every=1,
-                             incremental=True)
+                             model=GraphModel.AUTO, check_every=1)
         assert classic.deadlocked and incremental.deadlocked
         assert classic.reports == incremental.reports
         tasks = frozenset(candidate.tasks)

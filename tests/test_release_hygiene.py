@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import json
 import pathlib
 import re
 
@@ -360,7 +361,6 @@ class TestOneValueOneConstant:
     #: (module, callable, the parameters it no longer takes)
     REMOVED = (
         ("repro.trace.parallel", "replay_corpus", ("stream", "threshold_factor")),
-        ("repro.trace.replay", "ReplayEngine", ("threshold_factor",)),
         ("repro.trace.replay", "replay", ("threshold_factor",)),
         ("repro.trace.stream", "StreamingRecorder", ("flush_every",)),
         ("repro.distributed.detector", "DistributedChecker", ("threshold_factor",)),
@@ -447,6 +447,53 @@ class TestOneValueOneConstant:
     def test_no_ci_step_passes_the_stream_flag(self):
         ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
         assert "--stream" not in ci
+
+
+class TestOneReplayDoor:
+    """One entry point replays a trace, and it runs the maintained
+    engine unless asked for the from-scratch reference.  The engine
+    class and the opt-in flag cannot come back unnoticed."""
+
+    def test_no_file_names_the_engine_class(self):
+        name = b"Replay" + b"Engine"  # spelt in halves: no self-match
+        for root in ("src", "tests", "benchmarks"):
+            for path in sorted((REPO / root).rglob("*")):
+                if path.is_file():
+                    assert name not in path.read_bytes(), path
+
+    def test_the_maintained_engine_is_the_default(self):
+        import inspect
+
+        from repro.trace.parallel import replay_corpus
+        from repro.trace.replay import replay
+
+        for door in (replay, replay_corpus):
+            parameter = inspect.signature(door).parameters["incremental"]
+            assert parameter.default is True, door.__name__
+
+    @pytest.mark.parametrize("verb", ["replay", "explain"])
+    def test_the_opt_in_flag_is_gone(self, verb, capsys):
+        from repro.trace.cli import main
+
+        with pytest.raises(SystemExit) as usage:
+            main([verb, "x.trace", "--incremental"])
+        assert usage.value.code == 2
+        assert "unrecognized arguments: --incremental" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, series", [
+        ((), True), (("--from-scratch",), False),
+    ], ids=["default", "from-scratch"])
+    def test_a_corpus_replay_runs_the_engine_it_names(
+        self, extra, series, tmp_path, capsys
+    ):
+        from repro.trace.cli import main
+
+        out = tmp_path / "metrics.json"
+        corpus = REPO / "tests" / "trace" / "corpus"
+        assert main(["replay", str(corpus), *extra,
+                     "--metrics-json", str(out)]) == 0
+        names = {m["name"] for m in json.loads(out.read_text())["metrics"]}
+        assert ("repro_incremental_delta_ops_total" in names) is series
 
 
 class TestValueTypes:

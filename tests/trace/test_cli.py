@@ -1,7 +1,8 @@
-"""CLI tests: the four ``python -m repro.trace`` subcommands."""
+"""CLI tests: the ``python -m repro.trace`` subcommands."""
 
 from __future__ import annotations
 
+import pathlib
 import time
 
 import pytest
@@ -206,26 +207,65 @@ class TestRecord:
         assert not out
 
 
-class TestIncrementalFlag:
-    def test_single_file_incremental(self, tmp_path, capsys):
+class TestStreamedStats:
+    """``stats`` reads a trace in one streamed pass, like every verb
+    that takes a trace path."""
+
+    CORPUS = pathlib.Path(__file__).parent / "corpus"
+
+    def test_every_corpus_member_matches_the_golden(self, monkeypatch, capsys):
+        from repro.trace.parallel import discover_traces
+
+        monkeypatch.chdir(self.CORPUS)  # the golden names files bare
+        for path in discover_traces("."):
+            assert main(["stats", path.name]) == 0
+        golden = (self.CORPUS / "expected_stats.txt").read_text()
+        assert capsys.readouterr().out == golden
+
+    def test_peak_memory_stays_flat_on_a_large_trace(self, tmp_path, capsys):
+        """A 1000-task churn trace (25 018 records) loaded whole peaks
+        at about 7 MiB; one streamed pass holds a frame at a time."""
+        import gc
+        import tracemalloc
+
+        from repro.trace.codec import save_trace
+        from repro.trace.corpus import AioSpec, build_trace
+
+        path = save_trace(
+            build_trace(AioSpec(tasks=1000, shape="churn", deadlock=False)),
+            tmp_path / "churn.trace", codec="binary",
+        )
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert main(["stats", str(path)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "records: 25018" in capsys.readouterr().out
+        assert peak < 4 * 2 ** 20, peak
+
+
+class TestFromScratchFlag:
+    def test_single_file_from_scratch(self, tmp_path, capsys):
         main(["gen", "--out", str(tmp_path), "--cycle-lens", "2",
               "--fan-outs", "1", "--sites", "1", "--rounds", "1",
               "--codec", "jsonl", "--families", "cycle"])
         capsys.readouterr()
         path = next(p for p in tmp_path.iterdir()
                     if p.name.endswith("-dl.jsonl"))
-        assert main(["replay", str(path), "--incremental"]) == 0
+        assert main(["replay", str(path), "--from-scratch"]) == 0
         assert "barrier deadlock detected" in capsys.readouterr().out
 
-    def test_corpus_incremental_stdout_matches_scratch(self, tmp_path, capsys):
+    def test_corpus_from_scratch_stdout_matches_default(self, tmp_path, capsys):
         main(["gen", "--out", str(tmp_path), "--cycle-lens", "2,3",
               "--fan-outs", "1", "--sites", "1,2", "--rounds", "1",
               "--codec", "jsonl", "--families", "cycle,knot,bounded"])
         capsys.readouterr()
         assert main(["replay", str(tmp_path)]) == 0
-        scratch = capsys.readouterr().out
-        assert main(["replay", str(tmp_path), "--incremental"]) == 0
-        assert capsys.readouterr().out == scratch
+        maintained = capsys.readouterr().out
+        assert main(["replay", str(tmp_path), "--from-scratch"]) == 0
+        assert capsys.readouterr().out == maintained
 
 
 class TestBufferedCorpusTiming:

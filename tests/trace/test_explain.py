@@ -1,7 +1,7 @@
 """The ``explain`` subcommand: provenance output, pinned byte-for-byte.
 
 ``expected_explain.txt`` is the checked-in golden for explaining the
-whole regression corpus; serial, ``--parallel`` and ``--incremental``
+whole regression corpus; serial, ``--parallel`` and ``--from-scratch``
 runs must all reproduce it exactly (the same
 determinism pin the replay golden carries, extended to provenance).
 The single-file mode, ``--report`` selection and the ``--chrome``
@@ -33,9 +33,9 @@ class TestGoldenExplainOutput:
         """The CI assertion, in-process: --parallel 2 is byte-identical."""
         assert self.run_cli(capsys, "--parallel", "2") == GOLDEN.read_text()
 
-    def test_incremental_output_matches_golden(self, capsys):
+    def test_from_scratch_output_matches_golden(self, capsys):
         """Both engines attach identical provenance — the corpus pin."""
-        assert self.run_cli(capsys, "--incremental") == GOLDEN.read_text()
+        assert self.run_cli(capsys, "--from-scratch") == GOLDEN.read_text()
 
     def test_every_deadlock_member_is_explained(self, capsys):
         out = self.run_cli(capsys)

@@ -1,20 +1,22 @@
 """The pinned corpus metrics snapshot and its determinism guarantees.
 
 ``tests/trace/corpus/expected_metrics.txt`` is the canonical-JSON
-metrics snapshot of a corpus replay (``--metrics-json``).  The snapshot
+metrics snapshot of a ``--from-scratch`` corpus replay
+(``--metrics-json``).  The snapshot
 is the *non-volatile* slice of the merged registry, which makes it a
 pure function of the trace bytes: the tests assert byte-identity
 serially, under ``--parallel N`` (merge is order-insensitive and every
 worker process sees a different string-hash seed) and across repeated
 runs.  Report output must be unaffected by metrics emission.
 
-``expected_metrics_incremental.txt`` is the same snapshot of an
-``--incremental`` replay, which adds that engine's own series.
+``expected_metrics_incremental.txt`` is the same snapshot of a
+default replay, whose maintained engine adds its own series.
 
-Regenerating after an intentional change (add ``--incremental`` and
-the other file name for the second golden)::
+Regenerating after an intentional change (drop ``--from-scratch`` and
+take the other file name for the second golden)::
 
     PYTHONPATH=src python -m repro.trace replay tests/trace/corpus \
+        --from-scratch \
         --metrics-json tests/trace/corpus/expected_metrics.txt \
         > /dev/null 2>&1
 """
@@ -45,30 +47,33 @@ def run_metrics_json(tmp_path, *extra) -> bytes:
 
 
 class TestMetricsGolden:
-    def test_serial_matches_golden(self, tmp_path, capsys):
-        assert run_metrics_json(tmp_path) == GOLDEN_METRICS.read_bytes()
-
-    def test_parallel_matches_golden(self, tmp_path, capsys):
-        """The acceptance pin: worker processes have different hash
-        seeds, yet the merged snapshot is byte-identical to serial."""
+    def test_from_scratch_serial_matches_golden(self, tmp_path, capsys):
         assert (
-            run_metrics_json(tmp_path, "--parallel", "2")
+            run_metrics_json(tmp_path, "--from-scratch")
             == GOLDEN_METRICS.read_bytes()
         )
 
-    def test_incremental_serial_and_parallel_agree(self, tmp_path, capsys):
-        """The incremental engine adds its own series, so it has its own
+    def test_from_scratch_parallel_matches_golden(self, tmp_path, capsys):
+        """The acceptance pin: worker processes have different hash
+        seeds, yet the merged snapshot is byte-identical to serial."""
+        assert (
+            run_metrics_json(tmp_path, "--from-scratch", "--parallel", "2")
+            == GOLDEN_METRICS.read_bytes()
+        )
+
+    def test_default_serial_and_parallel_agree(self, tmp_path, capsys):
+        """The maintained engine adds its own series, so it has its own
         golden, under the same serial/parallel byte-identity."""
         golden = GOLDEN_INCREMENTAL.read_bytes()
-        assert run_metrics_json(tmp_path, "--incremental") == golden
-        assert run_metrics_json(tmp_path, "--incremental", "--parallel", "2") == golden
+        assert run_metrics_json(tmp_path) == golden
+        assert run_metrics_json(tmp_path, "--parallel", "2") == golden
 
     @pytest.mark.parametrize("seed", ["0", "12345"])
-    def test_incremental_golden_under_hash_seed(self, tmp_path, seed):
+    def test_default_golden_under_hash_seed(self, tmp_path, seed):
         out = tmp_path / "metrics.json"
         subprocess.run(
             [sys.executable, "-m", "repro.trace", "replay", str(CORPUS),
-             "--incremental", "--metrics-json", str(out)],
+             "--metrics-json", str(out)],
             env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(SRC)},
             capture_output=True, check=True,
         )

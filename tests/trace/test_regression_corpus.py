@@ -124,10 +124,10 @@ class TestCorpusContents:
         assert replay(path).reports == replay(load_trace(path)).reports
 
     @pytest.mark.parametrize("path", corpus_files(), ids=lambda p: p.name)
-    def test_incremental_replay_agrees(self, path):
-        """The tentpole acceptance pin: the delta-maintained engine
+    def test_from_scratch_replay_agrees(self, path):
+        """The engine differential: the default, delta-maintained engine
         reproduces the from-scratch reports on every corpus member."""
-        assert replay(path, incremental=True).reports == replay(path).reports
+        assert replay(path, incremental=False).reports == replay(path).reports
 
     @pytest.mark.parametrize("spec", GENERATED_SPECS, ids=lambda s: s.name)
     @pytest.mark.parametrize("codec", sorted(CODEC_EXT))
@@ -150,23 +150,23 @@ class TestGoldenReplayOutput:
         """The CI assertion, in-process: --parallel 2 is byte-identical."""
         assert self.run_cli(capsys, "--parallel", "2") == GOLDEN.read_text()
 
-    def test_incremental_output_matches_golden(self, capsys):
-        """The CI assertion, in-process: --incremental is byte-identical
-        to the from-scratch engine."""
-        assert self.run_cli(capsys, "--incremental") == GOLDEN.read_text()
+    def test_from_scratch_output_matches_golden(self, capsys):
+        """The CI assertion, in-process: the reference engine is
+        byte-identical to the default, maintained one."""
+        assert self.run_cli(capsys, "--from-scratch") == GOLDEN.read_text()
 
-    def test_incremental_parallel_output_matches_golden(self, capsys):
+    def test_from_scratch_parallel_output_matches_golden(self, capsys):
         assert (
-            self.run_cli(capsys, "--incremental", "--parallel", "2")
+            self.run_cli(capsys, "--from-scratch", "--parallel", "2")
             == GOLDEN.read_text()
         )
 
-    def test_incremental_matches_scratch_in_seven_op_windows(self, capsys):
+    def test_from_scratch_matches_default_in_seven_op_windows(self, capsys):
         """The CI assertion, in-process: at ``--check-every 7`` the
-        incremental engine's batch windows hold several ops (so a
+        maintained engine's batch windows hold several ops (so a
         component can go over its window budget mid-batch) and the
         output is still the from-scratch engine's at that cadence."""
-        scratch = self.run_cli(capsys, "--check-every", "7")
+        maintained = self.run_cli(capsys, "--check-every", "7")
         assert self.run_cli(
-            capsys, "--check-every", "7", "--incremental"
-        ) == scratch
+            capsys, "--check-every", "7", "--from-scratch"
+        ) == maintained

@@ -14,7 +14,8 @@ from repro.trace import events as ev
 from repro.trace.corpus import ScenarioSpec, scenario_trace
 from repro.trace.events import status_to_obj
 from repro.trace.recorder import TraceRecorder
-from repro.trace.replay import AVOIDANCE, DETECTION, ReplayEngine, replay
+from repro.trace.parallel import replay_corpus
+from repro.trace.replay import AVOIDANCE, DETECTION, replay
 
 from test_recorder import join_quietly, run_crossed_deadlock
 
@@ -78,8 +79,22 @@ class TestModes:
         assert not outcome.reports[0].avoided
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            ReplayEngine(mode="wrong")
+        with pytest.raises(ValueError, match="unknown replay mode"):
+            replay([], mode="wrong")
+
+    @pytest.mark.parametrize("check_every", [0, -5, 2.5, True],
+                             ids=["zero", "negative", "float", "bool"])
+    def test_a_cadence_that_is_not_a_positive_int_is_refused(
+        self, check_every
+    ):
+        """Refused, not coerced: ``0`` and ``-5`` once ran as 1 and
+        ``2.5`` as every third record.  The CLI refuses the same
+        values through argparse."""
+        trace = scenario_trace(ScenarioSpec(cycle_len=2, fan_out=1, sites=1))
+        with pytest.raises(ValueError, match="check_every"):
+            replay(trace, check_every=check_every)
+        with pytest.raises(ValueError, match="check_every"):
+            replay_corpus(CORPUS, check_every=check_every)
 
 
 class TestDistributedReplay:
@@ -279,15 +294,16 @@ class TestOneReportContract:
 
 
 class TestIncrementalEngine:
-    """The delta-maintained engine: identical reports, O(N) cost."""
+    """The default, delta-maintained engine: the from-scratch engine's
+    reports, at O(N) cost."""
 
     def make_dl_trace(self):
         return scenario_trace(ScenarioSpec(cycle_len=3, fan_out=2, rounds=2))
 
     def test_detection_reports_identical(self):
         trace = self.make_dl_trace()
-        a = replay(trace)
-        b = replay(trace, incremental=True)
+        a = replay(trace, incremental=False)
+        b = replay(trace)
         assert a.reports == b.reports
         assert a.checks_run == b.checks_run
         assert a.records_processed == b.records_processed
@@ -295,8 +311,8 @@ class TestIncrementalEngine:
     @pytest.mark.parametrize("model", list(GraphModel), ids=lambda m: m.value)
     @pytest.mark.parametrize("path", SINGLE_SITE, ids=lambda p: p.name)
     def test_avoidance_identical(self, path, model):
-        a = replay(str(path), mode=AVOIDANCE, model=model)
-        b = replay(str(path), mode=AVOIDANCE, model=model, incremental=True)
+        a = replay(str(path), mode=AVOIDANCE, model=model, incremental=False)
+        b = replay(str(path), mode=AVOIDANCE, model=model)
         assert a.reports == b.reports
 
     def test_distributed_bucket_diffing(self):
@@ -305,16 +321,16 @@ class TestIncrementalEngine:
         trace = scenario_trace(
             ScenarioSpec(cycle_len=3, fan_out=2, sites=3, rounds=2)
         )
-        a = replay(trace)
-        b = replay(trace, incremental=True)
+        a = replay(trace, incremental=False)
+        b = replay(trace)
         assert a.reports == b.reports and a.deadlocked
 
     def test_cadence_above_one_still_identical(self):
         trace = self.make_dl_trace()
         for cadence in (2, 5, 100):
             assert (
-                replay(trace, check_every=cadence, incremental=True).reports
-                == replay(trace, check_every=cadence).reports
+                replay(trace, check_every=cadence).reports
+                == replay(trace, check_every=cadence, incremental=False).reports
             )
 
     def test_incremental_runs_fewer_graph_builds(self):
@@ -325,6 +341,6 @@ class TestIncrementalEngine:
         trace = scenario_trace(
             ScenarioSpec(cycle_len=3, fan_out=2, rounds=4, deadlock=False)
         )
-        result = replay(trace, incremental=True)
+        result = replay(trace)
         assert not result.deadlocked
         assert set(result.stats.model_counts) == {GraphModel.WFG}
