@@ -21,7 +21,7 @@ streams, injectable failures) and in-process sites, each with its own
 
 Publishing runs the **delta wire protocol**
 (:mod:`repro.distributed.delta`): sites append
-``set``/``restore``/``clear`` deltas under per-site sequence numbers
+``set``/``clear`` deltas under per-site sequence numbers
 (with periodic full-snapshot checkpoints) instead of re-putting whole
 buckets, and checkers maintain the merged view incrementally — both
 sides of the store pay O(change) per round, not O(cluster).

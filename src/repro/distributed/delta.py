@@ -11,11 +11,10 @@ derivations cannot drift apart.
 
 **Wire format.**  One delta is a plain JSON-able object::
 
-    {"v": 2, "stream": "d41c2a0f", "seq": 7, "kind": "delta",
-     "set":     {task: encoded-status, ...},   # newly blocked tasks
-     "restore": {task: encoded-status, ...},   # still blocked, status replaced
-     "clear":   [task, ...],                   # no longer blocked
-     "trace":   {"span": "9f2c..."}}           # optional causal context
+    {"v": 3, "stream": "d41c2a0f", "seq": 7, "kind": "delta",
+     "set":   {task: encoded-status, ...},   # newly blocked, or status changed
+     "clear": [task, ...],                   # no longer blocked
+     "trace": {"span": "9f2c..."}}           # optional causal context
 
 ``v`` is :data:`PROTOCOL_VERSION`, the only version readers accept.
 The optional ``trace`` member is a flat object of scalar values
@@ -35,7 +34,7 @@ stream's deltas onto old state just because the numbers happen to
 line up; any stream mismatch is a :class:`DeltaSequenceError` and
 resolves like every other divergence, with a checkpoint.
 ``kind: "snapshot"`` marks a full checkpoint: ``set`` carries the
-site's whole bucket, ``restore`` and ``clear`` are empty, and a
+site's whole bucket, ``clear`` is empty, and a
 snapshot is accepted at *any* position — it resets the stream (first
 publish, periodic checkpoint cadence, and every resync path all reuse
 it).  The per-status encoding is
@@ -66,12 +65,13 @@ delta recorded into a trace replays bit-identically.
   merge view against both.
 
 **Determinism.**  Bucket dicts preserve insertion order and every
-application path mutates them identically (clears pop, restores update
-in place, sets append), so the merged snapshot a delta consumer
-materialises is ordered exactly like :func:`merge_buckets` over the
-stores' materialised states — site order × bucket order, which is what
-keeps distributed detection reports byte-identical across live and
-replayed derivations and across both checker classes.
+application path mutates them identically (clears pop, a set task
+already present keeps its place, a new one appends), so the merged
+snapshot a delta consumer materialises is ordered exactly like
+:func:`merge_buckets` over the stores' materialised states — site
+order × bucket order, which is what keeps distributed detection
+reports byte-identical across live and replayed derivations and
+across both checker classes.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ from repro.core.events import BlockedStatus
 
 #: The delta wire-protocol version (the ``v`` field), written by every
 #: publisher and the only one readers accept.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: The delta kinds the protocol defines (the ``kind`` field).
 DELTA_KINDS = ("delta", "snapshot")
@@ -176,7 +176,6 @@ def make_snapshot(
         "seq": seq,
         "kind": "snapshot",
         "set": {task: dict(blob) for task, blob in bucket.items()},
-        "restore": {},
         "clear": [],
     }
     if trace is not None:
@@ -198,19 +197,16 @@ def delta_trace_context(site_id: str, stream: str, seq: int) -> dict:
 
 def diff_buckets(
     old: Mapping[str, Mapping], new: Mapping[str, Mapping]
-) -> Tuple[Dict[str, dict], Dict[str, dict], List[str]]:
+) -> Tuple[Dict[str, dict], List[str]]:
     """Classify the change between two encoded buckets into wire ops.
 
-    Returns ``(set, restore, clear)``: tasks newly present, tasks still
-    present whose blob changed (a replaced/restored status), and tasks
-    gone.  ``clear`` is sorted for a canonical wire form.
+    Returns ``(set, clear)``: tasks whose blob is new or changed, in
+    ``new``'s order, and tasks gone.  ``clear`` is sorted for a
+    canonical wire form.
     """
-    set_ops = {t: dict(b) for t, b in new.items() if t not in old}
-    restore_ops = {
-        t: dict(b) for t, b in new.items() if t in old and old[t] != b
-    }
+    set_ops = {t: dict(b) for t, b in new.items() if old.get(t) != b}
     clear_ops = sorted(t for t in old if t not in new)
-    return set_ops, restore_ops, clear_ops
+    return set_ops, clear_ops
 
 
 #: A consumer's position in one site's stream: (stream token, seq).
@@ -229,11 +225,11 @@ def validate_extends(cursor: Optional[Cursor], site: str, obj: Mapping) -> Curso
     """
     stream, seq = str(obj["stream"]), int(obj["seq"])
     if obj["kind"] == "snapshot":
-        # Shape check at the shared gate: a snapshot carrying delta ops
-        # would be materialised differently by the plain bucket fold
-        # and the ownership-tracking merge view — reject it loudly
-        # before any consumer state can diverge.
-        if obj["restore"] or list(obj["clear"]):
+        # Shape check at the shared gate: a snapshot is its ``set``
+        # section, so one that also names tasks to clear is refused
+        # loudly rather than read one way by one consumer and another
+        # way by the next.
+        if obj["clear"]:
             raise ValueError(
                 f"site {site}: snapshot deltas carry only a set section"
             )
@@ -250,17 +246,16 @@ def apply_ops_to_bucket(bucket: Dict[str, dict], obj: Mapping) -> None:
     """Mutate one encoded bucket with a (validated) delta's ops.
 
     The single materialisation rule: a snapshot replaces the bucket
-    wholesale; an ordinary delta pops ``clear``, updates ``restore`` in
-    place and appends ``set`` — preserving dict order identically
-    everywhere, which is what keeps merged-snapshot task order equal
-    across the stores, the replay engines and the publisher.
+    wholesale; an ordinary delta pops ``clear`` and writes ``set`` (a
+    task already present keeps its place, a new one appends) —
+    preserving dict order identically everywhere, which is what keeps
+    merged-snapshot task order equal across the stores, the replay
+    engines and the publisher.
     """
     if obj["kind"] == "snapshot":
         bucket.clear()
     for task in obj["clear"]:
         bucket.pop(task, None)
-    for task, blob in obj["restore"].items():
-        bucket[task] = dict(blob)
     for task, blob in obj["set"].items():
         bucket[task] = dict(blob)
 
@@ -346,8 +341,8 @@ class DeltaPublisher:
         """The next delta for ``bucket``, or ``None`` if nothing to say."""
         if self.seq == 0:
             return make_snapshot(1, bucket, self.stream, trace=self._trace(1))
-        set_ops, restore_ops, clear_ops = diff_buckets(self._last, bucket)
-        if not (set_ops or restore_ops or clear_ops):
+        set_ops, clear_ops = diff_buckets(self._last, bucket)
+        if not (set_ops or clear_ops):
             return None
         obj = {
             "v": PROTOCOL_VERSION,
@@ -355,7 +350,6 @@ class DeltaPublisher:
             "seq": self.seq + 1,
             "kind": "delta",
             "set": set_ops,
-            "restore": restore_ops,
             "clear": clear_ops,
         }
         if self._checkpoint_due(obj, bucket):
@@ -494,7 +488,7 @@ class DeltaMergeState:
 
         Validation is the shared :func:`validate_extends` rule; the op
         walk mirrors :func:`apply_ops_to_bucket` (same order: clear,
-        restore, set) but interleaves the per-task ownership and
+        then set) but interleaves the per-task ownership and
         checker feeding that the plain bucket fold has no need for.
         """
         site = str(site)
@@ -507,8 +501,7 @@ class DeltaMergeState:
             # untouched (also on the consumer's retry).
             writes = [
                 (task, dict(blob), decode_blob(blob))
-                for ops in (obj["restore"], obj["set"])
-                for task, blob in ops.items()
+                for task, blob in obj["set"].items()
             ]
             bucket = self.buckets.setdefault(site, {})
             with self.batched():

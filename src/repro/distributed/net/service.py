@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.core.report import DeadlockReport
 from repro.core.selection import GraphModel
-from repro.distributed.delta import DeltaSequenceError
+from repro.distributed.delta import DeltaSequenceError, validate_extends
 from repro.distributed.detector import DistributedChecker
 from repro.distributed.net.framing import ACK
 from repro.distributed.store import InMemoryStore, StoreUnavailableError
@@ -130,7 +130,12 @@ class TenantChecker:
     def append_delta(self, site: str, obj: Mapping) -> None:
         from repro.trace.events import delta_payload_from_obj
 
-        payload = delta_payload_from_obj(obj)  # reject malformed input loudly
+        # Reject malformed input loudly.
+        self._append(site, delta_payload_from_obj(obj))
+
+    def _append(self, site: str, payload: dict) -> None:
+        """:meth:`append_delta` of a payload ``delta_payload_from_obj``
+        already returned."""
         with self._lock:
             self.store.append_delta(site, payload)
             # Only an *accepted* append advances provenance: a gapped or
@@ -234,10 +239,12 @@ class TenantChecker:
 class CheckerServiceCore:
     """Request dispatch: one wire request dict in, one response dict out.
 
-    A tenant opens with its first ``append_delta`` (or an embedder's
-    :meth:`tenant` call); every other request on a name that never
-    published answers what an empty tenant would and keeps nothing, so
-    read traffic cannot grow the tenant table or the metric series.
+    A tenant opens with its first ``append_delta`` of a well-formed
+    snapshot (or an embedder's :meth:`tenant` call); every other request
+    on a name that never published, a refused append included, answers
+    what an empty tenant would and keeps nothing, so neither read
+    traffic nor refused writes can grow the tenant table or the metric
+    series.
     Request fields are typed, never coerced: ``tenant`` (default
     :data:`DEFAULT_TENANT`), ``site`` and ``stream`` (may be null) are
     strings, ``after_seq`` a non-negative ``int``.  ``store_factory``
@@ -373,9 +380,20 @@ class CheckerServiceCore:
 
     # -- per-op handlers ----------------------------------------------
     def _op_append_delta(self, request):
-        self.tenant(_text(request, "tenant", DEFAULT_TENANT)).append_delta(
-            _text(request, "site"), request["obj"]
-        )
+        from repro.trace.events import delta_payload_from_obj
+
+        name = _text(request, "tenant", DEFAULT_TENANT)
+        site = _text(request, "site")
+        payload = delta_payload_from_obj(request["obj"])
+        with self._tenants_lock:
+            tenant = self.tenants.get(name)
+        if tenant is None:
+            # Only a snapshot extends an empty stream, so only a snapshot
+            # opens a tenant: anything else is refused here, with the
+            # store's own error, before a store or a series exists.
+            validate_extends(None, site, payload)
+            tenant = self.tenant(name)
+        tenant._append(site, payload)
         return None
 
     def _op_get_deltas(self, request):

@@ -11,7 +11,7 @@ same cycle.
 Publishing runs the **delta protocol**
 (:mod:`repro.distributed.delta`): each round the site diffs its
 runtime's dependency against the last committed publication and appends
-only the change — a ``set``/``restore``/``clear`` delta, or nothing at
+only the change — a ``set``/``clear`` delta, or nothing at
 all when the blocked set is unchanged — with a full snapshot checkpoint
 on the first publish, on the publisher's cadence (at least every
 :data:`~repro.distributed.delta.CHECKPOINT_EVERY` deltas), and whenever
@@ -308,7 +308,7 @@ class Site:
         self._m_publishes.inc(site=self.site_id, outcome=outcome)
         if delta["kind"] == "delta":
             self._m_delta_ops.observe(
-                len(delta["set"]) + len(delta["restore"]) + len(delta["clear"]),
+                len(delta["set"]) + len(delta["clear"]),
                 site=self.site_id,
             )
 

@@ -16,7 +16,7 @@ The contract every layer builds on:
 """
 
 from repro.obs.export import parse_prometheus, to_json, to_prometheus
-from repro.obs.health import health_status, render_health, runtime_health
+from repro.obs.health import health_status, runtime_health
 from repro.obs.registry import (
     DEFAULT_LATENCY_BUCKETS_S,
     DEFAULT_SIZE_BUCKETS,
@@ -54,7 +54,6 @@ __all__ = [
     "to_json",
     "parse_prometheus",
     "runtime_health",
-    "render_health",
     "health_status",
     "Tracer",
     "NullTracer",

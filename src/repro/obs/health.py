@@ -13,8 +13,6 @@ engine.
 
 from __future__ import annotations
 
-from typing import Optional
-
 __all__ = ["runtime_health", "health_status", "unique_report_entries"]
 
 
@@ -77,12 +75,3 @@ def runtime_health(runtime, registry=None) -> dict:
     if registry is not None:
         doc["instruments"] = len(registry.names())
     return doc
-
-
-def render_health(runtime, registry=None, indent: Optional[int] = None) -> str:
-    """The health document as JSON text (sorted keys, trailing newline)."""
-    import json
-
-    return json.dumps(
-        runtime_health(runtime, registry), sort_keys=True, indent=indent
-    ) + "\n"

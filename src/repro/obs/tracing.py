@@ -36,8 +36,8 @@ import json
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import replace
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.core.report import DeadlockReport, EdgeProvenance, RecordOrigin
 
@@ -74,13 +74,15 @@ def span_id(*parts: object) -> str:
     return hashlib.blake2b(joined.encode("utf-8"), digest_size=8).hexdigest()
 
 
-@dataclass(frozen=True)
-class TraceSpan:
+class TraceSpan(NamedTuple):
     """One finished span (or instant event: ``start == end``).
 
     ``start``/``end`` are ordinals — trace record sequence numbers in
     replay, the tracer's own monotonic counter in live runs.  ``track``
     groups spans onto one timeline row (a task, a site, a component).
+    A tuple, like :class:`~repro.core.report.RecordOrigin`: a traced run
+    builds one per event, and a tuple builds in well under half the
+    time of a frozen dataclass.
     """
 
     name: str
@@ -300,11 +302,8 @@ class OriginTracker:
             for task in payload["clear"]:
                 self._drop(task)
                 owned.discard(task)
-            for task in payload["restore"]:
-                owned.add(task)
-            for task in payload["set"]:
-                owned.add(task)
-        for task in itertools.chain(payload["set"], payload["restore"]):
+            owned.update(payload["set"])
+        for task in payload["set"]:
             self._set(task, origin)
         self._site_tasks[site] = owned
 

@@ -35,7 +35,7 @@ from repro.pl.syntax import (
 )
 from repro.pl.phaser import Phaser, await_holds
 from repro.pl.state import State
-from repro.pl.semantics import enabled_steps, step_task, reduce_once, is_stuck
+from repro.pl.semantics import enabled_steps, step_task, is_stuck
 from repro.pl.deadlock import (
     is_totally_deadlocked,
     is_deadlocked,
@@ -63,7 +63,6 @@ __all__ = [
     "State",
     "enabled_steps",
     "step_task",
-    "reduce_once",
     "is_stuck",
     "is_totally_deadlocked",
     "is_deadlocked",

@@ -197,16 +197,6 @@ def step_task(state: State, task: Name, rule: Optional[str] = None) -> State:
     return apply_step(state, options[0])
 
 
-def reduce_once(state: State, rng=None) -> Optional[State]:
-    """Apply one enabled step chosen by ``rng`` (or the first); ``None``
-    when the state offers no reductions."""
-    steps = enabled_steps(state)
-    if not steps:
-        return None
-    step = steps[0] if rng is None else rng.choice(steps)
-    return apply_step(state, step)
-
-
 def is_stuck(state: State) -> bool:
     """No reductions and at least one task has instructions left."""
     return bool(state.live_tasks()) and not enabled_steps(state)

@@ -189,14 +189,11 @@ class _Builder:
                 self.unblock(str(task), rec.seq)
                 owned.discard(task)
             owned.update(payload["set"])
-            owned.update(payload["restore"])
-        for section in ("set", "restore"):
-            for task in sorted(payload[section], key=str):
-                self.block(
-                    str(task), rec.seq,
-                    status_from_obj(payload[section][task]),
-                    site=site, stream=stream, stream_seq=stream_seq,
-                )
+        for task in sorted(payload["set"], key=str):
+            self.block(
+                str(task), rec.seq, status_from_obj(payload["set"][task]),
+                site=site, stream=stream, stream_seq=stream_seq,
+            )
 
 
 def build_hb_model(source: Iterable[TraceRecord]) -> HBModel:

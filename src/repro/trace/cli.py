@@ -626,8 +626,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         if rec.status is not None:
             phasers.update(str(e.phaser) for e in rec.status.waits)
         if rec.kind is RecordKind.PUBLISH_DELTA:
-            for section in ("set", "restore"):
-                tasks.update(rec.payload[section])
+            tasks.update(rec.payload["set"])
             tasks.update(rec.payload["clear"])
     print(f"file: {path} ({path.stat().st_size} bytes)")
     print(f"version: {trace.header.version}")

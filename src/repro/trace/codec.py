@@ -67,6 +67,7 @@ from repro.trace.events import (
     TRACE_MAGIC,
     _BLOCK,
     _UNBLOCK,
+    _is_ordinal,
     delta_payload_from_obj,
     status_from_obj,
     status_to_obj,
@@ -137,12 +138,6 @@ def _record_to_obj(rec: TraceRecord) -> dict:
     if rec.payload is not None:
         obj["payload"] = rec.payload
     return obj
-
-
-def _is_ordinal(value) -> bool:
-    """A non-negative JSON integer (``type(...) is int``: JSON ``true`` is
-    an ``int`` to isinstance)."""
-    return type(value) is int and value >= 0
 
 
 def _record_from_obj(obj: dict) -> TraceRecord:
@@ -294,7 +289,6 @@ def _read_str(buf: memoryview, pos: int) -> Tuple[str, int]:
 
 def _write_status(out: bytearray, obj: dict) -> None:
     """Encode one status wire dict (see ``status_to_obj``)."""
-    _write_varint(out, int(obj.get("generation", 0)))
     waits = obj["waits"]
     _write_varint(out, len(waits))
     for phaser, phase in waits:
@@ -320,21 +314,18 @@ def _read_phases(buf, pos: int) -> Tuple[list, int]:
 
 def _read_status(buf: memoryview, pos: int) -> Tuple[dict, int]:
     """One status wire dict: a publish-delta blob."""
-    generation, pos = _read_varint(buf, pos)
     waits, pos = _read_phases(buf, pos)
     registered, pos = _read_phases(buf, pos)
     return {
         "waits": [list(wait) for wait in waits],
         "registered": dict(registered),
-        "generation": generation,
     }, pos
 
 
 def _decode_status(section: bytes) -> BlockedStatus:
     """A block frame's status section — the rest of the frame after the
     task id — straight into the value replay hands the checker."""
-    _reserved, pos = _read_varint(section, 0)  # ``generation``: discarded
-    waits, pos = _read_phases(section, pos)
+    waits, pos = _read_phases(section, 0)
     registered, pos = _read_phases(section, pos)
     if pos != len(section):
         raise TraceFormatError(f"{len(section) - pos} trailing bytes in frame")
@@ -404,12 +395,11 @@ class BinaryCodec:
             _write_str(body, str(delta["stream"]))
             _write_varint(body, int(delta["seq"]))
             body.append(_DELTA_KIND_TAGS[delta["kind"]])
-            for section in ("set", "restore"):
-                ops = delta[section]
-                _write_varint(body, len(ops))
-                for task, blob in ops.items():
-                    _write_str(body, str(task))
-                    _write_status(body, blob)
+            ops = delta["set"]
+            _write_varint(body, len(ops))
+            for task, blob in ops.items():
+                _write_str(body, str(task))
+                _write_status(body, blob)
             clear = delta["clear"]
             _write_varint(body, len(clear))
             for task in clear:
@@ -467,15 +457,11 @@ class BinaryCodec:
             if delta_kind is None:
                 raise TraceFormatError(f"unknown delta kind tag {body[pos]}")
             pos += 1
-            sections = []
-            for _ in range(2):  # set, then restore
-                n_tasks, pos = _read_varint(body, pos)
-                ops = {}
-                for _ in range(n_tasks):
-                    task, pos = _read_str(body, pos)
-                    blob, pos = _read_status(body, pos)
-                    ops[task] = blob
-                sections.append(ops)
+            n_tasks, pos = _read_varint(body, pos)
+            ops = {}
+            for _ in range(n_tasks):
+                task, pos = _read_str(body, pos)
+                ops[task], pos = _read_status(body, pos)
             n_clear, pos = _read_varint(body, pos)
             clear = []
             for _ in range(n_clear):
@@ -486,8 +472,7 @@ class BinaryCodec:
                 "stream": delta_stream,
                 "seq": delta_seq,
                 "kind": delta_kind,
-                "set": sections[0],
-                "restore": sections[1],
+                "set": ops,
                 "clear": clear,
             }
             if pos < len(body):

@@ -20,7 +20,7 @@ architecture (Section 5.3's task observer plus Section 5.2's publishes):
   analyses reconstruct phaser membership over time;
 * ``publish_delta`` — a distributed site appended one
   :mod:`repro.distributed.delta` wire delta (per-site sequence number,
-  ``set``/``restore``/``clear`` ops or a full ``snapshot`` checkpoint)
+  ``set``/``clear`` ops or a full ``snapshot`` checkpoint)
   to its stream — the store write of the delta protocol.
 
 Records carry a monotonically increasing ``seq`` stamped by the
@@ -40,7 +40,7 @@ from repro.core.events import BlockedStatus, Event
 
 #: The trace-format version, written into every header and the only
 #: one readers accept.
-TRACE_VERSION = 3
+TRACE_VERSION = 4
 
 #: Magic string identifying a trace (JSONL header field / binary magic).
 TRACE_MAGIC = "armus-trace"
@@ -74,15 +74,12 @@ _BLOCK, _UNBLOCK, _REGISTER, _ADVANCE, _PUBLISH_DELTA = RecordKind
 # spelling: repro.distributed.delta.encode_bucket/decode_blob wrap it)
 # ---------------------------------------------------------------------------
 def status_to_obj(status: BlockedStatus) -> dict:
-    """Serialise one blocked status to a plain JSON-able dict.
-
-    ``generation`` is a reserved slot, always written 0: readers check
-    it and discard it.
-    """
+    """Serialise one blocked status to a plain JSON-able dict: the events
+    it waits on and its phase on each synchroniser it is registered with
+    (Section 2.1's local view), nothing else."""
     return {
         "waits": sorted([str(e.phaser), e.phase] for e in status.waits),
         "registered": {str(p): n for p, n in sorted(status.registered.items(), key=lambda kv: str(kv[0]))},
-        "generation": 0,
     }
 
 
@@ -110,10 +107,11 @@ def status_from_obj(obj: Mapping) -> BlockedStatus:
     """Inverse of :func:`status_to_obj`; raises :class:`TraceFormatError`
     on malformed input.
 
-    Registered phases and the reserved ``generation`` slot follow
-    :func:`event_from_obj`'s rule — non-negative JSON integers, never
-    coerced — so whatever this door lets in, the binary writer can
-    encode.
+    The object has exactly the members ``waits`` and ``registered``,
+    and registered phases follow :func:`event_from_obj`'s rule —
+    non-negative JSON integers, never coerced — so whatever this door
+    lets in, the binary writer can encode, and both codecs carry the
+    same facts.
     """
     try:
         # Built inside the ``try``: a status that waits on nothing is a
@@ -122,11 +120,13 @@ def status_from_obj(obj: Mapping) -> BlockedStatus:
             waits=frozenset(event_from_obj(wait) for wait in obj["waits"]),
             registered={str(p): n for p, n in obj["registered"].items()},
         )
-        phases = [*status.registered.values(), obj.get("generation", 0)]
+        members = len(obj)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise TraceFormatError(f"malformed blocked status: {obj!r}") from exc
     # ``type(...) is int``: JSON ``true`` is an ``int`` to isinstance.
-    if any(type(n) is not int or n < 0 for n in phases):
+    if members != 2 or any(
+        type(n) is not int or n < 0 for n in status.registered.values()
+    ):
         raise TraceFormatError(f"malformed blocked status: {obj!r}")
     return status
 
@@ -136,16 +136,22 @@ def status_from_obj(obj: Mapping) -> BlockedStatus:
 # (the protocol constants and semantics live in repro.distributed.delta,
 # the single owner; this is format validation only)
 # ---------------------------------------------------------------------------
+#: The members a delta may carry: ``trace`` is optional, ``v`` defaults
+#: to the protocol version.
+_DELTA_MEMBERS = frozenset(("v", "stream", "seq", "kind", "set", "clear", "trace"))
+
+
 def delta_payload_from_obj(obj: Mapping) -> dict:
     """Validate and normalise one PUBLISH_DELTA payload.
 
     Raises :class:`TraceFormatError` on malformed input; returns a plain
     dict with canonical key order (``v``, ``stream``, ``seq``, ``kind``,
-    ``set``, ``restore``, ``clear``, then ``trace`` when present).
-    Values are checked, never coerced: ``v`` (default
-    ``PROTOCOL_VERSION``, the only version accepted) and ``seq`` (>= 1)
-    are JSON integers, ``stream`` a non-empty string and ``clear`` a
-    list of strings.  Every status blob is validated through
+    ``set``, ``clear``, then ``trace`` when present).  Values are
+    checked, never coerced: ``v`` (default ``PROTOCOL_VERSION``, the
+    only version accepted) and ``seq`` (>= 1) are JSON integers,
+    ``stream`` a non-empty string and ``clear`` a list of strings.  Any
+    other member is refused (a dropped ``restore`` section would lose
+    its ops).  Every status blob is validated through
     :func:`status_from_obj` so a bad delta fails at load time, not
     mid-replay.  The optional ``trace`` member is the causal context
     stamped by publishers with tracing enabled — a flat object of
@@ -161,15 +167,17 @@ def delta_payload_from_obj(obj: Mapping) -> dict:
         seq = obj["seq"]
         kind = obj["kind"]
         set_ops = obj["set"]
-        restore_ops = obj["restore"]
         clear_ops = obj["clear"]
         trace_ctx = obj.get("trace")
+        unknown = obj.keys() - _DELTA_MEMBERS
     except (AttributeError, KeyError, TypeError) as exc:
         # AttributeError: not an object at all (a list, string, number).
         raise TraceFormatError(f"malformed delta payload: {obj!r}") from exc
     # ``type(...) is int``: JSON ``true`` is an ``int`` to isinstance.
     if type(version) is not int or version != PROTOCOL_VERSION:
         raise TraceFormatError(f"unsupported delta protocol version {version!r}")
+    if unknown:
+        raise TraceFormatError(f"unknown delta members {sorted(map(str, unknown))}")
     if type(stream) is not str or not stream:
         raise TraceFormatError(
             f"delta payload needs a non-empty stream token, got {stream!r}"
@@ -178,13 +186,13 @@ def delta_payload_from_obj(obj: Mapping) -> dict:
         raise TraceFormatError(f"unknown delta kind {kind!r}")
     if type(seq) is not int or seq < 1:
         raise TraceFormatError(f"delta seq must be an integer >= 1, got {seq!r}")
-    if not isinstance(set_ops, Mapping) or not isinstance(restore_ops, Mapping):
-        raise TraceFormatError("delta set/restore must be objects")
+    if not isinstance(set_ops, Mapping):
+        raise TraceFormatError("delta set must be an object")
     if not isinstance(clear_ops, list) or any(
         type(task) is not str for task in clear_ops
     ):
         raise TraceFormatError("delta clear must be a list of task ids")
-    if kind == "snapshot" and (restore_ops or clear_ops):
+    if kind == "snapshot" and clear_ops:
         raise TraceFormatError("snapshot deltas carry only a set section")
     if trace_ctx is not None:
         if not isinstance(trace_ctx, Mapping):
@@ -196,15 +204,12 @@ def delta_payload_from_obj(obj: Mapping) -> dict:
                 )
     for blob in set_ops.values():
         status_from_obj(blob)
-    for blob in restore_ops.values():
-        status_from_obj(blob)
     payload = {
         "v": version,
         "stream": stream,
         "seq": seq,
         "kind": kind,
         "set": {str(t): dict(b) for t, b in set_ops.items()},
-        "restore": {str(t): dict(b) for t, b in restore_ops.items()},
         "clear": list(clear_ops),
     }
     if trace_ctx is not None:
@@ -230,20 +235,29 @@ def origin_to_obj(origin) -> dict:
     return obj
 
 
+def _is_ordinal(value) -> bool:
+    """A non-negative JSON integer (``type(...) is int``: JSON ``true`` is
+    an ``int`` to isinstance)."""
+    return type(value) is int and value >= 0
+
+
 def origin_from_obj(obj: Mapping):
-    """Inverse of :func:`origin_to_obj`."""
+    """Inverse of :func:`origin_to_obj`: ``ordinal`` and ``seq`` are
+    non-negative JSON integers, ``kind``, ``site`` and ``stream`` JSON
+    strings, never coerced (else :class:`TraceFormatError`)."""
     from repro.core.report import RecordOrigin
 
     try:
-        return RecordOrigin(
-            ordinal=int(obj["ordinal"]),
-            kind=str(obj["kind"]),
-            site=obj.get("site"),
-            stream=obj.get("stream"),
-            seq=None if obj.get("seq") is None else int(obj["seq"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        ordinal, kind = obj["ordinal"], obj["kind"]
+        site, stream, seq = obj.get("site"), obj.get("stream"), obj.get("seq")
+    except (AttributeError, KeyError, TypeError) as exc:
         raise TraceFormatError(f"malformed record origin: {obj!r}") from exc
+    if not (_is_ordinal(ordinal) and type(kind) is str
+            and (site is None or type(site) is str)
+            and (stream is None or type(stream) is str)
+            and (seq is None or _is_ordinal(seq))):
+        raise TraceFormatError(f"malformed record origin: {obj!r}")
+    return RecordOrigin(ordinal, kind, site, stream, seq)
 
 
 def _vertex_to_obj(vertex):
@@ -311,7 +325,13 @@ def report_to_obj(report) -> dict:
 
 def report_from_obj(obj: Mapping):
     """Inverse of :func:`report_to_obj`; raises
-    :class:`TraceFormatError` on malformed input."""
+    :class:`TraceFormatError` on malformed input.
+
+    Types are exact, never coerced (:func:`event_from_obj`'s rule):
+    names are JSON strings, ``edge_count``, the origin indices,
+    ``detection_lag`` and ``detected_at`` non-negative integers,
+    ``avoided`` a boolean and ``model`` a :class:`GraphModel` value.
+    """
     from repro.core.report import DeadlockReport, EdgeProvenance
     from repro.core.selection import GraphModel
 
@@ -323,29 +343,33 @@ def report_from_obj(obj: Mapping):
             ]
             edges = []
             for a, b, task_a, task_b, i, j in obj["provenance"]["edges"]:
-                if i < 0 or j < 0:
-                    raise IndexError("negative origin index")
+                # Inline type tests: a long cycle has one edge per task.
+                if not (type(a) is type(b) is type(task_a) is type(task_b)
+                        is str and type(i) is type(j) is int
+                        and i >= 0 and j >= 0):
+                    raise TypeError("malformed provenance edge")
                 edges.append(EdgeProvenance(
-                    str(a), str(b), str(task_a), str(task_b),
-                    origins[i], origins[j],
+                    a, b, task_a, task_b, origins[i], origins[j],
                 ))
             provenance = tuple(edges)
+        tasks = obj["tasks"]
+        edge_count, avoided = obj["edge_count"], obj["avoided"]
+        lag, at = obj.get("detection_lag"), obj.get("detected_at")
+        if not (type(tasks) is list and all(type(t) is str for t in tasks)
+                and _is_ordinal(edge_count) and type(avoided) is bool
+                and (lag is None or _is_ordinal(lag))
+                and (at is None or _is_ordinal(at))):
+            raise TypeError("malformed report member")
         return DeadlockReport(
-            tasks=tuple(str(t) for t in obj["tasks"]),
+            tasks=tuple(tasks),
             events=tuple(event_from_obj(e) for e in obj["events"]),
             cycle=tuple(_vertex_from_obj(v) for v in obj["cycle"]),
             model_used=GraphModel(obj["model"]),
-            edge_count=int(obj["edge_count"]),
-            avoided=bool(obj["avoided"]),
+            edge_count=edge_count,
+            avoided=avoided,
             provenance=provenance,
-            detection_lag=(
-                None if obj.get("detection_lag") is None
-                else int(obj["detection_lag"])
-            ),
-            detected_at=(
-                None if obj.get("detected_at") is None
-                else int(obj["detected_at"])
-            ),
+            detection_lag=lag,
+            detected_at=at,
         )
     except (AttributeError, IndexError, KeyError, TypeError,
             ValueError) as exc:

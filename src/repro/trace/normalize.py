@@ -93,7 +93,6 @@ def _canonical_payload(payload: Mapping, task, resource) -> Dict[str, dict]:
                     blob["registered"].items(), key=lambda kv: _natural_key(kv[0])
                 )
             },
-            "generation": blob.get("generation", 0),
         }
     return out
 
@@ -138,7 +137,7 @@ def canonical_trace(trace: Trace) -> Trace:
             )
         else:  # PUBLISH_DELTA
             delta = rec.payload
-            # Walk the delta's sections in a fixed order (set, restore,
+            # Walk the delta's sections in a fixed order (set, then
             # clear) so identifier discovery cannot depend on payload
             # spelling; seq/kind/v are structural and pass through.
             records.append(
@@ -151,9 +150,6 @@ def canonical_trace(trace: Trace) -> Trace:
                         "seq": delta["seq"],
                         "kind": delta["kind"],
                         "set": _canonical_payload(delta["set"], task, resource),
-                        "restore": _canonical_payload(
-                            delta["restore"], task, resource
-                        ),
                         "clear": [
                             task(t)
                             for t in sorted(delta["clear"], key=_natural_key)

@@ -22,7 +22,7 @@ Two replay modes mirror the paper's verification modes:
   :class:`ValueError`.
 
 ``publish_delta`` records (the delta protocol: per-site sequence
-numbers, ``set``/``restore``/``clear`` ops, snapshot checkpoints) switch
+numbers, ``set``/``clear`` ops, snapshot checkpoints) switch
 detection to the distributed view: once any site publication has been
 seen, checks analyse the merged global store state instead of the local
 dependency — the one-phase algorithm of Section 5.2, replayed.  That

@@ -29,10 +29,10 @@ def blob(*tasks):
     )
 
 
-def delta(seq, set=None, restore=None, clear=None, stream="S"):
+def delta(seq, set=None, clear=None, stream="S"):
     return {
         "kind": "delta", "stream": stream, "seq": seq,
-        "set": set or {}, "restore": restore or {}, "clear": list(clear or []),
+        "set": set or {}, "clear": list(clear or []),
     }
 
 

@@ -79,7 +79,7 @@ class TestCoreDispatch:
 
     @pytest.mark.parametrize("obj", [
         [1, 2], "delta", 7, None,
-        {"kind": "snapshot", "stream": "S", "seq": 1, "restore": {},
+        {"kind": "snapshot", "stream": "S", "seq": 1,
          "clear": [], "set": {"t": {"waits": [], "registered": []}}},
     ], ids=["list", "string", "number", "null", "registered-not-an-object"])
     def test_non_object_delta_is_a_value_error_nobody_logs(self, obj, caplog):
@@ -102,7 +102,7 @@ class TestCoreDispatch:
         ("delta", {"seq": 2, "v": True}),
         ("delta", {"seq": 2, "clear": ["t", 1]}),
         ("delta", {"seq": 2, "set": {"t": {
-            "waits": [["p", 1]], "registered": {"p": "1"}, "generation": 0}}}),
+            "waits": [["p", 1]], "registered": {"p": "1"}}}}),
     ], ids=["seq-true", "seq-fraction", "seq-string", "stream-list",
             "stream-number", "v-fraction", "v-true", "clear-number",
             "registered-phase-string"])
@@ -114,8 +114,8 @@ class TestCoreDispatch:
         core = CheckerServiceCore()
         core.handle({"op": "append_delta", "site": "s0",
                      "obj": make_snapshot(1, {}, "S")})
-        obj = {"v": 2, "stream": "S", "kind": kind,
-               "set": {}, "restore": {}, "clear": [], **members}
+        obj = {"v": 3, "stream": "S", "kind": kind,
+               "set": {}, "clear": [], **members}
         response = core.handle({"op": "append_delta", "site": "s0", "obj": obj})
         assert response["ok"] is False and response["error"] == "value"
         assert "TraceFormatError" in response["message"]
@@ -406,6 +406,37 @@ class TestClosedTenancy:
         assert core.tenant_names() == ["acme"]
         assert self.series(registry) == before
 
+    def test_refused_appends_to_fresh_tenants_open_nothing(self):
+        """Only a well-formed snapshot opens a tenant: a malformed delta
+        and a delta with no base are refused, with the error a store
+        would answer, before any store, checker or series exists."""
+        registry = MetricsRegistry()
+        core = CheckerServiceCore(metrics=registry)
+        gapped = {"v": 3, "stream": "S", "seq": 2, "kind": "delta",
+                  "set": {}, "clear": []}
+        refused = [([1], "value"), ({**gapped, "restore": {}}, "value"),
+                   (gapped, "sequence")]
+        core.handle({"op": "append_delta", "tenant": "acme", "site": "s0",
+                     "obj": make_snapshot(1, {}, "S")})
+        for obj, _ in refused:  # every error series exists now
+            core.handle({"op": "append_delta", "tenant": "acme", "site": "s1",
+                         "obj": obj})
+        before = self.series(registry)
+        for i in range(1000):
+            obj, error = refused[i % len(refused)]
+            response = core.handle({"op": "append_delta", "tenant": f"fresh{i}",
+                                    "site": "s0", "obj": obj})
+            assert response["ok"] is False and response["error"] == error
+        assert core.tenant_names() == ["acme"]
+        assert self.series(registry) == before
+        assert core.handle({"op": "append_delta", "tenant": "y", "site": "s0",
+                            "obj": gapped})["message"] == (
+            "site s0: delta S/2 does not extend empty stream")
+        assert core.handle({"op": "append_delta", "tenant": "new", "site": "s0",
+                            "obj": make_snapshot(1, {}, "S")}) == ACK
+        assert core.tenant_names() == ["acme", "new"]
+        assert core.tenant("new").delta_tail("s0") == ("S", 1)
+
     @pytest.mark.parametrize("read", READS, ids=lambda read: read["op"])
     def test_a_fresh_tenant_answers_as_an_empty_one(self, read):
         core = CheckerServiceCore()
@@ -449,8 +480,8 @@ class TestClosedTenancy:
                      "obj": make_snapshot(1, {}, "S")})
         for seq in (2, 3, 4):
             core.handle({"op": "append_delta", "site": "s0", "obj": {
-                "v": 2, "stream": "S", "seq": seq, "kind": "delta",
-                "set": {}, "restore": {}, "clear": [],
+                "v": 3, "stream": "S", "seq": seq, "kind": "delta",
+                "set": {}, "clear": [],
             }})
         response = core.handle(request_)
         assert response["ok"] is False and response["error"] == "value"
@@ -780,7 +811,7 @@ class TestHostilePeers:
         """A state worth ~260 KB on the wire -> (the frame that asks for
         it, the size of the answer frame)."""
         publish(live.core.tenant("hostile"), "big", {
-            f"task-{k:04d}-{'x' * 64}": waiting_on("p", 1, p=1)
+            f"task-{k:04d}-{'x' * 80}": waiting_on("p", 1, p=1)
             for k in range(2000)
         })
         answer_bytes = len(encode_frame(live.core.handle(

@@ -54,17 +54,21 @@ def bucket(**statuses):
 
 
 class TestDiffBuckets:
-    def test_classifies_set_restore_clear(self):
-        old = bucket(a=waiting_on("p", 1, p=1), b=waiting_on("q", 1, q=1))
-        new = bucket(b=waiting_on("q", 2, q=2), c=waiting_on("r", 1, r=1))
-        set_ops, restore_ops, clear_ops = diff_buckets(old, new)
-        assert set(set_ops) == {"c"}
-        assert set(restore_ops) == {"b"}
+    def test_classifies_set_and_clear(self):
+        """A changed blob is set like a new one, in the new bucket's
+        order; an unchanged one is not sent."""
+        old = bucket(a=waiting_on("p", 1, p=1), b=waiting_on("q", 1, q=1),
+                     d=waiting_on("s", 1, s=1))
+        new = bucket(c=waiting_on("r", 1, r=1), b=waiting_on("q", 2, q=2),
+                     d=waiting_on("s", 1, s=1))
+        set_ops, clear_ops = diff_buckets(old, new)
+        assert list(set_ops) == ["c", "b"]
+        assert set_ops["b"] == new["b"]
         assert clear_ops == ["a"]
 
     def test_no_change_is_empty(self):
         b = bucket(a=waiting_on("p", 1, p=1))
-        assert diff_buckets(b, dict(b)) == ({}, {}, [])
+        assert diff_buckets(b, dict(b)) == ({}, [])
 
 
 class TestDeltaPublisher:
@@ -85,7 +89,8 @@ class TestDeltaPublisher:
         obj = pub.prepare(b2)
         assert obj["kind"] == "delta" and obj["seq"] == 2
         assert set(obj["set"]) == {"b"}
-        assert not obj["restore"] and not obj["clear"]
+        assert not obj["clear"]
+        assert set(obj) == {"v", "stream", "seq", "kind", "set", "clear"}
 
     def test_no_change_publishes_nothing(self):
         pub = DeltaPublisher("s0")
@@ -148,8 +153,8 @@ class TestApplyDeltaObj:
             make_snapshot(1, bucket(a=waiting_on("p", 1, p=1)), "s0"),
         )
         gap = {
-            "v": 2, "stream": "s0", "seq": 3, "kind": "delta",
-            "set": {}, "restore": {}, "clear": ["a"],
+            "v": 3, "stream": "s0", "seq": 3, "kind": "delta",
+            "set": {}, "clear": ["a"],
         }
         with pytest.raises(DeltaSequenceError):
             apply_delta_obj(buckets, cursors, "s0", gap)
@@ -161,8 +166,8 @@ class TestApplyDeltaObj:
         buckets, cursors = {}, {}
         apply_delta_obj(buckets, cursors, "s0", make_snapshot(1, {}, "old"))
         alien = {
-            "v": 2, "stream": "new", "seq": 2, "kind": "delta",
-            "set": {}, "restore": {}, "clear": [],
+            "v": 3, "stream": "new", "seq": 2, "kind": "delta",
+            "set": {}, "clear": [],
         }
         with pytest.raises(DeltaSequenceError):
             apply_delta_obj(buckets, cursors, "s0", alien)
@@ -275,8 +280,8 @@ class TestDeltaMergeState:
         # The overlap resolves: s1 retracts its copy.
         state.apply_obj(
             "s1",
-            {"v": 2, "stream": "s1", "seq": 2, "kind": "delta",
-             "set": {}, "restore": {}, "clear": ["t"]},
+            {"v": 3, "stream": "s1", "seq": 2, "kind": "delta",
+             "set": {}, "clear": ["t"]},
         )
         state.raise_on_conflict()  # no longer raises
         assert checker.check() is None or True  # view consistent
@@ -292,15 +297,14 @@ class TestDeltaMergeState:
 
 class TestMalformedSnapshots:
     def test_snapshot_with_delta_ops_rejected_everywhere(self):
-        """A snapshot carrying restore/clear ops would materialise
-        differently across consumers; the shared validation gate
-        rejects it before any state can diverge."""
+        """A snapshot is its ``set`` section; one naming tasks to clear
+        is refused by the shared validation gate before any consumer
+        state can move."""
         from repro.distributed.store import InMemoryStore
 
         bad = {
-            "v": 2, "stream": "S", "seq": 1, "kind": "snapshot",
-            "set": {}, "restore": bucket(a=waiting_on("p", 1, p=1)),
-            "clear": [],
+            "v": 3, "stream": "S", "seq": 1, "kind": "snapshot",
+            "set": bucket(a=waiting_on("p", 1, p=1)), "clear": ["b"],
         }
         with pytest.raises(ValueError, match="snapshot"):
             apply_delta_obj({}, {}, "s0", bad)
@@ -456,13 +460,9 @@ class TestDecodedView:
         )
         cursor = view.cursor(site)
         if op == "delta" and cursor is not None:
-            held = list(view.buckets[site])
-            fresh = self.random_bucket(rng)
             view.apply_obj(site, {
-                "v": 2, "stream": cursor[0], "seq": cursor[1] + 1,
-                "kind": "delta",
-                "set": {t: b for t, b in fresh.items() if t not in held},
-                "restore": {t: b for t, b in fresh.items() if t in held},
+                "v": 3, "stream": cursor[0], "seq": cursor[1] + 1,
+                "kind": "delta", "set": self.random_bucket(rng),
                 "clear": rng.sample(self.TASKS, rng.randrange(3)),
             })
         elif op in ("snapshot", "delta"):
@@ -504,8 +504,8 @@ class TestDecodedView:
 
     @pytest.mark.parametrize("engine", [DeadlockChecker, IncrementalChecker])
     def test_failed_delta_decode_leaves_view_and_checker_untouched(self, engine):
-        """One malformed blob in a delta's ``set``/``restore`` must not
-        half-apply: the good ops beside it stay out of the buckets, the
+        """One malformed blob in a delta's ``set``, before or after the
+        good ones, must not half-apply: the good ops beside it stay out of the buckets, the
         merged snapshot, the counters and the fed checker, and the
         cursor does not move — also when the consumer retries."""
         from repro.trace.events import TraceFormatError
@@ -527,13 +527,12 @@ class TestDecodedView:
         before = state()
         fresh = bucket(a=waiting_on("p", 2, p=2), b=waiting_on("q", 1, q=1))
         delta = {
-            "v": 2, "stream": "s0", "seq": 2, "kind": "delta",
-            "set": {"b": fresh["b"]}, "restore": {"a": fresh["a"]},
-            "clear": ["c"],
+            "v": 3, "stream": "s0", "seq": 2, "kind": "delta",
+            "set": fresh, "clear": ["c"],
         }
-        for section in ("set", "restore"):
-            half = dict(delta)
-            half[section] = dict(delta[section], z={"waits": "oops"})
+        bad = {"z": {"waits": "oops"}}
+        for ops in ({**bad, **fresh}, {**fresh, **bad}):
+            half = dict(delta, set=ops)
             for _ in range(2):  # sync re-fetches the same delta every round
                 with pytest.raises(TraceFormatError):
                     view.apply_obj("s0", half)

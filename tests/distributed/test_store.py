@@ -25,16 +25,16 @@ from repro.distributed.store import (
     StoreUnavailableError,
 )
 from repro.obs.registry import MetricsRegistry
+from repro.trace.events import TraceFormatError
 
 
-def delta(seq, set=None, restore=None, clear=None, stream="S"):
+def delta(seq, set=None, clear=None, stream="S"):
     return {
-        "v": 2,
+        "v": 3,
         "stream": stream,
         "seq": seq,
         "kind": "delta",
         "set": set or {},
-        "restore": restore or {},
         "clear": clear or [],
     }
 
@@ -57,9 +57,10 @@ class TestWireFormat:
         assert decoded["t1"].waits == statuses["t1"].waits
         assert dict(decoded["t1"].registered) == dict(statuses["t1"].registered)
         assert decoded["t2"].waits == statuses["t2"].waits
-        # ``generation`` is a reserved slot: written 0, read and discarded.
-        assert {blob["generation"] for blob in blobs.values()} == {0}
-        assert decode_blob({**blobs["t2"], "generation": 7}) == statuses["t2"]
+        # A blob is the status's two facts and nothing else.
+        assert {tuple(blob) for blob in blobs.values()} == {("waits", "registered")}
+        with pytest.raises(TraceFormatError):
+            decode_blob({**blobs["t2"], "generation": 0})
 
     def test_encoding_is_json_plain(self):
         import json

@@ -228,6 +228,109 @@ class TestOneStamp:
                 engine().apply_batch([("restore", "t", waiting_on("p", 1, p=1))])
 
 
+class TestOneStatusWrite:
+    """A status is its waits and registrations, a delta its ``set`` and
+    ``clear``: every writer emits those and nothing else, and every
+    reader refuses the stamp-era ``generation`` slot, ``restore``
+    section and the versions that carried them."""
+
+    DELTA_MEMBERS = {"v", "stream", "seq", "kind", "set", "clear", "trace"}
+
+    @staticmethod
+    def blob():
+        return {"waits": [["p", 1]], "registered": {"p": 1}}
+
+    def stamp_era_deltas(self):
+        """A v2 delta, a ``restore`` member, a ``generation`` blob: each a
+        well-formed current snapshot but for one member."""
+        from repro.distributed.delta import make_snapshot
+
+        good = make_snapshot(1, {"a": self.blob()}, "S")
+        return {
+            "v2": {**good, "v": 2},
+            "restore": {**good, "restore": {}},
+            "generation": {**good, "set": {"a": {**self.blob(), "generation": 0}}},
+        }
+
+    def test_a_status_writes_its_two_facts(self):
+        from repro.core.events import waiting_on
+        from repro.trace.events import status_to_obj
+
+        obj = status_to_obj(waiting_on("p", 1, p=1, q=0))
+        assert obj == {"waits": [["p", 1]], "registered": {"p": 1, "q": 0}}
+
+    def test_every_delta_written_has_only_the_protocol_members(self):
+        from repro.core.events import waiting_on
+        from repro.distributed.delta import (
+            DeltaPublisher,
+            encode_bucket,
+            make_snapshot,
+        )
+
+        emitted = [make_snapshot(1, {}, "S"),
+                   make_snapshot(2, {"a": self.blob()}, "S", trace={"span": "x"})]
+        for carry_trace in (False, True):
+            pub = DeltaPublisher("s0", stream="S", carry_trace=carry_trace)
+            for phase in range(1, 80):  # deltas and cadence checkpoints
+                bucket = encode_bucket({
+                    f"t{i}": waiting_on("p", phase + i, p=phase + i)
+                    for i in range(phase % 4)
+                })
+                obj = pub.prepare(bucket)
+                if obj is not None:
+                    pub.commit(obj)
+                    emitted.append(obj)
+        assert {obj["kind"] for obj in emitted} == {"delta", "snapshot"}
+        for obj in emitted:
+            assert set(obj) <= self.DELTA_MEMBERS, sorted(obj)
+            for blob in obj["set"].values():
+                assert set(blob) == {"waits", "registered"}
+
+    @pytest.mark.parametrize("codec", ["jsonl", "binary"])
+    def test_a_version_3_header_is_refused(self, codec, tmp_path):
+        from repro.trace import events as ev
+        from repro.trace.codec import BINARY_MAGIC, dumps, loads
+        from repro.trace.events import Trace, TraceFormatError, TraceHeader
+        from repro.trace.stream import iter_load
+
+        data = dumps(Trace(TraceHeader(), (ev.unblock(0, "t"),)), codec)
+        if codec == "binary":
+            assert data[len(BINARY_MAGIC)] == 4
+            data = data[:len(BINARY_MAGIC)] + b"\x03" + data[len(BINARY_MAGIC) + 1:]
+        else:
+            assert data.count(b'"version":4') == 1
+            data = data.replace(b'"version":4', b'"version":3')
+        path = tmp_path / "v3.trace"
+        path.write_bytes(data)
+        with pytest.raises(TraceFormatError, match="version"):
+            loads(data)
+        for policy in ("error", "ignore"):
+            with pytest.raises(TraceFormatError, match="version"):
+                iter_load(path, on_truncation=policy)
+
+    @pytest.mark.parametrize("member", ["v2", "restore", "generation"])
+    def test_a_stamp_era_delta_is_refused_by_every_door(self, member):
+        import json
+
+        from repro.distributed.net.service import CheckerServiceCore
+        from repro.trace.codec import loads
+        from repro.trace.events import TraceFormatError, delta_payload_from_obj
+
+        obj = self.stamp_era_deltas()[member]
+        with pytest.raises(TraceFormatError):
+            delta_payload_from_obj(obj)
+        line = {"seq": 0, "kind": "publish_delta", "site": "s0", "payload": obj}
+        header = {"magic": "armus-trace", "version": 4, "meta": {}}
+        with pytest.raises(TraceFormatError):
+            loads(f"{json.dumps(header)}\n{json.dumps(line)}\n".encode())
+        core = CheckerServiceCore()
+        response = core.handle(
+            {"op": "append_delta", "tenant": "t", "site": "s0", "obj": obj}
+        )
+        assert response["ok"] is False and response["error"] == "value"
+        assert core.tenant_names() == []
+
+
 class TestOneSCCStructure:
     """Cycle maintenance has one implementation, the pure-Python
     ``DynamicSCC``.  A compiled twin, its selection knob and the shared

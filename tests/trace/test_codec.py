@@ -74,18 +74,15 @@ class TestRoundTrip:
     @pytest.mark.parametrize("codec", ["jsonl", "binary"])
     @pytest.mark.parametrize("kind", ["delta", "snapshot"])
     def test_publish_delta_round_trip(self, codec, kind):
-        blobs = {
-            "t1": {"waits": [["p", 1]], "registered": {"p": 1}, "generation": 3}
-        }
+        blobs = {"t1": {"waits": [["p", 1]], "registered": {"p": 1}}}
+        if kind == "delta":
+            blobs["t2"] = {"waits": [["q", 2]], "registered": {}}
         payload = {
-            "v": 2,
+            "v": 3,
             "stream": "st1",
             "seq": 4,
             "kind": kind,
             "set": blobs,
-            "restore": {} if kind == "snapshot" else {
-                "t2": {"waits": [["q", 2]], "registered": {}, "generation": 9}
-            },
             "clear": [] if kind == "snapshot" else ["t3"],
         }
         trace = Trace(
@@ -173,12 +170,12 @@ class TestDeltaPayloadValidation:
     def header(self):
         return b'{"magic":"armus-trace","version":%d,"meta":{}}\n' % TRACE_VERSION
 
-    @pytest.mark.parametrize("version", [0, -1, 99])
+    @pytest.mark.parametrize("version", [0, -1, 2, 99])
     def test_out_of_range_protocol_version_rejected_at_load(self, version):
         line = (
             b'{"seq":0,"kind":"publish_delta","site":"s","payload":'
             b'{"v":%d,"stream":"x","seq":1,"kind":"snapshot",'
-            b'"set":{},"restore":{},"clear":[]}}\n' % version
+            b'"set":{},"clear":[]}}\n' % version
         )
         with pytest.raises(TraceFormatError, match="version"):
             loads(self.header() + line)
@@ -186,8 +183,8 @@ class TestDeltaPayloadValidation:
     def test_snapshot_with_delta_ops_rejected_at_load(self):
         line = (
             b'{"seq":0,"kind":"publish_delta","site":"s","payload":'
-            b'{"v":2,"stream":"x","seq":1,"kind":"snapshot",'
-            b'"set":{},"restore":{},"clear":["t"]}}\n'
+            b'{"v":3,"stream":"x","seq":1,"kind":"snapshot",'
+            b'"set":{},"clear":["t"]}}\n'
         )
         with pytest.raises(TraceFormatError, match="snapshot"):
             loads(self.header() + line)
@@ -198,18 +195,11 @@ class TestTraceContextOnWire:
 
     def payload(self, trace=None):
         obj = {
-            "v": 2,
+            "v": 3,
             "stream": "st1",
             "seq": 4,
             "kind": "snapshot",
-            "set": {
-                "t1": {
-                    "waits": [["p", 1]],
-                    "registered": {"p": 1},
-                    "generation": 3,
-                }
-            },
-            "restore": {},
+            "set": {"t1": {"waits": [["p", 1]], "registered": {"p": 1}}},
             "clear": [],
         }
         if trace is not None:

@@ -42,7 +42,7 @@ from repro.trace.stream import iter_load
 
 CODEC_NAMES = ("binary", "jsonl")
 REFUSED = "TraceFormatError"
-JSONL_HEADER = b'{"magic":"armus-trace","version":3,"meta":{}}\n'
+JSONL_HEADER = b'{"magic":"armus-trace","version":4,"meta":{}}\n'
 
 
 # ---------------------------------------------------------------------------
@@ -156,19 +156,17 @@ def single_site_trace() -> Trace:
 
 
 def blob(phaser="p"):
-    return {"waits": [[phaser, 1]], "registered": {phaser: 1}, "generation": 0}
+    return {"waits": [[phaser, 1]], "registered": {phaser: 1}}
 
 
 def delta_trace() -> Trace:
     def payload(seq, kind, **ops):
         return {
-            "v": 2, "stream": "S", "seq": seq, "kind": kind,
-            "set": ops.get("set", {}), "restore": ops.get("restore", {}),
-            "clear": ops.get("clear", []),
+            "v": 3, "stream": "S", "seq": seq, "kind": kind,
+            "set": ops.get("set", {}), "clear": ops.get("clear", []),
         }
 
-    traced = payload(2, "delta", set={"b": blob("q")},
-                     restore={"c": blob()}, clear=["a"])
+    traced = payload(2, "delta", set={"b": blob("q"), "c": blob()}, clear=["a"])
     traced["trace"] = {"span": "deadbeef"}
     return Trace(
         TraceHeader(meta={}),
@@ -183,7 +181,7 @@ def delta_trace() -> Trace:
 SWEPT = {"single-site": single_site_trace, "deltas": delta_trace}
 
 
-def binary_header(meta_json: bytes, version: int = 3) -> bytes:
+def binary_header(meta_json: bytes, version: int = 4) -> bytes:
     out = bytearray(BINARY_MAGIC + bytes([version]))
     codec_mod._write_varint(out, len(meta_json))
     return bytes(out) + meta_json
@@ -206,8 +204,8 @@ def _named(marker: bytes) -> bytes:
         (
             ev.block(0, "TASKNAME", status("PHASERNAME")),
             ev.publish_delta(1, "SITENAME", {
-                "v": 2, "stream": "STREAMNAME", "seq": 1, "kind": "snapshot",
-                "set": {}, "restore": {}, "clear": [],
+                "v": 3, "stream": "STREAMNAME", "seq": 1, "kind": "snapshot",
+                "set": {}, "clear": [],
             }),
         ),
     )
@@ -278,16 +276,16 @@ def _binary_blocks(section: bytes, times: int = 1) -> bytes:
     return bytes(out)
 
 
-#: Generation 0, no waits, no registrations.
-NO_WAITS_SECTION = b"\x00\x00\x00"
+#: No waits, no registrations.
+NO_WAITS_SECTION = b"\x00\x00"
 
 
 def _no_waits_delta() -> bytes:
     """A binary publish-delta snapshot whose one blob waits on nothing."""
-    blob = {"waits": [], "registered": {}, "generation": 0}
+    blob = {"waits": [], "registered": {}}
     return dumps(Trace(TraceHeader(meta={}), (ev.publish_delta(0, "s0", {
-        "v": 2, "stream": "S", "seq": 1, "kind": "snapshot",
-        "set": {"a": blob}, "restore": {}, "clear": [],
+        "v": 3, "stream": "S", "seq": 1, "kind": "snapshot",
+        "set": {"a": blob}, "clear": [],
     }),)), "binary")
 
 
@@ -295,8 +293,8 @@ def _snapshot_trace(**members) -> Trace:
     """One ``publish_delta`` snapshot of one blob, ``members`` overriding
     the payload's."""
     return Trace(TraceHeader(meta={}), (ev.publish_delta(0, "s0", {
-        "v": 2, "stream": "S", "seq": 1, "kind": "snapshot",
-        "set": {"a": blob()}, "restore": {}, "clear": [], **members,
+        "v": 3, "stream": "S", "seq": 1, "kind": "snapshot",
+        "set": {"a": blob()}, "clear": [], **members,
     }),))
 
 
@@ -343,17 +341,21 @@ REFUSED_FILES = {
     "jsonl meta: a list": lambda: JSONL_HEADER.replace(b"{}", b"[1,2]"),
     "jsonl meta: a number": lambda: JSONL_HEADER.replace(b"{}", b"7"),
     "jsonl meta: null": lambda: JSONL_HEADER.replace(b"{}", b"null"),
-    "jsonl version: a string": lambda: JSONL_HEADER.replace(b":3,", b':"x",'),
-    "jsonl version: null": lambda: JSONL_HEADER.replace(b":3,", b":null,"),
-    "jsonl version: true": lambda: JSONL_HEADER.replace(b":3,", b":true,"),
+    "jsonl version: a string": lambda: JSONL_HEADER.replace(b":4,", b':"x",'),
+    "jsonl version: null": lambda: JSONL_HEADER.replace(b":4,", b":null,"),
+    "jsonl version: true": lambda: JSONL_HEADER.replace(b":4,", b":true,"),
     "jsonl version: 1": lambda: _jsonl_with(
-        single_site_trace(), b'"version":3}', b'"version":1}'
+        single_site_trace(), b'"version":4}', b'"version":1}'
     ),
     "jsonl version: 2": lambda: _jsonl_with(
-        single_site_trace(), b'"version":3}', b'"version":2}'
+        single_site_trace(), b'"version":4}', b'"version":2}'
+    ),
+    "jsonl version: 3": lambda: _jsonl_with(
+        single_site_trace(), b'"version":4}', b'"version":3}'
     ),
     "binary version: 1": lambda: _binary_version(1),
     "binary version: 2": lambda: _binary_version(2),
+    "binary version: 3": lambda: _binary_version(3),
     "binary record: tag 5": _binary_tag_5,
     "jsonl record: kind publish": lambda: JSONL_HEADER + (
         b'{"kind":"publish","payload":{"a":{"generation":0,'
@@ -361,6 +363,21 @@ REFUSED_FILES = {
     ),
     "jsonl delta v: 1": lambda: dumps(_snapshot_trace(v=1), "jsonl"),
     "binary delta v: 1": lambda: dumps(_snapshot_trace(v=1), "binary"),
+    "jsonl delta v: 2": lambda: dumps(_snapshot_trace(v=2), "jsonl"),
+    "binary delta v: 2": lambda: dumps(_snapshot_trace(v=2), "binary"),
+    "jsonl delta: an empty restore member": lambda: dumps(
+        _snapshot_trace(restore={}), "jsonl"
+    ),
+    "jsonl delta: a restore member with ops": lambda: dumps(
+        _snapshot_trace(kind="delta", seq=2, set={}, restore={"a": blob()}),
+        "jsonl",
+    ),
+    "jsonl delta: an unknown member": lambda: dumps(
+        _snapshot_trace(extra=1), "jsonl"
+    ),
+    "jsonl delta blob: a generation member": lambda: dumps(
+        _snapshot_trace(set={"a": {**blob(), "generation": 0}}), "jsonl"
+    ),
     "jsonl delta seq: true": lambda: _jsonl_with(
         _snapshot_trace(), b'"seq":1,"set"', b'"seq":true,"set"'
     ),
@@ -390,7 +407,7 @@ REFUSED_FILES = {
         NO_WAITS_SECTION, times=2
     ),
     "binary block: a section with a trailing byte": lambda: _binary_blocks(
-        b"\x00\x01\x01p\x01\x00\x00"
+        b"\x01\x01p\x01\x00\x00"
     ),
     "jsonl block: no waits": lambda: _jsonl_with(
         single_site_trace(), b'"waits":[["p",1]]', b'"waits":[]'
@@ -427,9 +444,10 @@ REFUSED_FILES = {
     "jsonl registered phase: a fraction": lambda: _registered(b'{"p":1.9}'),
     "jsonl registered phase: true": lambda: _registered(b'{"p":true}'),
     "jsonl registered phase: negative": lambda: _registered(b'{"p":-3}'),
-    "jsonl status generation: a string": lambda: _jsonl_with(
-        single_site_trace(), b'"generation":0', b'"generation":"7"'
+    "jsonl status: a generation member": lambda: _registered(
+        b'{"p":1},"generation":0'
     ),
+    "jsonl status: an unknown member": lambda: _registered(b'{"p":1},"x":[]'),
 }
 
 
@@ -515,14 +533,14 @@ class TestGoodFiles:
         both writers, so each codec writes a file every door reads back,
         to the same record."""
         payload = {"stream": "s", "seq": 1, "kind": "snapshot",
-                   "set": {}, "restore": {}, "clear": []}
+                   "set": {}, "clear": []}
         if trace_ctx is not None:
             payload["trace"] = trace_ctx
         trace = Trace(TraceHeader(), (ev.publish_delta(0, "A", payload),))
         read = [verdicts(dumps(trace, codec), path)[0] for codec in CODEC_NAMES]
         assert read[0] == read[1] != REFUSED
         (rec,) = read[0][1]
-        assert rec.payload == {"v": 2, **payload}
+        assert rec.payload == {"v": 3, **payload}
 
 
 def _report_obj(**members) -> dict:
@@ -533,6 +551,21 @@ def _report_obj(**members) -> dict:
         "model": "sg", "edge_count": 2, "avoided": False,
         **members,
     }
+
+
+def _origin(**members) -> dict:
+    """A well-formed publish origin's wire object, then ``members``."""
+    return {"ordinal": 7, "kind": "publish_delta", "site": "A",
+            "stream": "S", "seq": 2, **members}
+
+
+def _provenance(edge=("p@1", "q@1", "a", "b", 0, 0), **origin) -> dict:
+    """A report's wire object with one provenance ``edge`` over two
+    origins, the first ``_origin(**origin)``."""
+    return _report_obj(provenance={
+        "edges": [list(edge)],
+        "origins": [_origin(**origin), _origin(ordinal=8, seq=3)],
+    })
 
 
 #: Wire objects a service or a client is handed after framing: no file
@@ -557,14 +590,63 @@ REFUSED_OBJECTS = {
         ev.report_from_obj, _report_obj(cycle=[["t", ["q"]]])),
     "report cycle: an event with a fourth member": (
         ev.report_from_obj, _report_obj(cycle=[["e", "p", 1, 0]])),
+    "status: a generation member": (
+        ev.status_from_obj, {**blob(), "generation": 0}),
+    "status: an unknown member": (ev.status_from_obj, {**blob(), "x": 1}),
+    "report tasks: a number": (ev.report_from_obj, _report_obj(tasks=[5])),
+    "report tasks: a string": (ev.report_from_obj, _report_obj(tasks="ab")),
+    "report edge_count: a numeric string": (
+        ev.report_from_obj, _report_obj(edge_count="3")),
+    "report edge_count: negative": (
+        ev.report_from_obj, _report_obj(edge_count=-1)),
+    "report edge_count: true": (ev.report_from_obj, _report_obj(edge_count=True)),
+    "report avoided: a string": (ev.report_from_obj, _report_obj(avoided="false")),
+    "report avoided: 0": (ev.report_from_obj, _report_obj(avoided=0)),
+    "report detection_lag: a fraction": (
+        ev.report_from_obj, _report_obj(detection_lag=2.9)),
+    "report detection_lag: negative": (
+        ev.report_from_obj, _report_obj(detection_lag=-1)),
+    "report detected_at: true": (ev.report_from_obj, _report_obj(detected_at=True)),
+    "report detected_at: a numeric string": (
+        ev.report_from_obj, _report_obj(detected_at="4")),
+    "report provenance edge: a number for a vertex": (
+        ev.report_from_obj, _provenance(edge=(5, "q@1", "a", "b", 0, 0))),
+    "report provenance edge: a number for a task": (
+        ev.report_from_obj, _provenance(edge=("p@1", "q@1", "a", 6, 0, 0))),
+    "report provenance edge: true for an origin index": (
+        ev.report_from_obj, _provenance(edge=("p@1", "q@1", "a", "b", 0, True))),
+    "report origin ordinal: a numeric string": (
+        ev.report_from_obj, _provenance(ordinal="7")),
+    "report origin ordinal: negative": (
+        ev.report_from_obj, _provenance(ordinal=-7)),
+    "report origin kind: a number": (ev.report_from_obj, _provenance(kind=3)),
+    "report origin site: a number": (ev.report_from_obj, _provenance(site=5)),
+    "report origin stream: a list": (ev.report_from_obj, _provenance(stream=["S"])),
+    "report origin seq: a fraction": (ev.report_from_obj, _provenance(seq=2.5)),
+    "report origin seq: true": (ev.report_from_obj, _provenance(seq=True)),
+    "origin seq: a numeric string": (ev.origin_from_obj, _origin(seq="2")),
 }
 
 
 class TestRefusedObjects:
     def test_the_rows_are_cut_from_objects_the_doors_accept(self):
+        from repro.core.report import RecordOrigin
+
         assert ev.status_from_obj(blob()) == status()
+        assert ev.delta_payload_from_obj(_snapshot_trace().records[0].payload)
         report = ev.report_from_obj(_report_obj())
         assert report.cycle_key == {Event("p", 1), Event("q", 1)}
+        origin = RecordOrigin(7, "publish_delta", "A", "S", 2)
+        assert ev.origin_from_obj(_origin()) == origin
+        (edge,) = ev.report_from_obj(
+            {**_provenance(), "detection_lag": 0, "detected_at": 7}
+        ).provenance
+        assert edge.source_origin is edge.target_origin == origin
+        minimal = ev.report_from_obj(_report_obj(provenance={
+            "edges": [["a", "b", "a", "b", 0, 0]],
+            "origins": [{"ordinal": 0, "kind": "block"}],
+        }))
+        assert minimal.provenance[0].source_origin == RecordOrigin(0)
 
     @pytest.mark.parametrize("row", REFUSED_OBJECTS)
     def test_the_door_refuses_with_the_typed_error(self, row):

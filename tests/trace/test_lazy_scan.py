@@ -387,7 +387,7 @@ class TestStatusTable:
         """A section that waits on nothing raises before it is stored, so
         its second appearance in one read is decoded — and refused —
         again."""
-        data = block_frames(b"\x00\x00\x00", times=2)  # reserved 0, 0 waits, 0 phasers
+        data = block_frames(b"\x00\x00", times=2)  # 0 waits, 0 phasers
         codec = BinaryCodec()
         for body in TraceReader(io.BytesIO(data)).frames():
             with pytest.raises(TraceFormatError, match="at least one event"):

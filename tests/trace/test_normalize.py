@@ -30,7 +30,7 @@ def make_trace(task_a, task_b, res_p, res_q, site="siteX"):
             site,
             make_snapshot(
                 1,
-                {task_b: {"waits": [[res_q, 1]], "registered": {res_q: 0}, "generation": 0}},
+                {task_b: {"waits": [[res_q, 1]], "registered": {res_q: 0}}},
                 f"{site}-stream",
             ),
         ),
@@ -118,7 +118,7 @@ class TestCanonicalTrace:
         assert dict(out.header.meta) == dict(trace.header.meta)
 
     def test_publish_delta_payloads_renamed(self):
-        """Delta payloads: tasks/resources inside set/restore/clear are
+        """Delta payloads: tasks/resources inside set/clear are
         renamed; seq, kind and protocol version pass through."""
         from repro.trace.events import RecordKind
 
@@ -135,10 +135,7 @@ class TestCanonicalTrace:
             assert rec.site.startswith("s")
             assert rec.payload["seq"] == orig.payload["seq"]
             assert rec.payload["kind"] == orig.payload["kind"]
-            for section in ("set", "restore"):
-                for task, blob in rec.payload[section].items():
-                    assert task.startswith("t")
-                    assert all(
-                        p.startswith("r") for p, _ in blob["waits"]
-                    )
+            for task, blob in rec.payload["set"].items():
+                assert task.startswith("t")
+                assert all(p.startswith("r") for p, _ in blob["waits"])
             assert all(t.startswith("t") for t in rec.payload["clear"])

@@ -131,10 +131,9 @@ class TestRuntimeCapture:
 
 class TestStoreCapture:
     SNAPSHOT = {
-        "v": 2, "stream": "S", "seq": 1, "kind": "snapshot",
-        "set": {"t1": {"waits": [["p", 1]], "registered": {"p": 1},
-                       "generation": 1}},
-        "restore": {}, "clear": [],
+        "v": 3, "stream": "S", "seq": 1, "kind": "snapshot",
+        "set": {"t1": {"waits": [["p", 1]], "registered": {"p": 1}}},
+        "clear": [],
     }
 
     def test_append_records_publish_delta(self):

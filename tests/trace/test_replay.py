@@ -190,8 +190,8 @@ class TestEitherEngine:
             ev.publish_delta(0, "A", make_snapshot(1, {}, "A1")),
             ev.publish_delta(
                 1, "A",
-                {"v": 2, "stream": "A1", "seq": 3, "kind": "delta",
-                 "set": {}, "restore": {}, "clear": []},
+                {"v": 3, "stream": "A1", "seq": 3, "kind": "delta",
+                 "set": {}, "clear": []},
             ),
         ]
         with pytest.raises(DeltaSequenceError):
@@ -282,8 +282,8 @@ class TestOneReportContract:
             ev.publish_delta(0, "A", make_snapshot(1, {"a1": a1, "a2": a2}, "A")),
             ev.publish_delta(1, "B", make_snapshot(1, {"b1": b1, "b2": b2}, "B")),
             ev.publish_delta(2, "A", {
-                "v": 2, "stream": "A", "seq": 2, "kind": "delta",
-                "set": {}, "restore": {}, "clear": ["a1"],
+                "v": 3, "stream": "A", "seq": 2, "kind": "delta",
+                "set": {}, "clear": ["a1"],
             }),
         ]
         outcome = replay(records, model=model, incremental=incremental)

@@ -108,12 +108,9 @@ class TestStreamingRecorder:
                 rec.record_advance("t1", "p", 1)
                 rec.record_block("t1", self.status())
                 rec.record_publish_delta("site0", {
-                    "v": 2, "stream": "S", "seq": 1, "kind": "snapshot",
-                    "set": {"t2": {
-                        "waits": [["q", 1]], "registered": {"q": 0},
-                        "generation": 0,
-                    }},
-                    "restore": {}, "clear": [],
+                    "v": 3, "stream": "S", "seq": 1, "kind": "snapshot",
+                    "set": {"t2": {"waits": [["q", 1]], "registered": {"q": 0}}},
+                    "clear": [],
                 })
                 rec.record_unblock("t1")
             assert len(spilled) == 5
