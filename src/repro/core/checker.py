@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
-from repro.core.cycles import cycle_through, find_cycle
+from repro.core.cycles import _vertex_key, cycle_through, find_cycle
 from repro.core.dependency import DependencySnapshot, ResourceDependency
 from repro.core.events import BlockedStatus, Event, TaskId
 from repro.core.report import DeadlockReport
@@ -196,15 +196,6 @@ class DeadlockChecker:
         registry — behaviour is identical either way.
     """
 
-    #: Optional override for the snapshot a check analyses when the
-    #: caller passes none.  Report task order follows snapshot
-    #: insertion order; a consumer mirroring a *foreign* ordering (the
-    #: site-bucket merge of the distributed view, which installs itself)
-    #: puts a factory here so the analysis sees exactly that input.  It
-    #: must return the store's own status objects (a revalidating check
-    #: asks the store for them by identity), in any order.
-    snapshot_source: Optional[Callable[[], DependencySnapshot]] = None
-
     def __init__(
         self,
         model: GraphModel = GraphModel.AUTO,
@@ -222,18 +213,6 @@ class DeadlockChecker:
         # Serialises avoidance checks: two tasks blocking concurrently must
         # not both conclude "no cycle yet" for a cycle they jointly create.
         self._avoidance_lock = threading.Lock()
-
-    def _current_snapshot(self) -> DependencySnapshot:
-        if self.snapshot_source is not None:
-            return self.snapshot_source()
-        return self.dependency.snapshot()
-
-    def snapshot_reordered(self) -> None:
-        """``snapshot_source`` now yields the same statuses in another
-        order, with no op fed (a checkpoint re-publishing a bucket
-        shuffled).  Whoever installed the source says so here: an
-        answer kept from the old order is no longer the answer.  This
-        checker keeps none."""
 
     # ------------------------------------------------------------------
     # blocked-status bookkeeping (delegated to the dependency store)
@@ -277,7 +256,7 @@ class DeadlockChecker:
         """
         t0 = time.perf_counter()
         if snapshot is None:
-            snapshot = self._current_snapshot()
+            snapshot = self.dependency.snapshot()
         if snapshot.is_empty():
             self._record(t0, None, GraphModel.WFG if self.model is GraphModel.WFG else _SG, 0)
             return None
@@ -432,11 +411,13 @@ class DeadlockChecker:
             )
         events_t = tuple(dict.fromkeys(cycle[:-1]))
         event_set = set(events_t)
-        tasks = tuple(
-            t
-            for t, s in snapshot.statuses.items()
-            if not s.waits.isdisjoint(event_set)
-        )
+        # The waiting tasks in canonical order: a report is a function
+        # of the blocked set, not of the order the table filled in.
+        tasks = tuple(sorted(
+            (t for t, s in snapshot.statuses.items()
+             if not s.waits.isdisjoint(event_set)),
+            key=_vertex_key,
+        ))
         return DeadlockReport(
             tasks=tasks,
             events=events_t,

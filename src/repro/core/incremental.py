@@ -53,9 +53,12 @@ Cycle *existence* is model-independent either way (Theorem 4.8: the WFG
 has a cycle iff the SG has one), so the maintained WFG is a sound and
 complete oracle for any configured model, and report *content* is
 byte-identical to the from-scratch checker's — differential-tested
-pointwise.  A per-epoch cache skips even the fallback when the state
-has not changed — nor the ``snapshot_source`` been re-ordered — since
-the last extraction (a detection monitor polling a stable deadlock).
+pointwise.  Every report field is a function of the blocked *set*
+(canonical cycle, tasks in vertex-key order, AUTO's build over the
+same order), so a per-epoch cache skips even the fallback when the
+graph has not changed since the last extraction (a detection monitor
+polling a stable deadlock): no reordering of the same statuses can
+change the answer.
 
 The checker inherits the classic one's :class:`~repro.core.dependency.
 ResourceDependency` store, so ``is_current`` revalidation (the table
@@ -184,13 +187,6 @@ class IncrementalChecker(DeadlockChecker):
             finally:
                 self._scc.end_batch()
 
-    def snapshot_reordered(self) -> None:
-        # The per-epoch cache holds a report whose task order (SG/AUTO)
-        # followed the old snapshot order; the graph epoch did not move.
-        with self._lock:
-            self._cached_epoch = -1
-            self._cached = ()
-
     def _insert(self, task: TaskId, status: BlockedStatus) -> None:
         """Fold one newly published status into graph and indexes."""
         scc = self._scc
@@ -261,7 +257,7 @@ class IncrementalChecker(DeadlockChecker):
                     self._cached = (snapshot, report, GraphModel.WFG, scc.edge_count)
                 else:
                     self._tally.counts[_FALLBACK_SLOT] += 1
-                    snapshot = self._current_snapshot()
+                    snapshot = self.dependency.snapshot()
                     self._cached = self._analysis(snapshot, build_graph(
                         snapshot, self.model, self.threshold_factor))
                 self._cached_epoch = scc.mutation_epoch

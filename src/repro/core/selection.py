@@ -4,9 +4,13 @@ State-of-the-art tools commit to the WFG.  Armus selects the model per
 check, according to the monitored concurrency constraints: the adaptive
 mode *tries to build an SG first; if during the construction it reaches a
 size threshold, it builds a WFG instead*.  The threshold is reached when,
-at any point, there are more SG edges than ``threshold_factor`` times the
-number of tasks processed so far (the paper uses a factor of 2, obtained
-experimentally on the available benchmarks).
+at any point of the canonical task order, there are more SG edges than
+``threshold_factor`` times the number of tasks processed so far (the
+paper uses a factor of 2, obtained experimentally on the available
+benchmarks).  Edges are deduplicated, so the test depends on the order
+tasks are processed in; taking them in vertex-key order
+(``cycles._vertex_key``) makes the choice a function of the blocked
+set, not of the order its statuses arrived in.
 
 The scalability rationale (Proposition 4.2): cycle detection is
 O(V + E) ≤ O(V^2 + V), with V = tasks for the WFG and V = events for the
@@ -21,6 +25,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.core.cycles import _vertex_key
 from repro.core.dependency import DependencySnapshot
 from repro.core.graphs import DiGraph, build_sg, build_wfg, iter_sg_edges
 
@@ -72,7 +77,8 @@ def build_graph(
     In :attr:`GraphModel.AUTO` mode, SG construction is attempted first
     and abandoned for the WFG once the edge count exceeds
     ``threshold_factor * tasks_processed`` (checked after each task's
-    edges are added, mirroring the incremental construction in Armus).
+    edges are added, in canonical task order, mirroring the incremental
+    construction in Armus).
     """
     if model is GraphModel.WFG:
         g = build_wfg(snapshot)
@@ -106,11 +112,12 @@ def _try_build_sg(
     for events in awaited.values():
         for e in events:
             g.add_vertex(e)
+    statuses = snapshot.statuses
     tasks_processed = 0
     edges = 0
-    for status in snapshot.statuses.values():
+    for task in sorted(statuses, key=_vertex_key):
         tasks_processed += 1
-        for e1, e2 in iter_sg_edges(status, awaited):
+        for e1, e2 in iter_sg_edges(statuses[task], awaited):
             if not g.has_edge(e1, e2):
                 edges += 1
                 g.add_edge(e1, e2)

@@ -64,14 +64,15 @@ delta recorded into a trace replays bit-identically.
   publisher's committed state runs the former; the tests hold the
   merge view against both.
 
-**Determinism.**  Bucket dicts preserve insertion order and every
-application path mutates them identically (clears pop, a set task
-already present keeps its place, a new one appends), so the merged
-snapshot a delta consumer materialises is ordered exactly like
-:func:`merge_buckets` over the stores' materialised states — site
-order × bucket order, which is what keeps distributed detection
-reports byte-identical across live and replayed derivations and
-across both checker classes.
+**Determinism.**  A delta consumer materialises the same *set* of
+statuses as :func:`merge_buckets` over the stores' materialised
+states, and a report is a function of that set alone (Definitions
+3.1/3.2: a deadlock is a property of the blocked set): the checker
+orders every report field canonically.  Site order, bucket order, a
+delta's ``set`` key order and a checkpoint that republishes a bucket
+shuffled therefore change no report, which is what keeps distributed
+detection byte-identical across live and replayed derivations, both
+codecs and both checker classes.
 """
 
 from __future__ import annotations
@@ -246,11 +247,9 @@ def apply_ops_to_bucket(bucket: Dict[str, dict], obj: Mapping) -> None:
     """Mutate one encoded bucket with a (validated) delta's ops.
 
     The single materialisation rule: a snapshot replaces the bucket
-    wholesale; an ordinary delta pops ``clear`` and writes ``set`` (a
-    task already present keeps its place, a new one appends) —
-    preserving dict order identically everywhere, which is what keeps
-    merged-snapshot task order equal across the stores, the replay
-    engines and the publisher.
+    wholesale; an ordinary delta pops ``clear`` and writes ``set``.
+    The bucket's content is what the stores, the replay engines and
+    the publisher agree on; its key order carries no meaning.
     """
     if obj["kind"] == "snapshot":
         bucket.clear()
@@ -386,8 +385,8 @@ class DeltaPublisher:
 # consumer half
 # ---------------------------------------------------------------------------
 def _merge_statuses(per_site) -> DependencySnapshot:
-    """Disjoint union of ``(site, task -> BlockedStatus)`` pairs, in
-    order.  Task ids are globally unique; a duplicate across sites is a
+    """Disjoint union of ``(site, task -> BlockedStatus)`` pairs.
+    Task ids are globally unique; a duplicate across sites is a
     publishing bug and raises — the one error text behind both
     :func:`merge_buckets` and the delta view, so replays of bucket and
     delta traces fail identically."""
@@ -405,8 +404,7 @@ def _merge_statuses(per_site) -> DependencySnapshot:
 
 def merge_buckets(buckets: Mapping[str, Mapping[str, Mapping]]) -> DependencySnapshot:
     """Merge per-site encoded buckets into one global snapshot,
-    decoding every blob: site order × bucket order, duplicates across
-    sites raise."""
+    decoding every blob; duplicates across sites raise."""
     return _merge_statuses(
         (site_id, {str(t): decode_blob(blob) for t, blob in bucket.items()})
         for site_id, bucket in buckets.items()
@@ -416,28 +414,23 @@ def merge_buckets(buckets: Mapping[str, Mapping[str, Mapping]]) -> DependencySna
 class DeltaMergeState:
     """The consumer's maintained global view, fed task-level deltas.
 
-    One instance backs one checker: per-site encoded buckets (ordered —
-    the merged snapshot must mirror :func:`merge_buckets`' site/task
-    ordering), per-site stream cursors, and cross-site ownership for
-    conflict detection.  The decoded statuses live in one place, the
-    checker's store: each changed blob is decoded once, on arrival, and
-    handed to the checker.  Applying a delta costs O(ops), not
-    O(cluster): this is the property the whole protocol exists to
-    carry across the wire.
+    One instance backs one checker: per-site encoded buckets, per-site
+    stream cursors, and cross-site ownership for conflict detection.
+    The decoded statuses live in one place, the checker's store: each
+    changed blob is decoded once, on arrival, and handed to the
+    checker.  Applying a delta costs O(ops), not O(cluster): this is
+    the property the whole protocol exists to carry across the wire.
 
-    The checker is fed through ``apply_batch`` only, and the view is its
-    ``snapshot_source``: whatever it analyses from a snapshot (every
-    check of a :class:`~repro.core.checker.DeadlockChecker`, the rare
-    cyclic-path fallback of an
-    :class:`~repro.core.incremental.IncrementalChecker`) sees the
-    site-ordered merge, holding the very objects its store holds.
+    The checker is fed through ``apply_batch`` only, and the view sets
+    nothing on it: a check analyses the checker's own store, which
+    holds the merged statuses in whatever order they arrived — a
+    report does not depend on it.  A cross-site duplicate is refused by
+    :meth:`raise_on_conflict`, which every consumer calls before
+    ``check()``.
     """
 
     def __init__(self, checker) -> None:
         self.checker = checker
-        # Report task order follows the analysed snapshot: site order ×
-        # bucket order, not delta arrival order.
-        checker.snapshot_source = self.merged_snapshot
         self.buckets: Dict[str, Dict[str, dict]] = {}
         self.cursors: Dict[str, Cursor] = {}
         self._owners: Dict[str, Set[str]] = {}
@@ -467,9 +460,9 @@ class DeltaMergeState:
         return frozenset(self._conflicted)
 
     def merged_snapshot(self) -> DependencySnapshot:
-        """The global view, ordered (and failing) like
-        :func:`merge_buckets`: the checker's statuses in site × bucket
-        order, with nothing left to decode."""
+        """The global view, equal to (and failing like)
+        :func:`merge_buckets`: the checker's statuses, with nothing left
+        to decode."""
         table = self.checker.dependency.snapshot().statuses
         return _merge_statuses(
             (site, {task: table[task] for task in bucket})
@@ -570,10 +563,6 @@ class DeltaMergeState:
             for task, blob in new.items() if old.get(task) != blob
         }
         self.buckets[site] = new
-        if list(new) != list(old):
-            # Task order is part of what the checker analyses (see
-            # ``snapshot_source``), and a pure reorder feeds it no op.
-            self.checker.snapshot_reordered()
         for task in old:
             if task not in new:
                 self._remove_task(site, task)

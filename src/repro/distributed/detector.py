@@ -58,8 +58,6 @@ class DistributedChecker:
         self.store = store
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.checker = IncrementalChecker(model=model, metrics=metrics)
-        # The view is the checker's snapshot source: the rare
-        # cyclic-path fallback sees the site-ordered merge.
         self.view = DeltaMergeState(self.checker)
         #: Checkpoint resyncs performed (gap recovery accounting).
         self.resyncs = 0

@@ -195,7 +195,7 @@ class TenantChecker:
         self.cycles_found += 1
         raw, ordinal, enriched, obj = self._answer
         if report is not raw or ordinal != self._ordinal:
-            statuses = self.checker.view.merged_snapshot().statuses
+            statuses = self.checker.checker.dependency.snapshot().statuses
             enriched, _ = attach_provenance(report, self._origins, statuses)
             obj = report_to_obj(enriched)
             self._answer = (report, self._ordinal, enriched, obj)

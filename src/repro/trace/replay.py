@@ -39,8 +39,11 @@ There is **one run loop**, :func:`replay`; the *engine* is the checker
 class it instantiates.  ``block``/``unblock`` records queue ``(op,
 task, status)`` deltas that reach a ``local`` checker through
 ``apply_batch`` at each cadence point; publications reach a ``remote``
-checker through the merge view, which feeds ``apply_batch`` too and is
-the checker's ``snapshot_source``.  The default engine is the
+checker through the merge view, which feeds ``apply_batch`` too.
+Either checker analyses its own store, and a report is a function of
+the blocked set it holds, not of the order records, sites or a
+delta's ``set`` members delivered it, so a trace and its other-codec
+twin replay to the same bytes.  The default engine is the
 maintained :class:`~repro.core.incremental.IncrementalChecker`: it keeps
 the analysis graph under the deltas, so checks cost O(1) while it is
 acyclic and a ``check_every=1`` replay of an N-task trace is O(N)
@@ -270,9 +273,10 @@ def replay(
             # transient overlap that resolves before the next cadence
             # point replays fine.
             merge.raise_on_conflict()
-            report = remote.check()
+            checker = remote
         else:
-            report = local.check()
+            checker = local
+        report = checker.check()
         result.checks_run += 1
         if tracer.enabled:
             tracer.event(
@@ -286,9 +290,7 @@ def replay(
         if report is None or report.cycle_key in seen:
             return
         seen.add(report.cycle_key)
-        view = (merge.merged_snapshot() if publishes_seen
-                else local.dependency.snapshot())
-        surface(report, view.statuses)
+        surface(report, checker.dependency.snapshot().statuses)
 
     processed = 0
     for rec in records:

@@ -20,6 +20,7 @@ import pytest
 
 from repro.core.events import BlockedStatus, Event, waiting_on
 from repro.core.incremental import IncrementalChecker
+from repro.core.selection import GraphModel
 from repro.trace.events import report_to_obj
 
 OPS_METRIC_LABELS = ("set_blocked", "clear")
@@ -244,23 +245,26 @@ class TestPlainCheckerApplyBatch:
             checker.apply_batch([("set", "a", status), ("frobnicate", "b", None)])
         assert set(checker.dependency.snapshot().statuses) == {"a"}
 
-    def test_snapshot_source_orders_what_a_check_analyses(self):
-        """Without an explicit snapshot, ``check`` analyses
-        ``snapshot_source()`` — report task order follows it."""
+    @pytest.mark.parametrize("model", list(GraphModel), ids=lambda m: m.value)
+    def test_a_check_of_the_store_equals_a_check_of_any_permutation(self, model):
+        """Without an explicit snapshot, ``check`` analyses the store;
+        its report equals ``check(snapshot=…)`` of every permutation of
+        the same statuses — a report is a function of the blocked set."""
+        from itertools import permutations
+
         from repro.core.checker import DeadlockChecker
         from repro.core.dependency import DependencySnapshot
-        from repro.core.events import waiting_on
 
         knot = {
+            "c": waiting_on("r", 1, r=1, p=0),
             "a": waiting_on("p", 1, p=1, q=0),
-            "b": waiting_on("q", 1, q=1, p=0),
+            "b": waiting_on("q", 1, q=1, r=0),
+            "z": waiting_on("p", 1, p=1, s=0),
         }
-        checker = DeadlockChecker()
+        checker = DeadlockChecker(model=model)
         checker.apply_batch([("set", t, s) for t, s in knot.items()])
-        assert checker.check().tasks == ("a", "b")
-        checker.snapshot_source = lambda: DependencySnapshot(
-            statuses={"b": knot["b"], "a": knot["a"]}
-        )
-        assert checker.check().tasks == ("b", "a")
-        checker.snapshot_source = lambda: DependencySnapshot(statuses={})
-        assert checker.check() is None
+        report = checker.check()
+        assert report is not None
+        for order in permutations(knot):
+            snapshot = DependencySnapshot(statuses={t: knot[t] for t in order})
+            assert DeadlockChecker(model=model).check(snapshot=snapshot) == report

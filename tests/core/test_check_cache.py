@@ -50,10 +50,9 @@ def test_polled_deadlock_is_counted_under_the_model_analysed(model):
 
 def merged_crossed_pair(engine):
     """The crossed pair fed through the distributed merge view, one
-    task per site (the view is the checker's ``snapshot_source``)."""
+    task per site."""
     checker = engine()
     view = DeltaMergeState(checker)
-    assert checker.snapshot_source == view.merged_snapshot
     for site, task in (("A", "t1"), ("B", "t2")):
         view.apply_obj(site, make_snapshot(
             1, encode_bucket({task: CROSSED[task]}), site))

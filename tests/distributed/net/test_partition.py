@@ -137,5 +137,5 @@ class TestReplicatedOverTheWire:
         replicas[0].set_available(True)
         report = client.check()
         assert report is not None
-        assert set(report.tasks) == {"a", "b"}
+        assert report.tasks == ("a", "b")
         assert replicas[0].get_state("s1")[1] == 1  # healed on the way

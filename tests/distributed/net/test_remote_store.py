@@ -106,7 +106,7 @@ class TestStoreSurfaceParity:
         publish(remote, "s1", b)
         checker = DistributedChecker(remote)
         report = checker.check_global()
-        assert report is not None and set(report.tasks) == {"a", "b"}
+        assert report is not None and report.tasks == ("a", "b")
 
     def test_site_over_the_wire(self, make_client):
         """A full ``Site`` (both background loops) running against the
@@ -124,7 +124,7 @@ class TestStoreSurfaceParity:
             deadline = time.time() + 10.0
             while not site.reports and time.time() < deadline:
                 time.sleep(0.01)
-        assert site.reports and set(site.reports[0].tasks) == {"a", "b"}
+        assert site.reports and site.reports[0].tasks == ("a", "b")
         assert not site.loop_errors
 
 
@@ -302,4 +302,4 @@ class TestTenancy:
         publish(one, "s0", a)
         publish(two, "s1", b)
         report = one.check()
-        assert report is not None and set(report.tasks) == {"a", "b"}
+        assert report is not None and report.tasks == ("a", "b")

@@ -217,18 +217,18 @@ class TestCoreDispatch:
 
         for n in range(300):
             publish(tenant, "s0", knot(n), publisher)
-            assert set(tenant.check().tasks) == {f"a{n}", f"b{n}"}
+            assert tenant.check().tasks == (f"a{n}", f"b{n}")
         evicted = registry.get("repro_net_reports_evicted_total")
         assert len(tenant.reports) == MAX_TENANT_REPORTS == 256
         assert len(tenant._seen_cycles) == 256
-        assert set(tenant.reports[0].tasks) == {"a44", "b44"}
-        assert set(tenant.reports[-1].tasks) == {"a299", "b299"}
+        assert tenant.reports[0].tasks == ("a44", "b44")
+        assert tenant.reports[-1].tasks == ("a299", "b299")
         assert evicted.value(tenant="noisy") == 44
         assert tenant.health_doc()["report_count"] == 300
         # An evicted cycle is news again.
         publish(tenant, "s0", knot(0), publisher)
         tenant.check()
-        assert set(tenant.reports[-1].tasks) == {"a0", "b0"}
+        assert tenant.reports[-1].tasks == ("a0", "b0")
         assert len(tenant.reports) == 256
         assert evicted.value(tenant="noisy") == 45
 
@@ -517,7 +517,7 @@ class TestPeriodicChecks:
                 assert doc["status"] == "deadlock"
                 reports = remote.reports()
                 assert len(reports) == 1
-                assert set(reports[0].tasks) == {"a", "b"}
+                assert reports[0].tasks == ("a", "b")
         assert registry.counter(
             "repro_net_check_rounds_total",
             "Periodic service-side detection rounds, across tenants.",

@@ -186,7 +186,7 @@ class TestBackgroundLoops:
 
         peer = DistributedChecker(store)
         report = peer.check_global()
-        assert report is not None and set(report.tasks) == {"a", "b"}
+        assert report is not None and report.tasks == ("a", "b")
 
     def test_graceful_stop_withdraws_stream(self):
         store = InMemoryStore()

@@ -312,7 +312,7 @@ class TestReplicatedStore:
         assert "sX" in store.delta_sites()  # ...but the union has it
         checker = DistributedChecker(store)
         report = checker.check_global()  # served via failover to r1
-        assert report is not None and set(report.tasks) == {"a", "b"}
+        assert report is not None and report.tasks == ("a", "b")
         # The read healed r0: it now carries sX's stream too.
         assert "sX" in replicas[0].delta_sites()
         assert set(replicas[0].get_state("sX")[2]) == {"a", "b"}

@@ -599,6 +599,32 @@ class TestOneReplayDoor:
         assert ("repro_incremental_delta_ops_total" in names) is series
 
 
+class TestOneSnapshotPerCheck:
+    """A check analyses its checker's own store, and a report is a
+    function of the blocked set: no hook hands a checker another
+    snapshot or another order, and the merge view installs nothing on
+    the checker it feeds."""
+
+    def test_no_source_names_an_order_hook(self):
+        names = (b"snapshot_source", b"snapshot_reordered", b"_current_snapshot")
+        for path in sorted((REPO / "src").rglob("*.py")):
+            text = path.read_bytes()
+            for name in names:
+                assert name not in text, (path, name)
+
+    @pytest.mark.parametrize("engine", ["DeadlockChecker", "IncrementalChecker"])
+    def test_the_merge_view_sets_no_attribute_on_its_checker(self, engine):
+        import repro.core
+        from repro.distributed.delta import DeltaMergeState
+
+        checker = getattr(repro.core, engine)()
+        before = dict(vars(checker))
+        DeltaMergeState(checker)
+        after = vars(checker)
+        assert after.keys() == before.keys()
+        assert all(after[name] is value for name, value in before.items())
+
+
 class TestValueTypes:
     """The values a cyclic report is made of — every SG vertex, every
     edge's provenance — hash, compare and sort as tuples, in C.  A
