@@ -229,15 +229,16 @@ class DeadlockChecker:
     def apply_batch(self, ops) -> None:
         """Apply an ordered sequence of ``(op, task, status)`` deltas,
         ``op`` one of ``"set"``/``"clear"`` (``status`` is ignored for
-        ``"clear"``) — the one feeding surface replay and the
-        distributed merge view use, whatever the checker class."""
-        for op, task, status in ops:
-            if op == "set":
-                self.set_blocked(task, status)
-            elif op == "clear":
-                self.clear(task)
-            else:
-                raise ValueError(f"unknown batch op {op!r}")
+        ``"clear"``), under the store's lock: a concurrent check sees
+        the whole batch or none of it, whatever the checker class."""
+        with self.dependency._lock:
+            for op, task, status in ops:
+                if op == "set":
+                    self.set_blocked(task, status)
+                elif op == "clear":
+                    self.clear(task)
+                else:
+                    raise ValueError(f"unknown batch op {op!r}")
 
     # ------------------------------------------------------------------
     # verification

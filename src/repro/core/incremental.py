@@ -30,6 +30,10 @@ Withdrawal removes the task's vertex and (only) its incident edges —
 sound because every WFG edge needs both endpoints blocked, so no other
 pair's edge can depend on the withdrawn status.
 
+There is no batch window to open: the structure prices its upkeep
+over the span between two queries (:mod:`repro.core.scc`), however
+the writes arrive.
+
 **Query contract.**  While the maintained WFG is acyclic — the common
 case by far — :meth:`check` answers in O(1) with no snapshot, no graph
 build and no Tarjan run.  When a cycle exists:
@@ -167,25 +171,6 @@ class IncrementalChecker(DeadlockChecker):
             self._retract(task, old)
         if new is not None:
             self._insert(task, new)
-
-    def apply_batch(self, ops) -> None:
-        """Apply an ordered delta sequence inside one batch window.
-
-        Equivalent — same final state, same subsequent verdicts and
-        reports, same ``repro_incremental_delta_ops_total`` totals — to
-        the parent class's one write per op, but (via
-        :meth:`~repro.core.scc.DynamicSCC.begin_batch`) per affected
-        component at most a constant factor over the cheaper of
-        per-edge Pearce-Kelly passes and one scoped SCC resolution.
-        """
-        if not ops:
-            return
-        with self._lock:
-            self._scc.begin_batch()
-            try:
-                super().apply_batch(ops)
-            finally:
-                self._scc.end_batch()
 
     def _insert(self, task: TaskId, status: BlockedStatus) -> None:
         """Fold one newly published status into graph and indexes."""

@@ -14,6 +14,11 @@ set, paying only for what changed:
   the region.  Sound because a valid topological order certifies
   acyclicity, and a cycle through the new edge needs a ``v ->* u``
   path, which the bounded search cannot miss.
+* **Rent, then buy.**  Between two queries a component pays
+  Pearce-Kelly per violating edge until its charged visits exceed its
+  member count, then defers to one scoped Tarjan at the next query: per
+  component and span, a constant factor over the cheaper of the two,
+  with no window for a caller to open.
 * **Deletions** never create cycles and never invalidate a topological
   order, so deleting from an *acyclic* component is O(degree).  Only a
   deletion touching a component whose verdict is (or may be) *cyclic*
@@ -94,13 +99,10 @@ class DynamicSCC:
         #: sequence actually paid, mirrored into ``repro.obs`` counters.
         self.pk_visits = 0
         #: Scoped recomputes run for dirty components (a deletion from a
-        #: cyclic one, a batch window over its budget).
+        #: cyclic one, a component over budget since the last query).
         self.resolves = 0
-        # Batch window: while > 0, an order-violating insertion charges
-        # its Pearce-Kelly visits to its component and defers once the
-        # component is over budget (see :meth:`begin_batch`).
-        self._batch_depth = 0
-        self._charge: Dict[int, int] = {}  # label -> visits this window
+        # label -> Pearce-Kelly visits charged since the last query.
+        self._charge: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # introspection
@@ -199,15 +201,13 @@ class DynamicSCC:
         lb, ub = self._ord[v], self._ord[u]
         if ub < lb:
             return  # order-respecting edge: provably no new cycle
-        if not self._batch_depth:
-            self._pk_insert(u, v, lb, ub, label)
-            return
-        # Rent, then buy: a window keeps paying Pearce-Kelly per edge
-        # until the visits charged to this component exceed its member
-        # count — what the one scoped Tarjan at the next query costs —
-        # and only then marks it unknown.  Sound because unions are
-        # still eager: any cycle through this edge lies wholly inside
-        # this component, which a dirty recompute sees whole.
+        # Rent, then buy: keep paying Pearce-Kelly per edge until the
+        # visits charged to this component since the last query exceed
+        # its member count — what the one scoped Tarjan at the next
+        # query costs — and only then mark it unknown.  Sound because
+        # unions are still eager: any cycle through this edge lies
+        # wholly inside this component, which a dirty recompute sees
+        # whole.
         spent = self._charge.get(label, 0)
         if spent > len(self._members[label]):
             self._dirty.add(label)
@@ -254,35 +254,6 @@ class DynamicSCC:
             self._ord[w] = slot
         self.pk_visits += len(region)
 
-    def begin_batch(self) -> None:
-        """Enter batch mode (re-entrant; pair with :meth:`end_batch`).
-
-        A window bounds what its insertions pay for order maintenance.
-        An order-violating edge runs Pearce-Kelly as it does outside a
-        window and charges the vertices it visited to its component
-        (charges add when components merge and start at zero when the
-        outermost window opens); once a component's charge exceeds its
-        member count, further violating edges only mark it dirty, for
-        one scoped resolution at the next query.  A window therefore
-        pays, per component, at most a constant factor over the cheaper
-        of per-edge maintenance and one recompute: a one-op window
-        costs its affected region, a whole-site resync one Tarjan.
-        Verdicts and extracted cycles are unchanged: only *when* the
-        maintenance runs moves, never what it computes.  Queries issued
-        mid-batch are legal (they resolve what is dirty so far).
-        """
-        if not self._batch_depth:
-            self._charge.clear()
-        self._batch_depth += 1
-
-    def end_batch(self) -> None:
-        """Leave batch mode.  Deferred work stays lazy: it runs at the
-        next query (``has_cycle``/extraction), which is where per-edge
-        mode would have had its last word anyway."""
-        if self._batch_depth <= 0:
-            raise RuntimeError("end_batch without begin_batch")
-        self._batch_depth -= 1
-
     def remove_edge(self, u: Vertex, v: Vertex) -> None:
         if v not in self._out.get(u, ()):
             return
@@ -316,6 +287,7 @@ class DynamicSCC:
         if not members:
             del self._members[label]
             del self._epoch[label]
+            self._charge.pop(label, None)
             self._cyclic.discard(label)
             self._dirty.discard(label)
 
@@ -323,10 +295,15 @@ class DynamicSCC:
     # queries
     # ------------------------------------------------------------------
     def has_cycle(self) -> bool:
-        """Whether any component currently contains a directed cycle."""
+        """Whether any component currently contains a directed cycle.
+
+        The query every extraction and check goes through, so it is
+        also where the rent-then-buy charges start again from zero.
+        """
         if self._dirty:
             for label in list(self._dirty):
                 self._resolve(label)
+        self._charge.clear()
         return bool(self._cyclic)
 
     def to_digraph(self) -> DiGraph:
@@ -443,6 +420,14 @@ class DynamicSCC:
             for w in component:
                 self._ord[w] = self._next_ord
                 self._next_ord += 1
+
+    # Kept for benchmarks/e2e/layers.py, their only caller: a query
+    # ends the span maintenance is priced over, so these do nothing.
+    def begin_batch(self) -> None:
+        pass
+
+    def end_batch(self) -> None:
+        pass
 
 
 # Kept for benchmarks/e2e/layers.py, its only caller.

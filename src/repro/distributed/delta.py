@@ -52,8 +52,8 @@ delta recorded into a trace replays bit-identically.
 * :class:`DeltaMergeState` — the consumer half: maintain the merged
   global view as per-site buckets plus a fed checker (a
   :class:`~repro.core.checker.DeadlockChecker` or its incremental
-  subclass, fed through ``apply_batch``), applying each delta as
-  task-level ops instead of re-merging every bucket.  Tracks
+  subclass, fed through ``set_blocked``/``clear``), applying each delta
+  as task-level ops instead of re-merging every bucket.  Tracks
   cross-site ownership so a task published by several sites raises the
   same error, at the same time (check time), as the plain
   :func:`merge_buckets` — a transient overlap that resolves within one
@@ -77,7 +77,6 @@ codecs and both checker classes.
 
 from __future__ import annotations
 
-import contextlib
 import json
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
@@ -421,8 +420,10 @@ class DeltaMergeState:
     checker.  Applying a delta costs O(ops), not O(cluster): this is
     the property the whole protocol exists to carry across the wire.
 
-    The checker is fed through ``apply_batch`` only, and the view sets
-    nothing on it: a check analyses the checker's own store, which
+    The checker is fed one ``set_blocked``/``clear`` per task-level op,
+    as each op is applied; it prices its own maintenance between two
+    checks, so the view opens no window.  The view sets nothing else
+    on it: a check analyses the checker's own store, which
     holds the merged statuses in whatever order they arrived — a
     report does not depend on it.  A cross-site duplicate is refused by
     :meth:`raise_on_conflict`, which every consumer calls before
@@ -438,11 +439,6 @@ class DeltaMergeState:
         #: Task-level operations applied since construction — the
         #: "per-check merge cost" quantity of the delta benchmark.
         self.ops_applied = 0
-        # Checker feeding: every application entry point collects its
-        # task-level ops here and hands them to ``checker.apply_batch``
-        # in one call when the outermost one exits.  ``None`` means no
-        # entry point is open.
-        self._pending_ops: Optional[List[Tuple[str, str, Optional[BlockedStatus]]]] = None
 
     # -- introspection -------------------------------------------------
     def sites(self) -> List[str]:
@@ -497,14 +493,13 @@ class DeltaMergeState:
                 for task, blob in obj["set"].items()
             ]
             bucket = self.buckets.setdefault(site, {})
-            with self.batched():
-                for task in obj["clear"]:
-                    if task in bucket:
-                        bucket.pop(task)
-                        self._remove_task(site, task)
-                for task, blob, status in writes:
-                    bucket[task] = blob
-                    self._set_task(site, task, status)
+            for task in obj["clear"]:
+                if task in bucket:
+                    bucket.pop(task)
+                    self._remove_task(site, task)
+            for task, blob, status in writes:
+                bucket[task] = blob
+                self._set_task(site, task, status)
         self.cursors[site] = cursor
 
     def apply_bucket(self, site: str, new_bucket: Mapping[str, Mapping]) -> None:
@@ -512,10 +507,21 @@ class DeltaMergeState:
         checkpoint resync, a withdrawn site), diffing
         against the previous bucket so only changed tasks touch the
         checker."""
-        with self.batched():
-            self._replace_bucket(
-                str(site), {str(t): dict(b) for t, b in new_bucket.items()}
-            )
+        site = str(site)
+        new = {str(t): dict(b) for t, b in new_bucket.items()}
+        old = self.buckets.get(site, {})
+        # An unchanged blob's status stays in the checker; the changed
+        # ones decode here, before anything is mutated.
+        changed = {
+            task: decode_blob(blob)
+            for task, blob in new.items() if old.get(task) != blob
+        }
+        self.buckets[site] = new
+        for task in old:
+            if task not in new:
+                self._remove_task(site, task)
+        for task, status in changed.items():
+            self._set_task(site, task, status)
 
     def reset_site(
         self, site: str, stream: str, seq: int, state: Mapping[str, Mapping]
@@ -535,46 +541,13 @@ class DeltaMergeState:
         self.buckets.pop(site, None)
         self.cursors.pop(site, None)
 
-    # -- checker feeding ---------------------------------------------
-    @contextlib.contextmanager
-    def batched(self):
-        """Collect every checker op applied inside into one
-        ``apply_batch`` call — a sync round's worth of deltas, one
-        batch window.  Re-entrant (nested uses keep the outermost
-        batch); an empty batch costs nothing."""
-        opened = self._pending_ops is None
-        if opened:
-            self._pending_ops = []
-        try:
-            yield self
-        finally:
-            if opened:
-                ops, self._pending_ops = self._pending_ops, None
-                if ops:
-                    self.checker.apply_batch(ops)
-
     # -- task-level primitives (the shared ownership semantics) --------
-    def _replace_bucket(self, site: str, new: Dict[str, dict]) -> None:
-        old = self.buckets.get(site, {})
-        # An unchanged blob's status stays in the checker; the changed
-        # ones decode here, before anything is mutated.
-        changed = {
-            task: decode_blob(blob)
-            for task, blob in new.items() if old.get(task) != blob
-        }
-        self.buckets[site] = new
-        for task in old:
-            if task not in new:
-                self._remove_task(site, task)
-        for task, status in changed.items():
-            self._set_task(site, task, status)
-
     def _remove_task(self, site: str, task: str) -> None:
         self.ops_applied += 1
         owners = self._owners.get(task, set())
         owners.discard(site)
         if not owners:
-            self._pending_ops.append(("clear", task, None))
+            self.checker.clear(task)
             self._owners.pop(task, None)
         elif len(owners) == 1:
             # Conflict resolved by this removal: the survivor's current
@@ -582,13 +555,13 @@ class DeltaMergeState:
             # gets here, so its blob is decoded again).
             self._conflicted.discard(task)
             (survivor,) = owners
-            self._pending_ops.append(
-                ("set", task, decode_blob(self.buckets[survivor][task]))
+            self.checker.set_blocked(
+                task, decode_blob(self.buckets[survivor][task])
             )
 
     def _set_task(self, site: str, task: str, status: BlockedStatus) -> None:
         self.ops_applied += 1
-        self._pending_ops.append(("set", task, status))
+        self.checker.set_blocked(task, status)
         owners = self._owners.setdefault(task, set())
         owners.add(site)
         if len(owners) > 1:

@@ -12,10 +12,13 @@ Armus's two changes to Kshemkalyani & Singhal's one-phase algorithm:
 
 :class:`DistributedChecker` is the per-site checking half.  Under the
 delta protocol it no longer re-merges the whole global view each round:
-it polls every site's delta stream from its cursor, feeds the decoded
-ops into a maintained :class:`~repro.core.incremental.IncrementalChecker`
-through a :class:`~repro.distributed.delta.DeltaMergeState`, and asks
-the maintained graph — O(change) to sync, O(1) to answer while acyclic.
+it polls every site's delta stream from its cursor, writes the decoded
+ops one at a time into a maintained
+:class:`~repro.core.incremental.IncrementalChecker` through a
+:class:`~repro.distributed.delta.DeltaMergeState`, and asks the
+maintained graph — O(change) to sync, O(1) to answer while acyclic.
+The round's check ends the span the graph's upkeep is priced over, so
+a sync opens no batch window of its own.
 A sequence gap (compacted log, restarted stream, stale replica) makes
 the checker *request a checkpoint*: one ``get_state`` read resyncs that
 site's slice of the view.  A deadlock spanning sites appears as a cycle
@@ -86,9 +89,12 @@ class DistributedChecker:
         """Pull every site's new deltas into the maintained view.
 
         O(change) per round: only appended deltas cross the wire, and
-        only their ops touch the checker.  Gaps — compacted logs,
-        restarted streams, stale replicas — fall back to one
-        ``get_state`` checkpoint read for that site.
+        only their ops touch the checker, which prices its graph
+        maintenance over the span up to the round's check — a long
+        backlog costs each component it touches at most a constant
+        factor over one scoped recompute, with no window opened here.
+        Gaps — compacted logs, restarted streams, stale replicas — fall
+        back to one ``get_state`` checkpoint read for that site.
         """
         self._m_sync_rounds.inc()
         live = self.store.delta_sites()
@@ -106,12 +112,8 @@ class DistributedChecker:
                 self._m_sync_lag.observe(len(deltas))
                 if deltas:
                     self._m_sync_deltas.inc(len(deltas))
-                # One batch window for the whole backlog: a polled
-                # stream with several queued deltas feeds the checker
-                # through a single apply_batch.
-                with self.view.batched():
-                    for obj in deltas:
-                        self.view.apply_obj(site, obj)
+                for obj in deltas:
+                    self.view.apply_obj(site, obj)
             except DeltaSequenceError:
                 self._resync(site)
 

@@ -669,7 +669,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "corpus directories")
         p.add_argument("--mode", choices=("detection", "avoidance"),
                        default="detection")
-        p.add_argument("--model", choices=("auto", "wfg", "sg"), default="auto")
+        p.add_argument("--model", choices=("auto", "wfg", "sg"), default="auto",
+                       help="graph model the reports are built in; per-model "
+                            "check accounting in the metrics needs "
+                            "--from-scratch (the maintained engine records "
+                            "every acyclic check as a wfg check)")
         p.add_argument("--check-every", type=_positive_int, default=1)
         p.add_argument("--parallel", type=_positive_int, default=1, metavar="N",
                        help="fan a corpus out over N worker processes "

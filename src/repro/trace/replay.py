@@ -36,10 +36,12 @@ recording bug and raises
 self-contained) and are skipped, but counted towards throughput.
 
 There is **one run loop**, :func:`replay`; the *engine* is the checker
-class it instantiates.  ``block``/``unblock`` records queue ``(op,
-task, status)`` deltas that reach a ``local`` checker through
-``apply_batch`` at each cadence point; publications reach a ``remote``
-checker through the merge view, which feeds ``apply_batch`` too.
+class it instantiates.  ``block``/``unblock`` records are written
+straight to a ``local`` checker as they arrive; publications reach a
+``remote`` checker through the merge view, which writes each
+task-level op the same way.  The checker prices its own maintenance
+over the span between two checks, so ``check_every`` sets that span
+with no window opened here.
 Either checker analyses its own store, and a report is a function of
 the blocked set it holds, not of the order records, sites or a
 delta's ``set`` members delivered it, so a trace and its other-codec
@@ -178,8 +180,13 @@ def replay(
     model:
         Forwarded to the checker — replay under a *different* graph
         model than the live run is explicitly supported (offline model
-        ablations over one recording).  The SG-abort threshold is the
-        paper's factor,
+        ablations over one recording: reports follow ``model`` on
+        either engine).  Per-model *check accounting*
+        (``repro_checks_total{model}``, ``repro_check_edges``) needs
+        ``incremental=False``: the maintained engine answers every
+        acyclic check from its Wait-For Graph and records it as a
+        ``wfg`` check of that graph, whatever ``model`` says.  The
+        SG-abort threshold is the paper's factor,
         :data:`~repro.core.selection.DEFAULT_THRESHOLD_FACTOR`.
     check_every:
         Detection-mode check cadence in state-changing records, a
@@ -240,11 +247,6 @@ def replay(
     lags: List[Tuple[int, float]] = []
     publishes_seen = False
     pending = 0
-    # Detection-mode local ops queue up between cadence points and
-    # reach the checker through one ``apply_batch`` right before the
-    # check.  (Avoidance vets each block as it arrives, so its ops
-    # stay per-record.)
-    local_ops: List[Tuple[str, object, object]] = []
     t0 = time.perf_counter()
 
     def surface(report: DeadlockReport, statuses) -> None:
@@ -265,9 +267,6 @@ def replay(
         result.reports.append(enriched)
 
     def detect() -> None:
-        if local_ops:
-            local.apply_batch(local_ops)
-            local_ops.clear()
         if publishes_seen:
             # Cross-site duplication is rejected at *check* time: a
             # transient overlap that resolves before the next cadence
@@ -309,14 +308,13 @@ def replay(
                     statuses[rec.task] = rec.status
                     surface(report, statuses)
                 continue
-            local_ops.append(("set", rec.task, rec.status))
+            local.set_blocked(rec.task, rec.status)
             pending += 1
         elif kind is RecordKind.UNBLOCK:
             kinds["unblock"] += 1
+            local.clear(rec.task)
             if avoidance:
-                local.clear(rec.task)
                 continue
-            local_ops.append(("clear", rec.task, None))
             pending += 1
         elif kind is RecordKind.PUBLISH_DELTA:
             if avoidance:

@@ -1,15 +1,16 @@
-"""apply_batch property tests: batched == stepwise, always.
+"""apply_batch property tests: one window per batch == one per op.
 
-:meth:`~repro.core.incremental.IncrementalChecker.apply_batch` promises
-that applying an ordered delta sequence in one call is *observationally
-equivalent* to applying it one
-``set_blocked``/``clear`` call at a time: the same final
-store state, the same verdicts and canonical reports afterwards, and
-the same ``repro_incremental_delta_ops_total``
-accounting — only the amount of graph maintenance paid may differ.
-These tests drive randomised op sequences through one checker per
-strategy, slicing the stream into random batch sizes, and compare after
-every batch boundary.
+A window is the span between two queries: the maintained graph prices
+its upkeep over it (rent Pearce-Kelly per edge, buy one scoped
+resolution once a component overspends) and a query ends it.
+Applying an ordered delta sequence through one ``apply_batch`` call and
+querying after it must be *observationally equivalent* to writing it
+one ``set_blocked``/``clear`` at a time with a query after every op:
+the same final store state, the same verdicts and canonical reports,
+and the same ``repro_incremental_delta_ops_total`` accounting — only
+the amount of graph maintenance paid may differ.  These tests drive
+randomised op sequences through one checker per strategy, slicing the
+stream into random batch sizes, and compare at every batch boundary.
 """
 
 from __future__ import annotations
@@ -85,11 +86,13 @@ def chain_ops(rng, count, n):
 
 
 def apply_stepwise(checker, ops):
+    """One write at a time, each its own window: a query after every op."""
     for op, task, status in ops:
         if op == "set":
             checker.set_blocked(task, status)
         else:
             checker.clear(task)
+        checker.check()
 
 
 def delta_op_totals(checker):
@@ -129,9 +132,9 @@ class TestApplyBatchEquivalence:
     def test_fixed_windows_match_stepwise(self, seed, window):
         """Windows from one op (every violating edge runs Pearce-Kelly
         in place) to 64 (a chain component runs over its budget mid-way
-        and the rest of the window defers): whatever maintenance a
-        window ends up paying, the reports are the stepwise ones, field
-        for field."""
+        and the rest of the window defers to the check): whatever
+        maintenance a window ends up paying, the reports are the
+        stepwise ones, field for field."""
         rng = random.Random(7015 + seed)
         ops = chain_ops(rng, 768, 48)
         batched = IncrementalChecker()
@@ -170,7 +173,7 @@ class TestApplyBatchEquivalence:
     def test_unknown_op_raises_and_accounts_partial_batch(self):
         """A failing op mid-batch must not lose the ops already applied
         (the per-op path counts before applying, so accounting matches)
-        and must leave batch mode balanced for later calls."""
+        and must leave the checker usable for later calls."""
         checker = IncrementalChecker()
         status = BlockedStatus(
             waits=frozenset({Event("p", 1)}), registered={"p": 1}
@@ -181,7 +184,6 @@ class TestApplyBatchEquivalence:
                 ("frobnicate", "b", None),
             ])
         assert delta_op_totals(checker)["set_blocked"] == 1
-        # the structure is out of batch mode: a later batch still works
         checker.apply_batch([("clear", "a", None)])
         assert checker.check() is None
 
@@ -206,6 +208,45 @@ class TestApplyBatchEquivalence:
             assert a == b
             deadlocks += a is not None
         assert deadlocks > 0, "sequence never deadlocked; weak test"
+
+
+def reverse_chain(n):
+    """Statuses ``t{i} -> t{i-1}`` in arrival order: each newcomer is
+    latest in the maintained order and points at the whole chain so
+    far, Pearce-Kelly's worst case (~n^2/2 visits maintained eagerly)."""
+    yield "t0", waiting_on("root", 1, p0=0)
+    for i in range(1, n):
+        yield f"t{i}", waiting_on(f"p{i - 1}", 1, **{f"p{i}": 0})
+
+
+def scc_work(checker, kind):
+    return checker.metrics.get("repro_scc_work_total").value(kind=kind)
+
+
+class TestWritesBetweenQueries:
+    """Plain writes with no query in between share one window, whoever
+    makes them: no ``apply_batch`` is needed to bound their upkeep."""
+
+    def test_query_free_reverse_chain_costs_linear_visits(self):
+        n = 2000
+        checker = IncrementalChecker()
+        for task, status in reverse_chain(n):
+            checker.set_blocked(task, status)
+        assert scc_work(checker, "pk_visits") <= 4 * n
+        assert checker.wfg_edge_count == n - 1
+        assert checker.check() is None
+        assert scc_work(checker, "resolves") <= 1
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_query_free_churn_keeps_charges_to_live_labels(self, seed):
+        """A checker that is never queried (replay's local one once
+        publications arrive) holds a charge only for a live component."""
+        rng = random.Random(4200 + seed)
+        checker = IncrementalChecker()
+        checker.apply_batch(chain_ops(rng, 6000, 48))
+        scc = checker._scc
+        assert len(scc._charge) <= len(scc._members)
+        assert set(scc._charge) <= set(scc._members)
 
 
 class TestPlainCheckerApplyBatch:

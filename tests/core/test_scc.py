@@ -382,8 +382,9 @@ def assert_matches_shadow(scc, vertices, edges):
 
 
 class TestStepwiseMutations:
-    """Outside a window every write is maintained in place, so the
-    ground truth must hold after each single op."""
+    """A query after every op makes every window one op long, so each
+    write is maintained in place and the ground truth must hold after
+    each single op."""
 
     def run(self, ops, vertices, rng):
         scc = DynamicSCC()
@@ -425,9 +426,10 @@ class TestStepwiseMutations:
 
 
 class TestBatchWindows:
-    """Inside a window a component defers once over budget, and when it
-    gets its scoped re-partition depends on order values, so member
-    sets are pinned against ground truth at every window edge."""
+    """A window is the span between two queries: within it a component
+    defers once over budget, and when it gets its scoped re-partition
+    depends on order values, so member sets are pinned against ground
+    truth at every query that ends one."""
 
     @pytest.mark.parametrize("script", sorted(SCRIPTS))
     @pytest.mark.parametrize("seed", range(4))
@@ -437,48 +439,57 @@ class TestBatchWindows:
         vertices, edges = set(), set()  # the ops' ground truth
         ops = SCRIPTS[script](rng)
         while window := list(islice(ops, rng.choice((1, 2, 8, 64)))):
-            scc.begin_batch()
             for op in window:
                 apply_op(scc, op, vertices, edges)
-            scc.end_batch()
             assert_matches_shadow(scc, vertices, edges)
 
-    def test_end_batch_without_begin_raises(self):
-        with pytest.raises(RuntimeError):
-            DynamicSCC().end_batch()
+    def test_a_query_ends_the_window(self):
+        """A component that overspent its budget defers until a query;
+        after the query its next violating edge runs Pearce-Kelly in
+        place again."""
+        n = 200
+        scc = DynamicSCC()
+        for i in range(1, n):
+            scc.add_edge(i, i - 1)  # reverse chain: every edge violates
+        visits = scc.pk_visits
+        scc.add_edge(n, n - 1)  # over budget: only marked dirty
+        assert scc.pk_visits == visits
+        assert not scc.has_cycle()
+        assert scc.resolves == 1
+        scc.add_edge(n + 1, n)  # a fresh window: maintained in place
+        assert scc.pk_visits > visits
+        assert not scc.has_cycle()
+        assert scc.resolves == 1
 
 
 class TestWindowCost:
-    """What a batch window may cost: per component, a constant factor
-    over the cheaper of per-edge Pearce-Kelly and one scoped Tarjan."""
+    """What the span between two queries may cost: per component, a
+    constant factor over the cheaper of per-edge Pearce-Kelly and one
+    scoped Tarjan."""
 
     def test_one_op_windows_never_resolve(self):
-        """A window around one edge costs that edge's affected region,
-        like a stepwise write — never a Tarjan over the component."""
+        """A query after every edge leaves each window that edge's
+        affected region — never a Tarjan over the component."""
         n = 4000
         edges = [(i, i + 1) for i in range(n - 1)]
         random.Random(1).shuffle(edges)
         scc = DynamicSCC()
         for u, v in edges:
-            scc.begin_batch()
             scc.add_edge(u, v)
-            scc.end_batch()
             assert not scc.has_cycle()
         assert scc.resolves == 0
         assert len(scc.component_of(0)) == n
 
     def test_one_big_window_buys_after_renting(self):
         """Pearce-Kelly's worst case (every edge violates the order and
-        reorders the whole chain so far: ~n^2/2 visits per-edge) in one
-        window stops renting at the component's size and pays one
-        Tarjan."""
+        reorders the whole chain so far: ~n^2/2 visits per-edge) with
+        no query in between stops renting at the component's size and
+        pays one Tarjan."""
         n = 8000
         scc = DynamicSCC()
         t0 = time.perf_counter()
-        scc.begin_batch()
         for i in range(1, n):
             scc.add_edge(i, i - 1)
-        scc.end_batch()
         assert not scc.has_cycle()
         wall = time.perf_counter() - t0
         assert scc.pk_visits <= 4 * n
@@ -496,7 +507,7 @@ class TestWindowCost:
             base = (c + 1) * 10_000
             for i in range(size - 1):
                 scc.add_edge(base + i, base + i + 1)
-        scc.begin_batch()
+        assert not scc.has_cycle()  # the window opens here
         for i in range(1, 2000):
             scc.add_edge(i, i - 1)  # trips its own bound early
         for c in range(count):
@@ -504,7 +515,6 @@ class TestWindowCost:
             # A fresh vertex (highest order so far) pointing into the
             # chain's tail: order-violating, three vertices affected.
             scc.add_edge(base + size, base + size - 2)
-        scc.end_batch()
         assert not scc.has_cycle()
         assert scc.resolves == 1  # the expensive component alone
         assert scc.pk_visits <= 3 * count + 4 * 2000

@@ -16,14 +16,20 @@ import random
 import sys
 import threading
 
+import pytest
+
+from repro.core.checker import DeadlockChecker
 from repro.core.dependency import ResourceDependency
-from repro.core.events import BlockedStatus, Event
+from repro.core.events import BlockedStatus, Event, waiting_on
 from repro.core.graphs import build_wfg
 from repro.core.incremental import IncrementalChecker
 
 TASKS = [f"t{i}" for i in range(6)]
 PHASERS = ["p", "q", "r"]
 OPS_PER_WRITER = 400
+#: Knot/unknot batch pairs the atomicity test writes: enough that an
+#: unlocked batch is read half-written in most runs.
+BATCH_ROUNDS = 40_000
 JOIN_TIMEOUT_S = 10
 
 
@@ -113,3 +119,46 @@ def test_concurrent_writers_leave_the_maintained_graph_exact():
     assert (checker.check() is None) == (
         IncrementalChecker(dependency=store).check() is None
     )
+
+
+@pytest.mark.parametrize("engine", [DeadlockChecker, IncrementalChecker],
+                         ids=lambda engine: engine.__name__)
+def test_a_batch_is_atomic_to_a_concurrent_reader(engine):
+    """``apply_batch`` holds the store's lock for the whole batch,
+    whatever the checker class: a reader sees both statuses of a pair
+    or neither."""
+    checker = engine()
+    knot = [("set", "a", waiting_on("p", 1, p=1, q=0)),
+            ("set", "b", waiting_on("q", 1, q=1, p=0))]
+    unknot = [("clear", "a", None), ("clear", "b", None)]
+    torn, reads = [], [0]
+    done = threading.Event()
+
+    def writer():
+        for _ in range(BATCH_ROUNDS):
+            checker.apply_batch(knot)
+            checker.apply_batch(unknot)
+
+    def reader():
+        while not done.is_set():
+            tasks = set(checker.dependency.snapshot().statuses)
+            reads[0] += 1
+            if len(tasks) == 1:
+                torn.append(tasks)
+
+    threads = [threading.Thread(target=writer, daemon=True),
+               threading.Thread(target=reader, daemon=True)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        threads[0].join(JOIN_TIMEOUT_S)
+        done.set()
+        threads[1].join(JOIN_TIMEOUT_S)
+    finally:
+        sys.setswitchinterval(interval)
+        done.set()
+    assert not any(t.is_alive() for t in threads), "deadlocked"
+    assert reads[0] > 0
+    assert not torn, torn[:3]

@@ -128,6 +128,22 @@ class TestModelsAndCadence:
         if model is not GraphModel.AUTO:
             assert outcome.reports[0].model_used is model
 
+    def test_per_model_check_accounting_needs_the_from_scratch_engine(self):
+        """Reports follow ``model`` on both engines, the check counters
+        only from scratch: the maintained engine records every acyclic
+        check as a ``wfg`` check of its Wait-For Graph."""
+        path = str(CORPUS / "cycle-L3-F2-S1-R2-ok.trace")
+
+        def reading(incremental):
+            metrics = replay(path, model=GraphModel.SG,
+                             incremental=incremental).metrics
+            edges = metrics.get("repro_check_edges")
+            return (metrics.get("repro_checks_total").per_label(),
+                    edges.count_of(), edges.sum_of())
+
+        assert reading(False) == ({("sg",): 36}, 36, 10)
+        assert reading(True) == ({("wfg",): 36}, 36, 32)
+
     def test_check_every_trades_checks_for_throughput(self):
         trace = scenario_trace(
             ScenarioSpec(cycle_len=3, fan_out=2, sites=1, rounds=5)
