@@ -69,7 +69,7 @@ def main() -> None:
     # 1. Record the live run: one flag on the runtime.
     recorder = TraceRecorder(meta={"example": "trace_replay"})
     runtime = ArmusRuntime(
-        mode=VerificationMode.DETECTION, poll_s=0.002, recorder=recorder
+        mode=VerificationMode.DETECTION, recorder=recorder
     )
     crossed_deadlock(runtime)
     live = runtime.reports[0]

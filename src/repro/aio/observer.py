@@ -9,26 +9,19 @@ the same protocol — fast path, :func:`~repro.runtime.observer.begin_blocked`
 verifier and any attached recorder see byte-for-byte the same traffic
 as a threaded run.
 
-Only the *parking* differs: instead of ``cond.wait(poll_s)`` the
-coroutine parks on its loop's
-:class:`~repro.aio.notify.LoopNotifier`, woken by adapter mutations,
-cancellation and task teardown, with a timeout fallback for progress
-signalled from other threads.  The spec's condition lock is still taken
-around every predicate evaluation — predicates are written to run under
-it — but never held across an ``await``.
+Only the *parking* differs: instead of ``cond.wait()`` the coroutine
+parks on its loop's :class:`~repro.aio.notify.LoopNotifier`, woken by
+adapter mutations, progress made on other threads, cancellation and
+task teardown — never by a timer.  The spec's condition lock is still
+taken around every predicate evaluation — predicates are written to run
+under it — but never held across an ``await``.
 """
 
 from __future__ import annotations
 
-from repro.aio.notify import MIN_PARK_S, notifier_for
+from repro.aio.notify import notifier_for
 from repro.core.report import DeadlockAvoidedError
 from repro.runtime.observer import WaitSpec, begin_blocked, end_blocked
-
-
-def _park_timeout(runtime) -> float:
-    """The poll fallback: the runtime's cadence, floored so thousands of
-    parked tasks do not degenerate into a timer storm."""
-    return max(runtime.poll_s, MIN_PARK_S)
 
 
 async def averified_wait(spec: WaitSpec) -> None:
@@ -38,7 +31,6 @@ async def averified_wait(spec: WaitSpec) -> None:
     :class:`~repro.aio.tasks.AioTask` is ``spec.task``.
     """
     task = spec.task
-    runtime = task.runtime
     notifier = notifier_for()
     task.check_cancelled()
     with spec.cond:
@@ -48,8 +40,8 @@ async def averified_wait(spec: WaitSpec) -> None:
         begin_blocked(task, spec.status_factory, spec.on_avoided)
     except DeadlockAvoidedError:
         # on_avoided deregistered the doomed task, which may have
-        # completed events other parked tasks wait on; its notify_all
-        # reached only thread waiters, so wake the loop's too.
+        # completed events other parked tasks wait on; its wake skipped
+        # the running loop, so wake this loop's waits too.
         notifier.wake_local()
         raise
     try:
@@ -58,6 +50,7 @@ async def averified_wait(spec: WaitSpec) -> None:
             with spec.cond:
                 if spec.predicate():
                     return
-            await notifier.park(_park_timeout(runtime))
+                woken = notifier.park()  # under the lock wake hooks run in
+            await woken
     finally:
         end_blocked(task)

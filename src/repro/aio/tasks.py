@@ -74,7 +74,7 @@ class AioTask(Task):
 
     def cancel(self, report: DeadlockReport) -> None:
         """Condemn the task *and* wake its loop's parked waits, so the
-        report is observed now, not at the next poll."""
+        report is observed now."""
         super().cancel(report)
         if self._notifier is not None:
             self._notifier.wake()

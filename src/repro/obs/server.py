@@ -122,7 +122,6 @@ def build_demo_runtime(
     runtime = ArmusRuntime(
         mode=VerificationMode.DETECTION,
         interval_s=interval_s,
-        poll_s=0.005,
         cancel_on_detect=cancel_on_detect,
         metrics=metrics,
         tracer=tracer,

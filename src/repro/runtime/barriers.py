@@ -16,7 +16,7 @@ import threading
 from typing import Dict, Optional
 
 from repro.core.events import Event
-from repro.runtime.observer import WaitSpec, blocked_status, verified_wait
+from repro.runtime.observer import WaitSpec, blocked_status, notify_waiters, verified_wait
 from repro.runtime.phaser import PhaserMembershipError
 from repro.runtime.tasks import Task
 from repro.runtime.verifier import ArmusRuntime, get_default_runtime
@@ -123,7 +123,7 @@ class CyclicBarrier:
             if self._arrived == self.parties:
                 self._arrived = 0
                 self._generation += 1
-                self._cond.notify_all()
+                notify_waiters(self._cond)
                 return my_generation, None
 
         def ready() -> bool:
@@ -216,7 +216,7 @@ class CountDownLatch:
             if task in self._obligations:
                 self._obligations[task] = 1
             if self._count == 0:
-                self._cond.notify_all()
+                notify_waiters(self._cond)
 
     def await_latch(self) -> None:
         """Block until the count reaches zero (Java ``await()``)."""

@@ -20,7 +20,7 @@ import threading
 from typing import Optional
 
 from repro.core.events import Event
-from repro.runtime.observer import WaitSpec, blocked_status, verified_wait
+from repro.runtime.observer import WaitSpec, blocked_status, notify_waiters, verified_wait
 from repro.runtime.tasks import Task
 from repro.runtime.verifier import ArmusRuntime, get_default_runtime
 
@@ -90,7 +90,7 @@ class ArmusLock:
                 self._owner = None
                 self._epoch += 1
                 task._remove_registration(self)
-                self._cond.notify_all()
+                notify_waiters(self._cond)
 
     def __enter__(self) -> "ArmusLock":
         self.acquire()
@@ -116,7 +116,7 @@ class ArmusLock:
                 self._owner = None
                 self._depth = 0
                 self._epoch += 1
-                self._cond.notify_all()
+                notify_waiters(self._cond)
 
     def __repr__(self) -> str:
         with self._cond:

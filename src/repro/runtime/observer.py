@@ -11,7 +11,7 @@ avoidance cleanup — and a *driver* weaves the verification in:
 2. the avoidance check before blocking (raising instead of
    deadlocking) — :func:`begin_blocked`;
 3. status publication for the detection monitor while blocked;
-4. cancellation polling, so detected deadlocks abort the wait;
+4. cancellation as a wake, so detected deadlocks abort the wait;
 5. guaranteed status withdrawal on every exit path —
    :func:`end_blocked`.
 
@@ -95,6 +95,26 @@ class WaitSpec:
     target: Optional[int] = None
 
 
+#: Run after every synchronizer wakes its waiters; a backend whose
+#: waiters do not sleep on the condition (repro.aio) installs one.
+_wake_hooks: list = []
+
+
+def register_wake_hook(hook: Callable[[], None]) -> None:
+    """Install a wake hook (idempotent).  It runs under a synchronizer's
+    condition: it must be cheap, thread-safe and never raise."""
+    if hook not in _wake_hooks:
+        _wake_hooks.append(hook)
+
+
+def notify_waiters(cond: threading.Condition) -> None:
+    """Wake the threads waiting on ``cond`` and, through the hooks, the
+    parked coroutines; the caller holds ``cond``."""
+    cond.notify_all()
+    for hook in _wake_hooks:
+        hook()
+
+
 def begin_blocked(
     task: "Task",
     status_factory: Callable[[], BlockedStatus],
@@ -136,12 +156,16 @@ def verified_wait(spec: WaitSpec) -> None:
         if spec.predicate():
             return
     begin_blocked(task, spec.status_factory, spec.on_avoided)
+    # Set before the check below, so a cancel (flag, then notify) that
+    # lands on either side of it wakes this wait.
+    task._wait_cond = spec.cond
     try:
         with spec.cond:
             while True:
                 task.check_cancelled()
                 if spec.predicate():
                     return
-                spec.cond.wait(task.runtime.poll_s)
+                spec.cond.wait()
     finally:
+        task._wait_cond = None
         end_blocked(task)

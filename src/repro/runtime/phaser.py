@@ -34,7 +34,7 @@ from typing import Dict, Optional
 from repro.core.events import Event
 from repro.core.report import DeadlockReport
 from repro.runtime.modes import RegistrationMode
-from repro.runtime.observer import WaitSpec, blocked_status, verified_wait
+from repro.runtime.observer import WaitSpec, blocked_status, notify_waiters, verified_wait
 from repro.runtime.tasks import Task
 from repro.runtime.verifier import ArmusRuntime, get_default_runtime
 
@@ -173,7 +173,7 @@ class Phaser:
                     f"{task.name} not registered with {self._rid}"
                 )
             self._evict(task)
-            self._cond.notify_all()
+            notify_waiters(self._cond)
 
     def _evict(self, task: Task) -> None:
         self._modes.pop(task, None)
@@ -252,7 +252,7 @@ class Phaser:
         with self._cond:
             if task in self._members:  # may have been evicted meanwhile
                 self._members[task] = target
-            self._cond.notify_all()
+            notify_waiters(self._cond)
         task.runtime.notify_advance(task, self._rid, target)
         return target
 
@@ -303,7 +303,7 @@ class Phaser:
             with self._cond:
                 if task in self._modes:
                     self._evict(task)
-                    self._cond.notify_all()
+                    notify_waiters(self._cond)
 
         return WaitSpec(
             self._cond, ready, task, status, on_avoided, target=target
@@ -317,7 +317,7 @@ class Phaser:
                 current = self._wait_members.get(task, 0)
                 self._wait_members[task] = max(current, target)
                 # Consumer progress may unblock bounded producers.
-                self._cond.notify_all()
+                notify_waiters(self._cond)
 
     def arrive_and_await_advance(self) -> int:
         """The barrier step: arrive, then wait for everyone (Figure 2's
@@ -340,7 +340,7 @@ class Phaser:
                     f"{task.name} not registered with {self._rid}"
                 )
             self._evict(task)
-            self._cond.notify_all()
+            notify_waiters(self._cond)
 
     # ------------------------------------------------------------------
     # observation
@@ -402,7 +402,7 @@ class Phaser:
         with self._cond:
             if task in self._modes:
                 self._evict(task)
-                self._cond.notify_all()
+                notify_waiters(self._cond)
 
     def __repr__(self) -> str:
         with self._cond:

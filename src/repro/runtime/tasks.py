@@ -122,6 +122,7 @@ class Task:
         # Cancellation (deadlock abort) machinery.
         self._cancelled = threading.Event()
         self._cancel_report: Optional[DeadlockReport] = None
+        self._wait_cond: Optional[threading.Condition] = None  # cancel wakes it
         # Completion.
         self._done = threading.Event()
         self.result: Any = None
@@ -144,9 +145,14 @@ class Task:
 
     # -- cancellation ---------------------------------------------------------
     def cancel(self, report: DeadlockReport) -> None:
-        """Mark the task for abortion; its next blocking poll raises."""
+        """Mark the task for abortion and wake its verified wait, which
+        then raises; any thread may call this."""
         self._cancel_report = report
         self._cancelled.set()
+        cond = self._wait_cond
+        if cond is not None:
+            with cond:
+                cond.notify_all()
 
     @property
     def cancelled(self) -> bool:

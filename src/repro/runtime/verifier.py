@@ -66,7 +66,10 @@ class ArmusRuntime:
     interval_s:
         Detection period (the paper: 100 ms local, 200 ms distributed).
     poll_s:
-        Cancellation poll granularity of instrumented waits.
+        Accepted and ignored: a verified wait ends only by a wake, never
+        by a timer.  Kept for its two callers,
+        ``benchmarks/e2e/workloads.py`` and ``benchmarks/e2e/layers.py``;
+        it goes together with them.
     cancel_on_detect:
         Whether a detection hit cancels the deadlocked tasks (keeps test
         processes alive; disable to only collect reports).
@@ -108,7 +111,6 @@ class ArmusRuntime:
         tracer=None,
     ) -> None:
         self.mode = mode
-        self.poll_s = poll_s
         self.cancel_on_detect = cancel_on_detect
         self.recorder = recorder
         if metrics is None:

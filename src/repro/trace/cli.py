@@ -246,7 +246,6 @@ def cmd_record(args: argparse.Namespace) -> int:
     runtime = ArmusRuntime(
         mode=VerificationMode(args.mode),
         interval_s=0.02,
-        poll_s=0.002,
         recorder=recorder,
         metrics=metrics,
     ).start()

@@ -60,7 +60,6 @@ def make_runtime(
     mode: str = "off",
     model: GraphModel = GraphModel.AUTO,
     interval_s: float = 0.1,
-    poll_s: float = 0.002,
 ) -> ArmusRuntime:
     """Build a runtime from a mode name (``off``/``detection``/``avoidance``).
 
@@ -71,7 +70,6 @@ def make_runtime(
         mode=VerificationMode(mode),
         model=model,
         interval_s=interval_s,
-        poll_s=poll_s,
     )
     return runtime.start()
 

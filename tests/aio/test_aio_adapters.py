@@ -4,12 +4,14 @@ mixed thread/asyncio use of one shared synchronizer."""
 from __future__ import annotations
 
 import asyncio
+import sys
 import threading
 
 import pytest
 
-from repro.aio import AioBarrier, AioLatch, AioLock, AioPhaser, aio_spawn
+from repro.aio import AioBarrier, AioLatch, AioLock, AioPhaser, aio_spawn, notify
 from repro.runtime.modes import RegistrationMode
+from repro.runtime.observer import notify_waiters
 from repro.runtime.phaser import Phaser, PhaserMembershipError
 from repro.runtime.verifier import ArmusRuntime, VerificationMode
 
@@ -200,7 +202,7 @@ class TestMixedBackends:
     def test_thread_and_coroutine_share_a_phaser(self, runtime):
         """One phaser, one threaded member, one asyncio member: the
         barrier still trips (thread-side progress reaches parked
-        coroutines via the poll fallback)."""
+        coroutines through the runtime's wake hook; no timer backs it)."""
         ph = Phaser(runtime, register_self=False, name="mixed")
         gate = threading.Event()
 
@@ -223,3 +225,68 @@ class TestMixedBackends:
 
         asyncio.run(main())
         assert not runtime.reports
+
+    def test_mixed_rounds_lose_no_wake_under_a_short_switch_interval(self, runtime):
+        """Threads and coroutines share a phaser for many rounds, with
+        thread switches forced between almost every bytecode: a wake
+        lost between a predicate check and a park would hang a round,
+        and no timer would rescue it."""
+        rounds, members = 100, 3
+        ph = Phaser(runtime, register_self=False, name="stress")
+
+        def threaded_body():
+            for _ in range(rounds):
+                ph.arrive_and_await_advance()
+
+        async def aio_body():
+            mine = AioPhaser(phaser=ph)
+            for _ in range(rounds):
+                await mine.arrive_and_wait()
+
+        async def main():
+            coroutines = [
+                aio_spawn(aio_body, runtime=runtime, register=[ph])
+                for _ in range(members)
+            ]
+            threads = [
+                runtime.spawn(threaded_body, register=[ph]) for _ in range(members)
+            ]
+            for task in coroutines:
+                await task.wait(60)
+            return threads
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = asyncio.run(main())
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(thread.done() for thread in threads)
+        assert ph.phase == 0 and not runtime.reports  # every member left
+
+    def test_wakes_to_an_idle_loop_coalesce_and_a_closed_one_is_dropped(self):
+        """Thread-side progress queues one wake on a loop that is not
+        running, however often it notifies, and forgets a closed loop."""
+        loop = asyncio.new_event_loop()
+        cond = threading.Condition()
+        try:
+            notifier = notify.notifier_for(loop)
+            ran = []
+            wake_local = notifier.wake_local
+            notifier.wake_local = lambda: (ran.append(None), wake_local())
+            woken = notifier.park()
+            for _ in range(100):
+                with cond:
+                    notify_waiters(cond)
+            loop.run_until_complete(asyncio.sleep(0))
+            assert woken.done() and len(ran) == 1
+            notifier.park()
+            for _ in range(2):  # the wake queued first never runs
+                with cond:
+                    notify_waiters(cond)
+                loop.close()
+            assert notifier not in notify._parking
+        finally:
+            loop.close()

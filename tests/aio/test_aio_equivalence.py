@@ -57,8 +57,7 @@ def thread_crossed(runtime):
 def record_thread_run(mode):
     recorder = TraceRecorder(meta={"scenario": "crossed"})
     runtime = ArmusRuntime(
-        mode=VerificationMode(mode), interval_s=0.02, poll_s=0.002,
-        recorder=recorder,
+        mode=VerificationMode(mode), interval_s=0.02, recorder=recorder,
     ).start()
     try:
         tasks = thread_crossed(runtime)
@@ -75,8 +74,7 @@ def record_thread_run(mode):
 def record_aio_run(mode):
     recorder = TraceRecorder(meta={"scenario": "crossed"})
     runtime = ArmusRuntime(
-        mode=VerificationMode(mode), interval_s=0.02, poll_s=0.002,
-        recorder=recorder,
+        mode=VerificationMode(mode), interval_s=0.02, recorder=recorder,
     ).start()
 
     async def main():

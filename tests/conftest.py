@@ -2,7 +2,7 @@
 
 Deadlock tests intentionally block threads; every runtime is created
 through the ``runtime_factory`` fixture so monitors are stopped and
-polling is fast regardless of test outcome.  Threads themselves are
+detection is fast regardless of test outcome.  Threads themselves are
 daemons and cannot outlive the process.
 """
 
@@ -11,12 +11,14 @@ from __future__ import annotations
 import pytest
 
 from repro.core.selection import GraphModel
+from repro.runtime.phaser import Phaser
 from repro.runtime.verifier import ArmusRuntime, VerificationMode
 
 
 @pytest.fixture
 def runtime_factory():
-    """Create runtimes with fast polling; stop them all afterwards."""
+    """Create runtimes with a fast detection period; stop them all
+    afterwards."""
     created = []
 
     def make(
@@ -29,7 +31,6 @@ def runtime_factory():
             mode=VerificationMode(mode),
             model=model,
             interval_s=interval_s,
-            poll_s=0.002,
             **kwargs,
         )
         runtime.start()
@@ -54,3 +55,26 @@ def avoidance_runtime(runtime_factory):
 @pytest.fixture
 def off_runtime(runtime_factory):
     return runtime_factory("off")
+
+
+@pytest.fixture
+def predicate_evaluations(monkeypatch):
+    """Count the predicate evaluations of every phaser wait built from
+    now on: one list item per evaluation (``list.append`` is atomic
+    across threads)."""
+    evaluations: list = []
+    build = Phaser._await_spec
+
+    def counted(self, phase=None):
+        spec = build(self, phase)
+        predicate = spec.predicate
+
+        def wrapped() -> bool:
+            evaluations.append(None)
+            return predicate()
+
+        spec.predicate = wrapped
+        return spec
+
+    monkeypatch.setattr(Phaser, "_await_spec", counted)
+    return evaluations

@@ -477,6 +477,7 @@ class TestOneValueOneConstant:
         ("repro.predict.parallel", "predict_corpus", ("max_cycle_len", "max_steps")),
         ("repro.predict.engine", "predict_trace",
          ("max_cycle_len", "max_steps", "max_candidates")),
+        ("repro.workloads.common", "make_runtime", ("poll_s",)),
     )
 
     @pytest.mark.parametrize(
@@ -623,6 +624,55 @@ class TestOneSnapshotPerCheck:
         after = vars(checker)
         assert after.keys() == before.keys()
         assert all(after[name] is value for name, value in before.items())
+
+
+class TestWakeOnChange:
+    """A verified wait ends only by a wake: no timer backs a parked
+    coroutine, no timeout paces a waiting thread, and the option that
+    paced them survives only as a keyword its benchmark callers pass."""
+
+    def test_no_source_names_the_timer_fallback(self):
+        names = (b"MIN_PARK_S", b"_park_timeout", b"_expire")
+        for path in sorted((REPO / "src").rglob("*.py")):
+            text = path.read_bytes()
+            for name in names:
+                assert name not in text, (path, name)
+        for path in sorted((REPO / "src" / "repro" / "aio").rglob("*.py")):
+            assert b"call_later" not in path.read_bytes(), path
+
+    def test_a_park_takes_no_timeout(self):
+        import inspect
+
+        from repro.aio.notify import LoopNotifier
+
+        assert list(inspect.signature(LoopNotifier.park).parameters) == ["self"]
+
+    def test_the_thread_driver_waits_without_a_timeout(self):
+        path = REPO / "src" / "repro" / "runtime" / "observer.py"
+        waits = [
+            node for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "wait"
+        ]
+        assert waits
+        assert all(not w.args and not w.keywords for w in waits)
+
+    def test_nothing_passes_poll_s(self):
+        calls = []
+        for root in ("src", "tests", "examples"):
+            for path in sorted((REPO / root).rglob("*.py")):
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if isinstance(node, ast.Call) and any(
+                        k.arg == "poll_s" for k in node.keywords
+                    ):
+                        calls.append((path.name, node.lineno))
+        assert not calls
+
+    def test_the_ignored_keyword_names_its_callers(self):
+        from repro.runtime.verifier import ArmusRuntime
+
+        assert not hasattr(ArmusRuntime(), "poll_s")
+        assert "benchmarks/e2e/workloads.py" in ArmusRuntime.__doc__
 
 
 class TestValueTypes:
